@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ignores lint-graph bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios
+.PHONY: all build test race lint lint-ignores lint-graph bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios fuzz
 
 all: build vet lint test
 
@@ -19,6 +19,15 @@ race:
 crash:
 	$(GO) test -race -count=1 -run 'Crash|Torn|Journal|Recovery|Corrupt' \
 		./internal/wal/ ./internal/crashfs/ ./internal/venus/ ./internal/server/ ./internal/cml/ ./internal/group/
+
+# Decoder fuzz gate: the wire codec's FuzzDecode and the server and
+# Venus journal decoders' FuzzJournalDecode, 10 s each (go test -fuzz
+# takes one target in one package per run). A crasher is written to that
+# package's testdata/fuzz/<target>/ — commit it with the fix.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/venus/
 
 # Scenario gate: the declarative corpus (parse, validate, run, golden
 # dumps, determinism) plus the generated chaos matrix — the crash-point

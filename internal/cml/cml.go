@@ -319,6 +319,19 @@ func (l *Log) Records() []*Record {
 	return append([]*Record(nil), l.records...)
 }
 
+// Each calls fn on every record in temporal order, without copying the
+// log, until fn returns false. fn runs with the log's lock held: it must
+// not call back into the Log or retain the record.
+func (l *Log) Each(fn func(*Record) bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, r := range l.records {
+		if !fn(r) {
+			return
+		}
+	}
+}
+
 // EligibleBytes reports how much of the log is older than the aging window
 // age at time now, i.e. ready for trickle reintegration.
 func (l *Log) EligibleBytes(age time.Duration, now time.Time) int64 {

@@ -10,11 +10,13 @@ import (
 	"sync"
 )
 
-// memNode is one file's state: the volatile view (data) and the prefix
-// of it made durable by the last File.Sync (durable).
+// memNode is one file's state: the volatile view (data) and how much of
+// it the last File.Sync made durable. Files only grow by appending and
+// shrink by Truncate, so the durable image is always the prefix
+// data[:synced] and a sync never has to copy it.
 type memNode struct {
-	data    []byte
-	durable []byte
+	data   []byte
+	synced int
 }
 
 // Mem is an in-memory FS with scripted fault injection. It models the
@@ -120,18 +122,9 @@ func (m *Mem) Reboot() {
 	defer m.mu.Unlock()
 	cur := make(map[string]*memNode, len(m.dur))
 	for name, n := range m.dur {
-		keep := len(n.durable)
-		if extra := len(n.data) - keep; extra > 0 {
-			if extra > m.keepUnsynced {
-				extra = m.keepUnsynced
-			}
-			keep += extra
-		}
-		survived := append([]byte(nil), n.data[:min(keep, len(n.data))]...)
-		if len(survived) < len(n.durable) {
-			survived = append([]byte(nil), n.durable...)
-		}
-		node := &memNode{data: survived, durable: append([]byte(nil), survived...)}
+		keep := min(n.synced+m.keepUnsynced, len(n.data))
+		survived := append([]byte(nil), n.data[:keep]...)
+		node := &memNode{data: survived, synced: len(survived)}
 		cur[name] = node
 		m.dur[name] = node
 	}
@@ -219,7 +212,7 @@ func (f *memFile) Sync() error {
 		m.failSyncAt = 0
 		return m.injectedErr
 	}
-	f.node.durable = append([]byte(nil), f.node.data...)
+	f.node.synced = len(f.node.data)
 	return nil
 }
 
@@ -330,9 +323,7 @@ func (m *Mem) Truncate(name string, size int64) error {
 	if int64(len(node.data)) > size {
 		node.data = node.data[:size]
 	}
-	if int64(len(node.durable)) > size {
-		node.durable = node.durable[:size]
-	}
+	node.synced = min(node.synced, len(node.data))
 	return nil
 }
 

@@ -18,7 +18,7 @@ import (
 // batches through a 3-replica group, every member is hammered with
 // concurrent Checkpoint and SaveState calls. That drives the full
 // documented hierarchy — Server.mu -> volume.mu -> sjMu -> WAL.mu on
-// the servers, drainMu -> Venus.mu -> journal.mu on the client — from
+// the servers, drain token -> journal.mu -> Venus.mu on the client — from
 // many goroutines at once. Run under -race it doubles as the data-race
 // fence; a lock-order violation shows up as the sim failing to drain
 // within the sim-time budget (or as go test's own timeout if the whole

@@ -1,10 +1,13 @@
 package integration
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/cml"
+	"repro/internal/codafs"
 	"repro/internal/venus"
 	"repro/internal/wire"
 )
@@ -51,21 +54,42 @@ func TestServerSurvivesGarbageDatagrams(t *testing.T) {
 	})
 }
 
-// TestWireDecodeNeverPanics fuzzes the gob envelope decoder.
+// TestWireDecodeNeverPanics throws noise, truncations and single-byte
+// corruptions at the wire decoder: every input either decodes or is
+// refused with an error wrapping wire.ErrMalformed, which is what lets
+// the RPC layer drop the packet and carry on.
 func TestWireDecodeNeverPanics(t *testing.T) {
+	check := func(buf []byte) {
+		t.Helper()
+		if _, err := wire.Decode(buf); err != nil && !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("Decode(%x): error %v does not wrap ErrMalformed", buf, err)
+		}
+	}
 	rng := rand.New(rand.NewSource(51))
 	for i := 0; i < 2000; i++ {
 		buf := make([]byte, rng.Intn(200))
 		rng.Read(buf)
-		wire.Decode(buf) // must not panic; errors are fine
+		if len(buf) > 0 && i%2 == 0 {
+			buf[0] = byte(1 + rng.Intn(34)) // a real message tag over a garbage body
+		}
+		check(buf)
 	}
-	// Truncations of a valid message.
-	valid, err := wire.Encode(wire.GetAttr{})
+	valid, err := wire.Encode(wire.Reintegrate{Volume: 1, Records: []cml.Record{{
+		Seq: 1, Kind: cml.Store, FID: codafs.FID{Volume: 1, Vnode: 2, Unique: 3},
+		Name: "f", Owner: "c", Data: []byte("payload"), Length: 7,
+	}}, Fragments: map[int]uint64{0: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(valid); cut++ {
-		wire.Decode(valid[:cut])
+		check(valid[:cut])
+	}
+	for at := range valid {
+		for _, b := range []byte{0x00, 0x7f, 0x80, 0xff} {
+			mangled := append([]byte(nil), valid...)
+			mangled[at] = b
+			check(mangled)
+		}
 	}
 }
 

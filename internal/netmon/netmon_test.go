@@ -101,6 +101,35 @@ func TestBandwidthTracksChange(t *testing.T) {
 	}
 }
 
+// TestExchangeNetOfLatency: small round trips on a fast, 1 ms path must
+// read as the path's bandwidth, not as bytes over latency.
+func TestExchangeNetOfLatency(t *testing.T) {
+	m := NewMonitor(simtime.NewSim(simtime.Epoch1995))
+	p := m.Peer("server")
+	// 10 Mb/s, 1 ms round trip: an exchange of b bytes takes 1 ms + b·0.8 µs.
+	exchange := func(b int64) { p.ObserveExchange(b, time.Millisecond+time.Duration(b)*800*time.Nanosecond) }
+	exchange(10)
+	if got := p.Bandwidth(); got != 0 {
+		t.Errorf("the first exchange only sets the latency floor; Bandwidth = %d", got)
+	}
+	near10M := func(bw int64) bool { return bw >= 9_999_999 && bw <= 10_000_001 }
+	exchange(60)
+	if got := p.Bandwidth(); !near10M(got) {
+		t.Errorf("Bandwidth = %d after a second exchange, want 10 Mb/s", got)
+	}
+	exchange(10) // nothing beyond the floor: no information
+	exchange(5)  // a faster exchange becomes the floor
+	exchange(4096)
+	if got := p.Bandwidth(); !near10M(got) {
+		t.Errorf("Bandwidth = %d, want it to stay at 10 Mb/s", got)
+	}
+	p.Forget()
+	exchange(60)
+	if got := p.Bandwidth(); got != 0 {
+		t.Errorf("Forget kept the latency floor; Bandwidth = %d", got)
+	}
+}
+
 func TestSetBandwidthOverride(t *testing.T) {
 	m := NewMonitor(simtime.NewSim(simtime.Epoch1995))
 	p := m.Peer("server")

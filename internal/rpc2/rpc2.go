@@ -420,7 +420,7 @@ func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 				}
 			}
 			elapsed := n.clock.Now().Sub(start)
-			peer.ObserveTransfer(int64(len(body)+len(rep)+64), elapsed)
+			peer.ObserveExchange(int64(len(body)+len(rep)), elapsed)
 			if in.flags&flagAppError != 0 {
 				return nil, &RemoteError{Msg: string(rep)}
 			}

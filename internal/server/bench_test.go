@@ -11,11 +11,11 @@ import (
 	"repro/internal/wal"
 )
 
-// BenchmarkAllocJournalBatch measures the gob framing of one applied
-// mutation batch into the volume WAL. Gob walks and boxes the batch on
-// every encode — that floor is inherent to the format — but the buffer
-// underneath is the volume's reusable scratch, so AllocsPerOp must stay
-// flat as batches flow; benchgate fails the build if it grows past
+// BenchmarkAllocJournalBatch measures the framing of one applied
+// mutation batch into the volume WAL. The payload is appended into a
+// pooled buffer and the WAL frames into its own scratch, so the steady
+// state allocates nothing but the amortized growth of the retained
+// replication log; benchgate fails the build if AllocsPerOp grows past
 // bench_baseline.json.
 func BenchmarkAllocJournalBatch(b *testing.B) {
 	fs := crashfs.NewMem()
@@ -36,8 +36,8 @@ func BenchmarkAllocJournalBatch(b *testing.B) {
 		Data:   make([]byte, 256),
 		Length: 256,
 	}}
-	// Warm gob's global type registry so the first-encode setup cost is
-	// not charged to the steady state.
+	// Warm the buffer pool and the WAL scratch so first-use growth is not
+	// charged to the steady state.
 	if err := journalBatchLocked(v, "bench-client", recs, obs.SpanContext{}); err != nil {
 		b.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -10,12 +8,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/cml"
 	"repro/internal/codafs"
 	"repro/internal/crashfs"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Server-side durability. Real Coda servers keep their metadata in RVM;
@@ -53,6 +53,43 @@ type volEntry struct {
 	Recs   []cml.Record
 }
 
+// Journal payloads are framed with the wire codec's primitives, fields
+// in declaration order. The encoding is canonical (one byte string per
+// value), which the replication chain relies on: a replica re-frames
+// the entry it was shipped and must arrive at the shipper's bytes.
+
+func appendMetaEntry(dst []byte, e metaEntry) []byte {
+	dst = wire.AppendUvarint(dst, e.LSN)
+	dst = wire.AppendString(dst, e.Name)
+	dst = wire.AppendUvarint(dst, uint64(e.ID))
+	return wire.AppendTime(dst, e.ModTime)
+}
+
+// decodeMetaEntry parses one meta-WAL payload; a payload that is not
+// exactly one entry is an error wrapping wire.ErrMalformed.
+func decodeMetaEntry(payload []byte) (metaEntry, error) {
+	r := wire.NewReader(payload)
+	e := metaEntry{LSN: r.Uvarint(), Name: r.String(), ID: codafs.VolumeID(r.Uint32()), ModTime: r.Time()}
+	return e, r.Done()
+}
+
+// appendVolEntry frames one applied batch.
+//
+//codalint:hotpath per-batch journal framing
+func appendVolEntry(dst []byte, lsn uint64, client string, recs []cml.Record) []byte {
+	dst = wire.AppendUvarint(dst, lsn)
+	dst = wire.AppendString(dst, client)
+	return wire.AppendRecords(dst, recs)
+}
+
+// decodeVolEntry parses one per-volume WAL payload, with the same
+// contract as decodeMetaEntry.
+func decodeVolEntry(payload []byte) (volEntry, error) {
+	r := wire.NewReader(payload)
+	e := volEntry{LSN: r.Uvarint(), Client: r.String(), Recs: r.Records()}
+	return e, r.Done()
+}
+
 // JournalOptions configures Server.AttachJournal.
 type JournalOptions struct {
 	FS           crashfs.FS
@@ -86,7 +123,6 @@ type serverJournal struct {
 	sjMu    sync.Mutex
 	meta    *wal.WAL
 	metaLSN uint64
-	encBuf  bytes.Buffer // gob scratch reused across meta appends (sjMu serializes)
 }
 
 func (sj *serverJournal) snapshotPath() string { return filepath.Join(sj.dir, "snapshot") }
@@ -152,8 +188,8 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 
 	// Meta WAL: replay volume creations the snapshot predates.
 	meta, metaStats, err := wal.Open(sj.walOptions(filepath.Join(opts.Dir, "meta")), func(payload []byte) error {
-		var e metaEntry
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+		e, err := decodeMetaEntry(payload)
+		if err != nil {
 			return fmt.Errorf("server: meta journal entry: %w", err)
 		}
 		if e.LSN > sj.metaLSN {
@@ -181,8 +217,8 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		watermark := volWatermarks[v.info.ID]
 		//codalint:ignore lockhold recovery replay runs before the server takes traffic; the volume lock covers replaying WAL batches into volume state
 		w, stats, err := wal.Open(sj.walOptions(sj.volDir(v.info.ID)), func(payload []byte) error {
-			var e volEntry
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+			e, err := decodeVolEntry(payload)
+			if err != nil {
 				return fmt.Errorf("server: volume %d journal entry: %w", v.info.ID, err)
 			}
 			if e.LSN > v.walLSN {
@@ -267,31 +303,25 @@ func replayBatchLocked(v *volume, e volEntry) error {
 // commits, and advances the volume's replication state. Caller holds
 // v.mu. The frame is built even when no WAL is attached (a nil WAL just
 // skips the Append): the payload bytes are what the chain fingerprint
-// folds over and what peers receive, so an unjournaled server is still a
-// full replica — the LSN sequence IS the replication order.
+// folds over, so an unjournaled server is still a full replica — the
+// LSN sequence IS the replication order.
 //
-// Each WAL payload must be a self-contained gob stream — replay runs a
-// fresh decoder per record — so the encoder is rebuilt per batch; the
-// buffer it fills is the volume's reusable scratch, and the WAL copies
-// the payload into its own frame before Append returns
-// (BenchmarkAllocJournalBatch pins the steady state).
-//
-//codalint:hotpath per-batch journal framing
+// The payload is built in a pooled buffer: the WAL copies it into its
+// own frame before Append returns and the chain only folds over it, so
+// nothing retains it (BenchmarkAllocJournalBatch pins the steady state).
 func journalBatchLocked(v *volume, client string, recs []cml.Record, sc obs.SpanContext) error {
 	lsn := v.walLSN + 1
-	v.encBuf.Reset()
-	//codalint:ignore allocscan gob must box and walk the batch, and each payload needs a fresh encoder to stay self-contained; the buffer underneath is reused
-	if err := gob.NewEncoder(&v.encBuf).Encode(volEntry{LSN: lsn, Client: client, Recs: recs}); err != nil {
-		return err
-	}
+	bp := bufpool.Get(0)
+	defer bufpool.Put(bp)
+	*bp = appendVolEntry(*bp, lsn, client, recs)
 	if v.wal != nil {
-		if err := v.wal.AppendSpan(v.encBuf.Bytes(), sc); err != nil {
+		if err := v.wal.AppendSpan(*bp, sc); err != nil {
 			return err
 		}
 	}
 	v.walLSN = lsn
-	//codalint:ignore allocscan retaining the entry for peer shipping must grow the in-memory log; the records themselves are shared, not copied
-	v.advanceReplLocked(client, lsn, recs, v.encBuf.Bytes())
+	v.journaledBytes += int64(len(*bp))
+	v.advanceReplLocked(client, lsn, recs, *bp)
 	return nil
 }
 
@@ -305,12 +335,8 @@ func (s *Server) journalCreateLocked(v *volume, modTime time.Time) error {
 	sj.sjMu.Lock()
 	defer sj.sjMu.Unlock()
 	e := metaEntry{LSN: sj.metaLSN + 1, Name: v.info.Name, ID: v.info.ID, ModTime: modTime}
-	sj.encBuf.Reset()
-	if err := gob.NewEncoder(&sj.encBuf).Encode(e); err != nil {
-		return err
-	}
 	//codalint:ignore lockhold journal-first commit: sjMu must cover the meta append so meta-LSN order matches creation order
-	if err := sj.meta.Append(sj.encBuf.Bytes()); err != nil {
+	if err := sj.meta.Append(appendMetaEntry(nil, e)); err != nil {
 		return err
 	}
 	sj.metaLSN = e.LSN

@@ -88,7 +88,7 @@ func (d *sdriver) store(key string, data []byte) error {
 func (d *sdriver) setattr(key string, mode uint32) error {
 	rep, err := d.s.mutate(sclient, obs.SpanContext{}, cml.Record{
 		Kind: cml.SetAttr, FID: d.fid[key], Mode: mode,
-		ModTime: time.Unix(800000000, 0), PrevVersion: d.ver[key],
+		ModTime: time.Unix(800000000, 0).UTC(), PrevVersion: d.ver[key], // UTC, as the wire decoder delivers it
 	}, d.fid[key])
 	if err != nil {
 		return err

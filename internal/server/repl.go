@@ -367,8 +367,9 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 			return nil // caught up (or the peer is the one behind)
 		}
 		var allBreaks []breakWork
-		var recs, bytes int64
+		var recs int64
 		s.lockVolume(v)
+		journaled := v.journaledBytes
 		for _, e := range rep.Entries {
 			if e.LSN <= v.walLSN {
 				continue // raced with a concurrent push; already have it
@@ -385,17 +386,17 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 			}
 			allBreaks = append(allBreaks, breaks...)
 			recs += int64(len(e.Recs))
-			bytes += int64(len(v.encBuf.Bytes()))
 			// Entries arriving by catch-up are as shipped as pushed ones.
 			if v.shippedLSN < e.LSN {
 				v.shippedLSN = e.LSN
 			}
 		}
 		caughtUp := v.walLSN >= rep.LSN
+		journaled = v.journaledBytes - journaled
 		v.mu.Unlock()
 		s.stats.catchupRecords.Add(recs)
 		s.met.catchupRecs.Add(recs)
-		s.met.catchupBytes.Add(bytes)
+		s.met.catchupBytes.Add(journaled)
 		s.dispatchBreaks(allBreaks)
 		if caughtUp {
 			return nil

@@ -27,7 +27,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -238,11 +237,9 @@ type volume struct {
 	// LSN sequence is also the replication order). Guarded by mu.
 	wal    *wal.WAL
 	walLSN uint64
-	// encBuf is the gob scratch buffer journalBatchLocked reuses across
-	// appends; mu serializes them, and the WAL copies the payload into
-	// its own frame before Append returns.
-	encBuf bytes.Buffer
-
+	// journaledBytes totals the payloads framed since boot; catch-up
+	// reads the growth across a round for its bytes counter.
+	journaledBytes int64
 	// Replication state (see repl.go), guarded by mu. chain is the
 	// cumulative CRC32C over the exact journal payload bytes through
 	// walLSN — replicas with equal chains at equal LSNs hold

@@ -1,8 +1,6 @@
 package venus
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -10,9 +8,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/cml"
 	"repro/internal/crashfs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // The client journal makes every CML mutation durable the moment it
@@ -22,7 +22,7 @@ import (
 // write-ahead log (internal/wal): each CML append, each post-
 // reintegration drop, and each hoard-database change is framed into the
 // WAL before it is applied in memory. Recovery is snapshot + replay —
-// the last Checkpoint's gob image restores the bulk, and the WAL's
+// the last Checkpoint's snapshot image restores the bulk, and the WAL's
 // surviving suffix re-runs everything after it. Replay is deterministic
 // because cml.Log.Append assigns sequence numbers and runs the
 // optimization rules as pure functions of the log state and the record.
@@ -37,7 +37,9 @@ const (
 	jHoardRemove
 )
 
-// journalEntry is the gob-framed payload of one WAL record.
+// journalEntry is the payload of one WAL record, framed with the wire
+// codec's primitives: LSN, Op, then only the fields that op uses, in the
+// order declared here.
 type journalEntry struct {
 	LSN    uint64
 	Op     journalOp
@@ -47,6 +49,50 @@ type journalEntry struct {
 	Seqs   []uint64   // jDrop
 	HDB    HDBEntry   // jHoardAdd
 	Path   string     // jHoardRemove
+}
+
+func appendJournalEntry(dst []byte, e *journalEntry) []byte {
+	dst = wire.AppendUvarint(dst, e.LSN)
+	dst = append(dst, byte(e.Op))
+	switch e.Op {
+	case jAppend:
+		dst = wire.AppendString(dst, e.Volume)
+		dst = wire.AppendRecord(dst, &e.Rec)
+		dst = wire.AppendTime(dst, e.Now)
+	case jDrop:
+		dst = wire.AppendString(dst, e.Volume)
+		dst = wire.AppendUvarints(dst, e.Seqs)
+	case jHoardAdd:
+		dst = wire.AppendString(dst, e.HDB.Path)
+		dst = wire.AppendUvarint(dst, uint64(e.HDB.Priority))
+		dst = wire.AppendBool(dst, e.HDB.Children)
+	case jHoardRemove:
+		dst = wire.AppendString(dst, e.Path)
+	}
+	return dst
+}
+
+// decodeJournalEntry parses one WAL payload. A payload that is not
+// exactly one entry of a known op is an error wrapping
+// wire.ErrMalformed.
+func decodeJournalEntry(payload []byte) (journalEntry, error) {
+	r := wire.NewReader(payload)
+	e := journalEntry{LSN: r.Uvarint(), Op: journalOp(r.Byte())}
+	switch e.Op {
+	case jAppend:
+		e.Volume = r.String()
+		r.Record(&e.Rec)
+		e.Now = r.Time()
+	case jDrop:
+		e.Volume, e.Seqs = r.String(), r.Uvarints()
+	case jHoardAdd:
+		e.HDB = HDBEntry{Path: r.String(), Priority: int(r.Uvarint()), Children: r.Bool()}
+	case jHoardRemove:
+		e.Path = r.String()
+	default:
+		return journalEntry{}, fmt.Errorf("%w: unknown journal op %d", wire.ErrMalformed, e.Op)
+	}
+	return e, r.Done()
 }
 
 // JournalOptions configures AttachJournal. Policy mirrors the RVM flush
@@ -87,11 +133,10 @@ func (j *journal) snapshotPath() string { return filepath.Join(j.dir, "snapshot"
 // writeLocked frames e into the WAL with the next LSN. Caller holds j.mu.
 func (j *journal) writeLocked(e journalEntry) error {
 	e.LSN = j.lsn + 1
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return err
-	}
-	if err := j.w.Append(buf.Bytes()); err != nil {
+	bp := bufpool.Get(0)
+	defer bufpool.Put(bp)
+	*bp = appendJournalEntry(*bp, &e)
+	if err := j.w.Append(*bp); err != nil {
 		return err
 	}
 	j.lsn = e.LSN
@@ -146,8 +191,8 @@ func (v *Venus) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		Clock:        v.clock,
 		Obs:          v.cfg.Obs,
 	}, func(payload []byte) error {
-		var e journalEntry
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+		e, err := decodeJournalEntry(payload)
+		if err != nil {
 			return fmt.Errorf("venus: journal entry: %w", err)
 		}
 		if e.LSN > j.lsn {

@@ -204,13 +204,24 @@ type vclient struct {
 	// past a member when a call to it times out (see avsg.go).
 	pref int
 
-	// drainMu serializes reintegration attempts against this volume's CML
-	// (its trickle loop vs. the Force* paths), so concurrent drains of
-	// DIFFERENT volumes proceed while one volume's drain stays single-file.
-	// Lock order: drainMu before Venus.mu; RPCs are issued holding only
-	// drainMu, never Venus.mu.
-	drainMu sync.Mutex
+	// drainTok is a one-token queue serializing reintegration attempts
+	// against this volume's CML (its trickle loop vs. the Force* paths),
+	// so concurrent drains of DIFFERENT volumes proceed while one
+	// volume's drain stays single-file. It is a clock queue, not a
+	// mutex, because the holder parks in RPC and SFTP waits: a second
+	// drainer must park through the clock too, or the Sim counts it
+	// runnable and virtual time never reaches the holder's wakeup. The
+	// token is taken before Venus.mu; RPCs are issued holding only the
+	// token, never Venus.mu.
+	drainTok *simtime.Queue[struct{}]
 }
+
+// lockDrain takes vc's drain token, parking on the clock while another
+// drain holds it; an uncontended take returns at once.
+func (vc *vclient) lockDrain() { _, _ = vc.drainTok.Get() }
+
+// unlockDrain returns the token taken by lockDrain.
+func (vc *vclient) unlockDrain() { vc.drainTok.Put(struct{}{}) }
 
 // Conflict records a CML record the server rejected at reintegration.
 type Conflict struct {
@@ -432,7 +443,8 @@ func (v *Venus) Mount(volume string) error {
 		return fmt.Errorf("venus: mount %s: connect: %w", volume, connectErr)
 	}
 	vc := &vclient{info: rep.Info, root: rep.Root.FID, log: cml.NewLog(),
-		pref: v.defaultPref(uint64(rep.Info.ID))}
+		pref: v.defaultPref(uint64(rep.Info.ID)), drainTok: simtime.NewQueue[struct{}](v.clock)}
+	vc.unlockDrain() // the queue starts empty: put the one token in
 	// Fetch the root directory's entries eagerly: every resolution
 	// starts there, and it is small.
 	rootRep, err := callVol[wire.FetchRep](v, vc, wire.Fetch{FID: rep.Root.FID, WantCallback: true}, rpc2.CallOpts{})

@@ -643,6 +643,51 @@ func TestForceReintegrate(t *testing.T) {
 	})
 }
 
+// TestForceReintegrateWhileTrickleShips pins the fix for a hang: on a
+// weak link the volume's trickle loop is parked in an SFTP wait, holding
+// the drain lock, when the user forces reintegration. The second drainer
+// must park through the clock; blocked on a plain mutex it still counted
+// as runnable, so virtual time never reached the first drainer's wakeup
+// and the whole simulation froze. A hang cannot be seen from inside the
+// simulation, hence the wall-clock deadline.
+func TestForceReintegrateWhileTrickleShips(t *testing.T) {
+	w := newWorld(t)
+	w.seed("usr", nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.sim.Run(func() {
+			v := w.venus("c1", venus.Config{AgingWindow: time.Second})
+			if err := v.Mount("usr"); err != nil {
+				t.Error(err)
+				return
+			}
+			v.WriteDisconnect()
+			w.setLink("c1", netsim.Modem)
+			for _, name := range []string{"a", "b", "c"} {
+				if err := v.WriteFile("/coda/usr/"+name, bytes.Repeat([]byte(name), 16<<10)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			// 16 KB takes ~14 s at 9.6 kb/s: five seconds in, the trickle
+			// loop (interval and aging window both 1 s) is mid-chunk.
+			w.sim.Sleep(5 * time.Second)
+			if err := v.ForceReintegrate(); err != nil {
+				t.Error(err)
+			}
+			if n := v.CMLRecords(); n != 0 {
+				t.Errorf("CML holds %d records after ForceReintegrate", n)
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ForceReintegrate behind an in-flight trickle chunk froze virtual time")
+	}
+}
+
 func TestDemotionOnWeakBandwidth(t *testing.T) {
 	w := newWorld(t)
 	w.seed("usr", map[string]string{"f": "x"})
@@ -652,9 +697,12 @@ func TestDemotionOnWeakBandwidth(t *testing.T) {
 		if v.State() != venus.Hoarding {
 			t.Fatal("not hoarding initially")
 		}
-		// The link degrades to a modem; traffic reveals it.
+		// The link degrades to a modem; traffic reveals it. The estimate
+		// starts at the Ethernet's true 10 Mb/s and is an arithmetic
+		// average, so it takes eleven 4 KB samples to sink below the
+		// 1 Mb/s threshold.
 		w.setLink("c1", netsim.Modem)
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 12; i++ {
 			v.ReadFile("/coda/usr/f")
 			v.WriteFile("/coda/usr/g", bytes.Repeat([]byte("y"), 4096))
 			w.sim.Sleep(5 * time.Second)

@@ -3,7 +3,9 @@
 // server — attribute fetches, data fetches, connected-mode mutations, batch
 // volume validation, reintegration, fragment shipping — and every call a
 // server makes back to a client (callback breaks) is a struct here, carried
-// as a gob-encoded body inside an rpc2 call.
+// as the body of an rpc2 call in the fixed-layout encoding of codec.go: a
+// type-tag byte and the fields in declaration order, a few bytes of
+// framing per message where the paper's packets have a fixed header.
 //
 // Message sizes are accounted by the network emulator from the actual
 // encoded bytes, so protocol overheads (e.g. the ~100-byte status blocks of
@@ -12,8 +14,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -279,47 +279,6 @@ type CallbackBreak struct {
 
 // CallbackBreakRep acknowledges the break.
 type CallbackBreakRep struct{}
-
-func init() {
-	for _, v := range []any{
-		GetVolume{}, GetVolumeRep{},
-		ListVolumes{}, ListVolumesRep{},
-		GetAttr{}, GetAttrRep{},
-		Fetch{}, FetchRep{},
-		StoreOp{}, SetAttrOp{}, MakeObject{}, MakeObjectRep{},
-		RemoveOp{}, RenameOp{}, LinkOp{}, MutateRep{},
-		ValidateVolumes{}, ValidateVolumesRep{},
-		ValidateObjects{}, ValidateObjectsRep{},
-		GetVolumeStamp{}, GetVolumeStampRep{},
-		Reintegrate{}, ReintegrateRep{},
-		PutFragment{}, PutFragmentRep{},
-		ConnectClient{}, ConnectClientRep{},
-		ShipLog{}, ShipLogRep{},
-		FetchLog{}, FetchLogRep{},
-		CallbackBreak{}, CallbackBreakRep{},
-	} {
-		gob.Register(v)
-	}
-}
-
-// Encode serializes any registered message.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	iv := v
-	if err := gob.NewEncoder(&buf).Encode(&iv); err != nil {
-		return nil, fmt.Errorf("wire: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes a message produced by Encode.
-func Decode(b []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	return v, nil
-}
 
 // Call performs a typed RPC: it encodes req, calls dst through n, and
 // decodes the reply as Rep.

@@ -14,20 +14,24 @@ race:
 	$(GO) test -race -count=1 ./...
 
 # Durability gate: the full crash matrices (power cut at every journal
-# write on both ends), torn-tail truncation, and journal-failure
-# rejection tests, under the race detector.
+# write on both ends), the power cut at every step of the atomic image
+# write, torn-tail truncation, and journal-failure rejection tests, under
+# the race detector.
 crash:
 	$(GO) test -race -count=1 -run 'Crash|Torn|Journal|Recovery|Corrupt' \
 		./internal/wal/ ./internal/crashfs/ ./internal/venus/ ./internal/server/ ./internal/cml/ ./internal/group/
 
-# Decoder fuzz gate: the wire codec's FuzzDecode and the server and
-# Venus journal decoders' FuzzJournalDecode, 10 s each (go test -fuzz
-# takes one target in one package per run). A crasher is written to that
-# package's testdata/fuzz/<target>/ — commit it with the fix.
+# Decoder fuzz gate: the wire codec's FuzzDecode, the server and Venus
+# journal decoders' FuzzJournalDecode and their image decoders'
+# FuzzLoadState, 10 s each (go test -fuzz takes one target in one package
+# per run). A crasher is written to that package's
+# testdata/fuzz/<target>/ — commit it with the fix.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/venus/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadState$$' -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadState$$' -fuzztime=10s ./internal/venus/
 
 # Scenario gate: the declarative corpus (parse, validate, run, golden
 # dumps, determinism) plus the generated chaos matrix — the crash-point
@@ -40,8 +44,10 @@ scenarios:
 	$(GO) run ./cmd/codascn matrix -run internal/scenario/testdata/scenarios/crash_matrix.scn
 
 # Same wall-clock budget as CI so a local `make lint` catches an
-# analysis-time regression before the workflow does.
+# analysis-time regression before the workflow does. The grep keeps
+# encoding/gob out of the module: every byte format is the wire codec's.
 lint:
+	! grep -rn --include='*.go' '"encoding/gob"' .
 	$(GO) run ./cmd/codalint -deadline 60s ./...
 
 # Audit of every //codalint:ignore suppression (file:line, analyzer,

@@ -1,17 +1,18 @@
 // Command tracegen generates synthetic file-reference traces, reports
-// their statistics (the Figure 11 columns), optionally writes them as gob
-// files, and can replay a trace against a simulated client/server world at
-// a chosen network speed (§6.2.1's methodology as a standalone tool).
+// their statistics (the Figure 11 columns), and can replay the trace
+// against a simulated client/server world at a chosen network speed
+// (§6.2.1's methodology as a standalone tool). A trace is a pure function
+// of the flags that describe it, so there is no trace file: -replay
+// regenerates what the same flags would report on.
 //
 // Usage:
 //
-//	tracegen -preset Purcell|Holst|Messiaen|Concord|ives|... [-seed N] [-o trace.gob]
+//	tracegen -preset Purcell|Holst|Messiaen|Concord|ives|... [-seed N]
 //	tracegen -updates 500 -refs 60 -rewrite 2.5 -writekb 10 -duration 45m
-//	tracegen -replay trace.gob -network modem -lambda 1s -agingwindow 600s
+//	tracegen -preset Concord -replay -network modem -lambda 1s -agingwindow 600s
 package main
 
 import (
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -29,26 +30,17 @@ import (
 func main() {
 	preset := flag.String("preset", "", "named preset (segment: Purcell/Holst/Messiaen/Concord; week: ives/concord/holst/messiaen/purcell)")
 	seed := flag.Int64("seed", 0, "generator seed")
-	out := flag.String("o", "", "write the trace (gob) to this file")
 	updates := flag.Int("updates", 500, "target update count (custom mode)")
 	refs := flag.Int("refs", 60, "references per update (custom mode)")
 	rewrite := flag.Float64("rewrite", 1.5, "mean rewrites per episode (custom mode)")
 	writeKB := flag.Float64("writekb", 8, "mean store size in KB (custom mode)")
 	duration := flag.Duration("duration", 45*time.Minute, "trace span (custom mode)")
 	aging := flag.Duration("aging", -1, "also analyze with this aging window (e.g. 600s)")
-	replayFile := flag.String("replay", "", "replay this trace file against a simulated world")
+	replay := flag.Bool("replay", false, "replay the trace against a simulated world instead of reporting its statistics")
 	network := flag.String("network", "ethernet", "network for -replay: ethernet|wavelan|isdn|modem")
 	lambda := flag.Duration("lambda", time.Second, "think threshold λ for -replay")
 	agingWindow := flag.Duration("agingwindow", 600*time.Second, "aging window A for -replay")
 	flag.Parse()
-
-	if *replayFile != "" {
-		if err := replayTrace(*replayFile, *network, *lambda, *agingWindow); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var p trace.GenParams
 	switch *preset {
@@ -68,6 +60,13 @@ func main() {
 	}
 
 	tr := trace.Generate(p)
+	if *replay {
+		if err := replayTrace(tr, *network, *lambda, *agingWindow); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
 	nrefs, nupdates := tr.Counts()
 	an := trace.AnalyzeCML(tr, trace.NoAging)
 	fmt.Printf("trace %q: %d records over %v\n", tr.Name, len(tr.Records), tr.Duration().Round(time.Second))
@@ -81,36 +80,12 @@ func main() {
 		fmt.Printf("  with A=%v: saved %d KB (%.0f%% of no-aging savings)\n",
 			*aging, aw.SavedBytes/1024, 100*float64(aw.SavedBytes)/float64(an.SavedBytes))
 	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := gob.NewEncoder(f).Encode(tr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
 }
 
-// replayTrace loads a gob trace and replays it on a write-disconnected
-// simulated client at the named network speed, reporting elapsed time and
-// CML statistics — one cell of Figure 12, from the command line.
-func replayTrace(path, network string, lambda, aging time.Duration) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var tr trace.Trace
-	if err := gob.NewDecoder(f).Decode(&tr); err != nil {
-		return fmt.Errorf("decode trace: %w", err)
-	}
-
+// replayTrace replays tr on a write-disconnected simulated client at the
+// named network speed, reporting elapsed time and CML statistics — one
+// cell of Figure 12, from the command line.
+func replayTrace(tr *trace.Trace, network string, lambda, aging time.Duration) error {
 	var prof netsim.Profile
 	switch strings.ToLower(network) {
 	case "ethernet", "e":
@@ -129,7 +104,7 @@ func replayTrace(path, network string, lambda, aging time.Duration) error {
 	net := netsim.New(sim, 1)
 	net.SetDefaults(netsim.Ethernet.Params())
 	srv := server.New(sim, net.Host("server"))
-	if err := trace.SeedServer(srv, &tr); err != nil {
+	if err := trace.SeedServer(srv, tr); err != nil {
 		return err
 	}
 	var stats trace.ReplayStats
@@ -154,7 +129,7 @@ func replayTrace(path, network string, lambda, aging time.Duration) error {
 		v.Connect(prof.Bandwidth)
 
 		begin = v.CMLBytes()
-		stats = trace.Replay(sim, v, &tr, trace.ReplayOpts{Lambda: lambda, OpCost: 3 * time.Millisecond})
+		stats = trace.Replay(sim, v, tr, trace.ReplayOpts{Lambda: lambda, OpCost: 3 * time.Millisecond})
 		end = v.CMLBytes()
 		optimized = v.OptimizedBytes()
 		shipped = v.Stats().ShippedBytes

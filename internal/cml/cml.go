@@ -14,9 +14,7 @@
 package cml
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -552,50 +550,51 @@ func (l *Log) AbortReintegration() {
 	}
 }
 
-// logImage is the persisted form of a Log.
-type logImage struct {
-	Records    []*Record
+// Image is the persistent form of a Log: its records and counters,
+// without the barrier (an interrupted reintegration is simply retried).
+// It is a plain value; Venus frames it into its state image (local
+// persistence is what lets trickle reintegration defer propagation for
+// hours, §4.3.1).
+type Image struct {
+	Records    []Record
 	NextSeq    uint64
 	SavedBytes int64
 	SavedRecs  int64
 	Optimize   bool
 }
 
-// Save persists the log (local persistence is what lets trickle
-// reintegration defer propagation for hours, §4.3.1). A log is saved
-// without its barrier: an interrupted reintegration is simply retried.
-func (l *Log) Save(w io.Writer) error {
+// Save returns the log's image. Record data is shared, not copied.
+func (l *Log) Save() Image {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return gob.NewEncoder(w).Encode(logImage{
-		Records:    l.records,
-		NextSeq:    l.nextSeq,
-		SavedBytes: l.savedBytes,
-		SavedRecs:  l.savedRecs,
-		Optimize:   l.optimize,
-	})
+	img := Image{NextSeq: l.nextSeq, SavedBytes: l.savedBytes, SavedRecs: l.savedRecs, Optimize: l.optimize}
+	if len(l.records) > 0 {
+		img.Records = make([]Record, len(l.records))
+		for i, r := range l.records {
+			img.Records[i] = *r
+		}
+	}
+	return img
 }
 
-// Load restores a log persisted by Save. Truncated or corrupted input
-// yields an error, never a panic: a decoder panic on a mangled stream is
-// converted, so a half-written state file degrades to a load failure the
-// caller can handle.
-func Load(r io.Reader) (log *Log, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			log = nil
-			err = fmt.Errorf("cml: load: corrupted log image: %v", p)
-		}
-	}()
-	var img logImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
-		return nil, fmt.Errorf("cml: load: %w", err)
+// Load restores a log from an image, which it takes ownership of. The
+// image comes from disk, so the invariants Append maintains are checked
+// rather than assumed: sequence numbers ascend strictly and none exceeds
+// NextSeq — a log that violated that would reissue a sequence number,
+// and the server's (client, seq) dedup would silently drop the update.
+func Load(img Image) (*Log, error) {
+	if img.SavedBytes < 0 || img.SavedRecs < 0 {
+		return nil, fmt.Errorf("cml: load: negative savings counter (%d bytes, %d records)", img.SavedBytes, img.SavedRecs)
 	}
-	return &Log{
-		records:    img.Records,
-		nextSeq:    img.NextSeq,
-		savedBytes: img.SavedBytes,
-		savedRecs:  img.SavedRecs,
-		optimize:   img.Optimize,
-	}, nil
+	l := &Log{nextSeq: img.NextSeq, savedBytes: img.SavedBytes, savedRecs: img.SavedRecs, optimize: img.Optimize}
+	var prev uint64
+	for i := range img.Records {
+		rec := &img.Records[i]
+		if rec.Seq <= prev || rec.Seq > img.NextSeq {
+			return nil, fmt.Errorf("cml: load: record %d has sequence %d after %d (next %d)", i, rec.Seq, prev, img.NextSeq)
+		}
+		prev = rec.Seq
+		l.records = append(l.records, rec)
+	}
+	return l, nil
 }

@@ -2,6 +2,7 @@ package cml
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -273,16 +274,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	l := NewLog()
 	l.Append(Record{Kind: Create, FID: fid(2), Parent: dirFID, Name: "a"}, t0)
 	l.Append(storeRec(fid(2), 300), t0.Add(time.Second))
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	l.Append(storeRec(fid(2), 200), t0.Add(2*time.Second)) // cancels the first store
+	img := l.Save()
+	got, err := Load(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != l.Len() || got.Bytes() != l.Bytes() || got.SavedBytes() != l.SavedBytes() {
+	if got.Len() != l.Len() || got.Bytes() != l.Bytes() || got.SavedBytes() != l.SavedBytes() || got.SavedRecords() != l.SavedRecords() {
 		t.Error("loaded log differs")
+	}
+	if again := got.Save(); !reflect.DeepEqual(again, l.Save()) {
+		t.Errorf("image changed across Load/Save:\n got %+v\nwant %+v", again, l.Save())
 	}
 	// Sequence numbers continue from where they left off.
 	got.Append(storeRec(fid(3), 10), t0.Add(time.Minute))
@@ -292,9 +294,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadGarbage: counters no log can hold are refused.
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a log"))); err == nil {
-		t.Error("Load accepted garbage")
+	for _, img := range []Image{
+		{SavedBytes: -1},
+		{SavedRecs: -1},
+		{NextSeq: 3, SavedBytes: -1 << 63, Records: []Record{{Seq: 1, Kind: Store}}},
+	} {
+		if _, err := Load(img); err == nil {
+			t.Errorf("Load accepted %+v", img)
+		}
 	}
 }
 
@@ -384,47 +393,35 @@ func TestChunkPrefixProperty(t *testing.T) {
 	}
 }
 
+// TestLoadCorruptedNeverPanics: an image whose sequence numbers break the
+// order Append maintains — zero, repeated, descending, or past NextSeq —
+// is an error from Load, never a panic and never a log that would
+// reissue a sequence number.
 func TestLoadCorruptedNeverPanics(t *testing.T) {
 	l := NewLog()
 	l.Append(Record{Kind: Create, FID: fid(2), Parent: dirFID, Name: "a"}, t0)
 	l.Append(storeRec(fid(2), 300), t0.Add(time.Second))
 	l.Append(Record{Kind: Rename, FID: fid(2), Parent: dirFID, Name: "a", NewName: "b"}, t0.Add(time.Minute))
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
+	good := l.Save()
+	if _, err := Load(l.Save()); err != nil {
+		t.Fatalf("Load rejected a saved image: %v", err)
 	}
-	img := buf.Bytes()
-
-	// Every strict prefix must fail cleanly: the image is one gob message,
-	// so a truncated stream can never decode to a valid log.
-	for _, n := range []int{0, 1, 4, len(img) / 4, len(img) / 2, len(img) - 1} {
-		if _, err := Load(bytes.NewReader(img[:n])); err == nil {
-			t.Errorf("Load accepted a %d/%d-byte prefix", n, len(img))
+	for i := range good.Records {
+		seqs := []uint64{0, good.NextSeq + 1}
+		if i > 0 {
+			seqs = append(seqs, good.Records[i-1].Seq)
+		}
+		for _, seq := range seqs {
+			bad := l.Save()
+			bad.Records[i].Seq = seq
+			if _, err := Load(bad); err == nil {
+				t.Errorf("Load accepted record %d with sequence %d (next %d)", i, seq, good.NextSeq)
+			}
 		}
 	}
-	// Flipped bytes must never panic (gob panics internally on some
-	// corruptions; Load converts that to an error). A benign data-byte
-	// flip that still decodes is acceptable.
-	for off := 0; off < len(img); off++ {
-		bad := append([]byte(nil), img...)
-		bad[off] ^= 0xff
-		_, _ = Load(bytes.NewReader(bad))
+	short := l.Save()
+	short.NextSeq = short.Records[len(short.Records)-1].Seq - 1
+	if _, err := Load(short); err == nil {
+		t.Error("Load accepted NextSeq below the last record's sequence")
 	}
-}
-
-func FuzzLoad(f *testing.F) {
-	l := NewLog()
-	l.Append(Record{Kind: Create, FID: fid(2), Parent: dirFID, Name: "a"}, t0)
-	l.Append(storeRec(fid(2), 64), t0.Add(time.Second))
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("not a log"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic; errors are the contract for bad input.
-		_, _ = Load(bytes.NewReader(data))
-	})
 }

@@ -142,3 +142,31 @@ func (OS) SyncDir(dir string) error {
 	}
 	return closeErr
 }
+
+// WriteFileAtomic replaces path with data crash-atomically: the bytes go
+// to a temporary file that is fsynced, renamed over path, and the parent
+// directory is fsynced so the rename itself is durable. A power cut at
+// any point leaves either the previous file or the new one, never a torn
+// mixture. On failure the temporary file is removed.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}

@@ -27,7 +27,7 @@ import (
 //   - a function literal that captures variables (the closure is
 //     heap-allocated with its environment)
 //   - boxing a concrete value into an interface-typed parameter
-//   - calls into known allocating stdlib roots (fmt, gob, json,
+//   - calls into known allocating stdlib roots (fmt, json,
 //     strconv/strings/bytes constructors)
 //
 // Two escape hatches keep the summary honest instead of useless:
@@ -138,11 +138,6 @@ func allocRootCall(fn *types.Func) string {
 		if strings.HasPrefix(name, "Sprint") || strings.HasPrefix(name, "Fprint") ||
 			strings.HasPrefix(name, "Print") || name == "Appendf" {
 			return "fmt." + name
-		}
-	case "encoding/gob":
-		switch name {
-		case "NewEncoder", "NewDecoder", "Encode", "EncodeValue", "Decode", "DecodeValue", "Register":
-			return "gob." + name
 		}
 	case "encoding/json":
 		switch name {

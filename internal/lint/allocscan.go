@@ -36,7 +36,7 @@ const HotpathDirective = "//codalint:hotpath"
 // punish every caller for the hot one's discipline. Calls through
 // interfaces are not devirtualized; an unresolved dynamic call is
 // flagged only when the interface method itself is a known allocating
-// root (fmt/gob/json), otherwise it passes — the same documented
+// root (fmt/json), otherwise it passes — the same documented
 // limitation the blocking summaries have.
 type Allocscan struct {
 	eng    *Engine

@@ -367,8 +367,6 @@ func serialRoot(fn *types.Func) string {
 	}
 	path, name := fn.Pkg().Path(), fn.Name()
 	switch {
-	case path == "encoding/gob" && (name == "Encode" || name == "EncodeValue"):
-		return "gob." + name
 	case path == "encoding/json" && name == "Encode":
 		return "json.Encoder.Encode"
 	case path == "encoding/binary" && name == "Write":

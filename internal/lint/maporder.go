@@ -12,9 +12,9 @@ import (
 
 // Maporder is the map-iteration-order taint analyzer. Go randomizes map
 // iteration, so any map-range whose order reaches serialized, persisted,
-// or compared output (gob/json encoders, fmt to writers, WAL appends,
+// or compared output (json encoders, fmt to writers, WAL appends,
 // obs events and dumps) makes byte-identical reproduction impossible —
-// the exact class behind the gob snapshot nondeterminism fixed by hand
+// the exact class behind the snapshot nondeterminism fixed by hand
 // in the durability PR. Two shapes are reported:
 //
 //  1. a range over a map whose body (directly, or through any chain of

@@ -2,7 +2,7 @@ package maporderfix
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -29,13 +29,13 @@ func dumpViaHelper(w io.Writer, m map[string]bool) {
 }
 
 // Shape 2: the accumulator is built in map order and encoded without an
-// intervening sort — the gob snapshot nondeterminism bug.
+// intervening sort — the snapshot nondeterminism bug.
 func encodeUnsorted(w io.Writer, m map[string]int) error {
 	var keys []string
 	for k := range m {
 		keys = append(keys, k)
 	}
-	return gob.NewEncoder(w).Encode(keys) // want "keys accumulates entries of map m in iteration order"
+	return json.NewEncoder(w).Encode(keys) // want "keys accumulates entries of map m in iteration order"
 }
 
 // Clean: sorting between the loop and the sink clears the taint. This is
@@ -46,7 +46,7 @@ func encodeSorted(w io.Writer, m map[string]int) error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return gob.NewEncoder(w).Encode(keys)
+	return json.NewEncoder(w).Encode(keys)
 }
 
 // Clean: ranging over a slice is deterministic; sinks inside are fine.
@@ -55,7 +55,7 @@ func encodeSlice(w io.Writer, xs []string) error {
 	for _, x := range xs {
 		buf.WriteString(x)
 	}
-	return gob.NewEncoder(w).Encode(buf.String())
+	return json.NewEncoder(w).Encode(buf.String())
 }
 
 // Suppressed: a reasoned ignore on the sink line is honored.

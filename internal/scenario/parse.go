@@ -11,7 +11,7 @@ import (
 // becomes the scenario name when the file carries no scenario directive.
 // Malformed input returns a wrapped error naming the offending line;
 // Parse never panics (FuzzParseScenario pins that contract, the same one
-// cml.Load honours for corrupt logs).
+// wire.Decode honours for corrupt packets).
 func Parse(name string, src []byte) (*Scenario, error) {
 	s := &Scenario{Name: name}
 	inSchedule := false

@@ -328,7 +328,7 @@ write c /coda/v/f-${a} "${b}"
 }
 
 // FuzzParseScenario: malformed input must return wrapped errors, never
-// panic — the same contract cml.Load honours for corrupt logs. Validate
+// panic — the same contract wire.Decode honours for corrupt packets. Validate
 // and matrix expansion ride along under the same rule.
 func FuzzParseScenario(f *testing.F) {
 	ents, err := os.ReadDir(corpusDir)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -167,20 +166,16 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	// Snapshot: restores the bulk and carries the LSN watermarks that
 	// fence off WAL entries already reflected in it.
 	var metaWatermark uint64
-	volWatermarks := make(map[codafs.VolumeID]uint64)
 	if f, err := opts.FS.Open(sj.snapshotPath()); err == nil {
-		img, derr := decodeServerImage(f)
+		vols, nextVolID, metaLSN, derr := decodeImage(f)
 		_ = f.Close()
 		if derr != nil {
 			return info, fmt.Errorf("server: journal snapshot: %w", derr)
 		}
-		if err := s.installImage(img); err != nil {
+		if err := s.install(vols, nextVolID); err != nil {
 			return info, err
 		}
-		metaWatermark = img.MetaLSN
-		for _, vi := range img.Volumes {
-			volWatermarks[vi.Info.ID] = vi.JournalLSN
-		}
+		metaWatermark = metaLSN
 		info.SnapshotLoaded = true
 	} else if !crashfs.IsNotExist(err) {
 		return info, err
@@ -214,7 +209,7 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	// recovery is deterministic.
 	for _, v := range s.volumesByID() {
 		v.mu.Lock()
-		watermark := volWatermarks[v.info.ID]
+		watermark := v.walLSN // the snapshot's; zero for a volume the meta WAL created
 		//codalint:ignore lockhold recovery replay runs before the server takes traffic; the volume lock covers replaying WAL batches into volume state
 		w, stats, err := wal.Open(sj.walOptions(sj.volDir(v.info.ID)), func(payload []byte) error {
 			e, err := decodeVolEntry(payload)
@@ -241,9 +236,6 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		if err != nil {
 			v.mu.Unlock()
 			return info, fmt.Errorf("server: volume %d journal open: %w", v.info.ID, err)
-		}
-		if v.walLSN < watermark {
-			v.walLSN = watermark
 		}
 		// Replayed entries were pushed by the pre-crash process (or will
 		// be pulled by peers); recovery does not re-ship them.
@@ -361,11 +353,7 @@ func (s *Server) Checkpoint() error {
 		s.mu.Unlock()
 		return errors.New("server: no journal attached")
 	}
-	vols := make([]*volume, 0, len(s.volumes))
-	for _, v := range s.volumes {
-		vols = append(vols, v)
-	}
-	sort.Slice(vols, func(i, j int) bool { return vols[i].id() < vols[j].id() })
+	vols := s.volumesByIDLocked()
 	for _, v := range vols {
 		v.mu.Lock()
 	}
@@ -377,16 +365,13 @@ func (s *Server) Checkpoint() error {
 	}()
 
 	sj.sjMu.Lock()
-	img := serverImage{NextVolID: s.nextVolID, MetaLSN: sj.metaLSN}
+	img := appendImageHeader(nil, s.nextVolID, sj.metaLSN, len(vols))
 	sj.sjMu.Unlock()
 	for _, v := range vols {
-		vi := v.imageLocked()
-		vi.JournalLSN = v.walLSN
-		vi.ReplChain = v.chain
-		img.Volumes = append(img.Volumes, vi)
+		img = v.appendLocked(img, true)
 	}
 	//codalint:ignore lockhold checkpoint holds every lock for the duration so the snapshot is exactly consistent with its WAL watermarks
-	if err := writeImageFS(sj.fs, sj.snapshotPath(), img); err != nil {
+	if err := crashfs.WriteFileAtomic(sj.fs, sj.snapshotPath(), img); err != nil {
 		return fmt.Errorf("server: checkpoint: %w", err)
 	}
 	sj.sjMu.Lock()

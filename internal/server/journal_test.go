@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/crashfs"
 	"repro/internal/obs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // The server crash matrix drives a scripted mutation sequence against a
@@ -299,21 +302,94 @@ func TestServerLoadStateCorrupted(t *testing.T) {
 	}
 	img := buf.Bytes()
 
-	// Every strict prefix must fail cleanly: gob frames one message, so a
-	// truncated stream can never decode to a valid image.
-	for _, n := range []int{0, 1, 7, len(img) / 3, len(img) / 2, len(img) - 1} {
-		w2 := newWorld()
-		if err := w2.srv.LoadState(bytes.NewReader(img[:n])); err == nil {
-			t.Errorf("LoadState accepted a %d/%d-byte prefix", n, len(img))
+	// Every strict prefix must fail cleanly: each count is checked against
+	// the bytes that remain, so a truncated image never decodes.
+	for n := 0; n < len(img); n++ {
+		if err := newWorld().srv.LoadState(bytes.NewReader(img[:n])); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("LoadState of a %d/%d-byte prefix: %v, want ErrMalformed", n, len(img), err)
 		}
 	}
 	// Flipped bytes must never panic; an error (or a benign data-byte flip
 	// that still decodes) are both acceptable outcomes.
-	for off := 0; off < len(img); off += 7 {
+	for off := 0; off < len(img); off++ {
 		bad := append([]byte(nil), img...)
 		bad[off] ^= 0x5a
+		if err := newWorld().srv.LoadState(bytes.NewReader(bad)); err != nil && !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("flip at %d: error %v does not wrap ErrMalformed", off, err)
+		}
+	}
+
+	// Images that are well-framed but break a rule of the layout. raw
+	// frames volumes from slices, so it can say what the encoder cannot:
+	// repeated and descending keys.
+	type author struct {
+		fid codafs.FID
+		who string
+	}
+	fid := func(vol codafs.VolumeID, n uint64) codafs.FID { return codafs.FID{Volume: vol, Vnode: n, Unique: n} }
+	obj := func(f codafs.FID) codafs.Object {
+		return codafs.Object{Status: codafs.Status{FID: f, Type: codafs.File}}
+	}
+	vol := func(id codafs.VolumeID, name string, objs []codafs.Object, authors []author, applied []appliedKey) []byte {
+		b := wire.AppendVolumeInfo(nil, &codafs.VolumeInfo{ID: id, Name: name, Stamp: 1})
+		b = wire.AppendFID(b, fid(id, 1))
+		b = append(b, 2, 0, 0) // nextVnode, journal LSN, chain
+		b = wire.AppendUvarint(b, uint64(len(objs)))
+		for i := range objs {
+			b = wire.AppendObject(b, &objs[i])
+		}
+		b = wire.AppendUvarint(b, uint64(len(authors)))
+		for _, a := range authors {
+			b = wire.AppendString(wire.AppendFID(b, a.fid), a.who)
+		}
+		b = wire.AppendUvarint(b, uint64(len(applied)))
+		for _, k := range applied {
+			b = wire.AppendUvarint(wire.AppendString(b, k.client), k.seq)
+		}
+		return b
+	}
+	raw := func(vols ...[]byte) []byte {
+		b := appendImageHeader(nil, 9, 0, len(vols))
+		return append(b, bytes.Join(vols, nil)...)
+	}
+	plain := func(id codafs.VolumeID, name string) []byte {
+		return vol(id, name, []codafs.Object{obj(fid(id, 1))}, nil, nil)
+	}
+	if err := newWorld().srv.LoadState(bytes.NewReader(raw(plain(1, "a"), plain(2, "b")))); err != nil {
+		t.Fatalf("the table's well-formed image is rejected: %v", err)
+	}
+	gobImage, err := os.ReadFile("testdata/parent_gob.image")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := codafs.Object{Status: codafs.Status{FID: fid(1, 1), Type: codafs.Directory},
+		Children: map[string]codafs.FID{"x1": fid(1, 2), "x2": fid(1, 3)}}
+	for name, bad := range map[string][]byte{
+		"parent-format gob image": gobImage,
+		"wrong magic":             append([]byte("CODV"), img[4:]...),
+		"wrong version":           append([]byte("CODS\x02"), img[5:]...),
+		"trailing byte":           append(append([]byte(nil), img...), 0),
+		"duplicate volume ID":     raw(plain(1, "a"), plain(1, "b")),
+		"descending volume IDs":   raw(plain(2, "b"), plain(1, "a")),
+		"duplicate volume name":   raw(plain(1, "a"), plain(2, "a")),
+		"volume count too large":  append(appendImageHeader(nil, 9, 0, 2), plain(1, "a")...),
+		"duplicate object FID":    raw(vol(1, "a", []codafs.Object{obj(fid(1, 1)), obj(fid(1, 1))}, nil, nil)),
+		"descending object FIDs":  raw(vol(1, "a", []codafs.Object{obj(fid(1, 2)), obj(fid(1, 1))}, nil, nil)),
+		"descending directory names": bytes.Replace(raw(vol(1, "a", []codafs.Object{dir}, nil, nil)),
+			[]byte("\x02x1"), []byte("\x02x3"), 1),
+		"duplicate author FID":     raw(vol(1, "a", nil, []author{{fid(1, 1), "c1"}, {fid(1, 1), "c2"}}, nil)),
+		"descending author FIDs":   raw(vol(1, "a", nil, []author{{fid(1, 2), "c1"}, {fid(1, 1), "c1"}}, nil)),
+		"duplicate dedup row":      raw(vol(1, "a", nil, nil, []appliedKey{{"c1", 4}, {"c1", 4}})),
+		"descending dedup seqs":    raw(vol(1, "a", nil, nil, []appliedKey{{"c1", 5}, {"c1", 4}})),
+		"descending dedup clients": raw(vol(1, "a", nil, nil, []appliedKey{{"c2", 1}, {"c1", 2}})),
+	} {
 		w2 := newWorld()
-		_ = w2.srv.LoadState(bytes.NewReader(bad))
+		if err := w2.srv.LoadState(bytes.NewReader(bad)); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: LoadState = %v, want an error wrapping ErrMalformed", name, err)
+		}
+		if n := len(w2.srv.volumesByID()); n != 0 {
+			t.Errorf("%s: rejected image installed %d volumes", name, n)
+		}
 	}
 }
 

@@ -1,14 +1,13 @@
 package server
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/codafs"
 	"repro/internal/crashfs"
+	"repro/internal/wire"
 )
 
 // Persistence for server state. Volumes, objects, version stamps, and the
@@ -17,66 +16,18 @@ import (
 // that through validation, exactly the crash-recovery story of real Coda
 // servers (and why reintegration is atomic: a retry after a crash is safe).
 
-// The image types hold no maps: gob encodes maps in random iteration
-// order, so a map anywhere in the stream would make two snapshots of the
-// same state differ byte-for-byte. Directory entries and the authorship
-// table are flattened to sorted slices instead, which is what lets the
-// crash-matrix tests compare recovered state against a clean run by bytes
-// alone.
+// The image is framed with the wire codec's primitives (DESIGN.md "Wire,
+// journal and image formats" is the field-by-field reference): a magic
+// and version, the registry counters, then every volume in ascending ID
+// order with its objects, authorship rows and dedup set in ascending key
+// order. Every value has one encoding and every sequence one order, so
+// identical states produce identical bytes — what lets the crash matrices
+// and the replica checks compare servers by SaveState alone — and an
+// accepted image re-encodes to the bytes it was read from.
 
-// dirEntry is one directory entry, sorted by name in the image.
-type dirEntry struct {
-	Name string
-	FID  codafs.FID
-}
-
-// objectImage is the serialized form of one object.
-type objectImage struct {
-	Status   codafs.Status
-	Data     []byte
-	Children []dirEntry
-	Target   string
-}
-
-// authorEntry is one lastAuthor row, sorted by FID in the image.
-type authorEntry struct {
-	FID codafs.FID
-	Who string
-}
-
-// appliedEntry is one row of the reintegration dedup set, sorted by
-// client then sequence in the image. The set is logical volume state —
-// replicas with identical logs hold identical sets — so it appears in
-// every image, keeping SaveState byte-comparable across replicas and
-// keeping retransmits idempotent across a restore.
-type appliedEntry struct {
-	Client string
-	Seq    uint64
-}
-
-// volumeImage is the serialized form of one volume. JournalLSN is the
-// volume WAL watermark: entries at or below it are already reflected in
-// the image, so recovery skips them. ReplChain is the chain fingerprint
-// at JournalLSN. Plain SaveState writes both as zero (the image stands
-// alone); only Checkpoint embeds live watermarks.
-type volumeImage struct {
-	Info       codafs.VolumeInfo
-	Root       codafs.FID
-	NextVnode  uint64
-	Objects    []objectImage
-	LastAuthor []authorEntry
-	Applied    []appliedEntry
-	JournalLSN uint64
-	ReplChain  uint32
-}
-
-// serverImage is the serialized form of a Server's durable state. MetaLSN
-// is the meta-WAL watermark, zero outside Checkpoint images.
-type serverImage struct {
-	Volumes   []volumeImage
-	NextVolID codafs.VolumeID
-	MetaLSN   uint64
-}
+// imageMagic opens every server image: four magic bytes and the format
+// version.
+const imageMagic = "CODS\x01"
 
 // fidLess orders FIDs for byte-stable snapshots.
 func fidLess(a, b codafs.FID) bool {
@@ -89,145 +40,203 @@ func fidLess(a, b codafs.FID) bool {
 	return a.Unique < b.Unique
 }
 
-// imageLocked copies one volume into its serialized form. Caller holds
-// v.mu. Objects, directory entries, and authorship rows are emitted in
-// sorted order so identical states produce identical bytes.
-func (v *volume) imageLocked() volumeImage {
-	vi := volumeImage{
-		Info:      v.info,
-		Root:      v.root,
-		NextVnode: v.nextVnode,
+func appliedLess(a, b appliedKey) bool {
+	if a.client != b.client {
+		return a.client < b.client
 	}
-	for fid, who := range v.lastAuthor {
-		vi.LastAuthor = append(vi.LastAuthor, authorEntry{FID: fid, Who: who})
+	return a.seq < b.seq
+}
+
+// sortedKeys returns m's keys in ascending order: the one place map
+// order is laundered before it reaches an image.
+func sortedKeys[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(vi.LastAuthor, func(i, j int) bool {
-		return fidLess(vi.LastAuthor[i].FID, vi.LastAuthor[j].FID)
-	})
-	for k := range v.applied {
-		vi.Applied = append(vi.Applied, appliedEntry{Client: k.client, Seq: k.seq})
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	return keys
+}
+
+// appendImageHeader opens an image: magic and version, the registry
+// counter, the meta-WAL watermark (zero outside Checkpoint), then the
+// volume count.
+func appendImageHeader(dst []byte, nextVolID codafs.VolumeID, metaLSN uint64, volumes int) []byte {
+	dst = append(dst, imageMagic...)
+	dst = wire.AppendUvarint(dst, uint64(nextVolID))
+	dst = wire.AppendUvarint(dst, metaLSN)
+	return wire.AppendUvarint(dst, uint64(volumes))
+}
+
+// appendLocked appends one volume, straight from its maps. Caller holds
+// v.mu. With watermarks, the volume WAL's LSN and the chain fingerprint
+// at it are embedded — entries at or below the LSN are already reflected
+// in the image, so recovery skips them; without (plain SaveState) both
+// are zero and the image stands alone, the same bytes whether or not a
+// journal is attached. The dedup set is logical volume state — replicas
+// with identical logs hold identical sets — so it is in every image,
+// which also keeps retransmits idempotent across a restore.
+func (v *volume) appendLocked(dst []byte, watermarks bool) []byte {
+	dst = wire.AppendVolumeInfo(dst, &v.info)
+	dst = wire.AppendFID(dst, v.root)
+	dst = wire.AppendUvarint(dst, v.nextVnode)
+	var lsn uint64
+	var chain uint32
+	if watermarks {
+		lsn, chain = v.walLSN, v.chain
 	}
-	sort.Slice(vi.Applied, func(i, j int) bool {
-		if vi.Applied[i].Client != vi.Applied[j].Client {
-			return vi.Applied[i].Client < vi.Applied[j].Client
-		}
-		return vi.Applied[i].Seq < vi.Applied[j].Seq
-	})
-	for _, o := range v.objects {
-		oi := objectImage{Status: o.Status, Target: o.Target}
-		if o.Data != nil {
-			oi.Data = append([]byte(nil), o.Data...)
-		}
-		for name, fid := range o.Children {
-			oi.Children = append(oi.Children, dirEntry{Name: name, FID: fid})
-		}
-		sort.Slice(oi.Children, func(i, j int) bool {
-			return oi.Children[i].Name < oi.Children[j].Name
-		})
-		vi.Objects = append(vi.Objects, oi)
+	dst = wire.AppendUvarint(dst, lsn)
+	dst = wire.AppendUvarint(dst, uint64(chain))
+
+	dst = wire.AppendUvarint(dst, uint64(len(v.objects)))
+	for _, fid := range sortedKeys(v.objects, fidLess) {
+		dst = wire.AppendObject(dst, v.objects[fid])
 	}
-	sort.Slice(vi.Objects, func(i, j int) bool {
-		return fidLess(vi.Objects[i].Status.FID, vi.Objects[j].Status.FID)
-	})
-	return vi
+	dst = wire.AppendUvarint(dst, uint64(len(v.lastAuthor)))
+	for _, fid := range sortedKeys(v.lastAuthor, fidLess) {
+		dst = wire.AppendFID(dst, fid)
+		dst = wire.AppendString(dst, v.lastAuthor[fid])
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(v.applied)))
+	for _, k := range sortedKeys(v.applied, appliedLess) {
+		dst = wire.AppendString(dst, k.client)
+		dst = wire.AppendUvarint(dst, k.seq)
+	}
+	return dst
 }
 
 // SaveState writes all volumes to w. It acquires the registry lock, then
 // every volume lock in ascending ID order — the canonical lock order, so a
 // snapshot cannot deadlock against handlers or a concurrent SaveState —
-// copies the images, and releases everything before encoding. The image is
-// therefore a consistent point-in-time cut across all volumes, and volumes
-// and objects are emitted in sorted order so identical states produce
-// identical bytes. Watermarks are zero: two servers with the same logical
-// state produce the same bytes whether or not a journal is attached.
+// and releases each volume as soon as it is encoded; w is written after
+// the last lock is dropped. The image is therefore a consistent
+// point-in-time cut across all volumes.
 func (s *Server) SaveState(w io.Writer) error {
-	s.mu.Lock()
-	vols := make([]*volume, 0, len(s.volumes))
-	for _, v := range s.volumes {
-		vols = append(vols, v)
-	}
-	sort.Slice(vols, func(i, j int) bool { return vols[i].id() < vols[j].id() })
-	for _, v := range vols {
-		v.mu.Lock()
-	}
-	img := serverImage{NextVolID: s.nextVolID}
-	s.mu.Unlock()
-
-	for _, v := range vols {
-		vi := v.imageLocked()
-		v.mu.Unlock()
-		img.Volumes = append(img.Volumes, vi)
-	}
-	if err := gob.NewEncoder(w).Encode(img); err != nil {
+	if _, err := w.Write(s.image()); err != nil {
 		return fmt.Errorf("server: save state: %w", err)
 	}
 	return nil
 }
 
-// decodeServerImage decodes a serverImage, converting both decode errors
-// and decode panics (gob panics on some forms of corruption) into a
-// wrapped error. A truncated or bit-flipped image must never take the
-// process down — recovery reports it and the operator decides.
-func decodeServerImage(r io.Reader) (img serverImage, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			img = serverImage{}
-			err = fmt.Errorf("server: corrupted state image: %v", p)
-		}
-	}()
-	if derr := gob.NewDecoder(r).Decode(&img); derr != nil {
-		return serverImage{}, fmt.Errorf("server: load state: %w", derr)
+// image encodes the SaveState form of the server: watermarks zero.
+func (s *Server) image() []byte {
+	s.mu.Lock()
+	vols := s.volumesByIDLocked()
+	for _, v := range vols {
+		v.mu.Lock()
 	}
-	return img, nil
+	img := appendImageHeader(nil, s.nextVolID, 0, len(vols))
+	s.mu.Unlock()
+
+	for _, v := range vols {
+		img = v.appendLocked(img, false)
+		v.mu.Unlock()
+	}
+	return img
 }
 
-// installImage populates an empty server from a decoded image.
-func (s *Server) installImage(img serverImage) error {
+// decodeImage parses an image into volumes ready to install. Corrupted
+// input — truncated, bit-flipped, written by another format — comes back
+// as an error wrapping wire.ErrMalformed, never a panic, and nothing is
+// allocated for a count the input cannot back. Keys out of ascending
+// order are rejected, not merged: a duplicate would silently overwrite
+// the earlier entry.
+func decodeImage(rd io.Reader) (vols []*volume, nextVolID codafs.VolumeID, metaLSN uint64, err error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("server: load state: %w", err)
+	}
+	r := wire.NewReader(data)
+	for i := 0; i < len(imageMagic); i++ {
+		if r.Byte() != imageMagic[i] {
+			r.Fail("unrecognised image format")
+		}
+	}
+	nextVolID = codafs.VolumeID(r.Uint32())
+	metaLSN = r.Uvarint()
+	names := make(map[string]bool)
+	for i, n := 0, r.Count(12); i < n && r.Err() == nil; i++ { // twelve one-byte fields at least
+		v := readVolume(&r)
+		if i > 0 && v.id() <= vols[i-1].id() {
+			r.Fail("volumes out of order")
+		}
+		if names[v.info.Name] {
+			r.Fail("duplicate volume name")
+		}
+		names[v.info.Name] = true
+		vols = append(vols, v)
+	}
+	if err := r.Done(); err != nil {
+		return nil, 0, 0, fmt.Errorf("server: load state: %w", err)
+	}
+	return vols, nextVolID, metaLSN, nil
+}
+
+// readVolume reads what appendLocked wrote.
+func readVolume(r *wire.Reader) *volume {
+	v := &volume{
+		objCallbacks: make(map[codafs.FID]map[string]bool),
+		volCallbacks: make(map[string]bool),
+	}
+	r.VolumeInfo(&v.info)
+	v.root = r.FID()
+	v.nextVnode = r.Uvarint()
+	// The watermarks anchor the replication state: the retained log
+	// restarts empty at the watermark, and entries at or below it count
+	// as shipped (peers that missed them pull, they are never re-pushed).
+	v.walLSN = r.Uvarint()
+	v.chain = r.Uint32()
+	v.replBaseLSN, v.replBaseChain, v.shippedLSN = v.walLSN, v.chain, v.walLSN
+
+	n := r.Count(4) // status mask, data length, entry count, target length
+	v.objects = make(map[codafs.FID]*codafs.Object, n)
+	var prev codafs.FID
+	for i := 0; i < n && r.Err() == nil; i++ {
+		o := new(codafs.Object)
+		r.Object(o)
+		if i > 0 && !fidLess(prev, o.Status.FID) {
+			r.Fail("objects out of order")
+		}
+		prev = o.Status.FID
+		v.objects[prev] = o
+	}
+
+	n = r.Count(4) // three FID components, author length
+	v.lastAuthor = make(map[codafs.FID]string, n)
+	for i := 0; i < n; i++ {
+		fid := r.FID()
+		if i > 0 && !fidLess(prev, fid) {
+			r.Fail("authorship rows out of order")
+		}
+		prev = fid
+		v.lastAuthor[fid] = r.String()
+	}
+
+	n = r.Count(2) // client length, sequence
+	v.applied = make(map[appliedKey]bool, n)
+	var prevKey appliedKey
+	for i := 0; i < n; i++ {
+		k := appliedKey{client: r.String(), seq: r.Uvarint()}
+		if i > 0 && !appliedLess(prevKey, k) {
+			r.Fail("dedup rows out of order")
+		}
+		prevKey = k
+		v.applied[k] = true
+	}
+	return v
+}
+
+// install publishes decoded volumes in an empty server.
+func (s *Server) install(vols []*volume, nextVolID codafs.VolumeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.volumes) > 0 {
 		return fmt.Errorf("server: LoadState on a non-empty server")
 	}
-	s.nextVolID = img.NextVolID
-	for _, vi := range img.Volumes {
-		v := &volume{
-			info:         vi.Info,
-			root:         vi.Root,
-			nextVnode:    vi.NextVnode,
-			objects:      make(map[codafs.FID]*codafs.Object, len(vi.Objects)),
-			lastAuthor:   make(map[codafs.FID]string, len(vi.LastAuthor)),
-			objCallbacks: make(map[codafs.FID]map[string]bool),
-			volCallbacks: make(map[string]bool),
-			applied:      make(map[appliedKey]bool, len(vi.Applied)),
-			// The image's watermarks anchor the replication state: the
-			// retained log restarts empty at the watermark, and entries
-			// at or below it count as shipped (peers that missed them
-			// pull, they are never re-pushed).
-			walLSN:        vi.JournalLSN,
-			chain:         vi.ReplChain,
-			replBaseLSN:   vi.JournalLSN,
-			replBaseChain: vi.ReplChain,
-			shippedLSN:    vi.JournalLSN,
-		}
-		for _, ae := range vi.LastAuthor {
-			v.lastAuthor[ae.FID] = ae.Who
-		}
-		for _, ae := range vi.Applied {
-			v.applied[appliedKey{client: ae.Client, seq: ae.Seq}] = true
-		}
-		for i := range vi.Objects {
-			oi := vi.Objects[i]
-			o := &codafs.Object{Status: oi.Status, Data: oi.Data, Target: oi.Target}
-			if oi.Status.Type == codafs.Directory {
-				o.Children = make(map[string]codafs.FID, len(oi.Children))
-				for _, de := range oi.Children {
-					o.Children[de.Name] = de.FID
-				}
-			}
-			v.objects[o.Status.FID] = o
-		}
-		s.volumes[vi.Info.ID] = v
-		s.byName[vi.Info.Name] = vi.Info.ID
+	s.nextVolID = nextVolID
+	for _, v := range vols {
+		s.volumes[v.id()] = v
+		s.byName[v.info.Name] = v.id()
 	}
 	return nil
 }
@@ -236,71 +245,16 @@ func (s *Server) installImage(img serverImage) error {
 // volumes yet. Corrupted images — truncated, bit-flipped, or otherwise —
 // come back as errors, never panics.
 func (s *Server) LoadState(r io.Reader) error {
-	img, err := decodeServerImage(r)
+	vols, nextVolID, _, err := decodeImage(r)
 	if err != nil {
 		return err
 	}
-	return s.installImage(img)
-}
-
-// writeImageFS persists an image to path with full crash-atomicity: the
-// bytes are written to a temporary file, fsynced, renamed into place, and
-// the parent directory is fsynced so the rename itself is durable. A crash
-// at any point leaves either the old image or the new one, never a torn
-// mixture.
-func writeImageFS(fsys crashfs.FS, path string, img serverImage) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(img); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("server: save state: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return s.install(vols, nextVolID)
 }
 
 // SaveStateFS persists to path atomically and durably through fsys.
 func (s *Server) SaveStateFS(fsys crashfs.FS, path string) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.SaveState(f); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return crashfs.WriteFileAtomic(fsys, path, s.image())
 }
 
 // LoadStateFS restores from a SaveStateFS image; a missing file is not an

@@ -2,13 +2,20 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"os"
 	"testing"
 	"time"
 
+	"repro/internal/cml"
+	"repro/internal/codafs"
 	"repro/internal/netsim"
 	"repro/internal/simtime"
 	"repro/internal/wire"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestServerSaveLoadRoundTrip(t *testing.T) {
 	w := newWorld()
@@ -94,4 +101,105 @@ func TestLoadStateRefusesNonEmptyServer(t *testing.T) {
 	if err := w.srv.LoadState(&buf); err == nil {
 		t.Error("LoadState into a non-empty server accepted")
 	}
+}
+
+// goldenServer builds the small fixed state whose image is pinned below:
+// two volumes, a nested directory, a symlink, and one reintegrated store
+// so the authorship and dedup tables are not empty.
+func goldenServer(t testing.TB) *Server {
+	t.Helper()
+	w := newWorld()
+	d := newSdriver(w.srv)
+	for _, err := range []error{
+		d.createVolume("usr"),
+		d.createVolume("proj"),
+		d.makeObject("usr", "f", d.root("usr"), "paper.tex", cml.Create),
+		d.store("f", []byte("\\section{Weak connectivity}")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.srv.WriteFile("usr", "a/b/file.txt", []byte("persist me"))
+	w.srv.MakeSymlink("proj", "link", "a/b/file.txt")
+	return w.srv
+}
+
+// TestServerImageGolden pins the image format byte for byte — a change
+// here strands every snapshot on disk, so it must come with a version
+// bump — and the re-encode identity: a loaded image saves to the bytes it
+// was loaded from. Regenerate with: go test ./internal/server -run Golden -update
+func TestServerImageGolden(t *testing.T) {
+	const path = "testdata/golden/server.image"
+	var buf bytes.Buffer
+	if err := goldenServer(t).SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("image differs from %s:\n got %x\nwant %x", path, buf.Bytes(), want)
+	}
+	srv := newWorld().srv
+	if err := srv.LoadState(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := srv.SaveState(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Errorf("loaded image re-encodes differently:\n got %x\nwant %x", again.Bytes(), want)
+	}
+}
+
+// FuzzLoadState: whatever is in the snapshot file, LoadState returns nil
+// or an error wrapping wire.ErrMalformed — it never panics — and an
+// accepted image is canonical: encoding the volumes it decoded to, with
+// the watermarks it carried, reproduces the input.
+func FuzzLoadState(f *testing.F) {
+	var buf bytes.Buffer
+	if err := goldenServer(f).SaveState(&buf); err != nil {
+		f.Fatal(err)
+	}
+	img := buf.Bytes()
+	f.Add(img)
+	for _, n := range []int{0, 4, 5, 8, len(img) / 2, len(img) - 1} {
+		f.Add(img[:n])
+	}
+	gobImage, err := os.ReadFile("testdata/parent_gob.image")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gobImage)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vols, nextVolID, metaLSN, err := decodeImage(bytes.NewReader(data))
+		// A bare registry, not newWorld: a world's daemons would outlive
+		// every one of the fuzzer's thousands of executions a second.
+		empty := &Server{volumes: make(map[codafs.VolumeID]*volume), byName: make(map[string]codafs.VolumeID)}
+		lerr := empty.LoadState(bytes.NewReader(data))
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("decodeImage = %v but LoadState = %v", err, lerr)
+		}
+		if err != nil {
+			if !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("error %v does not wrap ErrMalformed", err)
+			}
+			return
+		}
+		again := appendImageHeader(nil, nextVolID, metaLSN, len(vols))
+		for _, v := range vols {
+			again = v.appendLocked(again, true)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted image is not canonical:\n in %x\nout %x", data, again)
+		}
+	})
 }

@@ -386,6 +386,12 @@ func (s *Server) volByName(name string) (*volume, bool) {
 func (s *Server) volumesByID() []*volume {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.volumesByIDLocked()
+}
+
+// volumesByIDLocked is volumesByID for a caller that holds s.mu and goes
+// on holding it while it takes the volume locks (SaveState, Checkpoint).
+func (s *Server) volumesByIDLocked() []*volume {
 	out := make([]*volume, 0, len(s.volumes))
 	for _, v := range s.volumes {
 		out = append(out, v)

@@ -63,13 +63,23 @@ func appendJournalEntry(dst []byte, e *journalEntry) []byte {
 		dst = wire.AppendString(dst, e.Volume)
 		dst = wire.AppendUvarints(dst, e.Seqs)
 	case jHoardAdd:
-		dst = wire.AppendString(dst, e.HDB.Path)
-		dst = wire.AppendUvarint(dst, uint64(e.HDB.Priority))
-		dst = wire.AppendBool(dst, e.HDB.Children)
+		dst = appendHDBEntry(dst, &e.HDB)
 	case jHoardRemove:
 		dst = wire.AppendString(dst, e.Path)
 	}
 	return dst
+}
+
+// appendHDBEntry frames one hoard-database row, for the journal and the
+// state image alike.
+func appendHDBEntry(dst []byte, e *HDBEntry) []byte {
+	dst = wire.AppendString(dst, e.Path)
+	dst = wire.AppendUvarint(dst, uint64(e.Priority))
+	return wire.AppendBool(dst, e.Children)
+}
+
+func readHDBEntry(r *wire.Reader) HDBEntry {
+	return HDBEntry{Path: r.String(), Priority: int(r.Uvarint()), Children: r.Bool()}
 }
 
 // decodeJournalEntry parses one WAL payload. A payload that is not
@@ -86,7 +96,7 @@ func decodeJournalEntry(payload []byte) (journalEntry, error) {
 	case jDrop:
 		e.Volume, e.Seqs = r.String(), r.Uvarints()
 	case jHoardAdd:
-		e.HDB = HDBEntry{Path: r.String(), Priority: int(r.Uvarint()), Children: r.Bool()}
+		e.HDB = readHDBEntry(&r)
 	case jHoardRemove:
 		e.Path = r.String()
 	default:
@@ -168,7 +178,7 @@ func (v *Venus) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	// the snapshot durable and resetting the WAL must not double-apply).
 	var watermark uint64
 	if f, err := opts.FS.Open(j.snapshotPath()); err == nil {
-		img, derr := decodeStateImage(f)
+		img, derr := decodeImage(f)
 		_ = f.Close()
 		if derr != nil {
 			return info, fmt.Errorf("venus: journal snapshot: %w", derr)
@@ -176,7 +186,7 @@ func (v *Venus) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		if err := v.installImage(img); err != nil {
 			return info, err
 		}
-		watermark = img.JournalLSN
+		watermark = img.lsn
 		info.SnapshotLoaded = true
 	} else if !crashfs.IsNotExist(err) {
 		return info, err
@@ -337,7 +347,7 @@ func (v *Venus) Checkpoint() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	//codalint:ignore lockhold checkpoint writes the snapshot under j.mu so no journal record can land between image and truncation
-	if err := v.saveStateFS(j.fs, j.snapshotPath(), j.lsn); err != nil {
+	if err := crashfs.WriteFileAtomic(j.fs, j.snapshotPath(), v.image(j.lsn)); err != nil {
 		return fmt.Errorf("venus: checkpoint: %w", err)
 	}
 	//codalint:ignore lockhold WAL truncation must stay under the lock that fenced the snapshot, or a racing append could be dropped

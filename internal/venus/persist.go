@@ -1,16 +1,14 @@
 package venus
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/cml"
 	"repro/internal/codafs"
 	"repro/internal/crashfs"
+	"repro/internal/wire"
 )
 
 // Persistence for the state that must survive a client crash or restart.
@@ -22,89 +20,127 @@ import (
 // rather than persisted. See journal.go for the WAL that keeps the image
 // current between snapshots.
 
-// stateImage is the serialized form of Venus's durable state. Each CML is
-// pre-serialized to bytes so the whole image travels through one gob
-// encoder (gob decoders read ahead, so streams cannot be safely chained).
-type stateImage struct {
-	HDB     []HDBEntry
-	Volumes []string // names, aligned with Logs
-	Logs    [][]byte // cml.Log.Save output per volume
-	// JournalLSN is the watermark of the attached journal at snapshot
-	// time: WAL entries at or below it are already reflected in this
-	// image and must not be replayed over it. Zero when no journal was
-	// attached.
-	JournalLSN uint64
-}
+// imageMagic opens every Venus image: four magic bytes and the format
+// version.
+const imageMagic = "CODV\x01"
 
 // SaveState writes the hoard database and every volume's CML to w.
 // Call while no reintegration is in flight (e.g. at shutdown); a log is
 // saved without its barrier, so an interrupted reintegration is simply
 // retried after restart (the server's atomicity makes the retry safe).
-func (v *Venus) SaveState(w io.Writer) error { return v.saveState(w, 0) }
+func (v *Venus) SaveState(w io.Writer) error {
+	if _, err := w.Write(v.image(0)); err != nil {
+		return fmt.Errorf("venus: save state: %w", err)
+	}
+	return nil
+}
 
-func (v *Venus) saveState(w io.Writer, lsn uint64) error {
-	// The image is gob-encoded and compared byte-for-byte by the crash
-	// matrices, so every map is drained in sorted key order: identical
-	// states must serialize identically.
+// image encodes the durable state with the wire codec's primitives
+// (DESIGN.md "Wire, journal and image formats"): magic and version, the
+// journal watermark, the HDB in ascending path order, then each volume
+// name in ascending order followed by its CML. lsn is the watermark of
+// the attached journal at snapshot time — WAL entries at or below it are
+// already reflected in the image and must not be replayed over it — and
+// zero when the image stands alone. The crash matrices compare images
+// byte for byte, so identical states must serialize identically.
+func (v *Venus) image(lsn uint64) []byte {
 	v.mu.Lock()
-	img := stateImage{JournalLSN: lsn}
 	paths := make([]string, 0, len(v.hdb))
 	for p := range v.hdb {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
+	img := append([]byte(nil), imageMagic...)
+	img = wire.AppendUvarint(img, lsn)
+	img = wire.AppendUvarint(img, uint64(len(paths)))
 	for _, p := range paths {
-		img.HDB = append(img.HDB, *v.hdb[p])
+		img = appendHDBEntry(img, v.hdb[p])
 	}
 	names := make([]string, 0, len(v.volumes))
 	for name := range v.volumes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var logs []*cml.Log
-	for _, name := range names {
-		img.Volumes = append(img.Volumes, name)
-		logs = append(logs, v.volumes[name].log)
+	logs := make([]*cml.Log, len(names))
+	for i, name := range names {
+		logs[i] = v.volumes[name].log
 	}
 	v.mu.Unlock()
 
-	for i, log := range logs {
-		var buf bytes.Buffer
-		if err := log.Save(&buf); err != nil {
-			return fmt.Errorf("venus: save CML for %s: %w", img.Volumes[i], err)
-		}
-		img.Logs = append(img.Logs, buf.Bytes())
+	img = wire.AppendUvarint(img, uint64(len(names)))
+	for i, name := range names {
+		li := logs[i].Save()
+		img = wire.AppendString(img, name)
+		img = wire.AppendUvarint(img, li.NextSeq)
+		img = wire.AppendUvarint(img, uint64(li.SavedBytes))
+		img = wire.AppendUvarint(img, uint64(li.SavedRecs))
+		img = wire.AppendBool(img, li.Optimize)
+		img = wire.AppendRecords(img, li.Records)
 	}
-	if err := gob.NewEncoder(w).Encode(img); err != nil {
-		return fmt.Errorf("venus: save state: %w", err)
-	}
-	return nil
+	return img
 }
 
-// decodeStateImage decodes a stateImage, converting any decoder panic on
-// a truncated or corrupted stream into an error (a half-written state
+// stateImage is a decoded image: every part validated, nothing installed.
+type stateImage struct {
+	lsn     uint64
+	hdb     []HDBEntry
+	volumes []string   // ascending
+	logs    []*cml.Log // aligned with volumes
+}
+
+// decodeImage parses what image wrote. A truncated or corrupted stream
+// comes back as an error wrapping wire.ErrMalformed (a half-written state
 // file must degrade to "start fresh or recover from the journal", never
-// crash the client).
-func decodeStateImage(r io.Reader) (img stateImage, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			img = stateImage{}
-			err = fmt.Errorf("venus: load state: corrupted image: %v", p)
+// crash the client), and nothing is allocated for a count the input
+// cannot back. Paths and volume names out of ascending order are
+// rejected, not merged.
+func decodeImage(rd io.Reader) (stateImage, error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return stateImage{}, fmt.Errorf("venus: load state: %w", err)
+	}
+	r := wire.NewReader(data)
+	for i := 0; i < len(imageMagic); i++ {
+		if r.Byte() != imageMagic[i] {
+			r.Fail("unrecognised image format")
 		}
-	}()
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+	}
+	img := stateImage{lsn: r.Uvarint()}
+	for i, n := 0, r.Count(3); i < n && r.Err() == nil; i++ { // path length, priority, children
+		e := readHDBEntry(&r)
+		if i > 0 && e.Path <= img.hdb[i-1].Path {
+			r.Fail("HDB paths out of order")
+		}
+		img.hdb = append(img.hdb, e)
+	}
+	for i, n := 0, r.Count(6); i < n && r.Err() == nil; i++ { // name length, four scalars, record count
+		name := r.String()
+		if i > 0 && name <= img.volumes[i-1] {
+			r.Fail("volume names out of order")
+		}
+		li := cml.Image{NextSeq: r.Uvarint(), SavedBytes: int64(r.Uvarint()), SavedRecs: int64(r.Uvarint()),
+			Optimize: r.Bool(), Records: r.Records()}
+		log, err := cml.Load(li)
+		if err != nil {
+			r.Fail(fmt.Sprintf("CML for %s: %v", name, err))
+		}
+		img.volumes = append(img.volumes, name)
+		img.logs = append(img.logs, log)
+	}
+	if err := r.Done(); err != nil {
 		return stateImage{}, fmt.Errorf("venus: load state: %w", err)
 	}
 	return img, nil
 }
 
 // LoadState restores state saved by SaveState. Volumes must already be
-// mounted (Mount re-establishes server identity); CMLs for volumes that are
-// not mounted are rejected with an error. Loaded records reintegrate through
-// the ordinary trickle path once their age qualifies (their logged times
-// are preserved, so a restart does not reset the aging window).
+// mounted (Mount re-establishes server identity); an image naming a
+// volume that is not mounted is rejected, and a rejected image installs
+// nothing. Loaded records reintegrate through the ordinary trickle path
+// once their age qualifies (their logged times are preserved, so a
+// restart does not reset the aging window).
 func (v *Venus) LoadState(r io.Reader) error {
-	img, err := decodeStateImage(r)
+	img, err := decodeImage(r)
 	if err != nil {
 		return err
 	}
@@ -115,30 +151,23 @@ func (v *Venus) LoadState(r io.Reader) error {
 	return nil
 }
 
-// installImage installs the image's HDB and per-volume CMLs. Cache
-// reconstruction is deferred to finishRestore so a journal replay can
-// still mutate the logs in between (AttachJournal's recovery sequence).
+// installImage installs the image's HDB and per-volume CMLs, all or
+// nothing. Cache reconstruction is deferred to finishRestore so a journal
+// replay can still mutate the logs in between (AttachJournal's recovery
+// sequence).
 func (v *Venus) installImage(img stateImage) error {
 	v.mu.Lock()
-	for i := range img.HDB {
-		e := img.HDB[i]
-		v.hdb[e.Path] = &e
-	}
-	v.mu.Unlock()
-
-	for i, name := range img.Volumes {
-		log, err := cml.Load(bytes.NewReader(img.Logs[i]))
-		if err != nil {
-			return fmt.Errorf("venus: load CML for %s: %w", name, err)
-		}
-		v.mu.Lock()
-		vc := v.volumes[name]
-		if vc == nil {
-			v.mu.Unlock()
+	defer v.mu.Unlock()
+	for _, name := range img.volumes {
+		if v.volumes[name] == nil {
 			return fmt.Errorf("venus: CML for unmounted volume %q", name)
 		}
-		vc.log = log
-		v.mu.Unlock()
+	}
+	for i := range img.hdb {
+		v.hdb[img.hdb[i].Path] = &img.hdb[i]
+	}
+	for i, name := range img.volumes {
+		v.volumes[name].log = img.logs[i]
 	}
 	return nil
 }
@@ -249,40 +278,9 @@ func (v *Venus) applyRestoredRecordLocked(rec *cml.Record) {
 	}
 }
 
-// SaveStateFS persists to path atomically on fs, with the full fsync
-// discipline: file contents are synced before the rename, and the parent
-// directory is synced after it — without the directory sync the rename
-// itself is volatile and a crash can resurrect the previous image (or
-// leave nothing at all).
+// SaveStateFS persists to path atomically and durably on fs.
 func (v *Venus) SaveStateFS(fs crashfs.FS, path string) error {
-	return v.saveStateFS(fs, path, 0)
-}
-
-func (v *Venus) saveStateFS(fs crashfs.FS, path string, lsn uint64) error {
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := v.saveState(f, lsn); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(path))
+	return crashfs.WriteFileAtomic(fs, path, v.image(0))
 }
 
 // SaveStateFile persists to path atomically on the real filesystem.

@@ -2,11 +2,16 @@ package venus_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
+	"repro/internal/cml"
 	"repro/internal/crashfs"
 	"repro/internal/venus"
+	"repro/internal/wire"
 )
 
 // Pins the durability discipline of SaveStateFS: the image is written to
@@ -68,12 +73,13 @@ func TestVenusSaveStateFSCrashSafety(t *testing.T) {
 	})
 }
 
-// TestVenusLoadStateCorrupted: a truncated or bit-flipped state image
-// must come back as an error, never a panic (gob panics internally on
-// some corruptions).
+// TestVenusLoadStateCorrupted: a truncated, bit-flipped or rule-breaking
+// state image must come back as an error wrapping wire.ErrMalformed,
+// never a panic, and must install nothing.
 func TestVenusLoadStateCorrupted(t *testing.T) {
 	w := newWorld(t)
 	w.seed("usr", map[string]string{"doc": "x"})
+	w.seed("zoo", nil)
 	w.sim.Run(func() {
 		v1 := w.venus("c1", venus.Config{ClientID: 8, AgingWindow: time.Hour})
 		mustMount(t, v1, "usr")
@@ -94,24 +100,92 @@ func TestVenusLoadStateCorrupted(t *testing.T) {
 		v1.Close()
 		w.net.SetUp("c1", "server", true)
 
-		fresh := func(name string) *venus.Venus {
-			v := w.venus(name, venus.Config{ClientID: 8, AgingWindow: time.Hour})
-			mustMount(t, v, "usr")
-			return v
-		}
-		for i, n := range []int{0, 1, 5, len(img) / 3, len(img) / 2, len(img) - 1} {
-			v := fresh("t" + string(rune('a'+i)))
-			if err := v.LoadState(bytes.NewReader(img[:n])); err == nil {
-				t.Errorf("LoadState accepted a %d/%d-byte prefix", n, len(img))
+		v := w.venus("victim", venus.Config{ClientID: 8, AgingWindow: time.Hour})
+		mustMount(t, v, "usr")
+		mustMount(t, v, "zoo")
+		defer v.Close()
+		rejected := func(name string, bad []byte) {
+			t.Helper()
+			if err := v.LoadState(bytes.NewReader(bad)); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%s: LoadState = %v, want an error wrapping ErrMalformed", name, err)
 			}
-			v.Close()
+			if len(v.HoardList()) != 0 || v.CMLRecords() != 0 {
+				t.Fatalf("%s: rejected image installed %d HDB rows, %d CML records", name, len(v.HoardList()), v.CMLRecords())
+			}
 		}
-		v := fresh("flip")
-		for off := 0; off < len(img); off += 11 {
+		for n := 0; n < len(img); n++ {
+			rejected(fmt.Sprintf("%d/%d-byte prefix", n, len(img)), img[:n])
+		}
+
+		// Well-framed images that break a rule of the layout, framed by
+		// hand so they can say what the encoder cannot.
+		type hdb struct {
+			path string
+			prio uint64
+		}
+		type vol struct {
+			name    string
+			nextSeq uint64
+			seqs    []uint64
+		}
+		raw := func(rows []hdb, vols []vol) []byte {
+			b := append([]byte("CODV\x01"), 0) // magic, version, journal LSN
+			b = wire.AppendUvarint(b, uint64(len(rows)))
+			for _, r := range rows {
+				b = wire.AppendBool(wire.AppendUvarint(wire.AppendString(b, r.path), r.prio), false)
+			}
+			b = wire.AppendUvarint(b, uint64(len(vols)))
+			for _, vl := range vols {
+				recs := make([]cml.Record, len(vl.seqs))
+				for i, seq := range vl.seqs {
+					recs[i] = cml.Record{Seq: seq, Kind: cml.Store, Name: "f"}
+				}
+				b = wire.AppendUvarint(wire.AppendString(b, vl.name), vl.nextSeq)
+				b = wire.AppendBool(append(b, 0, 0), true) // saved bytes, saved records, optimize
+				b = wire.AppendRecords(b, recs)
+			}
+			return b
+		}
+		gobImage, err := os.ReadFile("testdata/parent_gob_onevol_nologs.image")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, bad := range map[string][]byte{
+			// One volume name, zero logs: the shape that indexed past the
+			// end of Logs at the parent commit. The layout cannot say it.
+			"parent-format gob image, count mismatch": gobImage,
+			"wrong magic":               append([]byte("CODS"), img[4:]...),
+			"wrong version":             append([]byte("CODV\x02"), img[5:]...),
+			"trailing byte":             append(append([]byte(nil), img...), 0),
+			"volume count too large":    append(raw(nil, nil)[:7], 3),
+			"duplicate HDB path":        raw([]hdb{{"/coda/usr/a", 1}, {"/coda/usr/a", 2}}, nil),
+			"descending HDB paths":      raw([]hdb{{"/coda/usr/b", 1}, {"/coda/usr/a", 1}}, nil),
+			"duplicate volume name":     raw(nil, []vol{{"usr", 0, nil}, {"usr", 0, nil}}),
+			"descending volume names":   raw(nil, []vol{{"zoo", 0, nil}, {"usr", 0, nil}}),
+			"duplicate CML sequence":    raw(nil, []vol{{"usr", 5, []uint64{2, 2}}}),
+			"descending CML sequences":  raw(nil, []vol{{"usr", 5, []uint64{3, 2}}}),
+			"CML sequence past NextSeq": raw(nil, []vol{{"usr", 5, []uint64{2, 6}}}),
+		} {
+			rejected(name, bad)
+		}
+		// Half of a well-formed image is not enough to install the other
+		// half: the HDB row must not land when a later volume is unknown.
+		if err := v.LoadState(bytes.NewReader(raw([]hdb{{"/coda/usr/a", 1}}, []vol{{"nope", 0, nil}}))); err == nil {
+			t.Error("LoadState accepted CML for an unmounted volume")
+		}
+		if n := len(v.HoardList()); n != 0 {
+			t.Errorf("failed LoadState left %d HDB rows installed", n)
+		}
+		if err := v.LoadState(bytes.NewReader(raw([]hdb{{"/coda/usr/a", 1}}, []vol{{"usr", 5, []uint64{2, 4}}, {"zoo", 0, nil}}))); err != nil {
+			t.Fatalf("the table's well-formed image is rejected: %v", err)
+		}
+
+		// Flipped bytes must never panic; a flip that still decodes, or
+		// that renames the volume to one not mounted, is fine.
+		for off := 0; off < len(img); off++ {
 			bad := append([]byte(nil), img...)
 			bad[off] ^= 0x5a
-			_ = v.LoadState(bytes.NewReader(bad)) // must not panic
+			_ = v.LoadState(bytes.NewReader(bad))
 		}
-		v.Close()
 	})
 }

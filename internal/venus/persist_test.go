@@ -2,12 +2,16 @@ package venus_test
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/venus"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestSaveLoadStateAcrossRestart(t *testing.T) {
 	w := newWorld(t)
@@ -150,6 +154,74 @@ func TestRestoredRecordsOverlayFetchedDirectories(t *testing.T) {
 		}
 		if data, err := v2.ReadFile("/coda/usr/proj/offline.txt"); err != nil || string(data) != "pending" {
 			t.Errorf("offline.txt = %q, %v", data, err)
+		}
+	})
+}
+
+// TestVenusImageGolden pins the image format byte for byte — a change
+// here strands every state file on disk, so it must come with a version
+// bump — and the re-encode identity: a loaded image saves to the bytes it
+// was loaded from. Regenerate with: go test ./internal/venus -run Golden -update
+func TestVenusImageGolden(t *testing.T) {
+	const path = "testdata/golden/venus.image"
+	w := newWorld(t)
+	w.seed("proj", map[string]string{"notes": "v1"})
+	w.seed("usr", map[string]string{"doc": "server copy"})
+	w.sim.Run(func() {
+		cfg := venus.Config{ClientID: 7, AgingWindow: time.Hour}
+		v1 := w.venus("c1", cfg)
+		mustMount(t, v1, "usr")
+		mustMount(t, v1, "proj")
+		v1.HoardAdd("/coda/usr/doc", 700, false)
+		v1.HoardAdd("/coda/proj", 100, true)
+		if _, err := v1.ReadFile("/coda/usr/doc"); err != nil {
+			t.Fatal(err)
+		}
+		w.net.SetUp("c1", "server", false)
+		v1.Disconnect()
+		for _, err := range []error{
+			v1.WriteFile("/coda/usr/doc", []byte("first draft")),
+			v1.WriteFile("/coda/usr/doc", []byte("edited offline")), // cancels the first store
+			v1.Mkdir("/coda/usr/dir"),
+			v1.Symlink("doc", "/coda/usr/lnk"),
+			v1.Rename("/coda/usr/doc", "/coda/usr/dir/doc2"),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := v1.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		v1.Close()
+		if *update {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("image differs from %s:\n got %x\nwant %x", path, buf.Bytes(), want)
+		}
+
+		w.net.SetUp("c1", "server", true)
+		v2 := w.venus("c1b", cfg)
+		mustMount(t, v2, "usr")
+		mustMount(t, v2, "proj")
+		defer v2.Close()
+		if err := v2.LoadState(bytes.NewReader(want)); err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := v2.SaveState(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), want) {
+			t.Errorf("loaded image re-encodes differently:\n got %x\nwant %x", again.Bytes(), want)
 		}
 	})
 }

@@ -18,8 +18,8 @@
 // (every append is durable before it returns), SyncInterval (appends
 // are synced when older than a flush window measured on the injected
 // simtime clock, mirroring Coda's ~30 s RVM flush), or SyncNone
-// (checkpoint-only durability). Checkpoints are the caller's gob
-// snapshots; after a snapshot is durable, Reset truncates the dead
+// (checkpoint-only durability). Checkpoints are the caller's snapshot
+// images; after a snapshot is durable, Reset truncates the dead
 // segments.
 package wal
 

@@ -100,43 +100,43 @@ func appendMessage(dst []byte, v any) ([]byte, error) {
 		dst = AppendString(dst, m.Name)
 	case GetVolumeRep:
 		dst = append(dst, tagGetVolumeRep)
-		dst = appendVolumeInfo(dst, &m.Info)
+		dst = AppendVolumeInfo(dst, &m.Info)
 		dst = appendStatus(dst, &m.Root)
 	case ListVolumes:
 		dst = append(dst, tagListVolumes)
 	case ListVolumesRep:
 		dst = append(dst, tagListVolumesRep)
-		dst = appendSlice(dst, m.Infos, appendVolumeInfo)
+		dst = appendSlice(dst, m.Infos, AppendVolumeInfo)
 	case GetAttr:
 		dst = append(dst, tagGetAttr)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 		dst = AppendBool(dst, m.WantCallback)
 	case GetAttrRep:
 		dst = append(dst, tagGetAttrRep)
 		dst = appendStatus(dst, &m.Status)
 	case Fetch:
 		dst = append(dst, tagFetch)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 		dst = AppendBool(dst, m.WantCallback)
 	case FetchRep:
 		dst = append(dst, tagFetchRep)
-		dst = appendObject(dst, &m.Object)
+		dst = AppendObject(dst, &m.Object)
 	case StoreOp:
 		dst = append(dst, tagStoreOp)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 		dst = appendBytes(dst, m.Data)
 		dst = AppendUvarint(dst, m.PrevVersion)
 	case SetAttrOp:
 		dst = append(dst, tagSetAttrOp)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 		dst = AppendUvarint(dst, uint64(m.Mode))
 		dst = AppendTime(dst, m.ModTime)
 		dst = AppendUvarint(dst, m.PrevVersion)
 	case MakeObject:
 		dst = append(dst, tagMakeObject)
-		dst = appendFID(dst, m.Parent)
+		dst = AppendFID(dst, m.Parent)
 		dst = AppendString(dst, m.Name)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 		dst = append(dst, byte(m.Type))
 		dst = AppendString(dst, m.Target)
 		dst = AppendUvarint(dst, uint64(m.Mode))
@@ -148,22 +148,22 @@ func appendMessage(dst []byte, v any) ([]byte, error) {
 		dst = AppendUvarint(dst, m.VolStamp)
 	case RemoveOp:
 		dst = append(dst, tagRemoveOp)
-		dst = appendFID(dst, m.Parent)
+		dst = AppendFID(dst, m.Parent)
 		dst = AppendString(dst, m.Name)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 		dst = AppendBool(dst, m.Rmdir)
 	case RenameOp:
 		dst = append(dst, tagRenameOp)
-		dst = appendFID(dst, m.Parent)
+		dst = AppendFID(dst, m.Parent)
 		dst = AppendString(dst, m.Name)
-		dst = appendFID(dst, m.NewParent)
+		dst = AppendFID(dst, m.NewParent)
 		dst = AppendString(dst, m.NewName)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 	case LinkOp:
 		dst = append(dst, tagLinkOp)
-		dst = appendFID(dst, m.Parent)
+		dst = AppendFID(dst, m.Parent)
 		dst = AppendString(dst, m.Name)
-		dst = appendFID(dst, m.FID)
+		dst = AppendFID(dst, m.FID)
 	case MutateRep:
 		dst = append(dst, tagMutateRep)
 		dst = appendStatus(dst, &m.Status)
@@ -234,7 +234,7 @@ func appendMessage(dst []byte, v any) ([]byte, error) {
 		dst = append(dst, tagCallbackBreak)
 		dst = AppendUvarint(dst, uint64(len(m.FIDs)))
 		for _, f := range m.FIDs {
-			dst = appendFID(dst, f)
+			dst = AppendFID(dst, f)
 		}
 		dst = AppendUvarint(dst, uint64(len(m.Volumes)))
 		for _, id := range m.Volumes {
@@ -261,7 +261,7 @@ func Decode(b []byte) (any, error) {
 		v = GetVolume{Name: r.String()}
 	case tagGetVolumeRep:
 		var m GetVolumeRep
-		readVolumeInfo(&r, &m.Info)
+		r.VolumeInfo(&m.Info)
 		readStatus(&r, &m.Root)
 		v = m
 	case tagListVolumes:
@@ -269,27 +269,27 @@ func Decode(b []byte) (any, error) {
 	case tagListVolumesRep:
 		m := ListVolumesRep{Infos: makeSlice[codafs.VolumeInfo](&r, 3)}
 		for i := range m.Infos {
-			readVolumeInfo(&r, &m.Infos[i])
+			r.VolumeInfo(&m.Infos[i])
 		}
 		v = m
 	case tagGetAttr:
-		v = GetAttr{FID: r.fid(), WantCallback: r.Bool()}
+		v = GetAttr{FID: r.FID(), WantCallback: r.Bool()}
 	case tagGetAttrRep:
 		var m GetAttrRep
 		readStatus(&r, &m.Status)
 		v = m
 	case tagFetch:
-		v = Fetch{FID: r.fid(), WantCallback: r.Bool()}
+		v = Fetch{FID: r.FID(), WantCallback: r.Bool()}
 	case tagFetchRep:
 		var m FetchRep
-		readObject(&r, &m.Object)
+		r.Object(&m.Object)
 		v = m
 	case tagStoreOp:
-		v = StoreOp{FID: r.fid(), Data: r.bytes(), PrevVersion: r.Uvarint()}
+		v = StoreOp{FID: r.FID(), Data: r.bytes(), PrevVersion: r.Uvarint()}
 	case tagSetAttrOp:
-		v = SetAttrOp{FID: r.fid(), Mode: r.Uint32(), ModTime: r.Time(), PrevVersion: r.Uvarint()}
+		v = SetAttrOp{FID: r.FID(), Mode: r.Uint32(), ModTime: r.Time(), PrevVersion: r.Uvarint()}
 	case tagMakeObject:
-		v = MakeObject{Parent: r.fid(), Name: r.String(), FID: r.fid(), Type: codafs.ObjType(r.Byte()),
+		v = MakeObject{Parent: r.FID(), Name: r.String(), FID: r.FID(), Type: codafs.ObjType(r.Byte()),
 			Target: r.String(), Mode: r.Uint32(), Owner: r.String()}
 	case tagMakeObjectRep:
 		var m MakeObjectRep
@@ -298,11 +298,11 @@ func Decode(b []byte) (any, error) {
 		m.VolStamp = r.Uvarint()
 		v = m
 	case tagRemoveOp:
-		v = RemoveOp{Parent: r.fid(), Name: r.String(), FID: r.fid(), Rmdir: r.Bool()}
+		v = RemoveOp{Parent: r.FID(), Name: r.String(), FID: r.FID(), Rmdir: r.Bool()}
 	case tagRenameOp:
-		v = RenameOp{Parent: r.fid(), Name: r.String(), NewParent: r.fid(), NewName: r.String(), FID: r.fid()}
+		v = RenameOp{Parent: r.FID(), Name: r.String(), NewParent: r.FID(), NewName: r.String(), FID: r.FID()}
 	case tagLinkOp:
-		v = LinkOp{Parent: r.fid(), Name: r.String(), FID: r.fid()}
+		v = LinkOp{Parent: r.FID(), Name: r.String(), FID: r.FID()}
 	case tagMutateRep:
 		var m MutateRep
 		readStatus(&r, &m.Status)
@@ -320,7 +320,7 @@ func Decode(b []byte) (any, error) {
 	case tagValidateObjects:
 		m := ValidateObjects{Objects: makeSlice[FIDVersion](&r, 4)}
 		for i := range m.Objects {
-			m.Objects[i] = FIDVersion{FID: r.fid(), Version: r.Uvarint()}
+			m.Objects[i] = FIDVersion{FID: r.FID(), Version: r.Uvarint()}
 		}
 		v = m
 	case tagValidateObjectsRep:
@@ -367,7 +367,7 @@ func Decode(b []byte) (any, error) {
 	case tagCallbackBreak:
 		m := CallbackBreak{FIDs: makeSlice[codafs.FID](&r, 3)}
 		for i := range m.FIDs {
-			m.FIDs[i] = r.fid()
+			m.FIDs[i] = r.FID()
 		}
 		m.Volumes = makeSlice[codafs.VolumeID](&r, 1)
 		for i := range m.Volumes {
@@ -427,7 +427,8 @@ func AppendTime(dst []byte, t time.Time) []byte {
 	return AppendUvarint(dst, uint64(t.Nanosecond()))
 }
 
-func appendFID(dst []byte, f codafs.FID) []byte {
+// AppendFID appends the three components as uvarints.
+func AppendFID(dst []byte, f codafs.FID) []byte {
 	dst = AppendUvarint(dst, uint64(f.Volume))
 	dst = AppendUvarint(dst, f.Vnode)
 	return AppendUvarint(dst, f.Unique)
@@ -450,7 +451,8 @@ func appendSlice[T any](dst []byte, s []T, elem func([]byte, *T) []byte) []byte 
 	return dst
 }
 
-func appendVolumeInfo(dst []byte, vi *codafs.VolumeInfo) []byte {
+// AppendVolumeInfo appends ID, name and stamp.
+func AppendVolumeInfo(dst []byte, vi *codafs.VolumeInfo) []byte {
 	dst = AppendUvarint(dst, uint64(vi.ID))
 	dst = AppendString(dst, vi.Name)
 	return AppendUvarint(dst, vi.Stamp)
@@ -462,7 +464,7 @@ func appendVolStampPair(dst []byte, p *VolStampPair) []byte {
 }
 
 func appendFIDVersion(dst []byte, fv *FIDVersion) []byte {
-	dst = appendFID(dst, fv.FID)
+	dst = AppendFID(dst, fv.FID)
 	return AppendUvarint(dst, fv.Version)
 }
 
@@ -513,7 +515,7 @@ func appendStatus(dst []byte, s *codafs.Status) []byte {
 	m := statusMask(s)
 	dst = append(dst, m)
 	if m&stFID != 0 {
-		dst = appendFID(dst, s.FID)
+		dst = AppendFID(dst, s.FID)
 	}
 	if m&stType != 0 {
 		dst = append(dst, byte(s.Type))
@@ -539,13 +541,13 @@ func appendStatus(dst []byte, s *codafs.Status) []byte {
 	return dst
 }
 
-// namePool recycles the scratch slice appendObject sorts a directory's
+// namePool recycles the scratch slice AppendObject sorts a directory's
 // entry names in, so a directory fetch reply costs no garbage.
 var namePool = sync.Pool{New: func() any { return new([]string) }}
 
-// appendObject appends status, data, the directory entries in sorted
+// AppendObject appends status, data, the directory entries in sorted
 // name order, and the symlink target.
-func appendObject(dst []byte, o *codafs.Object) []byte {
+func AppendObject(dst []byte, o *codafs.Object) []byte {
 	dst = appendStatus(dst, &o.Status)
 	dst = appendBytes(dst, o.Data)
 	dst = AppendUvarint(dst, uint64(len(o.Children)))
@@ -557,7 +559,7 @@ func appendObject(dst []byte, o *codafs.Object) []byte {
 		sort.Strings(*names)
 		for _, name := range *names {
 			dst = AppendString(dst, name)
-			dst = appendFID(dst, o.Children[name])
+			dst = AppendFID(dst, o.Children[name])
 		}
 		*names = (*names)[:0]
 		namePool.Put(names)
@@ -654,16 +656,16 @@ func AppendRecord(dst []byte, rec *cml.Record) []byte {
 		dst = append(dst, byte(rec.Kind))
 	}
 	if m&recFID != 0 {
-		dst = appendFID(dst, rec.FID)
+		dst = AppendFID(dst, rec.FID)
 	}
 	if m&recParent != 0 {
-		dst = appendFID(dst, rec.Parent)
+		dst = AppendFID(dst, rec.Parent)
 	}
 	if m&recName != 0 {
 		dst = AppendString(dst, rec.Name)
 	}
 	if m&recNewParent != 0 {
-		dst = appendFID(dst, rec.NewParent)
+		dst = AppendFID(dst, rec.NewParent)
 	}
 	if m&recNewName != 0 {
 		dst = AppendString(dst, rec.NewName)
@@ -796,12 +798,19 @@ func NewReader(b []byte) Reader { return Reader{b: b} }
 // ErrMalformed.
 func (r *Reader) Done() error {
 	if r.err == nil && len(r.b) != 0 {
-		r.fail("trailing bytes")
+		r.Fail("trailing bytes")
 	}
 	return r.err
 }
 
-func (r *Reader) fail(what string) {
+// Err reports the sticky error, so a loop that allocates per element can
+// stop at the first failure.
+func (r *Reader) Err() error { return r.err }
+
+// Fail records a decoding failure the caller found (an ordering or
+// format rule of the structure it is reading), wrapped in ErrMalformed.
+// The first failure sticks.
+func (r *Reader) Fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s", ErrMalformed, what)
 	}
@@ -814,22 +823,22 @@ func (r *Reader) fail(what string) {
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail("bad uvarint")
+		r.Fail("bad uvarint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-// count reads a length or element count and rejects it unless that many
+// Count reads a length or element count and rejects it unless that many
 // elements of at least elemMin encoded bytes each could still follow, so
 // no caller sizes an allocation from a count the input cannot back.
 //
 //codalint:hotpath scalar decode
-func (r *Reader) count(elemMin int) int {
+func (r *Reader) Count(elemMin int) int {
 	n := r.Uvarint()
 	if n > uint64(len(r.b)/elemMin) {
-		r.fail("length exceeds input")
+		r.Fail("length exceeds input")
 		return 0
 	}
 	return int(n)
@@ -840,7 +849,7 @@ func (r *Reader) count(elemMin int) int {
 //codalint:hotpath scalar decode
 func (r *Reader) Byte() byte {
 	if len(r.b) == 0 {
-		r.fail("truncated")
+		r.Fail("truncated")
 		return 0
 	}
 	c := r.b[0]
@@ -854,7 +863,7 @@ func (r *Reader) Byte() byte {
 func (r *Reader) Bool() bool {
 	c := r.Byte()
 	if c > 1 {
-		r.fail("bad bool")
+		r.Fail("bad bool")
 	}
 	return c == 1
 }
@@ -865,7 +874,7 @@ func (r *Reader) Bool() bool {
 func (r *Reader) Uint32() uint32 {
 	v := r.Uvarint()
 	if v > 1<<32-1 {
-		r.fail("uint32 overflow")
+		r.Fail("uint32 overflow")
 		return 0
 	}
 	return uint32(v)
@@ -874,7 +883,7 @@ func (r *Reader) Uint32() uint32 {
 //codalint:hotpath scalar decode
 func (r *Reader) fixed32() uint32 {
 	if len(r.b) < 4 {
-		r.fail("truncated")
+		r.Fail("truncated")
 		return 0
 	}
 	v := binary.LittleEndian.Uint32(r.b)
@@ -884,7 +893,7 @@ func (r *Reader) fixed32() uint32 {
 
 func (r *Reader) hash() (h [16]byte) {
 	if len(r.b) < len(h) {
-		r.fail("truncated")
+		r.Fail("truncated")
 		return h
 	}
 	copy(h[:], r.b)
@@ -894,7 +903,7 @@ func (r *Reader) hash() (h [16]byte) {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.count(1)
+	n := r.Count(1)
 	s := string(r.b[:n])
 	r.b = r.b[n:]
 	return s
@@ -902,7 +911,7 @@ func (r *Reader) String() string {
 
 // bytes reads a length-prefixed byte slice; zero length decodes to nil.
 func (r *Reader) bytes() []byte {
-	n := r.count(1)
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
@@ -935,13 +944,13 @@ func (r *Reader) bools() []bool {
 func (r *Reader) Time() (t time.Time) {
 	sec, n := binary.Varint(r.b)
 	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail("bad varint")
+		r.Fail("bad varint")
 		return t
 	}
 	r.b = r.b[n:]
 	nsec := r.Uvarint()
 	if nsec >= 1e9 {
-		r.fail("nanoseconds out of range")
+		r.Fail("nanoseconds out of range")
 		return t
 	}
 	return time.Unix(sec, int64(nsec)).UTC()
@@ -950,8 +959,10 @@ func (r *Reader) Time() (t time.Time) {
 //codalint:hotpath scalar decode
 func (r *Reader) volumeID() codafs.VolumeID { return codafs.VolumeID(r.Uint32()) }
 
+// FID reads what AppendFID wrote.
+//
 //codalint:hotpath scalar decode
-func (r *Reader) fid() (f codafs.FID) {
+func (r *Reader) FID() (f codafs.FID) {
 	f.Volume, f.Vnode, f.Unique = r.volumeID(), r.Uvarint(), r.Uvarint()
 	return f
 }
@@ -961,21 +972,22 @@ func (r *Reader) fid() (f codafs.FID) {
 // smallest encoding of one element, which bounds the allocation by the
 // input that remains.
 func makeSlice[T any](r *Reader, elemMin int) []T {
-	n := r.count(elemMin)
+	n := r.Count(elemMin)
 	if n == 0 {
 		return nil
 	}
 	return make([]T, n)
 }
 
-func readVolumeInfo(r *Reader, vi *codafs.VolumeInfo) {
+// VolumeInfo reads what AppendVolumeInfo wrote.
+func (r *Reader) VolumeInfo(vi *codafs.VolumeInfo) {
 	*vi = codafs.VolumeInfo{ID: r.volumeID(), Name: r.String(), Stamp: r.Uvarint()}
 }
 
 func readStatus(r *Reader, s *codafs.Status) {
 	m := r.Byte()
 	if m&stFID != 0 {
-		s.FID = r.fid()
+		s.FID = r.FID()
 	}
 	if m&stType != 0 {
 		s.Type = codafs.ObjType(r.Byte())
@@ -999,7 +1011,7 @@ func readStatus(r *Reader, s *codafs.Status) {
 		s.Links = r.Uint32()
 	}
 	if r.err == nil && statusMask(s) != m {
-		r.fail("status mask marks a zero field present")
+		r.Fail("status mask marks a zero field present")
 	}
 }
 
@@ -1011,12 +1023,12 @@ func (r *Reader) statuses() []codafs.Status {
 	return out
 }
 
-// readObject reads what appendObject wrote. A directory's Children is
+// Object reads what AppendObject wrote into o, which must be zero. A directory's Children is
 // never nil, even when empty: Venus installs entries into it directly.
-func readObject(r *Reader, o *codafs.Object) {
+func (r *Reader) Object(o *codafs.Object) {
 	readStatus(r, &o.Status)
 	o.Data = r.bytes()
-	n := r.count(4) // name length + three FID components
+	n := r.Count(4) // name length + three FID components
 	if n > 0 || o.Status.Type == codafs.Directory {
 		o.Children = make(map[string]codafs.FID, n)
 	}
@@ -1024,9 +1036,9 @@ func readObject(r *Reader, o *codafs.Object) {
 	for i := 0; i < n && r.err == nil; i++ {
 		name := r.String()
 		if i > 0 && name <= prev {
-			r.fail("directory entries out of order")
+			r.Fail("directory entries out of order")
 		}
-		o.Children[name] = r.fid()
+		o.Children[name] = r.FID()
 		prev = name
 	}
 	o.Target = r.String()
@@ -1035,7 +1047,7 @@ func readObject(r *Reader, o *codafs.Object) {
 // Record reads what AppendRecord wrote into rec, which must be zero.
 func (r *Reader) Record(rec *cml.Record) {
 	if len(r.b) < 2 {
-		r.fail("truncated")
+		r.Fail("truncated")
 		return
 	}
 	m := binary.LittleEndian.Uint16(r.b)
@@ -1050,16 +1062,16 @@ func (r *Reader) Record(rec *cml.Record) {
 		rec.Kind = cml.Kind(r.Byte())
 	}
 	if m&recFID != 0 {
-		rec.FID = r.fid()
+		rec.FID = r.FID()
 	}
 	if m&recParent != 0 {
-		rec.Parent = r.fid()
+		rec.Parent = r.FID()
 	}
 	if m&recName != 0 {
 		rec.Name = r.String()
 	}
 	if m&recNewParent != 0 {
-		rec.NewParent = r.fid()
+		rec.NewParent = r.FID()
 	}
 	if m&recNewName != 0 {
 		rec.NewName = r.String()
@@ -1089,7 +1101,7 @@ func (r *Reader) Record(rec *cml.Record) {
 		rec.PrevParentVersion = r.Uvarint()
 	}
 	if r.err == nil && recordMask(rec) != m {
-		r.fail("record mask marks a zero field present")
+		r.Fail("record mask marks a zero field present")
 	}
 }
 
@@ -1105,7 +1117,7 @@ func (r *Reader) Records() []cml.Record {
 func readRecordResult(r *Reader, res *RecordResult) {
 	flags := r.Byte()
 	if flags >= resDeltaFailed<<1 {
-		r.fail("bad result flags")
+		r.Fail("bad result flags")
 	}
 	*res = RecordResult{OK: flags&resOK != 0, Conflict: flags&resConflict != 0,
 		DeltaFailed: flags&resDeltaFailed != 0, Msg: r.String()}
@@ -1128,7 +1140,7 @@ func readDelta(r *Reader, d *delta.Delta) {
 func readIndex(r *Reader, next *int, records int) int {
 	k := r.Uvarint()
 	if k < uint64(*next) || k >= uint64(records) {
-		r.fail("record index out of order or out of range")
+		r.Fail("record index out of order or out of range")
 		return 0
 	}
 	*next = int(k) + 1
@@ -1140,13 +1152,13 @@ func readIndex(r *Reader, next *int, records int) int {
 func readReintegrate(r *Reader, m *Reintegrate) {
 	m.Volume = r.volumeID()
 	m.Records = r.Records()
-	if n := r.count(2); n > 0 {
+	if n := r.Count(2); n > 0 {
 		m.Fragments = make(map[int]uint64, n)
 		for i, next := 0, 0; i < n && r.err == nil; i++ {
 			m.Fragments[readIndex(r, &next, len(m.Records))] = r.Uvarint()
 		}
 	}
-	if n := r.count(36); n > 0 { // index, two hashes, three more fields
+	if n := r.Count(36); n > 0 { // index, two hashes, three more fields
 		m.Deltas = make(map[int]delta.Delta, n)
 		for i, next := 0, 0; i < n && r.err == nil; i++ {
 			k := readIndex(r, &next, len(m.Records))

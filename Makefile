@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ignores lint-graph bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios fuzz
+.PHONY: all build test race lint lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios fuzz
 
 all: build vet lint test
 
@@ -13,13 +13,14 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Durability gate: the full crash matrices (power cut at every journal
-# write on both ends), the power cut at every step of the atomic image
-# write, torn-tail truncation, and journal-failure rejection tests, under
-# the race detector.
+# Durability gate: the journaled-state fence sweep (internal/wal), the
+# full crash matrices (power cut at every journal write on both ends),
+# the power cut at every step of the atomic image write, torn-tail
+# truncation, journal-failure rejection, and the kill-and-restart on a
+# real filesystem (internal/integration), under the race detector.
 crash:
 	$(GO) test -race -count=1 -run 'Crash|Torn|Journal|Recovery|Corrupt' \
-		./internal/wal/ ./internal/crashfs/ ./internal/venus/ ./internal/server/ ./internal/cml/ ./internal/group/
+		./internal/wal/ ./internal/crashfs/ ./internal/venus/ ./internal/server/ ./internal/cml/ ./internal/group/ ./internal/integration/
 
 # Decoder fuzz gate: the wire codec's FuzzDecode, the server and Venus
 # journal decoders' FuzzJournalDecode and their image decoders'
@@ -54,6 +55,15 @@ lint:
 # reason).
 lint-ignores:
 	$(GO) run ./cmd/codalint -ignores ./...
+
+# Size ledger: non-test, non-testdata Go lines per package and in total,
+# then the suppression count — the two numbers a "net-negative" claim is
+# read off.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+	@$(GO) run ./cmd/codalint -ignores ./... | tail -1
 
 # Whole-program lock-order graph as Graphviz DOT (weak/conditional
 # holds dashed). Pipe to `dot -Tsvg` to render.

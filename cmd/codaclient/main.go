@@ -3,9 +3,12 @@
 // Usage:
 //
 //	codaclient -server host:8701 [-server host:8702 ...] [-mount usr] [-id 1]
+//	           [-journal DIR]
 //
 // Repeating -server names the members of a replicated server group;
 // calls fail over between them (give every client the same order).
+// With -journal the CML and hoard database live in DIR's write-ahead
+// log, flushed every 30 s like RVM (§4.3.1), and survive a restart.
 //
 // It exposes the file operations plus the weak-connectivity controls as a
 // small shell, and implements the paper's two advice screens (Figures 5
@@ -25,10 +28,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/crashfs"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/wal"
 )
 
 type serverList []string
@@ -41,7 +46,7 @@ func main() {
 	flag.Var(&servers, "server", "server UDP address (repeat for a replicated group)")
 	mount := flag.String("mount", "usr", "volume to mount at startup")
 	id := flag.Uint("id", 1, "client id (unique per server)")
-	stateFile := flag.String("state", "", "persist CML and hoard database to this file across restarts")
+	journalDir := flag.String("journal", "", "journal the CML and hoard database in this directory across restarts")
 	metrics := flag.String("metrics", "", "serve Prometheus metrics on this HTTP address (e.g. :9702)")
 	flag.Parse()
 	if len(servers) == 0 {
@@ -75,9 +80,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *stateFile != "" {
-		if err := v.LoadStateFile(*stateFile); err != nil {
-			fmt.Fprintln(os.Stderr, "restore state:", err)
+	if *journalDir != "" {
+		_, err := v.AttachJournal(venus.JournalOptions{FS: crashfs.OS{}, Dir: *journalDir,
+			Policy: wal.SyncInterval, Interval: 30 * time.Second})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "journal recovery:", err)
+			os.Exit(1)
 		}
 	}
 	fmt.Printf("mounted /coda/%s from %s — type 'help'\n", *mount, strings.Join(servers, ","))
@@ -98,12 +106,15 @@ func main() {
 		}
 		runCommand(v, args)
 	}
-	if *stateFile != "" {
-		if err := v.SaveStateFile(*stateFile); err != nil {
-			fmt.Fprintln(os.Stderr, "save state:", err)
+	if *journalDir != "" {
+		if err := v.Checkpoint(); err != nil {
+			fmt.Fprintln(os.Stderr, "checkpoint:", err)
 		}
 	}
 	v.Close()
+	if err := v.CloseJournal(); err != nil {
+		fmt.Fprintln(os.Stderr, "close journal:", err)
+	}
 }
 
 func runCommand(v *venus.Venus, args []string) {

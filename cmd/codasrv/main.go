@@ -3,14 +3,16 @@
 // Usage:
 //
 //	codasrv [-listen :8701] [-vol usr -vol proj ...] [-seed-files N]
-//	        [-peer host:8702 -peer host:8703 ...]
+//	        [-journal DIR] [-peer host:8702 -peer host:8703 ...]
 //
 // The server exports the named volumes (default "usr"), optionally
 // pre-populated with N small files each, and serves codaclient instances
-// until interrupted. With -peer flags it runs as one member of a
-// replicated group: committed updates are shipped to the peers, and at
-// boot the server pulls any log suffix it missed while down from the
-// first reachable peer.
+// until interrupted. With -journal every applied update is in DIR's
+// write-ahead log, fsynced, before it is acknowledged, and a restart —
+// after a clean exit or a kill — recovers them all. With -peer flags it
+// runs as one member of a replicated group: committed updates are
+// shipped to the peers, and at boot the server pulls any log suffix it
+// missed while down from the first reachable peer.
 package main
 
 import (
@@ -21,10 +23,12 @@ import (
 	"os"
 	"os/signal"
 
+	"repro/internal/crashfs"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/simtime"
+	"repro/internal/wal"
 )
 
 type volList []string
@@ -35,7 +39,7 @@ func (v *volList) Set(s string) error { *v = append(*v, s); return nil }
 func main() {
 	listen := flag.String("listen", ":8701", "UDP address to listen on")
 	seedFiles := flag.Int("seed-files", 0, "pre-populate each volume with N files")
-	stateFile := flag.String("state", "", "persist volumes to this file (load at boot, save at shutdown)")
+	journalDir := flag.String("journal", "", "journal volumes in this directory (recover at boot, fsync every update)")
 	metrics := flag.String("metrics", "", "serve Prometheus metrics on this HTTP address (e.g. :9701)")
 	var vols volList
 	flag.Var(&vols, "vol", "volume to export (repeatable; default usr)")
@@ -63,9 +67,22 @@ func main() {
 			}
 		}()
 	}
-	if *stateFile != "" {
-		if err := srv.LoadStateFile(*stateFile); err != nil {
-			log.Fatalf("load state: %v", err)
+	if *journalDir != "" {
+		info, err := srv.AttachJournal(server.JournalOptions{FS: crashfs.OS{}, Dir: *journalDir, Policy: wal.SyncEachRecord})
+		if err != nil {
+			log.Fatalf("journal recovery: %v", err)
+		}
+		log.Printf("journal %s: snapshot %v, %d volumes and %d batches replayed",
+			*journalDir, info.SnapshotLoaded, info.VolumesReplayed, info.BatchesReplayed)
+	}
+	// checkpoint folds the state into the journal's snapshot: after
+	// seeding, which bypasses the journal, and at clean shutdown.
+	checkpoint := func() {
+		if *journalDir == "" {
+			return
+		}
+		if err := srv.Checkpoint(); err != nil {
+			log.Printf("checkpoint: %v", err)
 		}
 	}
 	for _, vol := range vols {
@@ -82,6 +99,7 @@ func main() {
 		}
 		log.Printf("exporting volume %q", vol)
 	}
+	checkpoint()
 	// Rejoin the group: pull whatever suffix the peers committed while
 	// this member was down. Unreachable peers are not fatal — catch-up
 	// also happens lazily when the first gap is detected.
@@ -101,12 +119,9 @@ func main() {
 	st := srv.Stats()
 	log.Printf("shutting down: %d calls, %d reintegrations (%d failed), %d records applied, %d conflicts, %d breaks sent",
 		st.Calls, st.Reintegrations, st.ReintegrationFails, st.RecordsApplied, st.Conflicts, st.BreaksSent)
-	if *stateFile != "" {
-		if err := srv.SaveStateFile(*stateFile); err != nil {
-			log.Printf("save state: %v", err)
-		} else {
-			log.Printf("state saved to %s", *stateFile)
-		}
-	}
+	checkpoint()
 	srv.Close()
+	if err := srv.CloseJournal(); err != nil {
+		log.Printf("close journal: %v", err)
+	}
 }

@@ -598,3 +598,13 @@ func Load(img Image) (*Log, error) {
 	}
 	return l, nil
 }
+
+// Restore replaces l's records and counters with those of from, a log
+// fresh from Load that nothing else references. l keeps its identity and
+// its cancel observer, so whoever holds l sees the restored state.
+func (l *Log) Restore(from *Log) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.records, l.barrier = from.records, 0
+	l.nextSeq, l.savedBytes, l.savedRecs, l.optimize = from.nextSeq, from.savedBytes, from.savedRecs, from.optimize
+}

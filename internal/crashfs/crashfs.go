@@ -128,8 +128,8 @@ func (OS) ReadDir(dir string) ([]string, error) {
 func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
 // SyncDir implements FS. Directory fsync is what makes renames and
-// creations durable on a real filesystem; this is the half the original
-// rename-based SaveStateFile forgot.
+// creations durable on a real filesystem — the half a bare
+// write-then-rename forgets.
 func (OS) SyncDir(dir string) error {
 	d, err := os.Open(filepath.Clean(dir))
 	if err != nil {

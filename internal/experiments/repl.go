@@ -156,13 +156,9 @@ func replRun(opts Options, members, files, fileBytes, extraFiles int, fail bool)
 		// Reboot the victim: fresh process on the old address, WAL replay,
 		// then a pull of everything it missed from the member the client
 		// failed over to.
-		fresh := server.New(sim, net.Host(grp.Addrs()[victim]),
-			server.WithPeers(grp.PeerAddrs(victim)...), server.WithObs(reg))
-		if _, err := fresh.AttachJournal(replJournalOpts(mems[victim])); err != nil {
-			panic(fmt.Sprintf("repl: recovery: %v", err))
-		}
-		if err := grp.ReplaceMember(victim, fresh); err != nil {
-			panic(err)
+		fresh, err := grp.Restart(victim, net.Host(grp.Addrs()[victim]), replJournalOpts(mems[victim]))
+		if err != nil {
+			panic(fmt.Sprintf("repl: %v", err))
 		}
 		if err := fresh.CatchUp(grp.Addrs()[(victim+1)%members]); err != nil {
 			panic(fmt.Sprintf("repl: catch-up: %v", err))

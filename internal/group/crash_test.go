@@ -108,19 +108,8 @@ func replicaCrashScenario(t *testing.T, crashAt int) int {
 			// and a fresh server recovers from it.
 			grp.Member(victim).Close()
 			mems[victim].Reboot()
-			fresh := server.New(sim, net.Host(victimAddr), server.WithPeers(grp.PeerAddrs(victim)...))
-			if _, err := fresh.AttachJournal(journalOpts(mems[victim])); err != nil {
-				t.Fatalf("crashAt=%d: recovery: %v", crashAt, err)
-			}
-			// Volumes are re-created at boot (cmd/codasrv does the same)
-			// in case the creation itself was lost with the crash.
-			if _, err := fresh.VolumeStamp("work"); err != nil {
-				if _, err := fresh.CreateVolume("work"); err != nil {
-					t.Fatalf("crashAt=%d: recreate volume: %v", crashAt, err)
-				}
-			}
-			if err := grp.ReplaceMember(victim, fresh); err != nil {
-				t.Fatal(err)
+			if _, err := grp.Restart(victim, net.Host(victimAddr), journalOpts(mems[victim])); err != nil {
+				t.Fatalf("crashAt=%d: %v", crashAt, err)
 			}
 		}
 

@@ -60,7 +60,7 @@ func New(clock simtime.Clock, conns []netsim.PacketConn, opts ...Option) (*Group
 		g.addrs = append(g.addrs, c.LocalAddr())
 	}
 	for i, c := range conns {
-		g.servers = append(g.servers, server.New(clock, c, g.MemberOptions(i)...))
+		g.servers = append(g.servers, server.New(clock, c, g.memberOptions(i)...))
 	}
 	if g.reg != nil {
 		for i := range g.servers {
@@ -74,14 +74,20 @@ func New(clock simtime.Clock, conns []netsim.PacketConn, opts ...Option) (*Group
 	return g, nil
 }
 
-// MemberOptions returns the construction options member i was (and any
-// replacement must be) built with: the peer wiring, the registry, and
-// the hook that surfaces replica divergence as the
-// group_divergence_total counter, labeled by node. Counter registration
-// is idempotent, so a replacement increments the same series the
-// original did.
-func (g *Group) MemberOptions(i int) []server.Option {
-	sopts := []server.Option{server.WithPeers(g.PeerAddrs(i)...)}
+// memberOptions returns the construction options member i was (and its
+// replacement is) built with: the peer wiring — every other member's
+// address — the registry, and the hook that surfaces replica divergence
+// as the group_divergence_total counter, labeled by node. Counter
+// registration is idempotent, so a replacement increments the same
+// series the original did.
+func (g *Group) memberOptions(i int) []server.Option {
+	peers := make([]string, 0, len(g.addrs)-1)
+	for j, a := range g.addrs {
+		if j != i {
+			peers = append(peers, a)
+		}
+	}
+	sopts := []server.Option{server.WithPeers(peers...)}
 	if g.reg != nil {
 		c := g.reg.Counter("group_divergence_total", obs.L("node", g.addrs[i]))
 		sopts = append(sopts,
@@ -105,29 +111,32 @@ func (g *Group) Servers() []*server.Server {
 // Member returns member i.
 func (g *Group) Member(i int) *server.Server { return g.servers[i] }
 
-// PeerAddrs returns every member address except member i's — the peer
-// list a member (or its replacement after a crash) is constructed with.
-func (g *Group) PeerAddrs(i int) []string {
-	peers := make([]string, 0, len(g.addrs)-1)
-	for j, a := range g.addrs {
-		if j != i {
-			peers = append(peers, a)
+// Restart boots member i's replacement after a crash: a fresh server on
+// conn, built with the member's options, recovers from its journal,
+// re-creates any volume the dead member carried whose creation was lost
+// with the crash (cmd/codasrv does the same at boot, from its flags),
+// and takes the member's place. The dead process must already be closed
+// — and its disk rebooted, if the crash was a power cut — and conn must
+// listen on the member's address.
+func (g *Group) Restart(i int, conn netsim.PacketConn, jopts server.JournalOptions) (*server.Server, error) {
+	if conn.LocalAddr() != g.addrs[i] {
+		return nil, fmt.Errorf("group: replacement for member %d listens on %q, want %q",
+			i, conn.LocalAddr(), g.addrs[i])
+	}
+	srv := server.New(g.clock, conn, g.memberOptions(i)...)
+	if _, err := srv.AttachJournal(jopts); err != nil {
+		return nil, fmt.Errorf("group: restart member %d (%s): recovery: %w", i, g.addrs[i], err)
+	}
+	for _, p := range g.servers[i].VolumePositions() { // ascending ID: creation order
+		if _, _, err := srv.VolumeLSN(p.Name); err == nil {
+			continue
+		}
+		if _, err := srv.CreateVolume(p.Name); err != nil {
+			return nil, fmt.Errorf("group: restart member %d (%s): %w", i, g.addrs[i], err)
 		}
 	}
-	return peers
-}
-
-// ReplaceMember installs a new server as member i — how a crashed
-// member, recovered into a fresh process (server.New + AttachJournal),
-// rejoins its group. The replacement should have been built with
-// PeerAddrs(i) and must listen on the same address.
-func (g *Group) ReplaceMember(i int, srv *server.Server) error {
-	if srv.Addr() != g.addrs[i] {
-		return fmt.Errorf("group: replacement for member %d listens on %q, want %q",
-			i, srv.Addr(), g.addrs[i])
-	}
 	g.servers[i] = srv
-	return nil
+	return srv, nil
 }
 
 // Each runs fn on every member in canonical order, stopping at the

@@ -383,10 +383,9 @@ func (w *world) scheduleFlaps(st *Step) {
 
 // restart reboots a member from its journal: the dead process leaves the
 // address, the fault disk reboots with only its durable prefix, and a
-// fresh server recovers from it, re-creating any volume whose creation
-// was lost with the crash (cmd/codasrv does the same at boot). An
-// optional `from` peer pulls the missed log suffix immediately;
-// otherwise a later converge step repairs.
+// fresh server recovers from it (group.Restart). An optional `from` peer
+// pulls the missed log suffix immediately; otherwise a later converge
+// step repairs.
 func (w *world) restart(st *Step) error {
 	g, idx, _, _ := w.topo.resolveTarget(st.Target)
 	grp := w.groups[g]
@@ -394,22 +393,8 @@ func (w *world) restart(st *Step) error {
 	grp.Member(idx).Close()
 	mem := w.mems[g][idx]
 	mem.Reboot()
-	fresh := server.New(w.sim, w.net.Host(addr), grp.MemberOptions(idx)...)
-	if _, err := fresh.AttachJournal(journalOpts(mem)); err != nil {
-		return fmt.Errorf("restart %s: recovery: %w", addr, err)
-	}
-	for i := range w.scn.Volumes {
-		vd := &w.scn.Volumes[i]
-		if vd.Group != g {
-			continue
-		}
-		if _, err := fresh.VolumeStamp(vd.Name); err != nil {
-			if _, err := fresh.CreateVolume(vd.Name); err != nil {
-				return fmt.Errorf("restart %s: recreate volume %s: %w", addr, vd.Name, err)
-			}
-		}
-	}
-	if err := grp.ReplaceMember(idx, fresh); err != nil {
+	fresh, err := grp.Restart(idx, w.net.Host(addr), journalOpts(mem))
+	if err != nil {
 		return err
 	}
 	w.alive[addr] = true

@@ -19,13 +19,11 @@ import (
 // bench_baseline.json.
 func BenchmarkAllocJournalBatch(b *testing.B) {
 	fs := crashfs.NewMem()
-	w, _, err := wal.Open(wal.Options{FS: fs, Dir: "j", Policy: wal.SyncNone, SegmentBytes: 1 << 30}, nil)
-	if err != nil {
+	v := newVolume(1, "bench", time.Unix(0, 0))
+	if _, err := v.log.Attach(wal.Options{FS: fs, Dir: "j", Policy: wal.SyncNone, SegmentBytes: 1 << 30}, nil); err != nil {
 		b.Fatal(err)
 	}
-	defer w.Close()
-	v := newVolume(1, "bench", time.Unix(0, 0))
-	v.wal = w
+	defer func() { _ = v.log.Detach().Close() }()
 
 	recs := []cml.Record{{
 		Kind:   cml.Store,

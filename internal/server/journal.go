@@ -3,16 +3,13 @@ package server
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/cml"
 	"repro/internal/codafs"
-	"repro/internal/crashfs"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -89,14 +86,8 @@ func decodeVolEntry(payload []byte) (volEntry, error) {
 	return e, r.Done()
 }
 
-// JournalOptions configures Server.AttachJournal.
-type JournalOptions struct {
-	FS           crashfs.FS
-	Dir          string
-	Policy       wal.SyncPolicy
-	Interval     time.Duration
-	SegmentBytes int64
-}
+// JournalOptions configures Server.AttachJournal (see wal.JournalOptions).
+type JournalOptions = wal.JournalOptions
 
 // RecoveryInfo reports what Server.AttachJournal reconstructed.
 type RecoveryInfo struct {
@@ -109,39 +100,16 @@ type RecoveryInfo struct {
 }
 
 // serverJournal is the attached durability state. sjMu guards the meta
-// WAL and its LSN; it nests inside s.mu (CreateVolume and Checkpoint
-// hold s.mu first). Per-volume WALs are guarded by their volume's mu.
+// journal; it nests inside s.mu (CreateVolume and Checkpoint hold s.mu
+// first). Per-volume journals are guarded by their volume's mu.
 type serverJournal struct {
-	fs    crashfs.FS
-	dir   string
-	opts  JournalOptions
-	clock simtime.Clock
-	obs   *obs.Registry
-	node  string // the server's address, span node label for WAL spans
+	opts JournalOptions
 
-	sjMu    sync.Mutex
-	meta    *wal.WAL
-	metaLSN uint64
+	sjMu sync.Mutex
+	meta wal.Journal
 }
 
-func (sj *serverJournal) snapshotPath() string { return filepath.Join(sj.dir, "snapshot") }
-
-func (sj *serverJournal) volDir(id codafs.VolumeID) string {
-	return filepath.Join(sj.dir, fmt.Sprintf("vol-%d", id))
-}
-
-func (sj *serverJournal) walOptions(dir string) wal.Options {
-	return wal.Options{
-		FS:           sj.fs,
-		Dir:          dir,
-		SegmentBytes: sj.opts.SegmentBytes,
-		Policy:       sj.opts.Policy,
-		Interval:     sj.opts.Interval,
-		Clock:        sj.clock,
-		Obs:          sj.obs,
-		Node:         sj.node,
-	}
-}
+func volSub(id codafs.VolumeID) string { return fmt.Sprintf("vol-%d", id) }
 
 // AttachJournal recovers durable server state from opts.Dir and begins
 // journaling every subsequent applied mutation and volume creation. It
@@ -149,49 +117,37 @@ func (sj *serverJournal) walOptions(dir string) wal.Options {
 // (if any) come only from the snapshot and WALs.
 func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	var info RecoveryInfo
-	if opts.FS == nil || opts.Dir == "" {
-		return info, errors.New("server: journal needs FS and Dir")
-	}
 	s.mu.Lock()
 	attached := s.journal != nil
 	s.mu.Unlock()
 	if attached {
 		return info, errors.New("server: journal already attached")
 	}
-	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
-		return info, err
-	}
-	sj := &serverJournal{fs: opts.FS, dir: opts.Dir, opts: opts, clock: s.clock, obs: s.obs, node: s.addr}
+	sj := &serverJournal{opts: opts}
 
 	// Snapshot: restores the bulk and carries the LSN watermarks that
 	// fence off WAL entries already reflected in it.
-	var metaWatermark uint64
-	if f, err := opts.FS.Open(sj.snapshotPath()); err == nil {
-		vols, nextVolID, metaLSN, derr := decodeImage(f)
-		_ = f.Close()
-		if derr != nil {
-			return info, fmt.Errorf("server: journal snapshot: %w", derr)
+	image, ok, err := opts.Snapshot()
+	if err != nil {
+		return info, fmt.Errorf("server: %w", err)
+	}
+	if ok {
+		vols, nextVolID, metaLSN, err := decodeImage(image)
+		if err != nil {
+			return info, fmt.Errorf("server: journal snapshot: %w", err)
 		}
 		if err := s.install(vols, nextVolID); err != nil {
 			return info, err
 		}
-		metaWatermark = metaLSN
+		sj.meta = wal.JournalAt(metaLSN)
 		info.SnapshotLoaded = true
-	} else if !crashfs.IsNotExist(err) {
-		return info, err
 	}
 
 	// Meta WAL: replay volume creations the snapshot predates.
-	meta, metaStats, err := wal.Open(sj.walOptions(filepath.Join(opts.Dir, "meta")), func(payload []byte) error {
+	info.Meta, err = sj.meta.Attach(opts.WAL("meta", s.clock, s.obs, s.addr), func(payload []byte) error {
 		e, err := decodeMetaEntry(payload)
 		if err != nil {
 			return fmt.Errorf("server: meta journal entry: %w", err)
-		}
-		if e.LSN > sj.metaLSN {
-			sj.metaLSN = e.LSN
-		}
-		if e.LSN <= metaWatermark {
-			return nil
 		}
 		info.VolumesReplayed++
 		return s.replayCreateVolume(e)
@@ -199,28 +155,18 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	if err != nil {
 		return info, fmt.Errorf("server: meta journal open: %w", err)
 	}
-	if sj.metaLSN < metaWatermark {
-		sj.metaLSN = metaWatermark
-	}
-	sj.meta = meta
 
 	// Per-volume WALs: replay applied batches through the same apply
 	// pipeline the live path uses, in ascending volume-ID order so the
-	// recovery is deterministic.
+	// recovery is deterministic. A volume's watermark is the LSN its
+	// snapshot installed; zero for one the meta WAL created.
 	for _, v := range s.volumesByID() {
 		v.mu.Lock()
-		watermark := v.walLSN // the snapshot's; zero for a volume the meta WAL created
 		//codalint:ignore lockhold recovery replay runs before the server takes traffic; the volume lock covers replaying WAL batches into volume state
-		w, stats, err := wal.Open(sj.walOptions(sj.volDir(v.info.ID)), func(payload []byte) error {
+		stats, err := v.log.Attach(opts.WAL(volSub(v.info.ID), s.clock, s.obs, s.addr), func(payload []byte) error {
 			e, err := decodeVolEntry(payload)
 			if err != nil {
 				return fmt.Errorf("server: volume %d journal entry: %w", v.info.ID, err)
-			}
-			if e.LSN > v.walLSN {
-				v.walLSN = e.LSN
-			}
-			if e.LSN <= watermark {
-				return nil
 			}
 			info.BatchesReplayed++
 			info.RecordsReplayed += len(e.Recs)
@@ -233,21 +179,18 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 			v.advanceReplLocked(e.Client, e.LSN, e.Recs, payload)
 			return nil
 		})
-		if err != nil {
-			v.mu.Unlock()
-			return info, fmt.Errorf("server: volume %d journal open: %w", v.info.ID, err)
-		}
 		// Replayed entries were pushed by the pre-crash process (or will
 		// be pulled by peers); recovery does not re-ship them.
-		v.shippedLSN = v.walLSN
-		v.wal = w
+		v.shippedLSN = v.log.LSN()
 		v.mu.Unlock()
+		if err != nil {
+			return info, fmt.Errorf("server: volume %d journal open: %w", v.info.ID, err)
+		}
 		info.Volumes.Records += stats.Records
 		info.Volumes.Segments += stats.Segments
 		info.Volumes.TornBytes += stats.TornBytes
 		info.Volumes.TornSegments += stats.TornSegments
 	}
-	info.Meta = metaStats
 
 	s.mu.Lock()
 	s.journal = sj
@@ -291,10 +234,10 @@ func replayBatchLocked(v *volume, e volEntry) error {
 	return nil
 }
 
-// journalBatchLocked frames an applied batch into v's WAL before it
+// journalBatchLocked frames an applied batch into v's journal before it
 // commits, and advances the volume's replication state. Caller holds
-// v.mu. The frame is built even when no WAL is attached (a nil WAL just
-// skips the Append): the payload bytes are what the chain fingerprint
+// v.mu. The frame is built even when the journal is detached (Append
+// then writes nothing): the payload bytes are what the chain fingerprint
 // folds over, so an unjournaled server is still a full replica — the
 // LSN sequence IS the replication order.
 //
@@ -302,16 +245,13 @@ func replayBatchLocked(v *volume, e volEntry) error {
 // own frame before Append returns and the chain only folds over it, so
 // nothing retains it (BenchmarkAllocJournalBatch pins the steady state).
 func journalBatchLocked(v *volume, client string, recs []cml.Record, sc obs.SpanContext) error {
-	lsn := v.walLSN + 1
+	lsn := v.log.Next()
 	bp := bufpool.Get(0)
 	defer bufpool.Put(bp)
 	*bp = appendVolEntry(*bp, lsn, client, recs)
-	if v.wal != nil {
-		if err := v.wal.AppendSpan(*bp, sc); err != nil {
-			return err
-		}
+	if err := v.log.Append(*bp, sc); err != nil {
+		return err
 	}
-	v.walLSN = lsn
 	v.journaledBytes += int64(len(*bp))
 	v.advanceReplLocked(client, lsn, recs, *bp)
 	return nil
@@ -326,26 +266,20 @@ func (s *Server) journalCreateLocked(v *volume, modTime time.Time) error {
 	}
 	sj.sjMu.Lock()
 	defer sj.sjMu.Unlock()
-	e := metaEntry{LSN: sj.metaLSN + 1, Name: v.info.Name, ID: v.info.ID, ModTime: modTime}
+	e := metaEntry{LSN: sj.meta.Next(), Name: v.info.Name, ID: v.info.ID, ModTime: modTime}
 	//codalint:ignore lockhold journal-first commit: sjMu must cover the meta append so meta-LSN order matches creation order
-	if err := sj.meta.Append(appendMetaEntry(nil, e)); err != nil {
+	if err := sj.meta.Append(appendMetaEntry(nil, e), obs.SpanContext{}); err != nil {
 		return err
 	}
-	sj.metaLSN = e.LSN
 	//codalint:ignore lockhold the new volume's WAL must exist before the creation is visible; sjMu covers the open
-	w, _, err := wal.Open(sj.walOptions(sj.volDir(v.info.ID)), nil)
-	if err != nil {
-		return err
-	}
-	v.wal = w
-	return nil
+	_, err := v.log.Attach(sj.opts.WAL(volSub(v.info.ID), s.clock, s.obs, s.addr), nil)
+	return err
 }
 
-// Checkpoint writes a durable snapshot carrying every WAL's watermark,
-// then truncates all WALs — the RVM truncation analogue. It holds the
-// registry lock and every volume lock for the duration, so mutations and
-// creations are blocked and the snapshot is exactly consistent with its
-// watermarks.
+// Checkpoint writes a durable snapshot carrying every journal's
+// watermark, then truncates all WALs. It holds the registry lock and
+// every volume lock for the duration, so mutations and creations are
+// blocked and the snapshot is exactly consistent with its watermarks.
 func (s *Server) Checkpoint() error {
 	s.mu.Lock()
 	sj := s.journal
@@ -357,38 +291,24 @@ func (s *Server) Checkpoint() error {
 	for _, v := range vols {
 		v.mu.Lock()
 	}
+	sj.sjMu.Lock()
 	defer func() {
+		sj.sjMu.Unlock()
 		for i := len(vols) - 1; i >= 0; i-- {
 			vols[i].mu.Unlock()
 		}
 		s.mu.Unlock()
 	}()
 
-	sj.sjMu.Lock()
-	img := appendImageHeader(nil, s.nextVolID, sj.metaLSN, len(vols))
-	sj.sjMu.Unlock()
+	img := appendImageHeader(nil, s.nextVolID, sj.meta.LSN(), len(vols))
+	fenced := []*wal.Journal{&sj.meta}
 	for _, v := range vols {
 		img = v.appendLocked(img, true)
+		fenced = append(fenced, &v.log)
 	}
-	//codalint:ignore lockhold checkpoint holds every lock for the duration so the snapshot is exactly consistent with its WAL watermarks
-	if err := crashfs.WriteFileAtomic(sj.fs, sj.snapshotPath(), img); err != nil {
-		return fmt.Errorf("server: checkpoint: %w", err)
-	}
-	sj.sjMu.Lock()
-	//codalint:ignore lockhold WAL truncation must happen under the same locks as the snapshot it fences, or a racing append could be dropped
-	err := sj.meta.Reset()
-	sj.sjMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("server: checkpoint: reset meta WAL: %w", err)
-	}
-	for _, v := range vols {
-		if v.wal == nil {
-			continue
-		}
-		//codalint:ignore lockhold WAL truncation must happen under the same locks as the snapshot it fences, or a racing append could be dropped
-		if err := v.wal.Reset(); err != nil {
-			return fmt.Errorf("server: checkpoint: reset volume %d WAL: %w", v.info.ID, err)
-		}
+	//codalint:ignore lockhold checkpoint holds every lock for the duration so the snapshot is exactly consistent with its WAL watermarks and no racing append is truncated
+	if err := sj.opts.Checkpoint(img, fenced...); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	return nil
 }
@@ -406,17 +326,13 @@ func (s *Server) CloseJournal() error {
 	if sj == nil {
 		return nil
 	}
-	var firstErr error
 	sj.sjMu.Lock()
 	//codalint:ignore lockhold final flush on shutdown; the journal is being detached and no traffic remains
-	if err := sj.meta.Close(); err != nil {
-		firstErr = err
-	}
+	firstErr := sj.meta.Detach().Close()
 	sj.sjMu.Unlock()
 	for _, v := range vols {
 		v.mu.Lock()
-		w := v.wal
-		v.wal = nil
+		w := v.log.Detach()
 		v.mu.Unlock()
 		if w != nil {
 			if err := w.Close(); err != nil && firstErr == nil {

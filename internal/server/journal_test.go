@@ -393,36 +393,66 @@ func TestServerLoadStateCorrupted(t *testing.T) {
 	}
 }
 
-// TestServerSaveStateFSCrashSafety pins the snapshot write discipline:
-// temp file, fsync, rename, parent-dir fsync. A cut mid-save must leave
-// the previous image; a cut after a successful save must keep the new one.
-func TestServerSaveStateFSCrashSafety(t *testing.T) {
-	mem := crashfs.NewMem()
-	const path = "server.state"
-	w := newWorld()
-	w.srv.CreateVolume("usr")
-	w.srv.WriteFile("usr", "a.txt", []byte("first"))
-	if err := w.srv.SaveStateFS(mem, path); err != nil {
-		t.Fatal(err)
-	}
-	mem.Crash()
-	mem.Reboot()
+// TestServerCheckpointCrashSafety pins the checkpoint discipline: a power
+// cut at any write of a Checkpoint leaves the old snapshot or the new
+// one, never a mixture, and the batch journaled since the old one still
+// replays over it — once, and not at all over the new one.
+func TestServerCheckpointCrashSafety(t *testing.T) {
+	run := func(crashAt int) (error, []byte, RecoveryInfo) {
+		mem := crashfs.NewMem()
+		w := newWorld()
+		if _, err := w.srv.AttachJournal(serverJournalOpts(mem)); err != nil {
+			t.Fatal(err)
+		}
+		d := newSdriver(w.srv)
+		for i := 0; i < 5; i++ { // two volumes, docs/paper.tex created and stored
+			if err := serverOps[i](d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.setattr("paper", 0600); err != nil { // the WAL suffix
+			t.Fatal(err)
+		}
+		if crashAt > 0 {
+			mem.ArmCrash(crashAt, 0)
+		}
+		cerr := w.srv.Checkpoint()
+		mem.Reboot()
 
-	w.srv.WriteFile("usr", "b.txt", []byte("second"))
-	mem.ArmCrash(1, 0)
-	if err := w.srv.SaveStateFS(mem, path); err == nil {
-		t.Fatal("SaveStateFS succeeded across an armed crash")
+		w2 := newWorld()
+		info, err := w2.srv.AttachJournal(serverJournalOpts(mem))
+		if err != nil {
+			t.Fatalf("recovery after a cut at checkpoint write %d: %v", crashAt, err)
+		}
+		var buf bytes.Buffer
+		if err := w2.srv.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return cerr, buf.Bytes(), info
 	}
-	mem.Reboot()
-
-	w2 := newWorld()
-	if err := w2.srv.LoadStateFS(mem, path); err != nil {
-		t.Fatalf("image lost after interrupted re-save: %v", err)
+	_, want, _ := run(0)
+	old, fresh := 0, 0
+	for k := 1; ; k++ {
+		cerr, got, info := run(k)
+		if !info.SnapshotLoaded {
+			t.Fatalf("cut at checkpoint write %d: no snapshot survived", k)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("cut at checkpoint write %d: recovered state diverges (%d batches replayed)", k, info.BatchesReplayed)
+		}
+		if info.BatchesReplayed == 1 {
+			old++
+		} else {
+			fresh++
+		}
+		if cerr == nil {
+			break // the cut landed beyond the checkpoint's last write
+		}
 	}
-	if data, err := w2.srv.ReadFile("usr", "a.txt"); err != nil || string(data) != "first" {
-		t.Errorf("restored a.txt = %q, %v", data, err)
-	}
-	if _, err := w2.srv.ReadFile("usr", "b.txt"); err == nil {
-		t.Error("half-saved image leaked b.txt into the restored state")
+	if old == 0 || fresh == 0 {
+		t.Errorf("sweep saw the old snapshot %d times and the new one %d times; want both", old, fresh)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/codafs"
-	"repro/internal/crashfs"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -83,7 +83,7 @@ func (v *volume) appendLocked(dst []byte, watermarks bool) []byte {
 	var lsn uint64
 	var chain uint32
 	if watermarks {
-		lsn, chain = v.walLSN, v.chain
+		lsn, chain = v.log.LSN(), v.chain
 	}
 	dst = wire.AppendUvarint(dst, lsn)
 	dst = wire.AppendUvarint(dst, uint64(chain))
@@ -141,11 +141,7 @@ func (s *Server) image() []byte {
 // allocated for a count the input cannot back. Keys out of ascending
 // order are rejected, not merged: a duplicate would silently overwrite
 // the earlier entry.
-func decodeImage(rd io.Reader) (vols []*volume, nextVolID codafs.VolumeID, metaLSN uint64, err error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("server: load state: %w", err)
-	}
+func decodeImage(data []byte) (vols []*volume, nextVolID codafs.VolumeID, metaLSN uint64, err error) {
 	r := wire.NewReader(data)
 	for i := 0; i < len(imageMagic); i++ {
 		if r.Byte() != imageMagic[i] {
@@ -184,9 +180,10 @@ func readVolume(r *wire.Reader) *volume {
 	// The watermarks anchor the replication state: the retained log
 	// restarts empty at the watermark, and entries at or below it count
 	// as shipped (peers that missed them pull, they are never re-pushed).
-	v.walLSN = r.Uvarint()
+	lsn := r.Uvarint()
+	v.log = wal.JournalAt(lsn)
 	v.chain = r.Uint32()
-	v.replBaseLSN, v.replBaseChain, v.shippedLSN = v.walLSN, v.chain, v.walLSN
+	v.replBaseLSN, v.replBaseChain, v.shippedLSN = lsn, v.chain, lsn
 
 	n := r.Count(4) // status mask, data length, entry count, target length
 	v.objects = make(map[codafs.FID]*codafs.Object, n)
@@ -245,39 +242,13 @@ func (s *Server) install(vols []*volume, nextVolID codafs.VolumeID) error {
 // volumes yet. Corrupted images — truncated, bit-flipped, or otherwise —
 // come back as errors, never panics.
 func (s *Server) LoadState(r io.Reader) error {
-	vols, nextVolID, _, err := decodeImage(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("server: load state: %w", err)
+	}
+	vols, nextVolID, _, err := decodeImage(data)
 	if err != nil {
 		return err
 	}
 	return s.install(vols, nextVolID)
-}
-
-// SaveStateFS persists to path atomically and durably through fsys.
-func (s *Server) SaveStateFS(fsys crashfs.FS, path string) error {
-	return crashfs.WriteFileAtomic(fsys, path, s.image())
-}
-
-// LoadStateFS restores from a SaveStateFS image; a missing file is not an
-// error (first boot).
-func (s *Server) LoadStateFS(fsys crashfs.FS, path string) error {
-	f, err := fsys.Open(path)
-	if crashfs.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.LoadState(f)
-}
-
-// SaveStateFile persists to path atomically and durably.
-func (s *Server) SaveStateFile(path string) error {
-	return s.SaveStateFS(crashfs.OS{}, path)
-}
-
-// LoadStateFile restores from a SaveStateFile image; a missing file is not
-// an error (first boot).
-func (s *Server) LoadStateFile(path string) error {
-	return s.LoadStateFS(crashfs.OS{}, path)
 }

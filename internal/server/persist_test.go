@@ -180,7 +180,7 @@ func FuzzLoadState(f *testing.F) {
 	}
 	f.Add(gobImage)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vols, nextVolID, metaLSN, err := decodeImage(bytes.NewReader(data))
+		vols, nextVolID, metaLSN, err := decodeImage(data)
 		// A bare registry, not newWorld: a world's daemons would outlive
 		// every one of the fuzzer's thousands of executions a second.
 		empty := &Server{volumes: make(map[codafs.VolumeID]*volume), byName: make(map[string]codafs.VolumeID)}

@@ -102,7 +102,7 @@ func (v *volume) releaseShip() { v.shipTok.Put(struct{}{}) }
 // advanceReplLocked folds one committed entry into the volume's
 // replication state: the chain fingerprint, the retained log suffix,
 // and the dedup set. Caller holds v.mu and has already advanced
-// v.walLSN to lsn; payload is the entry's journal framing.
+// v.log to lsn; payload is the entry's journal framing.
 func (v *volume) advanceReplLocked(client string, lsn uint64, recs []cml.Record, payload []byte) {
 	v.chain = crc32.Update(v.chain, castagnoli, payload)
 	v.repl = append(v.repl, wire.LogEntry{LSN: lsn, Chain: v.chain, Client: client, Recs: recs})
@@ -126,7 +126,7 @@ func (v *volume) chainAtLocked(lsn uint64) (uint32, bool) {
 	switch {
 	case lsn == v.replBaseLSN:
 		return v.replBaseChain, true
-	case lsn > v.replBaseLSN && lsn <= v.walLSN:
+	case lsn > v.replBaseLSN && lsn <= v.log.LSN():
 		return v.repl[lsn-v.replBaseLSN-1].Chain, true
 	}
 	return 0, false
@@ -144,7 +144,7 @@ func (s *Server) shipToPeers(v *volume, sc obs.SpanContext) {
 	s.clock.Go(func() { s.shipVolume(v, sc) })
 }
 
-// shipVolume pushes the pending suffix (shippedLSN, walLSN] to every
+// shipVolume pushes the pending suffix (shippedLSN, log LSN] to every
 // peer, in LSN order, and loops until no new entries remain. The ship
 // token serializes shippers so concurrent commits cannot interleave
 // entries out of order on the wire; the volume lock is held only to
@@ -218,13 +218,13 @@ func (s *Server) shipLog(src string, sc obs.SpanContext, req wire.ShipLog) (wire
 	s.observeVolOp(v)
 	e := req.Entry
 	s.lockVolume(v)
-	if e.LSN <= v.walLSN {
-		rep := wire.ShipLogRep{LSN: v.walLSN}
+	if e.LSN <= v.log.LSN() {
+		rep := wire.ShipLogRep{LSN: v.log.LSN()}
 		v.mu.Unlock()
 		return rep, nil
 	}
-	if e.LSN != v.walLSN+1 || req.PrevChain != v.chain {
-		rep := wire.ShipLogRep{LSN: v.walLSN, NeedCatchUp: true}
+	if e.LSN != v.log.Next() || req.PrevChain != v.chain {
+		rep := wire.ShipLogRep{LSN: v.log.LSN(), NeedCatchUp: true}
 		v.mu.Unlock()
 		s.met.replGaps.Inc()
 		s.clock.Go(func() { _ = s.catchUpVolume(src, req.Volume, sc) })
@@ -239,7 +239,7 @@ func (s *Server) shipLog(src string, sc obs.SpanContext, req wire.ShipLog) (wire
 		defer sp.End()
 	}
 	breaks, err := v.applyEntryLocked(e, applyCtx)
-	rep := wire.ShipLogRep{LSN: v.walLSN}
+	rep := wire.ShipLogRep{LSN: v.log.LSN()}
 	v.mu.Unlock()
 	if err != nil {
 		s.noteDivergence(err)
@@ -293,8 +293,8 @@ func (s *Server) fetchLog(req wire.FetchLog) (wire.FetchLogRep, error) {
 	}
 	s.lockVolume(v)
 	defer v.mu.Unlock()
-	rep := wire.FetchLogRep{LSN: v.walLSN}
-	if req.AfterLSN >= v.walLSN {
+	rep := wire.FetchLogRep{LSN: v.log.LSN()}
+	if req.AfterLSN >= v.log.LSN() {
 		return rep, nil // nothing newer here
 	}
 	if req.AfterLSN < v.replBaseLSN {
@@ -353,7 +353,7 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 	}
 	for {
 		v.mu.Lock()
-		after := v.walLSN
+		after := v.log.LSN()
 		chain := v.chain
 		v.mu.Unlock()
 
@@ -371,12 +371,12 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 		s.lockVolume(v)
 		journaled := v.journaledBytes
 		for _, e := range rep.Entries {
-			if e.LSN <= v.walLSN {
+			if e.LSN <= v.log.LSN() {
 				continue // raced with a concurrent push; already have it
 			}
-			if e.LSN != v.walLSN+1 {
+			if e.LSN != v.log.Next() {
 				v.mu.Unlock()
-				return fmt.Errorf("server: catch-up volume %d: entry gap at %d (have %d)", id, e.LSN, v.walLSN)
+				return fmt.Errorf("server: catch-up volume %d: entry gap at %d (have %d)", id, e.LSN, v.log.LSN())
 			}
 			breaks, err := v.applyEntryLocked(e, sc)
 			if err != nil {
@@ -391,7 +391,7 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 				v.shippedLSN = e.LSN
 			}
 		}
-		caughtUp := v.walLSN >= rep.LSN
+		caughtUp := v.log.LSN() >= rep.LSN
 		journaled = v.journaledBytes - journaled
 		v.mu.Unlock()
 		s.stats.catchupRecords.Add(recs)
@@ -413,7 +413,7 @@ func (s *Server) VolumeLSN(name string) (lsn uint64, chain uint32, err error) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.walLSN, v.chain, nil
+	return v.log.LSN(), v.chain, nil
 }
 
 // VolumePosition is one volume's replication log position.
@@ -431,7 +431,7 @@ func (s *Server) VolumePositions() []VolumePosition {
 	out := make([]VolumePosition, 0, len(vols))
 	for _, v := range vols {
 		v.mu.Lock()
-		out = append(out, VolumePosition{ID: v.info.ID, Name: v.info.Name, LSN: v.walLSN, Chain: v.chain})
+		out = append(out, VolumePosition{ID: v.info.ID, Name: v.info.Name, LSN: v.log.LSN(), Chain: v.chain})
 		v.mu.Unlock()
 	}
 	return out

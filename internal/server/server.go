@@ -232,17 +232,16 @@ type volume struct {
 	objCallbacks map[codafs.FID]map[string]bool
 	volCallbacks map[string]bool
 
-	// wal journals this volume's applied mutation batches; walLSN is the
+	// log journals this volume's applied mutation batches; its LSN is the
 	// last framed entry (it advances with or without a WAL attached: the
 	// LSN sequence is also the replication order). Guarded by mu.
-	wal    *wal.WAL
-	walLSN uint64
+	log wal.Journal
 	// journaledBytes totals the payloads framed since boot; catch-up
 	// reads the growth across a round for its bytes counter.
 	journaledBytes int64
 	// Replication state (see repl.go), guarded by mu. chain is the
 	// cumulative CRC32C over the exact journal payload bytes through
-	// walLSN — replicas with equal chains at equal LSNs hold
+	// the log's LSN — replicas with equal chains at equal LSNs hold
 	// byte-identical logs. repl retains the log suffix after
 	// (replBaseLSN, replBaseChain) — the last checkpoint watermark — for
 	// ShipLog pushes and FetchLog pulls. applied is the (client, CML

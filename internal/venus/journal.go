@@ -3,14 +3,13 @@ package venus
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/cml"
-	"repro/internal/crashfs"
+	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -105,17 +104,8 @@ func decodeJournalEntry(payload []byte) (journalEntry, error) {
 	return e, r.Done()
 }
 
-// JournalOptions configures AttachJournal. Policy mirrors the RVM flush
-// discipline: wal.SyncEachRecord for no-loss durability,
-// wal.SyncInterval with ~30s for the paper's flush window (bounded loss,
-// §4.3.1), wal.SyncNone for benchmarks.
-type JournalOptions struct {
-	FS           crashfs.FS
-	Dir          string
-	Policy       wal.SyncPolicy
-	Interval     time.Duration
-	SegmentBytes int64
-}
+// JournalOptions configures AttachJournal (see wal.JournalOptions).
+type JournalOptions = wal.JournalOptions
 
 // RecoveryInfo reports what AttachJournal reconstructed.
 type RecoveryInfo struct {
@@ -130,27 +120,19 @@ type RecoveryInfo struct {
 // held while Venus.mu is held by the same goroutine (all journaled call
 // sites sit outside Venus.mu).
 type journal struct {
-	mu  sync.Mutex
-	fs  crashfs.FS
-	dir string
-	w   *wal.WAL
-	lsn uint64
-	err error // first failure on a best-effort path, healed by Checkpoint
+	mu   sync.Mutex
+	opts JournalOptions
+	log  wal.Journal
+	err  error // first failure on a best-effort path, healed by Checkpoint
 }
-
-func (j *journal) snapshotPath() string { return filepath.Join(j.dir, "snapshot") }
 
 // writeLocked frames e into the WAL with the next LSN. Caller holds j.mu.
 func (j *journal) writeLocked(e journalEntry) error {
-	e.LSN = j.lsn + 1
+	e.LSN = j.log.Next()
 	bp := bufpool.Get(0)
 	defer bufpool.Put(bp)
 	*bp = appendJournalEntry(*bp, &e)
-	if err := j.w.Append(*bp); err != nil {
-		return err
-	}
-	j.lsn = e.LSN
-	return nil
+	return j.log.Append(*bp, obs.SpanContext{})
 }
 
 // AttachJournal recovers durable state from opts.Dir (snapshot + WAL
@@ -161,55 +143,29 @@ func (j *journal) writeLocked(e journalEntry) error {
 // by wal.Open and never replayed.
 func (v *Venus) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	var info RecoveryInfo
-	if opts.FS == nil || opts.Dir == "" {
-		return info, errors.New("venus: journal needs FS and Dir")
-	}
 	if v.journalRef() != nil {
 		return info, errors.New("venus: journal already attached")
 	}
-	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
-		return info, err
+	j := &journal{opts: opts}
+	image, ok, err := opts.Snapshot()
+	if err != nil {
+		return info, fmt.Errorf("venus: %w", err)
 	}
-
-	j := &journal{fs: opts.FS, dir: opts.Dir}
-
-	// Snapshot first: it carries the LSN watermark that tells us which
-	// WAL entries are already reflected in it (a crash between making
-	// the snapshot durable and resetting the WAL must not double-apply).
-	var watermark uint64
-	if f, err := opts.FS.Open(j.snapshotPath()); err == nil {
-		img, derr := decodeImage(f)
-		_ = f.Close()
-		if derr != nil {
-			return info, fmt.Errorf("venus: journal snapshot: %w", derr)
+	if ok {
+		img, err := decodeImage(image)
+		if err != nil {
+			return info, fmt.Errorf("venus: journal snapshot: %w", err)
 		}
 		if err := v.installImage(img); err != nil {
 			return info, err
 		}
-		watermark = img.lsn
+		j.log = wal.JournalAt(img.lsn)
 		info.SnapshotLoaded = true
-	} else if !crashfs.IsNotExist(err) {
-		return info, err
 	}
-
-	w, stats, err := wal.Open(wal.Options{
-		FS:           opts.FS,
-		Dir:          filepath.Join(opts.Dir, "wal"),
-		SegmentBytes: opts.SegmentBytes,
-		Policy:       opts.Policy,
-		Interval:     opts.Interval,
-		Clock:        v.clock,
-		Obs:          v.cfg.Obs,
-	}, func(payload []byte) error {
+	info.WAL, err = j.log.Attach(opts.WAL("wal", v.clock, v.cfg.Obs, ""), func(payload []byte) error {
 		e, err := decodeJournalEntry(payload)
 		if err != nil {
 			return fmt.Errorf("venus: journal entry: %w", err)
-		}
-		if e.LSN > j.lsn {
-			j.lsn = e.LSN
-		}
-		if e.LSN <= watermark {
-			return nil // already in the snapshot
 		}
 		info.EntriesReplayed++
 		return v.replayEntry(e)
@@ -217,11 +173,6 @@ func (v *Venus) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	if err != nil {
 		return info, fmt.Errorf("venus: journal open: %w", err)
 	}
-	if j.lsn < watermark {
-		j.lsn = watermark
-	}
-	j.w = w
-	info.WAL = stats
 
 	v.finishRestore()
 	v.mu.Lock()
@@ -346,13 +297,9 @@ func (v *Venus) Checkpoint() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	//codalint:ignore lockhold checkpoint writes the snapshot under j.mu so no journal record can land between image and truncation
-	if err := crashfs.WriteFileAtomic(j.fs, j.snapshotPath(), v.image(j.lsn)); err != nil {
-		return fmt.Errorf("venus: checkpoint: %w", err)
-	}
-	//codalint:ignore lockhold WAL truncation must stay under the lock that fenced the snapshot, or a racing append could be dropped
-	if err := j.w.Reset(); err != nil {
-		return fmt.Errorf("venus: checkpoint: reset WAL: %w", err)
+	//codalint:ignore lockhold checkpoint writes the snapshot and truncates the WAL under j.mu so no journal record can land between image and truncation
+	if err := j.opts.Checkpoint(v.image(j.log.LSN()), &j.log); err != nil {
+		return fmt.Errorf("venus: %w", err)
 	}
 	j.err = nil
 	return nil
@@ -384,5 +331,5 @@ func (v *Venus) CloseJournal() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	//codalint:ignore lockhold final flush on shutdown; the journal is being detached and no traffic remains
-	return j.w.Close()
+	return j.log.Detach().Close()
 }

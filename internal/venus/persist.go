@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cml"
 	"repro/internal/codafs"
-	"repro/internal/crashfs"
 	"repro/internal/wire"
 )
 
@@ -94,11 +93,7 @@ type stateImage struct {
 // crash the client), and nothing is allocated for a count the input
 // cannot back. Paths and volume names out of ascending order are
 // rejected, not merged.
-func decodeImage(rd io.Reader) (stateImage, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return stateImage{}, fmt.Errorf("venus: load state: %w", err)
-	}
+func decodeImage(data []byte) (stateImage, error) {
 	r := wire.NewReader(data)
 	for i := 0; i < len(imageMagic); i++ {
 		if r.Byte() != imageMagic[i] {
@@ -140,7 +135,11 @@ func decodeImage(rd io.Reader) (stateImage, error) {
 // once their age qualifies (their logged times are preserved, so a
 // restart does not reset the aging window).
 func (v *Venus) LoadState(r io.Reader) error {
-	img, err := decodeImage(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("venus: load state: %w", err)
+	}
+	img, err := decodeImage(data)
 	if err != nil {
 		return err
 	}
@@ -166,8 +165,10 @@ func (v *Venus) installImage(img stateImage) error {
 	for i := range img.hdb {
 		v.hdb[img.hdb[i].Path] = &img.hdb[i]
 	}
+	// Into the mounted log, not over it: Mount configured its cancel
+	// observer and the volume's trickle loop already holds the pointer.
 	for i, name := range img.volumes {
-		v.volumes[name].log = img.logs[i]
+		v.volumes[name].log.Restore(img.logs[i])
 	}
 	return nil
 }
@@ -276,34 +277,4 @@ func (v *Venus) applyRestoredRecordLocked(rec *cml.Record) {
 			f.dirty = true
 		}
 	}
-}
-
-// SaveStateFS persists to path atomically and durably on fs.
-func (v *Venus) SaveStateFS(fs crashfs.FS, path string) error {
-	return crashfs.WriteFileAtomic(fs, path, v.image(0))
-}
-
-// SaveStateFile persists to path atomically on the real filesystem.
-func (v *Venus) SaveStateFile(path string) error {
-	return v.SaveStateFS(crashfs.OS{}, path)
-}
-
-// LoadStateFS restores from a file written by SaveStateFS. A missing
-// file is not an error (first run).
-func (v *Venus) LoadStateFS(fs crashfs.FS, path string) error {
-	f, err := fs.Open(path)
-	if crashfs.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return v.LoadState(f)
-}
-
-// LoadStateFile restores from a file written by SaveStateFile. A missing
-// file is not an error (first run).
-func (v *Venus) LoadStateFile(path string) error {
-	return v.LoadStateFS(crashfs.OS{}, path)
 }

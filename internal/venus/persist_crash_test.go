@@ -14,63 +14,76 @@ import (
 	"repro/internal/wire"
 )
 
-// Pins the durability discipline of SaveStateFS: the image is written to
-// a temp file, fsynced, renamed into place, and the parent directory is
-// fsynced. A power cut immediately after SaveStateFS returns must keep
-// the new image; a cut in the middle of a save must keep the old one
-// intact — never a torn mixture. The pre-fix SaveStateFile renamed
-// without any fsync, so a crash could lose both.
-func TestVenusSaveStateFSCrashSafety(t *testing.T) {
-	w := newWorld(t)
-	w.seed("usr", map[string]string{"doc": "server copy"})
-	mem := crashfs.NewMem()
-	const path = "venus.state"
-	w.sim.Run(func() {
-		v1 := w.venus("c1", venus.Config{ClientID: 3, AgingWindow: time.Hour})
-		mustMount(t, v1, "usr")
-		if _, err := v1.ReadFile("/coda/usr/doc"); err != nil {
-			t.Fatal(err)
-		}
-		w.net.SetUp("c1", "server", false)
-		v1.Disconnect()
-		if err := v1.WriteFile("/coda/usr/doc", []byte("first edit")); err != nil {
-			t.Fatal(err)
-		}
-		if err := v1.SaveStateFS(mem, path); err != nil {
-			t.Fatal(err)
-		}
+// TestVenusCheckpointCrashSafety pins the checkpoint discipline: a power
+// cut at any write of a Checkpoint leaves the old snapshot or the new
+// one, never a torn mixture, and the CML record journaled since the old
+// one still replays over it — once, and not at all over the new one.
+func TestVenusCheckpointCrashSafety(t *testing.T) {
+	run := func(crashAt int) (cerr error, records int, info venus.RecoveryInfo) {
+		w := newWorld(t)
+		w.seed("usr", map[string]string{"doc": "server copy"})
+		mem := crashfs.NewMem()
+		w.sim.Run(func() {
+			v1 := w.venus("c1", venus.Config{ClientID: 3, AgingWindow: time.Hour})
+			mustMount(t, v1, "usr")
+			if _, err := v1.ReadFile("/coda/usr/doc"); err != nil {
+				t.Fatal(err)
+			}
+			w.net.SetUp("c1", "server", false)
+			v1.Disconnect()
+			if _, err := v1.AttachJournal(venusJournalOpts(mem)); err != nil {
+				t.Fatal(err)
+			}
+			if err := v1.WriteFile("/coda/usr/doc", []byte("first edit")); err != nil {
+				t.Fatal(err)
+			}
+			if err := v1.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := v1.Mkdir("/coda/usr/second"); err != nil { // the WAL suffix
+				t.Fatal(err)
+			}
+			if crashAt > 0 {
+				mem.ArmCrash(crashAt, 0)
+			}
+			cerr = v1.Checkpoint()
+			mem.Reboot()
+			v1.Close()
+			w.net.SetUp("c1", "server", true)
 
-		// Power cut right after the save: the image survives.
-		mem.Crash()
-		mem.Reboot()
-
-		// A second save is interrupted mid-write: the first image must
-		// still load.
-		if err := v1.WriteFile("/coda/usr/second.txt", []byte("second edit")); err != nil {
-			t.Fatal(err)
+			v2 := w.venus("c1b", venus.Config{ClientID: 3, AgingWindow: time.Hour})
+			mustMount(t, v2, "usr")
+			var err error
+			if info, err = v2.AttachJournal(venusJournalOpts(mem)); err != nil {
+				t.Fatalf("recovery after a cut at checkpoint write %d: %v", crashAt, err)
+			}
+			records = v2.CMLRecords()
+			if data, err := v2.ReadFile("/coda/usr/doc"); err != nil || string(data) != "first edit" {
+				t.Errorf("cut at checkpoint write %d: restored doc = %q, %v", crashAt, data, err)
+			}
+			v2.Close()
+		})
+		return cerr, records, info
+	}
+	old, fresh := 0, 0
+	for k := 1; ; k++ {
+		cerr, records, info := run(k)
+		if !info.SnapshotLoaded || records != 2 {
+			t.Errorf("cut at checkpoint write %d: snapshot loaded %v, %d CML records, want both edits exactly once",
+				k, info.SnapshotLoaded, records)
 		}
-		records := v1.CMLRecords()
-		mem.ArmCrash(1, 0)
-		if err := v1.SaveStateFS(mem, path); err == nil {
-			t.Fatal("SaveStateFS succeeded across an armed crash")
+		if info.EntriesReplayed == 1 {
+			old++
+		} else {
+			fresh++
 		}
-		mem.Reboot()
-		v1.Close()
-		w.net.SetUp("c1", "server", true)
-
-		v2 := w.venus("c1b", venus.Config{ClientID: 3, AgingWindow: time.Hour})
-		mustMount(t, v2, "usr")
-		if err := v2.LoadStateFS(mem, path); err != nil {
-			t.Fatalf("image lost after interrupted re-save: %v", err)
+		if cerr == nil {
+			break // the cut landed beyond the checkpoint's last write
 		}
-		got := v2.CMLRecords()
-		if got == 0 || got >= records {
-			t.Errorf("restored CML has %d records; want the first save's prefix (0 < n < %d)", got, records)
-		}
-		if data, err := v2.ReadFile("/coda/usr/doc"); err != nil || string(data) != "first edit" {
-			t.Errorf("restored doc = %q, %v", data, err)
-		}
-	})
+	}
+	if old == 0 || fresh == 0 {
+		t.Errorf("sweep saw the old snapshot %d times and the new one %d times; want both", old, fresh)
+	}
 }
 
 // TestVenusLoadStateCorrupted: a truncated, bit-flipped or rule-breaking

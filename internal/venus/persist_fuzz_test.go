@@ -38,7 +38,7 @@ func FuzzLoadState(f *testing.F) {
 	sim := simtime.NewSim(simtime.Epoch1995)
 	v := New(sim, netsim.New(sim, 1).Host("fuzz"), Config{Server: "server", ClientID: 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := decodeImage(bytes.NewReader(data))
+		img, err := decodeImage(data)
 		v.mu.Lock()
 		v.state = Hoarding
 		v.hdb = make(map[string]*HDBEntry)

@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cml"
+	"repro/internal/crashfs"
+	"repro/internal/obs"
 	"repro/internal/venus"
 )
 
@@ -16,13 +19,16 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func TestSaveLoadStateAcrossRestart(t *testing.T) {
 	w := newWorld(t)
 	w.seed("usr", map[string]string{"doc": "server copy"})
-	dir := t.TempDir()
-	stateFile := filepath.Join(dir, "venus.state")
+	journal := venus.JournalOptions{FS: crashfs.OS{}, Dir: filepath.Join(t.TempDir(), "venus.journal")}
 
 	w.sim.Run(func() {
-		// Session 1: hoard, disconnect, edit, crash (save + close).
+		// Session 1: hoard, disconnect, edit, quit (checkpoint + close),
+		// on the real filesystem as cmd/codaclient does.
 		v1 := w.venus("c1", venus.Config{ClientID: 42, AgingWindow: time.Hour})
 		mustMount(t, v1, "usr")
+		if _, err := v1.AttachJournal(journal); err != nil {
+			t.Fatal(err)
+		}
 		v1.HoardAdd("/coda/usr/doc", 700, false)
 		if _, err := v1.ReadFile("/coda/usr/doc"); err != nil {
 			t.Fatal(err)
@@ -36,18 +42,21 @@ func TestSaveLoadStateAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		records := v1.CMLRecords()
-		if err := v1.SaveStateFile(stateFile); err != nil {
+		if err := v1.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		v1.Close()
+		if err := v1.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
 		w.net.SetUp("c1", "server", true)
 
 		// Session 2: a fresh Venus on the same client identity restores
 		// the CML and HDB, then reintegrates the offline work.
 		v2 := w.venus("c1b", venus.Config{ClientID: 42, AgingWindow: 2 * time.Second})
 		mustMount(t, v2, "usr")
-		if err := v2.LoadStateFile(stateFile); err != nil {
-			t.Fatal(err)
+		if info, err := v2.AttachJournal(journal); err != nil || !info.SnapshotLoaded {
+			t.Fatalf("AttachJournal = %+v, %v", info, err)
 		}
 		if got := v2.CMLRecords(); got != records {
 			t.Fatalf("restored CML has %d records, want %d", got, records)
@@ -79,8 +88,9 @@ func TestLoadStateMissingFileIsFirstRun(t *testing.T) {
 	w.sim.Run(func() {
 		v := w.venus("c1", venus.Config{})
 		mustMount(t, v, "usr")
-		if err := v.LoadStateFile(filepath.Join(t.TempDir(), "absent.state")); err != nil {
-			t.Errorf("missing state file: %v", err)
+		info, err := v.AttachJournal(venus.JournalOptions{FS: crashfs.OS{}, Dir: filepath.Join(t.TempDir(), "absent")})
+		if err != nil || info.SnapshotLoaded || info.EntriesReplayed != 0 {
+			t.Errorf("missing journal directory: %+v, %v", info, err)
 		}
 	})
 }
@@ -224,4 +234,66 @@ func TestVenusImageGolden(t *testing.T) {
 			t.Errorf("loaded image re-encodes differently:\n got %x\nwant %x", again.Bytes(), want)
 		}
 	})
+}
+
+// TestCancelCountersSurviveRestoreAndJournalRecovery: a restore — by
+// LoadState or by AttachJournal's recovery — lands in the log Mount
+// configured, so a store cancelled afterwards still reaches the
+// per-class counters (the restore used to swap in a fresh, unobserved log).
+func TestCancelCountersSurviveRestoreAndJournalRecovery(t *testing.T) {
+	for _, how := range []string{"LoadState", "AttachJournal"} {
+		w := newWorld(t)
+		w.seed("usr", map[string]string{"doc": "server copy"})
+		w.sim.Run(func() {
+			reg := obs.NewRegistry(w.sim)
+			mem := crashfs.NewMem()
+			opts := venus.JournalOptions{FS: mem, Dir: "cj"}
+			cfg := venus.Config{ClientID: 5, AgingWindow: time.Hour}
+			v1 := w.venus("c1", cfg)
+			mustMount(t, v1, "usr")
+			if _, err := v1.ReadFile("/coda/usr/doc"); err != nil {
+				t.Fatal(err)
+			}
+			w.net.SetUp("c1", "server", false)
+			v1.Disconnect()
+			if _, err := v1.AttachJournal(opts); err != nil {
+				t.Fatal(err)
+			}
+			if err := v1.Checkpoint(); err != nil { // recovery installs a snapshot, then replays
+				t.Fatal(err)
+			}
+			if err := v1.WriteFile("/coda/usr/doc", []byte("first draft")); err != nil {
+				t.Fatal(err)
+			}
+			var img bytes.Buffer
+			if err := v1.SaveState(&img); err != nil {
+				t.Fatal(err)
+			}
+			v1.Close()
+			mem.Reboot() // power cut: the store is in the WAL only
+
+			cfg.Obs = reg
+			v2 := w.venus("c1b", cfg)
+			defer v2.Close()
+			mustMount(t, v2, "usr")
+			var err error
+			if how == "LoadState" {
+				err = v2.LoadState(&img)
+			} else {
+				_, err = v2.AttachJournal(opts)
+			}
+			if err != nil || v2.CMLRecords() != 1 {
+				t.Fatalf("%s: %v, %d CML records restored, want 1", how, err, v2.CMLRecords())
+			}
+			if err := v2.WriteFile("/coda/usr/doc", []byte("second draft")); err != nil {
+				t.Fatal(err)
+			}
+			cancelled := reg.Counter("venus_cml_cancelled_records_total",
+				obs.L("client", "c1b"), obs.L("class", string(cml.CancelStoreOverwrite))).Value()
+			if cancelled != 1 || v2.CMLRecords() != 1 {
+				t.Errorf("%s: overwrite after restore counted %d cancelled records (%d in the CML), want 1 and 1",
+					how, cancelled, v2.CMLRecords())
+			}
+		})
+	}
 }

@@ -21,6 +21,11 @@
 // (checkpoint-only durability). Checkpoints are the caller's snapshot
 // images; after a snapshot is durable, Reset truncates the dead
 // segments.
+//
+// Journal (journal.go) is the journaled-state protocol on top of the
+// log — LSN-prefixed entries, the snapshot's watermark fence on replay,
+// checkpoint as atomic image then truncation — which Venus and the
+// server both use; they supply entry codecs, apply functions and images.
 package wal
 
 import (

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios fuzz
+.PHONY: all build test race lint lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz
 
 all: build vet lint test
 
@@ -98,6 +98,13 @@ bench-gate: bench-json bench-allocs
 # Review the resulting bench_baseline.json diff like any other code.
 bench-baseline: bench-json bench-allocs
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -bench bench_allocs.txt -json bench.json -update
+
+# Perf ledger: one full codaperf run (all four workloads end to end, the
+# traced pass and the probes, ~3 min) recorded as this PR's row of the
+# committed wall-clock trajectory. Usage: make perf-ledger PR=17
+perf-ledger:
+	@test -n "$(PR)" || { echo "usage: make perf-ledger PR=<number>"; exit 2; }
+	$(GO) run ./cmd/codaperf -json BENCH_$(PR).json
 
 vet:
 	$(GO) vet ./...

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	codabench [-fig 1,4,7,8,9,10,11,12,repl] [-ablations] [-quick] [-seed N] [-trials N] [-o out.txt] [-json out.json] [-trace out.trace.json]
+//	codabench [-fig 1,4,7,8,9,10,11,12,repl] [-ablations] [-quick] [-seed N] [-trials N] [-o out.txt] [-json out.json] [-trace out.trace.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -fig selects figures (default all); Figure 12 includes Figures 13 and 14,
 // and "repl" is the replication overhead/failover experiment (not a paper
@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/profile"
 )
 
 // renderable is what every figure and ablation result satisfies.
@@ -57,7 +58,14 @@ func main() {
 	out := flag.String("o", "", "also write output to this file")
 	jsonOut := flag.String("json", "", "write {figure, params, series, metrics} records to this file")
 	traceOut := flag.String("trace", "", "write a Perfetto (Chrome trace-event) span export to this file (needs a figure that records one, e.g. 12)")
+	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
+
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	opts := experiments.Options{Seed: *seed, Trials: *trials, Quick: *quick}
 
@@ -131,6 +139,11 @@ func main() {
 			fmt.Fprint(w, res.Render())
 			record("ablation:"+res.Name, res)
 		}
+	}
+
+	if err := stopProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if *jsonOut != "" {

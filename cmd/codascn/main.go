@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	codascn run [-json] [-trace out.json] file.scn...
+//	codascn run [-json] [-trace out.json] [-cpuprofile f] [-memprofile f] file.scn...
 //	                                     execute scenarios, report pass/fail;
 //	                                     -trace writes the Perfetto span export
 //	                                     (exactly one scenario)
@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/profile"
 	"repro/internal/scenario"
 )
 
@@ -58,7 +59,7 @@ func run(args []string) int {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  codascn run [-json] [-trace out.json] file.scn...
+  codascn run [-json] [-trace out.json] [-cpuprofile f] [-memprofile f] file.scn...
   codascn validate file.scn...
   codascn list file.scn|dir...
   codascn matrix [-out dir] [-run] [-json] template.scn
@@ -105,10 +106,11 @@ func expand(args []string) ([]string, error) {
 	return out, nil
 }
 
-func cmdRun(args []string) int {
+func cmdRun(args []string) (code int) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "print each result as its full JSON dump")
 	traceOut := fs.String("trace", "", "write the run's Perfetto (Chrome trace-event) span export to this file; requires exactly one scenario")
+	prof := profile.AddFlags(fs)
 	if fs.Parse(args) != nil || fs.NArg() == 0 {
 		usage()
 		return 2
@@ -122,7 +124,17 @@ func cmdRun(args []string) int {
 		fmt.Fprintf(os.Stderr, "codascn: -trace needs exactly one scenario, got %d\n", len(files))
 		return 2
 	}
-	code := 0
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "codascn:", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "codascn:", err)
+			code = 2
+		}
+	}()
 	for _, path := range files {
 		s, _, err := load(path)
 		if err != nil {

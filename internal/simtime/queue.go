@@ -18,16 +18,23 @@ type Queue[T any] struct {
 	s     *Sim // non-nil when clock is a *Sim
 
 	mu      sync.Mutex // guards the fields below in Real mode; s.mu in Sim mode
-	items   []T
-	waiters []*qwaiter
+	items   []T        // buffered items are items[head:]
+	head    int
+	waiters []*qwaiter[T] // oldest first; never non-empty while items is
 	closed  bool
+	free    *qwaiter[T] // reusable waiter records; see waiter for the ownership rule
 }
 
-// qwaiter represents one goroutine parked in Get/GetTimeout.
-type qwaiter struct {
-	ch       chan struct{}
-	woken    bool
-	timedOut bool
+// qwaiter is one goroutine parked in Get/GetTimeout, and the slot Put
+// hands its item into. Put, Close and the deadline each take the waiter off
+// q.waiters as they resolve it, under the queue lock, so it is resolved once.
+type qwaiter[T any] struct {
+	waiter
+	q     *Queue[T]
+	item  T
+	got   bool // item was handed over by Put
+	woken bool // resolved; a Real-clock deadline may still run afterwards
+	next  *qwaiter[T]
 }
 
 // NewQueue returns a Queue bound to c.
@@ -55,17 +62,28 @@ func (q *Queue[T]) unlock() {
 	}
 }
 
-// Put appends v and wakes one waiting consumer, if any. Put on a closed
-// queue is a no-op (the item is dropped), so racing producers need not
-// coordinate with Close.
+// Put hands v to the longest-waiting consumer, or buffers it when nobody
+// waits. Put on a closed queue is a no-op (the item is dropped), so racing
+// producers need not coordinate with Close.
 func (q *Queue[T]) Put(v T) {
 	q.lock()
 	defer q.unlock()
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, v)
-	q.wakeOneLocked(false)
+	if len(q.waiters) == 0 {
+		if q.head > 0 && len(q.items) == cap(q.items) {
+			// Reclaim the consumed prefix before growing.
+			n := copy(q.items, q.items[q.head:])
+			clear(q.items[n:])
+			q.items, q.head = q.items[:n], 0
+		}
+		q.items = append(q.items, v)
+		return
+	}
+	w := q.waiters[0]
+	w.item, w.got = v, true
+	q.wakeLocked(w)
 }
 
 // Get removes and returns the oldest item, blocking until one is available.
@@ -91,7 +109,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 func (q *Queue[T]) Len() int {
 	q.lock()
 	defer q.unlock()
-	return len(q.items)
+	return len(q.items) - q.head
 }
 
 // Close wakes all waiters and makes future Gets fail once drained.
@@ -103,140 +121,115 @@ func (q *Queue[T]) Close() {
 	}
 	q.closed = true
 	for len(q.waiters) > 0 {
-		q.wakeOneLocked(false)
+		q.wakeLocked(q.waiters[0])
 	}
 }
 
 func (q *Queue[T]) popLocked() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero // release for GC
-	q.items = q.items[1:]
+	v := q.items[q.head]
+	q.items[q.head] = zero // release for GC
+	q.head++
+	if q.head == len(q.items) {
+		// Drained: rewind, so a queue that empties keeps one backing
+		// array instead of creeping through fresh ones.
+		q.items, q.head = q.items[:0], 0
+	}
 	return v, true
 }
 
-// wakeOneLocked pops the oldest waiter and marks it runnable.
-func (q *Queue[T]) wakeOneLocked(timedOut bool) {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.woken {
-			continue
+// wakeLocked resolves w, which must be listed: it leaves q.waiters, its
+// deadline is disarmed, and its goroutine becomes runnable.
+func (q *Queue[T]) wakeLocked(w *qwaiter[T]) {
+	for i := range q.waiters {
+		if q.waiters[i] == w {
+			copy(q.waiters[i:], q.waiters[i+1:])
+			q.waiters[len(q.waiters)-1] = nil
+			q.waiters = q.waiters[:len(q.waiters)-1]
+			break
 		}
-		w.woken = true
-		w.timedOut = timedOut
-		if q.s != nil {
-			q.s.unparkLocked()
-		}
-		close(w.ch)
-		return
+	}
+	w.woken = true
+	if q.s != nil {
+		q.s.cancelLocked(&w.ev)
+		q.s.unparkLocked()
+	}
+	w.ch <- struct{}{}
+}
+
+// expire is w's deadline, run with the queue lock held: the Sim event's
+// fire, or the body of the Real clock's AfterFunc callback — which, unlike
+// a Sim event, cannot be disarmed once started and so may find w resolved.
+func (w *qwaiter[T]) expire() {
+	if !w.woken {
+		w.q.wakeLocked(w)
 	}
 }
 
 func (q *Queue[T]) get(timed bool, d time.Duration) (T, bool) {
 	var zero T
-	deadlineSet := false
-	var deadline time.Time
+	q.lock()
+	if v, ok := q.popLocked(); ok {
+		q.unlock()
+		return v, true
+	}
+	if q.closed || (timed && d <= 0) {
+		q.unlock()
+		return zero, false
+	}
+	if timed && q.s != nil && q.s.advanceInlineLocked(d) {
+		// Nobody else can run, and nothing fires, before the deadline:
+		// the queue is still empty then.
+		q.unlock()
+		return zero, false
+	}
 
-	for {
-		q.lock()
-		if v, ok := q.popLocked(); ok {
-			q.unlock()
-			return v, true
-		}
-		if q.closed {
-			q.unlock()
-			return zero, false
-		}
-		if timed {
-			// Compute the remaining budget under the lock so the
-			// first pass anchors the deadline to a consistent now.
-			now := q.nowLocked()
-			if !deadlineSet {
-				deadline = now.Add(d)
-				deadlineSet = true
-			}
-			if !now.Before(deadline) {
-				q.unlock()
-				return zero, false
-			}
-		}
+	w := q.free
+	if w != nil {
+		q.free = w.next
+		w.got, w.woken = false, false
+	} else {
+		w = &qwaiter[T]{q: q}
+		w.ch = make(chan struct{}, 1)
+		w.ev.index = -1
+		w.ev.fire = w.expire
+	}
+	q.waiters = append(q.waiters, w)
 
-		w := &qwaiter{ch: make(chan struct{})}
-		q.waiters = append(q.waiters, w)
-
-		var cancel func() bool
-		if timed {
-			cancel = q.armTimeoutLocked(w, deadline)
-		}
-
+	// stop is set only for a Real-clock deadline, which runs in a timer
+	// goroutine that may still hold w after Stop reports false.
+	var stop func() bool
+	if timed {
 		if q.s != nil {
-			// Sim: park while still holding s.mu, then release and
-			// block. The park may advance time and even fire our own
-			// wakeup before we reach the receive; that is fine.
-			q.s.parkLocked()
-			q.s.mu.Unlock()
+			q.s.scheduleLocked(&w.ev, d)
 		} else {
-			q.mu.Unlock()
+			stop = q.clock.AfterFunc(d, func() {
+				q.mu.Lock()
+				defer q.mu.Unlock()
+				w.expire()
+			}).Stop
 		}
-
-		<-w.ch
-
-		// The waker (Put, Close, or the timeout event) already moved us
-		// back to runnable in the Sim accounting and published
-		// w.timedOut before closing w.ch, so it is safe to read here.
-		if cancel != nil && !w.timedOut {
-			cancel()
-		}
-		if w.timedOut {
-			return zero, false
-		}
-		// Woken by Put or Close: loop to claim an item (another
-		// consumer may have taken it first).
 	}
-}
-
-// nowLocked reads the clock's current time; callers hold the queue lock.
-// In Sim mode the time is read directly from the Sim's state (its mutex
-// is already held); in Real mode it routes through the owning Clock so
-// the queue never touches package time itself.
-func (q *Queue[T]) nowLocked() time.Time {
 	if q.s != nil {
-		return q.s.now
+		// Sim: park while still holding s.mu, then release and block.
+		// The park may advance time and even fire our own wakeup before
+		// we reach the receive; the token waits in the channel.
+		q.s.parkLocked()
 	}
-	return q.clock.Now()
-}
+	q.unlock()
 
-// armTimeoutLocked schedules a wakeup for w at deadline and returns a
-// cancel function (callable without the lock).
-func (q *Queue[T]) armTimeoutLocked(w *qwaiter, deadline time.Time) func() bool {
-	if q.s != nil {
-		ev := q.s.scheduleLocked(deadline.Sub(q.s.now), func() {
-			// Runs with s.mu held.
-			if !w.woken {
-				w.woken = true
-				w.timedOut = true
-				q.s.unparkLocked()
-				close(w.ch)
-			}
-		})
-		return func() bool {
-			q.s.mu.Lock()
-			defer q.s.mu.Unlock()
-			return ev.cancelLocked()
-		}
+	<-w.ch
+
+	q.lock()
+	v, ok := w.item, w.got
+	if stop == nil || stop() {
+		w.item = zero // release for GC
+		w.next = q.free
+		q.free = w
 	}
-	t := q.clock.AfterFunc(deadline.Sub(q.clock.Now()), func() {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if !w.woken {
-			w.woken = true
-			w.timedOut = true
-			close(w.ch)
-		}
-	})
-	return t.Stop
+	q.unlock()
+	return v, ok
 }

@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -16,6 +15,11 @@ import (
 // and execution resumes at the event's timestamp. Events at equal timestamps
 // fire in scheduling order (FIFO), which keeps runs reproducible.
 //
+// A goroutine that blocks while it is the only runnable one, with nothing
+// due before its own wakeup, is that earliest event: Sleep and an expiring
+// GetTimeout then move the clock with an assignment instead of parking
+// (advanceInlineLocked).
+//
 // If every tracked goroutine is parked and no events are pending, the
 // simulation can never progress; Sim panics with a deadlock report.
 type Sim struct {
@@ -23,9 +27,10 @@ type Sim struct {
 	now     time.Time
 	seq     int64
 	events  eventHeap
-	running int  // tracked goroutines currently runnable
-	parked  int  // tracked goroutines blocked in a simtime primitive
-	inRun   bool // a Run call is active; time may advance
+	running int      // tracked goroutines currently runnable
+	parked  int      // tracked goroutines blocked in a simtime primitive
+	inRun   bool     // a Run call is active; time may advance
+	free    *sleeper // reusable waiter records for Sleep; see waiter
 }
 
 // NewSim returns a Sim whose clock reads start.
@@ -69,16 +74,53 @@ func (s *Sim) Now() time.Time {
 }
 
 // Sleep implements Clock.
+//
+//codalint:hotpath
 func (s *Sim) Sleep(d time.Duration) {
-	wake := make(chan struct{})
 	s.mu.Lock()
-	s.scheduleLocked(d, func() {
-		s.unparkLocked()
-		close(wake)
-	})
-	s.parkLocked()
+	if s.advanceInlineLocked(d) {
+		s.mu.Unlock()
+		return
+	}
+	w := s.free
+	if w != nil {
+		s.free = w.next
+	} else {
+		w = newSleeper(s) //codalint:ignore allocscan first sleeper at this depth of concurrency; recycled through s.free ever after
+	}
+	s.scheduleLocked(&w.ev, d)
+	s.parkLocked() //codalint:ignore allocscan formats only the deadlock report, on the way to a panic
 	s.mu.Unlock()
-	<-wake
+
+	<-w.ch
+
+	s.mu.Lock()
+	w.next = s.free
+	s.free = w
+	s.mu.Unlock()
+}
+
+// advanceInlineLocked moves the clock to now+d without parking when doing
+// so is indistinguishable from the park path: a Run is active, the caller
+// is the only runnable tracked goroutine, and no event is due at or before
+// now+d. Parking would schedule the caller's wakeup as the newest event,
+// find the world quiescent, pop that same wakeup (every other event is
+// strictly later) and resume the caller at now+d — so it does only the
+// assignment. An event due exactly at now+d was scheduled earlier and
+// fires first under the FIFO rule, hence "at or before": that case parks.
+func (s *Sim) advanceInlineLocked(d time.Duration) bool {
+	if !s.inRun || s.running != 1 {
+		return false
+	}
+	if d < 0 {
+		d = 0
+	}
+	wake := s.now.Add(d)
+	if len(s.events) > 0 && !s.events[0].when.After(wake) {
+		return false
+	}
+	s.now = wake
+	return true
 }
 
 // AfterFunc implements Clock.
@@ -86,15 +128,15 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	fire := func() {
+	t := &simTimer{s: s}
+	t.ev.fire = func() {
 		s.running++
 		go func() {
 			fn()
 			s.goExit()
 		}()
 	}
-	ev := s.scheduleLocked(d, fire)
-	t := &simTimer{s: s, fire: fire, ev: ev}
+	s.scheduleLocked(&t.ev, d)
 	return &Timer{stop: t.Stop, reset: t.Reset}
 }
 
@@ -113,13 +155,7 @@ func (s *Sim) Go(fn func()) {
 func (s *Sim) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, ev := range s.events {
-		if !ev.stopped {
-			n++
-		}
-	}
-	return n
+	return len(s.events)
 }
 
 // goExit retires a tracked goroutine started by Go or AfterFunc.
@@ -130,18 +166,28 @@ func (s *Sim) goExit() {
 	s.mu.Unlock()
 }
 
-// scheduleLocked enqueues fire to run at now+d. The returned event can be
-// cancelled until it fires. fire runs with s.mu held and must only touch
-// Sim-internal state (counters, waiter lists, channels); it must not call
-// public Sim or Queue methods.
-func (s *Sim) scheduleLocked(d time.Duration, fire func()) *event {
+// scheduleLocked enqueues ev, which must not be pending, to fire at now+d.
+// It can be cancelled until it fires. ev.fire runs with s.mu held and must
+// only touch Sim-internal state (counters, waiter lists, channels); it must
+// not call public Sim or Queue methods.
+func (s *Sim) scheduleLocked(ev *event, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	s.seq++
-	ev := &event{when: s.now.Add(d), seq: s.seq, fire: fire}
-	heap.Push(&s.events, ev)
-	return ev
+	ev.when, ev.seq = s.now.Add(d), s.seq
+	s.events.push(ev)
+}
+
+// cancelLocked takes ev out of the heap. It reports whether ev was still
+// pending. Removal (rather than a tombstone) keeps events[0] live, which is
+// what lets advanceInlineLocked decide by reading one entry.
+func (s *Sim) cancelLocked(ev *event) bool {
+	if ev.index < 0 {
+		return false
+	}
+	s.events.remove(ev.index)
+	return true
 }
 
 // parkLocked marks the calling goroutine as blocked and, if it was the last
@@ -170,8 +216,7 @@ func (s *Sim) maybeAdvanceLocked() {
 		return // Run has finished; the simulation is frozen.
 	}
 	for s.running == 0 {
-		ev := s.popLocked()
-		if ev == nil {
+		if len(s.events) == 0 {
 			if s.parked > 0 {
 				// Release the lock before panicking so deferred
 				// cleanup (Sim.Run's bookkeeping, test recovery) can
@@ -184,6 +229,7 @@ func (s *Sim) maybeAdvanceLocked() {
 			}
 			return
 		}
+		ev := s.events.remove(0)
 		if ev.when.After(s.now) {
 			s.now = ev.when
 		}
@@ -191,82 +237,139 @@ func (s *Sim) maybeAdvanceLocked() {
 	}
 }
 
-// popLocked removes and returns the earliest live event, or nil.
-func (s *Sim) popLocked() *event {
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		if !ev.stopped {
-			return ev
-		}
+// waiter is the record of one goroutine blocked in a simtime primitive
+// under Sim: the channel it blocks on and the event that wakes it at a
+// deadline, allocated together once and reused.
+//
+// Ownership: a waiter belongs to the goroutine blocked on it from the
+// moment it leaves a free list until that goroutine puts it back, which it
+// does only after receiving its wakeup and with s.mu held. A waker sends
+// exactly one token per block, under s.mu, and keeps no reference
+// afterwards — the deadline event is out of the heap by then (fired, or
+// removed by cancelLocked) — so a recycled waiter can never receive a
+// stale wakeup. The channel has one slot so that send never blocks the
+// waker, who holds s.mu and may run before the owner reaches its receive.
+type waiter struct {
+	ev event
+	ch chan struct{}
+}
+
+// sleeper is Sleep's waiter; its event wakes it and nothing else does.
+type sleeper struct {
+	waiter
+	next *sleeper
+}
+
+func newSleeper(s *Sim) *sleeper {
+	w := &sleeper{}
+	w.ch = make(chan struct{}, 1)
+	w.ev.index = -1
+	w.ev.fire = func() {
+		s.unparkLocked()
+		w.ch <- struct{}{}
 	}
-	return nil
+	return w
 }
 
 // simTimer implements Timer.Stop/Reset for the Sim clock.
 type simTimer struct {
-	s    *Sim
-	fire func()
-	ev   *event
+	s  *Sim
+	ev event
 }
 
 func (t *simTimer) Stop() bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	return t.ev.cancelLocked()
+	return t.s.cancelLocked(&t.ev)
 }
 
 func (t *simTimer) Reset(d time.Duration) bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	active := t.ev.cancelLocked()
-	t.ev = t.s.scheduleLocked(d, t.fire)
+	active := t.s.cancelLocked(&t.ev)
+	t.s.scheduleLocked(&t.ev, d)
 	return active
 }
 
-// event is a pending occurrence in the simulation.
+// event is a pending occurrence in the simulation. Events are embedded in
+// the record that owns them (a waiter, a simTimer) and pushed by pointer,
+// so scheduling allocates nothing.
 type event struct {
-	when    time.Time
-	seq     int64
-	fire    func()
-	stopped bool
-	index   int // heap index; -1 once popped
+	when  time.Time
+	seq   int64
+	fire  func()
+	index int // heap index; -1 while not pending
 }
 
-// cancelLocked marks the event dead. It reports whether it was still pending.
-func (ev *event) cancelLocked() bool {
-	if ev.stopped || ev.index < 0 {
-		return false
-	}
-	ev.stopped = true
-	return true
-}
-
-// eventHeap orders events by (when, seq); seq breaks ties FIFO.
+// eventHeap is a binary min-heap of events ordered by (when, seq); seq
+// breaks ties FIFO. It is typed rather than container/heap so that push
+// and remove do not box through `any`, and it maintains event.index so any
+// pending event can be removed in O(log n).
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if !h[i].when.Equal(h[j].when) {
 		return h[i].when.Before(h[j].when)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
+
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
+	h.up(ev.index)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes the event at index i out of the heap and returns it.
+func (h *eventHeap) remove(i int) *event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[i]
+	if i != n {
+		old.swap(i, n)
+	}
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+func (h eventHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+// down sifts the event at i towards the leaves; it reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	start, n := i, len(h)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h.less(r, child) {
+			child = r
+		}
+		if !h.less(child, i) {
+			break
+		}
+		h.swap(i, child)
+		i = child
+	}
+	return i > start
 }

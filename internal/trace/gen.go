@@ -101,13 +101,15 @@ func Generate(p GenParams) *Trace {
 		}
 	}
 
-	type ev struct {
-		rec Record
-		gap time.Duration // think time before this event
-	}
-	var events []ev
+	// Each update brings one write or remove and at most RefsPerUpdate
+	// reads, so this holds the whole trace unless the last episode
+	// overshoots Updates by a long rewrite run (append then grows it).
+	// Until the normalizing pass below, a record's T holds the think time
+	// before it.
+	tr.Records = make([]Record, 0, p.Updates*(p.RefsPerUpdate+2))
 	push := func(r Record, gap time.Duration) {
-		events = append(events, ev{rec: r, gap: gap})
+		r.T = gap
+		tr.Records = append(tr.Records, r)
 	}
 
 	readGap := func() time.Duration {
@@ -208,17 +210,15 @@ func Generate(p GenParams) *Trace {
 	scale := 1.0
 	if !p.KeepAbsoluteGaps {
 		var totalGap time.Duration
-		for _, e := range events {
-			totalGap += e.gap
+		for i := range tr.Records {
+			totalGap += tr.Records[i].T
 		}
 		scale = float64(p.Duration) / float64(totalGap)
 	}
 	t := time.Duration(0)
-	tr.Records = make([]Record, len(events))
-	for i, e := range events {
-		t += time.Duration(float64(e.gap) * scale)
-		e.rec.T = t
-		tr.Records[i] = e.rec
+	for i := range tr.Records {
+		t += time.Duration(float64(tr.Records[i].T) * scale)
+		tr.Records[i].T = t
 	}
 	return tr
 }

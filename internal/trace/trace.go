@@ -122,12 +122,19 @@ func (t *Trace) Counts() (refs, updates int) {
 // from.
 func (t *Trace) Slice(from, to time.Duration) *Trace {
 	out := &Trace{Name: t.Name, Manifest: t.Manifest, Volume: t.Volume}
-	for _, r := range t.Records {
-		if r.T < from || r.T >= to {
-			continue
+	in := func(at time.Duration) bool { return at >= from && at < to }
+	n := 0
+	for i := range t.Records {
+		if in(t.Records[i].T) {
+			n++
 		}
-		r.T -= from
-		out.Records = append(out.Records, r)
+	}
+	out.Records = make([]Record, 0, n)
+	for _, r := range t.Records {
+		if in(r.T) {
+			r.T -= from
+			out.Records = append(out.Records, r)
+		}
 	}
 	return out
 }

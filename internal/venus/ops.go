@@ -3,6 +3,7 @@ package venus
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cml"
@@ -36,9 +37,90 @@ func (v *Venus) volumeFor(path string) (*vclient, []string, error) {
 	return vc, comps, nil
 }
 
+// maxHitDepth bounds hitWalk's on-stack record of the objects it passes;
+// a deeper path resolves through the general walk.
+const maxHitDepth = 32
+
+// hitWalk resolves path from the cache alone, under one acquisition of
+// v.mu and without building a string: components are sliced out of path
+// in place. It returns the object only if every object on the way is a
+// usable copy (usableLocked), and only then records the lookups — the
+// same cache.touch and met.hit per component, root first, that the
+// general walk in resolve performs. On anything else (an uncached,
+// suspect or data-less object, a missing name, an unmounted volume, a
+// closed Venus, a spelling path.Clean would change) it returns nil having
+// counted nothing, so the caller can run the general walk from the top
+// and the accounting comes out as if hitWalk had never been tried.
+//
+//codalint:hotpath
+func (v *Venus) hitWalk(path string, wantData bool) (*vclient, *fso) {
+	const prefix = codafs.MountPrefix + "/"
+	if !strings.HasPrefix(path, prefix) {
+		return nil, nil
+	}
+	// more: a slash, and so another component (possibly empty), follows.
+	name, rest, more := strings.Cut(path[len(prefix):], "/")
+	if !codafs.ValidName(name) {
+		return nil, nil
+	}
+
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	vc := v.volumes[name]
+	if vc == nil || v.closed {
+		return nil, nil
+	}
+	var hits [maxHitDepth]*fso
+	n := 0
+	fid := vc.root
+	for {
+		f := v.cache.get(fid)
+		if n == len(hits) || !v.usableLocked(f, more || wantData) {
+			return nil, nil
+		}
+		hits[n] = f
+		n++
+		if !more {
+			break
+		}
+		name, rest, more = strings.Cut(rest, "/")
+		if !codafs.ValidName(name) || f.obj.Status.Type != codafs.Directory {
+			return nil, nil
+		}
+		child, ok := f.obj.Children[name]
+		if !ok {
+			return nil, nil
+		}
+		fid = child
+	}
+	for _, f := range hits[:n] {
+		v.cache.touch(f)
+		v.met.hit(f.hoardPri)
+	}
+	return vc, hits[n-1]
+}
+
+// usableLocked is the cache-hit rule: f can be served without the server.
+// Dirty objects are local truth, served regardless of callbacks; otherwise
+// the copy must be valid — or Venus disconnected, when cached data is used
+// as-is — and must hold its contents if the caller wants them.
+func (v *Venus) usableLocked(f *fso, wantData bool) bool {
+	if f == nil {
+		return false
+	}
+	if f.dirty {
+		return true
+	}
+	return (f.valid || v.state == Emulating) && (!wantData || !f.placeholder)
+}
+
 // resolve walks path to its object, fetching intermediate directories (and,
-// when wantData is set, the object's own contents) as needed.
+// when wantData is set, the object's own contents) as needed. A lookup the
+// cache can serve whole is hitWalk's; the walk below is the general case.
 func (v *Venus) resolve(path string, wantData bool) (*vclient, *fso, error) {
+	if vc, f := v.hitWalk(path, wantData); f != nil {
+		return vc, f, nil
+	}
 	vc, comps, err := v.volumeFor(path)
 	if err != nil {
 		return nil, nil, err
@@ -70,18 +152,33 @@ func (v *Venus) resolve(path string, wantData bool) (*vclient, *fso, error) {
 // resolveParent resolves everything but the final component, returning the
 // parent directory object and the final name.
 func (v *Venus) resolveParent(path string) (*vclient, *fso, string, error) {
-	vc, comps, err := v.volumeFor(path)
-	if err != nil {
-		return nil, nil, "", err
+	var (
+		vc               *vclient
+		parent           *fso
+		parentPath, name string
+	)
+	// A hit on everything left of the last slash also proves that part
+	// cleanly spelled, so the split needs no SplitPath/JoinPath round trip.
+	if i := strings.LastIndexByte(path, '/'); i > 0 && codafs.ValidName(path[i+1:]) {
+		parentPath, name = path[:i], path[i+1:]
+		vc, parent = v.hitWalk(parentPath, true)
 	}
-	if len(comps) == 0 {
-		return nil, nil, "", fmt.Errorf("venus: %s names a volume root", path)
-	}
-	name := comps[len(comps)-1]
-	parentPath := codafs.JoinPath(vc.info.Name, comps[:len(comps)-1]...)
-	_, parent, err := v.resolve(parentPath, true)
-	if err != nil {
-		return nil, nil, "", err
+	if parent == nil {
+		var comps []string
+		var err error
+		vc, comps, err = v.volumeFor(path)
+		if err != nil {
+			return nil, nil, "", err
+		}
+		if len(comps) == 0 {
+			return nil, nil, "", fmt.Errorf("venus: %s names a volume root", path)
+		}
+		name = comps[len(comps)-1]
+		parentPath = codafs.JoinPath(vc.info.Name, comps[:len(comps)-1]...)
+		_, parent, err = v.resolve(parentPath, true)
+		if err != nil {
+			return nil, nil, "", err
+		}
 	}
 	if parent.obj.Status.Type != codafs.Directory {
 		return nil, nil, "", fmt.Errorf("venus: %s: %w", parentPath, ErrNotDir)
@@ -141,28 +238,15 @@ func (v *Venus) getObject(vc *vclient, fid codafs.FID, path string, wantData boo
 	f := v.cache.get(fid)
 	state := v.state
 
-	// Dirty objects are local truth: serve them regardless of callbacks.
-	if f != nil && f.dirty {
-		v.cache.touch(f)
-		v.met.hit(f.hoardPri)
-		v.mu.Unlock()
-		return f, nil
-	}
-	if f != nil && f.valid && (!wantData || !f.placeholder) {
+	if v.usableLocked(f, wantData) {
 		v.cache.touch(f)
 		v.met.hit(f.hoardPri)
 		v.mu.Unlock()
 		return f, nil
 	}
 	if state == Emulating {
-		// Disconnected: cached data is used as-is; anything else is an
-		// unserviceable miss.
-		if f != nil && (!wantData || !f.placeholder) {
-			v.cache.touch(f)
-			v.met.hit(f.hoardPri)
-			v.mu.Unlock()
-			return f, nil
-		}
+		// Disconnected: what the cache cannot serve is an unserviceable
+		// miss.
 		v.stats.DisconnectedMisses++
 		if f != nil {
 			v.met.miss(f.hoardPri)
@@ -425,18 +509,29 @@ func (v *Venus) rpcFailed(path string, err error) error {
 
 // ---- Read operations ----
 
-// ReadFile returns the contents of the file at path.
+// ReadFile returns the contents of the file at path in a fresh slice.
 func (v *Venus) ReadFile(path string) ([]byte, error) {
+	return v.AppendFile(nil, path)
+}
+
+// AppendFile appends the contents of the file at path to dst and returns
+// the extended slice, so a caller that reads many files can reuse one
+// buffer. The bytes are copied: the result never aliases the cache. On
+// error it returns dst unchanged.
+//
+//codalint:hotpath
+func (v *Venus) AppendFile(dst []byte, path string) ([]byte, error) {
+	//codalint:ignore allocscan a hit is hitWalk's, audited on its own; resolve builds strings only past it, for the miss record, span field or error of the general walk
 	_, f, err := v.resolve(path, true)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if f.obj.Status.Type != codafs.File {
-		return nil, fmt.Errorf("venus: %s: %w", path, ErrIsDir)
+		return dst, fmt.Errorf("venus: %s: %w", path, ErrIsDir)
 	}
-	return append([]byte(nil), f.obj.Data...), nil
+	return append(dst, f.obj.Data...), nil
 }
 
 // Stat returns the status of the object at path without fetching contents.

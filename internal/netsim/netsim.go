@@ -54,6 +54,8 @@ type Packet struct {
 	Src     string
 	Dst     string
 	Payload []byte
+
+	link *link // direction it travels, credited with the delivery at Recv
 }
 
 // LinkParams describes one direction of a link.
@@ -88,7 +90,10 @@ func DefaultLinkParams() LinkParams {
 	}
 }
 
-// Stats counts traffic for one direction of a link.
+// Stats counts traffic for one direction of a link. A packet is delivered
+// when the destination's Recv or RecvTimeout returns it: one still in
+// flight, waiting unread in the inbox, or landed on a closed endpoint is
+// sent but not (yet) delivered.
 type Stats struct {
 	PacketsSent      int64
 	BytesSent        int64 // payload bytes offered, before loss/drops
@@ -272,14 +277,7 @@ func (n *Network) send(src, dst string, payload []byte) error {
 	if dstEP == nil {
 		return nil // destination does not exist; packet vanishes
 	}
-	pkt := Packet{Src: src, Dst: dst, Payload: append([]byte(nil), payload...)}
-	n.clock.AfterFunc(arrival.Sub(now), func() {
-		n.mu.Lock()
-		l.stats.PacketsDelivered++
-		l.stats.BytesDelivered += int64(len(pkt.Payload))
-		n.mu.Unlock()
-		dstEP.inbox.Put(pkt)
-	})
+	dstEP.inbox.PutAfter(arrival.Sub(now), Packet{Src: src, Dst: dst, Payload: append([]byte(nil), payload...), link: l})
 	return nil
 }
 
@@ -309,19 +307,26 @@ func (e *Endpoint) Send(dst string, payload []byte) error {
 
 // Recv implements PacketConn.
 func (e *Endpoint) Recv() ([]byte, string, bool) {
-	p, ok := e.inbox.Get()
-	if !ok {
-		return nil, "", false
-	}
-	return p.Payload, p.Src, true
+	return e.received(e.inbox.Get())
 }
 
 // RecvTimeout implements PacketConn.
 func (e *Endpoint) RecvTimeout(d time.Duration) ([]byte, string, bool) {
-	p, ok := e.inbox.GetTimeout(d)
+	return e.received(e.inbox.GetTimeout(d))
+}
+
+// received counts a packet taken from the inbox as delivered. The count
+// lives here and not at arrival because an arrival is a simtime event,
+// which runs inside the clock's lock and so may not take n.mu (send holds
+// n.mu while it reads the clock).
+func (e *Endpoint) received(p Packet, ok bool) ([]byte, string, bool) {
 	if !ok {
 		return nil, "", false
 	}
+	e.net.mu.Lock()
+	p.link.stats.PacketsDelivered++
+	p.link.stats.BytesDelivered += int64(len(p.Payload))
+	e.net.mu.Unlock()
 	return p.Payload, p.Src, true
 }
 

@@ -112,14 +112,18 @@ func TestMatrix(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic runs the same scenario twice and requires
+// TestRunDeterministic runs the same scenario several times and requires
 // byte-identical result dumps — the determinism contract every metric
-// assertion and golden file rests on.
+// assertion and golden file rests on. Eight rounds, because the defect
+// it exists for shows up as a rate: two goroutines runnable at one
+// instant racing for the same link (under -race, about one pair of runs
+// in seven differed before the ShipLog handler let its reply leave
+// first).
 func TestRunDeterministic(t *testing.T) {
 	_, srcs := readCorpus(t)
 	for _, name := range []string{"disconnected_reintegrate", "replicated_kill_catchup"} {
-		var dumps [][]byte
-		for round := 0; round < 2; round++ {
+		var first []byte
+		for round := 0; round < 8; round++ {
 			s, err := Parse(name, srcs[name])
 			if err != nil {
 				t.Fatal(err)
@@ -131,11 +135,14 @@ func TestRunDeterministic(t *testing.T) {
 			if !res.OK() {
 				t.Fatalf("%s round %d: %v", name, round, res.Failures())
 			}
-			dumps = append(dumps, res.DumpJSON())
-		}
-		if !bytes.Equal(dumps[0], dumps[1]) {
-			t.Errorf("%s: two identical-seed runs produced different result dumps (%d vs %d bytes)",
-				name, len(dumps[0]), len(dumps[1]))
+			dump := res.DumpJSON()
+			if round == 0 {
+				first = dump
+			} else if !bytes.Equal(dump, first) {
+				t.Errorf("%s: identical-seed runs 0 and %d produced different result dumps (%d vs %d bytes)",
+					name, round, len(first), len(dump))
+				break
+			}
 		}
 	}
 }

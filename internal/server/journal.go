@@ -288,8 +288,10 @@ func (s *Server) Checkpoint() error {
 		return errors.New("server: no journal attached")
 	}
 	vols := s.volumesByIDLocked()
+	size := 0
 	for _, v := range vols {
 		v.mu.Lock()
+		size += v.imageSizeLocked()
 	}
 	sj.sjMu.Lock()
 	defer func() {
@@ -300,7 +302,7 @@ func (s *Server) Checkpoint() error {
 		s.mu.Unlock()
 	}()
 
-	img := appendImageHeader(nil, s.nextVolID, sj.meta.LSN(), len(vols))
+	img := appendImageHeader(make([]byte, 0, 32+size), s.nextVolID, sj.meta.LSN(), len(vols))
 	fenced := []*wal.Journal{&sj.meta}
 	for _, v := range vols {
 		img = v.appendLocked(img, true)

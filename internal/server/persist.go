@@ -105,6 +105,21 @@ func (v *volume) appendLocked(dst []byte, watermarks bool) []byte {
 	return dst
 }
 
+// imageSizeLocked estimates what appendLocked will append: file contents
+// exactly — nearly all of an image — and a generous fixed width for every
+// status, entry and row, so the encoder fills one allocation instead of
+// doubling its way there from nothing. Caller holds v.mu.
+func (v *volume) imageSizeLocked() int {
+	n := 128 + len(v.info.Name) + 48*(len(v.lastAuthor)+len(v.applied))
+	for _, o := range v.objects {
+		n += 96 + len(o.Data) + len(o.Target)
+		for name := range o.Children {
+			n += 16 + len(name)
+		}
+	}
+	return n
+}
+
 // SaveState writes all volumes to w. It acquires the registry lock, then
 // every volume lock in ascending ID order — the canonical lock order, so a
 // snapshot cannot deadlock against handlers or a concurrent SaveState —
@@ -122,10 +137,12 @@ func (s *Server) SaveState(w io.Writer) error {
 func (s *Server) image() []byte {
 	s.mu.Lock()
 	vols := s.volumesByIDLocked()
+	size := 0
 	for _, v := range vols {
 		v.mu.Lock()
+		size += v.imageSizeLocked()
 	}
-	img := appendImageHeader(nil, s.nextVolID, 0, len(vols))
+	img := appendImageHeader(make([]byte, 0, 32+size), s.nextVolID, 0, len(vols))
 	s.mu.Unlock()
 
 	for _, v := range vols {

@@ -249,8 +249,20 @@ func (s *Server) shipLog(src string, sc obs.SpanContext, req wire.ShipLog) (wire
 	s.met.replApplied.Add(int64(len(e.Recs)))
 	s.dispatchBreaks(breaks)
 	// The entry may need forwarding if this server also has peers the
-	// shipper does not; shipping is idempotent, so just nudge.
-	s.shipToPeers(v, sc)
+	// shipper does not; shipping is idempotent, so just nudge — once the
+	// reply has left. The ship round's first request to src and this
+	// call's reply would otherwise enter the same link at the same
+	// instant from two goroutines, in whichever order the Go scheduler
+	// ran them, and the one queued second arrives a serialization time
+	// later: a simulation whose timings depended on real scheduling.
+	// Sleep(0) resumes only when everything runnable at this instant,
+	// the replying goroutine included, has parked or exited.
+	if len(s.peers) > 0 {
+		s.clock.Go(func() {
+			s.clock.Sleep(0)
+			s.shipVolume(v, sc)
+		})
+	}
 	return rep, nil
 }
 

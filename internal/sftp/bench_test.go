@@ -3,7 +3,9 @@ package sftp
 import (
 	"testing"
 
+	"repro/internal/netmon"
 	"repro/internal/obs"
+	"repro/internal/simtime"
 )
 
 // The ship benchmarks pin the per-fragment framing paths at zero
@@ -29,5 +31,31 @@ func BenchmarkAllocShipAck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.shipAck("dst", 1, uint32(i), 0xff)
+	}
+}
+
+// BenchmarkAllocSFTPReceive pins the receive side of one fragment — parse,
+// copy into the reassembly buffer, advance the cumulative count, ack — at
+// zero steady-state allocations. The warm-up takes the buffer to the
+// capacity the timed fragments need (growth is geometric, so a longer
+// run amortises to zero rather than reading exactly zero).
+func BenchmarkAllocSFTPReceive(b *testing.B) {
+	clock := simtime.NewSim(simtime.Epoch1995)
+	e := NewEngine(clock, netmon.NewMonitor(clock), func(dst string, p []byte) error { return nil }, nil, "rx")
+	const warm = 4*WindowPackets + 1 // the fragment that takes capacity to 16 windows
+	total := uint32(warm + b.N + 1)  // never completes
+	data := make([]byte, DataPacketSize)
+	var frame []byte
+	deliver := func(seq uint32) {
+		frame = appendData(frame[:0], 1, seq, total, uint64(total)*DataPacketSize, obs.SpanContext{}, data)
+		e.Deliver("tx", frame)
+	}
+	for seq := uint32(0); seq < warm; seq++ {
+		deliver(seq)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver(warm + uint32(i))
 	}
 }

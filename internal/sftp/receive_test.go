@@ -1,0 +1,303 @@
+package sftp
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/netmon"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/simtime"
+)
+
+var updateAcks = flag.Bool("update", false, "rewrite testdata/receive_acks.golden from this receiver")
+
+// receiver is an Engine with nothing behind it: acks land in a slice
+// instead of on a wire, so a test can feed Deliver by hand and read back
+// exactly what the receive side answered.
+type receiver struct {
+	*Engine
+	acks []ackInfo
+}
+
+func newReceiver(clock simtime.Clock) *receiver {
+	r := &receiver{}
+	r.Engine = NewEngine(clock, netmon.NewMonitor(clock), func(dst string, p []byte) error {
+		if _, cum, bitmap, ok := decodeAck(p); ok && p[0] == tagAck {
+			r.acks = append(r.acks, ackInfo{cum, bitmap})
+		}
+		return nil
+	}, nil, "rx")
+	return r
+}
+
+// fragment frames packet seq of a transfer of data, as Send would.
+func fragment(id uint64, seq uint32, data []byte) []byte {
+	lo := min(int(seq)*DataPacketSize, len(data))
+	hi := min(lo+DataPacketSize, len(data))
+	return appendData(nil, id, seq, packetCount(len(data)), uint64(len(data)), obs.SpanContext{}, data[lo:hi])
+}
+
+// receiveSchedule feeds one transfer of size bytes into a fresh receiver
+// in a seeded order with loss (a fragment withheld and delivered later),
+// duplicates and reordering, never beyond the window a real sender keeps:
+// nothing at or past cum+WindowPackets, cum being the receiver's latest
+// cumulative ack. It appends one "size seq cum bitmap" line per fragment
+// to log and checks the bytes Await hands back.
+func receiveSchedule(t *testing.T, log *bytes.Buffer, seed int64, size int) {
+	t.Helper()
+	s := simtime.NewSim(simtime.Epoch1995)
+	s.Run(func() {
+		rx := newReceiver(s)
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, size)
+		r.Read(data)
+		total := packetCount(size)
+
+		var held []uint32 // withheld fragments: lost or overtaken, delivered later
+		next, cum := uint32(0), uint32(0)
+		for cum < total {
+			fresh := next < total && next < cum+WindowPackets
+			var seq uint32
+			switch roll := r.Intn(10); {
+			case fresh && roll < 6:
+				seq = next
+				next++
+				if r.Intn(4) == 0 {
+					held = append(held, seq)
+					continue
+				}
+			case len(held) > 0 && (roll < 9 || !fresh):
+				i := r.Intn(len(held))
+				seq = held[i]
+				held = append(held[:i], held[i+1:]...)
+			case next > 0:
+				seq = uint32(r.Intn(int(next))) // duplicate, or a held one early
+			default:
+				continue
+			}
+			before := len(rx.acks)
+			rx.Deliver("tx", fragment(1, seq, data))
+			if len(rx.acks) != before+1 {
+				t.Fatalf("size %d: fragment %d answered with %d acks, want 1", size, seq, len(rx.acks)-before)
+			}
+			ack := rx.acks[before]
+			fmt.Fprintf(log, "%d %d %d %016x\n", size, seq, ack.cum, ack.bitmap)
+			cum = ack.cum
+		}
+		got, err := rx.Await("tx", 1, time.Second)
+		if err != nil {
+			t.Fatalf("size %d: Await: %v", size, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("size %d: assembled bytes differ from the input", size)
+		}
+	})
+}
+
+// TestReceiveAcksMatchMapReceiver pins the receive side's observable
+// behaviour — one ack per fragment, its cumulative count and bitmap — to
+// what the map-based receiver answered for the same schedules:
+// testdata/receive_acks.golden was generated at the parent commit of the
+// change that made reassembly one flat buffer, and sim time everywhere
+// depends on these acks not moving.
+func TestReceiveAcksMatchMapReceiver(t *testing.T) {
+	var log bytes.Buffer
+	for i, size := range []int{0, 1, DataPacketSize, DataPacketSize + 1, 100_000, 64 * DataPacketSize, 400_001} {
+		receiveSchedule(t, &log, int64(i+1), size)
+	}
+	golden := filepath.Join("testdata", "receive_acks.golden")
+	if *updateAcks {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, log.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(log.Bytes(), want) {
+		g, w := bytes.Split(log.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if !bytes.Equal(g[i], w[i]) {
+				t.Fatalf("line %d: got %q, want %q", i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("got %d lines, want %d", len(g), len(w))
+	}
+}
+
+// TestDeliverDropsForgedFragments: a fragment whose header cannot have
+// come from Send — a shape no sender cuts, a later fragment disagreeing
+// with the first, a payload that is not its slot's length, a sequence
+// number past the end or past the window — is dropped without an ack and
+// without touching reassembly state, and the genuine transfer still
+// completes. The first row crashed the node before the header was
+// validated (makeslice: cap out of range, from the claimed totalBytes).
+func TestDeliverDropsForgedFragments(t *testing.T) {
+	s := simtime.NewSim(simtime.Epoch1995)
+	s.Run(func() {
+		rx := newReceiver(s)
+		data := bytes.Repeat([]byte("genuine!"), 100*DataPacketSize/8+1) // 100 full packets and a short tail
+		total, size := packetCount(len(data)), uint64(len(data))
+		full := make([]byte, DataPacketSize)
+		frame := func(id uint64, seq, total uint32, totalBytes uint64, payload []byte) []byte {
+			return appendData(nil, id, seq, total, totalBytes, obs.SpanContext{}, payload)
+		}
+
+		// No transfer exists yet: these may not create one.
+		for name, p := range map[string][]byte{
+			"claims 4 EB in one packet": frame(7, 0, 1, 1<<62, []byte("x")),
+			"zero packets":              frame(7, 0, 0, 0, nil),
+			"too many packets":          frame(7, 0, 3, DataPacketSize+1, full),
+			"too few packets":           frame(7, 0, 1, DataPacketSize+1, full),
+			"packet count wraps":        frame(7, 0, 1<<32-1, 5, []byte("short")),
+			"short first packet":        frame(7, 0, 2, DataPacketSize+1, []byte("short")),
+			"first beyond the window":   frame(7, WindowPackets, 100, 100*DataPacketSize, full),
+		} {
+			rx.Deliver("tx", p)
+			if len(rx.acks) != 0 || len(rx.incoming) != 0 {
+				t.Fatalf("%s: %d ack(s), %d transfer(s) in reassembly, want none", name, len(rx.acks), len(rx.incoming))
+			}
+		}
+
+		rx.Deliver("tx", fragment(1, 0, data))
+		rx.Deliver("tx", fragment(1, 2, data))
+		acks, in := len(rx.acks), rx.incoming[key{"tx", 1}]
+		before := *in
+		for name, p := range map[string][]byte{
+			"different total":       frame(1, 1, total+1, size, full),
+			"different totalBytes":  frame(1, 1, total, size-1, full),
+			"short middle packet":   frame(1, 1, total, size, full[:DataPacketSize-1]),
+			"long last packet":      frame(1, total-1, total, size, full),
+			"past the end":          frame(1, total, total, size, full),
+			"past the window":       frame(1, 1+WindowPackets, total, size, full),
+			"far past the window":   frame(1, total-2, total, size, full),
+			"empty payload mid-way": frame(1, 1, total, size, nil),
+		} {
+			rx.Deliver("tx", p)
+			if len(rx.acks) != acks {
+				t.Errorf("%s: acked", name)
+			}
+			if in.cum != before.cum || in.window != before.window || len(in.buf) != len(before.buf) {
+				t.Errorf("%s: reassembly state moved: cum %d window %x len %d", name, in.cum, in.window, len(in.buf))
+			}
+		}
+		if len(in.buf) > 3*DataPacketSize || cap(in.buf) > WindowPackets*DataPacketSize {
+			t.Errorf("reassembly holds len %d cap %d after three packets", len(in.buf), cap(in.buf))
+		}
+
+		for seq := uint32(0); seq < total; seq++ {
+			rx.Deliver("tx", fragment(1, seq, data))
+		}
+		got, err := rx.Await("tx", 1, time.Second)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("genuine transfer after the forgeries: %d bytes, err %v", len(got), err)
+		}
+		if cap(got) != len(data) {
+			t.Errorf("assembled buffer has cap %d for %d bytes", cap(got), len(data))
+		}
+	})
+}
+
+// engineMaps reports how many transfers the engine holds in reassembly
+// and how many completion queues it keeps.
+func engineMaps(e *Engine) (incoming, done int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.incoming), len(e.done)
+}
+
+// TestAwaitTimeoutFreesAbandonedTransfer: the sender loses the link
+// mid-transfer; once the receiver's Await gives up, nothing of the
+// transfer is left in the engine, and the sender's retransmissions after
+// the link returns find no one and start nothing.
+func TestAwaitTimeoutFreesAbandonedTransfer(t *testing.T) {
+	s := simtime.NewSim(simtime.Epoch1995)
+	net := netsim.New(s, 11)
+	net.SetDefaults(netsim.ISDN.Params())
+	s.Run(func() {
+		a, b := newPair(s, net)
+		data := bytes.Repeat([]byte("abandon"), 30_000) // 210 KB ≈ 26 s at ISDN
+		s.AfterFunc(5*time.Second, func() { net.SetUp("a", "b", false) })
+		done := simtime.NewQueue[error](s)
+		s.Go(func() { done.Put(a.engine.Send("b", 1, data, obs.SpanContext{})) })
+
+		s.Sleep(4 * time.Second)
+		if in, _ := engineMaps(b.engine); in != 1 {
+			t.Fatalf("%d transfers in reassembly four seconds in, want 1", in)
+		}
+		_, err := b.engine.Await("a", 1, 20*time.Second)
+		if !errors.Is(err, ErrAwaitTimeout) {
+			t.Fatalf("Await: %v, want ErrAwaitTimeout", err)
+		}
+		if in, dn := engineMaps(b.engine); in != 0 || dn != 0 {
+			t.Errorf("after the await deadline: %d in reassembly, %d completion queues, want 0 and 0", in, dn)
+		}
+
+		// The sender is still backing off; let its fragments through again.
+		net.SetUp("a", "b", true)
+		if sendErr, _ := done.Get(); !errors.Is(sendErr, ErrTransferFailed) {
+			t.Errorf("Send to a receiver that gave up: %v, want ErrTransferFailed", sendErr)
+		}
+		if in, dn := engineMaps(b.engine); in != 0 || dn != 0 {
+			t.Errorf("late fragments resurrected state: %d in reassembly, %d completion queues", in, dn)
+		}
+	})
+}
+
+// FuzzDeliver feeds arbitrary payloads to Engine.Deliver, cut from the
+// input as length-prefixed chunks so one input can hold a conversation.
+// Nothing may panic, and reassembly may not hold more than it was fed:
+// every transfer's buffer is within one window of the bytes delivered,
+// whatever sizes the headers claimed.
+func FuzzDeliver(f *testing.F) {
+	chunks := func(ps ...[]byte) []byte {
+		var in []byte
+		for _, p := range ps {
+			in = append(in, byte(len(p)>>8), byte(len(p)))
+			in = append(in, p...)
+		}
+		return in
+	}
+	data := bytes.Repeat([]byte("z"), 2*DataPacketSize+1)
+	f.Add(chunks(fragment(1, 2, data), fragment(1, 0, data), fragment(1, 2, data), fragment(1, 1, data), fragment(1, 1, data)))
+	f.Add(chunks(appendData(nil, 7, 0, 1, 1<<62, obs.SpanContext{}, []byte("x"))))
+	f.Add(chunks(appendData(nil, 7, 63, 1<<32-1, (1<<32-1)*DataPacketSize, obs.SpanContext{Trace: 1, Span: 2}, make([]byte, DataPacketSize))))
+	f.Add(chunks(fragment(2, 0, nil), fragment(2, 0, nil), []byte{tagAck, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}))
+	f.Add([]byte{0, 1, tagData})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rx := newReceiver(simtime.NewSim(simtime.Epoch1995))
+		const window = WindowPackets * DataPacketSize
+		fed := 0
+		for len(in) >= 2 {
+			n := min(int(in[0])<<8|int(in[1]), len(in)-2)
+			p := in[2 : 2+n]
+			in = in[2+n:]
+			rx.Deliver("peer", p)
+			fed += len(p)
+
+			held := 0
+			for k, tr := range rx.incoming {
+				held += len(tr.buf)
+				if c := cap(tr.buf); c > max(window, 4*len(tr.buf)) || uint64(c) > tr.totalBytes {
+					t.Fatalf("transfer %d: cap %d for len %d of a claimed %d", k.id, c, len(tr.buf), tr.totalBytes)
+				}
+			}
+			if held > fed+len(rx.incoming)*window {
+				t.Fatalf("reassembly holds %d bytes in %d transfers after %d bytes fed", held, len(rx.incoming), fed)
+			}
+		}
+	})
+}

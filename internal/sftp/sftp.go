@@ -33,6 +33,8 @@ const (
 	// DataPacketSize is the payload carried by one data packet.
 	DataPacketSize = 1200
 	// WindowPackets is the sender's maximum number of unacked packets.
+	// An ack's bitmap, and the receiver's record of what has arrived past
+	// its cumulative count, is one 64-bit word: no more than that.
 	WindowPackets = 64
 	// maxConsecutiveTimeouts aborts a transfer wedged on a dead link.
 	maxConsecutiveTimeouts = 10
@@ -67,12 +69,16 @@ type Engine struct {
 	reg  *obs.Registry
 	self string
 
-	mu        sync.Mutex
-	senders   map[key]*simtime.Queue[ackInfo]
-	incoming  map[key]*inTransfer
-	done      map[key]*simtime.Queue[[]byte]
-	completed map[key]uint32 // packet counts of finished transfers, for re-acking
-	order     []key          // FIFO bound on completed
+	mu       sync.Mutex
+	senders  map[key]*simtime.Queue[ackInfo]
+	incoming map[key]*inTransfer
+	done     map[key]*simtime.Queue[[]byte]
+	// completed remembers transfers that are over: the packet count of a
+	// finished one, for re-acking a sender that missed the final ack, or
+	// abandoned for one whose Await gave up, so that late fragments are
+	// dropped instead of starting a reassembly nobody will take.
+	completed map[key]uint32
+	order     []key // FIFO bound on completed
 
 	met engineMetrics
 }
@@ -95,10 +101,27 @@ type ackInfo struct {
 	bitmap uint64
 }
 
+// abandoned is completed's mark for a transfer Await timed out on; no
+// finished transfer has zero packets.
+const abandoned = 0
+
+// inTransfer reassembles one incoming transfer in place: fragment seq
+// lands at buf[seq*DataPacketSize:], once.
+//
+// Invariants: every packet below cum has arrived; bit b of window says
+// whether packet cum+b has, and bit 0 is clear (cum is the first hole),
+// so window is also the ack bitmap. Only packets in [cum,
+// cum+WindowPackets) are stored: the sender never has more than
+// WindowPackets unacked beyond its base, and its base never passes cum,
+// so anything further out is not from a sender of this protocol. That
+// keeps len(buf) within WindowPackets*DataPacketSize of the bytes
+// actually received, whatever size the header claims.
 type inTransfer struct {
 	total      uint32
 	totalBytes uint64
-	got        map[uint32][]byte
+	buf        []byte // reassembled prefix plus the window's slots; cap never exceeds totalBytes
+	cum        uint32
+	window     uint64
 	sp         *obs.SpanHandle // sftp_receive, when the stream is traced
 }
 
@@ -140,10 +163,7 @@ func NewEngine(clock simtime.Clock, mon *netmon.Monitor, send func(dst string, p
 // the same tree.
 func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) error {
 	peer := e.mon.Peer(dst)
-	total := uint32((len(data) + DataPacketSize - 1) / DataPacketSize)
-	if total == 0 {
-		total = 1 // zero-length transfers still need one (empty) packet
-	}
+	total := packetCount(len(data))
 
 	var sp *obs.SpanHandle
 	wireCtx := obs.SpanContext{}
@@ -231,7 +251,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 	}
 
 	var backoff time.Duration
-	lastRetx := make(map[uint32]time.Time) // dedup fast retransmissions per hole
+	var lastRetx map[uint32]time.Time // dedup fast retransmissions per hole; made on the first one
 	for base < total {
 		ack, ok := acks.GetTimeout(ackWait(backoff))
 		if !ok {
@@ -263,7 +283,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		timeouts = 0
 		backoff = 0
 
-		for i := uint32(0); i < ack.cum && i < total; i++ {
+		for i := base; i < ack.cum && i < total; i++ {
 			acked[i] = true
 		}
 		for b := 0; b < 64; b++ {
@@ -303,6 +323,9 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 			}
 			if last, seen := lastRetx[uint32(i)]; !seen || now.Sub(last) > rto {
 				xmitRetx(uint32(i))
+				if lastRetx == nil {
+					lastRetx = make(map[uint32]time.Time)
+				}
 				lastRetx[uint32(i)] = now
 			}
 		}
@@ -326,13 +349,24 @@ func (e *Engine) Await(src string, id uint64, timeout time.Duration) ([]byte, er
 	e.mu.Unlock()
 
 	data, ok := q.GetTimeout(timeout)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s transfer %d", ErrAwaitTimeout, src, id)
-	}
 	e.mu.Lock()
 	delete(e.done, k)
+	if ok {
+		e.mu.Unlock()
+		return data, nil
+	}
+	// Nobody will take this transfer now: free what has been reassembled
+	// and, unless it completed while the deadline fired, refuse the rest.
+	t := e.incoming[k]
+	delete(e.incoming, k)
+	if _, over := e.completed[k]; !over {
+		e.forgetLocked(k, abandoned)
+	}
 	e.mu.Unlock()
-	return data, nil
+	if t != nil {
+		t.sp.End()
+	}
+	return nil, fmt.Errorf("%w: %s transfer %d", ErrAwaitTimeout, src, id)
 }
 
 // Deliver routes one incoming SFTP payload from src into the engine. The
@@ -350,6 +384,76 @@ func (e *Engine) Deliver(src string, payload []byte) {
 	}
 }
 
+// packetCount is the number of data packets a transfer of size bytes is
+// cut into; a zero-length transfer still needs one (empty) packet.
+func packetCount(size int) uint32 {
+	return uint32(max(1, (size+DataPacketSize-1)/DataPacketSize))
+}
+
+// slotLen is the payload length packet seq < t.total must carry.
+func (t *inTransfer) slotLen(seq uint32) int {
+	if seq+1 < t.total {
+		return DataPacketSize
+	}
+	return int(t.totalBytes - uint64(t.total-1)*DataPacketSize)
+}
+
+// validShape reports whether total packets is what a sender cuts
+// totalBytes into.
+func validShape(total uint32, totalBytes uint64) bool {
+	if total == 1 && totalBytes == 0 {
+		return true // the one empty packet of a zero-length transfer
+	}
+	full := uint64(total) * DataPacketSize
+	return total > 0 && totalBytes <= full && totalBytes > full-DataPacketSize
+}
+
+// store copies packet seq into place and advances cum past every packet
+// now contiguous. It reports false, having changed nothing, for a packet
+// that disagrees with the transfer's shape or lies beyond the window;
+// a duplicate is accepted and ignored.
+func (t *inTransfer) store(seq, total uint32, totalBytes uint64, data []byte) bool {
+	if total != t.total || totalBytes != t.totalBytes || seq >= t.total ||
+		len(data) != t.slotLen(seq) {
+		return false
+	}
+	if seq < t.cum {
+		return true
+	}
+	b := seq - t.cum
+	if b >= WindowPackets {
+		return false
+	}
+	if t.window&(1<<b) != 0 {
+		return true
+	}
+	off := int(seq) * DataPacketSize
+	if end := off + len(data); end > len(t.buf) {
+		t.grow(end)
+	}
+	copy(t.buf[off:], data)
+	t.window |= 1 << b
+	for t.window&1 != 0 {
+		t.window >>= 1
+		t.cum++
+	}
+	return true
+}
+
+// grow extends buf to n bytes. Capacity starts at a window's worth and
+// quadruples from there — a long transfer is recopied a handful of times
+// and allocates about a third more than it carries — but never exceeds
+// totalBytes, so the buffer handed over on completion is exactly full.
+func (t *inTransfer) grow(n int) {
+	if n > cap(t.buf) {
+		c := uint64(max(n, 4*cap(t.buf), WindowPackets*DataPacketSize))
+		nb := make([]byte, len(t.buf), min(c, t.totalBytes))
+		copy(nb, t.buf)
+		t.buf = nb
+	}
+	t.buf = t.buf[:n]
+}
+
 func (e *Engine) deliverData(src string, payload []byte) {
 	id, seq, total, totalBytes, sc, data, ok := decodeData(payload)
 	if !ok {
@@ -360,15 +464,28 @@ func (e *Engine) deliverData(src string, payload []byte) {
 	k := key{src, id}
 
 	e.mu.Lock()
-	if doneTotal, finished := e.completed[k]; finished {
-		// The sender missed our final ack; re-ack so it can finish.
+	if doneTotal, over := e.completed[k]; over {
 		e.mu.Unlock()
-		e.shipAck(src, id, doneTotal, 0)
+		if doneTotal != abandoned {
+			// The sender missed our final ack; re-ack so it can finish.
+			e.shipAck(src, id, doneTotal, 0)
+		}
 		return
 	}
-	t, ok := e.incoming[k]
-	if !ok {
-		t = &inTransfer{total: total, totalBytes: totalBytes, got: make(map[uint32][]byte)}
+	t := e.incoming[k]
+	first := t == nil
+	if first {
+		if !validShape(total, totalBytes) {
+			e.mu.Unlock()
+			return
+		}
+		t = &inTransfer{total: total, totalBytes: totalBytes}
+	}
+	if !t.store(seq, total, totalBytes, data) {
+		e.mu.Unlock()
+		return
+	}
+	if first {
 		if sc.Valid() {
 			// The receive span opens on the first fragment and closes
 			// on assembly; its parent context rode in on the wire.
@@ -376,51 +493,35 @@ func (e *Engine) deliverData(src string, payload []byte) {
 		}
 		e.incoming[k] = t
 	}
-	if _, dup := t.got[seq]; !dup && seq < t.total {
-		t.got[seq] = append([]byte(nil), data...)
-	}
 
-	cum := uint32(0)
-	for {
-		if _, have := t.got[cum]; !have {
-			break
-		}
-		cum++
-	}
-	var bitmap uint64
-	for b := uint32(0); b < 64; b++ {
-		if _, have := t.got[cum+b]; have {
-			bitmap |= 1 << b
-		}
-	}
-
-	complete := cum >= t.total
-	var assembled []byte
-	if complete {
-		assembled = make([]byte, 0, t.totalBytes)
-		for i := uint32(0); i < t.total; i++ {
-			assembled = append(assembled, t.got[i]...)
-		}
-		delete(e.incoming, k)
-		e.completed[k] = t.total
-		e.order = append(e.order, k)
-		if len(e.order) > 256 {
-			delete(e.completed, e.order[0])
-			e.order = e.order[1:]
-		}
-		q, ok := e.done[k]
-		if !ok {
-			q = simtime.NewQueue[[]byte](e.clock)
-			e.done[k] = q
-		}
+	cum, bitmap := t.cum, t.window
+	if cum < t.total {
 		e.mu.Unlock()
-		t.sp.End()
 		e.shipAck(src, id, cum, bitmap)
-		q.Put(assembled)
 		return
 	}
+	delete(e.incoming, k)
+	e.forgetLocked(k, t.total)
+	q, ok := e.done[k]
+	if !ok {
+		q = simtime.NewQueue[[]byte](e.clock)
+		e.done[k] = q
+	}
 	e.mu.Unlock()
+	t.sp.End()
 	e.shipAck(src, id, cum, bitmap)
+	q.Put(t.buf)
+}
+
+// forgetLocked records how the transfer k ended (its packet count, or
+// abandoned), evicting the oldest record beyond 256.
+func (e *Engine) forgetLocked(k key, how uint32) {
+	e.completed[k] = how
+	e.order = append(e.order, k)
+	if len(e.order) > 256 {
+		delete(e.completed, e.order[0])
+		e.order = e.order[1:]
+	}
 }
 
 func (e *Engine) deliverAck(src string, payload []byte) {

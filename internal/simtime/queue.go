@@ -22,7 +22,8 @@ type Queue[T any] struct {
 	head    int
 	waiters []*qwaiter[T] // oldest first; never non-empty while items is
 	closed  bool
-	free    *qwaiter[T] // reusable waiter records; see waiter for the ownership rule
+	free    *qwaiter[T]  // reusable waiter records; see waiter for the ownership rule
+	freeDel *delivery[T] // reusable PutAfter records, same rule
 }
 
 // qwaiter is one goroutine parked in Get/GetTimeout, and the slot Put
@@ -35,6 +36,17 @@ type qwaiter[T any] struct {
 	got   bool // item was handed over by Put
 	woken bool // resolved; a Real-clock deadline may still run afterwards
 	next  *qwaiter[T]
+}
+
+// delivery is one PutAfter in flight under Sim: the item and the event
+// that puts it. It belongs to the event heap from PutAfter until its fire,
+// which empties it and returns it to q.freeDel under s.mu, so a recycled
+// record is never still scheduled.
+type delivery[T any] struct {
+	ev   event
+	q    *Queue[T]
+	item T
+	next *delivery[T]
 }
 
 // NewQueue returns a Queue bound to c.
@@ -67,7 +79,52 @@ func (q *Queue[T]) unlock() {
 // producers need not coordinate with Close.
 func (q *Queue[T]) Put(v T) {
 	q.lock()
-	defer q.unlock()
+	q.putLocked(v)
+	q.unlock()
+}
+
+// PutAfter is Put d from now on the owning clock: observably
+// clock.AfterFunc(d, func() { q.Put(v) }), and over a Real clock exactly
+// that. Under Sim the put is the event itself — it takes the (when, seq)
+// slot the AfterFunc would have taken and runs inside the kernel when the
+// world is quiescent, handing v to the oldest waiter (whose goroutine is
+// then the only runnable one, as the callback's would have been) or
+// buffering it — so an item in flight costs no goroutine, closure or
+// Timer. It cannot be cancelled; a queue closed by the time it lands
+// drops the item, as Put does.
+func (q *Queue[T]) PutAfter(d time.Duration, v T) {
+	if q.s == nil {
+		q.clock.AfterFunc(d, func() { q.Put(v) })
+		return
+	}
+	q.s.mu.Lock()
+	defer q.s.mu.Unlock()
+	if q.closed {
+		return // dropped now rather than on landing
+	}
+	dl := q.freeDel
+	if dl != nil {
+		q.freeDel = dl.next
+	} else {
+		dl = &delivery[T]{q: q}
+		dl.ev.index = -1
+		dl.ev.fire = dl.land
+	}
+	dl.item = v
+	q.s.scheduleLocked(&dl.ev, d)
+}
+
+// land is a delivery's fire: it runs with s.mu held.
+func (dl *delivery[T]) land() {
+	var zero T
+	q, v := dl.q, dl.item
+	dl.item = zero // release for GC
+	dl.next = q.freeDel
+	q.freeDel = dl
+	q.putLocked(v)
+}
+
+func (q *Queue[T]) putLocked(v T) {
 	if q.closed {
 		return
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz
+.PHONY: all build test race lint lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz examples
 
 all: build vet lint test
 
@@ -47,11 +47,21 @@ scenarios:
 	$(GO) run ./cmd/codascn validate internal/scenario/testdata/scenarios
 	$(GO) run ./cmd/codascn matrix -run internal/scenario/testdata/scenarios/crash_matrix.scn
 
+# The six examples are seeded sims on the public API: run, not just
+# compiled. Any non-zero exit fails.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
+
 # Same wall-clock budget as CI so a local `make lint` catches an
-# analysis-time regression before the workflow does. The grep keeps
+# analysis-time regression before the workflow does. The first grep keeps
 # encoding/gob out of the module: every byte format is the wire codec's.
+# The other two keep world assembly in internal/world (cmd/codaperf has
+# its own until it moves): nothing else outside tests constructs a Sim
+# or a fault-injectable disk.
 lint:
 	! grep -rn --include='*.go' '"encoding/gob"' .
+	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
+	! grep -rn --include='*.go' --exclude='*_test.go' 'crashfs\.NewMem(' . | grep -v -e '^./internal/crashfs/' -e '^./internal/world/' -e '^./cmd/codaperf/'
 	$(GO) run ./cmd/codalint -deadline 60s ./...
 
 # Audit of every //codalint:ignore suppression (file:line, analyzer,

@@ -21,11 +21,11 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/rpc2"
-	"repro/internal/server"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/venus"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 func quickOpts(i int) experiments.Options {
@@ -228,22 +228,23 @@ func BenchmarkCMLAppendOptimize(b *testing.B) {
 // BenchmarkRPC2RoundTrip measures simulated small-RPC round trips on an
 // Ethernet profile, including gob encode/decode of a status block.
 func BenchmarkRPC2RoundTrip(b *testing.B) {
-	s := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(s, 1)
-	net.SetDefaults(netsim.Ethernet.Params())
+	w := world.New(1)
+	s, net := w.Sim, w.Net
 	srv := rpc2.NewNode(s, net.Host("server"), netmon.NewMonitor(s), func(src string, _ obs.SpanContext, body []byte) ([]byte, error) {
 		return body, nil
 	}, nil)
-	_ = srv
 	c := rpc2.NewNode(s, net.Host("client"), netmon.NewMonitor(s), nil, nil)
 	body, _ := wire.Encode(wire.GetAttr{FID: codafs.FID{Volume: 1, Vnode: 2, Unique: 3}})
 	b.ResetTimer()
-	s.Run(func() {
+	w.Run(func() {
 		for i := 0; i < b.N; i++ {
 			if _, err := c.Call("server", body, rpc2.CallOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		srv.Close()
+		c.Close()
 	})
 }
 
@@ -253,18 +254,19 @@ func BenchmarkSFTPTransfer1MB(b *testing.B) {
 	data := make([]byte, 1<<20)
 	b.SetBytes(1 << 20)
 	for i := 0; i < b.N; i++ {
-		s := simtime.NewSim(simtime.Epoch1995)
-		net := netsim.New(s, int64(i))
-		net.SetDefaults(netsim.Ethernet.Params())
+		w := world.New(int64(i))
+		s, net := w.Sim, w.Net
 		a := rpc2.NewNode(s, net.Host("a"), netmon.NewMonitor(s), nil, nil)
 		z := rpc2.NewNode(s, net.Host("z"), netmon.NewMonitor(s), nil, nil)
-		s.Run(func() {
+		w.Run(func() {
 			done := simtime.NewQueue[error](s)
 			s.Go(func() { done.Put(a.Transfer("z", 1, data)) })
 			if _, err := z.AwaitTransfer("a", 1, time.Hour); err != nil {
 				b.Fatal(err)
 			}
 			done.Get()
+			a.Close()
+			z.Close()
 		})
 	}
 }
@@ -286,14 +288,12 @@ func BenchmarkTraceGenerate(b *testing.B) {
 
 // BenchmarkVenusCachedRead measures a cache-hit read through Venus.
 func BenchmarkVenusCachedRead(b *testing.B) {
-	s := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(s, 1)
-	net.SetDefaults(netsim.Ethernet.Params())
-	srv := server.New(s, net.Host("server"))
-	srv.CreateVolume("usr")
-	srv.WriteFile("usr", "f.txt", make([]byte, 4096))
-	v := venus.New(s, net.Host("client"), venus.Config{Server: "server", ClientID: 1})
-	s.Run(func() {
+	w := world.New(1)
+	grp := w.Group(false, "server")
+	grp.CreateVolume("usr")
+	grp.WriteFile("usr", "f.txt", make([]byte, 4096))
+	v := w.Client("client", grp, venus.Config{ClientID: 1})
+	w.Run(func() {
 		if err := v.Mount("usr"); err != nil {
 			b.Fatal(err)
 		}
@@ -306,6 +306,7 @@ func BenchmarkVenusCachedRead(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
 	})
 }
 
@@ -332,23 +333,19 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 // reintegration (it is insensitive to bandwidth).
 func BenchmarkAndrewInsensitivity(b *testing.B) {
 	run := func(i int, prof netsim.Profile) time.Duration {
-		s := simtime.NewSim(simtime.Epoch1995)
-		net := netsim.New(s, int64(i))
-		net.SetDefaults(netsim.Ethernet.Params())
-		srv := server.New(s, net.Host("server"))
-		srv.CreateVolume("bench")
+		w := world.New(int64(i))
+		grp := w.Group(false, "server")
+		grp.CreateVolume("bench")
 		var total time.Duration
-		s.Run(func() {
-			v := venus.New(s, net.Host("client"), venus.Config{
-				Server: "server", ClientID: 1, PinWriteDisconnected: true,
-			})
+		w.Run(func() {
+			v := w.Client("client", grp, venus.Config{ClientID: 1, PinWriteDisconnected: true})
 			if err := v.Mount("bench"); err != nil {
 				b.Fatal(err)
 			}
 			v.WriteDisconnect()
-			net.SetLink("client", "server", prof.Params())
+			w.Net.SetLink("client", "server", prof.Params())
 			v.Connect(prof.Bandwidth)
-			res, err := andrew.Run(s, v, andrew.Config{Root: "/coda/bench/andrew"})
+			res, err := andrew.Run(w.Sim, v, andrew.Config{Root: "/coda/bench/andrew"})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -379,9 +376,7 @@ func BenchmarkServerParallelVolumes(b *testing.B) {
 	bulk := bytes.Repeat([]byte("B"), 1<<20)
 	for _, vols := range []int{1, 4} {
 		b.Run(fmt.Sprintf("vols=%d", vols), func(b *testing.B) {
-			s := simtime.NewSim(simtime.Epoch1995)
-			net := netsim.New(s, 1)
-			srv := server.New(s, net.Host("server"))
+			srv := world.New(1).Group(false, "server").Member(0)
 			defer srv.Close()
 			for v := 0; v < vols; v++ {
 				if _, err := srv.CreateVolume(fmt.Sprintf("v%d", v)); err != nil {

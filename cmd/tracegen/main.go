@@ -21,10 +21,9 @@ import (
 
 	"repro/internal/codafs"
 	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 func main() {
@@ -100,18 +99,15 @@ func replayTrace(tr *trace.Trace, network string, lambda, aging time.Duration) e
 		return fmt.Errorf("unknown network %q", network)
 	}
 
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 1)
-	net.SetDefaults(netsim.Ethernet.Params())
-	srv := server.New(sim, net.Host("server"))
-	if err := trace.SeedServer(srv, tr); err != nil {
+	w := world.New(1)
+	grp := w.Group(false, "server")
+	if err := trace.SeedServer(grp.Member(0), tr); err != nil {
 		return err
 	}
 	var stats trace.ReplayStats
 	var begin, end, optimized, shipped int64
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("client"), venus.Config{
-			Server:               "server",
+	w.Run(func() {
+		v := w.Client("client", grp, venus.Config{
 			ClientID:             1,
 			CacheBytes:           1 << 30,
 			AgingWindow:          aging,
@@ -125,11 +121,11 @@ func replayTrace(tr *trace.Trace, network string, lambda, aging time.Duration) e
 			panic(err)
 		}
 		v.WriteDisconnect()
-		net.SetLink("client", "server", prof.Params())
+		w.Net.SetLink("client", "server", prof.Params())
 		v.Connect(prof.Bandwidth)
 
 		begin = v.CMLBytes()
-		stats = trace.Replay(sim, v, tr, trace.ReplayOpts{Lambda: lambda, OpCost: 3 * time.Millisecond})
+		stats = trace.Replay(w.Sim, v, tr, trace.ReplayOpts{Lambda: lambda, OpCost: 3 * time.Millisecond})
 		end = v.CMLBytes()
 		optimized = v.OptimizedBytes()
 		shipped = v.Stats().ShippedBytes

@@ -14,25 +14,21 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 func main() {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 2)
-	net.SetDefaults(netsim.Ethernet.Params())
-
-	srv := server.New(sim, net.Host("server"))
-	mustv(srv.CreateVolume("proj"))
+	w := world.New(2)
+	srv := w.Group(false, "server")
+	_, err := srv.CreateVolume("proj")
+	must(err)
 	for i := 0; i < 12; i++ {
-		mustv(srv.WriteFile("proj", fmt.Sprintf("src/venus/fso%d.c", i), make([]byte, 6_000)))
+		must(srv.WriteFile("proj", fmt.Sprintf("src/venus/fso%d.c", i), make([]byte, 6_000)))
 	}
 
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Server:   "server",
+	w.Run(func() {
+		v := w.Client("laptop", srv, venus.Config{
 			ClientID: 7,
 		})
 		must(v.Mount("proj"))
@@ -47,7 +43,7 @@ func main() {
 		report("09:00 office (E)")
 
 		// 17:30: pull the plug and catch the train.
-		net.SetUp("laptop", "server", false)
+		w.Net.SetUp("laptop", "server", false)
 		v.Disconnect()
 		must(v.WriteFile("/coda/proj/src/venus/fso0.c", []byte("int fso_commute_fix;\n")))
 		must(v.WriteFile("/coda/proj/src/venus/fso1.c", []byte("int fso_other_fix;\n")))
@@ -55,14 +51,14 @@ func main() {
 
 		// 19:00: home, 9.6 Kb/s modem. Reconnection revalidates the whole
 		// cache with one RPC; updates trickle out without the user waiting.
-		sim.Sleep(90 * time.Minute)
-		net.SetLink("laptop", "server", netsim.Modem.Params())
-		net.SetUp("laptop", "server", true)
+		w.Sim.Sleep(90 * time.Minute)
+		w.Net.SetLink("laptop", "server", netsim.Modem.Params())
+		w.Net.SetUp("laptop", "server", true)
 		v.Connect(9600)
 		report("19:00 home (M)")
-		sim.Sleep(15 * time.Minute) // aging window passes; trickle drains
+		w.Sim.Sleep(15 * time.Minute) // aging window passes; trickle drains
 		report("19:15 home (M)")
-		if data, err := srv.ReadFile("proj", "src/venus/fso0.c"); err == nil {
+		if data, err := srv.Member(0).ReadFile("proj", "src/venus/fso0.c"); err == nil {
 			fmt.Printf("%-22s server now has the commute fix: %q\n", "", string(data))
 		}
 
@@ -73,9 +69,9 @@ func main() {
 
 		// Next morning, WaveLan in a meeting room: strong enough that the
 		// drained client returns to ordinary hoarding (write-through).
-		net.SetLink("laptop", "server", netsim.WaveLan.Params())
+		w.Net.SetLink("laptop", "server", netsim.WaveLan.Params())
 		v.Connect(2_000_000)
-		sim.Sleep(time.Minute)
+		w.Sim.Sleep(time.Minute)
 		report("09:00 meeting (W)")
 
 		st := v.Stats()
@@ -89,10 +85,4 @@ func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// mustv is must for setup calls that also return a value the demo does
-// not need.
-func mustv[T any](_ T, err error) {
-	must(err)
 }

@@ -14,25 +14,22 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 func main() {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 3)
-	net.SetDefaults(netsim.Modem.Params())
+	w := world.New(3)
+	w.Net.SetDefaults(netsim.Modem.Params())
+	srv := w.Group(false, "server")
+	_, err := srv.CreateVolume("misc")
+	must(err)
+	must(srv.WriteFile("misc", "tex/macros/art10.sty", make([]byte, 2_000)))
+	must(srv.WriteFile("misc", "emacs/bin/emacs", make([]byte, 2_500_000)))
+	must(srv.WriteFile("misc", "weather/latest", make([]byte, 300)))
 
-	srv := server.New(sim, net.Host("server"))
-	mustv(srv.CreateVolume("misc"))
-	mustv(srv.WriteFile("misc", "tex/macros/art10.sty", make([]byte, 2_000)))
-	mustv(srv.WriteFile("misc", "emacs/bin/emacs", make([]byte, 2_500_000)))
-	mustv(srv.WriteFile("misc", "weather/latest", make([]byte, 300)))
-
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Server:          "server",
+	w.Run(func() {
+		v := w.Client("laptop", srv, venus.Config{
 			ClientID:        3,
 			DefaultPriority: 100, // unhoarded objects still rate a few seconds
 			// Scripted Figure 6 screen: approve pre-approved items only.
@@ -103,10 +100,4 @@ func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// mustv is must for setup calls that also return a value the demo does
-// not need.
-func mustv[T any](_ T, err error) {
-	must(err)
 }

@@ -17,25 +17,21 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 func main() {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 5)
-	net.SetDefaults(netsim.Ethernet.Params())
-
-	srv := server.New(sim, net.Host("server"))
-	mustv(srv.CreateVolume("work"))
+	w := world.New(5)
+	srv := w.Group(false, "server")
+	_, err := srv.CreateVolume("work")
+	must(err)
 	report := bytes.Repeat([]byte("quarterly figures "), 8000) // ~144 KB
-	mustv(srv.WriteFile("work", "report.doc", report))
-	mustv(srv.WriteFile("work", "dataset.bin", make([]byte, 3<<20))) // 3 MB
+	must(srv.WriteFile("work", "report.doc", report))
+	must(srv.WriteFile("work", "dataset.bin", make([]byte, 3<<20))) // 3 MB
 
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("phone"), venus.Config{
-			Server:       "server",
+	w.Run(func() {
+		v := w.Client("phone", srv, venus.Config{
 			ClientID:     11,
 			AgingWindow:  30 * time.Second,
 			EnableDeltas: true,
@@ -49,7 +45,7 @@ func main() {
 		// Tether to cellular: fast (2 Mb/s) but metered. The user tells
 		// Venus: a megabyte feels like five minutes of waiting, and
 		// stretch the aging window 10x so edits coalesce before shipping.
-		net.SetLink("phone", "server", netsim.WaveLan.Params())
+		w.Net.SetLink("phone", "server", netsim.WaveLan.Params())
 		v.WriteDisconnect()
 		v.Connect(2_000_000)
 		v.SetNetworkCost(venus.NetworkCost{
@@ -73,18 +69,18 @@ func main() {
 		for i := 0; i < 3; i++ {
 			copy(doc[1000*(i+1):], []byte(fmt.Sprintf("[rev %d]", i+1)))
 			must(v.WriteFile("/coda/work/report.doc", doc))
-			sim.Sleep(45 * time.Second)
+			w.Sim.Sleep(45 * time.Second)
 		}
-		sim.Sleep(10 * time.Minute)
+		w.Sim.Sleep(10 * time.Minute)
 
 		st := v.Stats()
 		fmt.Printf("edits propagated: %d delta store(s); %d KB shipped, %d KB avoided by deltas, %d KB by optimizations\n",
 			st.DeltaStores, st.ShippedBytes/1024, st.DeltaSavedBytes/1024, v.OptimizedBytes()/1024)
-		onServer, _ := srv.ReadFile("work", "report.doc")
+		onServer, _ := srv.Member(0).ReadFile("work", "report.doc")
 		fmt.Printf("server copy intact: %v\n", bytes.Equal(onServer, doc))
 
 		// Back in the office: free network, the dataset fetch sails through.
-		net.SetLink("phone", "server", netsim.Ethernet.Params())
+		w.Net.SetLink("phone", "server", netsim.Ethernet.Params())
 		v.SetNetworkCost(venus.NetworkCost{})
 		v.Connect(10_000_000)
 		if data, err := v.ReadFile("/coda/work/dataset.bin"); err == nil {
@@ -97,10 +93,4 @@ func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// mustv is must for setup calls that also return a value the demo does
-// not need.
-func mustv[T any](_ T, err error) {
-	must(err)
 }

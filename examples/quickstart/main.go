@@ -12,24 +12,19 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 func main() {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 1)
-	net.SetDefaults(netsim.Ethernet.Params())
+	w := world.New(1)
+	srv := w.Group(false, "server")
+	_, err := srv.CreateVolume("usr")
+	must(err)
+	must(srv.WriteFile("usr", "papers/s15/s15.tex", []byte("\\title{Exploiting Weak Connectivity}\n")))
 
-	srv := server.New(sim, net.Host("server"))
-	mustv(srv.CreateVolume("usr"))
-	mustv(srv.WriteFile("usr", "papers/s15/s15.tex", []byte("\\title{Exploiting Weak Connectivity}\n")))
-
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Server:      "server",
+	w.Run(func() {
+		v := w.Client("laptop", srv, venus.Config{
 			ClientID:    1,
 			AgingWindow: 30 * time.Second, // short, so the demo is brisk
 		})
@@ -41,7 +36,7 @@ func main() {
 		must(err)
 		fmt.Printf("[%s] read %d bytes of the paper draft\n", v.State(), len(data))
 		must(v.WriteFile("/coda/usr/papers/s15/notes.txt", []byte("reviewer comments\n")))
-		onServer, _ := srv.ReadFile("usr", "papers/s15/notes.txt")
+		onServer, _ := srv.Member(0).ReadFile("usr", "papers/s15/notes.txt")
 		fmt.Printf("[%s] write-through: server already has %q\n", v.State(), onServer)
 
 		// A hoard walk caches volume version stamps, which is what makes
@@ -50,7 +45,7 @@ func main() {
 
 		// The airport: no network. Cached data stays usable; updates are
 		// logged in the CML, where log optimizations cancel rewrites.
-		net.SetUp("laptop", "server", false)
+		w.Net.SetUp("laptop", "server", false)
 		v.Disconnect()
 		fmt.Printf("\n[%s] disconnected; editing offline\n", v.State())
 		for i := 1; i <= 3; i++ {
@@ -65,14 +60,14 @@ func main() {
 		// Reconnection: a single batched RPC revalidates the whole cache
 		// via volume stamps, then trickle reintegration drains the CML in
 		// the background once records pass the aging window.
-		net.SetUp("laptop", "server", true)
+		w.Net.SetUp("laptop", "server", true)
 		v.Connect(10_000_000)
 		st := v.Stats()
 		fmt.Printf("\n[%s] reconnected; rapid validation: %d volume(s) checked, %d object validations avoided\n",
 			v.State(), st.VolValidations, st.ObjsSavedByVolume)
 
-		sim.Sleep(2 * time.Minute) // aging window + trickle interval
-		final, _ := srv.ReadFile("usr", "papers/s15/s15.tex")
+		w.Sim.Sleep(2 * time.Minute) // aging window + trickle interval
+		final, _ := srv.Member(0).ReadFile("usr", "papers/s15/s15.tex")
 		fmt.Printf("[%s] after trickle reintegration the server has draft: %q\n", v.State(), lastLine(final))
 		fmt.Printf("[%s] CML now %d records; shipped %d KB in %d chunk(s)\n",
 			v.State(), v.CMLRecords(), v.Stats().ShippedBytes/1024, v.Stats().Reintegrations)
@@ -93,10 +88,4 @@ func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// mustv is must for setup calls that also return a value the demo does
-// not need.
-func mustv[T any](_ T, err error) {
-	must(err)
 }

@@ -15,22 +15,19 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 func main() {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 4)
-	net.SetDefaults(netsim.Modem.Params())
+	w := world.New(4)
+	w.Net.SetDefaults(netsim.Modem.Params())
+	srv := w.Group(false, "server")
+	_, err := srv.CreateVolume("usr")
+	must(err)
 
-	srv := server.New(sim, net.Host("server"))
-	mustv(srv.CreateVolume("usr"))
-
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Server:          "server",
+	w.Run(func() {
+		v := w.Client("laptop", srv, venus.Config{
 			ClientID:        5,
 			AgingWindow:     60 * time.Second,
 			TrickleInterval: 5 * time.Second,
@@ -40,11 +37,11 @@ func main() {
 		v.Connect(9600)
 
 		fmt.Println("time   CML-records  CML-bytes  shipped-KB  optimized-B  note")
-		start := sim.Now()
+		start := w.Sim.Now()
 		sample := func(note string) {
 			st := v.Stats()
 			fmt.Printf("%5.0fs  %6d     %8d   %6d      %8d    %s\n",
-				sim.Now().Sub(start).Seconds(), v.CMLRecords(), v.CMLBytes(),
+				w.Sim.Now().Sub(start).Seconds(), v.CMLRecords(), v.CMLBytes(),
 				st.ShippedBytes/1024, v.OptimizedBytes(), note)
 		}
 
@@ -53,7 +50,7 @@ func main() {
 		for i := 0; i < 4; i++ {
 			must(v.WriteFile("/coda/usr/draft.txt", make([]byte, 8_000)))
 			sample(fmt.Sprintf("autosave #%d of draft.txt (8 KB)", i+1))
-			sim.Sleep(10 * time.Second)
+			w.Sim.Sleep(10 * time.Second)
 		}
 
 		// One large artifact: bigger than C = 36 KB at 9.6 Kb/s, so it
@@ -64,13 +61,13 @@ func main() {
 		// Watch the trickle daemon work: after the 60-second aging window,
 		// chunks leave one at a time, ~30 s of line time each.
 		for i := 0; i < 10; i++ {
-			sim.Sleep(30 * time.Second)
+			w.Sim.Sleep(30 * time.Second)
 			sample("")
 		}
 
 		// The moral: the CML drained without the user ever blocking, and
 		// three of the four autosaves never crossed the modem.
-		onServer, err := srv.ReadFile("usr", "build.tar")
+		onServer, err := srv.Member(0).ReadFile("usr", "build.tar")
 		must(err)
 		fmt.Printf("\nserver received build.tar intact: %d bytes\n", len(onServer))
 		st := v.Stats()
@@ -83,10 +80,4 @@ func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// mustv is must for setup calls that also return a value the demo does
-// not need.
-func mustv[T any](_ T, err error) {
-	must(err)
 }

@@ -5,22 +5,19 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 func runAt(t *testing.T, prof netsim.Profile) Result {
 	t.Helper()
-	s := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(s, 1)
-	net.SetDefaults(netsim.Ethernet.Params())
-	srv := server.New(s, net.Host("server"))
+	w := world.New(1)
+	s, net := w.Sim, w.Net
+	srv := w.Group(false, "server")
 	srv.CreateVolume("bench")
 	var res Result
-	s.Run(func() {
-		v := venus.New(s, net.Host("client"), venus.Config{
-			Server:               "server",
+	w.Run(func() {
+		v := w.Client("client", srv, venus.Config{
 			ClientID:             1,
 			PinWriteDisconnected: true,
 			TrickleInterval:      time.Second,

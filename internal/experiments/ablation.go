@@ -9,9 +9,9 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/rpc2"
-	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 // AblationResult compares a design choice against its alternative on one
@@ -42,11 +42,10 @@ func AblationAging(opts Options) AblationResult {
 		BaselineLabel: "A=600s", AlternativeLabel: "A≈0",
 	}
 	shipped := func(aging time.Duration, label string) float64 {
-		w, st := ablationReplay(opts, venus.Config{
+		st := ablationReplay(opts, venus.Config{
 			AgingWindow:          aging,
 			PinWriteDisconnected: true,
-		}, netsim.Modem)
-		res.addSnapshot(label, w.reg)
+		}, netsim.Modem, &res.ObsSnapshots, label)
 		return float64(st.ShippedBytes) / 1024
 	}
 	// AgingWindow 0 means "default" in Config; use 1ns for "no aging".
@@ -62,12 +61,11 @@ func AblationLogOptimizations(opts Options) AblationResult {
 		BaselineLabel: "optimized", AlternativeLabel: "disabled",
 	}
 	shipped := func(disable bool, label string) float64 {
-		w, st := ablationReplay(opts, venus.Config{
+		st := ablationReplay(opts, venus.Config{
 			AgingWindow:          600 * time.Second,
 			PinWriteDisconnected: true,
 			DisableLogOptimize:   disable,
-		}, netsim.Modem)
-		res.addSnapshot(label, w.reg)
+		}, netsim.Modem, &res.ObsSnapshots, label)
 		return float64(st.ShippedBytes+0) / 1024
 	}
 	res.Baseline = shipped(false, "optimized")
@@ -88,7 +86,7 @@ func AblationChunkSize(opts Options) AblationResult {
 		w.mustVol("usr")
 		w.mustWrite("usr", "wanted.txt", make([]byte, 4<<10))
 		var worst time.Duration
-		w.sim.Run(func() {
+		w.Run(func() {
 			v := w.venus("client", venus.Config{
 				ClientID:             1,
 				AgingWindow:          time.Second,
@@ -107,12 +105,12 @@ func AblationChunkSize(opts Options) AblationResult {
 			v.Connect(netsim.Modem.Bandwidth)
 			// A large pending update saturates the uplink...
 			_ = v.WriteFile("/coda/usr/big.out", make([]byte, 400<<10))
-			w.sim.Sleep(30 * time.Second)
+			w.Sim.Sleep(30 * time.Second)
 			// ...while the user misses on small files now and then. A
 			// starved foreground RPC can even time out and demote the
 			// client; the recovery time is part of what the user waits.
 			for i := 0; i < 10; i++ {
-				start := w.sim.Now()
+				start := w.Sim.Now()
 				for {
 					if _, err := v.ReadFile("/coda/usr/wanted.txt"); err == nil {
 						break
@@ -121,18 +119,18 @@ func AblationChunkSize(opts Options) AblationResult {
 						v.Connect(netsim.Modem.Bandwidth)
 						v.WriteDisconnect()
 					}
-					w.sim.Sleep(5 * time.Second)
+					w.Sim.Sleep(5 * time.Second)
 				}
-				if d := w.sim.Now().Sub(start); d > worst {
+				if d := w.Sim.Now().Sub(start); d > worst {
 					worst = d
 				}
-				w.sim.Sleep(2 * time.Minute)
+				w.Sim.Sleep(2 * time.Minute)
 				// Invalidate so the next read must refetch.
 				w.mustWrite("usr", "wanted.txt", make([]byte, 4<<10))
-				w.sim.Sleep(5 * time.Second)
+				w.Sim.Sleep(5 * time.Second)
 			}
+			res.addSnapshot(label, w.Reg)
 		})
-		res.addSnapshot(label, w.reg)
 		return seconds(worst)
 	}
 	// ChunkSeconds 30 (default, C=36KB at modem) vs 600 (C=720KB: the
@@ -178,18 +176,19 @@ func AblationAdaptiveRTO(opts Options) AblationResult {
 		BaselineLabel: "adaptive", AlternativeLabel: "fixed-3s",
 	}
 	run := func(fixed bool, label string) float64 {
-		s := simtime.NewSim(simtime.Epoch1995)
-		net := netsim.New(s, opts.Seed+5)
+		w := world.New(opts.Seed + 5)
+		s, reg := w.Sim, w.Reg
 		p := netsim.Modem.Params()
 		p.LossRate = 0.05
-		net.SetDefaults(p)
-		reg := obs.NewRegistry(s)
+		w.Net.SetDefaults(p)
 		var elapsed time.Duration
-		s.Run(func() {
-			rpc2.NewNode(s, net.Host("server"), netmon.NewMonitor(s), func(src string, _ obs.SpanContext, b []byte) ([]byte, error) {
+		w.Run(func() {
+			echo := rpc2.NewNode(s, w.Net.Host("server"), netmon.NewMonitor(s), func(src string, _ obs.SpanContext, b []byte) ([]byte, error) {
 				return b, nil
 			}, reg)
-			c := rpc2.NewNode(s, net.Host("client"), netmon.NewMonitor(s), nil, reg)
+			defer echo.Close()
+			c := rpc2.NewNode(s, w.Net.Host("client"), netmon.NewMonitor(s), nil, reg)
+			defer c.Close()
 			peer := c.Monitor().Peer("server")
 			start := s.Now()
 			n := 60
@@ -206,8 +205,8 @@ func AblationAdaptiveRTO(opts Options) AblationResult {
 				_, _ = c.Call("server", []byte{byte(i)}, rpc2.CallOpts{Timeout: 5 * time.Minute, MaxRetries: 20})
 			}
 			elapsed = s.Now().Sub(start)
+			res.addSnapshot(label, reg)
 		})
-		res.addSnapshot(label, reg)
 		return seconds(elapsed)
 	}
 	res.Baseline = run(false, "adaptive")
@@ -215,9 +214,10 @@ func AblationAdaptiveRTO(opts Options) AblationResult {
 	return res
 }
 
-// ablationReplay runs a short write-heavy replay over the given network and
-// returns the world (for its registry) and the venus stats afterwards.
-func ablationReplay(opts Options, cfg venus.Config, prof netsim.Profile) (*world, venus.Stats) {
+// ablationReplay runs a short write-heavy replay over the given network,
+// snapshots the world's registry under label and returns the venus stats
+// afterwards.
+func ablationReplay(opts Options, cfg venus.Config, prof netsim.Profile, snaps *ObsSnapshots, label string) venus.Stats {
 	p := trace.SegmentPreset("Messiaen", opts.Seed)
 	p.Duration = 20 * time.Minute
 	p.Updates = 60
@@ -232,9 +232,8 @@ func ablationReplay(opts Options, cfg venus.Config, prof netsim.Profile) (*world
 	cfg.CacheBytes = 1 << 30
 	cfg.TrickleInterval = 2 * time.Second
 	var stats venus.Stats
-	var v *venus.Venus
-	w.sim.Run(func() {
-		v = w.venus("client", cfg)
+	w.Run(func() {
+		v := w.venus("client", cfg)
 		if err := v.Mount(tr.Volume); err != nil {
 			panic(err)
 		}
@@ -245,10 +244,11 @@ func ablationReplay(opts Options, cfg venus.Config, prof netsim.Profile) (*world
 		v.WriteDisconnect()
 		w.setLink("client", prof)
 		v.Connect(prof.Bandwidth)
-		trace.Replay(w.sim, v, tr, trace.ReplayOpts{Lambda: time.Second})
+		trace.Replay(w.Sim, v, tr, trace.ReplayOpts{Lambda: time.Second})
 		// Let the trickle daemon finish what it can.
-		w.sim.Sleep(10 * time.Minute)
+		w.Sim.Sleep(10 * time.Minute)
 		stats = v.Stats()
+		snaps.addSnapshot(label, w.Reg)
 	})
-	return w, stats
+	return stats
 }

@@ -29,7 +29,7 @@ func AblationDeltas(opts Options) AblationResult {
 		w.mustVol("usr")
 		w.mustWrite("usr", "report.doc", base)
 		var shippedKB float64
-		w.sim.Run(func() {
+		w.Run(func() {
 			v := w.venus("client", venus.Config{
 				ClientID:             1,
 				AgingWindow:          2 * time.Second,
@@ -54,11 +54,11 @@ func AblationDeltas(opts Options) AblationResult {
 				}
 				// Let each edit age out and ship before the next, so
 				// every edit crosses the wire (no store-store cancel).
-				w.sim.Sleep(4 * time.Minute)
+				w.Sim.Sleep(4 * time.Minute)
 			}
 			shippedKB = float64(v.Stats().ShippedBytes) / 1024
+			res.addSnapshot(label, w.Reg)
 		})
-		res.addSnapshot(label, w.reg)
 		return shippedKB
 	}
 	res.Baseline = run(true, "deltas")

@@ -17,8 +17,8 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 // Options control experiment scale.
@@ -43,30 +43,25 @@ func (o *Options) fill() {
 	}
 }
 
-// world bundles one simulated deployment. Every component registers its
-// metrics in the shared reg (handles carry node labels, so the server and
-// any number of clients coexist without name collisions); figures dump it
-// at the end of a run so codabench can emit the metrics next to the
-// series.
-type world struct {
-	sim *simtime.Sim
-	net *netsim.Network
+// deployment is the figures' usual world: one server, named "server",
+// and any number of clients. Every component registers its metrics in
+// the world's registry (handles carry node labels, so they coexist
+// without name collisions); figures dump it at the end of a run, before
+// teardown, so codabench can emit the metrics next to the series.
+type deployment struct {
+	*world.World
+	grp *world.Group
 	srv *server.Server
-	reg *obs.Registry
 }
 
-func newWorld(seed int64) *world {
-	s := simtime.NewSim(simtime.Epoch1995)
-	n := netsim.New(s, seed)
-	n.SetDefaults(netsim.Ethernet.Params())
-	reg := obs.NewRegistry(s)
-	return &world{sim: s, net: n, srv: server.New(s, n.Host("server"), server.WithObs(reg)), reg: reg}
+func newWorld(seed int64) *deployment {
+	w := world.New(seed)
+	grp := w.Group(false, "server")
+	return &deployment{World: w, grp: grp, srv: grp.Member(0)}
 }
 
-func (w *world) venus(name string, cfg venus.Config) *venus.Venus {
-	cfg.Server = "server"
-	cfg.Obs = w.reg
-	return venus.New(w.sim, w.net.Host(name), cfg)
+func (w *deployment) venus(name string, cfg venus.Config) *venus.Venus {
+	return w.Client(name, w.grp, cfg)
 }
 
 // RegistrySnapshot is one deterministic obs.Registry dump captured at the
@@ -84,41 +79,35 @@ type ObsSnapshots struct {
 	Snapshots []RegistrySnapshot `json:"-"`
 }
 
-// addSnapshot appends reg's dump under label. Nil registries are skipped so
-// callers never need to guard.
+// addSnapshot appends reg's dump under label. Worlds call it at the end
+// of their run, before teardown.
 func (o *ObsSnapshots) addSnapshot(label string, reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	o.Snapshots = append(o.Snapshots, RegistrySnapshot{Label: label, Dump: reg.Dump()})
 }
 
 // RegistrySnapshots is the interface codabench type-asserts on results.
 func (o ObsSnapshots) RegistrySnapshots() []RegistrySnapshot { return o.Snapshots }
 
-// modelRegistry returns an empty registry pinned to the sim epoch, used by
-// figures that are pure model evaluations (no simulated world): their
-// snapshot is the deterministic empty dump.
-func modelRegistry() *obs.Registry {
-	return obs.NewRegistry(simtime.NewSim(simtime.Epoch1995))
-}
+// modelRegistry returns an empty world's registry, for figures that are
+// pure model evaluations: their snapshot is the deterministic empty dump.
+func modelRegistry() *obs.Registry { return world.New(0).Reg }
 
-func (w *world) setLink(client string, p netsim.Profile) {
-	w.net.SetLink(client, "server", p.Params())
+func (w *deployment) setLink(client string, p netsim.Profile) {
+	w.Net.SetLink(client, "server", p.Params())
 }
 
 // mustVol creates a volume during experiment setup. The sim is
 // deterministic, so a failure means the experiment itself is broken;
 // panicking beats silently regenerating a figure from a half-built
 // world.
-func (w *world) mustVol(name string) {
+func (w *deployment) mustVol(name string) {
 	if _, err := w.srv.CreateVolume(name); err != nil {
 		panic(fmt.Sprintf("experiment setup: create volume %s: %v", name, err))
 	}
 }
 
 // mustWrite writes a server-side file during experiment setup.
-func (w *world) mustWrite(vol, relPath string, data []byte) {
+func (w *deployment) mustWrite(vol, relPath string, data []byte) {
 	if _, err := w.srv.WriteFile(vol, relPath, data); err != nil {
 		panic(fmt.Sprintf("experiment setup: write %s/%s: %v", vol, relPath, err))
 	}

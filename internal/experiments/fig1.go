@@ -10,6 +10,7 @@ import (
 	"repro/internal/rpc2"
 	"repro/internal/simtime"
 	"repro/internal/tcpsim"
+	"repro/internal/world"
 )
 
 // wavelanLoss is the modeled radio loss rate of the 1995 WaveLan; it is
@@ -73,11 +74,11 @@ func Figure1(opts Options) Fig1Result {
 // the direction; the measurement endpoint mirrors the paper's disk-to-disk
 // timing.
 func fig1Throughput(proto string, prof netsim.Profile, size int, seed int64, clientSends bool, snaps *ObsSnapshots, label string) float64 {
-	s := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(s, seed)
-	var reg *obs.Registry
+	w := world.New(seed)
+	s, net := w.Sim, w.Net
+	var reg *obs.Registry // transport metrics only for the snapshotted trial
 	if snaps != nil {
-		reg = obs.NewRegistry(s)
+		reg = w.Reg
 	}
 	params := prof.Params()
 	if prof.Name == "WaveLan" {
@@ -99,12 +100,14 @@ func fig1Throughput(proto string, prof netsim.Profile, size int, seed int64, cli
 	}
 
 	var elapsed time.Duration
-	s.Run(func() {
+	w.Run(func() {
 		start := s.Now()
 		switch proto {
 		case "SFTP":
 			a := rpc2.NewNode(s, net.Host(src), netmon.NewMonitor(s), nil, reg)
+			defer a.Close()
 			b := rpc2.NewNode(s, net.Host(dst), netmon.NewMonitor(s), nil, reg)
+			defer b.Close()
 			done := simtime.NewQueue[error](s)
 			s.Go(func() { done.Put(a.Transfer(dst, 1, data)) })
 			if _, err := b.AwaitTransfer(src, 1, 4*time.Hour); err != nil {
@@ -115,7 +118,9 @@ func fig1Throughput(proto string, prof netsim.Profile, size int, seed int64, cli
 			}
 		case "TCP":
 			a := net.Host(src)
+			defer a.Close() // ends Send's ack reader
 			b := net.Host(dst)
+			defer b.Close()
 			done := simtime.NewQueue[error](s)
 			s.Go(func() { done.Put(tcpsim.Send(s, a, dst, 1, data)) })
 			if _, err := tcpsim.Receive(s, b, 1, 4*time.Hour); err != nil {
@@ -126,10 +131,10 @@ func fig1Throughput(proto string, prof netsim.Profile, size int, seed int64, cli
 			}
 		}
 		elapsed = s.Now().Sub(start)
+		if snaps != nil {
+			snaps.addSnapshot(label, reg)
+		}
 	})
-	if snaps != nil {
-		snaps.addSnapshot(label, reg)
-	}
 	return float64(size*8) / elapsed.Seconds() / 1000
 }
 

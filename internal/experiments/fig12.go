@@ -224,7 +224,7 @@ func fig12One(seed int64, r fig12Run, scale float64) fig12Out {
 	}
 
 	out := fig12Out{fig12Run: r}
-	w.sim.Run(func() {
+	w.Run(func() {
 		v := w.venus("client", venus.Config{
 			ClientID:             1,
 			CacheBytes:           1 << 30,
@@ -245,34 +245,35 @@ func fig12One(seed int64, r fig12Run, scale float64) fig12Out {
 		v.Connect(r.network.Bandwidth)
 
 		ropts := trace.ReplayOpts{Lambda: r.combo.Lambda, OpCost: replayOpCost}
-		trace.Replay(w.sim, v, warmTrace, ropts)
+		trace.Replay(w.Sim, v, warmTrace, ropts)
 
 		begin := v.CMLBytes()
 		ship0 := v.Stats().ShippedBytes
 		opt0 := v.OptimizedBytes()
-		start := w.sim.Now()
-		trace.Replay(w.sim, v, measured, ropts)
-		out.elapsed = seconds(w.sim.Now().Sub(start))
+		start := w.Sim.Now()
+		trace.Replay(w.Sim, v, measured, ropts)
+		out.elapsed = seconds(w.Sim.Now().Sub(start))
 		out.beginKB = float64(begin) / 1024
 		out.endKB = float64(v.CMLBytes()) / 1024
 		out.shipped = float64(v.Stats().ShippedBytes-ship0) / 1024
 		out.optimzed = float64(v.OptimizedBytes()-opt0) / 1024
-	})
-	if r.trial == 0 {
+		if r.trial != 0 {
+			return
+		}
 		// Critical-path attribution over the run's traced reintegrations:
 		// exclusive self-time per bucket, exported as gauges so benchgate
 		// pins the breakdown alongside the wire counters.
-		cp := w.reg.CriticalPath("venus_reintegrate")
-		w.reg.Gauge("experiments_fig12_critpath_patience_wait_us").Set(cp["patience_wait"].Microseconds())
-		w.reg.Gauge("experiments_fig12_critpath_retransmit_us").Set(cp["retransmit"].Microseconds())
-		w.reg.Gauge("experiments_fig12_critpath_fragment_serialization_us").Set(cp["fragment_serialization"].Microseconds())
-		w.reg.Gauge("experiments_fig12_critpath_fsync_us").Set(cp["fsync"].Microseconds())
-		w.reg.Gauge("experiments_fig12_critpath_failover_us").Set(cp["failover"].Microseconds())
-		w.reg.Gauge("experiments_fig12_critpath_server_apply_us").Set(cp["server_apply"].Microseconds())
-		w.reg.Gauge("experiments_fig12_critpath_other_us").Set(cp["other"].Microseconds())
-		out.dump = w.reg.Dump()
-		out.trace = w.reg.ExportTrace()
-	}
+		cp := w.Reg.CriticalPath("venus_reintegrate")
+		w.Reg.Gauge("experiments_fig12_critpath_patience_wait_us").Set(cp["patience_wait"].Microseconds())
+		w.Reg.Gauge("experiments_fig12_critpath_retransmit_us").Set(cp["retransmit"].Microseconds())
+		w.Reg.Gauge("experiments_fig12_critpath_fragment_serialization_us").Set(cp["fragment_serialization"].Microseconds())
+		w.Reg.Gauge("experiments_fig12_critpath_fsync_us").Set(cp["fsync"].Microseconds())
+		w.Reg.Gauge("experiments_fig12_critpath_failover_us").Set(cp["failover"].Microseconds())
+		w.Reg.Gauge("experiments_fig12_critpath_server_apply_us").Set(cp["server_apply"].Microseconds())
+		w.Reg.Gauge("experiments_fig12_critpath_other_us").Set(cp["other"].Microseconds())
+		out.dump = w.Reg.Dump()
+		out.trace = w.Reg.ExportTrace()
+	})
 	return out
 }
 

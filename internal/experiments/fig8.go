@@ -89,7 +89,8 @@ func fig8Run(opts Options, prof Fig8Profile, scheme string) ([]Fig8Cell, Registr
 	}
 
 	var cells []Fig8Cell
-	w.sim.Run(func() {
+	snap := RegistrySnapshot{Label: prof.User + "/" + scheme}
+	w.Run(func() {
 		v := w.venus("client", venus.Config{
 			ClientID:               1,
 			CacheBytes:             1 << 30,
@@ -108,11 +109,11 @@ func fig8Run(opts Options, prof Fig8Profile, scheme string) ([]Fig8Cell, Registr
 
 		for _, net := range netsim.StandardNetworks {
 			// Ideal conditions: nothing changes while disconnected.
-			w.net.SetUp("client", "server", false)
+			w.Net.SetUp("client", "server", false)
 			v.Disconnect()
 			w.setLink("client", net)
 
-			start := w.sim.Now()
+			start := w.Sim.Now()
 			v.Connect(net.Bandwidth)
 			if scheme == "object" {
 				// The original scheme: every cached object validated
@@ -121,15 +122,15 @@ func fig8Run(opts Options, prof Fig8Profile, scheme string) ([]Fig8Cell, Registr
 					panic(err)
 				}
 			}
-			elapsed := w.sim.Now().Sub(start)
+			elapsed := w.Sim.Now().Sub(start)
 			elapsed += time.Duration(prof.Objects) * localWalkPerObject
 			cells = append(cells, Fig8Cell{
 				User: prof.User, Network: net, Scheme: scheme,
 				Seconds: seconds(elapsed),
 			})
 		}
+		snap.Dump = w.Reg.Dump()
 	})
-	snap := RegistrySnapshot{Label: prof.User + "/" + scheme, Dump: w.reg.Dump()}
 	return cells, snap
 }
 

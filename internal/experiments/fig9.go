@@ -86,7 +86,7 @@ func Figure9(opts Options) Fig9Result {
 		name  string
 		stats venus.Stats
 	}
-	results := simtime.NewQueue[clientDone](w.sim)
+	results := simtime.NewQueue[clientDone](w.Sim)
 
 	runClient := func(name string, id uint32, laptop bool, crng *rand.Rand) {
 		// Each client mounts a handful of volumes and hoards their trees.
@@ -112,22 +112,22 @@ func Figure9(opts Options) Fig9Result {
 		expHours := func(mean float64) time.Duration {
 			return time.Duration(crng.ExpFloat64() * mean * float64(time.Hour))
 		}
-		deadline := w.sim.Now().Add(duration)
-		for w.sim.Now().Before(deadline) {
+		deadline := w.Sim.Now().Add(duration)
+		for w.Sim.Now().Before(deadline) {
 			// Connected period.
-			w.sim.Sleep(expHours(2.5))
-			if !w.sim.Now().Before(deadline) {
+			w.Sim.Sleep(expHours(2.5))
+			if !w.Sim.Now().Before(deadline) {
 				break
 			}
 			// Disconnect: desktops have short outages, laptops travel.
-			w.net.SetUp(name, "server", false)
+			w.Net.SetUp(name, "server", false)
 			v.Disconnect()
 			if laptop {
-				w.sim.Sleep(expHours(2.0))
+				w.Sim.Sleep(expHours(2.0))
 			} else {
-				w.sim.Sleep(expHours(0.7))
+				w.Sim.Sleep(expHours(0.7))
 			}
-			w.net.SetUp(name, "server", true)
+			w.Net.SetUp(name, "server", true)
 			bw := int64(10_000_000)
 			if laptop {
 				// Laptops reconnect over whatever is at hand.
@@ -147,20 +147,23 @@ func Figure9(opts Options) Fig9Result {
 
 	var res Fig9Result
 	res.Weeks = weeks
-	w.sim.Run(func() {
+	w.Run(func() {
 		// Cross-client update traffic, server-side.
 		for _, vi := range vols {
 			vi := vi
 			urng := rand.New(rand.NewSource(opts.Seed + int64(len(vi.name))*31 + int64(vi.name[3])))
-			w.sim.Go(func() {
-				deadline := w.sim.Now().Add(duration)
+			w.Sim.Go(func() {
+				deadline := w.Sim.Now().Add(duration)
 				for {
 					meanH := 240.0 // quiet: ~10 days between updates
 					if vi.busy {
 						meanH = 12.0
 					}
-					w.sim.Sleep(time.Duration(urng.ExpFloat64() * meanH * float64(time.Hour)))
-					if !w.sim.Now().Before(deadline) {
+					// An update due past the deadline never happens: sleep no
+					// further, so the updater ends with the run.
+					next := time.Duration(urng.ExpFloat64() * meanH * float64(time.Hour))
+					w.Sim.Sleep(min(next, deadline.Sub(w.Sim.Now())))
+					if !w.Sim.Now().Before(deadline) {
 						return
 					}
 					f := urng.Intn(vi.files)
@@ -175,14 +178,14 @@ func Figure9(opts Options) Fig9Result {
 			cid := id
 			crng := rand.New(rand.NewSource(opts.Seed + int64(cid)*101))
 			id++
-			w.sim.Go(func() { runClient(name, cid, false, crng) })
+			w.Sim.Go(func() { runClient(name, cid, false, crng) })
 		}
 		for _, name := range laptops {
 			name := name
 			cid := id
 			crng := rand.New(rand.NewSource(opts.Seed + int64(cid)*101))
 			id++
-			w.sim.Go(func() { runClient(name, cid, true, crng) })
+			w.Sim.Go(func() { runClient(name, cid, true, crng) })
 		}
 
 		byName := make(map[string]venus.Stats)
@@ -196,8 +199,8 @@ func Figure9(opts Options) Fig9Result {
 		for _, name := range laptops {
 			res.Laptops = append(res.Laptops, fig9Row(name, byName[name]))
 		}
+		res.addSnapshot("deployment", w.Reg)
 	})
-	res.addSnapshot("deployment", w.reg)
 	return res
 }
 

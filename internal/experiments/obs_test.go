@@ -56,7 +56,7 @@ func TestFig8ValidationRPCCounts(t *testing.T) {
 			}
 		}
 		var cached int
-		w.sim.Run(func() {
+		w.Run(func() {
 			v := w.venus("client", venus.Config{
 				ClientID:               1,
 				CacheBytes:             1 << 30,
@@ -73,7 +73,7 @@ func TestFig8ValidationRPCCounts(t *testing.T) {
 				panic(err)
 			}
 			cached = v.CacheStats().Objects
-			w.net.SetUp("client", "server", false)
+			w.Net.SetUp("client", "server", false)
 			v.Disconnect()
 			w.setLink("client", netsim.Modem)
 			v.Connect(netsim.Modem.Bandwidth)
@@ -83,7 +83,7 @@ func TestFig8ValidationRPCCounts(t *testing.T) {
 				}
 			}
 		})
-		return w.reg, cached
+		return w.Reg, cached
 	}
 
 	serverOp := func(reg *obs.Registry, op string) int64 {

@@ -1,18 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
-	"repro/internal/crashfs"
-	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
-	"repro/internal/wal"
+	"repro/internal/world"
 )
 
 // ReplResult quantifies server replication (the paper's replicated volume
@@ -52,28 +47,24 @@ type ReplResult struct {
 type replRunOut struct {
 	clientBytes int64
 	totalBytes  int64
-	reg         *obs.Registry
+	dump        []byte // registry dump, captured before teardown
+	ratioX100   int64
 	failovers   int64
 	failWaitUS  int64
 	catchup     int64
 	identical   bool
 }
 
-func replJournalOpts(mem *crashfs.Mem) server.JournalOptions {
-	return server.JournalOptions{FS: mem, Dir: "sj", Policy: wal.SyncEachRecord}
-}
-
 // replWireBytes sums wire bytes over the client link (laptop↔members)
 // and over every link in the deployment (adding member↔member ship
 // traffic).
-func replWireBytes(net *netsim.Network, members int) (client, total int64) {
-	addr := func(i int) string { return fmt.Sprintf("srv%d", i) }
-	for i := 0; i < members; i++ {
-		client += net.StatsBetween("laptop", addr(i)).BytesSent
-		client += net.StatsBetween(addr(i), "laptop").BytesSent
-		for j := 0; j < members; j++ {
+func replWireBytes(net *netsim.Network, members []string) (client, total int64) {
+	for i, m := range members {
+		client += net.StatsBetween("laptop", m).BytesSent
+		client += net.StatsBetween(m, "laptop").BytesSent
+		for j, peer := range members {
 			if j != i {
-				total += net.StatsBetween(addr(i), addr(j)).BytesSent
+				total += net.StatsBetween(m, peer).BytesSent
 			}
 		}
 	}
@@ -82,42 +73,26 @@ func replWireBytes(net *netsim.Network, members int) (client, total int64) {
 }
 
 // replRun drives the workload against a members-sized group: connected
-// writes, then (when fail is set) a member kill mid-workload, more writes
+// writes, then — in the failure run, the one given the single-server
+// run to compare against — a member kill mid-workload, more writes
 // riding on failover, and a journal-replay restart followed by CatchUp.
-func replRun(opts Options, members, files, fileBytes, extraFiles int, fail bool) replRunOut {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, opts.Seed+41+int64(members))
-	net.SetDefaults(netsim.Ethernet.Params())
-	reg := obs.NewRegistry(sim)
-	conns := make([]netsim.PacketConn, members)
-	for i := range conns {
-		conns[i] = net.Host(fmt.Sprintf("srv%d", i))
+func replRun(opts Options, members, files, fileBytes, extraFiles int, single *replRunOut) replRunOut {
+	fail := single != nil
+	w := world.New(opts.Seed + 41 + int64(members))
+	addrs := make([]string, members)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("srv%d", i)
 	}
-	grp, err := group.New(sim, conns, group.WithObs(reg))
-	if err != nil {
-		panic(fmt.Sprintf("repl setup: %v", err))
-	}
-	var mems []*crashfs.Mem
-	if fail {
-		mems = make([]*crashfs.Mem, members)
-		for i := range mems {
-			mems[i] = crashfs.NewMem()
-			if _, err := grp.Member(i).AttachJournal(replJournalOpts(mems[i])); err != nil {
-				panic(fmt.Sprintf("repl setup: journal: %v", err))
-			}
-		}
-	}
+	grp := w.Group(fail, addrs...)
 	info, err := grp.CreateVolume("work")
 	if err != nil {
 		panic(fmt.Sprintf("repl setup: %v", err))
 	}
 
-	out := replRunOut{reg: reg}
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Servers:         grp.Addrs(),
+	var out replRunOut
+	w.Run(func() {
+		v := w.Client("laptop", grp, venus.Config{
 			ClientID:        1,
-			Obs:             reg,
 			TrickleInterval: time.Second,
 		})
 		if err := v.Mount("work"); err != nil {
@@ -132,17 +107,18 @@ func replRun(opts Options, members, files, fileBytes, extraFiles int, fail bool)
 				panic(err)
 			}
 		}
-		sim.Sleep(30 * time.Second) // let ships drain
-		out.clientBytes, out.totalBytes = replWireBytes(net, members)
+		w.Sim.Sleep(30 * time.Second) // let ships drain
+		out.clientBytes, out.totalBytes = replWireBytes(w.Net, addrs)
 
 		if !fail {
+			out.dump = w.Reg.Dump()
 			return
 		}
 		// Kill the client's preferred member mid-workload. The writes that
 		// follow must succeed through failover; the client pays one RPC
 		// timeout, recorded as failover wait.
 		victim := int(uint64(info.ID) % uint64(members))
-		grp.Member(victim).Close()
+		grp.Kill(victim)
 		for f := 0; f < extraFiles; f++ {
 			if err := v.WriteFile(fmt.Sprintf("/coda/work/g%03d.txt", f), payload); err != nil {
 				panic(fmt.Sprintf("repl: write during member outage: %v", err))
@@ -151,35 +127,27 @@ func replRun(opts Options, members, files, fileBytes, extraFiles int, fail bool)
 		st := v.Stats()
 		out.failovers = st.Failovers
 		//codalint:ignore obsname reading Venus's existing failover-wait series, not registering an experiments one
-		out.failWaitUS = reg.Counter("venus_failover_wait_us_total", obs.L("client", "laptop")).Value()
+		out.failWaitUS = w.Reg.Counter("venus_failover_wait_us_total", obs.L("client", "laptop")).Value()
 
 		// Reboot the victim: fresh process on the old address, WAL replay,
 		// then a pull of everything it missed from the member the client
 		// failed over to.
-		fresh, err := grp.Restart(victim, net.Host(grp.Addrs()[victim]), replJournalOpts(mems[victim]))
-		if err != nil {
+		if err := grp.Restart(victim, addrs[(victim+1)%members]); err != nil {
 			panic(fmt.Sprintf("repl: %v", err))
 		}
-		if err := fresh.CatchUp(grp.Addrs()[(victim+1)%members]); err != nil {
-			panic(fmt.Sprintf("repl: catch-up: %v", err))
-		}
-		sim.Sleep(10 * time.Second)
-		out.catchup = fresh.Stats().CatchupRecords
+		w.Sim.Sleep(10 * time.Second)
+		out.catchup = grp.Member(victim).Stats().CatchupRecords
+		_, _, err := grp.Identical()
+		out.identical = err == nil
 
-		out.identical = true
-		var img0 bytes.Buffer
-		if err := grp.Member(0).SaveState(&img0); err != nil {
-			panic(err)
+		// The gated overhead series, exported from the group run's registry
+		// so benchgate reads it out of the same snapshot as the failover
+		// series.
+		if single.clientBytes > 0 {
+			out.ratioX100 = out.clientBytes * 100 / single.clientBytes
 		}
-		for i := 1; i < members; i++ {
-			var img bytes.Buffer
-			if err := grp.Member(i).SaveState(&img); err != nil {
-				panic(err)
-			}
-			if !bytes.Equal(img0.Bytes(), img.Bytes()) {
-				out.identical = false
-			}
-		}
+		w.Reg.Gauge("experiments_repl_client_wire_ratio_x100").Set(out.ratioX100)
+		out.dump = w.Reg.Dump()
 	})
 	return out
 }
@@ -195,24 +163,19 @@ func FigureRepl(opts Options) ReplResult {
 	}
 	res := ReplResult{Members: 3, Files: files, FileBytes: size}
 
-	single := replRun(opts, 1, files, size, 0, false)
-	grp := replRun(opts, res.Members, files, size, extra, true)
+	single := replRun(opts, 1, files, size, 0, nil)
+	grp := replRun(opts, res.Members, files, size, extra, &single)
 
 	res.SingleClientBytes, res.SingleTotalBytes = single.clientBytes, single.totalBytes
 	res.GroupClientBytes, res.GroupTotalBytes = grp.clientBytes, grp.totalBytes
-	if single.clientBytes > 0 {
-		res.ClientRatioX100 = grp.clientBytes * 100 / single.clientBytes
-	}
+	res.ClientRatioX100 = grp.ratioX100
 	res.Failovers = grp.failovers
 	res.FailoverWaitUS = grp.failWaitUS
 	res.CatchupRecords = grp.catchup
 	res.Identical = grp.identical
-
-	// The gated overhead series, exported from the group run's registry so
-	// benchgate reads it out of the same snapshot as the failover series.
-	grp.reg.Gauge("experiments_repl_client_wire_ratio_x100").Set(res.ClientRatioX100)
-	res.addSnapshot("single", single.reg)
-	res.addSnapshot("replicated", grp.reg)
+	res.Snapshots = append(res.Snapshots,
+		RegistrySnapshot{Label: "single", Dump: single.dump},
+		RegistrySnapshot{Label: "replicated", Dump: grp.dump})
 	return res
 }
 

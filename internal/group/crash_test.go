@@ -1,22 +1,16 @@
-package group
+// The group's tests build and power-cycle their deployments through
+// internal/world, which imports this package: hence the external test
+// package.
+package group_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/crashfs"
-	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
-	"repro/internal/wal"
+	"repro/internal/world"
 )
-
-func journalOpts(mem *crashfs.Mem) server.JournalOptions {
-	return server.JournalOptions{FS: mem, Dir: "sj", Policy: wal.SyncEachRecord}
-}
 
 // replicaCrashScenario runs the kill-1-of-3 experiment with a power cut
 // armed at the crashAt-th journal write on the client's preferred member
@@ -32,41 +26,27 @@ func replicaCrashScenario(t *testing.T, crashAt int) int {
 		R = 3 // disconnect→write→reintegrate rounds (journal batches)
 		K = 2 // files per round
 	)
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 5)
-	net.SetDefaults(netsim.Ethernet.Params())
-	conns := []netsim.PacketConn{net.Host("srv0"), net.Host("srv1"), net.Host("srv2")}
-	grp, err := New(sim, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	w := world.New(5)
+	sim := w.Sim
 	// Every member journals, so whichever member turns out to be the
 	// client's preferred one has a journal to crash and recover from.
-	mems := make([]*crashfs.Mem, grp.Len())
-	for i := range mems {
-		mems[i] = crashfs.NewMem()
-		if _, err := grp.Member(i).AttachJournal(journalOpts(mems[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	grp := w.Group(true, "srv0", "srv1", "srv2")
 	info, err := grp.CreateVolume("work")
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := int(uint64(info.ID) % uint64(grp.Len()))
-	victimAddr := grp.Addrs()[victim]
 	// ArmCrash counts writes from now, so the sweep bound is the number of
 	// journal writes the scenario performs after this point, not the total.
-	preWrites := mems[victim].Writes()
+	disk := grp.Disk(victim)
+	preWrites := disk.Writes()
 	if crashAt > 0 {
-		mems[victim].ArmCrash(crashAt, 0)
+		disk.ArmCrash(crashAt, 0)
 	}
 
 	var writes int
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Servers:         grp.Addrs(),
+	w.Run(func() {
+		v := w.Client("laptop", grp, venus.Config{
 			ClientID:        1,
 			AgingWindow:     time.Second,
 			TrickleInterval: time.Second,
@@ -97,54 +77,27 @@ func replicaCrashScenario(t *testing.T, crashAt int) int {
 				t.Fatalf("crashAt=%d round %d: CML still holds %d records", crashAt, r, n)
 			}
 		}
-		writes = mems[victim].Writes() - preWrites
+		writes = disk.Writes() - preWrites
 
 		if crashAt > 0 {
 			if v.Stats().Failovers == 0 {
 				t.Errorf("crashAt=%d: no failover despite the victim's journal dying", crashAt)
 			}
-			// Power-cycle the victim: the dead process leaves the
-			// address, the journal reboots with only its durable prefix,
-			// and a fresh server recovers from it.
-			grp.Member(victim).Close()
-			mems[victim].Reboot()
-			if _, err := grp.Restart(victim, net.Host(victimAddr), journalOpts(mems[victim])); err != nil {
+			// Power-cycle the victim: it reboots from its journal's
+			// durable prefix.
+			if err := grp.Restart(victim, ""); err != nil {
 				t.Fatalf("crashAt=%d: %v", crashAt, err)
 			}
 		}
 
-		// Anti-entropy: everyone pulls from the most advanced member
-		// (the replacement needs it; survivors may also have missed a
-		// push while the victim was failing mid-ship).
-		best, bestLSN := 0, uint64(0)
-		for i := 0; i < grp.Len(); i++ {
-			if lsn, _, err := grp.Member(i).VolumeLSN("work"); err == nil && lsn >= bestLSN {
-				best, bestLSN = i, lsn
-			}
+		// Anti-entropy (the replacement needs it; survivors may also have
+		// missed a push while the victim was failing mid-ship), then
+		// convergence: byte-identical state, files present everywhere.
+		if err := grp.Converge(); err != nil {
+			t.Fatalf("crashAt=%d: %v", crashAt, err)
 		}
-		for i := 0; i < grp.Len(); i++ {
-			if i == best {
-				continue
-			}
-			if err := grp.Member(i).CatchUp(grp.Addrs()[best]); err != nil {
-				t.Fatalf("crashAt=%d: member %d catch-up from %d: %v", crashAt, i, best, err)
-			}
-		}
-		sim.Sleep(5 * time.Second)
-
-		// Convergence: byte-identical state, files present everywhere.
-		var img0 bytes.Buffer
-		if err := grp.Member(0).SaveState(&img0); err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < grp.Len(); i++ {
-			var img bytes.Buffer
-			if err := grp.Member(i).SaveState(&img); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(img0.Bytes(), img.Bytes()) {
-				t.Errorf("crashAt=%d: member %d diverged from member 0", crashAt, i)
-			}
+		if _, _, err := grp.Identical(); err != nil {
+			t.Errorf("crashAt=%d: %v", crashAt, err)
 		}
 		for r := 0; r < R; r++ {
 			for k := 0; k < K; k++ {

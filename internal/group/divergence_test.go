@@ -1,14 +1,13 @@
-package group
+package group_test
 
 import (
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 // TestDivergenceCounter forces real divergence — two members accept
@@ -18,24 +17,15 @@ import (
 // counter matters because divergence errors cross the wire as opaque
 // strings: only the local hook sees the typed ErrDiverged.
 func TestDivergenceCounter(t *testing.T) {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 11)
-	net.SetDefaults(netsim.Ethernet.Params())
-	reg := obs.NewRegistry(sim)
-	conns := []netsim.PacketConn{net.Host("pair0"), net.Host("pair1")}
-	grp, err := New(sim, conns, WithObs(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := world.New(11)
+	sim, net, reg := w.Sim, w.Net, w.Reg
+	grp := w.Group(false, "pair0", "pair1")
 	if _, err := grp.CreateVolume("work"); err != nil {
 		t.Fatal(err)
 	}
 
-	sim.Run(func() {
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Servers:  grp.Addrs(),
-			ClientID: 1,
-		})
+	w.Run(func() {
+		v := w.Client("laptop", grp, venus.Config{ClientID: 1})
 		if err := v.Mount("work"); err != nil {
 			t.Fatal(err)
 		}

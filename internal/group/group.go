@@ -1,7 +1,6 @@
 // Package group assembles server.Server replicas into replicated volume
 // storage groups — the paper's VSGs (§2: "volumes … stored at a group of
-// servers"), scaled out with a placement map so a deployment can run many
-// groups side by side.
+// servers").
 //
 // A Group is N servers that each hold every volume the group carries.
 // Members push committed log entries to each other (ShipLog) and pull
@@ -10,15 +9,10 @@
 // peer wiring, mirrors administrative operations (volume creation,
 // seeding) across them, and exposes replica-lag observability. Clients
 // talk to members directly and fail over between them (internal/venus).
-//
-// Placement maps volume names onto groups deterministically, so every
-// client and tool resolves a volume to the same group without a
-// directory service — the precursor to real sharding (ROADMAP item 5).
 package group
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/codafs"
 	"repro/internal/netsim"
@@ -102,11 +96,6 @@ func (g *Group) Len() int { return len(g.servers) }
 
 // Addrs returns the members' addresses in canonical order.
 func (g *Group) Addrs() []string { return append([]string(nil), g.addrs...) }
-
-// Servers returns the members in canonical order.
-func (g *Group) Servers() []*server.Server {
-	return append([]*server.Server(nil), g.servers...)
-}
 
 // Member returns member i.
 func (g *Group) Member(i int) *server.Server { return g.servers[i] }
@@ -213,47 +202,4 @@ func (g *Group) lagOf(srv *server.Server) int64 {
 		}
 	}
 	return int64(lag)
-}
-
-// Placement deterministically maps volume names onto groups: explicit
-// pins win, everything else hashes. Every process that constructs the
-// same Placement resolves volumes identically.
-type Placement struct {
-	groups []*Group
-	pinned map[string]int
-}
-
-// NewPlacement builds a placement over the given groups in order.
-func NewPlacement(groups ...*Group) *Placement {
-	return &Placement{groups: groups, pinned: make(map[string]int)}
-}
-
-// Pin assigns a volume to a specific group index, overriding the hash.
-func (p *Placement) Pin(volume string, group int) error {
-	if group < 0 || group >= len(p.groups) {
-		return fmt.Errorf("group: pin %q to group %d of %d", volume, group, len(p.groups))
-	}
-	p.pinned[volume] = group
-	return nil
-}
-
-// GroupFor resolves the group that carries a volume.
-func (p *Placement) GroupFor(volume string) *Group {
-	return p.groups[p.IndexFor(volume)]
-}
-
-// IndexFor resolves the group index for a volume: its pin if present,
-// otherwise an FNV-1a hash of the name modulo the group count.
-func (p *Placement) IndexFor(volume string) int {
-	if i, ok := p.pinned[volume]; ok {
-		return i
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(volume))
-	return int(h.Sum32() % uint32(len(p.groups)))
-}
-
-// Groups returns the placement's groups in order.
-func (p *Placement) Groups() []*Group {
-	return append([]*Group(nil), p.groups...)
 }

@@ -1,4 +1,4 @@
-package group
+package group_test
 
 import (
 	"fmt"
@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crashfs"
-	"repro/internal/netsim"
-	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
 // TestStressCheckpointDuringReintegration is the lockorder analyzer's
@@ -29,21 +27,11 @@ func TestStressCheckpointDuringReintegration(t *testing.T) {
 		R = 4 // disconnect -> write -> reconnect rounds
 		K = 3 // files per volume per round
 	)
-	sim := simtime.NewSim(simtime.Epoch1995)
-	net := netsim.New(sim, 7)
-	net.SetDefaults(netsim.Ethernet.Params())
-	conns := []netsim.PacketConn{net.Host("srv0"), net.Host("srv1"), net.Host("srv2")}
-	grp, err := New(sim, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := world.New(7)
+	sim := w.Sim
 	// Journals on every member so checkpoints exercise the sjMu/WAL.mu
 	// layers, not just the in-memory snapshot path.
-	for i := 0; i < grp.Len(); i++ {
-		if _, err := grp.Member(i).AttachJournal(journalOpts(crashfs.NewMem())); err != nil {
-			t.Fatal(err)
-		}
-	}
+	grp := w.Group(true, "srv0", "srv1", "srv2")
 	vols := make([]string, V)
 	for i := range vols {
 		vols[i] = fmt.Sprintf("work%d", i)
@@ -54,7 +42,7 @@ func TestStressCheckpointDuringReintegration(t *testing.T) {
 
 	var done atomic.Bool
 	var checkpoints atomic.Int64
-	sim.Run(func() {
+	w.Run(func() {
 		// One hammer per member, running for the whole client session:
 		// checkpoint (journal truncation under every volume lock) and a
 		// full state snapshot, back to back, on a cadence deliberately
@@ -77,8 +65,7 @@ func TestStressCheckpointDuringReintegration(t *testing.T) {
 			})
 		}
 
-		v := venus.New(sim, net.Host("laptop"), venus.Config{
-			Servers:         grp.Addrs(),
+		v := w.Client("laptop", grp, venus.Config{
 			ClientID:        1,
 			AgingWindow:     time.Second,
 			TrickleInterval: time.Second,

@@ -24,7 +24,7 @@ func TestConnectivityChurnConverges(t *testing.T) {
 			w.srv.CreateVolume("churn")
 			rng := rand.New(rand.NewSource(seed))
 
-			w.sim.Run(func() {
+			w.Run(func() {
 				v := w.venus("c", 1, venus.Config{
 					AgingWindow:     5 * time.Second,
 					TrickleInterval: 2 * time.Second,
@@ -42,18 +42,18 @@ func TestConnectivityChurnConverges(t *testing.T) {
 					switch rng.Intn(4) {
 					case 0: // outage
 						if connected {
-							w.net.SetUp("c", "server", false)
+							w.Net.SetUp("c", "server", false)
 							v.Disconnect()
 							connected = false
 						}
 					case 1: // modem
-						w.net.SetUp("c", "server", true)
-						w.net.SetLink("c", "server", netsim.Modem.Params())
+						w.Net.SetUp("c", "server", true)
+						w.Net.SetLink("c", "server", netsim.Modem.Params())
 						v.Connect(9600)
 						connected = true
 					case 2: // LAN
-						w.net.SetUp("c", "server", true)
-						w.net.SetLink("c", "server", netsim.Ethernet.Params())
+						w.Net.SetUp("c", "server", true)
+						w.Net.SetLink("c", "server", netsim.Ethernet.Params())
 						v.Connect(10_000_000)
 						connected = true
 					case 3: // stay put
@@ -74,12 +74,12 @@ func TestConnectivityChurnConverges(t *testing.T) {
 					case 4: // read (may miss while disconnected; fine)
 						v.ReadFile(name)
 					}
-					w.sim.Sleep(time.Duration(5+rng.Intn(40)) * time.Second)
+					w.Sim.Sleep(time.Duration(5+rng.Intn(40)) * time.Second)
 				}
 
 				// Settle: strong link, full drain.
-				w.net.SetUp("c", "server", true)
-				w.net.SetLink("c", "server", netsim.Ethernet.Params())
+				w.Net.SetUp("c", "server", true)
+				w.Net.SetLink("c", "server", netsim.Ethernet.Params())
 				v.Connect(10_000_000)
 				if err := v.ForceReintegrate(); err != nil {
 					t.Fatalf("final drain: %v", err)

@@ -15,28 +15,31 @@ import (
 	"repro/internal/server"
 	"repro/internal/simtime"
 	"repro/internal/venus"
+	"repro/internal/world"
 )
 
-type world struct {
-	sim *simtime.Sim
-	net *netsim.Network
+// deployment is a world with one server group and the suite's client
+// defaults. srv is member 0: the server of a single-server world.
+type deployment struct {
+	*world.World
+	grp *world.Group
 	srv *server.Server
 }
 
-func newWorld(seed int64) *world {
-	s := simtime.NewSim(simtime.Epoch1995)
-	n := netsim.New(s, seed)
-	n.SetDefaults(netsim.Ethernet.Params())
-	return &world{sim: s, net: n, srv: server.New(s, n.Host("server"))}
+func deploy(seed int64, addrs ...string) *deployment {
+	w := world.New(seed)
+	grp := w.Group(false, addrs...)
+	return &deployment{World: w, grp: grp, srv: grp.Member(0)}
 }
 
-func (w *world) venus(name string, id uint32, cfg venus.Config) *venus.Venus {
-	cfg.Server = "server"
+func newWorld(seed int64) *deployment { return deploy(seed, "server") }
+
+func (w *deployment) venus(name string, id uint32, cfg venus.Config) *venus.Venus {
 	cfg.ClientID = id
 	if cfg.TrickleInterval == 0 {
 		cfg.TrickleInterval = time.Second
 	}
-	return venus.New(w.sim, w.net.Host(name), cfg)
+	return w.Client(name, w.grp, cfg)
 }
 
 // TestTwoClientsShareUpdatesViaCallbacks: classic sharing — one client
@@ -46,7 +49,7 @@ func TestTwoClientsShareUpdatesViaCallbacks(t *testing.T) {
 	w := newWorld(1)
 	w.srv.CreateVolume("shared")
 	w.srv.WriteFile("shared", "board.txt", []byte("round 0"))
-	w.sim.Run(func() {
+	w.Run(func() {
 		a := w.venus("alice", 1, venus.Config{})
 		b := w.venus("bob", 2, venus.Config{})
 		for _, v := range []*venus.Venus{a, b} {
@@ -63,7 +66,7 @@ func TestTwoClientsShareUpdatesViaCallbacks(t *testing.T) {
 			if err := writer.WriteFile("/coda/shared/board.txt", msg); err != nil {
 				t.Fatal(err)
 			}
-			w.sim.Sleep(time.Second) // break delivery
+			w.Sim.Sleep(time.Second) // break delivery
 			got, err := reader.ReadFile("/coda/shared/board.txt")
 			if err != nil || !bytes.Equal(got, msg) {
 				t.Fatalf("round %d: reader saw %q, %v", round, got, err)
@@ -80,7 +83,7 @@ func TestConflictMatrix(t *testing.T) {
 	w.srv.CreateVolume("v")
 	w.srv.WriteFile("v", "both-edit", []byte("base"))
 	w.srv.WriteFile("v", "edit-vs-remove", []byte("base"))
-	w.sim.Run(func() {
+	w.Run(func() {
 		a := w.venus("alice", 1, venus.Config{AgingWindow: time.Second})
 		b := w.venus("bob", 2, venus.Config{AgingWindow: time.Second})
 		for _, v := range []*venus.Venus{a, b} {
@@ -93,8 +96,8 @@ func TestConflictMatrix(t *testing.T) {
 		}
 
 		// Both disconnect and diverge.
-		w.net.SetUp("alice", "server", false)
-		w.net.SetUp("bob", "server", false)
+		w.Net.SetUp("alice", "server", false)
+		w.Net.SetUp("bob", "server", false)
 		a.Disconnect()
 		b.Disconnect()
 
@@ -106,9 +109,9 @@ func TestConflictMatrix(t *testing.T) {
 		must(t, b.WriteFile("/coda/v/new-name", []byte("from bob")))
 
 		// Alice reconnects first: all her updates win cleanly.
-		w.net.SetUp("alice", "server", true)
+		w.Net.SetUp("alice", "server", true)
 		a.Connect(10_000_000)
-		w.sim.Sleep(30 * time.Second)
+		w.Sim.Sleep(30 * time.Second)
 		if len(a.Conflicts()) != 0 {
 			t.Error("first reintegrator saw conflicts")
 		}
@@ -117,9 +120,9 @@ func TestConflictMatrix(t *testing.T) {
 		}
 
 		// Bob reconnects: every one of his divergent updates conflicts.
-		w.net.SetUp("bob", "server", true)
+		w.Net.SetUp("bob", "server", true)
 		b.Connect(10_000_000)
-		w.sim.Sleep(time.Minute)
+		w.Sim.Sleep(time.Minute)
 		conflicts := b.Conflicts()
 		if len(conflicts) < 3 {
 			t.Fatalf("bob saw %d conflicts (%+v), want ≥ 3", len(conflicts), conflicts)
@@ -215,18 +218,18 @@ func TestConnectedAndReintegratedPathsEquivalent(t *testing.T) {
 			w := newWorld(100 + seed)
 			w.srv.CreateVolume("eq")
 			var snap map[string]string
-			w.sim.Run(func() {
+			w.Run(func() {
 				v := w.venus("c", 1, venus.Config{AgingWindow: time.Second})
 				if err := v.Mount("eq"); err != nil {
 					t.Fatal(err)
 				}
 				if disconnected {
-					w.net.SetUp("c", "server", false)
+					w.Net.SetUp("c", "server", false)
 					v.Disconnect()
 					apply(v, ops)
-					w.net.SetUp("c", "server", true)
+					w.Net.SetUp("c", "server", true)
 					v.Connect(10_000_000)
-					w.sim.Sleep(30 * time.Second)
+					w.Sim.Sleep(30 * time.Second)
 					if n := v.CMLRecords(); n != 0 {
 						t.Fatalf("seed %d: CML not drained (%d records)", seed, n)
 					}
@@ -260,16 +263,16 @@ func TestLossyWeakLinkEndToEnd(t *testing.T) {
 	p := netsim.Modem.Params()
 	p.LossRate = 0.15
 	w.srv.CreateVolume("v")
-	w.sim.Run(func() {
+	w.Run(func() {
 		v := w.venus("c", 1, venus.Config{AgingWindow: 2 * time.Second, PinWriteDisconnected: true})
 		if err := v.Mount("v"); err != nil {
 			t.Fatal(err)
 		}
-		w.net.SetLink("c", "server", p)
+		w.Net.SetLink("c", "server", p)
 		v.Connect(9600)
 		content := bytes.Repeat([]byte("resilient"), 3000) // 27 KB
 		must(t, v.WriteFile("/coda/v/file", content))
-		w.sim.Sleep(5 * time.Minute)
+		w.Sim.Sleep(5 * time.Minute)
 		got, err := w.srv.ReadFile("v", "file")
 		if err != nil || !bytes.Equal(got, content) {
 			t.Fatalf("after lossy reintegration: %d bytes, %v", len(got), err)
@@ -290,22 +293,22 @@ func TestBandwidthCrossSection(t *testing.T) {
 		t.Run(prof.Name, func(t *testing.T) {
 			w := newWorld(4)
 			w.srv.CreateVolume("v")
-			w.sim.Run(func() {
+			w.Run(func() {
 				v := w.venus("c", 1, venus.Config{AgingWindow: time.Second, PinWriteDisconnected: true})
 				if err := v.Mount("v"); err != nil {
 					t.Fatal(err)
 				}
-				w.net.SetLink("c", "server", prof.Params())
+				w.Net.SetLink("c", "server", prof.Params())
 				v.Connect(prof.Bandwidth)
 
-				start := w.sim.Now()
+				start := w.Sim.Now()
 				must(t, v.WriteFile("/coda/v/doc", bytes.Repeat([]byte("z"), 30_000)))
-				writeLatency := w.sim.Now().Sub(start)
+				writeLatency := w.Sim.Now().Sub(start)
 				// Foreground write returns immediately at every speed.
 				if writeLatency > 100*time.Millisecond {
 					t.Errorf("foreground write blocked %v at %s", writeLatency, prof.Name)
 				}
-				w.sim.Sleep(4 * time.Minute)
+				w.Sim.Sleep(4 * time.Minute)
 				if _, err := w.srv.ReadFile("v", "doc"); err != nil {
 					t.Errorf("doc not propagated at %s: %v", prof.Name, err)
 				}

@@ -7,11 +7,10 @@ import (
 	"time"
 
 	"repro/internal/crashfs"
-	"repro/internal/netsim"
 	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
 	"repro/internal/wal"
+	"repro/internal/world"
 )
 
 // TestJournalRecoveryOnRealFilesystem drives the calls cmd/codasrv and
@@ -25,9 +24,10 @@ import (
 func TestJournalRecoveryOnRealFilesystem(t *testing.T) {
 	run := func(kill bool) []byte {
 		dir := t.TempDir()
-		sim := simtime.NewSim(simtime.Epoch1995)
-		net := netsim.New(sim, 7)
-		net.SetDefaults(netsim.Ethernet.Params())
+		// Real-filesystem journals and hand reboots, as the binaries do
+		// them: the builder supplies only the clock and the network.
+		w := world.New(7)
+		sim, net := w.Sim, w.Net
 		bootServer := func() *server.Server { // cmd/codasrv -journal dir/srv -vol usr -seed-files 1
 			srv := server.New(sim, net.Host("server"))
 			_, err := srv.AttachJournal(server.JournalOptions{FS: crashfs.OS{}, Dir: filepath.Join(dir, "srv"), Policy: wal.SyncEachRecord})

@@ -21,9 +21,9 @@ func TestServerSurvivesGarbageDatagrams(t *testing.T) {
 	w.srv.WriteFile("usr", "f", []byte("payload"))
 	rng := rand.New(rand.NewSource(50))
 
-	w.sim.Run(func() {
-		attacker := w.net.Host("attacker")
-		w.sim.Go(func() {
+	w.Run(func() {
+		attacker := w.Net.Host("attacker")
+		w.Sim.Go(func() {
 			for i := 0; i < 500; i++ {
 				n := rng.Intn(300)
 				junk := make([]byte, n)
@@ -34,7 +34,7 @@ func TestServerSurvivesGarbageDatagrams(t *testing.T) {
 					junk[0] = byte(1 + rng.Intn(6))
 				}
 				attacker.Send("server", junk)
-				w.sim.Sleep(50 * time.Millisecond)
+				w.Sim.Sleep(50 * time.Millisecond)
 			}
 		})
 
@@ -49,7 +49,7 @@ func TestServerSurvivesGarbageDatagrams(t *testing.T) {
 			if err := v.WriteFile("/coda/usr/g", []byte{byte(i)}); err != nil {
 				t.Fatalf("write %d failed during garbage spray: %v", i, err)
 			}
-			w.sim.Sleep(time.Second)
+			w.Sim.Sleep(time.Second)
 		}
 	})
 }
@@ -101,7 +101,7 @@ func TestClientSurvivesGarbageFromServerAddress(t *testing.T) {
 	w.srv.WriteFile("usr", "f", []byte("x"))
 	rng := rand.New(rand.NewSource(52))
 
-	w.sim.Run(func() {
+	w.Run(func() {
 		v := w.venus("c", 1, venus.Config{})
 		if err := v.Mount("usr"); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestClientSurvivesGarbageFromServerAddress(t *testing.T) {
 		// Inject junk that arrives with the server's source address (an
 		// on-path spoofer); netsim hands back the server's own endpoint
 		// for its name, which is exactly what we need here.
-		evil := w.net.Host("server")
+		evil := w.Net.Host("server")
 		for i := 0; i < 200; i++ {
 			junk := make([]byte, rng.Intn(100))
 			rng.Read(junk)
@@ -118,7 +118,7 @@ func TestClientSurvivesGarbageFromServerAddress(t *testing.T) {
 			}
 			evil.Send("c", junk)
 		}
-		w.sim.Sleep(time.Second)
+		w.Sim.Sleep(time.Second)
 		if _, err := v.ReadFile("/coda/usr/f"); err != nil {
 			t.Fatalf("client wedged by junk: %v", err)
 		}

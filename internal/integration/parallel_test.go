@@ -27,7 +27,7 @@ func TestParallelVolumesSerializePerVolume(t *testing.T) {
 	for j := 0; j < V; j++ {
 		w.srv.CreateVolume(fmt.Sprintf("vol%d", j))
 	}
-	w.sim.Run(func() {
+	w.Run(func() {
 		clients := make([]*venus.Venus, C)
 		for i := range clients {
 			clients[i] = w.venus(fmt.Sprintf("c%d", i), uint32(i+1), venus.Config{})
@@ -39,11 +39,11 @@ func TestParallelVolumesSerializePerVolume(t *testing.T) {
 		}
 
 		// One goroutine per (client, volume) pair, all writing at once.
-		done := simtime.NewQueue[error](w.sim)
+		done := simtime.NewQueue[error](w.Sim)
 		for i := 0; i < C; i++ {
 			for j := 0; j < V; j++ {
 				i, j := i, j
-				w.sim.Go(func() {
+				w.Sim.Go(func() {
 					var err error
 					for k := 0; k < K; k++ {
 						path := fmt.Sprintf("/coda/vol%d/c%d_f%d.txt", j, i, k)
@@ -100,7 +100,7 @@ func TestTrickleVolumesIndependent(t *testing.T) {
 	w := newWorld(8)
 	w.srv.CreateVolume("bulk")
 	w.srv.CreateVolume("mail")
-	w.sim.Run(func() {
+	w.Run(func() {
 		v := w.venus("c", 1, venus.Config{
 			AgingWindow:          time.Second,
 			PinWriteDisconnected: true,
@@ -110,20 +110,20 @@ func TestTrickleVolumesIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w.net.SetLink("c", "server", netsim.Modem.Params())
+		w.Net.SetLink("c", "server", netsim.Modem.Params())
 		v.Connect(9600)
 
 		// ~200 KB takes ≥ 166 s of pure transmission at 9600 b/s.
 		big := bytes.Repeat([]byte("bulk data "), 20_000)
 		must(t, v.WriteFile("/coda/bulk/archive.tar", big))
-		w.sim.Sleep(10 * time.Second) // the bulk shipment is now underway
+		w.Sim.Sleep(10 * time.Second) // the bulk shipment is now underway
 		must(t, v.WriteFile("/coda/mail/outbox.txt", []byte("short note")))
 
 		// The mail volume's record must land while bulk is still shipping.
 		// (The bulk file may already exist empty — its Create record ships
 		// in a small first chunk — so "still shipping" means the contents
 		// are incomplete, not that the name is absent.)
-		start := w.sim.Now()
+		start := w.Sim.Now()
 		for {
 			if got, err := w.srv.ReadFile("mail", "outbox.txt"); err == nil {
 				if string(got) != "short note" {
@@ -131,17 +131,17 @@ func TestTrickleVolumesIndependent(t *testing.T) {
 				}
 				break
 			}
-			if w.sim.Now().Sub(start) > 110*time.Second {
+			if w.Sim.Now().Sub(start) > 110*time.Second {
 				t.Fatal("small volume starved behind the bulk transfer")
 			}
-			w.sim.Sleep(5 * time.Second)
+			w.Sim.Sleep(5 * time.Second)
 		}
 		if got, err := w.srv.ReadFile("bulk", "archive.tar"); err == nil && bytes.Equal(got, big) {
 			t.Fatal("bulk transfer finished impossibly fast; test not discriminating")
 		}
 
 		// Eventually the bulk volume completes too.
-		w.sim.Sleep(15 * time.Minute)
+		w.Sim.Sleep(15 * time.Minute)
 		got, err := w.srv.ReadFile("bulk", "archive.tar")
 		if err != nil || !bytes.Equal(got, big) {
 			t.Fatalf("archive.tar = %d bytes, %v", len(got), err)

@@ -6,62 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/simtime"
 	"repro/internal/venus"
 )
-
-// gworld is a sim whose server side is a replicated group instead of a
-// single server.
-type gworld struct {
-	sim *simtime.Sim
-	net *netsim.Network
-	grp *group.Group
-}
-
-func newGroupWorld(t *testing.T, seed int64, members int) *gworld {
-	t.Helper()
-	s := simtime.NewSim(simtime.Epoch1995)
-	n := netsim.New(s, seed)
-	n.SetDefaults(netsim.Ethernet.Params())
-	conns := make([]netsim.PacketConn, members)
-	for i := range conns {
-		conns[i] = n.Host(fmt.Sprintf("srv%d", i))
-	}
-	grp, err := group.New(s, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &gworld{sim: s, net: n, grp: grp}
-}
-
-func (w *gworld) venus(name string, id uint32, cfg venus.Config) *venus.Venus {
-	cfg.Servers = w.grp.Addrs()
-	cfg.ClientID = id
-	if cfg.TrickleInterval == 0 {
-		cfg.TrickleInterval = time.Second
-	}
-	return venus.New(w.sim, w.net.Host(name), cfg)
-}
-
-// requireGroupConverged asserts byte-identical SaveState across members.
-func (w *gworld) requireGroupConverged(t *testing.T) {
-	t.Helper()
-	var img0 bytes.Buffer
-	if err := w.grp.Member(0).SaveState(&img0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < w.grp.Len(); i++ {
-		var img bytes.Buffer
-		if err := w.grp.Member(i).SaveState(&img); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img0.Bytes(), img.Bytes()) {
-			t.Errorf("member %d SaveState differs from member 0", i)
-		}
-	}
-}
 
 // TestParallelVolumesReplicatedGroup extends the 1 + 3·C·K per-volume
 // stamp invariant to a three-member group: C clients × V volumes writing
@@ -75,13 +23,13 @@ func TestParallelVolumesReplicatedGroup(t *testing.T) {
 		V = 3 // volumes
 		K = 2 // files per (client, volume)
 	)
-	w := newGroupWorld(t, 7, 3)
+	w := deploy(7, "srv0", "srv1", "srv2")
 	for j := 0; j < V; j++ {
 		if _, err := w.grp.CreateVolume(fmt.Sprintf("vol%d", j)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.sim.Run(func() {
+	w.Run(func() {
 		clients := make([]*venus.Venus, C)
 		for i := range clients {
 			clients[i] = w.venus(fmt.Sprintf("c%d", i), uint32(i+1), venus.Config{})
@@ -92,11 +40,11 @@ func TestParallelVolumesReplicatedGroup(t *testing.T) {
 			}
 		}
 
-		done := simtime.NewQueue[error](w.sim)
+		done := simtime.NewQueue[error](w.Sim)
 		for i := 0; i < C; i++ {
 			for j := 0; j < V; j++ {
 				i, j := i, j
-				w.sim.Go(func() {
+				w.Sim.Go(func() {
 					var err error
 					for k := 0; k < K; k++ {
 						path := fmt.Sprintf("/coda/vol%d/c%d_f%d.txt", j, i, k)
@@ -113,7 +61,7 @@ func TestParallelVolumesReplicatedGroup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w.sim.Sleep(30 * time.Second) // let ships drain group-wide
+		w.Sim.Sleep(30 * time.Second) // let ships drain group-wide
 
 		want := uint64(1 + 3*C*K)
 		for j := 0; j < V; j++ {
@@ -141,7 +89,9 @@ func TestParallelVolumesReplicatedGroup(t *testing.T) {
 				}
 			}
 		}
-		w.requireGroupConverged(t)
+		if _, _, err := w.grp.Identical(); err != nil {
+			t.Error(err)
+		}
 	})
 }
 
@@ -159,7 +109,7 @@ func TestParallelVolumesReplicatedGroup(t *testing.T) {
 // nothing to deduplicate.
 func TestReintegrateRetransmitDedupUnderAckLoss(t *testing.T) {
 	const K = 1
-	w := newGroupWorld(t, 9, 2)
+	w := deploy(9, "srv0", "srv1")
 	info, err := w.grp.CreateVolume("work")
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +117,7 @@ func TestReintegrateRetransmitDedupUnderAckLoss(t *testing.T) {
 	prefIdx := int(uint64(info.ID) % uint64(w.grp.Len()))
 	pref := w.grp.Addrs()[prefIdx]
 	otherIdx := (prefIdx + 1) % w.grp.Len()
-	w.sim.Run(func() {
+	w.Run(func() {
 		// AgingWindow holds the records back long enough to reconnect and
 		// cut the ack path before the first drain attempt.
 		v := w.venus("laptop", 1, venus.Config{AgingWindow: time.Minute})
@@ -189,15 +139,15 @@ func TestReintegrateRetransmitDedupUnderAckLoss(t *testing.T) {
 		// requests will arrive and execute there, but the acks vanish —
 		// the lost-ack half of the failover-retransmit scenario.
 		v.Connect(0)
-		w.sim.Sleep(5 * time.Second)
+		w.Sim.Sleep(5 * time.Second)
 		if n := v.CMLRecords(); n != 2*K {
 			t.Fatalf("CML drained to %d records before the ack path was cut; raise AgingWindow", n)
 		}
-		w.net.ConfigureOneWay(pref, "laptop", func(p *netsim.LinkParams) { p.Up = false })
+		w.Net.ConfigureOneWay(pref, "laptop", func(p *netsim.LinkParams) { p.Up = false })
 
-		deadline := w.sim.Now().Add(30 * time.Minute)
-		for v.CMLRecords() > 0 && w.sim.Now().Before(deadline) {
-			w.sim.Sleep(10 * time.Second)
+		deadline := w.Sim.Now().Add(30 * time.Minute)
+		for v.CMLRecords() > 0 && w.Sim.Now().Before(deadline) {
+			w.Sim.Sleep(10 * time.Second)
 		}
 		if n := v.CMLRecords(); n != 0 {
 			t.Fatalf("CML still holds %d records after failover window", n)
@@ -209,8 +159,8 @@ func TestReintegrateRetransmitDedupUnderAckLoss(t *testing.T) {
 		// Exact accounting: one delivery's worth of stamps, nothing more.
 		// A reintegrated batch bumps the stamp once per distinct object it
 		// touches — K files plus the root directory over the initial 1.
-		w.net.ConfigureOneWay(pref, "laptop", func(p *netsim.LinkParams) { p.Up = true })
-		w.sim.Sleep(30 * time.Second) // ships settle
+		w.Net.ConfigureOneWay(pref, "laptop", func(p *netsim.LinkParams) { p.Up = true })
+		w.Sim.Sleep(30 * time.Second) // ships settle
 		want := uint64(1 + K + 1)
 		for m := 0; m < w.grp.Len(); m++ {
 			stamp, err := w.grp.Member(m).VolumeStamp("work")
@@ -238,6 +188,8 @@ func TestReintegrateRetransmitDedupUnderAckLoss(t *testing.T) {
 				}
 			}
 		}
-		w.requireGroupConverged(t)
+		if _, _, err := w.grp.Identical(); err != nil {
+			t.Error(err)
+		}
 	})
 }

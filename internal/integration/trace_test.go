@@ -1,19 +1,14 @@
 package integration
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/crashfs"
-	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/venus"
-	"repro/internal/wal"
+	"repro/internal/world"
 )
 
 // TestTraceTreeWeakLinkFailover pins the parent/child structure of one
@@ -31,37 +26,20 @@ import (
 //	        └── wal_append (srvN)
 //	            └── wal_fsync (srvN)           — SyncEachRecord
 func TestTraceTreeWeakLinkFailover(t *testing.T) {
-	s := simtime.NewSim(simtime.Epoch1995)
-	n := netsim.New(s, 9)
-	n.SetDefaults(netsim.Ethernet.Params())
-	reg := obs.NewRegistry(s)
-	conns := make([]netsim.PacketConn, 2)
-	for i := range conns {
-		conns[i] = n.Host(fmt.Sprintf("srv%d", i))
-	}
-	grp, err := group.New(s, conns, group.WithObs(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < grp.Len(); i++ {
-		opts := server.JournalOptions{FS: crashfs.NewMem(), Dir: "sj", Policy: wal.SyncEachRecord}
-		if _, err := grp.Member(i).AttachJournal(opts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	w := world.New(9)
+	s, n, reg := w.Sim, w.Net, w.Reg
+	grp := w.Group(true, "srv0", "srv1")
 	info, err := grp.CreateVolume("work")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pref := grp.Addrs()[int(uint64(info.ID)%uint64(grp.Len()))]
 
-	s.Run(func() {
-		v := venus.New(s, n.Host("laptop"), venus.Config{
-			Servers:         grp.Addrs(),
+	w.Run(func() {
+		v := w.Client("laptop", grp, venus.Config{
 			ClientID:        1,
 			AgingWindow:     time.Minute,
 			TrickleInterval: time.Second,
-			Obs:             reg,
 		})
 		if err := v.Mount("work"); err != nil {
 			t.Fatal(err)

@@ -166,8 +166,7 @@ type Registry struct {
 	// snapshot never holds mu while evaluating gauge funcs, so no lock
 	// cycle can form through the registry.
 	evMu         sync.Mutex
-	events       []Event // ring buffer, eventCap entries
-	eventCap     int     // ring capacity, traceCap unless WithEventCap
+	events       []Event // ring buffer, traceCap entries
 	eventsNext   int     // next write slot
 	eventsFilled bool    // ring has wrapped at least once
 	dropped      int64   // events overwritten after wrap
@@ -187,23 +186,13 @@ type Registry struct {
 	spDropC *Counter
 }
 
-// traceCap bounds the event ring by default. Events are low-volume
+// traceCap bounds the event ring. Events are low-volume
 // (state transitions, recovery summaries), so overflow means something
 // is misusing Event as a per-packet log.
 const traceCap = 8192
 
 // Option configures a Registry at construction time.
 type Option func(*Registry)
-
-// WithEventCap sets the event ring capacity (default 8192). Fleet-scale
-// worlds size per-shard registries down with this; n <= 0 is ignored.
-func WithEventCap(n int) Option {
-	return func(r *Registry) {
-		if n > 0 {
-			r.eventCap = n
-		}
-	}
-}
 
 // WithSpanCap sets the span table capacity (default 65536); n <= 0 is
 // ignored.
@@ -218,10 +207,9 @@ func WithSpanCap(n int) Option {
 // NewRegistry returns an empty registry stamping events from clock.
 func NewRegistry(clock simtime.Clock, opts ...Option) *Registry {
 	r := &Registry{
-		clock:    clock,
-		metrics:  make(map[string]*metric),
-		eventCap: traceCap,
-		spanCap:  defaultSpanCap,
+		clock:   clock,
+		metrics: make(map[string]*metric),
+		spanCap: defaultSpanCap,
 	}
 	for _, o := range opts {
 		o(r)

@@ -22,7 +22,7 @@ type Event struct {
 }
 
 // Event appends a trace event stamped from the registry's injected
-// clock. The ring holds the most recent eventCap events; older ones
+// clock. The ring holds the most recent traceCap events; older ones
 // are overwritten, counted both in obs_events_dropped_total and the
 // DroppedEvents accessor.
 func (r *Registry) Event(kind string, fields ...Field) {
@@ -40,11 +40,7 @@ func (r *Registry) Event(kind string, fields ...Field) {
 	r.evMu.Lock()
 	defer r.evMu.Unlock()
 	if r.events == nil {
-		cap := r.eventCap
-		if cap == 0 {
-			cap = traceCap
-		}
-		r.events = make([]Event, cap)
+		r.events = make([]Event, traceCap)
 	}
 	if r.eventsFilled {
 		r.dropped++

@@ -8,12 +8,12 @@ import (
 
 // evalAssert evaluates one end-state assertion against the finished
 // world and the captured metrics snapshot.
-func (w *world) evalAssert(a *Assert, res *Result) AssertResult {
+func (w *compiled) evalAssert(a *Assert, res *Result) AssertResult {
 	ok, detail := w.checkAssert(a, res)
 	return AssertResult{Line: a.Line, Kind: string(a.Kind), OK: ok, Detail: detail}
 }
 
-func (w *world) checkAssert(a *Assert, res *Result) (bool, string) {
+func (w *compiled) checkAssert(a *Assert, res *Result) (bool, string) {
 	switch a.Kind {
 	case AssertIdentical:
 		return w.checkIdentical(a.Target)
@@ -56,31 +56,18 @@ func (w *world) checkAssert(a *Assert, res *Result) (bool, string) {
 	return false, fmt.Sprintf("unhandled assert kind %q", a.Kind)
 }
 
-// checkIdentical byte-compares SaveState across every member of a
-// group — the strongest replica-equality check the server offers
-// (volumes, vnodes, stamps, and log chains all feed it).
-func (w *world) checkIdentical(groupName string) (bool, string) {
-	grp := w.groups[groupName]
-	var ref bytes.Buffer
-	if err := grp.Member(0).SaveState(&ref); err != nil {
-		return false, fmt.Sprintf("%s0: save state: %v", groupName, err)
+// checkIdentical requires the group's live members byte-identical.
+func (w *compiled) checkIdentical(groupName string) (bool, string) {
+	members, size, err := w.groups[groupName].Identical()
+	if err != nil {
+		return false, err.Error()
 	}
-	for i := 1; i < grp.Len(); i++ {
-		var got bytes.Buffer
-		if err := grp.Member(i).SaveState(&got); err != nil {
-			return false, fmt.Sprintf("%s: save state: %v", serverName(groupName, i), err)
-		}
-		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
-			return false, fmt.Sprintf("%s differs from %s0 (%d vs %d state bytes)",
-				serverName(groupName, i), groupName, got.Len(), ref.Len())
-		}
-	}
-	return true, fmt.Sprintf("%s: %d replicas byte-identical (%d state bytes)", groupName, grp.Len(), ref.Len())
+	return true, fmt.Sprintf("%s: %d replicas byte-identical (%d state bytes)", groupName, members, size)
 }
 
 // checkServerFile verifies file content on every member the target
 // names (all of a group, or one server).
-func (w *world) checkServerFile(a *Assert) (bool, string) {
+func (w *compiled) checkServerFile(a *Assert) (bool, string) {
 	g, idx, isGroup, err := w.topo.resolveTarget(a.Target)
 	if err != nil {
 		return false, err.Error()
@@ -106,7 +93,7 @@ func (w *world) checkServerFile(a *Assert) (bool, string) {
 // checkStamp verifies the exact volume version stamp on every member of
 // a group — the update-count ledger the paper's reintegration protocol
 // keys off.
-func (w *world) checkStamp(a *Assert) (bool, string) {
+func (w *compiled) checkStamp(a *Assert) (bool, string) {
 	grp := w.groups[a.Target]
 	for i := 0; i < grp.Len(); i++ {
 		got, err := grp.Member(i).VolumeStamp(a.Volume)
@@ -124,9 +111,9 @@ func (w *world) checkStamp(a *Assert) (bool, string) {
 // count, or the sum of their durations. A count bound against zero
 // holds when no span matched (an operation that never fired leaves no
 // spans), exactly like metric assertions on absent counters.
-func (w *world) checkSpans(a *Assert) (bool, string) {
+func (w *compiled) checkSpans(a *Assert) (bool, string) {
 	var count, totalUS int64
-	for _, sp := range w.reg.Spans() {
+	for _, sp := range w.Reg.Spans() {
 		if sp.Name != a.Metric {
 			continue
 		}
@@ -154,7 +141,7 @@ type dumpSeries struct {
 // assertion's name and label subset, then applies the bound. Histograms
 // contribute their observation count. A bound against zero holds even
 // when no series matched (counters that never fired may be absent).
-func (w *world) checkMetric(a *Assert, dump []byte) (bool, string) {
+func (w *compiled) checkMetric(a *Assert, dump []byte) (bool, string) {
 	var doc struct {
 		Metrics []dumpSeries `json:"metrics"`
 	}

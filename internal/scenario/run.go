@@ -6,15 +6,11 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/crashfs"
-	"repro/internal/group"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/venus"
-	"repro/internal/wal"
+	"repro/internal/world"
 )
 
 // profileByName maps scenario profile names onto netsim's calibrated
@@ -45,19 +41,19 @@ func Run(s *Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := buildWorld(s, topo)
+	w, err := compile(s, topo)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{Scenario: s.Name, Seed: s.Seed, Steps: len(s.Steps)}
-	w.sim.Run(func() {
+	w.Run(func() {
 		w.startClients()
 		if err := w.mountAll(); err != nil {
 			res.StepFailure = err.Error()
 			return
 		}
-		start := w.sim.Now()
+		start := w.Sim.Now()
 		w.scheduleStart = start
 		for i := range s.Steps {
 			if err := w.execStep(&s.Steps[i]); err != nil {
@@ -65,12 +61,12 @@ func Run(s *Scenario) (*Result, error) {
 				break
 			}
 		}
-		res.ElapsedSimUS = w.sim.Now().Sub(start).Microseconds()
+		res.ElapsedSimUS = w.Sim.Now().Sub(start).Microseconds()
 		// The dump is captured before assertions run so assertion-time
 		// reads (client-file fetches bump cache counters) cannot perturb
 		// it; metric assertions read this same snapshot.
-		res.Metrics = w.reg.Dump()
-		res.Trace = w.reg.ExportTrace()
+		res.Metrics = w.Reg.Dump()
+		res.Trace = w.Reg.ExportTrace()
 		for i := range s.Asserts {
 			res.Asserts = append(res.Asserts, w.evalAssert(&s.Asserts[i], res))
 		}
@@ -78,75 +74,39 @@ func Run(s *Scenario) (*Result, error) {
 	return res, nil
 }
 
-// world is one compiled scenario: the simulated deployment plus the
+// compiled is one compiled scenario: the simulated deployment plus the
 // handles steps and assertions act on.
-type world struct {
+type compiled struct {
 	scn  *Scenario
 	topo *topology
 
-	sim *simtime.Sim
-	net *netsim.Network
-	reg *obs.Registry
-
-	groups map[string]*group.Group
-	mems   map[string][]*crashfs.Mem // journal disks, per journaled group
-	alive  map[string]bool           // server liveness (kill/restart)
-
+	*world.World
+	groups  map[string]*world.Group
 	clients map[string]*venus.Venus
 	traces  map[string]*trace.Trace
 
 	scheduleStart time.Time
 }
 
-// journalOpts is the WAL configuration every journaled member uses: one
-// fsync per record on the fault-injectable disk, the strictest policy —
-// what crash-arm sweeps cut power under.
-func journalOpts(mem *crashfs.Mem) server.JournalOptions {
-	return server.JournalOptions{FS: mem, Dir: "sj", Policy: wal.SyncEachRecord}
-}
-
-// buildWorld constructs the deployment: network, groups (journaled where
+// compile constructs the deployment: network, groups (journaled where
 // declared), volumes, seeds, and trace universes. Clients are started
 // later, inside the sim run.
-func buildWorld(s *Scenario, topo *topology) (*world, error) {
-	w := &world{
+func compile(s *Scenario, topo *topology) (*compiled, error) {
+	w := &compiled{
 		scn:     s,
 		topo:    topo,
-		groups:  map[string]*group.Group{},
-		mems:    map[string][]*crashfs.Mem{},
-		alive:   map[string]bool{},
+		World:   world.New(s.Seed),
+		groups:  map[string]*world.Group{},
 		clients: map[string]*venus.Venus{},
 		traces:  map[string]*trace.Trace{},
 	}
-	w.sim = simtime.NewSim(simtime.Epoch1995)
-	w.net = netsim.New(w.sim, s.Seed)
-	w.net.SetDefaults(netsim.Ethernet.Params())
-	w.reg = obs.NewRegistry(w.sim)
-
 	for gi := range s.Groups {
 		gd := &s.Groups[gi]
-		conns := make([]netsim.PacketConn, gd.Members)
-		for i := range conns {
-			conns[i] = w.net.Host(serverName(gd.Name, i))
+		addrs := make([]string, gd.Members)
+		for i := range addrs {
+			addrs[i] = serverName(gd.Name, i)
 		}
-		grp, err := group.New(w.sim, conns, group.WithObs(w.reg))
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: group %s: %w", s.Name, gd.Name, err)
-		}
-		w.groups[gd.Name] = grp
-		for i := 0; i < gd.Members; i++ {
-			w.alive[serverName(gd.Name, i)] = true
-		}
-		if gd.Journal {
-			mems := make([]*crashfs.Mem, gd.Members)
-			for i := range mems {
-				mems[i] = crashfs.NewMem()
-				if _, err := grp.Member(i).AttachJournal(journalOpts(mems[i])); err != nil {
-					return nil, fmt.Errorf("scenario %s: group %s member %d journal: %w", s.Name, gd.Name, i, err)
-				}
-			}
-			w.mems[gd.Name] = mems
-		}
+		w.groups[gd.Name] = w.Group(gd.Journal, addrs...)
 	}
 	for i := range s.Volumes {
 		vd := &s.Volumes[i]
@@ -200,25 +160,22 @@ func serverName(group string, i int) string { return group + strconv.Itoa(i) }
 // startClients constructs every declared Venus. Runs inside sim.Run so
 // the client daemons are tracked from their first instant, like every
 // harness in the repo.
-func (w *world) startClients() {
+func (w *compiled) startClients() {
 	for i := range w.scn.Clients {
 		cd := &w.scn.Clients[i]
-		grp := w.groups[cd.Group]
-		w.clients[cd.Name] = venus.New(w.sim, w.net.Host(cd.Name), venus.Config{
-			Servers:              grp.Addrs(),
+		w.clients[cd.Name] = w.Client(cd.Name, w.groups[cd.Group], venus.Config{
 			ClientID:             cd.ID,
 			CacheBytes:           cd.CacheBytes,
 			AgingWindow:          cd.Aging,
 			TrickleInterval:      cd.Trickle,
 			ChunkSeconds:         cd.ChunkSeconds,
 			PinWriteDisconnected: cd.PinWD,
-			Obs:                  w.reg,
 		})
 	}
 }
 
 // mountAll performs the declared mounts in order.
-func (w *world) mountAll() error {
+func (w *compiled) mountAll() error {
 	for i := range w.scn.Mounts {
 		m := &w.scn.Mounts[i]
 		if err := w.clients[m.Client].Mount(m.Volume); err != nil {
@@ -230,7 +187,7 @@ func (w *world) mountAll() error {
 
 // targetAddrs expands a step target into server addresses: a group name
 // yields every member, a member name just itself.
-func (w *world) targetAddrs(target string) []string {
+func (w *compiled) targetAddrs(target string) []string {
 	g, idx, isGroup, err := w.topo.resolveTarget(target)
 	if err != nil {
 		// Validate already vetted every target.
@@ -248,16 +205,16 @@ func (w *world) targetAddrs(target string) []string {
 }
 
 // execStep runs one schedule step on the live world.
-func (w *world) execStep(st *Step) error {
+func (w *compiled) execStep(st *Step) error {
 	v := w.clients[st.Client] // nil for server-side steps
 	switch st.Kind {
 	case StepAt:
 		target := w.scheduleStart.Add(st.Dur)
-		if d := target.Sub(w.sim.Now()); d > 0 {
-			w.sim.Sleep(d)
+		if d := target.Sub(w.Sim.Now()); d > 0 {
+			w.Sim.Sleep(d)
 		}
 	case StepAfter:
-		w.sim.Sleep(st.Dur)
+		w.Sim.Sleep(st.Dur)
 	case StepWrite:
 		return v.WriteFile(st.Path, st.Data)
 	case StepMkdir:
@@ -288,14 +245,14 @@ func (w *world) execStep(st *Step) error {
 		for _, addr := range w.targetAddrs(st.Target) {
 			switch st.Mode {
 			case LinkUp:
-				w.net.SetUp(st.Client, addr, true)
+				w.Net.SetUp(st.Client, addr, true)
 			case LinkDown:
-				w.net.SetUp(st.Client, addr, false)
+				w.Net.SetUp(st.Client, addr, false)
 			case LinkProfile:
-				w.net.SetLink(st.Client, addr, profileByName[st.Profile].Params())
+				w.Net.SetLink(st.Client, addr, profileByName[st.Profile].Params())
 			case LinkParams:
 				bw, lat := st.N, st.Latency
-				w.net.Configure(st.Client, addr, func(p *netsim.LinkParams) {
+				w.Net.Configure(st.Client, addr, func(p *netsim.LinkParams) {
 					p.Bandwidth = bw
 					if lat > 0 {
 						p.Latency = lat
@@ -307,19 +264,19 @@ func (w *world) execStep(st *Step) error {
 		w.scheduleFlaps(st)
 	case StepKill:
 		g, idx, _, _ := w.topo.resolveTarget(st.Target)
-		w.groups[g].Member(idx).Close()
-		w.alive[st.Target] = false
+		w.groups[g].Kill(idx)
 	case StepCrashArm:
 		g, idx, _, _ := w.topo.resolveTarget(st.Target)
-		w.mems[g][idx].ArmCrash(int(st.N), 0)
+		w.groups[g].Disk(idx).ArmCrash(int(st.N), 0)
 	case StepRestart:
-		return w.restart(st)
+		g, idx, _, _ := w.topo.resolveTarget(st.Target)
+		return w.groups[g].Restart(idx, st.From)
 	case StepConverge:
-		return w.converge(st.Target)
+		return w.groups[st.Target].Converge()
 	case StepDrain:
-		deadline := w.sim.Now().Add(st.Dur)
-		for v.CMLRecords() > 0 && w.sim.Now().Before(deadline) {
-			w.sim.Sleep(time.Second)
+		deadline := w.Sim.Now().Add(st.Dur)
+		for v.CMLRecords() > 0 && w.Sim.Now().Before(deadline) {
+			w.Sim.Sleep(time.Second)
 		}
 		if n := v.CMLRecords(); n != 0 {
 			return fmt.Errorf("CML still holds %d records after %v", n, st.Dur)
@@ -337,10 +294,10 @@ func (w *world) execStep(st *Step) error {
 		if st.Dur > 0 {
 			warm := tr.Slice(0, st.Dur)
 			rest := tr.Slice(st.Dur, tr.Duration()+time.Minute)
-			trace.Replay(w.sim, v, warm, opts)
-			trace.Replay(w.sim, v, rest, opts)
+			trace.Replay(w.Sim, v, warm, opts)
+			trace.Replay(w.Sim, v, rest, opts)
 		} else {
-			trace.Replay(w.sim, v, tr, opts)
+			trace.Replay(w.Sim, v, tr, opts)
 		}
 	default:
 		return fmt.Errorf("unhandled step kind %q", st.Kind)
@@ -349,7 +306,7 @@ func (w *world) execStep(st *Step) error {
 }
 
 // traceDecl returns the declaration behind a trace name.
-func (w *world) traceDecl(name string) *TraceDecl {
+func (w *compiled) traceDecl(name string) *TraceDecl {
 	for i := range w.scn.Traces {
 		if w.scn.Traces[i].Name == name {
 			return &w.scn.Traces[i]
@@ -362,73 +319,23 @@ func (w *world) traceDecl(name string) *TraceDecl {
 // links, each period long, starting now. The toggles ride on AfterFunc
 // so the schedule continues underneath the churn — the same overlap a
 // real flapping link inflicts on a reintegration in flight.
-func (w *world) scheduleFlaps(st *Step) {
+func (w *compiled) scheduleFlaps(st *Step) {
 	addrs := w.targetAddrs(st.Target)
 	client := st.Client
 	for i := int64(0); i < st.N; i++ {
 		down := time.Duration(i) * st.Dur
 		up := down + st.Dur/2
-		w.sim.AfterFunc(down, func() {
+		w.Sim.AfterFunc(down, func() {
 			for _, a := range addrs {
-				w.net.SetUp(client, a, false)
+				w.Net.SetUp(client, a, false)
 			}
 		})
-		w.sim.AfterFunc(up, func() {
+		w.Sim.AfterFunc(up, func() {
 			for _, a := range addrs {
-				w.net.SetUp(client, a, true)
+				w.Net.SetUp(client, a, true)
 			}
 		})
 	}
-}
-
-// restart reboots a member from its journal: the dead process leaves the
-// address, the fault disk reboots with only its durable prefix, and a
-// fresh server recovers from it (group.Restart). An optional `from` peer
-// pulls the missed log suffix immediately; otherwise a later converge
-// step repairs.
-func (w *world) restart(st *Step) error {
-	g, idx, _, _ := w.topo.resolveTarget(st.Target)
-	grp := w.groups[g]
-	addr := serverName(g, idx)
-	grp.Member(idx).Close()
-	mem := w.mems[g][idx]
-	mem.Reboot()
-	fresh, err := grp.Restart(idx, w.net.Host(addr), journalOpts(mem))
-	if err != nil {
-		return err
-	}
-	w.alive[addr] = true
-	if st.From != "" {
-		if err := fresh.CatchUp(st.From); err != nil {
-			return fmt.Errorf("restart %s: catch-up from %s: %w", addr, st.From, err)
-		}
-	}
-	return nil
-}
-
-// converge runs group-wide anti-entropy: every live member pulls from
-// every other live member (pulls with nothing to fetch are one cheap
-// RPC per volume), then lets in-flight ships settle. Divergence inside
-// any pull surfaces as this step's error — loud, never repaired
-// silently.
-func (w *world) converge(groupName string) error {
-	grp := w.groups[groupName]
-	n := grp.Len()
-	for i := 0; i < n; i++ {
-		if !w.alive[serverName(groupName, i)] {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if j == i || !w.alive[serverName(groupName, j)] {
-				continue
-			}
-			if err := grp.Member(i).CatchUp(grp.Addrs()[j]); err != nil {
-				return fmt.Errorf("member %d catch-up from %d: %w", i, j, err)
-			}
-		}
-	}
-	w.sim.Sleep(5 * time.Second)
-	return nil
 }
 
 // clip bounds content in error messages.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz examples
+.PHONY: all build test race lint lint-structure lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz examples
 
 all: build vet lint test
 
@@ -52,16 +52,19 @@ scenarios:
 examples:
 	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
-# Same wall-clock budget as CI so a local `make lint` catches an
-# analysis-time regression before the workflow does. The first grep keeps
+# Structural fences, the one copy CI calls too. The first grep keeps
 # encoding/gob out of the module: every byte format is the wire codec's.
 # The other two keep world assembly in internal/world (cmd/codaperf has
 # its own until it moves): nothing else outside tests constructs a Sim
 # or a fault-injectable disk.
-lint:
+lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
 	! grep -rn --include='*.go' --exclude='*_test.go' 'crashfs\.NewMem(' . | grep -v -e '^./internal/crashfs/' -e '^./internal/world/' -e '^./cmd/codaperf/'
+
+# Same wall-clock budget as CI so a local `make lint` catches an
+# analysis-time regression before the workflow does.
+lint: lint-structure
 	$(GO) run ./cmd/codalint -deadline 60s ./...
 
 # Audit of every //codalint:ignore suppression (file:line, analyzer,
@@ -78,8 +81,8 @@ loc:
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 	@$(GO) run ./cmd/codalint -ignores ./... | tail -1
 
-# Whole-program lock-order graph as Graphviz DOT (weak/conditional
-# holds dashed). Pipe to `dot -Tsvg` to render.
+# Whole-program lock-order graph as Graphviz DOT (may-hold edges
+# dashed). Pipe to `dot -Tsvg` to render.
 lint-graph:
 	$(GO) run ./cmd/codalint -lockgraph ./...
 

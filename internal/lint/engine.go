@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -116,6 +117,9 @@ func NewEngine(pkgs []*Package) *Engine {
 	for _, pkg := range pkgs {
 		e.markPoolConstructors(pkg)
 	}
+	// Every later pass runs in source order, so via-chains and first
+	// witnesses are reproducible run to run.
+	sort.Slice(e.nodes, func(i, j int) bool { return posLess(e.nodes[i].pos(), e.nodes[j].pos()) })
 	for _, n := range e.nodes {
 		e.scanDirect(n)
 		e.scanAllocs(n)
@@ -166,28 +170,17 @@ func (e *Engine) collect(pkg *Package) {
 
 // declName renders a FuncDecl's display name.
 func declName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+	recv := ""
+	if fd.Recv != nil && len(fd.Recv.List) > 0 {
+		recv = receiverTypeName(fd)
+	}
+	if recv == "" {
 		return fd.Name.Name
 	}
-	recv := fd.Recv.List[0].Type
-	star := ""
-	if se, ok := recv.(*ast.StarExpr); ok {
-		recv = se.X
-		star = "*"
+	if _, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+		recv = "*" + recv
 	}
-	base := recv
-	for {
-		switch x := base.(type) {
-		case *ast.IndexExpr:
-			base = x.X
-		case *ast.IndexListExpr:
-			base = x.X
-		case *ast.Ident:
-			return "(" + star + x.Name + ")." + fd.Name.Name
-		default:
-			return fd.Name.Name
-		}
-	}
+	return "(" + recv + ")." + fd.Name.Name
 }
 
 // litName names a literal after the innermost enclosing function
@@ -202,21 +195,7 @@ func (e *Engine) litName(pkg *Package, file *ast.File, lit *ast.FuncLit) string 
 		}
 	}
 	pos := pkg.Fset.Position(lit.Pos())
-	return enclosing + "$" + "L" + itoa(pos.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return enclosing + "$L" + strconv.Itoa(pos.Line)
 }
 
 // body returns the node's statement block.
@@ -242,28 +221,10 @@ func (n *FuncNode) inspectOwn(fn func(ast.Node) bool) {
 // resolveCallee maps a call expression's function operand to a graph
 // node, when the call is static.
 func (e *Engine) resolveCallee(pkg *Package, fun ast.Expr) *FuncNode {
-	switch x := fun.(type) {
-	case *ast.FuncLit:
-		return e.byLit[x]
-	case *ast.ParenExpr:
-		return e.resolveCallee(pkg, x.X)
-	case *ast.Ident:
-		if fn, ok := pkg.TypesInfo.Uses[x].(*types.Func); ok {
-			return e.byObj[fn]
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.TypesInfo.Selections[x]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return e.byObj[fn]
-			}
-			return nil
-		}
-		// Qualified identifier: pkg.Func.
-		if fn, ok := pkg.TypesInfo.Uses[x.Sel].(*types.Func); ok {
-			return e.byObj[fn]
-		}
+	if lit, ok := ast.Unparen(fun).(*ast.FuncLit); ok {
+		return e.byLit[lit]
 	}
-	return nil
+	return e.byObj[calleeObj(pkg, fun)]
 }
 
 // calleeObj reports the types.Func a call expression invokes (interface
@@ -554,18 +515,12 @@ func dedupeNodes(in []*FuncNode) []*FuncNode {
 }
 
 // fixpoint propagates Blocks, Serializes, Allocates, and Endless
-// through the call graph until nothing changes. The facts are monotone bits, so
-// iteration converges; passes are over a deterministically sorted node
-// list so via-chains are reproducible run to run.
+// through the call graph until nothing changes. The facts are monotone
+// bits, so iteration converges.
 func (e *Engine) fixpoint() {
-	nodes := make([]*FuncNode, len(e.nodes))
-	copy(nodes, e.nodes)
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].sortKey() < nodes[j].sortKey()
-	})
 	for changed := true; changed; {
 		changed = false
-		for _, n := range nodes {
+		for _, n := range e.nodes {
 			for _, c := range n.Calls {
 				if c.Blocks && !n.Blocks {
 					n.Blocks, n.BlockVia = true, c.Name+": "+c.BlockVia
@@ -594,14 +549,18 @@ func (e *Engine) fixpoint() {
 	}
 }
 
-func (n *FuncNode) sortKey() string {
-	pos := n.Pkg.Fset.Position(n.body().Pos())
-	return pos.Filename + "\x00" + pad(pos.Offset)
-}
+// pos is where the node's body starts.
+func (n *FuncNode) pos() token.Position { return n.Pkg.Fset.Position(n.body().Pos()) }
 
-func pad(n int) string {
-	s := itoa(n)
-	return strings.Repeat("0", 10-len(s)) + s
+// posLess orders token.Positions by (file, line, column).
+func posLess(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	return a.Column < b.Column
 }
 
 // BlockReason reports whether calling fun blocks, resolving first

@@ -106,6 +106,62 @@ func (s *Server) Probe() {
 	}
 }
 
+func TestLockholdCrossPackageHelperHeld(t *testing.T) {
+	// The region is opened by a lockVolume-style helper one package
+	// away and the park is in a third: the helper's positive balance
+	// and the callee's Blocks bit must both cross a package boundary.
+	mod := loadFauxModule(t, map[string]string{
+		"internal/rpcish/rpcish.go": `package rpcish
+
+func Call() int {
+	ch := make(chan int)
+	return <-ch
+}
+`,
+		"internal/gate/gate.go": `package gate
+
+import "sync"
+
+type Gate struct {
+	mu sync.Mutex
+	N  int
+}
+
+// With hands the caller an open critical section.
+func With(g *Gate) *Gate {
+	g.mu.Lock()
+	return g
+}
+
+func Release(g *Gate) { g.mu.Unlock() }
+`,
+		"internal/svc/svc.go": `package svc
+
+import (
+	"faux/internal/gate"
+	"faux/internal/rpcish"
+)
+
+func Probe(g *gate.Gate) {
+	gate.With(g)
+	g.N = rpcish.Call()
+	gate.Release(g)
+	g.N = rpcish.Call()
+}
+`,
+	})
+	got := Run(mod.Packages, []Analyzer{NewLockhold()})
+	if len(got) != 1 {
+		t.Fatalf("cross-package helper-held lockhold: %d findings, want 1:\n%v", len(got), got)
+	}
+	f := got[0]
+	if !strings.Contains(f.Pos.Filename, "svc.go") || f.Pos.Line != 10 ||
+		!strings.Contains(f.Message, "gate.Gate.mu (acquired line 9)") ||
+		!strings.Contains(f.Message, "rpcish.Call") {
+		t.Fatalf("cross-package helper-held lockhold finding: %v", f)
+	}
+}
+
 func TestLockorderCrossPackage(t *testing.T) {
 	// The cycle's two acquires each happen one package away from where
 	// the order is violated: svc holds a's lock while calling b's

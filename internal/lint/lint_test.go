@@ -5,17 +5,23 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// wantRe matches `// want "..."` expectation comments in fixtures.
-var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
+// wantRe matches `// want "..." "..."` expectation comments in
+// fixtures; quotedRe picks out each expectation.
+var (
+	wantRe   = regexp.MustCompile(`// want( "[^"]+")+`)
+	quotedRe = regexp.MustCompile(`"([^"]+)"`)
+)
 
-// expectations maps file:line to the expected message substring.
-func expectations(t *testing.T, dir string) map[string]string {
+// expectations maps file:line to the expected substrings of
+// "[analyzer] message", one per finding on that line.
+func expectations(t *testing.T, dir string) map[string][]string {
 	t.Helper()
-	want := make(map[string]string)
+	want := make(map[string][]string)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +36,9 @@ func expectations(t *testing.T, dir string) map[string]string {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			if m := wantRe.FindStringSubmatch(line); m != nil {
-				want[fmt.Sprintf("%s:%d", path, i+1)] = m[1]
+			for _, m := range quotedRe.FindAllStringSubmatch(wantRe.FindString(line), -1) {
+				key := fmt.Sprintf("%s:%d", path, i+1)
+				want[key] = append(want[key], m[1])
 			}
 		}
 	}
@@ -51,21 +58,18 @@ func runFixture(t *testing.T, name, relDir string, analyzers []Analyzer) {
 	want := expectations(t, dir)
 	got := Run([]*Package{pkg}, analyzers)
 
-	matched := make(map[string]bool)
 	for _, f := range got {
 		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
-		exp, ok := want[key]
-		if !ok {
-			t.Errorf("unexpected finding: %s", f)
+		text := fmt.Sprintf("[%s] %s", f.Analyzer, f.Message)
+		i := slices.IndexFunc(want[key], func(exp string) bool { return strings.Contains(text, exp) })
+		if i < 0 {
+			t.Errorf("unexpected finding: %s (line wants %q)", f, want[key])
 			continue
 		}
-		if !strings.Contains(f.Message, exp) {
-			t.Errorf("%s: got message %q, want substring %q", key, f.Message, exp)
-		}
-		matched[key] = true
+		want[key] = slices.Delete(want[key], i, i+1)
 	}
-	for key, exp := range want {
-		if !matched[key] {
+	for key, exps := range want {
+		for _, exp := range exps {
 			t.Errorf("%s: expected finding matching %q, got none", key, exp)
 		}
 	}
@@ -130,6 +134,12 @@ func TestLockholdFixture(t *testing.T) {
 
 func TestLockorderFixture(t *testing.T) {
 	runFixture(t, "lockorder", "internal/fixture", []Analyzer{NewLockorder()})
+}
+
+// TestLockwalkFixture runs the three lock analyzers together over the
+// shapes the two old walkers disagreed on: one walk, one answer each.
+func TestLockwalkFixture(t *testing.T) {
+	runFixture(t, "lockwalk", "internal/fixture", []Analyzer{NewLockguard(), NewLockhold(), NewLockorder()})
 }
 
 func TestLeakcheckFixture(t *testing.T) {

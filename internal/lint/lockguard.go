@@ -10,9 +10,10 @@ import (
 
 // Lockguard enforces the repository's lock-discipline convention: a
 // struct that owns mutex fields guards its mutable sibling fields with
-// them. Exported methods that read or write a guarded field must acquire
+// them. Exported methods that read or write a guarded field must take
 // the field's guarding lock — directly (<lock>.Lock/RLock) or by calling
-// an unexported sibling method that does (e.g. a lock() helper).
+// a sibling method that does (e.g. a lock() helper) — which is read off
+// the engine's per-function Acquires facts.
 //
 // Mutex fields are recognized by name: `mu`, or any name ending in "Mu"
 // (clientsMu, fragMu). A struct with a single mutex guards every mutable
@@ -29,10 +30,15 @@ import (
 // assigned only in constructors are immutable configuration and may be
 // read freely. Methods whose name ends in "Locked" follow the
 // caller-holds-the-lock convention and are exempt.
-type Lockguard struct{}
+type Lockguard struct {
+	eng *Engine
+}
 
-// NewLockguard returns the analyzer.
+// NewLockguard returns the analyzer; the engine is bound by Run.
 func NewLockguard() *Lockguard { return &Lockguard{} }
+
+// Bind implements interprocAnalyzer.
+func (l *Lockguard) Bind(e *Engine) { l.eng = e }
 
 // Name implements Analyzer.
 func (*Lockguard) Name() string { return "lockguard" }
@@ -45,10 +51,9 @@ func (*Lockguard) Doc() string {
 // guardedStruct is one struct type owning mutex fields.
 type guardedStruct struct {
 	name    string
-	locks   []string                   // mutex field names, declaration order
-	guardOf map[string]string          // sibling field → guarding lock ("" = unguarded)
-	mutated map[string]bool            // fields written by at least one method
-	lockers map[string]map[string]bool // method → locks it acquires directly
+	locks   []string          // mutex field names, declaration order
+	guardOf map[string]string // sibling field → guarding lock ("" = unguarded)
+	mutated map[string]bool   // fields written by at least one method
 	methods []*ast.FuncDecl
 }
 
@@ -73,13 +78,11 @@ func isMutexField(name string, t types.Type) bool {
 
 // Analyze implements Analyzer.
 func (l *Lockguard) Analyze(pkg *Package) []Finding {
-	structs := l.collect(pkg)
-	if len(structs) == 0 {
-		return nil
+	if l.eng == nil {
+		l.Bind(NewEngine([]*Package{pkg}))
 	}
-
 	var out []Finding
-	for _, gs := range structs {
+	for _, gs := range l.collect(pkg) {
 		for _, fn := range gs.methods {
 			if !ast.IsExported(fn.Name.Name) || strings.HasSuffix(fn.Name.Name, "Locked") {
 				continue
@@ -104,13 +107,8 @@ func (l *Lockguard) Analyze(pkg *Package) []Finding {
 			for f := range touched {
 				byLock[gs.guardOf[f]] = append(byLock[gs.guardOf[f]], f)
 			}
-			locks := make([]string, 0, len(byLock))
-			for lock := range byLock {
-				locks = append(locks, lock)
-			}
-			sort.Strings(locks)
-			for _, lock := range locks {
-				if acquiresLock(fn, recv, lock, gs.lockers) {
+			for _, lock := range sortedKeys(byLock) {
+				if l.takes(pkg, gs, fn, lock) {
 					continue
 				}
 				names := byLock[lock]
@@ -128,8 +126,8 @@ func (l *Lockguard) Analyze(pkg *Package) []Finding {
 }
 
 // collect finds every mutex-owning struct in the package, partitions its
-// fields into lock domains, and records its methods, the fields those
-// methods mutate, and which locks each method acquires directly.
+// fields into lock domains, and records its methods and the fields those
+// methods mutate.
 func (l *Lockguard) collect(pkg *Package) map[string]*guardedStruct {
 	structs := make(map[string]*guardedStruct)
 	scope := pkg.Types.Scope()
@@ -146,7 +144,6 @@ func (l *Lockguard) collect(pkg *Package) map[string]*guardedStruct {
 			name:    name,
 			guardOf: make(map[string]string),
 			mutated: make(map[string]bool),
-			lockers: make(map[string]map[string]bool),
 		}
 		current := "" // nearest preceding mutex field
 		for i := 0; i < st.NumFields(); i++ {
@@ -171,10 +168,6 @@ func (l *Lockguard) collect(pkg *Package) map[string]*guardedStruct {
 		}
 		structs[name] = gs
 	}
-	if len(structs) == 0 {
-		return structs
-	}
-
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -192,9 +185,6 @@ func (l *Lockguard) collect(pkg *Package) map[string]*guardedStruct {
 			}
 			for f := range mutatedFields(fn, recv, gs.guardOf) {
 				gs.mutated[f] = true
-			}
-			if locked := directLocks(fn, gs.locks); len(locked) > 0 {
-				gs.lockers[fn.Name.Name] = locked
 			}
 		}
 	}
@@ -290,52 +280,36 @@ func touchedFields(fn *ast.FuncDecl, recv string, guarded map[string]bool) map[s
 	return out
 }
 
-// directLocks reports which of the struct's locks the method body
-// acquires via <...>.<lock>.Lock() or <...>.<lock>.RLock().
-func directLocks(fn *ast.FuncDecl, locks []string) map[string]bool {
-	names := make(map[string]bool, len(locks))
-	for _, l := range locks {
-		names[l] = true
-	}
-	out := make(map[string]bool)
+// takes reports whether the method takes the struct's lock: its own
+// body, a function literal in it, or a method of the same struct it
+// calls directly locks (Acquires with an empty via-chain) a mutex field
+// of that name. Matching the field name rather than the whole domain
+// lets a stand-in count, as when simtime.Queue runs under its Sim's mu.
+func (l *Lockguard) takes(pkg *Package, gs *guardedStruct, fn *ast.FuncDecl, lock string) bool {
+	obj, _ := pkg.TypesInfo.Defs[fn.Name].(*types.Func)
+	nodes := []*FuncNode{l.eng.byObj[obj]}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		if inner, ok := sel.X.(*ast.SelectorExpr); ok && names[inner.Sel.Name] {
-			out[inner.Sel.Name] = true
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			nodes = append(nodes, l.eng.byLit[x])
+		case *ast.CallExpr:
+			// Origin: a method of an instantiated generic struct is
+			// declared on the generic.
+			if m := calleeObj(pkg, x.Fun); m != nil && m.Pkg() == pkg.Types && recvTypeName(m) == gs.name {
+				nodes = append(nodes, l.eng.byObj[m.Origin()])
+			}
 		}
 		return true
 	})
-	return out
-}
-
-// acquiresLock reports whether the method acquires the named lock
-// directly or calls a sibling method (on its own receiver) that does.
-func acquiresLock(fn *ast.FuncDecl, recv, lock string, lockers map[string]map[string]bool) bool {
-	if directLocks(fn, []string{lock})[lock] {
-		return true
+	for _, n := range nodes {
+		if n == nil {
+			continue
+		}
+		for d, via := range n.Acquires {
+			if via == "" && strings.HasSuffix(d, "."+lock) {
+				return true
+			}
+		}
 	}
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !lockers[sel.Sel.Name][lock] {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == recv {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	return false
 }

@@ -1,12 +1,6 @@
 package lint
 
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-)
+import "fmt"
 
 // Lockhold reports mutexes held across transitively-blocking calls: a
 // critical section that spans a simtime wait, an rpc2/sftp round-trip, a
@@ -15,21 +9,14 @@ import (
 // server's lock-wait histogram can only observe after the fact, caught
 // here at lint time.
 //
-// The analyzer tracks critical sections syntactically: a region opens at
-// `x.Lock()` / `x.RLock()` on a field following the repository's mutex
-// naming convention (`mu`, or a `Mu` suffix) and closes at the matching
-// Unlock on the same rendered expression. `defer x.Unlock()` holds the
-// lock to the end of the function. Within a held region, a finding is
-// reported for every channel operation and for every call that the
-// interprocedural engine marks as blocking — whether the callee blocks
-// directly or five static calls (and any number of package boundaries)
-// away.
-//
-// Branch analysis is deliberately simple: control-flow bodies are
-// scanned with a copy of the held set, and an early `Unlock(); return`
-// inside a branch does not release the lock for the code that follows
-// the branch (the fall-through really does still hold it). Locks
-// acquired through helper methods (q.lock()) are not tracked.
+// The analyzer is a filter over the park sites of the critical-section
+// walk (lockwalk.go): a finding for every channel operation and every
+// call the interprocedural engine marks as blocking — whether the callee
+// blocks directly or five static calls (and any number of package
+// boundaries) away — reached with a lock must-held. What "held" means —
+// mutex naming, helper-opened regions, deferred unlocks, the
+// branch-merge rule and its may-hold limit — is defined there, once, for
+// lockorder too.
 type Lockhold struct {
 	eng *Engine
 }
@@ -48,266 +35,23 @@ func (*Lockhold) Doc() string {
 // Bind implements interprocAnalyzer.
 func (l *Lockhold) Bind(e *Engine) { l.eng = e }
 
-// Analyze implements Analyzer.
+// Analyze implements Analyzer: one finding per held lock per park site.
 func (l *Lockhold) Analyze(pkg *Package) []Finding {
 	if l.eng == nil {
 		l.Bind(NewEngine([]*Package{pkg}))
 	}
 	var out []Finding
 	for _, n := range l.eng.PkgNodes(pkg) {
-		sc := &lockScan{a: l, pkg: pkg, node: n}
-		sc.block(n.body().List, map[string]token.Pos{})
-		out = append(out, sc.out...)
+		for _, p := range l.eng.lockFacts(n).parks {
+			for _, h := range p.held {
+				out = append(out, Finding{
+					Pos:      pkg.Fset.Position(p.pos),
+					Analyzer: l.Name(),
+					Message: fmt.Sprintf("%s (acquired line %d) held across %s in %s; release before blocking or move the I/O out of the critical section",
+						h.text, pkg.Fset.Position(h.pos).Line, p.what, n.Name),
+				})
+			}
+		}
 	}
 	return out
-}
-
-// lockScan is one function's critical-section walk.
-type lockScan struct {
-	a    *Lockhold
-	pkg  *Package
-	node *FuncNode
-	out  []Finding
-}
-
-// lockOp classifies a call as Lock/RLock/Unlock/RUnlock on a mutex-named
-// expression and returns the rendered lock expression.
-func (sc *lockScan) lockOp(call *ast.CallExpr) (lock string, acquire, release bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		acquire = true
-	case "Unlock", "RUnlock":
-		release = true
-	default:
-		return "", false, false
-	}
-	if !mutexNamed(sel.X) {
-		return "", false, false
-	}
-	// When types resolve, insist the receiver really is a sync mutex so
-	// a field that merely looks the part cannot open a phantom region.
-	if t := sc.pkg.TypesInfo.Types[sel.X].Type; t != nil && !isMutexType(t) {
-		return "", false, false
-	}
-	return exprText(sc.pkg.Fset, sel.X), acquire, release
-}
-
-// mutexNamed reports whether the expression's final component follows
-// the mutex naming convention.
-func mutexNamed(expr ast.Expr) bool {
-	var name string
-	switch x := expr.(type) {
-	case *ast.Ident:
-		name = x.Name
-	case *ast.SelectorExpr:
-		name = x.Sel.Name
-	default:
-		return false
-	}
-	return name == "mu" || strings.HasSuffix(name, "Mu")
-}
-
-// block walks a statement list with the current held set; held maps the
-// rendered lock expression to its acquisition position.
-func (sc *lockScan) block(stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, stmt := range stmts {
-		sc.stmt(stmt, held)
-	}
-}
-
-// copyHeld clones the held set for a branch body.
-func copyHeld(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
-
-func (sc *lockScan) stmt(stmt ast.Stmt, held map[string]token.Pos) {
-	switch x := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if lock, acq, rel := sc.lockOp(call); lock != "" {
-				if acq {
-					held[lock] = call.Pos()
-				} else if rel {
-					delete(held, lock)
-				}
-				return
-			}
-		}
-		sc.expr(x.X, held)
-	case *ast.DeferStmt:
-		if lock, _, rel := sc.lockOp(x.Call); lock != "" && rel {
-			// Deferred unlock: held until return; the region simply
-			// never closes in this walk.
-			return
-		}
-		sc.expr(x.Call, held)
-	case *ast.GoStmt:
-		// The spawned goroutine blocks on its own stack; the launch
-		// itself does not. Arguments are evaluated here, though.
-		for _, arg := range x.Call.Args {
-			sc.expr(arg, held)
-		}
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			sc.expr(e, held)
-		}
-		for _, e := range x.Lhs {
-			sc.expr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			sc.expr(e, held)
-		}
-	case *ast.SendStmt:
-		sc.chanOp(x.Pos(), "channel send", held)
-		sc.expr(x.Chan, held)
-		sc.expr(x.Value, held)
-	case *ast.IncDecStmt:
-		sc.expr(x.X, held)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						sc.expr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		sc.stmt(x.Stmt, held)
-	case *ast.BlockStmt:
-		sc.block(x.List, held)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			sc.stmt(x.Init, held)
-		}
-		sc.expr(x.Cond, held)
-		sc.block(x.Body.List, copyHeld(held))
-		if x.Else != nil {
-			sc.stmt(x.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			sc.stmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			sc.expr(x.Cond, held)
-		}
-		body := copyHeld(held)
-		sc.block(x.Body.List, body)
-		if x.Post != nil {
-			sc.stmt(x.Post, body)
-		}
-	case *ast.RangeStmt:
-		if t := sc.pkg.TypesInfo.Types[x.X].Type; t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				sc.chanOp(x.For, "range over channel", held)
-			}
-		}
-		sc.expr(x.X, held)
-		sc.block(x.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			sc.stmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			sc.expr(x.Tag, held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.block(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.block(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		if !selectHasDefault(x) {
-			sc.chanOp(x.Select, "select with no default", held)
-		}
-		// Comm clauses themselves are covered by the select-level report
-		// (and never block when a default exists); only the bodies need
-		// scanning.
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				sc.block(cc.Body, copyHeld(held))
-			}
-		}
-	}
-}
-
-// expr scans an expression for blocking operations while locks are held.
-// Nested function literals are skipped: their bodies run on their own
-// schedule, and if one is invoked right here the engine's call edge
-// already carries its effects.
-func (sc *lockScan) expr(expr ast.Expr, held map[string]token.Pos) {
-	if expr == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(expr, func(node ast.Node) bool {
-		switch x := node.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				sc.chanOp(x.Pos(), "channel receive", held)
-			}
-		case *ast.CallExpr:
-			if lock, _, _ := sc.lockOp(x); lock != "" {
-				// Lock/Unlock calls in expression position (rare) are
-				// region ops, not blocking calls.
-				return true
-			}
-			if reason, blocks := sc.a.eng.BlockReason(sc.pkg, x); blocks {
-				sc.report(x.Pos(), fmt.Sprintf("blocking call %s (%s)",
-					exprText(sc.pkg.Fset, x.Fun), reason), held)
-			}
-		}
-		return true
-	})
-}
-
-// chanOp reports a direct channel operation under held locks.
-func (sc *lockScan) chanOp(pos token.Pos, what string, held map[string]token.Pos) {
-	sc.report(pos, what, held)
-}
-
-// report emits one finding per held lock for the blocking site.
-func (sc *lockScan) report(pos token.Pos, what string, held map[string]token.Pos) {
-	if len(held) == 0 {
-		return
-	}
-	locks := make([]string, 0, len(held))
-	for lock := range held {
-		locks = append(locks, lock)
-	}
-	// Deterministic order for multi-lock sections.
-	for i := 0; i < len(locks); i++ {
-		for j := i + 1; j < len(locks); j++ {
-			if locks[j] < locks[i] {
-				locks[i], locks[j] = locks[j], locks[i]
-			}
-		}
-	}
-	for _, lock := range locks {
-		acq := sc.pkg.Fset.Position(held[lock])
-		sc.out = append(sc.out, Finding{
-			Pos:      sc.pkg.Fset.Position(pos),
-			Analyzer: sc.a.Name(),
-			Message: fmt.Sprintf("%s (acquired line %d) held across %s in %s; release before blocking or move the I/O out of the critical section",
-				lock, acq.Line, what, sc.node.Name),
-		})
-	}
 }

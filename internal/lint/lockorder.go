@@ -4,20 +4,17 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // Lockorder is the whole-program lock-order and deadlock-cycle
-// analyzer. It walks every function with a lockhold-style critical
-// section tracker — extended to open regions at lockVolume-style
-// helper calls (callees whose direct Lock/Unlock balance is positive)
-// — and consults the engine's lockset summaries to build the static
-// lock-order graph: an edge A → B means some function holds a lock of
-// domain A while acquiring one of domain B, possibly through a chain
-// of static calls crossing any number of package boundaries.
+// analyzer. It reads the acquire, loop and park records of the
+// critical-section walk (lockwalk.go) to build the static lock-order
+// graph: an edge A → B means some function holds a lock of domain A
+// while acquiring one of domain B, possibly through a chain of static
+// calls crossing any number of package boundaries.
 //
 // Four queries run over that graph and the walk itself:
 //
@@ -38,19 +35,15 @@ import (
 //     signalling (send, close, Done, Cond.Signal): the holder parks
 //     waiting for a signal the signaller can never deliver.
 //
-// Branch analysis distinguishes must-hold from may-hold: a lock
-// released (or acquired) on only some paths is weakly held after the
-// branch — weak holds still produce ordering edges, but never the
-// same-domain or cross-primitive findings, so conditional unlock
-// idioms (simtime.Queue unlocking either the Sim or its own mutex
-// before parking) do not produce false positives.
+// Only must-holds produce the same-domain and cross-primitive findings;
+// a may-hold (see the walk's merge rule) still contributes an ordering
+// edge, drawn dashed.
 type Lockorder struct {
 	eng  *Engine
 	done bool
 
 	edges    map[string]*lockEdge // "from\x00to" → first witness
 	findings []Finding            // global, filtered per package in Analyze
-	sites    []blockSite
 }
 
 // lockEdge is one lock-order graph edge with its first witness.
@@ -58,15 +51,7 @@ type lockEdge struct {
 	from, to string
 	pos      token.Position // acquire site of `to` while `from` is held
 	via      string         // call chain reaching the acquire ("" = direct)
-	weak     bool           // the held side was a may-hold
-}
-
-// blockSite is one blocking primitive reached with locks held.
-type blockSite struct {
-	pos     token.Position
-	kind    string
-	domains []string // strongly held domains, sorted
-	node    *FuncNode
+	may      bool           // the held side was a may-hold
 }
 
 // NewLockorder returns the analyzer; the engine is bound by Run.
@@ -111,24 +96,30 @@ func (l *Lockorder) compute() {
 	}
 	l.done = true
 	l.edges = make(map[string]*lockEdge)
-	nodes := make([]*FuncNode, len(l.eng.nodes))
-	copy(nodes, l.eng.nodes)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].sortKey() < nodes[j].sortKey() })
-	for _, n := range nodes {
-		sc := &orderScan{a: l, pkg: n.Pkg, node: n}
-		sc.block(n.body().List, map[string]heldLock{})
+	for _, n := range l.eng.nodes {
+		facts := l.eng.lockFacts(n)
+		for _, a := range facts.acquires {
+			l.acquired(n, a)
+		}
+		for _, s := range facts.loops {
+			if !l.orderedIteration(n, s) {
+				l.report(n.Pkg.Fset.Position(s.hold.pos),
+					"loop in %s accumulates %s locks across iterations in unproven order; sort the slice before the loop or range an ordered provider (ascending-ID rule)",
+					n.Name, s.hold.domain)
+			}
+		}
 	}
 	l.cycleFindings()
-	l.crossPrimFindings(nodes)
+	l.crossPrimFindings()
 }
 
 // addEdge records a lock-order edge, keeping the first witness.
-func (l *Lockorder) addEdge(from, to string, pos token.Position, via string, weak bool) {
+func (l *Lockorder) addEdge(from, to string, pos token.Position, via string, may bool) {
 	key := from + "\x00" + to
 	if _, ok := l.edges[key]; ok {
 		return
 	}
-	l.edges[key] = &lockEdge{from: from, to: to, pos: pos, via: via, weak: weak}
+	l.edges[key] = &lockEdge{from: from, to: to, pos: pos, via: via, may: may}
 }
 
 func (l *Lockorder) report(pos token.Position, format string, args ...any) {
@@ -145,7 +136,7 @@ func (l *Lockorder) report(pos token.Position, format string, args ...any) {
 func (l *Lockorder) cycleFindings() {
 	adj := make(map[string][]string)
 	domains := map[string]bool{}
-	for _, key := range sortedEdgeKeys(l.edges) {
+	for _, key := range sortedKeys(l.edges) {
 		e := l.edges[key]
 		if e.from == e.to {
 			continue
@@ -168,7 +159,7 @@ func (l *Lockorder) cycleFindings() {
 			in[d] = true
 		}
 		var internal []*lockEdge
-		for _, key := range sortedEdgeKeys(l.edges) {
+		for _, key := range sortedKeys(l.edges) {
 			e := l.edges[key]
 			if e.from != e.to && in[e.from] && in[e.to] {
 				internal = append(internal, e)
@@ -194,44 +185,26 @@ func (l *Lockorder) cycleFindings() {
 	}
 }
 
-// crossPrimFindings reports every blocking site whose held domain some
-// other function needs on its way to signalling a waiter.
-func (l *Lockorder) crossPrimFindings(nodes []*FuncNode) {
-	for _, s := range l.sites {
-		for _, d := range s.domains {
-			for _, g := range nodes {
-				if g == s.node || !g.locks.signals {
-					continue
+// crossPrimFindings reports every wait reached with a lock must-held
+// that some other function needs on its way to signalling a waiter.
+func (l *Lockorder) crossPrimFindings() {
+	for _, n := range l.eng.nodes {
+		for _, p := range l.eng.lockFacts(n).parks {
+			if !p.wait {
+				continue
+			}
+			for _, h := range p.held {
+				for _, g := range l.eng.nodes {
+					if _, ok := g.Acquires[h.domain]; !ok || g == n || !g.locks.signals {
+						continue
+					}
+					l.report(n.Pkg.Fset.Position(p.pos), "%s held across %s in %s, but %s acquires %s on its way to signalling (%s): the holder can park waiting for a signal that needs its own lock",
+						h.domain, p.what, n.Name, g.Name, h.domain, g.locks.signalsVia)
+					break
 				}
-				if _, ok := g.Acquires[d]; !ok {
-					continue
-				}
-				l.report(s.pos, "%s held across %s in %s, but %s acquires %s on its way to signalling (%s): the holder can park waiting for a signal that needs its own lock",
-					d, s.kind, s.node.Name, g.Name, d, g.locks.signalsVia)
-				break
 			}
 		}
 	}
-}
-
-// posLess orders token.Positions by (file, line, column).
-func posLess(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
-}
-
-func sortedEdgeKeys(m map[string]*lockEdge) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // stronglyConnected returns the SCCs of the graph (Kosaraju), each
@@ -284,16 +257,16 @@ func stronglyConnected(order []string, adj map[string][]string) [][]string {
 	return sccs
 }
 
-// GraphDOT renders the lock-order graph in Graphviz DOT form; weak
-// (may-hold) edges are dashed.
+// GraphDOT renders the lock-order graph in Graphviz DOT form; may-hold
+// edges are dashed.
 func (l *Lockorder) GraphDOT() string {
 	l.compute()
 	var b strings.Builder
 	b.WriteString("digraph lockorder {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n")
-	for _, key := range sortedEdgeKeys(l.edges) {
+	for _, key := range sortedKeys(l.edges) {
 		e := l.edges[key]
 		attrs := fmt.Sprintf("label=%q", fmt.Sprintf("%s:%d", filepath.Base(e.pos.Filename), e.pos.Line))
-		if e.weak {
+		if e.may {
 			attrs += ", style=dashed"
 		}
 		fmt.Fprintf(&b, "  %q -> %q [%s];\n", e.from, e.to, attrs)
@@ -310,226 +283,50 @@ func LockGraphDOT(pkgs []*Package) string {
 	return lo.GraphDOT()
 }
 
-// heldLock is one held domain during a walk.
-type heldLock struct {
-	pos   token.Pos
-	weak  bool     // held on only some paths: orders, but is not a must-hold
-	owner ast.Expr // mutex owner expression at a direct acquire; nil via helper
-}
-
-// orderScan walks one function's body tracking held lock domains.
-type orderScan struct {
-	a    *Lockorder
-	pkg  *Package
-	node *FuncNode
-}
-
-func (sc *orderScan) pos(p token.Pos) token.Position { return sc.pkg.Fset.Position(p) }
-
-func (sc *orderScan) block(stmts []ast.Stmt, held map[string]heldLock) {
-	for _, stmt := range stmts {
-		sc.stmt(stmt, held)
-	}
-}
-
-func copyHeldL(held map[string]heldLock) map[string]heldLock {
-	out := make(map[string]heldLock, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
-
-func sortedHeldKeys(held map[string]heldLock) []string {
-	out := make([]string, 0, len(held))
-	for k := range held {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// branch walks a conditionally executed body and merges its lock
-// effects back as may-holds: domains it acquired become weakly held,
-// domains it released weaken the parent's hold.
-func (sc *orderScan) branch(stmts []ast.Stmt, held map[string]heldLock) {
-	child := copyHeldL(held)
-	sc.block(stmts, child)
-	sc.mergeMay(held, child)
-}
-
-func (sc *orderScan) mergeMay(held, child map[string]heldLock) {
-	for d, h := range child {
-		if _, ok := held[d]; !ok {
-			h.weak = true
-			held[d] = h
+// acquired turns one acquire site into graph edges, or into a finding
+// when the domain is already must-held.
+func (l *Lockorder) acquired(n *FuncNode, a acquireSite) {
+	pos := n.Pkg.Fset.Position(a.pos)
+	via := ""
+	if a.callee != nil {
+		via = a.callee.Name
+		if chain := a.callee.Acquires[a.domain]; chain != "" {
+			via += ": " + chain
 		}
 	}
-	for d, h := range held {
-		if c, ok := child[d]; (!ok || c.weak) && !h.weak {
-			h.weak = true
-			held[d] = h
-		}
-	}
-}
-
-func (sc *orderScan) stmt(stmt ast.Stmt, held map[string]heldLock) {
-	switch x := stmt.(type) {
-	case *ast.ExprStmt:
-		sc.expr(x.X, held)
-	case *ast.DeferStmt:
-		if _, delta := lockOpDomain(sc.pkg, x.Call); delta < 0 {
-			return // deferred unlock: held to the end of the function
-		}
-		if callee := sc.a.eng.resolveCallee(sc.pkg, x.Call.Fun); callee != nil {
-			for _, bal := range callee.locks.net {
-				if bal < 0 {
-					return // deferred unlock helper (incl. unlock-all literals)
-				}
-			}
-		}
-		sc.expr(x.Call, held)
-	case *ast.GoStmt:
-		for _, arg := range x.Call.Args {
-			sc.expr(arg, held)
-		}
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			sc.expr(e, held)
-		}
-		for _, e := range x.Lhs {
-			sc.expr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			sc.expr(e, held)
-		}
-	case *ast.SendStmt:
-		// Sends block too, but lockhold owns held-across-blocking; the
-		// cross-primitive shape here is about *waiting* for a signal.
-		sc.expr(x.Chan, held)
-		sc.expr(x.Value, held)
-	case *ast.IncDecStmt:
-		sc.expr(x.X, held)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						sc.expr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		sc.stmt(x.Stmt, held)
-	case *ast.BlockStmt:
-		sc.block(x.List, held)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			sc.stmt(x.Init, held)
-		}
-		sc.expr(x.Cond, held)
-		sc.branch(x.Body.List, held)
-		if x.Else != nil {
-			child := copyHeldL(held)
-			sc.stmt(x.Else, child)
-			sc.mergeMay(held, child)
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			sc.stmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			sc.expr(x.Cond, held)
-		}
-		sc.loop(x.Body, nil, x.For, held)
-		if x.Post != nil {
-			sc.stmt(x.Post, copyHeldL(held))
-		}
-	case *ast.RangeStmt:
-		if t := sc.pkg.TypesInfo.Types[x.X].Type; t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				sc.site(x.For, "range over channel", held)
-			}
-		}
-		sc.expr(x.X, held)
-		sc.loop(x.Body, x.X, x.For, held)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			sc.stmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			sc.expr(x.Tag, held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.branch(cc.Body, held)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.branch(cc.Body, held)
-			}
-		}
-	case *ast.SelectStmt:
-		if !selectHasDefault(x) {
-			sc.site(x.Select, "select with no default", held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				sc.branch(cc.Body, held)
-			}
-		}
-	}
-}
-
-// loop walks a for/range body and enforces the ascending-ID rule on
-// any domain the body accumulates (acquires without releasing): the
-// iteration must be provably ordered, or two loops can interleave in
-// opposite orders. Accumulated domains stay held (weakly: the loop may
-// run zero times) for the code after the loop.
-func (sc *orderScan) loop(body *ast.BlockStmt, rangeX ast.Expr, loopPos token.Pos, held map[string]heldLock) {
-	child := copyHeldL(held)
-	sc.block(body.List, child)
-	for _, d := range sortedHeldKeys(child) {
-		h := child[d]
-		if _, ok := held[d]; ok {
+	for _, h := range a.held {
+		if h.domain != a.domain {
 			continue
 		}
-		if !h.weak && !sc.orderedIteration(rangeX, h, loopPos) {
-			sc.a.report(sc.pos(h.pos),
-				"loop in %s accumulates %s locks across iterations in unproven order; sort the slice before the loop or range an ordered provider (ascending-ID rule)",
-				sc.node.Name, d)
+		line := n.Pkg.Fset.Position(h.pos).Line
+		switch {
+		case h.may:
+		case a.callee == nil:
+			l.report(pos, "%s acquires %s while already holding it (acquired line %d): self-deadlock on the same instance, unordered multi-lock on two",
+				n.Name, a.domain, line)
+		default:
+			l.report(pos, "%s calls %s which acquires %s (line %d) while %s is already held: self-deadlock on the same instance, unordered multi-lock on two",
+				n.Name, a.callee.Name, a.domain, line, a.domain)
 		}
+		return
 	}
-	sc.mergeMay(held, child)
+	for _, h := range a.held {
+		l.addEdge(h.domain, a.domain, pos, via, h.may)
+	}
 }
 
-// orderedIteration reports whether the loop's lock order is provably
-// ascending: it ranges over a variable sorted earlier in this
-// function, over the result of an ordered provider, or the acquire
-// indexes into such a sorted variable.
-func (sc *orderScan) orderedIteration(rangeX ast.Expr, h heldLock, loopPos token.Pos) bool {
+// orderedIteration reports whether the lock order of a loop that
+// accumulates same-domain locks is provably ascending: it ranges over a
+// variable sorted earlier in this function, over the result of an
+// ordered provider, or the acquire indexes into such a sorted variable.
+func (l *Lockorder) orderedIteration(n *FuncNode, s loopSite) bool {
 	sortedBefore := func(id *ast.Ident) bool {
-		obj := sc.pkg.TypesInfo.Uses[id]
-		if obj == nil {
-			return false
-		}
-		p, ok := sc.node.locks.sortedVars[obj]
-		return ok && p < loopPos
+		p, ok := n.locks.sortedVars[n.Pkg.TypesInfo.Uses[id]]
+		return ok && p < s.loopPos
 	}
-	for rangeX != nil {
-		if pe, ok := rangeX.(*ast.ParenExpr); ok {
-			rangeX = pe.X
-			continue
-		}
-		break
-	}
-	switch rx := rangeX.(type) {
+	switch rx := ast.Unparen(s.rangeX).(type) {
 	case *ast.CallExpr:
-		if callee := sc.a.eng.resolveCallee(sc.pkg, rx.Fun); callee != nil && callee.locks.ordered {
+		if callee := l.eng.resolveCallee(n.Pkg, rx.Fun); callee != nil && callee.locks.ordered {
 			return true
 		}
 	case *ast.Ident:
@@ -538,7 +335,7 @@ func (sc *orderScan) orderedIteration(rangeX ast.Expr, h heldLock, loopPos token
 		}
 	}
 	// Index-loop shape: vols[i].mu.Lock() with vols sorted before.
-	for e := h.owner; e != nil; {
+	for e := s.hold.owner; e != nil; {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
 			e = x.X
@@ -554,140 +351,4 @@ func (sc *orderScan) orderedIteration(rangeX ast.Expr, h heldLock, loopPos token
 		}
 	}
 	return false
-}
-
-// expr scans an expression, routing calls through call() and reporting
-// direct receives as blocking sites. Nested function literals run on
-// their own schedule and are skipped.
-func (sc *orderScan) expr(expr ast.Expr, held map[string]heldLock) {
-	if expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(node ast.Node) bool {
-		switch x := node.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				sc.site(x.Pos(), "channel receive", held)
-			}
-		case *ast.CallExpr:
-			sc.call(x, held)
-		}
-		return true
-	})
-}
-
-// call applies one call's lock effects: direct Lock/Unlock, edges and
-// same-domain findings from the callee's acquire set, held-region
-// open/close from the callee's lock balance, and cross-primitive
-// blocking roots.
-func (sc *orderScan) call(call *ast.CallExpr, held map[string]heldLock) {
-	if d, delta := lockOpDomain(sc.pkg, call); delta != 0 {
-		if delta < 0 {
-			delete(held, d)
-			return
-		}
-		owner := call.Fun.(*ast.SelectorExpr).X
-		sc.acquire(d, call.Pos(), owner, "", held)
-		return
-	}
-	if k := crossPrimRoot(calleeObj(sc.pkg, call.Fun)); k != "" {
-		sc.site(call.Pos(), k, held)
-	}
-	callee := sc.a.eng.resolveCallee(sc.pkg, call.Fun)
-	if callee == nil {
-		return
-	}
-	for _, d := range sortedKeys(callee.Acquires) {
-		via := callee.Name
-		if chain := callee.Acquires[d]; chain != "" {
-			via += ": " + chain
-		}
-		if h, ok := held[d]; ok {
-			if !h.weak {
-				sc.a.report(sc.pos(call.Pos()),
-					"%s calls %s which acquires %s (line %d) while %s is already held: self-deadlock on the same instance, unordered multi-lock on two",
-					sc.node.Name, callee.Name, d, sc.pos(h.pos).Line, d)
-			}
-			continue
-		}
-		for _, from := range sortedHeldKeys(held) {
-			if from == d {
-				continue
-			}
-			sc.a.addEdge(from, d, sc.pos(call.Pos()), via, held[from].weak)
-		}
-	}
-	// A positive balance means the callee handed us an open critical
-	// section (lockVolume); a negative one closed ours (unlock helper).
-	for _, d := range sortedKeys(callee.Acquires) {
-		switch bal := callee.locks.net[d]; {
-		case bal > 0:
-			if _, ok := held[d]; !ok {
-				held[d] = heldLock{pos: call.Pos()}
-			}
-		}
-	}
-	for d, bal := range callee.locks.net {
-		if bal < 0 {
-			delete(held, d)
-		}
-	}
-}
-
-// acquire handles a direct Lock/RLock of domain d at pos.
-func (sc *orderScan) acquire(d string, pos token.Pos, owner ast.Expr, via string, held map[string]heldLock) {
-	if h, ok := held[d]; ok {
-		if !h.weak {
-			sc.a.report(sc.pos(pos),
-				"%s acquires %s while already holding it (acquired line %d): self-deadlock on the same instance, unordered multi-lock on two",
-				sc.node.Name, d, sc.pos(h.pos).Line)
-		}
-	} else {
-		for _, from := range sortedHeldKeys(held) {
-			if from == d {
-				continue
-			}
-			sc.a.addEdge(from, d, sc.pos(pos), via, held[from].weak)
-		}
-	}
-	if h, ok := held[d]; !ok || h.weak {
-		held[d] = heldLock{pos: pos, owner: owner}
-	}
-}
-
-// site records a blocking primitive reached with strong holds.
-func (sc *orderScan) site(pos token.Pos, kind string, held map[string]heldLock) {
-	var strong []string
-	for _, d := range sortedHeldKeys(held) {
-		if !held[d].weak {
-			strong = append(strong, d)
-		}
-	}
-	if len(strong) == 0 {
-		return
-	}
-	sc.a.sites = append(sc.a.sites, blockSite{
-		pos: sc.pos(pos), kind: kind, domains: strong, node: sc.node,
-	})
-}
-
-// crossPrimRoot classifies fn as a wait-for-a-signal primitive for the
-// cross-primitive deadlock shape. Blocking I/O (rpc2, WAL, sftp) is
-// lockhold's business, not a signal wait.
-func crossPrimRoot(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	path, name := fn.Pkg().Path(), fn.Name()
-	switch {
-	case path == "sync" && name == "Wait":
-		return "sync." + recvTypeName(fn) + ".Wait"
-	case path == "time" && name == "Sleep":
-		return "time.Sleep"
-	case pathIs(path, "internal/simtime") && name == "Sleep":
-		return "clock.Sleep"
-	}
-	return ""
 }

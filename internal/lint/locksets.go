@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // This file is the engine's fourth-generation effect: per-function
@@ -15,16 +17,15 @@ import (
 // opening a critical section at the call site), whether it returns a
 // slice it provably sorted (the ascending-ID registry idiom), and
 // whether it can signal a waiter (channel send or close, WaitGroup
-// Done, Cond Signal/Broadcast). The lockorder analyzer is a query over
-// these summaries; lockguard's naming convention (`mu` / `*Mu` suffix,
-// sync.Mutex or sync.RWMutex — RLock and RUnlock count like Lock and
-// Unlock, since readers still deadlock against writers) defines what a
-// lock is.
+// Done, Cond Signal/Broadcast). The critical-section walk (lockwalk.go)
+// and, through it, the three lock analyzers consume these summaries.
+// lockOpDomain is the one classifier of what a lock operation is: the
+// naming convention (`mu` / `*Mu` suffix) on a sync.Mutex or
+// sync.RWMutex — RLock and RUnlock count like Lock and Unlock, since
+// readers still deadlock against writers.
 
 // lockSummary is the per-node lockset state beyond FuncNode.Acquires.
 type lockSummary struct {
-	// acquirePos: first direct acquire site per domain, for witnesses.
-	acquirePos map[string]token.Pos
 	// net: direct Lock-minus-Unlock balance per domain. net > 0 means
 	// calling this function opens a critical section the caller must
 	// close (a lockVolume-style helper); net < 0 closes one.
@@ -54,6 +55,9 @@ type lockSummary struct {
 	// unblock a parked waiter.
 	signals    bool
 	signalsVia string
+	// facts: the critical-section walk's records (lockwalk.go), filled
+	// on first use.
+	facts *lockFacts
 }
 
 type providerAssign struct {
@@ -113,16 +117,11 @@ func lockOpDomain(pkg *Package, call *ast.CallExpr) (domain string, delta int) {
 	default:
 		return "", 0
 	}
-	if !mutexNamed(sel.X) {
+	t, d := pkg.TypesInfo.Types[sel.X].Type, lockDomain(pkg, sel.X)
+	if t == nil || d == "" || !isMutexField(d[strings.LastIndex(d, ".")+1:], t) {
 		return "", 0
 	}
-	if t := pkg.TypesInfo.Types[sel.X].Type; t == nil || !isMutexType(t) {
-		return "", 0
-	}
-	if d := lockDomain(pkg, sel.X); d != "" {
-		return d, delta
-	}
-	return "", 0
+	return d, delta
 }
 
 // sortCallVar recognizes a sort call and returns the identifier being
@@ -174,7 +173,6 @@ func signalRoot(fn *types.Func) string {
 func (e *Engine) scanLocksets(n *FuncNode) {
 	pkg := n.Pkg
 	n.Acquires = make(map[string]string)
-	n.locks.acquirePos = make(map[string]token.Pos)
 	n.locks.net = make(map[string]int)
 	n.locks.sortedVars = make(map[types.Object]token.Pos)
 
@@ -194,10 +192,7 @@ func (e *Engine) scanLocksets(n *FuncNode) {
 			if d, delta := lockOpDomain(pkg, x); delta != 0 {
 				n.locks.net[d] += delta
 				if delta > 0 {
-					if _, ok := n.Acquires[d]; !ok {
-						n.Acquires[d] = ""
-						n.locks.acquirePos[d] = x.Pos()
-					}
+					n.Acquires[d] = ""
 				}
 				return true
 			}
@@ -305,17 +300,11 @@ func (n *FuncNode) propagateLocksets() bool {
 
 // sortedKeys returns a map's keys in lexicographic order, for
 // deterministic propagation and reporting.
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	sort.Strings(out)
 	return out
 }

@@ -239,6 +239,7 @@ func (s *Server) mutate(src string, sc obs.SpanContext, rec cml.Record, repFID c
 	}
 	// Journal before commit: the update must be durable before it becomes
 	// visible (or acknowledged). On journal failure nothing commits.
+	//codalint:ignore lockhold journal-first commit: v.mu must cover the batch append so a concurrent apply to this volume cannot reorder LSNs
 	if err := journalBatchLocked(v, src, []cml.Record{rec}, applyCtx); err != nil {
 		v.mu.Unlock()
 		return wire.MutateRep{}, fmt.Errorf("journal: %w", err)
@@ -469,6 +470,7 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 	// neither fragment buffers nor delta bases. Failure aborts the chunk
 	// exactly like a validation failure would: nothing applied, client
 	// retries.
+	//codalint:ignore lockhold journal-first commit: v.mu must cover the batch append so a concurrent apply to this volume cannot reorder LSNs
 	if err := journalBatchLocked(v, src, recs, applyCtx); err != nil {
 		v.mu.Unlock()
 		s.stats.reintegrationFails.Add(1)

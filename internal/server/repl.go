@@ -238,6 +238,7 @@ func (s *Server) shipLog(src string, sc obs.SpanContext, req wire.ShipLog) (wire
 		applyCtx = sp.Context()
 		defer sp.End()
 	}
+	//codalint:ignore lockhold journal-first commit: v.mu must cover the entry append so a concurrent apply to this volume cannot reorder LSNs
 	breaks, err := v.applyEntryLocked(e, applyCtx)
 	rep := wire.ShipLogRep{LSN: v.log.LSN()}
 	v.mu.Unlock()
@@ -390,6 +391,7 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 				v.mu.Unlock()
 				return fmt.Errorf("server: catch-up volume %d: entry gap at %d (have %d)", id, e.LSN, v.log.LSN())
 			}
+			//codalint:ignore lockhold journal-first commit: v.mu must cover the entry append so a concurrent apply to this volume cannot reorder LSNs
 			breaks, err := v.applyEntryLocked(e, sc)
 			if err != nil {
 				v.mu.Unlock()

@@ -54,13 +54,19 @@ examples:
 
 # Structural fences, the one copy CI calls too. The first grep keeps
 # encoding/gob out of the module: every byte format is the wire codec's.
-# The other two keep world assembly in internal/world (cmd/codaperf has
+# The next two keep world assembly in internal/world (cmd/codaperf has
 # its own until it moves): nothing else outside tests constructs a Sim
-# or a fault-injectable disk.
+# or a fault-injectable disk. The last three keep the update pipeline in
+# one place each: records are validated and journaled only by the server's
+# batch function in apply.go, Venus sends a connected-mode mutation from
+# one line (update's), and ships a chunk from one call site (shipRecords').
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
 	! grep -rn --include='*.go' --exclude='*_test.go' 'crashfs\.NewMem(' . | grep -v -e '^./internal/crashfs/' -e '^./internal/world/' -e '^./cmd/codaperf/'
+	! grep -rn --include='*.go' --exclude='*_test.go' -e 'applyRecord(' -e 'journalBatchLocked(' . | grep -v -e '^./internal/server/apply.go:' -e ':func '
+	test "$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'callVol[wire.MutateRep]' . | wc -l)" -eq 1
+	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'reintegrateCall(' . | grep -vc ':func ')" -eq 1
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cml"
 	"repro/internal/codafs"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -305,11 +306,53 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 	}
 }
 
+// batchMode says how a batch reached the volume, which decides the two
+// steps of applyBatchLocked that are not common to every route.
+type batchMode uint8
+
+const (
+	batchLive   batchMode = iota // from a client: journal, then commit
+	batchPeer                    // a peer's log entry: as live, and the journaled chain must equal the shipper's
+	batchReplay                  // read back from this volume's own WAL: already journaled
+)
+
+// applyBatchLocked is the server's one update pipeline, whichever way the
+// records arrived — a connected-mode request, a reintegrated chunk, a
+// peer's log entry, this volume's own WAL at recovery: validate each in
+// order against a fresh overlay, journal the batch, commit. All or
+// nothing: a record that fails validation is reported as failed, its
+// index, and res, its result; a journal failure is err (an update must be
+// durable before it is visible or acknowledged); either way the overlay is
+// dropped and the volume untouched. Otherwise failed is -1, statuses are
+// the new statuses of every touched object and breaks the callback breaks
+// to deliver once v.mu, which the caller holds, is released.
+func applyBatchLocked(v *volume, client string, recs []cml.Record, mode batchMode, wantChain uint32, sc obs.SpanContext) (failed int, res wire.RecordResult, statuses []codafs.Status, breaks []breakWork, err error) {
+	a := newApply(v)
+	for i := range recs {
+		if res = applyRecord(a, &recs[i], client); !res.OK {
+			return i, res, nil, nil, nil
+		}
+	}
+	if mode != batchReplay {
+		if err := journalBatchLocked(v, client, recs, sc); err != nil {
+			return -1, res, nil, nil, fmt.Errorf("journal: %w", err)
+		}
+		if mode == batchPeer && v.chain != wantChain {
+			// The entry is journaled but the fingerprint disagrees: the logs
+			// differ somewhere at or before this entry. Nothing silent to do.
+			return -1, res, nil, nil, fmt.Errorf("%w: volume %d entry %d chain %08x != %08x", ErrDiverged,
+				v.info.ID, v.log.LSN(), v.chain, wantChain)
+		}
+	}
+	statuses, breaks = commitApply(a, client)
+	return -1, res, statuses, breaks, nil
+}
+
 // commitApply installs the overlay into the volume, bumping versions and
 // the volume stamp, and returns the new statuses of every touched object
 // plus the callback breaks to deliver (after a.v.mu is released). Must be
 // called with a.v.mu held.
-func commitApply(a *applyCtx, client string) (statuses []codafs.Status, stamp uint64, breaks []breakWork) {
+func commitApply(a *applyCtx, client string) (statuses []codafs.Status, breaks []breakWork) {
 	seen := make(map[codafs.FID]bool)
 	for _, fid := range a.touched {
 		if seen[fid] {
@@ -338,5 +381,5 @@ func commitApply(a *applyCtx, client string) (statuses []codafs.Status, stamp ui
 		a.v.bumpLocked(fid, client)
 		statuses = append(statuses, obj.Status)
 	}
-	return statuses, a.v.info.Stamp, breaks
+	return statuses, breaks
 }

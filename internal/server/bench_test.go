@@ -9,6 +9,7 @@ import (
 	"repro/internal/crashfs"
 	"repro/internal/obs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // BenchmarkAllocJournalBatch measures the framing of one applied
@@ -46,4 +47,38 @@ func BenchmarkAllocJournalBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAllocServerMutate pins one connected-mode update end to end
+// inside the server: a 4 KB StoreOp decoded, validated against the
+// overlay, framed into the (detached) journal, committed and answered
+// through handle. Enforced by benchgate against bench_baseline.json.
+func BenchmarkAllocServerMutate(b *testing.B) {
+	w := newWorld()
+	if _, err := w.srv.CreateVolume("usr"); err != nil {
+		b.Fatal(err)
+	}
+	st, err := w.srv.WriteFile("usr", "f.dat", make([]byte, 4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// After the first store the object's last author is this client, so
+	// one encoded request stays valid whatever the version has become.
+	body, err := wire.Encode(wire.StoreOp{FID: st.FID, Data: make([]byte, 4096), PrevVersion: st.Version})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.sim.Run(func() {
+		defer w.srv.Close()
+		if _, err := w.srv.handle("bench-client", obs.SpanContext{}, body); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.srv.handle("bench-client", obs.SpanContext{}, body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -51,35 +51,8 @@ func (s *Server) handle(src string, sc obs.SpanContext, body []byte) ([]byte, er
 	case wire.GetVolumeStamp:
 		rep, err = s.getVolumeStamp(src, req)
 
-	case wire.StoreOp:
-		rep, err = s.mutate(src, sc, cml.Record{
-			Kind: cml.Store, FID: req.FID, Data: req.Data,
-			Length: int64(len(req.Data)), PrevVersion: req.PrevVersion,
-		}, req.FID)
-	case wire.SetAttrOp:
-		rep, err = s.mutate(src, sc, cml.Record{
-			Kind: cml.SetAttr, FID: req.FID, Mode: req.Mode,
-			ModTime: req.ModTime, PrevVersion: req.PrevVersion,
-		}, req.FID)
-	case wire.MakeObject:
-		rep, err = s.makeObject(src, sc, req)
-	case wire.RemoveOp:
-		kind := cml.Remove
-		if req.Rmdir {
-			kind = cml.Rmdir
-		}
-		rep, err = s.mutate(src, sc, cml.Record{
-			Kind: kind, FID: req.FID, Parent: req.Parent, Name: req.Name,
-		}, req.Parent)
-	case wire.RenameOp:
-		rep, err = s.mutate(src, sc, cml.Record{
-			Kind: cml.Rename, FID: req.FID, Parent: req.Parent, Name: req.Name,
-			NewParent: req.NewParent, NewName: req.NewName,
-		}, req.FID)
-	case wire.LinkOp:
-		rep, err = s.mutate(src, sc, cml.Record{
-			Kind: cml.Link, FID: req.FID, Parent: req.Parent, Name: req.Name,
-		}, req.FID)
+	case wire.StoreOp, wire.SetAttrOp, wire.MakeObject, wire.RemoveOp, wire.RenameOp, wire.LinkOp:
+		rep, err = s.mutate(src, sc, req)
 
 	case wire.Reintegrate:
 		rep, err = s.reintegrate(src, sc, req)
@@ -214,11 +187,13 @@ func (s *Server) getVolumeStamp(src string, req wire.GetVolumeStamp) (wire.GetVo
 	return wire.GetVolumeStampRep{Stamp: v.info.Stamp}, nil
 }
 
-// mutate runs one connected-mode update through the shared apply machinery.
-// repFID selects which touched object's status is returned as Status.
-// On a traced call the validate/journal/commit sequence is one
-// server_apply span, with the journal append (and its fsync) as children.
-func (s *Server) mutate(src string, sc obs.SpanContext, rec cml.Record, repFID codafs.FID) (wire.MutateRep, error) {
+// mutate runs one connected-mode update — the record its request
+// carries (wire.RecordOf) — as a batch of one; the reply leads with the
+// new status of the object RecordOf names. On a traced call the
+// validate/journal/commit sequence is one server_apply span, with the
+// journal append (and its fsync) as children.
+func (s *Server) mutate(src string, sc obs.SpanContext, req any) (wire.MutateRep, error) {
+	rec, repFID, _ := wire.RecordOf(req)
 	v, ok := s.volByID(rec.FID.Volume)
 	if !ok {
 		return wire.MutateRep{}, fmt.Errorf("no volume %d", rec.FID.Volume)
@@ -231,24 +206,18 @@ func (s *Server) mutate(src string, sc obs.SpanContext, rec cml.Record, repFID c
 		defer sp.End()
 	}
 	s.lockVolume(v)
-	a := newApply(v)
-	res := applyRecord(a, &rec, src)
-	if !res.OK {
-		v.mu.Unlock()
+	//codalint:ignore lockhold journal-first commit: v.mu must cover the batch append so a concurrent apply to this volume cannot reorder LSNs
+	failed, res, statuses, breaks, err := applyBatchLocked(v, src, []cml.Record{rec}, batchLive, 0, applyCtx)
+	rep := wire.MutateRep{VolStamp: v.info.Stamp}
+	v.mu.Unlock()
+	if err != nil {
+		return wire.MutateRep{}, err
+	}
+	if failed >= 0 {
 		return wire.MutateRep{}, fmt.Errorf("%s", res.Msg)
 	}
-	// Journal before commit: the update must be durable before it becomes
-	// visible (or acknowledged). On journal failure nothing commits.
-	//codalint:ignore lockhold journal-first commit: v.mu must cover the batch append so a concurrent apply to this volume cannot reorder LSNs
-	if err := journalBatchLocked(v, src, []cml.Record{rec}, applyCtx); err != nil {
-		v.mu.Unlock()
-		return wire.MutateRep{}, fmt.Errorf("journal: %w", err)
-	}
-	statuses, stamp, breaks := commitApply(a, src)
-	v.mu.Unlock()
 	s.stats.recordsApplied.Add(1)
 	s.met.recordsApplied.Inc()
-	rep := wire.MutateRep{VolStamp: stamp}
 	for _, st := range statuses {
 		if st.FID == repFID {
 			rep.Status = st
@@ -260,29 +229,6 @@ func (s *Server) mutate(src string, sc obs.SpanContext, rec cml.Record, repFID c
 	s.dispatchBreaks(breaks)
 	s.shipToPeers(v, sc)
 	return rep, nil
-}
-
-func (s *Server) makeObject(src string, sc obs.SpanContext, req wire.MakeObject) (wire.MakeObjectRep, error) {
-	kind := cml.Create
-	switch req.Type {
-	case codafs.Directory:
-		kind = cml.Mkdir
-	case codafs.Symlink:
-		kind = cml.MakeSymlink
-	}
-	rec := cml.Record{
-		Kind: kind, FID: req.FID, Parent: req.Parent, Name: req.Name,
-		Target: req.Target, Mode: req.Mode, Owner: req.Owner,
-	}
-	mrep, err := s.mutate(src, sc, rec, req.FID)
-	if err != nil {
-		return wire.MakeObjectRep{}, err
-	}
-	return wire.MakeObjectRep{
-		Status:       mrep.Status,
-		ParentStatus: mrep.ParentStatus,
-		VolStamp:     mrep.VolStamp,
-	}, nil
 }
 
 func (s *Server) putFragment(src string, req wire.PutFragment) (wire.PutFragmentRep, error) {
@@ -439,46 +385,40 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 		recs[idx].Length = int64(len(newData))
 	}
 
-	a := newApply(v)
-	ok = true
-	for i := range recs {
-		if !ok {
-			rep.Results[keep[i]] = wire.RecordResult{Msg: "not attempted"}
-			continue
-		}
-		res := applyRecord(a, &recs[i], src)
-		rep.Results[keep[i]] = res
-		if !res.OK {
-			ok = false
-			if res.Conflict {
-				s.stats.conflicts.Add(1)
-				s.met.conflicts.Inc()
-			}
-		}
-	}
-	if !ok {
-		// Atomicity: nothing applied, overlay dropped, fragments kept
-		// so a retry need not reship them.
+	// What remains is a batch like any other (fragments attached, deltas
+	// already applied, duplicates compacted out), so what is journaled is
+	// the reconstructed records and replay needs neither fragment buffers
+	// nor delta bases. A validation failure is atomic — nothing applied,
+	// fragments kept so a retry need not reship them — and a journal
+	// failure aborts the chunk the same way: the client retries.
+	//codalint:ignore lockhold journal-first commit: v.mu must cover the batch append so a concurrent apply to this volume cannot reorder LSNs
+	failed, res, statuses, breaks, err := applyBatchLocked(v, src, recs, batchLive, 0, applyCtx)
+	if err != nil || failed >= 0 {
 		rep.VolStamp = v.info.Stamp
 		v.mu.Unlock()
 		s.stats.reintegrationFails.Add(1)
 		s.met.reintegFails.Inc()
+		if err != nil {
+			return wire.ReintegrateRep{}, err
+		}
+		for _, oi := range keep[:failed] {
+			rep.Results[oi] = okResult
+		}
+		rep.Results[keep[failed]] = res
+		for _, oi := range keep[failed+1:] {
+			rep.Results[oi] = wire.RecordResult{Msg: "not attempted"}
+		}
+		if res.Conflict {
+			s.stats.conflicts.Add(1)
+			s.met.conflicts.Inc()
+		}
 		return rep, nil
 	}
-	// Journal the reconstructed batch (fragments attached, deltas already
-	// applied, duplicates compacted out) before commit, so replay needs
-	// neither fragment buffers nor delta bases. Failure aborts the chunk
-	// exactly like a validation failure would: nothing applied, client
-	// retries.
-	//codalint:ignore lockhold journal-first commit: v.mu must cover the batch append so a concurrent apply to this volume cannot reorder LSNs
-	if err := journalBatchLocked(v, src, recs, applyCtx); err != nil {
-		v.mu.Unlock()
-		s.stats.reintegrationFails.Add(1)
-		s.met.reintegFails.Inc()
-		return wire.ReintegrateRep{}, fmt.Errorf("journal: %w", err)
+	for _, oi := range keep {
+		rep.Results[oi] = okResult
 	}
-	statuses, stamp, breaks := commitApply(a, src)
 	statuses = appendFIDStatuses(statuses, v, dupFIDs)
+	rep.VolStamp = v.info.Stamp
 	v.mu.Unlock()
 
 	s.stats.recordsApplied.Add(int64(len(recs)))
@@ -487,7 +427,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 
 	rep.Applied = true
 	rep.Statuses = statuses
-	rep.VolStamp = stamp
 
 	// Breaks go out with no lock held at all.
 	s.dispatchBreaks(breaks)

@@ -170,8 +170,14 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 			}
 			info.BatchesReplayed++
 			info.RecordsReplayed += len(e.Recs)
-			if err := replayBatchLocked(v, e); err != nil {
-				return err
+			// The batch passed validation when it was journaled, and apply
+			// is a pure function of volume state and the records, so a
+			// failure here means the journal and snapshot disagree —
+			// surfaced, not ignored. Callback state is empty during
+			// recovery, so there are no breaks to dispatch.
+			if failed, res, _, _, _ := applyBatchLocked(v, e.Client, e.Recs, batchReplay, 0, obs.SpanContext{}); failed >= 0 {
+				return fmt.Errorf("server: journal replay: record %d (%s) no longer applies: %s",
+					failed, e.Recs[failed].Kind, res.Msg)
 			}
 			// Rebuild the replication state the entry represented: the
 			// chain folds over the exact payload bytes, so a replayed
@@ -212,25 +218,6 @@ func (s *Server) replayCreateVolume(e metaEntry) error {
 	if e.ID > s.nextVolID {
 		s.nextVolID = e.ID
 	}
-	return nil
-}
-
-// replayBatchLocked re-applies one journaled batch. The batch passed
-// validation when it was journaled, and apply is a pure function of
-// volume state and the records, so a validation failure here means the
-// journal and snapshot disagree — surfaced, not ignored. Caller holds
-// v.mu.
-func replayBatchLocked(v *volume, e volEntry) error {
-	a := newApply(v)
-	for i := range e.Recs {
-		if res := applyRecord(a, &e.Recs[i], e.Client); !res.OK {
-			return fmt.Errorf("server: journal replay: record %d (%s) no longer applies: %s",
-				i, e.Recs[i].Kind, res.Msg)
-		}
-	}
-	// Callback state is empty during recovery, so the breaks are empty
-	// and there is nothing to dispatch.
-	_, _, _ = commitApply(a, e.Client)
 	return nil
 }
 

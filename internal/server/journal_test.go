@@ -64,10 +64,10 @@ func (d *sdriver) createVolume(name string) error {
 
 func (d *sdriver) makeObject(vol, key string, parent codafs.FID, name string, kind cml.Kind) error {
 	fid := d.newFID(vol)
-	rep, err := d.s.mutate(sclient, obs.SpanContext{}, cml.Record{
+	rep, err := d.s.mutate(sclient, obs.SpanContext{}, wire.MutationOf(&cml.Record{
 		Kind: kind, FID: fid, Parent: parent, Name: name,
 		Mode: 0644, Owner: sclient,
-	}, fid)
+	}))
 	if err != nil {
 		return err
 	}
@@ -77,10 +77,10 @@ func (d *sdriver) makeObject(vol, key string, parent codafs.FID, name string, ki
 }
 
 func (d *sdriver) store(key string, data []byte) error {
-	rep, err := d.s.mutate(sclient, obs.SpanContext{}, cml.Record{
+	rep, err := d.s.mutate(sclient, obs.SpanContext{}, wire.MutationOf(&cml.Record{
 		Kind: cml.Store, FID: d.fid[key], Data: data,
 		Length: int64(len(data)), PrevVersion: d.ver[key],
-	}, d.fid[key])
+	}))
 	if err != nil {
 		return err
 	}
@@ -89,10 +89,10 @@ func (d *sdriver) store(key string, data []byte) error {
 }
 
 func (d *sdriver) setattr(key string, mode uint32) error {
-	rep, err := d.s.mutate(sclient, obs.SpanContext{}, cml.Record{
+	rep, err := d.s.mutate(sclient, obs.SpanContext{}, wire.MutationOf(&cml.Record{
 		Kind: cml.SetAttr, FID: d.fid[key], Mode: mode,
 		ModTime: time.Unix(800000000, 0).UTC(), PrevVersion: d.ver[key], // UTC, as the wire decoder delivers it
-	}, d.fid[key])
+	}))
 	if err != nil {
 		return err
 	}
@@ -101,25 +101,25 @@ func (d *sdriver) setattr(key string, mode uint32) error {
 }
 
 func (d *sdriver) rename(key string, parent codafs.FID, name string, newParent codafs.FID, newName string) error {
-	_, err := d.s.mutate(sclient, obs.SpanContext{}, cml.Record{
+	_, err := d.s.mutate(sclient, obs.SpanContext{}, wire.MutationOf(&cml.Record{
 		Kind: cml.Rename, FID: d.fid[key], Parent: parent, Name: name,
 		NewParent: newParent, NewName: newName,
-	}, d.fid[key])
+	}))
 	return err
 }
 
 func (d *sdriver) remove(key string, parent codafs.FID, name string) error {
-	_, err := d.s.mutate(sclient, obs.SpanContext{}, cml.Record{
+	_, err := d.s.mutate(sclient, obs.SpanContext{}, wire.MutationOf(&cml.Record{
 		Kind: cml.Remove, FID: d.fid[key], Parent: parent, Name: name,
 		PrevVersion: d.ver[key],
-	}, parent)
+	}))
 	return err
 }
 
 func (d *sdriver) link(key string, parent codafs.FID, name string) error {
-	_, err := d.s.mutate(sclient, obs.SpanContext{}, cml.Record{
+	_, err := d.s.mutate(sclient, obs.SpanContext{}, wire.MutationOf(&cml.Record{
 		Kind: cml.Link, FID: d.fid[key], Parent: parent, Name: name,
-	}, d.fid[key])
+	}))
 	return err
 }
 

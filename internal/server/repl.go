@@ -267,31 +267,20 @@ func (s *Server) shipLog(src string, sc obs.SpanContext, req wire.ShipLog) (wire
 	return rep, nil
 }
 
-// applyEntryLocked applies one in-order peer entry: records run through
-// the normal validation/apply pipeline, the entry is journaled with the
-// same framing the shipper used, and the resulting chain must equal the
-// shipper's — a mismatch means the logs are not byte-identical and is
-// surfaced as divergence. Caller holds v.mu; the returned breaks are
-// dispatched after unlock.
+// applyEntryLocked applies one in-order peer entry as a peer batch: the
+// records run through the pipeline every update takes, the entry is
+// journaled with the same framing the shipper used, and the resulting
+// chain must equal the shipper's — a record that does not apply, like a
+// chain mismatch, means the logs are not byte-identical and is surfaced
+// as divergence. Caller holds v.mu; the returned breaks are dispatched
+// after unlock.
 func (v *volume) applyEntryLocked(e wire.LogEntry, sc obs.SpanContext) ([]breakWork, error) {
-	a := newApply(v)
-	for i := range e.Recs {
-		if res := applyRecord(a, &e.Recs[i], e.Client); !res.OK {
-			return nil, fmt.Errorf("%w: volume %d entry %d record %d (%s) does not apply: %s", ErrDiverged,
-				v.info.ID, e.LSN, i, e.Recs[i].Kind, res.Msg)
-		}
+	failed, res, _, breaks, err := applyBatchLocked(v, e.Client, e.Recs, batchPeer, e.Chain, sc)
+	if failed >= 0 {
+		return nil, fmt.Errorf("%w: volume %d entry %d record %d (%s) does not apply: %s", ErrDiverged,
+			v.info.ID, e.LSN, failed, e.Recs[failed].Kind, res.Msg)
 	}
-	if err := journalBatchLocked(v, e.Client, e.Recs, sc); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if v.chain != e.Chain {
-		// The entry is journaled but the fingerprint disagrees: the logs
-		// differ somewhere at or before this entry. Nothing silent to do.
-		return nil, fmt.Errorf("%w: volume %d entry %d chain %08x != %08x", ErrDiverged,
-			v.info.ID, e.LSN, v.chain, e.Chain)
-	}
-	_, _, breaks := commitApply(a, e.Client)
-	return breaks, nil
+	return breaks, err
 }
 
 // fetchLog serves a peer's pull: the retained suffix after AfterLSN, in

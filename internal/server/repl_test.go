@@ -122,7 +122,7 @@ func TestShipLogReplicatesConnectedWrites(t *testing.T) {
 	w.sim.Run(func() {
 		c := w.client("c1")
 		gv := callTo[wire.GetVolumeRep](t, c, replAddr(0), wire.GetVolume{Name: "v"})
-		mk := callTo[wire.MakeObjectRep](t, c, replAddr(0), wire.MakeObject{
+		mk := callTo[wire.MutateRep](t, c, replAddr(0), wire.MakeObject{
 			Parent: gv.Root.FID, Name: "f.txt", FID: clientFID(gv.Info.ID, 10),
 			Type: codafs.File, Owner: "hqb",
 		})
@@ -255,7 +255,7 @@ func TestCatchUpAfterPartition(t *testing.T) {
 		c := w.client("c1")
 		gv := callTo[wire.GetVolumeRep](t, c, replAddr(0), wire.GetVolume{Name: "v"})
 		for k := 0; k < 3; k++ {
-			mk := callTo[wire.MakeObjectRep](t, c, replAddr(0), wire.MakeObject{
+			mk := callTo[wire.MutateRep](t, c, replAddr(0), wire.MakeObject{
 				Parent: gv.Root.FID, Name: fmt.Sprintf("f%d", k),
 				FID: clientFID(gv.Info.ID, uint64(20+k)), Type: codafs.File, Owner: "hqb",
 			})
@@ -291,7 +291,7 @@ func TestFetchLogRejectsDivergedChain(t *testing.T) {
 	w.sim.Run(func() {
 		c := w.client("c1")
 		gv := callTo[wire.GetVolumeRep](t, c, replAddr(0), wire.GetVolume{Name: "v"})
-		callTo[wire.MakeObjectRep](t, c, replAddr(0), wire.MakeObject{
+		callTo[wire.MutateRep](t, c, replAddr(0), wire.MakeObject{
 			Parent: gv.Root.FID, Name: "f", FID: clientFID(gv.Info.ID, 10),
 			Type: codafs.File, Owner: "hqb",
 		})
@@ -322,7 +322,7 @@ func TestFetchLogRejectsTruncatedSuffix(t *testing.T) {
 		c := w.client("c1")
 		gv := callTo[wire.GetVolumeRep](t, c, replAddr(0), wire.GetVolume{Name: "v"})
 		for k := 0; k < 2; k++ {
-			callTo[wire.MakeObjectRep](t, c, replAddr(0), wire.MakeObject{
+			callTo[wire.MutateRep](t, c, replAddr(0), wire.MakeObject{
 				Parent: gv.Root.FID, Name: fmt.Sprintf("f%d", k),
 				FID: clientFID(gv.Info.ID, uint64(10+k)), Type: codafs.File, Owner: "hqb",
 			})
@@ -362,7 +362,7 @@ func TestRestartedMemberCatchesUpViaFetchLog(t *testing.T) {
 	w.sim.Run(func() {
 		c := w.client("c1")
 		gv := callTo[wire.GetVolumeRep](t, c, replAddr(0), wire.GetVolume{Name: "v"})
-		mk := callTo[wire.MakeObjectRep](t, c, replAddr(0), wire.MakeObject{
+		mk := callTo[wire.MutateRep](t, c, replAddr(0), wire.MakeObject{
 			Parent: gv.Root.FID, Name: "before", FID: clientFID(gv.Info.ID, 10),
 			Type: codafs.File, Owner: "hqb",
 		})

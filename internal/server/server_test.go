@@ -217,7 +217,7 @@ func TestConnectedMutations(t *testing.T) {
 		vol := gv.Info.ID
 		root := gv.Root.FID
 
-		mk := call[wire.MakeObjectRep](t, c, wire.MakeObject{
+		mk := call[wire.MutateRep](t, c, wire.MakeObject{
 			Parent: root, Name: "f", FID: clientFID(vol, 1), Type: codafs.File, Owner: "hqb",
 		})
 		if mk.Status.Type != codafs.File || mk.ParentStatus.FID != root {
@@ -242,7 +242,7 @@ func TestConnectedMutations(t *testing.T) {
 
 		// SetAttr, Mkdir, Rename, Link, Remove.
 		call[wire.MutateRep](t, c, wire.SetAttrOp{FID: mk.Status.FID, Mode: 0600, PrevVersion: st.Status.Version})
-		md := call[wire.MakeObjectRep](t, c, wire.MakeObject{
+		md := call[wire.MutateRep](t, c, wire.MakeObject{
 			Parent: root, Name: "d", FID: clientFID(vol, 2), Type: codafs.Directory,
 		})
 		call[wire.MutateRep](t, c, wire.RenameOp{
@@ -461,7 +461,7 @@ func TestUpdaterKeepsOwnVolumeCallback(t *testing.T) {
 		c := w.client("c1")
 		gv := call[wire.GetVolumeRep](t, c, wire.GetVolume{Name: "v"})
 		call[wire.GetVolumeStampRep](t, c, wire.GetVolumeStamp{Volume: gv.Info.ID})
-		call[wire.MakeObjectRep](t, c, wire.MakeObject{
+		call[wire.MutateRep](t, c, wire.MakeObject{
 			Parent: gv.Root.FID, Name: "mine", FID: clientFID(gv.Info.ID, 1), Type: codafs.File,
 		})
 		if _, ok := c.breaks.GetTimeout(30 * time.Second); ok {

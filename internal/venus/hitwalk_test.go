@@ -327,3 +327,24 @@ func BenchmarkAllocVenusHitRead(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAllocVenusWriteLogged pins a logged update — a 4 KB WriteFile
+// while write-disconnected, no journal: the record's copy of the data, the
+// cache's, the CML record itself and the owner string, and nothing else.
+// Rewriting one file keeps the log at one record (store-overwrite
+// cancellation). Enforced by benchgate against bench_baseline.json.
+func BenchmarkAllocVenusWriteLogged(b *testing.B) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(b, sim, WriteDisconnected)
+		defer v.Close()
+		data := make([]byte, 4096)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := v.WriteFile("/coda/v/a/b/clean.txt", data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -23,7 +23,7 @@ type HDBEntry struct {
 // change is journaled before it is applied.
 func (v *Venus) HoardAdd(path string, priority int, children bool) {
 	e := HDBEntry{Path: path, Priority: priority, Children: children}
-	v.journalHDB(journalEntry{Op: jHoardAdd, HDB: e})
+	v.journalRef().note(journalEntry{Op: jHoardAdd, HDB: e})
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.hdb[path] = &e
@@ -31,7 +31,7 @@ func (v *Venus) HoardAdd(path string, priority int, children bool) {
 
 // HoardRemove deletes an HDB entry.
 func (v *Venus) HoardRemove(path string) {
-	v.journalHDB(journalEntry{Op: jHoardRemove, Path: path})
+	v.journalRef().note(journalEntry{Op: jHoardRemove, Path: path})
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.hdb, path)

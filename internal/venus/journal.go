@@ -126,13 +126,25 @@ type journal struct {
 	err  error // first failure on a best-effort path, healed by Checkpoint
 }
 
-// writeLocked frames e into the WAL with the next LSN. Caller holds j.mu.
-func (j *journal) writeLocked(e journalEntry) error {
+// write frames e into the WAL with the next LSN and then, still under
+// j.mu, runs commit — the in-memory change e describes, if it is not
+// already made — so a Checkpoint can never fall between the two. If the
+// write fails commit does not run.
+func (j *journal) write(e journalEntry, commit func()) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	e.LSN = j.log.Next()
 	bp := bufpool.Get(0)
 	defer bufpool.Put(bp)
 	*bp = appendJournalEntry(*bp, &e)
-	return j.log.Append(*bp, obs.SpanContext{})
+	//codalint:ignore lockhold journal-first commit: j.mu orders WAL records with the CML and HDB mutations they describe
+	if err := j.log.Append(*bp, obs.SpanContext{}); err != nil {
+		return err
+	}
+	if commit != nil {
+		commit()
+	}
+	return nil
 }
 
 // AttachJournal recovers durable state from opts.Dir (snapshot + WAL
@@ -224,32 +236,31 @@ func (v *Venus) journalRef() *journal {
 	return v.journal
 }
 
-// logAppend makes rec durable (when a journal is attached) and appends
-// it to vc's CML. On journal failure the log is left untouched and the
-// error is returned; the caller must not apply the mutation locally —
-// an update that cannot be made persistent must not exist only in
-// volatile memory, or a crash would silently lose it (§4.3.1).
+// logAppend appends rec to vc's CML, making it durable first when a
+// journal is attached. The log owns its bytes: rec.Data is copied, so the
+// caller's buffer is the caller's again on return. On journal failure the
+// log is left untouched and the error is returned; the caller must not
+// apply the mutation locally — an update that cannot be made persistent
+// must not exist only in volatile memory, or a crash would silently lose
+// it (§4.3.1).
 func (v *Venus) logAppend(vc *vclient, rec cml.Record, now time.Time) error {
+	rec.Data = append([]byte(nil), rec.Data...)
 	j := v.journalRef()
 	if j == nil {
 		vc.log.Append(rec, now)
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	//codalint:ignore lockhold journal-first commit: j.mu orders WAL records with the CML mutations they describe
-	if err := j.writeLocked(journalEntry{Op: jAppend, Volume: vc.info.Name, Rec: rec, Now: now}); err != nil {
+	err := j.write(journalEntry{Op: jAppend, Volume: vc.info.Name, Rec: rec, Now: now}, func() {
+		vc.log.Append(rec, now)
+	})
+	if err != nil {
 		return fmt.Errorf("venus: journal append: %w", err)
 	}
-	vc.log.Append(rec, now)
 	return nil
 }
 
 // logDrop journals the removal of seqs from vc's CML after the server
-// has durably applied (or rejected as conflicts) those records. The
-// server's state is already authoritative here, so a journal failure
-// cannot be rolled back; it is remembered and healed by the next
-// Checkpoint, whose snapshot captures the post-drop log.
+// has durably applied (or rejected as conflicts) those records.
 func (v *Venus) logDrop(vc *vclient, seqs map[uint64]bool) {
 	j := v.journalRef()
 	if j == nil || len(seqs) == 0 {
@@ -260,27 +271,25 @@ func (v *Venus) logDrop(vc *vclient, seqs map[uint64]bool) {
 		list = append(list, s)
 	}
 	sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	//codalint:ignore lockhold journal-first commit: j.mu orders WAL records with the CML mutations they describe
-	if err := j.writeLocked(journalEntry{Op: jDrop, Volume: vc.info.Name, Seqs: list}); err != nil && j.err == nil {
-		j.err = err
-	}
+	j.note(journalEntry{Op: jDrop, Volume: vc.info.Name, Seqs: list})
 }
 
-// journalHDB journals one hoard-database change, best-effort like
-// logDrop (the HDB is a preference, not an update; losing one is an
-// inconvenience, not data loss).
-func (v *Venus) journalHDB(e journalEntry) {
-	j := v.journalRef()
+// note journals, best-effort, a change that is already made and cannot be
+// rolled back: a CML drop (the server's state is authoritative by then) or
+// a hoard-database edit (a preference; losing one is an inconvenience, not
+// data loss). A failure is remembered and healed by the next Checkpoint,
+// whose snapshot captures the state the missed entry described. A nil
+// journal (none attached) notes nothing.
+func (j *journal) note(e journalEntry) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	//codalint:ignore lockhold journal-first commit: j.mu orders WAL records with the HDB mutations they describe
-	if err := j.writeLocked(e); err != nil && j.err == nil {
-		j.err = err
+	if err := j.write(e, nil); err != nil {
+		j.mu.Lock()
+		if j.err == nil {
+			j.err = err
+		}
+		j.mu.Unlock()
 	}
 }
 
@@ -328,8 +337,11 @@ func (v *Venus) CloseJournal() error {
 	if j == nil {
 		return nil
 	}
+	// Detached under j.mu, closed (the final flush) outside it, as the
+	// server does for its volume WALs: a straggler that still holds j
+	// appends to a detached journal, which writes nothing.
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	//codalint:ignore lockhold final flush on shutdown; the journal is being detached and no traffic remains
-	return j.log.Detach().Close()
+	w := j.log.Detach()
+	j.mu.Unlock()
+	return w.Close()
 }

@@ -575,6 +575,53 @@ func (v *Venus) ReadLink(path string) (string, error) {
 
 // ---- Write operations ----
 
+// update routes one mutation (§4.3); every operation below resolves its
+// objects, checks them under v.mu, describes the change as one cml.Record
+// and ends here. While hoarding the record is written through — sent as
+// the connected-mode request of its kind (wire.MutationOf) — and an
+// answer, reply or refusal, is final. A timeout is not an answer: Venus
+// demotes to emulating, and the update goes the way of any made weakly
+// connected or disconnected — logged (durably, journal first) for later
+// reintegration, any modification time it carries re-read after the
+// timed-out attempt has burned its wait.
+//
+// state is what the caller read under the same hold of v.mu as its
+// checks. done runs once, under v.mu, if and only if the update took
+// effect — with the server's reply if written through, nil if logged —
+// and says how that outcome shows in the cache.
+//
+//codalint:hotpath
+func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.CallOpts, done func(rep *wire.MutateRep)) error {
+	if state == Hoarding {
+		//codalint:ignore allocscan the written-through route is an RPC: the request built and boxed here, encoded, answered and decoded below
+		rep, err := callVol[wire.MutateRep](v, vc, wire.MutationOf(rec), opts)
+		if err == nil {
+			v.mu.Lock()
+			done(&rep)
+			vc.noteStamp(rep.VolStamp)
+			v.mu.Unlock()
+			return nil
+		}
+		if !errors.Is(err, rpc2.ErrTimeout) {
+			return err
+		}
+		//codalint:ignore allocscan a demotion, once per lost server: the transition is counted and traced
+		v.transition(Emulating, "server unreachable")
+	}
+	now := v.clock.Now()
+	if !rec.ModTime.IsZero() {
+		rec.ModTime = now
+	}
+	//codalint:ignore allocscan what a logged update is made of: the log's own copy of the data and its record (BenchmarkAllocVenusWriteLogged pins the whole route)
+	if err := v.logAppend(vc, *rec, now); err != nil {
+		return err
+	}
+	v.mu.Lock()
+	done(nil)
+	v.mu.Unlock()
+	return nil
+}
+
 // WriteFile stores data at path, creating the file if needed (open-close
 // session semantics: one call is one close-after-write).
 func (v *Venus) WriteFile(path string, data []byte) error {
@@ -608,59 +655,35 @@ func (v *Venus) WriteFile(path string, data []byte) error {
 		v.mu.Unlock()
 		return fmt.Errorf("venus: %s: %w", path, ErrIsDir)
 	}
-	prevVersion := f.obj.Status.Version
+	rec := cml.Record{
+		Kind: cml.Store, FID: fid, Parent: parent.obj.Status.FID, Name: name,
+		Data: data, Length: int64(len(data)), ModTime: v.clock.Now(),
+		PrevVersion: f.obj.Status.Version, Owner: v.owner(),
+	}
 	state := v.state
 	v.mu.Unlock()
 
-	if state == Hoarding {
-		rep, err := callVol[wire.MutateRep](v, vc, wire.StoreOp{
-			FID: fid, Data: data, PrevVersion: prevVersion,
-		}, rpc2.CallOpts{Timeout: 10 * time.Minute})
-		if err == nil {
-			v.mu.Lock()
-			before := f.dataBytes()
-			f.obj.Data = append([]byte(nil), data...)
+	return v.update(vc, state, &rec, rpc2.CallOpts{Timeout: 10 * time.Minute}, func(rep *wire.MutateRep) {
+		before := f.dataBytes()
+		if rep == nil && v.cfg.EnableDeltas && !f.dirty && !f.placeholder &&
+			f.obj.Status.Version > 0 && len(f.obj.Data) >= 2048 {
+			// Shadow the last server-known contents so reintegration can
+			// ship a difference instead of the whole file.
+			f.base = f.obj.Data
+		}
+		f.obj.Data = append([]byte(nil), data...)
+		f.placeholder = false
+		v.cache.recharge(f, before)
+		if rep != nil {
 			f.obj.Status = rep.Status
-			f.placeholder = false
 			f.hasCallback = true
-			v.cache.recharge(f, before)
-			vc.noteStamp(rep.VolStamp)
-			v.mu.Unlock()
-			return nil
+			return
 		}
-		if !errors.Is(err, rpc2.ErrTimeout) {
-			return err
-		}
-		v.transition(Emulating, "server unreachable")
-	}
-
-	// Weakly connected or disconnected: log (durably, journal first) and
-	// apply locally.
-	now := v.clock.Now()
-	if err := v.logAppend(vc, cml.Record{
-		Kind: cml.Store, FID: fid, Parent: parent.obj.Status.FID, Name: name,
-		Data: append([]byte(nil), data...), Length: int64(len(data)),
-		ModTime: now, PrevVersion: prevVersion, Owner: v.owner(),
-	}, now); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	before := f.dataBytes()
-	if v.cfg.EnableDeltas && !f.dirty && !f.placeholder &&
-		f.obj.Status.Version > 0 && len(f.obj.Data) >= 2048 {
-		// Shadow the last server-known contents so reintegration can
-		// ship a difference instead of the whole file.
-		f.base = f.obj.Data
-	}
-	f.obj.Data = append([]byte(nil), data...)
-	f.obj.Status.Length = int64(len(data))
-	f.obj.Status.ModTime = now
-	f.placeholder = false
-	f.dirty = true
-	v.cache.recharge(f, before)
-	v.cache.evictFor(0)
-	v.mu.Unlock()
-	return nil
+		f.obj.Status.Length = rec.Length
+		f.obj.Status.ModTime = rec.ModTime
+		f.dirty = true
+		v.cache.evictFor(0)
+	})
 }
 
 // Mkdir creates a directory at path.
@@ -686,35 +709,6 @@ func (v *Venus) makeObject(vc *vclient, parent *fso, name string, typ codafs.Obj
 	if !codafs.ValidName(name) {
 		return fmt.Errorf("venus: invalid name %q", name)
 	}
-	v.mu.Lock()
-	if _, dup := parent.obj.Children[name]; dup {
-		v.mu.Unlock()
-		return fmt.Errorf("venus: %s: %w", name, ErrExist)
-	}
-	fid := v.allocFID(vc.info.ID)
-	state := v.state
-	parentFID := parent.obj.Status.FID
-	v.mu.Unlock()
-
-	if state == Hoarding {
-		rep, err := callVol[wire.MakeObjectRep](v, vc, wire.MakeObject{
-			Parent: parentFID, Name: name, FID: fid, Type: typ, Target: target, Owner: v.owner(),
-		}, rpc2.CallOpts{})
-		if err == nil {
-			v.mu.Lock()
-			v.installChildLocked(parent, name, rep.Status, target, false)
-			parent.obj.Status = rep.ParentStatus
-			vc.noteStamp(rep.VolStamp)
-			v.mu.Unlock()
-			return nil
-		}
-		if !errors.Is(err, rpc2.ErrTimeout) {
-			return err
-		}
-		v.transition(Emulating, "server unreachable")
-	}
-
-	now := v.clock.Now()
 	kind := cml.Create
 	switch typ {
 	case codafs.Directory:
@@ -722,24 +716,34 @@ func (v *Venus) makeObject(vc *vclient, parent *fso, name string, typ codafs.Obj
 	case codafs.Symlink:
 		kind = cml.MakeSymlink
 	}
-	if err := v.logAppend(vc, cml.Record{
-		Kind: kind, FID: fid, Parent: parentFID, Name: name, Target: target,
-		ModTime: now, Owner: v.owner(), PrevParentVersion: parent.obj.Status.Version,
-	}, now); err != nil {
-		return err
-	}
 	v.mu.Lock()
-	st := codafs.Status{
-		FID: fid, Type: typ, ModTime: now, Owner: v.owner(), Links: 1,
-		Mode: 0644, Length: int64(len(target)),
+	if _, dup := parent.obj.Children[name]; dup {
+		v.mu.Unlock()
+		return fmt.Errorf("venus: %s: %w", name, ErrExist)
 	}
-	if typ == codafs.Directory {
-		st.Mode = 0755
+	rec := cml.Record{
+		Kind: kind, FID: v.allocFID(vc.info.ID), Parent: parent.obj.Status.FID, Name: name, Target: target,
+		ModTime: v.clock.Now(), Owner: v.owner(), PrevParentVersion: parent.obj.Status.Version,
 	}
-	v.installChildLocked(parent, name, st, target, true)
-	parent.dirty = true
+	state := v.state
 	v.mu.Unlock()
-	return nil
+
+	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
+		if rep != nil {
+			v.installChildLocked(parent, name, rep.Status, target, false)
+			parent.obj.Status = rep.ParentStatus
+			return
+		}
+		st := codafs.Status{
+			FID: rec.FID, Type: typ, ModTime: rec.ModTime, Owner: rec.Owner, Links: 1,
+			Mode: 0644, Length: int64(len(target)),
+		}
+		if typ == codafs.Directory {
+			st.Mode = 0755
+		}
+		v.installChildLocked(parent, name, st, target, true)
+		parent.dirty = true
+	})
 }
 
 // installChildLocked adds a freshly created object to the cache and its
@@ -773,10 +777,10 @@ func (v *Venus) removeCommon(path string, rmdir bool) error {
 		return err
 	}
 	v.mu.Lock()
-	fid := target.obj.Status.FID
-	prevVersion := target.obj.Status.Version
 	isDir := target.obj.Status.Type == codafs.Directory
+	kind := cml.Remove
 	if rmdir {
+		kind = cml.Rmdir
 		if !isDir {
 			v.mu.Unlock()
 			return fmt.Errorf("venus: %s: %w", path, ErrNotDir)
@@ -789,55 +793,27 @@ func (v *Venus) removeCommon(path string, rmdir bool) error {
 		v.mu.Unlock()
 		return fmt.Errorf("venus: %s: %w", path, ErrIsDir)
 	}
+	rec := cml.Record{
+		Kind: kind, FID: target.obj.Status.FID, Parent: parent.obj.Status.FID, Name: name,
+		PrevVersion: target.obj.Status.Version, Owner: v.owner(),
+	}
 	state := v.state
-	parentFID := parent.obj.Status.FID
 	v.mu.Unlock()
 
-	if state == Hoarding {
-		rep, err := callVol[wire.MutateRep](v, vc, wire.RemoveOp{
-			Parent: parentFID, Name: name, FID: fid, Rmdir: rmdir,
-		}, rpc2.CallOpts{})
-		if err == nil {
-			v.mu.Lock()
-			v.dropChildLocked(parent, name, fid)
-			vc.noteStamp(rep.VolStamp)
-			v.mu.Unlock()
-			return nil
+	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
+		before := parent.dataBytes()
+		delete(parent.obj.Children, name)
+		v.cache.recharge(parent, before)
+		v.cache.remove(rec.FID)
+		if rep == nil {
+			parent.dirty = true
 		}
-		if !errors.Is(err, rpc2.ErrTimeout) {
-			return err
-		}
-		v.transition(Emulating, "server unreachable")
-	}
-
-	now := v.clock.Now()
-	kind := cml.Remove
-	if rmdir {
-		kind = cml.Rmdir
-	}
-	if err := v.logAppend(vc, cml.Record{
-		Kind: kind, FID: fid, Parent: parentFID, Name: name,
-		PrevVersion: prevVersion, Owner: v.owner(),
-	}, now); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	v.dropChildLocked(parent, name, fid)
-	parent.dirty = true
-	v.mu.Unlock()
-	return nil
-}
-
-func (v *Venus) dropChildLocked(parent *fso, name string, fid codafs.FID) {
-	before := parent.dataBytes()
-	delete(parent.obj.Children, name)
-	v.cache.recharge(parent, before)
-	v.cache.remove(fid)
+	})
 }
 
 // Rename moves oldPath to newPath within one volume.
 func (v *Venus) Rename(oldPath, newPath string) error {
-	vcOld, oldParent, oldName, err := v.resolveParent(oldPath)
+	vc, oldParent, oldName, err := v.resolveParent(oldPath)
 	if err != nil {
 		return err
 	}
@@ -845,7 +821,7 @@ func (v *Venus) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if vcOld != vcNew {
+	if vc != vcNew {
 		return fmt.Errorf("venus: rename across volumes")
 	}
 	v.mu.Lock()
@@ -858,13 +834,14 @@ func (v *Venus) Rename(oldPath, newPath string) error {
 		v.mu.Unlock()
 		return fmt.Errorf("venus: %s: %w", newPath, ErrExist)
 	}
+	rec := cml.Record{
+		Kind: cml.Rename, FID: fid, Parent: oldParent.obj.Status.FID, Name: oldName,
+		NewParent: newParent.obj.Status.FID, NewName: newName, Owner: v.owner(),
+	}
 	state := v.state
-	oldPFID := oldParent.obj.Status.FID
-	newPFID := newParent.obj.Status.FID
 	v.mu.Unlock()
 
-	apply := func() {
-		v.mu.Lock()
+	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
 		beforeOld, beforeNew := oldParent.dataBytes(), newParent.dataBytes()
 		delete(oldParent.obj.Children, oldName)
 		newParent.obj.Children[newName] = fid
@@ -872,44 +849,16 @@ func (v *Venus) Rename(oldPath, newPath string) error {
 		if newParent != oldParent {
 			v.cache.recharge(newParent, beforeNew)
 		}
-		v.mu.Unlock()
-	}
-
-	if state == Hoarding {
-		rep, err := callVol[wire.MutateRep](v, vcOld, wire.RenameOp{
-			Parent: oldPFID, Name: oldName, NewParent: newPFID, NewName: newName, FID: fid,
-		}, rpc2.CallOpts{})
-		if err == nil {
-			apply()
-			v.mu.Lock()
-			vcOld.noteStamp(rep.VolStamp)
-			v.mu.Unlock()
-			return nil
+		if rep == nil {
+			oldParent.dirty = true
+			newParent.dirty = true
 		}
-		if !errors.Is(err, rpc2.ErrTimeout) {
-			return err
-		}
-		v.transition(Emulating, "server unreachable")
-	}
-
-	now := v.clock.Now()
-	if err := v.logAppend(vcOld, cml.Record{
-		Kind: cml.Rename, FID: fid, Parent: oldPFID, Name: oldName,
-		NewParent: newPFID, NewName: newName, Owner: v.owner(),
-	}, now); err != nil {
-		return err
-	}
-	apply()
-	v.mu.Lock()
-	oldParent.dirty = true
-	newParent.dirty = true
-	v.mu.Unlock()
-	return nil
+	})
 }
 
 // Link creates a hard link at newPath to the file at existingPath.
 func (v *Venus) Link(existingPath, newPath string) error {
-	vcT, target, err := v.resolve(existingPath, false)
+	vc, target, err := v.resolve(existingPath, false)
 	if err != nil {
 		return err
 	}
@@ -917,7 +866,7 @@ func (v *Venus) Link(existingPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if vcT != vcP {
+	if vc != vcP {
 		return fmt.Errorf("venus: link across volumes")
 	}
 	v.mu.Lock()
@@ -929,49 +878,22 @@ func (v *Venus) Link(existingPath, newPath string) error {
 		v.mu.Unlock()
 		return fmt.Errorf("venus: %s: %w", newPath, ErrExist)
 	}
-	fid := target.obj.Status.FID
+	rec := cml.Record{
+		Kind: cml.Link, FID: target.obj.Status.FID, Parent: parent.obj.Status.FID, Name: name, Owner: v.owner(),
+	}
 	state := v.state
-	parentFID := parent.obj.Status.FID
 	v.mu.Unlock()
 
-	apply := func() {
-		v.mu.Lock()
+	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
 		before := parent.dataBytes()
-		parent.obj.Children[name] = fid
+		parent.obj.Children[name] = rec.FID
 		target.obj.Status.Links++
 		v.cache.recharge(parent, before)
-		v.mu.Unlock()
-	}
-
-	if state == Hoarding {
-		rep, err := callVol[wire.MutateRep](v, vcT, wire.LinkOp{
-			Parent: parentFID, Name: name, FID: fid,
-		}, rpc2.CallOpts{})
-		if err == nil {
-			apply()
-			v.mu.Lock()
-			vcT.noteStamp(rep.VolStamp)
-			v.mu.Unlock()
-			return nil
+		if rep == nil {
+			parent.dirty = true
+			target.dirty = true
 		}
-		if !errors.Is(err, rpc2.ErrTimeout) {
-			return err
-		}
-		v.transition(Emulating, "server unreachable")
-	}
-
-	now := v.clock.Now()
-	if err := v.logAppend(vcT, cml.Record{
-		Kind: cml.Link, FID: fid, Parent: parentFID, Name: name, Owner: v.owner(),
-	}, now); err != nil {
-		return err
-	}
-	apply()
-	v.mu.Lock()
-	parent.dirty = true
-	target.dirty = true
-	v.mu.Unlock()
-	return nil
+	})
 }
 
 // SetAttr updates an object's mode bits.
@@ -981,41 +903,22 @@ func (v *Venus) SetAttr(path string, mode uint32) error {
 		return err
 	}
 	v.mu.Lock()
-	fid := f.obj.Status.FID
-	prev := f.obj.Status.Version
+	rec := cml.Record{
+		Kind: cml.SetAttr, FID: f.obj.Status.FID, Mode: mode, ModTime: v.clock.Now(),
+		PrevVersion: f.obj.Status.Version, Owner: v.owner(),
+	}
 	state := v.state
 	v.mu.Unlock()
 
-	if state == Hoarding {
-		rep, err := callVol[wire.MutateRep](v, vc, wire.SetAttrOp{
-			FID: fid, Mode: mode, ModTime: v.clock.Now(), PrevVersion: prev,
-		}, rpc2.CallOpts{})
-		if err == nil {
-			v.mu.Lock()
+	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
+		if rep != nil {
 			f.obj.Status = rep.Status
-			vc.noteStamp(rep.VolStamp)
-			v.mu.Unlock()
-			return nil
+			return
 		}
-		if !errors.Is(err, rpc2.ErrTimeout) {
-			return err
-		}
-		v.transition(Emulating, "server unreachable")
-	}
-
-	now := v.clock.Now()
-	if err := v.logAppend(vc, cml.Record{
-		Kind: cml.SetAttr, FID: fid, Mode: mode, ModTime: now,
-		PrevVersion: prev, Owner: v.owner(),
-	}, now); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	f.obj.Status.Mode = mode
-	f.obj.Status.ModTime = now
-	f.dirty = true
-	v.mu.Unlock()
-	return nil
+		f.obj.Status.Mode = mode
+		f.obj.Status.ModTime = rec.ModTime
+		f.dirty = true
+	})
 }
 
 func (v *Venus) owner() string {

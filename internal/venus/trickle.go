@@ -66,9 +66,9 @@ func (v *Venus) chunkSize() int64 {
 	return c
 }
 
-// reintegrateChunk ships one chunk from vc's CML. It returns true if a
-// chunk was committed. Only vc's drain token is held across the RPCs; Venus.mu
-// is taken briefly to read and to reconcile results.
+// reintegrateChunk ships one chunk from vc's CML: the maximal prefix older
+// than age that fits the chunk size. It returns true if the chunk was
+// committed.
 func (v *Venus) reintegrateChunk(vc *vclient, age time.Duration) bool {
 	vc.lockDrain()
 	defer vc.unlockDrain()
@@ -77,15 +77,30 @@ func (v *Venus) reintegrateChunk(vc *vclient, age time.Duration) bool {
 	if records == nil {
 		return false
 	}
-
-	// One shipped chunk is one venus_reintegrate trace root; everything
-	// below it — fragment pre-ship, the Reintegrate RPC, server apply,
-	// WAL, anti-entropy, failover waits — joins this tree via the span
-	// context threaded through the calls and the wire.
 	sp := v.met.reg.StartSpan(v.met.self, "venus_reintegrate", obs.SpanContext{},
 		obs.F("volume", vc.info.Name))
 	defer sp.End()
+	applied, _ := v.shipRecords(vc, records, c, true, sp.Context())
+	return applied
+}
 
+// shipRecords is reintegration's one ship-and-reconcile step (§4.3.3–
+// §4.3.5), whoever selected the records: ship them as one atomic
+// Reintegrate, then bring the CML, the Venus journal, the cache and the
+// counters into line with the server's answer. The caller holds vc's
+// drain token — the only thing held across the RPCs; Venus.mu is taken
+// briefly to read and to reconcile — and has frozen records behind the CML
+// barrier. c is the chunk size; prefix says records are a prefix of the log
+// (a trickle chunk) rather than a subsequence (a subtree closure), which
+// decides how a commit removes them. sc is the caller's venus_reintegrate
+// trace root: fragment pre-ship, the Reintegrate RPC, server apply, WAL,
+// anti-entropy and failover waits join that tree through it.
+//
+// applied: the server committed the records and they have left the log.
+// Otherwise the barrier is lifted — every record is again eligible for
+// optimization until the retry (§4.3.3) — and err is the network or
+// server failure, or nil if the server answered and refused.
+func (v *Venus) shipRecords(vc *vclient, records []*cml.Record, c int64, prefix bool, sc obs.SpanContext) (applied bool, err error) {
 	recs := make([]cml.Record, len(records))
 	for i, r := range records {
 		recs[i] = *r
@@ -132,100 +147,82 @@ func (v *Venus) reintegrateChunk(vc *vclient, age time.Duration) bool {
 		recs[0].Data = nil
 	}
 
-	rep, err := v.reintegrateCall(vc, recs, deltas, fragData, c, sp.Context())
-	if err != nil {
-		// Network or server failure: remove the barrier; every record
-		// is again eligible for optimization until the retry (§4.3.3).
+	rep, err := v.reintegrateCall(vc, recs, deltas, fragData, c, sc)
+	if err != nil || !rep.Applied {
 		vc.log.AbortReintegration()
 		v.bumpFailure()
-		return false
+		if err != nil {
+			return false, err
+		}
+		// A failed delta (base mismatch) is not a conflict: drop the shadow
+		// base so the retry ships full contents. Conflicting records are
+		// dropped and surfaced to the user, as after a disconnected
+		// session, and the rest retry on the next cycle.
+		seqs := make(map[uint64]bool)
+		v.mu.Lock()
+		for i, res := range rep.Results {
+			switch {
+			case res.DeltaFailed:
+				if f := v.cache.get(records[i].FID); f != nil {
+					f.base = nil
+				}
+			case res.Conflict:
+				seqs[records[i].Seq] = true
+				v.conflicts = append(v.conflicts, Conflict{
+					Time: v.clock.Now(), Volume: vc.info.Name,
+					Kind: records[i].Kind, Path: records[i].Name, Msg: res.Msg,
+				})
+			}
+		}
+		v.mu.Unlock()
+		if len(seqs) > 0 {
+			vc.log.Remove(seqs)
+			v.logDrop(vc, seqs)
+		}
+		return false, nil
 	}
 
-	if rep.Applied {
-		var shippedBytes int64
-		for i, r := range records {
-			if _, viaDelta := deltas[i]; viaDelta {
-				continue // counted as wire size below
-			}
+	shippedBytes := deltaWire // a delta-shipped store counts at its wire size
+	committed := make(map[uint64]bool, len(records))
+	now := v.clock.Now()
+	for i, r := range records {
+		if _, viaDelta := deltas[i]; !viaDelta {
 			shippedBytes += r.Size()
 		}
-		shippedBytes += deltaWire
-		committed := make(map[uint64]bool, len(records))
-		now := v.clock.Now()
-		for _, r := range records {
-			committed[r.Seq] = true
-			v.met.residency.Observe(int64(now.Sub(r.Time).Seconds()))
-		}
+		committed[r.Seq] = true
+		v.met.residency.Observe(int64(now.Sub(r.Time).Seconds()))
+	}
+	if prefix {
 		vc.log.CommitReintegration()
-		// The server holds these records now: journal their removal so a
-		// crash does not resurrect (and re-ship) them.
-		v.logDrop(vc, committed)
-		v.mu.Lock()
-		v.stats.Reintegrations++
-		v.stats.ShippedRecords += int64(len(records))
-		v.stats.ShippedBytes += shippedBytes
-		v.stats.DeltaStores += int64(len(deltas))
-		v.stats.DeltaSavedBytes += deltaSaved
-		v.met.reintegrations.Inc()
-		v.met.shippedRecords.Add(int64(len(records)))
-		v.met.shippedBytes.Add(shippedBytes)
-		v.met.deltaStores.Add(int64(len(deltas)))
-		v.met.deltaSaved.Add(deltaSaved)
-		vc.stamp = rep.VolStamp
-		for _, st := range rep.Statuses {
-			if f := v.cache.get(st.FID); f != nil {
-				f.obj.Status.Version = st.Version
-				// The server now holds our contents: the shadow base is
-				// obsolete (a future write re-shadows from current data).
-				f.base = nil
-			}
-		}
-		v.clearDrainedDirtyLocked(records)
-		v.mu.Unlock()
-		return true
+	} else {
+		vc.log.CommitSubtree(committed)
 	}
-
-	// A failed delta (base mismatch) is not a conflict: drop the shadow
-	// base so the retry ships full contents.
-	deltaFailure := false
-	for i, res := range rep.Results {
-		if res.DeltaFailed {
-			deltaFailure = true
-			v.mu.Lock()
-			if f := v.cache.get(records[i].FID); f != nil {
-				f.base = nil
-			}
-			v.mu.Unlock()
-		}
-	}
-	if deltaFailure {
-		vc.log.AbortReintegration()
-		v.bumpFailure()
-		return false
-	}
-
-	// Conflicts: atomic failure. Drop the conflicting records (they are
-	// surfaced to the user, as after a disconnected session) and let the
-	// rest retry on the next cycle.
-	vc.log.AbortReintegration()
-	v.bumpFailure()
-	seqs := make(map[uint64]bool)
+	// The server holds these records now: journal their removal so a
+	// crash does not resurrect (and re-ship) them.
+	v.logDrop(vc, committed)
 	v.mu.Lock()
-	for i, res := range rep.Results {
-		if res.Conflict {
-			seqs[records[i].Seq] = true
-			v.conflicts = append(v.conflicts, Conflict{
-				Time: v.clock.Now(), Volume: vc.info.Name,
-				Kind: records[i].Kind, Path: records[i].Name, Msg: res.Msg,
-			})
+	v.stats.Reintegrations++
+	v.stats.ShippedRecords += int64(len(records))
+	v.stats.ShippedBytes += shippedBytes
+	v.stats.DeltaStores += int64(len(deltas))
+	v.stats.DeltaSavedBytes += deltaSaved
+	v.met.reintegrations.Inc()
+	v.met.shippedRecords.Add(int64(len(records)))
+	v.met.shippedBytes.Add(shippedBytes)
+	v.met.deltaStores.Add(int64(len(deltas)))
+	v.met.deltaSaved.Add(deltaSaved)
+	vc.stamp = rep.VolStamp
+	for _, st := range rep.Statuses {
+		if f := v.cache.get(st.FID); f != nil {
+			f.obj.Status.Version = st.Version
+			// The server now holds our contents: the shadow base is
+			// obsolete (a future write re-shadows from current data).
+			f.base = nil
 		}
 	}
+	v.clearDrainedDirtyLocked(records)
 	v.mu.Unlock()
-	if len(seqs) > 0 {
-		vc.log.Remove(seqs)
-		v.logDrop(vc, seqs)
-	}
-	return false
+	return true, nil
 }
 
 func (v *Venus) bumpFailure() {
@@ -318,59 +315,11 @@ func (v *Venus) ForceReintegrateSubtree(path string) error {
 	sp := v.met.reg.StartSpan(v.met.self, "venus_reintegrate", obs.SpanContext{},
 		obs.F("volume", vc.info.Name), obs.F("subtree", path))
 	defer sp.End()
-
-	recs := make([]cml.Record, len(records))
-	seqs := make(map[uint64]bool, len(records))
-	for i, r := range records {
-		recs[i] = *r
-		seqs[r.Seq] = true
+	applied, err := v.shipRecords(vc, records, v.chunkSize(), false, sp.Context())
+	if err == nil && !applied {
+		err = fmt.Errorf("venus: subtree reintegration of %s rejected by server", path)
 	}
-	rep, err := v.reintegrateCall(vc, recs, nil, nil, 0, sp.Context())
-	if err != nil {
-		vc.log.AbortReintegration()
-		v.bumpFailure()
-		return err
-	}
-	if !rep.Applied {
-		vc.log.AbortReintegration()
-		v.bumpFailure()
-		v.mu.Lock()
-		for i, res := range rep.Results {
-			if res.Conflict {
-				v.conflicts = append(v.conflicts, Conflict{
-					Time: v.clock.Now(), Volume: vc.info.Name,
-					Kind: records[i].Kind, Path: records[i].Name, Msg: res.Msg,
-				})
-			}
-		}
-		v.mu.Unlock()
-		return fmt.Errorf("venus: subtree reintegration of %s rejected by server", path)
-	}
-
-	var shippedBytes int64
-	now := v.clock.Now()
-	for _, r := range records {
-		shippedBytes += r.Size()
-		v.met.residency.Observe(int64(now.Sub(r.Time).Seconds()))
-	}
-	vc.log.CommitSubtree(seqs)
-	v.logDrop(vc, seqs)
-	v.mu.Lock()
-	v.stats.Reintegrations++
-	v.stats.ShippedRecords += int64(len(records))
-	v.stats.ShippedBytes += shippedBytes
-	v.met.reintegrations.Inc()
-	v.met.shippedRecords.Add(int64(len(records)))
-	v.met.shippedBytes.Add(shippedBytes)
-	vc.stamp = rep.VolStamp
-	for _, st := range rep.Statuses {
-		if fo := v.cache.get(st.FID); fo != nil {
-			fo.obj.Status.Version = st.Version
-		}
-	}
-	v.clearDrainedDirtyLocked(records)
-	v.mu.Unlock()
-	return nil
+	return err
 }
 
 // ForceReintegrate drains every CML immediately, ignoring the aging window

@@ -49,7 +49,7 @@ const (
 	tagStoreOp
 	tagSetAttrOp
 	tagMakeObject
-	tagMakeObjectRep
+	_ // 12 is reserved and decodes as malformed: MakeObject, like every mutation, is answered with MutateRep
 	tagRemoveOp
 	tagRenameOp
 	tagLinkOp
@@ -141,11 +141,6 @@ func appendMessage(dst []byte, v any) ([]byte, error) {
 		dst = AppendString(dst, m.Target)
 		dst = AppendUvarint(dst, uint64(m.Mode))
 		dst = AppendString(dst, m.Owner)
-	case MakeObjectRep:
-		dst = append(dst, tagMakeObjectRep)
-		dst = appendStatus(dst, &m.Status)
-		dst = appendStatus(dst, &m.ParentStatus)
-		dst = AppendUvarint(dst, m.VolStamp)
 	case RemoveOp:
 		dst = append(dst, tagRemoveOp)
 		dst = AppendFID(dst, m.Parent)
@@ -291,12 +286,6 @@ func Decode(b []byte) (any, error) {
 	case tagMakeObject:
 		v = MakeObject{Parent: r.FID(), Name: r.String(), FID: r.FID(), Type: codafs.ObjType(r.Byte()),
 			Target: r.String(), Mode: r.Uint32(), Owner: r.String()}
-	case tagMakeObjectRep:
-		var m MakeObjectRep
-		readStatus(&r, &m.Status)
-		readStatus(&r, &m.ParentStatus)
-		m.VolStamp = r.Uvarint()
-		v = m
 	case tagRemoveOp:
 		v = RemoveOp{Parent: r.FID(), Name: r.String(), FID: r.FID(), Rmdir: r.Bool()}
 	case tagRenameOp:

@@ -87,13 +87,6 @@ type MakeObject struct {
 	Owner  string
 }
 
-// MakeObjectRep returns the new object's and parent's statuses.
-type MakeObjectRep struct {
-	Status       codafs.Status
-	ParentStatus codafs.Status
-	VolStamp     uint64
-}
-
 // RemoveOp unlinks a file/symlink (or, with Rmdir set, an empty directory).
 type RemoveOp struct {
 	Parent codafs.FID
@@ -118,11 +111,82 @@ type LinkOp struct {
 	FID    codafs.FID
 }
 
-// MutateRep is the common reply to connected-mode mutations.
+// MutateRep is the reply to every connected-mode mutation.
 type MutateRep struct {
 	Status       codafs.Status // the object's (or for removes, parent's) new status
 	ParentStatus codafs.Status
 	VolStamp     uint64
+}
+
+// A mutation is one cml.Record whichever route it takes to the server
+// (§4.3): logged and shipped inside a Reintegrate, or sent at once as the
+// connected-mode request of its kind. MutationOf and RecordOf are that
+// correspondence, side by side; nothing else converts between the two.
+// The requests are narrower than the record — no StoreOp or MakeObject
+// carries a time, no RemoveOp a version, only MakeObject an owner — so
+// RecordOf(MutationOf(r)) is r on the fields connected mode carries.
+
+// MutationOf returns the connected-mode request that carries rec, or nil
+// for a kind that has none.
+func MutationOf(rec *cml.Record) any {
+	switch rec.Kind {
+	case cml.Store:
+		return StoreOp{FID: rec.FID, Data: rec.Data, PrevVersion: rec.PrevVersion}
+	case cml.SetAttr:
+		return SetAttrOp{FID: rec.FID, Mode: rec.Mode, ModTime: rec.ModTime, PrevVersion: rec.PrevVersion}
+	case cml.Create, cml.Mkdir, cml.MakeSymlink:
+		typ := codafs.File
+		switch rec.Kind {
+		case cml.Mkdir:
+			typ = codafs.Directory
+		case cml.MakeSymlink:
+			typ = codafs.Symlink
+		}
+		return MakeObject{Parent: rec.Parent, Name: rec.Name, FID: rec.FID, Type: typ,
+			Target: rec.Target, Mode: rec.Mode, Owner: rec.Owner}
+	case cml.Remove, cml.Rmdir:
+		return RemoveOp{Parent: rec.Parent, Name: rec.Name, FID: rec.FID, Rmdir: rec.Kind == cml.Rmdir}
+	case cml.Rename:
+		return RenameOp{Parent: rec.Parent, Name: rec.Name, NewParent: rec.NewParent, NewName: rec.NewName, FID: rec.FID}
+	case cml.Link:
+		return LinkOp{Parent: rec.Parent, Name: rec.Name, FID: rec.FID}
+	}
+	return nil
+}
+
+// RecordOf returns the record a connected-mode request carries, and the
+// object whose new status answers it as MutateRep.Status: the parent for
+// a remove (the object is gone), the object itself otherwise. ok is false
+// for any other message.
+func RecordOf(req any) (rec cml.Record, repFID codafs.FID, ok bool) {
+	switch m := req.(type) {
+	case StoreOp:
+		rec = cml.Record{Kind: cml.Store, FID: m.FID, Data: m.Data, Length: int64(len(m.Data)), PrevVersion: m.PrevVersion}
+	case SetAttrOp:
+		rec = cml.Record{Kind: cml.SetAttr, FID: m.FID, Mode: m.Mode, ModTime: m.ModTime, PrevVersion: m.PrevVersion}
+	case MakeObject:
+		rec = cml.Record{Kind: cml.Create, FID: m.FID, Parent: m.Parent, Name: m.Name,
+			Target: m.Target, Mode: m.Mode, Owner: m.Owner}
+		switch m.Type {
+		case codafs.Directory:
+			rec.Kind = cml.Mkdir
+		case codafs.Symlink:
+			rec.Kind = cml.MakeSymlink
+		}
+	case RemoveOp:
+		rec = cml.Record{Kind: cml.Remove, FID: m.FID, Parent: m.Parent, Name: m.Name}
+		if m.Rmdir {
+			rec.Kind = cml.Rmdir
+		}
+		return rec, m.Parent, true
+	case RenameOp:
+		rec = cml.Record{Kind: cml.Rename, FID: m.FID, Parent: m.Parent, Name: m.Name, NewParent: m.NewParent, NewName: m.NewName}
+	case LinkOp:
+		rec = cml.Record{Kind: cml.Link, FID: m.FID, Parent: m.Parent, Name: m.Name}
+	default:
+		return rec, repFID, false
+	}
+	return rec, rec.FID, true
 }
 
 // VolStampPair names one volume and the stamp the client holds for it.

@@ -40,10 +40,13 @@ fuzz:
 # Scenario gate: the declarative corpus (parse, validate, run, golden
 # dumps, determinism) plus the generated chaos matrix — the crash-point
 # x victim x link-churn sweep expanded from crash_matrix.scn — all
-# under the race detector. `codascn run` then executes the runnable
-# corpus through the CLI path as well.
+# under the race detector, then the determinism test sixteen times over:
+# two same-seed runs must dump identical bytes however the Go scheduler
+# orders goroutines runnable at one instant. `codascn run` then executes
+# the runnable corpus through the CLI path as well.
 scenarios:
 	$(GO) test -race -count=1 ./internal/scenario/
+	$(GO) test -race -count=16 -run TestRunDeterministic ./internal/scenario/
 	$(GO) run ./cmd/codascn validate internal/scenario/testdata/scenarios
 	$(GO) run ./cmd/codascn matrix -run internal/scenario/testdata/scenarios/crash_matrix.scn
 
@@ -60,6 +63,9 @@ examples:
 # one place each: records are validated and journaled only by the server's
 # batch function in apply.go, Venus sends a connected-mode mutation from
 # one line (update's), and ships a chunk from one call site (shipRecords').
+# Then the one replication rule: a log entry is pushed from one call site
+# (shipToPeers', reached only from a client commit), never relayed. And no
+# Sleep(0) orders same-instant goroutines outside the kernel that defines it.
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
@@ -67,6 +73,8 @@ lint-structure:
 	! grep -rn --include='*.go' --exclude='*_test.go' -e 'applyRecord(' -e 'journalBatchLocked(' . | grep -v -e '^./internal/server/apply.go:' -e ':func '
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'callVol[wire.MutateRep]' . | wc -l)" -eq 1
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'reintegrateCall(' . | grep -vc ':func ')" -eq 1
+	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'shipVolume(' . | grep -vc ':func ')" -eq 1
+	! grep -rn --include='*.go' --exclude='*_test.go' 'Sleep(0)' . | grep -v '^./internal/simtime/'
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

@@ -10,9 +10,9 @@
 // until interrupted. With -journal every applied update is in DIR's
 // write-ahead log, fsynced, before it is acknowledged, and a restart —
 // after a clean exit or a kill — recovers them all. With -peer flags it
-// runs as one member of a replicated group: committed updates are
-// shipped to the peers, and at boot the server pulls any log suffix it
-// missed while down from the first reachable peer.
+// runs as one member of a replicated group (every member must list every
+// other one): an update it accepts is shipped once to each peer, which do
+// not relay it, and at boot it pulls what it missed from a reachable peer.
 package main
 
 import (
@@ -44,7 +44,7 @@ func main() {
 	var vols volList
 	flag.Var(&vols, "vol", "volume to export (repeatable; default usr)")
 	var peers volList
-	flag.Var(&peers, "peer", "replica group peer address (repeatable)")
+	flag.Var(&peers, "peer", "replica group peer address (repeatable; list every other member)")
 	flag.Parse()
 	if len(vols) == 0 {
 		vols = volList{"usr"}

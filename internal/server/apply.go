@@ -312,7 +312,7 @@ type batchMode uint8
 
 const (
 	batchLive   batchMode = iota // from a client: journal, then commit
-	batchPeer                    // a peer's log entry: as live, and the journaled chain must equal the shipper's
+	batchPeer                    // a peer's log entry: as live, but its framing must reach the shipper's chain before it is journaled
 	batchReplay                  // read back from this volume's own WAL: already journaled
 )
 
@@ -334,14 +334,8 @@ func applyBatchLocked(v *volume, client string, recs []cml.Record, mode batchMod
 		}
 	}
 	if mode != batchReplay {
-		if err := journalBatchLocked(v, client, recs, sc); err != nil {
-			return -1, res, nil, nil, fmt.Errorf("journal: %w", err)
-		}
-		if mode == batchPeer && v.chain != wantChain {
-			// The entry is journaled but the fingerprint disagrees: the logs
-			// differ somewhere at or before this entry. Nothing silent to do.
-			return -1, res, nil, nil, fmt.Errorf("%w: volume %d entry %d chain %08x != %08x", ErrDiverged,
-				v.info.ID, v.log.LSN(), v.chain, wantChain)
+		if err := journalBatchLocked(v, client, recs, mode, wantChain, sc); err != nil {
+			return -1, res, nil, nil, err
 		}
 	}
 	statuses, breaks = commitApply(a, client)

@@ -21,6 +21,7 @@ import (
 func BenchmarkAllocJournalBatch(b *testing.B) {
 	fs := crashfs.NewMem()
 	v := newVolume(1, "bench", time.Unix(0, 0))
+	v.retainLog = true // a group member's volume: the suffix is kept for peers
 	if _, err := v.log.Attach(wal.Options{FS: fs, Dir: "j", Policy: wal.SyncNone, SegmentBytes: 1 << 30}, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -37,13 +38,13 @@ func BenchmarkAllocJournalBatch(b *testing.B) {
 	}}
 	// Warm the buffer pool and the WAL scratch so first-use growth is not
 	// charged to the steady state.
-	if err := journalBatchLocked(v, "bench-client", recs, obs.SpanContext{}); err != nil {
+	if err := journalBatchLocked(v, "bench-client", recs, batchLive, 0, obs.SpanContext{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := journalBatchLocked(v, "bench-client", recs, obs.SpanContext{}); err != nil {
+		if err := journalBatchLocked(v, "bench-client", recs, batchLive, 0, obs.SpanContext{}); err != nil {
 			b.Fatal(err)
 		}
 	}

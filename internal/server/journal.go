@@ -182,7 +182,7 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 			// Rebuild the replication state the entry represented: the
 			// chain folds over the exact payload bytes, so a replayed
 			// server fingerprints identically to one that never crashed.
-			v.advanceReplLocked(e.Client, e.LSN, e.Recs, payload)
+			v.advanceReplLocked(e.Client, e.LSN, e.Recs, v.nextChainLocked(payload))
 			return nil
 		})
 		// Replayed entries were pushed by the pre-crash process (or will
@@ -212,9 +212,7 @@ func (s *Server) replayCreateVolume(e metaEntry) error {
 	if _, dup := s.volumes[e.ID]; dup {
 		return fmt.Errorf("server: journal re-creates volume %d", e.ID)
 	}
-	v := newVolume(e.ID, e.Name, e.ModTime)
-	s.volumes[e.ID] = v
-	s.byName[e.Name] = e.ID
+	s.publishLocked(newVolume(e.ID, e.Name, e.ModTime))
 	if e.ID > s.nextVolID {
 		s.nextVolID = e.ID
 	}
@@ -226,21 +224,29 @@ func (s *Server) replayCreateVolume(e metaEntry) error {
 // v.mu. The frame is built even when the journal is detached (Append
 // then writes nothing): the payload bytes are what the chain fingerprint
 // folds over, so an unjournaled server is still a full replica — the
-// LSN sequence IS the replication order.
+// LSN sequence IS the replication order. A peer's entry (batchPeer) must
+// frame to the shipper's chain, wantChain, and that is compared before
+// anything is written: a mismatch — the logs differ somewhere at or
+// before this entry, nothing silent to do — leaves WAL, LSN, chain,
+// retained log and dedup set untouched.
 //
 // The payload is built in a pooled buffer: the WAL copies it into its
 // own frame before Append returns and the chain only folds over it, so
 // nothing retains it (BenchmarkAllocJournalBatch pins the steady state).
-func journalBatchLocked(v *volume, client string, recs []cml.Record, sc obs.SpanContext) error {
+func journalBatchLocked(v *volume, client string, recs []cml.Record, mode batchMode, wantChain uint32, sc obs.SpanContext) error {
 	lsn := v.log.Next()
 	bp := bufpool.Get(0)
 	defer bufpool.Put(bp)
 	*bp = appendVolEntry(*bp, lsn, client, recs)
+	chain := v.nextChainLocked(*bp)
+	if mode == batchPeer && chain != wantChain {
+		return fmt.Errorf("%w: volume %d entry %d chain %08x != %08x", ErrDiverged, v.info.ID, lsn, chain, wantChain)
+	}
 	if err := v.log.Append(*bp, sc); err != nil {
-		return err
+		return fmt.Errorf("journal: %w", err)
 	}
 	v.journaledBytes += int64(len(*bp))
-	v.advanceReplLocked(client, lsn, recs, *bp)
+	v.advanceReplLocked(client, lsn, recs, chain)
 	return nil
 }
 

@@ -249,8 +249,7 @@ func (s *Server) install(vols []*volume, nextVolID codafs.VolumeID) error {
 	}
 	s.nextVolID = nextVolID
 	for _, v := range vols {
-		s.volumes[v.id()] = v
-		s.byName[v.info.Name] = v.id()
+		s.publishLocked(v)
 	}
 	return nil
 }

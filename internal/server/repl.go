@@ -23,11 +23,13 @@ import (
 // everything — stamps, versions, authorship — which is what makes
 // SaveState images byte-identical across a group.
 //
-// Entries move between replicas two ways:
+// One rule moves entries between replicas: a member pushes an entry it
+// accepted from a client, once, to each peer; everything else is pull.
 //
-//   - push: after a commit, the accepting server ships the new suffix
-//     to every peer in LSN order (shipVolume). Best-effort — a dead
-//     peer is skipped, not waited on.
+//   - push: after a client commit, the accepting server ships the new
+//     suffix to every peer in LSN order (shipVolume). Best-effort — a
+//     dead peer is skipped, not waited on — and never relayed by the
+//     receiver, so every member must list every other member as a peer.
 //   - pull: a lagging replica fetches the missed suffix from a peer
 //     (CatchUp → FetchLog), verifying the chain at its own tail first.
 //     This is what a restarted replica does after WAL replay, and what
@@ -99,13 +101,26 @@ func (s *Server) acquireShip(v *volume) {
 // releaseShip returns the ship token taken by acquireShip.
 func (v *volume) releaseShip() { v.shipTok.Put(struct{}{}) }
 
+// nextChainLocked returns the chain fingerprint after an entry whose
+// journal framing is payload is appended at the log's tail. Caller holds
+// v.mu.
+func (v *volume) nextChainLocked(payload []byte) uint32 {
+	return crc32.Update(v.chain, castagnoli, payload)
+}
+
 // advanceReplLocked folds one committed entry into the volume's
-// replication state: the chain fingerprint, the retained log suffix,
-// and the dedup set. Caller holds v.mu and has already advanced
-// v.log to lsn; payload is the entry's journal framing.
-func (v *volume) advanceReplLocked(client string, lsn uint64, recs []cml.Record, payload []byte) {
-	v.chain = crc32.Update(v.chain, castagnoli, payload)
-	v.repl = append(v.repl, wire.LogEntry{LSN: lsn, Chain: v.chain, Client: client, Recs: recs})
+// replication state: the chain fingerprint (chain, from nextChainLocked
+// over the entry's journal framing), the retained log suffix, and the
+// dedup set. Only a server with peers retains the suffix — nobody can
+// FetchLog from one without — so elsewhere the base just follows the
+// tail. Caller holds v.mu and has already advanced v.log to lsn.
+func (v *volume) advanceReplLocked(client string, lsn uint64, recs []cml.Record, chain uint32) {
+	v.chain = chain
+	if v.retainLog {
+		v.repl = append(v.repl, wire.LogEntry{LSN: lsn, Chain: chain, Client: client, Recs: recs})
+	} else {
+		v.replBaseLSN, v.replBaseChain = lsn, chain
+	}
 	for i := range recs {
 		if recs[i].Seq != 0 {
 			v.applied[appliedKey{client: client, seq: recs[i].Seq}] = true
@@ -162,11 +177,6 @@ func (s *Server) shipVolume(v *volume, sc obs.SpanContext) {
 	}
 	for {
 		v.mu.Lock()
-		if v.shippedLSN < v.replBaseLSN {
-			// A checkpoint truncated the retained log under us; peers
-			// that missed the gap will pull.
-			v.shippedLSN = v.replBaseLSN
-		}
 		prevChain, _ := v.chainAtLocked(v.shippedLSN)
 		pending := v.repl[v.shippedLSN-v.replBaseLSN:]
 		if len(pending) == 0 {
@@ -203,84 +213,79 @@ func (s *Server) shipVolume(v *volume, sc obs.SpanContext) {
 	}
 }
 
-// shipLog handles one pushed log entry from a peer. In-order entries
-// whose chain matches are applied through the same pipeline as live
-// traffic — including journaling and callback breaks, which is how a
-// break reaches clients attached to this member when the write landed
-// on another. Old entries are acknowledged (duplicate push); anything
-// else is a gap, answered with NeedCatchUp while this server pulls the
-// missing suffix from the shipper in the background.
+// receive is the one receive step for log entries that arrive from a
+// peer, pushed (shipLog) or pulled (catchUpVolume); prev is the sender's
+// chain before entries[0]. An entry at or below the local LSN is skipped
+// (a duplicate push, or a pull that raced one). One that does not extend
+// the local log — its LSN is not the next, or the chains before it
+// differ — stops the walk and is reported as gap. Anything else is
+// applied through the pipeline every update takes, journaling and
+// callback breaks included, which is how a break reaches clients attached
+// to this member when the write landed on another; a record that does not
+// apply, like a chain mismatch, means the logs are not byte-identical and
+// is surfaced as divergence. Entries that arrive from a peer count as
+// shipped: a member pushes only what it accepted from a client itself.
+// Returns the log position reached and the records and journal-payload
+// bytes applied.
+func (s *Server) receive(v *volume, prev uint32, entries []wire.LogEntry, sc obs.SpanContext) (lsn uint64, recs, bytes int64, gap bool, err error) {
+	var breaks []breakWork
+	s.lockVolume(v)
+	journaled := v.journaledBytes
+	for _, e := range entries {
+		if e.LSN > v.log.LSN() {
+			if gap = e.LSN != v.log.Next() || prev != v.chain; gap {
+				break
+			}
+			// The receive-side apply joins the sender's trace: validation,
+			// journaling, and commit of the entry under one span.
+			var sp *obs.SpanHandle
+			if sc.Valid() {
+				sp = s.obs.StartSpan(s.addr, "server_apply", sc)
+			}
+			//codalint:ignore lockhold journal-first commit: v.mu must cover the entry append so a concurrent apply to this volume cannot reorder LSNs
+			failed, res, _, b, aerr := applyBatchLocked(v, e.Client, e.Recs, batchPeer, e.Chain, sp.Context())
+			sp.End()
+			if failed >= 0 {
+				aerr = fmt.Errorf("%w: volume %d entry %d record %d (%s) does not apply: %s", ErrDiverged,
+					v.info.ID, e.LSN, failed, e.Recs[failed].Kind, res.Msg)
+			}
+			if aerr != nil {
+				err = aerr
+				break
+			}
+			breaks = append(breaks, b...)
+			recs += int64(len(e.Recs))
+			v.shippedLSN = e.LSN
+		}
+		prev = e.Chain
+	}
+	lsn, bytes = v.log.LSN(), v.journaledBytes-journaled
+	v.mu.Unlock()
+	s.noteDivergence(err)
+	s.dispatchBreaks(breaks)
+	return lsn, recs, bytes, gap, err
+}
+
+// shipLog handles one pushed log entry from a peer. A gap is answered
+// with NeedCatchUp while this server pulls the missing suffix from the
+// shipper in the background.
 func (s *Server) shipLog(src string, sc obs.SpanContext, req wire.ShipLog) (wire.ShipLogRep, error) {
 	v, ok := s.volByID(req.Volume)
 	if !ok {
 		return wire.ShipLogRep{}, fmt.Errorf("no volume %d", req.Volume)
 	}
 	s.observeVolOp(v)
-	e := req.Entry
-	s.lockVolume(v)
-	if e.LSN <= v.log.LSN() {
-		rep := wire.ShipLogRep{LSN: v.log.LSN()}
-		v.mu.Unlock()
-		return rep, nil
-	}
-	if e.LSN != v.log.Next() || req.PrevChain != v.chain {
-		rep := wire.ShipLogRep{LSN: v.log.LSN(), NeedCatchUp: true}
-		v.mu.Unlock()
-		s.met.replGaps.Inc()
-		s.clock.Go(func() { _ = s.catchUpVolume(src, req.Volume, sc) })
-		return rep, nil
-	}
-	// The receive-side apply joins the shipper's trace: validation,
-	// journaling, and commit of the pushed entry under one span.
-	applyCtx := obs.SpanContext{}
-	if sc.Valid() {
-		sp := s.obs.StartSpan(s.addr, "server_apply", sc)
-		applyCtx = sp.Context()
-		defer sp.End()
-	}
-	//codalint:ignore lockhold journal-first commit: v.mu must cover the entry append so a concurrent apply to this volume cannot reorder LSNs
-	breaks, err := v.applyEntryLocked(e, applyCtx)
-	rep := wire.ShipLogRep{LSN: v.log.LSN()}
-	v.mu.Unlock()
+	lsn, recs, _, gap, err := s.receive(v, req.PrevChain, []wire.LogEntry{req.Entry}, sc)
 	if err != nil {
-		s.noteDivergence(err)
 		return wire.ShipLogRep{}, err
 	}
-	s.stats.replApplied.Add(int64(len(e.Recs)))
-	s.met.replApplied.Add(int64(len(e.Recs)))
-	s.dispatchBreaks(breaks)
-	// The entry may need forwarding if this server also has peers the
-	// shipper does not; shipping is idempotent, so just nudge — once the
-	// reply has left. The ship round's first request to src and this
-	// call's reply would otherwise enter the same link at the same
-	// instant from two goroutines, in whichever order the Go scheduler
-	// ran them, and the one queued second arrives a serialization time
-	// later: a simulation whose timings depended on real scheduling.
-	// Sleep(0) resumes only when everything runnable at this instant,
-	// the replying goroutine included, has parked or exited.
-	if len(s.peers) > 0 {
-		s.clock.Go(func() {
-			s.clock.Sleep(0)
-			s.shipVolume(v, sc)
-		})
+	s.stats.replApplied.Add(recs)
+	s.met.replApplied.Add(recs)
+	if gap {
+		s.met.replGaps.Inc()
+		s.clock.Go(func() { _ = s.catchUpVolume(src, req.Volume, sc) })
 	}
-	return rep, nil
-}
-
-// applyEntryLocked applies one in-order peer entry as a peer batch: the
-// records run through the pipeline every update takes, the entry is
-// journaled with the same framing the shipper used, and the resulting
-// chain must equal the shipper's — a record that does not apply, like a
-// chain mismatch, means the logs are not byte-identical and is surfaced
-// as divergence. Caller holds v.mu; the returned breaks are dispatched
-// after unlock.
-func (v *volume) applyEntryLocked(e wire.LogEntry, sc obs.SpanContext) ([]breakWork, error) {
-	failed, res, _, breaks, err := applyBatchLocked(v, e.Client, e.Recs, batchPeer, e.Chain, sc)
-	if failed >= 0 {
-		return nil, fmt.Errorf("%w: volume %d entry %d record %d (%s) does not apply: %s", ErrDiverged,
-			v.info.ID, e.LSN, failed, e.Recs[failed].Kind, res.Msg)
-	}
-	return breaks, err
+	return wire.ShipLogRep{LSN: lsn, NeedCatchUp: gap}, nil
 }
 
 // fetchLog serves a peer's pull: the retained suffix after AfterLSN, in
@@ -368,40 +373,17 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 		if len(rep.Entries) == 0 {
 			return nil // caught up (or the peer is the one behind)
 		}
-		var allBreaks []breakWork
-		var recs int64
-		s.lockVolume(v)
-		journaled := v.journaledBytes
-		for _, e := range rep.Entries {
-			if e.LSN <= v.log.LSN() {
-				continue // raced with a concurrent push; already have it
-			}
-			if e.LSN != v.log.Next() {
-				v.mu.Unlock()
-				return fmt.Errorf("server: catch-up volume %d: entry gap at %d (have %d)", id, e.LSN, v.log.LSN())
-			}
-			//codalint:ignore lockhold journal-first commit: v.mu must cover the entry append so a concurrent apply to this volume cannot reorder LSNs
-			breaks, err := v.applyEntryLocked(e, sc)
-			if err != nil {
-				v.mu.Unlock()
-				s.noteDivergence(err)
-				return fmt.Errorf("server: catch-up volume %d: %w", id, err)
-			}
-			allBreaks = append(allBreaks, breaks...)
-			recs += int64(len(e.Recs))
-			// Entries arriving by catch-up are as shipped as pushed ones.
-			if v.shippedLSN < e.LSN {
-				v.shippedLSN = e.LSN
-			}
-		}
-		caughtUp := v.log.LSN() >= rep.LSN
-		journaled = v.journaledBytes - journaled
-		v.mu.Unlock()
+		lsn, recs, bytes, gap, err := s.receive(v, chain, rep.Entries, sc)
 		s.stats.catchupRecords.Add(recs)
 		s.met.catchupRecs.Add(recs)
-		s.met.catchupBytes.Add(journaled)
-		s.dispatchBreaks(allBreaks)
-		if caughtUp {
+		s.met.catchupBytes.Add(bytes)
+		if err != nil {
+			return fmt.Errorf("server: catch-up volume %d: %w", id, err)
+		}
+		if gap {
+			return fmt.Errorf("server: catch-up volume %d: entries from %s do not extend the log at %d", id, peer, lsn)
+		}
+		if lsn >= rep.LSN {
 			return nil
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/codafs"
 	"repro/internal/crashfs"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/rpc2"
 	"repro/internal/simtime"
 	"repro/internal/wire"
@@ -20,7 +22,9 @@ import (
 type replWorld struct {
 	sim  *simtime.Sim
 	net  *netsim.Network
+	reg  *obs.Registry
 	srvs []*Server
+	fids uint64 // client FIDs handed out by makeFiles
 }
 
 func replAddr(i int) string { return fmt.Sprintf("s%d", i) }
@@ -39,11 +43,34 @@ func newReplWorld(n int) *replWorld {
 	s := simtime.NewSim(simtime.Epoch1995)
 	nw := netsim.New(s, 1)
 	nw.SetDefaults(netsim.Ethernet.Params())
-	w := &replWorld{sim: s, net: nw}
+	w := &replWorld{sim: s, net: nw, reg: obs.NewRegistry(s)}
 	for i := 0; i < n; i++ {
-		w.srvs = append(w.srvs, New(s, nw.Host(replAddr(i)), WithPeers(replPeers(n, i)...)))
+		w.srvs = append(w.srvs, New(s, nw.Host(replAddr(i)), WithPeers(replPeers(n, i)...), WithObs(w.reg)))
 	}
 	return w
+}
+
+// counter reads one of member i's obs counters.
+func (w *replWorld) counter(name string, i int, labels ...obs.Label) int64 {
+	return w.reg.Counter(name, append(labels, obs.L("node", replAddr(i)))...).Value()
+}
+
+// shipLogsHandled is how many ShipLog requests member i has dispatched.
+func (w *replWorld) shipLogsHandled(i int) int64 {
+	return w.counter("server_ops_total", i, obs.L("op", "ShipLog"))
+}
+
+// makeFiles accepts n connected-mode creates, named prefix0.., at member i.
+func (w *replWorld) makeFiles(t *testing.T, c *tclient, i int, prefix string, n int) {
+	t.Helper()
+	gv := callTo[wire.GetVolumeRep](t, c, replAddr(i), wire.GetVolume{Name: "v"})
+	for k := 0; k < n; k++ {
+		w.fids++
+		callTo[wire.MutateRep](t, c, replAddr(i), wire.MakeObject{
+			Parent: gv.Root.FID, Name: fmt.Sprintf("%s%d", prefix, k), FID: clientFID(gv.Info.ID, w.fids),
+			Type: codafs.File, Owner: "hqb",
+		})
+	}
 }
 
 // createVolume mirrors the volume onto every member, as codasrv does at
@@ -391,6 +418,175 @@ func TestRestartedMemberCatchesUpViaFetchLog(t *testing.T) {
 			t.Errorf("restarted member file = %q, %v", data, err)
 		}
 		w.sim.Sleep(5 * time.Second)
+		w.requireConverged(t)
+	})
+}
+
+// TestShipLogBadChainLeavesLogUntouched: a pushed entry whose chain does
+// not match its records is refused as divergence before anything is
+// written — log position, journal and image are as they were — and the
+// genuine entry at that LSN then applies.
+func TestShipLogBadChainLeavesLogUntouched(t *testing.T) {
+	w := newReplWorld(2)
+	mem := crashfs.NewMem()
+	if _, err := w.srvs[1].AttachJournal(serverJournalOpts(mem)); err != nil {
+		t.Fatal(err)
+	}
+	w.createVolume(t, "v")
+	w.sim.Run(func() {
+		c := w.client("c1")
+		gv := callTo[wire.GetVolumeRep](t, c, replAddr(1), wire.GetVolume{Name: "v"})
+		e := wire.LogEntry{LSN: 1, Chain: 0xdeadbeef, Client: "c1", Recs: []cml.Record{
+			{Kind: cml.Create, FID: clientFID(gv.Info.ID, 10), Parent: gv.Root.FID, Name: "x", Owner: "hqb"},
+		}}
+		pos, writes, img := w.srvs[1].VolumePositions(), mem.Writes(), w.stateOf(t, 1)
+
+		_, err := wire.Call[wire.ShipLogRep](c.node, replAddr(1), wire.ShipLog{Volume: gv.Info.ID, Entry: e}, rpc2.CallOpts{})
+		if err == nil || !strings.Contains(err.Error(), ErrDiverged.Error()) {
+			t.Fatalf("ShipLog with a wrong chain = %v, want %v", err, ErrDiverged)
+		}
+		if got := w.srvs[1].VolumePositions(); got[0] != pos[0] {
+			t.Errorf("refused entry moved the log: %+v -> %+v", pos[0], got[0])
+		}
+		if got := mem.Writes(); got != writes {
+			t.Errorf("refused entry reached the journal: %d writes -> %d", writes, got)
+		}
+		if !bytes.Equal(img, w.stateOf(t, 1)) {
+			t.Error("refused entry changed the image")
+		}
+
+		e.Chain = crc32.Update(0, castagnoli, appendVolEntry(nil, e.LSN, e.Client, e.Recs))
+		rep := callTo[wire.ShipLogRep](t, c, replAddr(1), wire.ShipLog{Volume: gv.Info.ID, Entry: e})
+		if rep.LSN != 1 || rep.NeedCatchUp {
+			t.Errorf("genuine entry answered %+v, want LSN 1 applied", rep)
+		}
+		if _, err := w.srvs[1].ReadFile("v", "x"); err != nil {
+			t.Errorf("genuine entry did not apply: %v", err)
+		}
+		if got := w.srvs[1].VolumePositions()[0]; got.LSN != 1 || got.Chain != e.Chain {
+			t.Errorf("after the genuine entry: %+v, want LSN 1 chain %08x", got, e.Chain)
+		}
+	})
+}
+
+// TestPeerlessServerRetainsNoLog: only a server with peers can be asked
+// for a log suffix, so one without keeps none, and says "truncated" to a
+// FetchLog below its position instead of serving it.
+func TestPeerlessServerRetainsNoLog(t *testing.T) {
+	w := newReplWorld(1)
+	w.createVolume(t, "v")
+	w.sim.Run(func() {
+		c := w.client("c1")
+		w.makeFiles(t, c, 0, "f", 100)
+		v, _ := w.srvs[0].volByName("v")
+		v.mu.Lock()
+		retained, lsn, chain := len(v.repl), v.log.LSN(), v.chain
+		v.mu.Unlock()
+		if retained != 0 || lsn != 100 {
+			t.Errorf("peerless server at LSN %d retains %d log entries, want 100 and 0", lsn, retained)
+		}
+		_, err := wire.Call[wire.FetchLogRep](c.node, replAddr(0), wire.FetchLog{Volume: v.id(), AfterLSN: 40}, rpc2.CallOpts{})
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("FetchLog below a peerless server's position = %v, want truncation error", err)
+		}
+		rep := callTo[wire.FetchLogRep](t, c, replAddr(0), wire.FetchLog{Volume: v.id(), AfterLSN: lsn, Chain: chain})
+		if rep.LSN != lsn || len(rep.Entries) != 0 {
+			t.Errorf("FetchLog at the tail = LSN %d with %d entries, want %d and none", rep.LSN, len(rep.Entries), lsn)
+		}
+	})
+}
+
+// TestEntryCrossesEachLinkOnce: an entry a member accepted from a client
+// is pushed once to each peer and relayed by none of them.
+func TestEntryCrossesEachLinkOnce(t *testing.T) {
+	const n = 5
+	w := newReplWorld(3)
+	w.createVolume(t, "v")
+	w.sim.Run(func() {
+		w.makeFiles(t, w.client("c1"), 0, "f", n)
+		w.sim.Sleep(5 * time.Second)
+		if got := w.shipLogsHandled(0) + w.shipLogsHandled(1) + w.shipLogsHandled(2); got != 2*n {
+			t.Errorf("%d commits at member 0 cost %d ShipLog requests group-wide (%d/%d/%d), want %d",
+				n, got, w.shipLogsHandled(0), w.shipLogsHandled(1), w.shipLogsHandled(2), 2*n)
+		}
+		w.requireConverged(t)
+	})
+}
+
+// TestReceivedEntriesAreNotRepushed: entries that arrived from a peer
+// count as shipped, so a member that then accepts a write of its own
+// pushes that one entry, not the suffix it was sent.
+func TestReceivedEntriesAreNotRepushed(t *testing.T) {
+	w := newReplWorld(3)
+	w.createVolume(t, "v")
+	w.sim.Run(func() {
+		c := w.client("c1")
+		w.makeFiles(t, c, 0, "f", 3)
+		w.sim.Sleep(5 * time.Second)
+		w.makeFiles(t, c, 1, "g", 1)
+		w.sim.Sleep(5 * time.Second)
+		if got := w.counter("server_repl_shipped_entries_total", 1); got != 2 {
+			t.Errorf("member 1 pushed %d entries for one commit of its own, want one to each of 2 peers", got)
+		}
+		if s0, s2 := w.shipLogsHandled(0), w.shipLogsHandled(2); s0 != 1 || s2 != 4 {
+			t.Errorf("ShipLog requests handled: member 0 %d, member 2 %d; want 1 and 4", s0, s2)
+		}
+		w.requireConverged(t)
+	})
+}
+
+// partialPartition cuts the s0<->s2 link, commits three entries at member
+// 0 and lets the pushes settle: member 1 is level and member 2 lags — no
+// third member relays — until the link, healed on return, lets a repair
+// path run. Call inside the sim.
+func (w *replWorld) partialPartition(t *testing.T, c *tclient) {
+	t.Helper()
+	w.net.SetUp(replAddr(0), replAddr(2), false)
+	w.makeFiles(t, c, 0, "f", 3)
+	w.sim.Sleep(10 * time.Minute) // pushes to member 2 exhaust their retries
+	pos := func(i int) VolumePosition { return w.srvs[i].VolumePositions()[0] }
+	if pos(1) != pos(0) || pos(2).LSN != 0 {
+		t.Fatalf("behind a cut s0<->s2 link: member 0 %+v, member 1 %+v, member 2 %+v; want 1 level and 2 at LSN 0",
+			pos(0), pos(1), pos(2))
+	}
+	w.net.SetUp(replAddr(0), replAddr(2), true)
+}
+
+// TestPartialPartitionRepairsByGapPull: the next push after the link
+// heals finds a gap at the lagging member, which pulls what it missed
+// from the shipper.
+func TestPartialPartitionRepairsByGapPull(t *testing.T) {
+	w := newReplWorld(3)
+	w.createVolume(t, "v")
+	w.sim.Run(func() {
+		c := w.client("c1")
+		w.partialPartition(t, c)
+		w.makeFiles(t, c, 0, "g", 1)
+		w.sim.Sleep(5 * time.Second)
+		if gaps := w.counter("server_repl_gaps_total", 2); gaps != 1 {
+			t.Errorf("member 2 saw %d gaps, want 1", gaps)
+		}
+		if got := w.srvs[2].Stats().CatchupRecords; got != 4 {
+			t.Errorf("member 2 pulled %d records, want 4: the 3 it missed and the one whose push found the gap", got)
+		}
+		w.requireConverged(t)
+	})
+}
+
+// TestPartialPartitionRepairsByCatchUp: with no new commit to reveal the
+// gap, CatchUp levels the lagging member — from any member that has the
+// suffix, here the one whose link to it never went down.
+func TestPartialPartitionRepairsByCatchUp(t *testing.T) {
+	w := newReplWorld(3)
+	w.createVolume(t, "v")
+	w.sim.Run(func() {
+		w.partialPartition(t, w.client("c1"))
+		if err := w.srvs[2].CatchUp(replAddr(1)); err != nil {
+			t.Fatal(err)
+		}
+		if gaps := w.counter("server_repl_gaps_total", 2); gaps != 0 {
+			t.Errorf("member 2 saw %d gaps, want none without a new commit", gaps)
+		}
 		w.requireConverged(t)
 	})
 }

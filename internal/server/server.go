@@ -242,10 +242,15 @@ type volume struct {
 	// Replication state (see repl.go), guarded by mu. chain is the
 	// cumulative CRC32C over the exact journal payload bytes through
 	// the log's LSN — replicas with equal chains at equal LSNs hold
-	// byte-identical logs. repl retains the log suffix after
-	// (replBaseLSN, replBaseChain) — the last checkpoint watermark — for
-	// ShipLog pushes and FetchLog pulls. applied is the (client, CML
-	// sequence) dedup set that makes failover retransmits idempotent.
+	// byte-identical logs. With retainLog — set when the volume is
+	// published, on a server that has peers — repl retains the log suffix
+	// after (replBaseLSN, replBaseChain) for ShipLog pushes and FetchLog
+	// pulls; the base is the watermark of the image the process booted
+	// from (zero without one) and nothing trims the suffix while the
+	// process lives. Without retainLog repl stays empty and the base
+	// follows the tail. applied is the (client, CML sequence) dedup set
+	// that makes failover retransmits idempotent.
+	retainLog     bool
 	chain         uint32
 	replBaseLSN   uint64
 	replBaseChain uint32
@@ -283,9 +288,10 @@ func WithObs(reg *obs.Registry) Option {
 	return func(s *Server) { s.obs = reg }
 }
 
-// WithPeers names the replica group members this server replicates to.
-// Every committed log entry is pushed to each peer (ShipLog), and a
-// restarted server pulls missed suffixes back from them (CatchUp).
+// WithPeers names the other members of this server's replica group —
+// all of them: an entry this server accepts from a client is pushed once
+// to each peer (ShipLog) and never relayed by them, and a lagging or
+// restarted server pulls missed suffixes back from a peer (CatchUp).
 func WithPeers(addrs ...string) Option {
 	return func(s *Server) { s.peers = append([]string(nil), addrs...) }
 }
@@ -399,6 +405,15 @@ func (s *Server) volumesByIDLocked() []*volume {
 	return out
 }
 
+// publishLocked enters v into the registry, deciding as it does whether
+// the volume retains its log suffix: only a server with peers can be
+// asked for one. Caller holds s.mu.
+func (s *Server) publishLocked(v *volume) {
+	v.retainLog = len(s.peers) > 0
+	s.volumes[v.id()] = v
+	s.byName[v.info.Name] = v.id()
+}
+
 // id returns the volume's immutable identifier. The ID is assigned before
 // the volume is published in the registry and never changes, so it may be
 // read without the volume lock (it is what the lock order is keyed on).
@@ -499,8 +514,7 @@ func (s *Server) CreateVolume(name string) (codafs.VolumeInfo, error) {
 		return codafs.VolumeInfo{}, fmt.Errorf("server: create volume %q: journal: %w", name, err)
 	}
 	s.nextVolID = id
-	s.volumes[id] = v
-	s.byName[name] = id
+	s.publishLocked(v)
 	return v.info, nil
 }
 

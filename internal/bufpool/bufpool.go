@@ -17,8 +17,8 @@ package bufpool
 import "sync"
 
 // defaultCap fits the largest framed datagram either protocol emits: an
-// SFTP data packet (27-byte header + 1200-byte fragment) wrapped in the
-// one-byte RPC2 mux tag, with headroom.
+// SFTP data packet (at most 39 bytes of header + a 1200-byte fragment),
+// with headroom.
 const defaultCap = 1536
 
 var pool = sync.Pool{

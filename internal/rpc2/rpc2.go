@@ -41,20 +41,24 @@ import (
 	"repro/internal/simtime"
 )
 
-// Packet kinds.
+// Byte 0 of a datagram is the mux: a packet's kind (low three bits) and
+// flags, or with the top bit set an SFTP tag — then the datagram is the
+// engine's, whole, and crosses the node unre-framed and uncopied.
 const (
 	kindReq      = 1
 	kindRep      = 2
 	kindBusy     = 3
 	kindProbe    = 4
 	kindProbeAck = 5
-	kindSFTP     = 6
+	kindMask     = 0x07
+	sftpTag      = 0x80
 )
 
-// Flags.
+// Flags, in place beside the kind.
 const (
-	flagBodyViaSFTP = 1 << 0
-	flagAppError    = 1 << 1
+	flagBodyViaSFTP = 1 << 3
+	flagAppError    = 1 << 4
+	flagTraced      = 1 << 5 // a span context follows inc; appendPacket's to set, not a caller's
 )
 
 // InlineLimit is the largest body carried inside the request/reply packet
@@ -231,7 +235,10 @@ func NewNode(clock simtime.Clock, conn netsim.PacketConn, mon *netmon.Monitor, h
 
 // sweepReplyCache drops peer caches for hosts netmon has not heard from
 // within replyCacheTTL. Caches with a request still executing are kept:
-// the reply must be recorded even if the client has vanished.
+// the reply must be recorded even if the client has vanished. The same
+// tick sweeps the engine: a side-effect transfer whose header packet
+// never came has no Await to free it, and after an interval untouched
+// (sftpAwaitSlack, and beyond a live sender's backoff) is past claiming.
 func (n *Node) sweepReplyCache() {
 	for {
 		n.clock.Sleep(replySweepInterval)
@@ -256,6 +263,7 @@ func (n *Node) sweepReplyCache() {
 			}
 		}
 		n.mu.Unlock()
+		n.engine.Sweep()
 	}
 }
 
@@ -482,8 +490,8 @@ func (n *Node) recvLoop() {
 		if len(payload) == 0 {
 			continue
 		}
-		if payload[0] == kindSFTP {
-			n.engine.Deliver(src, payload[1:])
+		if payload[0]&sftpTag != 0 {
+			n.engine.Deliver(src, payload)
 			continue
 		}
 		kind, flags, seq, ts, tsEcho, inc, sc, body, ok := decodePacket(payload)
@@ -634,24 +642,27 @@ func reqXferID(seq uint64) uint64 { return seq << 2 }
 func repXferID(seq uint64) uint64 { return seq<<2 | 1 }
 func userXferID(id uint64) uint64 { return id<<2 | 2 }
 
-// packetHeader is the framed size of everything before the body:
-// kind(1) flags(1) seq(8) ts(4) tsEcho(4) inc(4) trace(8) span(8).
-// The trailing 16 bytes are the span context (PR 9); all-zero means
-// the packet is untraced.
-const packetHeader = 38
+// packetHeader is the most that precedes the body, for sizing buffers:
+// kind|flags(1) seq(minimal uvarint, <=10) ts(4) tsEcho(4) inc(4) and,
+// under flagTraced, trace(8) span(8) — 15 bytes untraced with seq < 2^14.
+const packetHeader = 1 + 10 + 12 + 16
 
 // appendPacket frames one packet into dst (the caller owns the buffer)
 // and returns the extended slice.
 //
 //codalint:hotpath rpc2 wire framing
 func appendPacket(dst []byte, kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte) []byte {
-	dst = append(dst, kind, flags)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
+	head := len(dst)
+	dst = append(dst, kind|flags)
+	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.BigEndian.AppendUint32(dst, ts)
 	dst = binary.BigEndian.AppendUint32(dst, tsEcho)
 	dst = binary.BigEndian.AppendUint32(dst, inc)
-	dst = binary.BigEndian.AppendUint64(dst, sc.Trace)
-	dst = binary.BigEndian.AppendUint64(dst, sc.Span)
+	if sc.Valid() {
+		dst[head] |= flagTraced
+		dst = binary.BigEndian.AppendUint64(dst, sc.Trace)
+		dst = binary.BigEndian.AppendUint64(dst, sc.Span)
+	}
 	return append(dst, body...)
 }
 
@@ -659,8 +670,8 @@ func appendPacket(dst []byte, kind, flags byte, seq uint64, ts, tsEcho, inc uint
 // conn. PacketConn.Send must not retain the payload, so the buffer goes
 // straight back to the pool: steady-state sends touch the heap zero
 // times (pinned by BenchmarkAllocSendPacket and the benchgate). The
-// span context is two fixed header words — propagation costs no
-// allocations either way.
+// span context is two header words — propagation costs no allocations
+// either way.
 //
 //codalint:hotpath rpc2 wire framing
 func (n *Node) sendPacket(dst string, kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte) {
@@ -670,31 +681,35 @@ func (n *Node) sendPacket(dst string, kind, flags byte, seq uint64, ts, tsEcho, 
 	bufpool.Put(bp)
 }
 
-// sendSFTP frames an SFTP fragment under the mux tag. This is the
-// engine's ship callback: it fires once per fragment of every bulk
-// transfer, the hottest send path in the system.
+// sendSFTP is the engine's ship callback, the hottest send path in the
+// system: the engine's tag is the mux byte, so the fragment goes as it is.
 //
 //codalint:hotpath sftp mux framing
 func (n *Node) sendSFTP(dst string, payload []byte) error {
-	bp := bufpool.Get(1 + len(payload))
-	*bp = append(*bp, kindSFTP)
-	*bp = append(*bp, payload...)
-	err := n.conn.Send(dst, *bp)
-	bufpool.Put(bp)
-	return err
+	return n.conn.Send(dst, payload)
 }
 
 // decodePacket splits a framed packet; body aliases p, nothing is
-// copied.
+// copied. It accepts only what appendPacket frames: a minimal seq, and
+// flagTraced exactly when a valid span context follows.
 //
 //codalint:hotpath rpc2 wire parsing
 func decodePacket(p []byte) (kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte, ok bool) {
-	if len(p) < packetHeader {
+	if len(p) == 0 {
 		return
 	}
-	sc.Trace = binary.BigEndian.Uint64(p[22:])
-	sc.Span = binary.BigEndian.Uint64(p[30:])
-	return p[0], p[1], binary.BigEndian.Uint64(p[2:]),
-		binary.BigEndian.Uint32(p[10:]), binary.BigEndian.Uint32(p[14:]),
-		binary.BigEndian.Uint32(p[18:]), sc, p[packetHeader:], true
+	seq, n := binary.Uvarint(p[1:])
+	if n <= 0 || (n > 1 && p[n] == 0) || len(p) < 1+n+12 {
+		return
+	}
+	traced := p[0]&flagTraced != 0
+	w, body := p[1+n:], p[1+n+12:]
+	if traced && len(body) >= 16 {
+		sc.Trace, sc.Span = binary.BigEndian.Uint64(body), binary.BigEndian.Uint64(body[8:])
+		body = body[16:]
+	}
+	if sc.Valid() != traced {
+		return // ok is false
+	}
+	return p[0] & kindMask, p[0] &^ kindMask, seq, binary.BigEndian.Uint32(w), binary.BigEndian.Uint32(w[4:]), binary.BigEndian.Uint32(w[8:]), sc, body, true
 }

@@ -1,10 +1,12 @@
 package rpc2
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/sftp"
 )
 
 // TestReplyCacheEvictsSilentPeers: at-most-once state for a peer that has
@@ -48,6 +50,30 @@ func TestReplyCacheEvictsSilentPeers(t *testing.T) {
 		}
 		if got := srv.ReplyCacheSize(); got != 2 {
 			t.Errorf("ReplyCacheSize after return = %d, want 2", got)
+		}
+	})
+}
+
+// TestSweeperFreesUnclaimedTransfer: the reply-cache tick also sweeps the
+// SFTP engine. A transfer that arrived whole but was never claimed is
+// there to take at first, and gone — its memory with it — once it has
+// sat through a full sweep interval.
+func TestSweeperFreesUnclaimedTransfer(t *testing.T) {
+	w := newWorld(12, netsim.Ethernet.Params())
+	w.sim.Run(func() {
+		a, z := w.node("a", nil), w.node("z", nil)
+		data := make([]byte, 50_000)
+		for id := uint64(1); id <= 2; id++ {
+			if err := a.Transfer("z", id, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := z.AwaitTransfer("a", 1, time.Second); err != nil || len(got) != len(data) {
+			t.Fatalf("claiming a finished transfer late: %d bytes, %v", len(got), err)
+		}
+		w.sim.Sleep(2*replySweepInterval + time.Second)
+		if _, err := z.AwaitTransfer("a", 2, time.Second); !errors.Is(err, sftp.ErrAwaitTimeout) {
+			t.Errorf("claiming a transfer two sweeps old: %v, want ErrAwaitTimeout", err)
 		}
 	})
 }

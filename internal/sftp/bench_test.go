@@ -16,11 +16,11 @@ import (
 func BenchmarkAllocShipData(b *testing.B) {
 	e := &Engine{send: func(dst string, p []byte) error { return nil }}
 	data := make([]byte, DataPacketSize)
-	e.shipData("dst", 1, 0, 1, uint64(len(data)), obs.SpanContext{}, data) // warm the pool
+	e.shipData("dst", 1, 0, uint64(len(data)), obs.SpanContext{}, data) // warm the pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.shipData("dst", 1, uint32(i), uint32(b.N), uint64(len(data)), obs.SpanContext{}, data)
+		e.shipData("dst", 1, uint32(i), uint64(b.N)*DataPacketSize, obs.SpanContext{}, data)
 	}
 }
 
@@ -47,7 +47,7 @@ func BenchmarkAllocSFTPReceive(b *testing.B) {
 	data := make([]byte, DataPacketSize)
 	var frame []byte
 	deliver := func(seq uint32) {
-		frame = appendData(frame[:0], 1, seq, total, uint64(total)*DataPacketSize, obs.SpanContext{}, data)
+		frame = appendData(frame[:0], 1, seq, uint64(total)*DataPacketSize, obs.SpanContext{}, data)
 		e.Deliver("tx", frame)
 	}
 	for seq := uint32(0); seq < warm; seq++ {

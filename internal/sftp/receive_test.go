@@ -30,7 +30,10 @@ type receiver struct {
 func newReceiver(clock simtime.Clock) *receiver {
 	r := &receiver{}
 	r.Engine = NewEngine(clock, netmon.NewMonitor(clock), func(dst string, p []byte) error {
-		if _, cum, bitmap, ok := decodeAck(p); ok && p[0] == tagAck {
+		if p[0] != tagAck {
+			return nil
+		}
+		if _, cum, bitmap, ok := decodeAck(p); ok {
 			r.acks = append(r.acks, ackInfo{cum, bitmap})
 		}
 		return nil
@@ -42,7 +45,7 @@ func newReceiver(clock simtime.Clock) *receiver {
 func fragment(id uint64, seq uint32, data []byte) []byte {
 	lo := min(int(seq)*DataPacketSize, len(data))
 	hi := min(lo+DataPacketSize, len(data))
-	return appendData(nil, id, seq, packetCount(len(data)), uint64(len(data)), obs.SpanContext{}, data[lo:hi])
+	return appendData(nil, id, seq, uint64(len(data)), obs.SpanContext{}, data[lo:hi])
 }
 
 // receiveSchedule feeds one transfer of size bytes into a fresh receiver
@@ -59,7 +62,7 @@ func receiveSchedule(t *testing.T, log *bytes.Buffer, seed int64, size int) {
 		r := rand.New(rand.NewSource(seed))
 		data := make([]byte, size)
 		r.Read(data)
-		total := packetCount(size)
+		total := packetCount(uint64(size))
 
 		var held []uint32 // withheld fragments: lost or overtaken, delivered later
 		next, cum := uint32(0), uint32(0)
@@ -138,32 +141,32 @@ func TestReceiveAcksMatchMapReceiver(t *testing.T) {
 }
 
 // TestDeliverDropsForgedFragments: a fragment whose header cannot have
-// come from Send — a shape no sender cuts, a later fragment disagreeing
-// with the first, a payload that is not its slot's length, a sequence
-// number past the end or past the window — is dropped without an ack and
-// without touching reassembly state, and the genuine transfer still
-// completes. The first row crashed the node before the header was
+// come from Send — a size no uint32 packet count covers, a later fragment
+// disagreeing with the first, a payload that is not its slot's length, a
+// sequence number past the end or past the window — is dropped without
+// an ack and without touching reassembly state, and the genuine transfer
+// still completes. The first row crashed the node before the header was
 // validated (makeslice: cap out of range, from the claimed totalBytes).
+// The packet count is derived from totalBytes (TestHeaderRoundTrip), so a
+// count no sender cuts is not expressible on the wire.
 func TestDeliverDropsForgedFragments(t *testing.T) {
 	s := simtime.NewSim(simtime.Epoch1995)
 	s.Run(func() {
 		rx := newReceiver(s)
 		data := bytes.Repeat([]byte("genuine!"), 100*DataPacketSize/8+1) // 100 full packets and a short tail
-		total, size := packetCount(len(data)), uint64(len(data))
+		total, size := packetCount(uint64(len(data))), uint64(len(data))
 		full := make([]byte, DataPacketSize)
-		frame := func(id uint64, seq, total uint32, totalBytes uint64, payload []byte) []byte {
-			return appendData(nil, id, seq, total, totalBytes, obs.SpanContext{}, payload)
+		frame := func(id uint64, seq uint32, totalBytes uint64, payload []byte) []byte {
+			return appendData(nil, id, seq, totalBytes, obs.SpanContext{}, payload)
 		}
-
 		// No transfer exists yet: these may not create one.
 		for name, p := range map[string][]byte{
-			"claims 4 EB in one packet": frame(7, 0, 1, 1<<62, []byte("x")),
-			"zero packets":              frame(7, 0, 0, 0, nil),
-			"too many packets":          frame(7, 0, 3, DataPacketSize+1, full),
-			"too few packets":           frame(7, 0, 1, DataPacketSize+1, full),
-			"packet count wraps":        frame(7, 0, 1<<32-1, 5, []byte("short")),
-			"short first packet":        frame(7, 0, 2, DataPacketSize+1, []byte("short")),
-			"first beyond the window":   frame(7, WindowPackets, 100, 100*DataPacketSize, full),
+			"claims 4 EB in one packet":    frame(7, 0, 1<<62, []byte("x")),
+			"beyond uint32 packet numbers": frame(7, 0, maxTotalBytes+1, full),
+			"short first packet":           frame(7, 0, DataPacketSize+1, []byte("short")),
+			"long only packet":             frame(7, 0, 5, full),
+			"payload beyond a packet":      frame(7, 0, 2*DataPacketSize, make([]byte, DataPacketSize+1)),
+			"first beyond the window":      frame(7, WindowPackets, 100*DataPacketSize, full),
 		} {
 			rx.Deliver("tx", p)
 			if len(rx.acks) != 0 || len(rx.incoming) != 0 {
@@ -176,14 +179,14 @@ func TestDeliverDropsForgedFragments(t *testing.T) {
 		acks, in := len(rx.acks), rx.incoming[key{"tx", 1}]
 		before := *in
 		for name, p := range map[string][]byte{
-			"different total":       frame(1, 1, total+1, size, full),
-			"different totalBytes":  frame(1, 1, total, size-1, full),
-			"short middle packet":   frame(1, 1, total, size, full[:DataPacketSize-1]),
-			"long last packet":      frame(1, total-1, total, size, full),
-			"past the end":          frame(1, total, total, size, full),
-			"past the window":       frame(1, 1+WindowPackets, total, size, full),
-			"far past the window":   frame(1, total-2, total, size, full),
-			"empty payload mid-way": frame(1, 1, total, size, nil),
+			"different total":       frame(1, 1, size+DataPacketSize, full),
+			"different totalBytes":  frame(1, 1, size-1, full),
+			"short middle packet":   frame(1, 1, size, full[:DataPacketSize-1]),
+			"long last packet":      frame(1, total-1, size, full),
+			"past the end":          frame(1, total, size, full),
+			"past the window":       frame(1, 1+WindowPackets, size, full),
+			"far past the window":   frame(1, total-2, size, full),
+			"empty payload mid-way": frame(1, 1, size, nil),
 		} {
 			rx.Deliver("tx", p)
 			if len(rx.acks) != acks {
@@ -256,11 +259,80 @@ func TestAwaitTimeoutFreesAbandonedTransfer(t *testing.T) {
 	})
 }
 
+// TestSweepFreesUnawaitedTransfer: a transfer nobody ever Awaits — the
+// header packet that announces it was lost — used to sit in the engine
+// for good, finished or not. Sweep frees one that went a whole interval
+// between sweeps with no fragment and no Await, spares one that is still
+// moving or awaited, and leaves late fragments nothing to rebuild.
+func TestSweepFreesUnawaitedTransfer(t *testing.T) {
+	s := simtime.NewSim(simtime.Epoch1995)
+	s.Run(func() {
+		rx := newReceiver(s)
+		data := bytes.Repeat([]byte("orphan"), DataPacketSize)
+		total := packetCount(uint64(len(data)))
+		// Transfer 1 finishes; 2, 3 and 4 stall one fragment short. Only 4 is awaited.
+		for id := uint64(1); id <= 4; id++ {
+			for seq := uint32(0); seq < total; seq++ {
+				if id == 1 || seq+1 < total {
+					rx.Deliver("tx", fragment(id, seq, data))
+				}
+			}
+		}
+		awaited := simtime.NewQueue[error](s)
+		s.Go(func() {
+			got, err := rx.Await("tx", 4, time.Hour)
+			if err == nil && !bytes.Equal(got, data) {
+				err = errors.New("awaited transfer corrupted")
+			}
+			awaited.Put(err)
+		})
+		s.Sleep(time.Second)
+		held := func(want int, when string) {
+			t.Helper()
+			if in, _ := engineMaps(rx.Engine); in != want {
+				t.Fatalf("%s: %d transfers held, want %d", when, in, want)
+			}
+		}
+
+		rx.Sweep()
+		held(4, "first sweep (everything was touched since the engine began)")
+		rx.Deliver("tx", fragment(3, 0, data)) // 3's sender is still retransmitting
+		rx.Sweep()
+		held(2, "second sweep (1 and 2 idle for an interval; 3 moving, 4 awaited)")
+		rx.Sweep()
+		held(1, "third sweep (3 went quiet too)")
+
+		acks := len(rx.acks)
+		rx.Deliver("tx", fragment(2, total-1, data))
+		if len(rx.acks) != acks {
+			t.Error("late fragment of a swept, unfinished transfer was acked")
+		}
+		rx.Deliver("tx", fragment(1, 0, data))
+		if len(rx.acks) != acks+1 || rx.acks[acks].cum != total {
+			t.Error("late fragment of a swept, finished transfer was not re-acked as complete")
+		}
+		held(1, "after late fragments")
+		if _, err := rx.Await("tx", 1, time.Second); !errors.Is(err, ErrAwaitTimeout) {
+			t.Errorf("Await of a swept transfer: %v, want ErrAwaitTimeout", err)
+		}
+
+		rx.Deliver("tx", fragment(4, total-1, data))
+		if err, _ := awaited.Get(); err != nil {
+			t.Errorf("awaited transfer across three sweeps: %v", err)
+		}
+		if in, dn := engineMaps(rx.Engine); in != 0 || dn != 0 {
+			t.Errorf("at the end: %d in reassembly, %d completion queues, want 0 and 0", in, dn)
+		}
+	})
+}
+
 // FuzzDeliver feeds arbitrary payloads to Engine.Deliver, cut from the
 // input as length-prefixed chunks so one input can hold a conversation.
-// Nothing may panic, and reassembly may not hold more than it was fed:
-// every transfer's buffer is within one window of the bytes delivered,
-// whatever sizes the headers claimed.
+// Nothing may panic, a datagram a decoder accepts re-frames to the bytes
+// it was read from (one encoding per fragment and per ack), and
+// reassembly may not hold more than it was fed: every transfer's buffer
+// is within one window of the bytes delivered, whatever sizes the
+// headers claimed.
 func FuzzDeliver(f *testing.F) {
 	chunks := func(ps ...[]byte) []byte {
 		var in []byte
@@ -272,10 +344,13 @@ func FuzzDeliver(f *testing.F) {
 	}
 	data := bytes.Repeat([]byte("z"), 2*DataPacketSize+1)
 	f.Add(chunks(fragment(1, 2, data), fragment(1, 0, data), fragment(1, 2, data), fragment(1, 1, data), fragment(1, 1, data)))
-	f.Add(chunks(appendData(nil, 7, 0, 1, 1<<62, obs.SpanContext{}, []byte("x"))))
-	f.Add(chunks(appendData(nil, 7, 63, 1<<32-1, (1<<32-1)*DataPacketSize, obs.SpanContext{Trace: 1, Span: 2}, make([]byte, DataPacketSize))))
-	f.Add(chunks(fragment(2, 0, nil), fragment(2, 0, nil), []byte{tagAck, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}))
+	f.Add(chunks(appendData(nil, 7, 0, 1<<62, obs.SpanContext{}, []byte("x"))))
+	f.Add(chunks(appendData(nil, 7, 63, maxTotalBytes, obs.SpanContext{Trace: 1, Span: 2}, make([]byte, DataPacketSize))))
+	f.Add(chunks(fragment(2, 0, nil), fragment(2, 0, nil), appendAck(nil, 2, 1, 0)))
 	f.Add([]byte{0, 1, tagData})
+	for _, p := range refusedForms {
+		f.Add(chunks(p))
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rx := newReceiver(simtime.NewSim(simtime.Epoch1995))
@@ -287,6 +362,15 @@ func FuzzDeliver(f *testing.F) {
 			in = in[2+n:]
 			rx.Deliver("peer", p)
 			fed += len(p)
+			if len(p) > 0 && p[0]&^flagTraced == tagData {
+				if id, seq, _, totalBytes, sc, data, ok := decodeData(p); ok && !bytes.Equal(appendData(nil, id, seq, totalBytes, sc, data), p) {
+					t.Fatalf("accepted fragment % x does not re-frame to itself", p)
+				}
+			} else if len(p) > 0 && p[0] == tagAck {
+				if id, cum, bitmap, ok := decodeAck(p); ok && !bytes.Equal(appendAck(nil, id, cum, bitmap), p) {
+					t.Fatalf("accepted ack % x does not re-frame to itself", p)
+				}
+			}
 
 			held := 0
 			for k, tr := range rx.incoming {

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -40,10 +41,13 @@ const (
 	maxConsecutiveTimeouts = 10
 )
 
-// Packet type tags (first byte of an SFTP payload).
+// Packet type tags (first byte of an SFTP payload). The top bit, which the
+// owner's own protocol leaves clear, makes the tag the mux byte as well:
+// the owner hands Deliver, whole, every datagram that starts with it set.
 const (
-	tagData = 0x01
-	tagAck  = 0x02
+	tagData    = 0x80
+	tagAck     = 0x81
+	flagTraced = 0x40 // on tagData: a span context follows the header
 )
 
 // ErrTransferFailed reports a transfer abandoned after repeated timeouts.
@@ -69,14 +73,16 @@ type Engine struct {
 	reg  *obs.Registry
 	self string
 
-	mu       sync.Mutex
-	senders  map[key]*simtime.Queue[ackInfo]
+	mu      sync.Mutex
+	senders map[key]*simtime.Queue[ackInfo]
+	// incoming holds a transfer from its first fragment until an Await
+	// (one already waiting has a queue in done) or Sweep takes it.
 	incoming map[key]*inTransfer
 	done     map[key]*simtime.Queue[[]byte]
 	// completed remembers transfers that are over: the packet count of a
 	// finished one, for re-acking a sender that missed the final ack, or
-	// abandoned for one whose Await gave up, so that late fragments are
-	// dropped instead of starting a reassembly nobody will take.
+	// abandoned for one Await or Sweep gave up on, so that late fragments
+	// are dropped instead of starting a reassembly nobody will take.
 	completed map[key]uint32
 	order     []key // FIFO bound on completed
 
@@ -101,8 +107,8 @@ type ackInfo struct {
 	bitmap uint64
 }
 
-// abandoned is completed's mark for a transfer Await timed out on; no
-// finished transfer has zero packets.
+// abandoned is completed's mark for a transfer Await timed out on or
+// Sweep freed unfinished; no finished transfer has zero packets.
 const abandoned = 0
 
 // inTransfer reassembles one incoming transfer in place: fragment seq
@@ -122,6 +128,7 @@ type inTransfer struct {
 	buf        []byte // reassembled prefix plus the window's slots; cap never exceeds totalBytes
 	cum        uint32
 	window     uint64
+	idle       bool            // no fragment since the last Sweep
 	sp         *obs.SpanHandle // sftp_receive, when the stream is traced
 }
 
@@ -163,7 +170,7 @@ func NewEngine(clock simtime.Clock, mon *netmon.Monitor, send func(dst string, p
 // the same tree.
 func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) error {
 	peer := e.mon.Peer(dst)
-	total := packetCount(len(data))
+	total := packetCount(uint64(len(data)))
 
 	var sp *obs.SpanHandle
 	wireCtx := obs.SpanContext{}
@@ -209,7 +216,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		}
 		e.met.packetsSent.Inc()
 		e.met.bytesSent.Add(int64(hi - lo))
-		e.shipData(dst, id, i, total, uint64(len(data)), wireCtx, data[lo:hi])
+		e.shipData(dst, id, i, uint64(len(data)), wireCtx, data[lo:hi])
 	}
 	xmitFresh := func(i uint32) {
 		xmit(i)
@@ -341,6 +348,11 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 func (e *Engine) Await(src string, id uint64, timeout time.Duration) ([]byte, error) {
 	k := key{src, id}
 	e.mu.Lock()
+	if t := e.incoming[k]; t != nil && t.cum == t.total {
+		delete(e.incoming, k) // finished before anyone asked
+		e.mu.Unlock()
+		return t.buf, nil
+	}
 	q, ok := e.done[k]
 	if !ok {
 		q = simtime.NewQueue[[]byte](e.clock)
@@ -369,6 +381,25 @@ func (e *Engine) Await(src string, id uint64, timeout time.Duration) ([]byte, er
 	return nil, fmt.Errorf("%w: %s transfer %d", ErrAwaitTimeout, src, id)
 }
 
+// Sweep frees a transfer, finished or stalled, that no Await is waiting
+// for and no fragment has reached since the previous Sweep (the header
+// packet announcing it was lost), marking a stalled one abandoned. The
+// owner's period must exceed a live sender's longest silence.
+func (e *Engine) Sweep() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for k, t := range e.incoming {
+		if t.idle && e.done[k] == nil { // an awaited one is Await's to free
+			delete(e.incoming, k)
+			if t.cum < t.total {
+				e.forgetLocked(k, abandoned)
+				t.sp.End()
+			}
+		}
+		t.idle = true
+	}
+}
+
 // Deliver routes one incoming SFTP payload from src into the engine. The
 // owning node calls it from its demultiplex loop.
 func (e *Engine) Deliver(src string, payload []byte) {
@@ -377,7 +408,7 @@ func (e *Engine) Deliver(src string, payload []byte) {
 	}
 	e.mon.Peer(src).Heard()
 	switch payload[0] {
-	case tagData:
+	case tagData, tagData | flagTraced:
 		e.deliverData(src, payload)
 	case tagAck:
 		e.deliverAck(src, payload)
@@ -386,7 +417,7 @@ func (e *Engine) Deliver(src string, payload []byte) {
 
 // packetCount is the number of data packets a transfer of size bytes is
 // cut into; a zero-length transfer still needs one (empty) packet.
-func packetCount(size int) uint32 {
+func packetCount(size uint64) uint32 {
 	return uint32(max(1, (size+DataPacketSize-1)/DataPacketSize))
 }
 
@@ -396,16 +427,6 @@ func (t *inTransfer) slotLen(seq uint32) int {
 		return DataPacketSize
 	}
 	return int(t.totalBytes - uint64(t.total-1)*DataPacketSize)
-}
-
-// validShape reports whether total packets is what a sender cuts
-// totalBytes into.
-func validShape(total uint32, totalBytes uint64) bool {
-	if total == 1 && totalBytes == 0 {
-		return true // the one empty packet of a zero-length transfer
-	}
-	full := uint64(total) * DataPacketSize
-	return total > 0 && totalBytes <= full && totalBytes > full-DataPacketSize
 }
 
 // store copies packet seq into place and advances cum past every packet
@@ -475,16 +496,13 @@ func (e *Engine) deliverData(src string, payload []byte) {
 	t := e.incoming[k]
 	first := t == nil
 	if first {
-		if !validShape(total, totalBytes) {
-			e.mu.Unlock()
-			return
-		}
 		t = &inTransfer{total: total, totalBytes: totalBytes}
 	}
 	if !t.store(seq, total, totalBytes, data) {
 		e.mu.Unlock()
 		return
 	}
+	t.idle = false
 	if first {
 		if sc.Valid() {
 			// The receive span opens on the first fragment and closes
@@ -500,17 +518,17 @@ func (e *Engine) deliverData(src string, payload []byte) {
 		e.shipAck(src, id, cum, bitmap)
 		return
 	}
-	delete(e.incoming, k)
 	e.forgetLocked(k, t.total)
-	q, ok := e.done[k]
-	if !ok {
-		q = simtime.NewQueue[[]byte](e.clock)
-		e.done[k] = q
+	q := e.done[k]
+	if q != nil {
+		delete(e.incoming, k)
 	}
 	e.mu.Unlock()
 	t.sp.End()
 	e.shipAck(src, id, cum, bitmap)
-	q.Put(t.buf)
+	if q != nil {
+		q.Put(t.buf)
+	}
 }
 
 // forgetLocked records how the transfer k ended (its packet count, or
@@ -537,27 +555,42 @@ func (e *Engine) deliverAck(src string, payload []byte) {
 	}
 }
 
-// Framed header sizes: data is tag(1) id(8) seq(4) total(4)
-// totalBytes(8) len(2) trace(8) span(8) — the trailing span context is
-// all-zero on untraced streams; ack is tag(1) id(8) cum(4) bitmap(8).
+// Header maxima, for sizing buffers; the fields are minimal uvarints
+// (DESIGN.md §14). Data is tag(1) id(<=10) seq(<=5) totalBytes(<=7) and,
+// under flagTraced, trace(8) span(8), then the payload to the end of the
+// datagram — 7 bytes a fragment of a 36 KB transfer. Ack is tag(1)
+// id(<=10) cum(<=5) bitmap(<=10) — 5 bytes when nothing is out of order.
 const (
-	dataHeader = 43
-	ackHeader  = 21
+	dataHeader    = 1 + 10 + 5 + 7 + 16
+	ackHeader     = 1 + 10 + 5 + 10
+	maxTotalBytes = math.MaxUint32 * DataPacketSize // what uint32 packet numbers address
 )
+
+// uvarint takes one minimal uvarint of at most limit off the front of p.
+// A nil rest (truncated, padded, oversized) survives further calls.
+func uvarint(p []byte, limit uint64) (v uint64, rest []byte) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 || (n > 1 && p[n-1] == 0) || v > limit {
+		return 0, nil
+	}
+	return v, p[n:]
+}
 
 // appendData frames one data fragment into dst (the caller owns the
 // buffer) and returns the extended slice.
 //
 //codalint:hotpath sftp fragment framing
-func appendData(dst []byte, id uint64, seq, total uint32, totalBytes uint64, sc obs.SpanContext, data []byte) []byte {
+func appendData(dst []byte, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, data []byte) []byte {
+	tag := len(dst)
 	dst = append(dst, tagData)
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.BigEndian.AppendUint32(dst, seq)
-	dst = binary.BigEndian.AppendUint32(dst, total)
-	dst = binary.BigEndian.AppendUint64(dst, totalBytes)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(data)))
-	dst = binary.BigEndian.AppendUint64(dst, sc.Trace)
-	dst = binary.BigEndian.AppendUint64(dst, sc.Span)
+	dst = binary.AppendUvarint(dst, id)
+	dst = binary.AppendUvarint(dst, uint64(seq))
+	dst = binary.AppendUvarint(dst, totalBytes)
+	if sc.Valid() {
+		dst[tag] |= flagTraced
+		dst = binary.BigEndian.AppendUint64(dst, sc.Trace)
+		dst = binary.BigEndian.AppendUint64(dst, sc.Span)
+	}
 	return append(dst, data...)
 }
 
@@ -565,32 +598,42 @@ func appendData(dst []byte, id uint64, seq, total uint32, totalBytes uint64, sc 
 // to the send callback, which must not retain it. One of these fires
 // per fragment of every bulk transfer; zero steady-state allocations
 // here is pinned by BenchmarkAllocShipData and the benchgate (the span
-// context is two fixed header words, nothing heap-allocated).
+// context is two header words, nothing heap-allocated).
 //
 //codalint:hotpath sftp fragment framing
-func (e *Engine) shipData(dst string, id uint64, seq, total uint32, totalBytes uint64, sc obs.SpanContext, data []byte) {
+func (e *Engine) shipData(dst string, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, data []byte) {
 	bp := bufpool.Get(dataHeader + len(data))
-	*bp = appendData(*bp, id, seq, total, totalBytes, sc, data)
+	*bp = appendData(*bp, id, seq, totalBytes, sc, data)
 	_ = e.send(dst, *bp)
 	bufpool.Put(bp)
 }
 
+// decodeData accepts only what appendData frames (Deliver has read the
+// tag); total is derived and data aliases p.
+//
 //codalint:hotpath sftp fragment parsing
 func decodeData(p []byte) (id uint64, seq, total uint32, totalBytes uint64, sc obs.SpanContext, data []byte, ok bool) {
-	if len(p) < dataHeader {
-		return
+	traced := p[0]&flagTraced != 0
+	id, data = uvarint(p[1:], math.MaxUint64)
+	s, data := uvarint(data, math.MaxUint32)
+	totalBytes, data = uvarint(data, maxTotalBytes)
+	if traced && len(data) >= 16 {
+		sc.Trace, sc.Span = binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:])
+		data = data[16:]
 	}
-	n := int(binary.BigEndian.Uint16(p[25:]))
-	if len(p) < dataHeader+n {
-		return
+	// A context cut short or all-zero under the flag leaves sc invalid here.
+	if data == nil || sc.Valid() != traced || len(data) > DataPacketSize {
+		return // ok is false
 	}
-	id = binary.BigEndian.Uint64(p[1:])
-	seq = binary.BigEndian.Uint32(p[9:])
-	total = binary.BigEndian.Uint32(p[13:])
-	totalBytes = binary.BigEndian.Uint64(p[17:])
-	sc.Trace = binary.BigEndian.Uint64(p[27:])
-	sc.Span = binary.BigEndian.Uint64(p[35:])
-	return id, seq, total, totalBytes, sc, p[dataHeader : dataHeader+n], true
+	return id, uint32(s), packetCount(totalBytes), totalBytes, sc, data, true
+}
+
+//codalint:hotpath sftp ack framing
+func appendAck(dst []byte, id uint64, cum uint32, bitmap uint64) []byte {
+	dst = append(dst, tagAck)
+	dst = binary.AppendUvarint(dst, id)
+	dst = binary.AppendUvarint(dst, uint64(cum))
+	return binary.AppendUvarint(dst, bitmap)
 }
 
 // shipAck frames one ack into a pooled buffer; every received data
@@ -599,19 +642,20 @@ func decodeData(p []byte) (id uint64, seq, total uint32, totalBytes uint64, sc o
 //codalint:hotpath sftp ack framing
 func (e *Engine) shipAck(dst string, id uint64, cum uint32, bitmap uint64) {
 	bp := bufpool.Get(ackHeader)
-	buf := append(*bp, tagAck)
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = binary.BigEndian.AppendUint32(buf, cum)
-	buf = binary.BigEndian.AppendUint64(buf, bitmap)
-	*bp = buf
+	*bp = appendAck(*bp, id, cum, bitmap)
 	_ = e.send(dst, *bp)
 	bufpool.Put(bp)
 }
 
+// decodeAck accepts only what appendAck frames, and nothing after it.
+//
 //codalint:hotpath sftp ack parsing
 func decodeAck(p []byte) (id uint64, cum uint32, bitmap uint64, ok bool) {
-	if len(p) < ackHeader {
+	id, p = uvarint(p[1:], math.MaxUint64)
+	c, p := uvarint(p, math.MaxUint32)
+	bitmap, p = uvarint(p, math.MaxUint64)
+	if p == nil || len(p) != 0 {
 		return 0, 0, 0, false
 	}
-	return binary.BigEndian.Uint64(p[1:]), binary.BigEndian.Uint32(p[9:]), binary.BigEndian.Uint64(p[13:]), true
+	return id, uint32(c), bitmap, true
 }

@@ -66,6 +66,11 @@ examples:
 # Then the one replication rule: a log entry is pushed from one call site
 # (shipToPeers', reached only from a client commit), never relayed. And no
 # Sleep(0) orders same-instant goroutines outside the kernel that defines it.
+# Last, the copy ledger (DESIGN.md §4.11): file contents are immutable once
+# published, so a defensive append([]byte(nil), x.Data...) belongs only at
+# the three trust edges that spell it that way (Venus.WriteFile,
+# Server.WriteFile, Server.ReadFile); a fourth fails here until the ledger
+# has a row for it.
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
@@ -75,6 +80,7 @@ lint-structure:
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'reintegrateCall(' . | grep -vc ':func ')" -eq 1
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'shipVolume(' . | grep -vc ':func ')" -eq 1
 	! grep -rn --include='*.go' --exclude='*_test.go' 'Sleep(0)' . | grep -v '^./internal/simtime/'
+	test "$$(grep -rnE --include='*.go' --exclude='*_test.go' 'append\(\[\]byte\(nil\), [A-Za-z0-9_.]*[dD]ata\.\.\.\)' . | grep -vc -e '^./cmd/codaperf/' -e '/testdata/')" -le 3
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

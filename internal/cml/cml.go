@@ -130,6 +130,7 @@ type Log struct {
 	mu         sync.Mutex
 	records    []*Record
 	barrier    int // records[:barrier] are frozen for reintegration
+	dead       int // records sliced off the array's front since CommitReintegration last compacted it
 	nextSeq    uint64
 	savedBytes int64
 	savedRecs  int64
@@ -254,21 +255,28 @@ func (l *Log) unfrozenLocked() []*Record {
 	return l.records[l.barrier:]
 }
 
-// cancelLocked removes unfrozen records matching pred, crediting savings
-// to the given cancellation class.
-func (l *Log) cancelLocked(class CancelClass, pred func(*Record) bool) {
-	kept := l.records[:l.barrier]
-	var recs int
-	var bytes int64
-	for _, o := range l.records[l.barrier:] {
-		if pred(o) {
+// dropLocked removes, in place, the records from index from on that drop
+// selects, and returns how many and their bytes. The vacated tail is
+// cleared: a dropped record, and the file contents it holds, is collectable.
+func (l *Log) dropLocked(from int, drop func(*Record) bool) (recs int, bytes int64) {
+	kept := l.records[:from]
+	for _, o := range l.records[from:] {
+		if drop(o) {
 			recs++
 			bytes += o.Size()
 			continue
 		}
 		kept = append(kept, o)
 	}
+	clear(l.records[len(kept):])
 	l.records = kept
+	return recs, bytes
+}
+
+// cancelLocked removes unfrozen records matching pred, crediting savings
+// to the given cancellation class.
+func (l *Log) cancelLocked(class CancelClass, pred func(*Record) bool) {
+	recs, bytes := l.dropLocked(l.barrier, pred)
 	if recs > 0 {
 		l.savedBytes += bytes
 		l.savedRecs += int64(recs)
@@ -476,13 +484,7 @@ func (l *Log) CommitSubtree(seqs map[uint64]bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.barrier = 0
-	kept := l.records[:0]
-	for _, r := range l.records {
-		if !seqs[r.Seq] {
-			kept = append(kept, r)
-		}
-	}
-	l.records = kept
+	l.dropLocked(0, func(r *Record) bool { return seqs[r.Seq] })
 }
 
 // Reintegrating reports whether a barrier is in place.
@@ -497,8 +499,14 @@ func (l *Log) Reintegrating() bool {
 func (l *Log) CommitReintegration() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.records = append([]*Record(nil), l.records[l.barrier:]...)
-	l.barrier = 0
+	// Sliced off, not copied out: the prefix is cleared, so its records and
+	// data are collectable; survivors move once the dead front outweighs them.
+	clear(l.records[:l.barrier])
+	l.dead += l.barrier
+	l.records, l.barrier = l.records[l.barrier:], 0
+	if l.dead > len(l.records) {
+		l.records, l.dead = append([]*Record(nil), l.records...), 0
+	}
 }
 
 // Remove deletes the records with the given sequence numbers (Venus drops
@@ -512,16 +520,7 @@ func (l *Log) Remove(seqs map[uint64]bool) int {
 	if l.barrier > 0 {
 		return 0
 	}
-	kept := l.records[:0]
-	removed := 0
-	for _, r := range l.records {
-		if seqs[r.Seq] {
-			removed++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	l.records = kept
+	removed, _ := l.dropLocked(0, func(r *Record) bool { return seqs[r.Seq] })
 	return removed
 }
 

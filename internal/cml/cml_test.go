@@ -3,6 +3,7 @@ package cml
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -423,5 +424,58 @@ func TestLoadCorruptedNeverPanics(t *testing.T) {
 	short.NextSeq = short.Records[len(short.Records)-1].Seq - 1
 	if _, err := Load(short); err == nil {
 		t.Error("Load accepted NextSeq below the last record's sequence")
+	}
+}
+
+// TestCommitDoesNotRecopyLog: a long log shipped a few records at a time,
+// with appends landing between chunks as they do under trickle
+// reintegration, commits each chunk by slicing it off. What remains is
+// always exactly the unshipped suffix, in order, and the survivors are
+// copied about once over the whole drain, not once per chunk (6.6 MB for
+// this log).
+func TestCommitDoesNotRecopyLog(t *testing.T) {
+	const records, chunk = 2580, 4
+	l := NewLog()
+	appended := uint64(0)
+	add := func() {
+		appended++
+		l.Append(Record{Kind: Create, FID: fid(appended + 1), Parent: dirFID, Name: "f"}, t0)
+	}
+	for i := 0; i < records; i++ {
+		add()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	shipped := uint64(0)
+	for round := 0; l.Len() > 0; round++ {
+		got := l.BeginReintegration(0, chunk*(RecordOverhead+1), t0)
+		if len(got) == 0 || len(got) > chunk {
+			t.Fatalf("round %d: chunk of %d records", round, len(got))
+		}
+		for _, r := range got {
+			if shipped++; r.Seq != shipped {
+				t.Fatalf("round %d shipped seq %d, want %d", round, r.Seq, shipped)
+			}
+		}
+		if round%8 == 0 && round < 800 {
+			add() // lands behind the barrier, in the same array
+		}
+		l.CommitReintegration()
+		l.Each(func(r *Record) bool {
+			if r.Seq != shipped+1 {
+				t.Fatalf("round %d: log now starts at seq %d, want %d", round, r.Seq, shipped+1)
+			}
+			return false
+		})
+		if want := int(appended - shipped); l.Len() != want {
+			t.Fatalf("round %d: %d records left, want %d", round, l.Len(), want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if shipped != appended {
+		t.Fatalf("shipped %d records, appended %d", shipped, appended)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("draining a %d-record log %d at a time allocated %d bytes, want under 1 MiB", records, chunk, got)
 	}
 }

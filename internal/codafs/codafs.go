@@ -11,6 +11,7 @@ package codafs
 
 import (
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -85,6 +86,12 @@ type VolumeInfo struct {
 // Object is the full representation of a file-system object: status plus
 // the type-specific payload. The server store and the Venus cache both use
 // it.
+//
+// File contents are immutable once published: a Data slice — here, in a
+// cml.Record, in a cache entry — is never written through, only replaced
+// wholesale. Contents are copied at the trust edges, where they arrive from
+// or leave to someone who may write to them (a caller's buffer, a received
+// frame, a ReadFile result); all between share one slice (DESIGN.md §4.11).
 type Object struct {
 	Status   Status
 	Data     []byte         // file contents (Type == File)
@@ -92,19 +99,11 @@ type Object struct {
 	Target   string         // symlink target (Type == Symlink)
 }
 
-// Clone returns a deep copy of the object.
+// Clone returns an independent copy: its own entries, the same contents.
 func (o *Object) Clone() *Object {
-	c := &Object{Status: o.Status, Target: o.Target}
-	if o.Data != nil {
-		c.Data = append([]byte(nil), o.Data...)
-	}
-	if o.Children != nil {
-		c.Children = make(map[string]FID, len(o.Children))
-		for k, v := range o.Children {
-			c.Children[k] = v
-		}
-	}
-	return c
+	c := *o
+	c.Children = maps.Clone(o.Children)
+	return &c
 }
 
 // ChildNames returns the directory's entry names in sorted order.

@@ -111,9 +111,12 @@ func TestObjectClone(t *testing.T) {
 
 	f := &Object{Status: Status{Type: File}, Data: []byte{1, 2, 3}}
 	cf := f.Clone()
-	cf.Data[0] = 99
-	if f.Data[0] == 99 {
-		t.Error("Clone shares Data slice")
+	if &cf.Data[0] != &f.Data[0] {
+		t.Error("Clone copied contents, which are immutable and meant to be shared")
+	}
+	cf.Data = []byte{99}
+	if len(f.Data) != 3 || f.Data[0] != 1 {
+		t.Error("replacing the clone's contents changed the original's")
 	}
 }
 

@@ -10,13 +10,70 @@ import (
 	"sync"
 )
 
-// memNode is one file's state: the volatile view (data) and how much of
-// it the last File.Sync made durable. Files only grow by appending and
-// shrink by Truncate, so the durable image is always the prefix
-// data[:synced] and a sync never has to copy it.
+// pageSize is the unit a memNode's bytes are held in.
+const pageSize = 64 << 10
+
+// memNode is one file's state: the volatile view (size bytes, in pages)
+// and how much of it the last File.Sync made durable. Files only grow by
+// appending and shrink by Truncate, so the durable image is always the
+// prefix [0, synced) and a sync never has to copy it. Nor does an append:
+// every page but the last is full and never moves again, so a byte
+// written is copied once however long the file gets (a flat slice grown
+// by append re-copied a 1 MiB WAL segment about five times). Only the
+// first page starts small and grows, so a tiny meta file costs what it
+// holds.
 type memNode struct {
-	data   []byte
+	pages  [][]byte
+	size   int
 	synced int
+}
+
+// write appends p to the volatile view.
+func (n *memNode) write(p []byte) {
+	n.size += len(p)
+	for len(p) > 0 {
+		i := len(n.pages) - 1
+		if i < 0 || len(n.pages[i]) == pageSize {
+			n.pages = append(n.pages, nil)
+			i++
+		}
+		pg := n.pages[i]
+		if len(pg) == cap(pg) {
+			// A later page is allocated whole; the first in steps of 4x.
+			c := pageSize
+			if i == 0 {
+				c = min(pageSize, max(4*cap(pg), len(pg)+len(p), 512))
+			}
+			pg = append(make([]byte, 0, c), pg...)
+		}
+		k := copy(pg[len(pg):cap(pg)], p)
+		n.pages[i] = pg[:len(pg)+k]
+		p = p[k:]
+	}
+}
+
+// readAt copies into p from offset off, like a flat slice would:
+// everything that is there, up to len(p).
+func (n *memNode) readAt(p []byte, off int) (done int) {
+	for done < len(p) && off < n.size {
+		k := copy(p[done:], n.pages[off/pageSize][off%pageSize:])
+		done, off = done+k, off+k
+	}
+	return done
+}
+
+// truncate cuts the volatile view to size bytes, if it is longer.
+func (n *memNode) truncate(size int) {
+	if size >= n.size {
+		return
+	}
+	keep := (size + pageSize - 1) / pageSize
+	clear(n.pages[keep:])
+	n.pages = n.pages[:keep]
+	if rem := size % pageSize; rem > 0 {
+		n.pages[keep-1] = n.pages[keep-1][:rem]
+	}
+	n.size = size
 }
 
 // Mem is an in-memory FS with scripted fault injection. It models the
@@ -122,9 +179,12 @@ func (m *Mem) Reboot() {
 	defer m.mu.Unlock()
 	cur := make(map[string]*memNode, len(m.dur))
 	for name, n := range m.dur {
-		keep := min(n.synced+m.keepUnsynced, len(n.data))
-		survived := append([]byte(nil), n.data[:keep]...)
-		node := &memNode{data: survived, synced: len(survived)}
+		keep := min(n.synced+m.keepUnsynced, n.size)
+		node := &memNode{}
+		for _, pg := range n.pages {
+			node.write(pg[:min(len(pg), keep-node.size)])
+		}
+		node.synced = node.size
 		cur[name] = node
 		m.dur[name] = node
 	}
@@ -158,10 +218,10 @@ func (f *memFile) Read(p []byte) (int, error) {
 	if f.fs.crashed {
 		return 0, ErrCrashed
 	}
-	if f.rd >= len(f.node.data) {
+	if f.rd >= f.node.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.node.data[f.rd:])
+	n := f.node.readAt(p, f.rd)
 	f.rd += n
 	return n, nil
 }
@@ -184,16 +244,16 @@ func (f *memFile) Write(p []byte) (int, error) {
 	case m.shortWriteAt != 0 && m.writes == m.shortWriteAt:
 		m.shortWriteAt = 0
 		n := min(m.shortWriteLen, len(p))
-		f.node.data = append(f.node.data, p[:n]...)
+		f.node.write(p[:n])
 		return n, io.ErrShortWrite
 	case m.crashAtWrite != 0 && m.writes == m.crashAtWrite:
 		// The bytes reach the volatile image; whether any of them
 		// survive is decided by keepUnsynced at Reboot.
-		f.node.data = append(f.node.data, p...)
+		f.node.write(p)
 		m.crashed = true
 		return 0, ErrCrashed
 	}
-	f.node.data = append(f.node.data, p...)
+	f.node.write(p)
 	return len(p), nil
 }
 
@@ -212,7 +272,7 @@ func (f *memFile) Sync() error {
 		m.failSyncAt = 0
 		return m.injectedErr
 	}
-	f.node.synced = len(f.node.data)
+	f.node.synced = f.node.size
 	return nil
 }
 
@@ -320,10 +380,8 @@ func (m *Mem) Truncate(name string, size int64) error {
 	if !ok {
 		return fmt.Errorf("crashfs: truncate %s: %w", name, errNotExist)
 	}
-	if int64(len(node.data)) > size {
-		node.data = node.data[:size]
-	}
-	node.synced = min(node.synced, len(node.data))
+	node.truncate(int(size))
+	node.synced = min(node.synced, node.size)
 	return nil
 }
 

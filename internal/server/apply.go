@@ -29,7 +29,7 @@ func newApply(v *volume) *applyCtx {
 }
 
 // get returns the overlay's view of fid, cloning from the base volume on
-// first access.
+// first access (status and entries; contents are shared until replaced).
 func (a *applyCtx) get(fid codafs.FID) (*codafs.Object, bool) {
 	if a.deleted[fid] {
 		return nil, false
@@ -113,7 +113,7 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 		if !versionOK(a, rec.FID, rec.PrevVersion, client) {
 			return conflict("store %s: update/update conflict", rec.FID)
 		}
-		o.Data = append([]byte(nil), rec.Data...)
+		o.Data = rec.Data[:len(rec.Data):len(rec.Data)] // adopted, not copied (codafs.Object); capped against appends
 		o.Status.Length = rec.Length
 		o.Status.ModTime = rec.ModTime
 		a.touch(rec.FID)

@@ -274,11 +274,10 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 	// Attach fragment data under the fragment lock, before entering the
 	// volume domain (fragMu and volume locks never nest). The server does
 	// not logically attempt reintegration until whole files have arrived
-	// (§4.3.5). Attached slices are capped at their completed length, so
-	// a concurrent resend appending to the same buffer reallocates rather
-	// than aliasing the data being applied.
-	recs := make([]cml.Record, len(req.Records))
-	copy(recs, req.Records)
+	// (§4.3.5). applyRecord adopts an attached slice as the contents, so it
+	// is capped at its completed length — a racing resend appends past it,
+	// never into it — after a copy to size if append left over 1/8 spare.
+	recs := req.Records
 	var usedFrags []fragKey
 	s.fragMu.Lock()
 	for idx, tid := range req.Fragments {
@@ -291,6 +290,9 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 		if fb == nil || int64(len(fb.data)) != fb.total {
 			s.fragMu.Unlock()
 			return wire.ReintegrateRep{}, fmt.Errorf("fragment transfer %d incomplete", tid)
+		}
+		if int64(cap(fb.data)) > fb.total+fb.total/8 {
+			fb.data = append(make([]byte, 0, fb.total), fb.data...)
 		}
 		recs[idx].Data = fb.data[:fb.total:fb.total]
 		recs[idx].Length = fb.total

@@ -73,10 +73,6 @@ type appliedKey struct {
 // same polynomial the WAL frames use).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// shipCallOpts bounds one ShipLog push attempt; a peer that stays
-// silent is left to catch up on its own.
-var shipCallOpts = rpc2.CallOpts{MaxRetries: 4}
-
 // fetchLogBatch caps entries per FetchLog reply; the puller loops.
 const fetchLogBatch = 128
 
@@ -187,13 +183,17 @@ func (s *Server) shipVolume(v *volume, sc obs.SpanContext) {
 		volID := v.info.ID
 		v.mu.Unlock()
 
+		// Encoded once for all peers: the chain before an entry is its
+		// predecessor's whoever it is sent to. A ShipLog always encodes.
+		bodies := make([][]byte, len(entries))
+		for i, e := range entries {
+			bodies[i], _ = wire.Encode(wire.ShipLog{Volume: volID, PrevChain: prevChain, Entry: e})
+			prevChain = e.Chain
+		}
+		opts := rpc2.CallOpts{MaxRetries: 4, Span: sc} // a peer that stays silent is left to catch up on its own
 		for _, peer := range s.peers {
-			pc := prevChain
-			for _, e := range entries {
-				opts := shipCallOpts
-				opts.Span = sc
-				rep, err := wire.Call[wire.ShipLogRep](s.node, peer,
-					wire.ShipLog{Volume: volID, PrevChain: pc, Entry: e}, opts)
+			for _, body := range bodies {
+				rep, err := wire.Call[wire.ShipLogRep](s.node, peer, body, opts)
 				if err != nil {
 					break // unreachable or refusing; it will pull later
 				}
@@ -201,7 +201,6 @@ func (s *Server) shipVolume(v *volume, sc obs.SpanContext) {
 				if rep.NeedCatchUp {
 					break
 				}
-				pc = e.Chain
 			}
 		}
 		last := entries[len(entries)-1].LSN

@@ -522,8 +522,9 @@ func (s *Server) CreateVolume(name string) (codafs.VolumeInfo, error) {
 // creating intermediate directories. It acts as an anonymous co-located
 // client: versions are bumped and callbacks broken, which is how the
 // experiments inject "another client updated the volume" events (Fig 9).
+// data is copied, and the caller's again on return (codafs.Object).
 func (s *Server) WriteFile(volName, relPath string, data []byte) (codafs.Status, error) {
-	return s.writeObject(volName, relPath, codafs.File, data, "")
+	return s.writeObject(volName, relPath, codafs.File, append([]byte(nil), data...), "")
 }
 
 // MakeDir creates a directory (and parents) inside the named volume.
@@ -611,7 +612,7 @@ func (s *Server) writeObject(volName, relPath string, typ codafs.ObjType, data [
 					v.mu.Unlock()
 					return codafs.Status{}, fmt.Errorf("server: %s exists and is a %s", c, o.Status.Type)
 				}
-				o.Data = append([]byte(nil), data...)
+				o.Data = data
 				o.Status.Length = int64(len(data))
 				o.Status.ModTime = s.clock.Now()
 				v.bumpLocked(child, "")
@@ -631,10 +632,7 @@ func (s *Server) writeObject(volName, relPath string, typ codafs.ObjType, data [
 					FID: fid, Type: typ, Length: int64(len(data)),
 					ModTime: s.clock.Now(), Mode: 0644, Owner: "root", Links: 1,
 				},
-				Target: target,
-			}
-			if typ == codafs.File {
-				o.Data = append([]byte(nil), data...)
+				Data: data, Target: target,
 			}
 			if typ == codafs.Directory {
 				o.Children = make(map[string]codafs.FID)

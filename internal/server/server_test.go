@@ -402,6 +402,63 @@ func TestFragmentedStoreReintegration(t *testing.T) {
 	})
 }
 
+// TestFragmentBufferAdoptedWithoutSlack: the reassembly buffer becomes the
+// file's contents without a copy, so what append's growth left behind the
+// last fragment must not stay pinned with them: a buffer with more than an
+// eighth to spare is copied to size when it is attached. A refused chunk
+// keeps its fragments, which is where the attached buffer can be seen.
+func TestFragmentBufferAdoptedWithoutSlack(t *testing.T) {
+	w := newWorld()
+	w.srv.CreateVolume("v")
+	w.sim.Run(func() {
+		c := w.client("c1")
+		gv := call[wire.GetVolumeRep](t, c, wire.GetVolume{Name: "v"})
+		for xfer, cuts := range [][]int{
+			{0, 4000, 4090}, // the last fragment fits the array the first one got: attached as it is
+			{0, 8000, 8200}, // the last 200 bytes grow the array by a quarter: copied to size
+		} {
+			name := "big" + string(rune('0'+xfer))
+			w.srv.WriteFile("v", name, nil)
+			st, _ := w.srv.Resolve("v", name)
+			content := bytes.Repeat([]byte{byte('a' + xfer)}, cuts[len(cuts)-1])
+			for i := 1; i < len(cuts); i++ {
+				call[wire.PutFragmentRep](t, c, wire.PutFragment{
+					Transfer: uint64(xfer), Offset: int64(cuts[i-1]), Total: int64(len(content)), Data: content[cuts[i-1]:cuts[i]],
+				})
+			}
+			reintegrate := func(prev uint64) bool {
+				return call[wire.ReintegrateRep](t, c, wire.Reintegrate{
+					Volume:    gv.Info.ID,
+					Records:   []cml.Record{{Kind: cml.Store, FID: st.FID, PrevVersion: prev, Length: int64(len(content))}},
+					Fragments: map[int]uint64{0: uint64(xfer)},
+				}).Applied
+			}
+			if reintegrate(st.Version + 1) {
+				t.Fatalf("%s: stale store applied", name)
+			}
+			w.srv.fragMu.Lock()
+			buf := w.srv.frags[fragKey{client: "c1", transfer: uint64(xfer)}].data
+			w.srv.fragMu.Unlock()
+			if n := len(content); len(buf) != n || cap(buf) > n+n/8 {
+				t.Errorf("%s: attached buffer has len %d cap %d for %d bytes", name, len(buf), cap(buf), n)
+			}
+			if !reintegrate(st.Version) {
+				t.Fatalf("%s: fragmented store rejected", name)
+			}
+			v, _ := w.srv.volByName("v")
+			v.mu.Lock()
+			data := v.objects[st.FID].Data
+			v.mu.Unlock()
+			if !bytes.Equal(data, content) {
+				t.Errorf("%s: assembled file wrong: %d bytes", name, len(data))
+			}
+			if &data[0] != &buf[0] || cap(data) != len(data) {
+				t.Errorf("%s: contents are not the attached buffer capped at its length (cap %d)", name, cap(data))
+			}
+		}
+	})
+}
+
 func TestFragmentGapReportsResumePoint(t *testing.T) {
 	w := newWorld()
 	w.srv.CreateVolume("v")

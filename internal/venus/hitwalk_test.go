@@ -329,8 +329,9 @@ func BenchmarkAllocVenusHitRead(b *testing.B) {
 }
 
 // BenchmarkAllocVenusWriteLogged pins a logged update — a 4 KB WriteFile
-// while write-disconnected, no journal: the record's copy of the data, the
-// cache's, the CML record itself and the owner string, and nothing else.
+// while write-disconnected, no journal: the one copy of the data, which
+// the record and the cache entry share (codafs.Object), the CML record
+// itself and the owner string, and nothing else.
 // Rewriting one file keeps the log at one record (store-overwrite
 // cancellation). Enforced by benchgate against bench_baseline.json.
 func BenchmarkAllocVenusWriteLogged(b *testing.B) {

@@ -237,14 +237,13 @@ func (v *Venus) journalRef() *journal {
 }
 
 // logAppend appends rec to vc's CML, making it durable first when a
-// journal is attached. The log owns its bytes: rec.Data is copied, so the
-// caller's buffer is the caller's again on return. On journal failure the
+// journal is attached. rec.Data is shared, not copied: the operation that
+// built rec made the one copy (codafs.Object). On journal failure the
 // log is left untouched and the error is returned; the caller must not
 // apply the mutation locally — an update that cannot be made persistent
 // must not exist only in volatile memory, or a crash would silently lose
 // it (§4.3.1).
 func (v *Venus) logAppend(vc *vclient, rec cml.Record, now time.Time) error {
-	rec.Data = append([]byte(nil), rec.Data...)
 	j := v.journalRef()
 	if j == nil {
 		vc.log.Append(rec, now)

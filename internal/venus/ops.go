@@ -420,14 +420,13 @@ func (v *Venus) fetchSingleFlight(vc *vclient, fid codafs.FID, size int64, sc ob
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	obj := rep.Object
-	need := int64(len(obj.Data)) + int64(len(obj.Children))*32
+	need := int64(len(rep.Object.Data)) + int64(len(rep.Object.Children))*32
 	v.cache.evictFor(need)
 	pri := 0
 	if old := v.cache.get(fid); old != nil {
 		pri = old.hoardPri
 	}
-	f := v.cache.install(obj.Clone(), false)
+	f := v.cache.install(&rep.Object, false)
 	f.hasCallback = true
 	f.hoardPri = pri
 	v.overlayPendingLocked(f)
@@ -612,7 +611,7 @@ func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.Call
 	if !rec.ModTime.IsZero() {
 		rec.ModTime = now
 	}
-	//codalint:ignore allocscan what a logged update is made of: the log's own copy of the data and its record (BenchmarkAllocVenusWriteLogged pins the whole route)
+	//codalint:ignore allocscan what a logged update is made of: its record in the log, which shares the one copy of the data its operation made (BenchmarkAllocVenusWriteLogged pins the whole route)
 	if err := v.logAppend(vc, *rec, now); err != nil {
 		return err
 	}
@@ -623,7 +622,8 @@ func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.Call
 }
 
 // WriteFile stores data at path, creating the file if needed (open-close
-// session semantics: one call is one close-after-write).
+// session semantics: one call is one close-after-write). data is copied
+// once, for cache entry, CML record and request alike (codafs.Object).
 func (v *Venus) WriteFile(path string, data []byte) error {
 	vc, parent, name, err := v.resolveParent(path)
 	if err != nil {
@@ -650,6 +650,7 @@ func (v *Venus) WriteFile(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
+	data = append([]byte(nil), data...)
 	v.mu.Lock()
 	if f.obj.Status.Type != codafs.File {
 		v.mu.Unlock()
@@ -671,7 +672,7 @@ func (v *Venus) WriteFile(path string, data []byte) error {
 			// ship a difference instead of the whole file.
 			f.base = f.obj.Data
 		}
-		f.obj.Data = append([]byte(nil), data...)
+		f.obj.Data = data
 		f.placeholder = false
 		v.cache.recharge(f, before)
 		if rep != nil {

@@ -253,7 +253,7 @@ func (v *Venus) applyRestoredRecordLocked(rec *cml.Record) {
 	case cml.Store:
 		f := ensure(rec.FID, codafs.File)
 		before := f.dataBytes()
-		f.obj.Data = append([]byte(nil), rec.Data...)
+		f.obj.Data = rec.Data
 		f.obj.Status.Length = rec.Length
 		f.placeholder = false
 		v.cache.recharge(f, before)

@@ -467,7 +467,7 @@ func (v *Venus) Mount(volume string) error {
 	})
 	v.volumes[volume] = vc
 	v.volByID[rep.Info.ID] = vc
-	f := v.cache.install(rootRep.Object.Clone(), false)
+	f := v.cache.install(&rootRep.Object, false)
 	f.hasCallback = true
 	v.mu.Unlock()
 	// Each volume ages and reintegrates on its own schedule.

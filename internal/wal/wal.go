@@ -380,8 +380,8 @@ func (w *WAL) AppendSpan(payload []byte, parent obs.SpanContext) error {
 	}
 
 	if need := frameHeader + len(payload); cap(w.scratch) < need {
-		//codalint:ignore allocscan scratch growth fires once per high-water payload size, then every append reuses it
-		w.scratch = make([]byte, need)
+		//codalint:ignore allocscan scratch growth is geometric: a handful of allocations in a WAL's life, then every append reuses it
+		w.scratch = make([]byte, max(need, 2*cap(w.scratch)))
 	}
 	frame := w.scratch[:frameHeader+len(payload)]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))

@@ -344,13 +344,16 @@ type CallbackBreak struct {
 // CallbackBreakRep acknowledges the break.
 type CallbackBreakRep struct{}
 
-// Call performs a typed RPC: it encodes req, calls dst through n, and
-// decodes the reply as Rep.
+// Call performs a typed RPC: it encodes req (a []byte is one already encoded,
+// for several peers), calls dst through n, and decodes the reply as Rep.
 func Call[Rep any](n *rpc2.Node, dst string, req any, opts rpc2.CallOpts) (Rep, error) {
 	var zero Rep
-	body, err := Encode(req)
-	if err != nil {
-		return zero, err
+	body, framed := req.([]byte)
+	if !framed {
+		var err error
+		if body, err = Encode(req); err != nil {
+			return zero, err
+		}
 	}
 	repBytes, err := n.Call(dst, body, opts)
 	if err != nil {

@@ -149,7 +149,9 @@ var roundTripCases = []struct {
 }
 
 // TestEncodeDecodeRoundTripAllTypes: Decode(Encode(v)) deep-equals v
-// under rules (a)-(c), for every registered message.
+// under rules (a)-(c), for every registered message — and still does once
+// the frame is overwritten: Decode is a trust edge (codafs.Object), the
+// frame is the transport's to reuse and nothing decoded may alias it.
 func TestEncodeDecodeRoundTripAllTypes(t *testing.T) {
 	seen := map[reflect.Type]bool{}
 	for _, c := range roundTripCases {
@@ -161,6 +163,9 @@ func TestEncodeDecodeRoundTripAllTypes(t *testing.T) {
 		got, err := Decode(buf)
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", c.name, err)
+		}
+		for i := range buf {
+			buf[i] = '#'
 		}
 		want := c.want
 		if want == nil {

@@ -129,8 +129,9 @@ const (
 type Log struct {
 	mu         sync.Mutex
 	records    []*Record
-	barrier    int // records[:barrier] are frozen for reintegration
-	dead       int // records sliced off the array's front since CommitReintegration last compacted it
+	barrier    int                // records[:barrier] are frozen for reintegration
+	dead       int                // records sliced off the array's front since CommitReintegration last compacted it
+	refs       map[codafs.FID]int // per object, how many names of it the records hold
 	nextSeq    uint64
 	savedBytes int64
 	savedRecs  int64
@@ -177,7 +178,35 @@ func (l *Log) Append(r Record, now time.Time) bool {
 		}
 	}
 	l.records = append(l.records, &r)
+	l.refLocked(&r, 1)
 	return true
+}
+
+// refLocked adds d to the count of every object r names. Every path by
+// which a record enters or leaves l.records passes through here.
+func (l *Log) refLocked(r *Record, d int) {
+	if l.refs == nil {
+		l.refs = make(map[codafs.FID]int)
+	}
+	for _, fid := range [...]codafs.FID{r.FID, r.Parent, r.NewParent} {
+		if fid.IsZero() {
+			continue // no parent, or no rename destination
+		}
+		if n := l.refs[fid] + d; n != 0 {
+			l.refs[fid] = n
+		} else {
+			delete(l.refs, fid)
+		}
+	}
+}
+
+// Referenced reports whether any record still names fid (as its object,
+// its directory or a rename's destination), in time independent of the
+// log's length.
+func (l *Log) Referenced(fid codafs.FID) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.refs[fid] > 0
 }
 
 // optimizeLocked applies the paper's cancellation rules. It may cancel
@@ -264,6 +293,7 @@ func (l *Log) dropLocked(from int, drop func(*Record) bool) (recs int, bytes int
 		if drop(o) {
 			recs++
 			bytes += o.Size()
+			l.refLocked(o, -1)
 			continue
 		}
 		kept = append(kept, o)
@@ -323,19 +353,6 @@ func (l *Log) Records() []*Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]*Record(nil), l.records...)
-}
-
-// Each calls fn on every record in temporal order, without copying the
-// log, until fn returns false. fn runs with the log's lock held: it must
-// not call back into the Log or retain the record.
-func (l *Log) Each(fn func(*Record) bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, r := range l.records {
-		if !fn(r) {
-			return
-		}
-	}
 }
 
 // EligibleBytes reports how much of the log is older than the aging window
@@ -501,6 +518,9 @@ func (l *Log) CommitReintegration() {
 	defer l.mu.Unlock()
 	// Sliced off, not copied out: the prefix is cleared, so its records and
 	// data are collectable; survivors move once the dead front outweighs them.
+	for _, r := range l.records[:l.barrier] {
+		l.refLocked(r, -1)
+	}
 	clear(l.records[:l.barrier])
 	l.dead += l.barrier
 	l.records, l.barrier = l.records[l.barrier:], 0
@@ -545,6 +565,8 @@ func (l *Log) AbortReintegration() {
 	for _, r := range old {
 		if !l.optimizeLocked(r) {
 			l.records = append(l.records, r)
+		} else {
+			l.refLocked(r, -1) // annihilated on its own arrival
 		}
 	}
 }
@@ -594,6 +616,7 @@ func Load(img Image) (*Log, error) {
 		}
 		prev = rec.Seq
 		l.records = append(l.records, rec)
+		l.refLocked(rec, 1)
 	}
 	return l, nil
 }
@@ -604,6 +627,6 @@ func Load(img Image) (*Log, error) {
 func (l *Log) Restore(from *Log) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.records, l.barrier = from.records, 0
+	l.records, l.barrier, l.refs = from.records, 0, from.refs
 	l.nextSeq, l.savedBytes, l.savedRecs, l.optimize = from.nextSeq, from.savedBytes, from.savedRecs, from.optimize
 }

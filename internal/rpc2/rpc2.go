@@ -18,8 +18,9 @@
 //     backoff; long operations (reintegration) thus do not look like dead
 //     servers.
 //   - Side effects: bodies larger than one datagram travel via the SFTP
-//     engine bound to the same endpoint, then a small header packet
-//     references the completed transfer.
+//     engine bound to the same endpoint. A request's header packet leads
+//     its body and the server awaits the transfer it announces; a reply's
+//     header follows the completed transfer.
 //
 // A Node is symmetric: it issues calls and serves a handler, so servers can
 // call clients (callback breaks) exactly as clients call servers.
@@ -69,8 +70,8 @@ const InlineLimit = 1024
 const (
 	DefaultTimeout    = 60 * time.Second
 	DefaultMaxRetries = 8
-	// sftpAwaitSlack bounds how long a node waits for a side-effect
-	// transfer announced by a header packet.
+	// sftpAwaitSlack bounds the silence a node waits through for a
+	// side-effect transfer announced by a header packet.
 	sftpAwaitSlack = 5 * time.Minute
 )
 
@@ -352,22 +353,29 @@ func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 	}
 	defer sp.End()
 
-	flags := byte(0)
-	wireBody := body
-	if len(body) > InlineLimit {
-		// Ship the body via SFTP first; the header packet then refers
-		// to the completed transfer.
-		if err := n.engine.Send(dst, reqXferID(seq), body, wireCtx); err != nil {
-			return nil, fmt.Errorf("rpc2: request side effect: %w", err)
-		}
-		flags |= flagBodyViaSFTP
-		wireBody = nil
+	// A body too large to ride inline is a side effect: the header leads
+	// it, and the server awaits the transfer the header announces.
+	flags, wireBody := byte(0), body
+	sideEffect := len(body) > InlineLimit
+	if sideEffect {
+		flags, wireBody = flagBodyViaSFTP, nil
 	}
 
 	send := func() {
 		n.sendPacket(dst, kindReq, flags, seq, n.ticks(), 0, n.inc, wireCtx, wireBody)
 	}
 	send()
+	// The transfer's own packets keep the call alive, so the retransmission
+	// timer is armed only once the body is acknowledged. An answer echoing
+	// a header that left before then is no RTT sample: its round trip
+	// spans the whole body.
+	var bodyAcked uint32
+	if sideEffect {
+		if err := n.engine.Send(dst, reqXferID(seq), body, wireCtx); err != nil {
+			return nil, fmt.Errorf("rpc2: request side effect: %w", err)
+		}
+		bodyAcked = n.ticks()
+	}
 
 	retries := 0
 	rto := peer.RTO()
@@ -377,10 +385,7 @@ func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 			n.met.timeouts.Inc()
 			return nil, fmt.Errorf("%w: %s after %v", ErrTimeout, dst, opts.Timeout)
 		}
-		wait := rto
-		if wait > remain {
-			wait = remain
-		}
+		wait := min(rto, remain)
 		waitStart := n.clock.Now()
 		in, ok := replies.GetTimeout(wait)
 		if !ok {
@@ -395,10 +400,7 @@ func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 				n.met.timeouts.Inc()
 				return nil, fmt.Errorf("%w: %s after %d retries", ErrTimeout, dst, retries-1)
 			}
-			rto *= 2
-			if rto > netmon.MaxRTO {
-				rto = netmon.MaxRTO
-			}
+			rto = min(2*rto, netmon.MaxRTO)
 			n.met.retransmits.Inc()
 			if wireCtx.Valid() {
 				// The RTO the caller just burned waiting, attributed as
@@ -408,17 +410,18 @@ func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 			send()
 			continue
 		}
+		if !sideEffect || in.tsEcho-bodyAcked < 1<<31 { // the echoed header left after the body (wraps as observeEcho)
+			n.observeEcho(peer, in.tsEcho)
+		}
 		switch in.kind {
 		case kindBusy:
 			// Server is working on it: wait a full fresh RTO without
 			// counting a retry or backing off.
 			n.met.busy.Inc()
-			n.observeEcho(peer, in.tsEcho)
 			retries = 0
 			rto = peer.RTO()
 			continue
 		case kindRep:
-			n.observeEcho(peer, in.tsEcho)
 			rep := in.body
 			if in.flags&flagBodyViaSFTP != 0 {
 				var err error
@@ -466,17 +469,11 @@ func (n *Node) Probe(dst string, timeout time.Duration) error {
 		if remain <= 0 {
 			return fmt.Errorf("%w: probe %s", ErrTimeout, dst)
 		}
-		wait := rto
-		if wait > remain {
-			wait = remain
-		}
+		wait := min(rto, remain)
 		if _, ok := replies.GetTimeout(wait); ok {
 			return nil
 		}
-		rto *= 2
-		if rto > netmon.MaxRTO {
-			rto = netmon.MaxRTO
-		}
+		rto = min(2*rto, netmon.MaxRTO)
 	}
 }
 
@@ -501,28 +498,20 @@ func (n *Node) recvLoop() {
 		switch kind {
 		case kindReq:
 			n.handleRequest(src, flags, seq, ts, inc, sc, body)
-		case kindRep, kindBusy:
+		case kindProbe:
+			n.sendPacket(src, kindProbeAck, 0, seq, n.ticks(), ts, inc, obs.SpanContext{}, nil)
+		case kindRep, kindBusy, kindProbeAck:
 			if inc != n.inc {
 				continue // reply addressed to a previous incarnation of this node
+			}
+			if kind == kindProbeAck {
+				n.observeEcho(n.mon.Peer(src), tsEcho)
 			}
 			n.mu.Lock()
 			q := n.pending[seq]
 			n.mu.Unlock()
 			if q != nil {
 				q.Put(inbound{kind: kind, flags: flags, tsEcho: tsEcho, inc: inc, body: body, src: src})
-			}
-		case kindProbe:
-			n.sendPacket(src, kindProbeAck, 0, seq, n.ticks(), ts, inc, obs.SpanContext{}, nil)
-		case kindProbeAck:
-			if inc != n.inc {
-				continue
-			}
-			n.observeEcho(n.mon.Peer(src), tsEcho)
-			n.mu.Lock()
-			q := n.pending[seq]
-			n.mu.Unlock()
-			if q != nil {
-				q.Put(inbound{kind: kind, tsEcho: tsEcho, inc: inc, src: src})
 			}
 		}
 	}
@@ -612,11 +601,7 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 // same address collide only if created within the same microsecond or
 // exactly 2^32 µs (~71 minutes) apart — a reboot cannot do either.
 func incarnation(clock simtime.Clock) uint32 {
-	v := uint32(clock.Now().UnixNano() / int64(time.Microsecond))
-	if v == 0 {
-		v = 1
-	}
-	return v
+	return max(1, uint32(clock.Now().UnixNano()/int64(time.Microsecond)))
 }
 
 // ticks returns the node's clock as truncated microseconds for timestamp

@@ -385,3 +385,33 @@ func FuzzDeliver(f *testing.F) {
 		}
 	})
 }
+
+// TestAwaitOneTakerAtATime: a second Await on a transfer that already has
+// a taker waiting fails at once, and the first still gets the transfer.
+// (A waiting Await's completion queue is recycled once it has taken its
+// item, so it cannot be shared.)
+func TestAwaitOneTakerAtATime(t *testing.T) {
+	s := simtime.NewSim(simtime.Epoch1995)
+	s.Run(func() {
+		rx := newReceiver(s)
+		data := bytes.Repeat([]byte("taker"), 500)
+		first := simtime.NewQueue[error](s)
+		s.Go(func() {
+			got, err := rx.Await("tx", 1, time.Minute)
+			if err == nil && !bytes.Equal(got, data) {
+				err = errors.New("transfer corrupted")
+			}
+			first.Put(err)
+		})
+		s.Sleep(time.Second)
+		if _, err := rx.Await("tx", 1, time.Minute); err == nil {
+			t.Error("a second concurrent Await of one transfer succeeded")
+		}
+		for seq := uint32(0); seq < packetCount(uint64(len(data))); seq++ {
+			rx.Deliver("tx", fragment(1, seq, data))
+		}
+		if err, _ := first.Get(); err != nil {
+			t.Errorf("first Await: %v", err)
+		}
+	})
+}

@@ -16,10 +16,12 @@
 package sftp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -79,6 +81,7 @@ type Engine struct {
 	// (one already waiting has a queue in done) or Sweep takes it.
 	incoming map[key]*inTransfer
 	done     map[key]*simtime.Queue[[]byte]
+	spare    []*simtime.Queue[[]byte] // drained done queues, so a waiting Await allocates nothing
 	// completed remembers transfers that are over: the packet count of a
 	// finished one, for re-acking a sender that missed the final ack, or
 	// abandoned for one Await or Sweep gave up on, so that late fragments
@@ -110,6 +113,10 @@ type ackInfo struct {
 // abandoned is completed's mark for a transfer Await timed out on or
 // Sweep freed unfinished; no finished transfer has zero packets.
 const abandoned = 0
+
+// acked is a sent packet's transmission number once an ack covers it:
+// above every real number, so an acked packet is never taken for a hole.
+const acked = math.MaxUint64
 
 // inTransfer reassembles one incoming transfer in place: fragment seq
 // lands at buf[seq*DataPacketSize:], once.
@@ -195,9 +202,15 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 	}()
 
 	start := e.clock.Now()
-	acked := make([]bool, total)
-	base := uint32(0) // all packets < base are acked
-	sent := uint32(0) // highest packet index ever sent + 1
+	// Loss is found by transmission order (RACK, RFC 8985): each copy sent
+	// takes the next number, tx[i] is packet i's latest (acked once an ack
+	// covers it), and a hole is lost only when an ack covers a copy sent
+	// after it. The emulator's links keep order, so that is exact: one
+	// retransmission per loss, none for a copy still queued on the link.
+	tx := make([]uint64, total)
+	var next, newest uint64 // newest: the latest copy the ack in hand newly covers
+	base := uint32(0)       // all packets < base are acked
+	sent := uint32(0)       // highest packet index ever sent + 1
 	timeouts := 0
 
 	// Single-timer RTT sampling (as in TCP): time one fresh packet at a
@@ -206,14 +219,10 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 	var timedAt time.Time
 
 	xmit := func(i uint32) {
+		next++
+		tx[i] = next
 		lo := int(i) * DataPacketSize
-		hi := lo + DataPacketSize
-		if lo > len(data) {
-			lo = len(data)
-		}
-		if hi > len(data) {
-			hi = len(data)
-		}
+		hi := min(lo+DataPacketSize, len(data))
 		e.met.packetsSent.Inc()
 		e.met.bytesSent.Add(int64(hi - lo))
 		e.shipData(dst, id, i, uint64(len(data)), wireCtx, data[lo:hi])
@@ -233,12 +242,6 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		}
 	}
 
-	// Fill the initial window.
-	for sent < total && sent < base+WindowPackets {
-		xmitFresh(sent)
-		sent++
-	}
-
 	// ackWait allows for the serialization time of everything in flight
 	// at the estimated path bandwidth on top of the round-trip RTO; with
 	// a window larger than the bandwidth-delay product (always true on a
@@ -248,7 +251,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		if bw := peer.Bandwidth(); bw > 0 {
 			var inflight int64
 			for i := base; i < sent; i++ {
-				if !acked[i] {
+				if tx[i] != acked {
 					inflight += DataPacketSize
 				}
 			}
@@ -257,9 +260,19 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		return wait
 	}
 
+	cover := func(i uint32) {
+		if i < total && tx[i] != acked {
+			newest, tx[i] = max(newest, tx[i]), acked
+		}
+	}
+
 	var backoff time.Duration
-	var lastRetx map[uint32]time.Time // dedup fast retransmissions per hole; made on the first one
 	for base < total {
+		// Fill the window, then wait for an ack.
+		for sent < total && sent < base+WindowPackets {
+			xmitFresh(sent)
+			sent++
+		}
 		ack, ok := acks.GetTimeout(ackWait(backoff))
 		if !ok {
 			// Timeout: retransmit everything still outstanding (a small
@@ -273,67 +286,34 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 					ErrTransferFailed, dst, id, base, total)
 			}
 			for i := base; i < sent; i++ {
-				if !acked[i] {
+				if tx[i] != acked {
 					xmitRetx(i)
 				}
 			}
-			if backoff == 0 {
-				backoff = peer.RTO()
-			} else {
-				backoff *= 2
-			}
-			if backoff > netmon.MaxRTO {
-				backoff = netmon.MaxRTO
-			}
+			backoff = cmp.Or(min(2*backoff, netmon.MaxRTO), peer.RTO()) // one RTO, then doubling
 			continue
 		}
 		timeouts = 0
 		backoff = 0
 
+		newest = 0
 		for i := base; i < ack.cum && i < total; i++ {
-			acked[i] = true
+			cover(i)
 		}
-		for b := 0; b < 64; b++ {
-			if ack.bitmap&(1<<b) != 0 {
-				if i := ack.cum + uint32(b); i < total {
-					acked[i] = true
-				}
-			}
+		for m := ack.bitmap; m != 0; m &= m - 1 {
+			cover(ack.cum + uint32(bits.TrailingZeros64(m)))
 		}
-		if timedSeq >= 0 && acked[timedSeq] {
+		if timedSeq >= 0 && tx[timedSeq] == acked {
 			peer.ObserveRTT(e.clock.Now().Sub(timedAt))
 			timedSeq = -1
 		}
-		maxAcked := int64(-1)
-		for i := int64(sent) - 1; i >= int64(base); i-- {
-			if acked[i] {
-				maxAcked = i
-				break
-			}
-		}
-		for base < total && acked[base] {
+		for base < total && tx[base] == acked {
 			base++
 		}
-		// Send any packets newly admitted to the window; selectively
-		// retransmit every hole below the highest acked packet (their
-		// successors arrived, so they are presumed lost), at most once
-		// per hole per timeout interval.
-		for sent < total && sent < base+WindowPackets {
-			xmitFresh(sent)
-			sent++
-		}
-		now := e.clock.Now()
-		rto := peer.RTO()
-		for i := int64(base); i < maxAcked; i++ {
-			if acked[i] {
-				continue
-			}
-			if last, seen := lastRetx[uint32(i)]; !seen || now.Sub(last) > rto {
-				xmitRetx(uint32(i))
-				if lastRetx == nil {
-					lastRetx = make(map[uint32]time.Time)
-				}
-				lastRetx[uint32(i)] = now
+		// Retransmit each hole whose latest copy left before one now acked.
+		for i := base; i < sent; i++ {
+			if tx[i] < newest {
+				xmitRetx(i)
 			}
 		}
 	}
@@ -344,7 +324,11 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 }
 
 // Await blocks until the transfer (src, id) completes and returns its
-// contents. Each completed transfer can be taken exactly once.
+// contents. A transfer has one taker at a time, and a completed one can be
+// taken exactly once. timeout bounds silence, not the whole wait: Await
+// gives up only once a full timeout passes without a new fragment, so a
+// long transfer that keeps arriving - a chunk sized on Ethernet and
+// shipped over a modem - is waited for however long it takes.
 func (e *Engine) Await(src string, id uint64, timeout time.Duration) ([]byte, error) {
 	k := key{src, id}
 	e.mu.Lock()
@@ -353,23 +337,39 @@ func (e *Engine) Await(src string, id uint64, timeout time.Duration) ([]byte, er
 		e.mu.Unlock()
 		return t.buf, nil
 	}
-	q, ok := e.done[k]
-	if !ok {
-		q = simtime.NewQueue[[]byte](e.clock)
-		e.done[k] = q
+	if e.done[k] != nil {
+		e.mu.Unlock()
+		return nil, fmt.Errorf("sftp: %s transfer %d is already awaited", src, id)
 	}
+	var q *simtime.Queue[[]byte]
+	if n := len(e.spare); n > 0 {
+		q, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		q = simtime.NewQueue[[]byte](e.clock)
+	}
+	e.done[k] = q
 	e.mu.Unlock()
 
-	data, ok := q.GetTimeout(timeout)
-	e.mu.Lock()
-	delete(e.done, k)
-	if ok {
+	var t *inTransfer
+	var heard uint32 // fragments stored at the last expiry
+	for {
+		data, ok := q.GetTimeout(timeout)
+		e.mu.Lock()
+		if ok {
+			delete(e.done, k)
+			e.spare = append(e.spare, q) // its one item taken; a timed-out one may yet get a late Put
+			e.mu.Unlock()
+			return data, nil
+		}
+		if t = e.incoming[k]; t == nil || t.stored() == heard {
+			break
+		}
+		heard = t.stored()
 		e.mu.Unlock()
-		return data, nil
 	}
 	// Nobody will take this transfer now: free what has been reassembled
 	// and, unless it completed while the deadline fired, refuse the rest.
-	t := e.incoming[k]
+	delete(e.done, k)
 	delete(e.incoming, k)
 	if _, over := e.completed[k]; !over {
 		e.forgetLocked(k, abandoned)
@@ -427,6 +427,11 @@ func (t *inTransfer) slotLen(seq uint32) int {
 		return DataPacketSize
 	}
 	return int(t.totalBytes - uint64(t.total-1)*DataPacketSize)
+}
+
+// stored counts distinct packets arrived: it grows with each new fragment.
+func (t *inTransfer) stored() uint32 {
+	return t.cum + uint32(bits.OnesCount64(t.window))
 }
 
 // store copies packet seq into place and advances cum past every packet

@@ -20,10 +20,25 @@ type node struct {
 }
 
 func newPair(s *simtime.Sim, n *netsim.Network) (a, b *node) {
+	return newLossyPair(s, n, nil)
+}
+
+// newLossyPair is newPair with every outgoing packet offered to lose first,
+// when it is non-nil: a packet it reports lost never reaches the link.
+func newLossyPair(s *simtime.Sim, n *netsim.Network, lose func(from string, p []byte) bool) (a, b *node) {
 	mk := func(name string) *node {
 		ep := n.Host(name)
+		send := ep.Send
+		if lose != nil {
+			send = func(dst string, p []byte) error {
+				if lose(name, p) {
+					return nil
+				}
+				return ep.Send(dst, p)
+			}
+		}
 		mon := netmon.NewMonitor(s)
-		eng := NewEngine(s, mon, ep.Send, nil, name)
+		eng := NewEngine(s, mon, send, nil, name)
 		s.Go(func() {
 			for {
 				payload, src, ok := ep.Recv()

@@ -232,31 +232,23 @@ func (v *Venus) bumpFailure() {
 	v.mu.Unlock()
 }
 
-// clearDrainedDirtyLocked clears dirty flags for objects no CML record
-// references any more.
-//
-// The shipped chunk names a handful of objects and the logs may still
-// hold thousands of records, so the walk starts from the chunk: every
-// remaining record strikes the objects it names from the candidate set,
-// and whatever survives is clean.
+// clearDrainedDirtyLocked clears dirty flags for the objects the shipped
+// chunk names that no CML record references any more. Each log keeps a
+// count per object, so this costs the chunk's size, not the logs'.
 func (v *Venus) clearDrainedDirtyLocked(shipped []*cml.Record) {
-	drained := make(map[codafs.FID]bool, 3*len(shipped))
+	referenced := func(fid codafs.FID) bool {
+		for _, vc := range v.volumes {
+			if vc.log.Referenced(fid) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, r := range shipped {
-		drained[r.FID] = true
-		drained[r.Parent] = true
-		drained[r.NewParent] = true
-	}
-	for _, vc := range v.volumes {
-		vc.log.Each(func(r *cml.Record) bool {
-			delete(drained, r.FID)
-			delete(drained, r.Parent)
-			delete(drained, r.NewParent)
-			return len(drained) > 0
-		})
-	}
-	for fid := range drained {
-		if f := v.cache.get(fid); f != nil {
-			f.dirty = false
+		for _, fid := range [...]codafs.FID{r.FID, r.Parent, r.NewParent} {
+			if f := v.cache.get(fid); f != nil && !referenced(fid) {
+				f.dirty = false
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@
 //   - Side effects: bodies larger than one datagram travel via the SFTP
 //     engine bound to the same endpoint. A request's header packet leads
 //     its body and the server awaits the transfer it announces; a reply's
-//     header follows the completed transfer.
+//     header leads its body likewise, and the caller awaits it.
 //
 // A Node is symmetric: it issues calls and serves a handler, so servers can
 // call clients (callback breaks) exactly as clients call servers.
@@ -192,7 +192,19 @@ type peerCache struct {
 
 type wireReply struct {
 	flags byte
-	body  []byte
+	// shipping says a transfer of the side effect is under way.
+	shipping bool
+	// body rides in the header packet or, under flagBodyViaSFTP, is the
+	// side effect, kept until the caller acknowledges its transfer.
+	body []byte
+}
+
+// inline is the body the reply's header packet carries.
+func (r wireReply) inline() []byte {
+	if r.flags&flagBodyViaSFTP != 0 {
+		return nil
+	}
+	return r.body
 }
 
 // NewNode creates a node on conn and starts its receive loop. handler may
@@ -424,10 +436,14 @@ func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 		case kindRep:
 			rep := in.body
 			if in.flags&flagBodyViaSFTP != 0 {
+				// The header leads the reply's side effect. A body that keeps
+				// arriving is waited for however long it takes; a server
+				// silent for the rest of the call's time has timed out.
 				var err error
-				rep, err = n.engine.Await(dst, repXferID(seq), sftpAwaitSlack)
+				rep, err = n.engine.Await(dst, repXferID(seq), deadline.Sub(n.clock.Now()))
 				if err != nil {
-					return nil, fmt.Errorf("rpc2: reply side effect: %w", err)
+					n.met.timeouts.Inc()
+					return nil, fmt.Errorf("%w: %s reply side effect: %w", ErrTimeout, dst, err)
 				}
 			}
 			elapsed := n.clock.Now().Sub(start)
@@ -530,9 +546,19 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 		n.replyCache[src] = pc
 	}
 	if rep, done := pc.replies[seq]; done {
+		// A side effect whose transfer failed ships again; one still
+		// under way is left to finish.
+		reship := rep.flags&flagBodyViaSFTP != 0 && rep.body != nil && !rep.shipping
+		if reship {
+			rep.shipping = true
+			pc.replies[seq] = rep
+		}
 		n.mu.Unlock()
 		n.met.dupReplies.Inc()
-		n.sendPacket(src, kindRep, rep.flags, seq, n.ticks(), ts, inc, obs.SpanContext{}, rep.body)
+		n.sendPacket(src, kindRep, rep.flags, seq, n.ticks(), ts, inc, obs.SpanContext{}, rep.inline())
+		if reship {
+			n.clock.Go(func() { n.shipReply(pc, src, seq, rep.body, sc) })
+		}
 		return
 	}
 	if pc.inProgress[seq] {
@@ -569,31 +595,47 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 			repBody = out
 		}
 
-		wire := repBody
+		// The reply is cached before its header leaves, and a side effect
+		// follows the header: the caller awaits it as soon as it hears the
+		// header, and a retransmitted request finds the reply, body and
+		// all, instead of executing the handler again.
+		rep := wireReply{flags: repFlags, body: repBody}
 		if len(repBody) > InlineLimit {
-			// The reply side effect carries the caller's context so the
-			// receive lands in the caller's rpc2_call span.
-			if err := n.engine.Send(src, repXferID(seq), repBody, sc); err != nil {
-				n.mu.Lock()
-				delete(pc.inProgress, seq)
-				n.mu.Unlock()
-				return
-			}
-			repFlags |= flagBodyViaSFTP
-			wire = nil
+			rep.flags |= flagBodyViaSFTP
+			rep.shipping = true
 		}
-
 		n.mu.Lock()
 		delete(pc.inProgress, seq)
-		pc.replies[seq] = wireReply{flags: repFlags, body: wire}
+		pc.replies[seq] = rep
 		pc.order = append(pc.order, seq)
 		if len(pc.order) > 256 {
 			delete(pc.replies, pc.order[0])
 			pc.order = pc.order[1:]
 		}
 		n.mu.Unlock()
-		n.sendPacket(src, kindRep, repFlags, seq, n.ticks(), ts, inc, obs.SpanContext{}, wire)
+		n.sendPacket(src, kindRep, rep.flags, seq, n.ticks(), ts, inc, obs.SpanContext{}, rep.inline())
+		if rep.shipping {
+			n.shipReply(pc, src, seq, rep.body, sc)
+		}
 	})
+}
+
+// shipReply transfers the side effect of pc's cached reply seq. The
+// transfer carries the caller's span context, so the receive lands in the
+// caller's rpc2_call span. Once the caller has acknowledged it the cache
+// lets go of the body; after a failure it keeps it for a retransmitted
+// request to ship again.
+func (n *Node) shipReply(pc *peerCache, src string, seq uint64, body []byte, sc obs.SpanContext) {
+	err := n.engine.Send(src, repXferID(seq), body, sc)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if rep, ok := pc.replies[seq]; ok {
+		rep.shipping = false
+		if err == nil {
+			rep.body = nil
+		}
+		pc.replies[seq] = rep
+	}
 }
 
 // incarnation derives a node's birth stamp from its clock: truncated

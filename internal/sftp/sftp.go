@@ -260,9 +260,18 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		return wait
 	}
 
+	// probe is the number of a timeout's lone retransmission. An ack that
+	// covers it may be for the original, still queued when the timer
+	// fired, so it says nothing about which later copies arrived: it does
+	// not advance newest. RACK's own retransmissions need no such mark -
+	// they go out only once a later copy is acked, so the original is lost.
+	var probe uint64
 	cover := func(i uint32) {
 		if i < total && tx[i] != acked {
-			newest, tx[i] = max(newest, tx[i]), acked
+			if tx[i] != probe {
+				newest = max(newest, tx[i])
+			}
+			tx[i] = acked
 		}
 	}
 
@@ -275,9 +284,11 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		}
 		ack, ok := acks.GetTimeout(ackWait(backoff))
 		if !ok {
-			// Timeout: retransmit everything still outstanding (a small
-			// set — fast retransmit handles mid-window holes, so this
-			// path is mostly tail losses) and back off.
+			// Timeout (RFC 6298 §5.4, RFC 8985's tail-loss probe): the
+			// first of a run retransmits only the earliest unacked packet,
+			// since after a drop to a slower link the window may be merely
+			// queued, not lost. A second in a row retransmits everything
+			// still outstanding. Both back off.
 			timeouts++
 			e.met.windowStalls.Inc()
 			if timeouts >= maxConsecutiveTimeouts {
@@ -285,9 +296,14 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 				return fmt.Errorf("%w: %s transfer %d at packet %d/%d",
 					ErrTransferFailed, dst, id, base, total)
 			}
-			for i := base; i < sent; i++ {
-				if tx[i] != acked {
-					xmitRetx(i)
+			if timeouts == 1 {
+				xmitRetx(base)
+				probe = tx[base]
+			} else {
+				for i := base; i < sent; i++ {
+					if tx[i] != acked {
+						xmitRetx(i)
+					}
 				}
 			}
 			backoff = cmp.Or(min(2*backoff, netmon.MaxRTO), peer.RTO()) // one RTO, then doubling

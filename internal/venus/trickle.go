@@ -28,12 +28,20 @@ func (v *Venus) trickleDaemon() {
 	}
 }
 
-// volumeTrickleLoop is one volume's trickle daemon (§4.3.3): every
-// interval it looks for CML records older than the aging window and ships
-// one chunk, deferring to foreground traffic.
+// volumeTrickleLoop is one volume's trickle daemon (§4.3.3): it ships the
+// CML records older than the aging window one chunk at a time, deferring to
+// foreground traffic. A committed chunk is followed at once by a look for
+// the next, so a backlog drains back to back; the loop idles for the
+// interval only when that look found nothing, the chunk failed, or a
+// foreground fetch is in flight. The chunk size alone bounds how long
+// foreground work waits (§4.3.5), not an idle gap after each chunk.
 func (v *Venus) volumeTrickleLoop(vc *vclient) {
+	shipped := false
 	for {
-		v.clock.Sleep(v.cfg.TrickleInterval)
+		if !shipped {
+			v.clock.Sleep(v.cfg.TrickleInterval)
+		}
+		shipped = false
 		if v.isClosed() {
 			return
 		}
@@ -46,6 +54,7 @@ func (v *Venus) volumeTrickleLoop(vc *vclient) {
 			continue
 		}
 		if v.reintegrateChunk(vc, v.effectiveAging()) {
+			shipped = true
 			v.maybePromote()
 		}
 	}

@@ -94,8 +94,9 @@ type Config struct {
 	// failure demotes to emulating. Tests and experiments usually leave
 	// it zero and steer connectivity explicitly.
 	ProbeInterval time.Duration
-	// TrickleInterval is how often the trickle daemon looks for aged
-	// records (default 10 s).
+	// TrickleInterval is how long an idle trickle loop waits before
+	// looking again for aged records (default 10 s); a loop that just
+	// committed a chunk looks again at once.
 	TrickleInterval time.Duration
 	// StrongThreshold is the bandwidth (b/s) above which connectivity
 	// counts as strong (default 1 Mb/s: LANs are strong, ISDN and modems

@@ -231,7 +231,7 @@ func BenchmarkRPC2RoundTrip(b *testing.B) {
 	w := world.New(1)
 	s, net := w.Sim, w.Net
 	srv := rpc2.NewNode(s, net.Host("server"), netmon.NewMonitor(s), func(src string, _ obs.SpanContext, body []byte) ([]byte, error) {
-		return body, nil
+		return bytes.Clone(body), nil
 	}, nil)
 	c := rpc2.NewNode(s, net.Host("client"), netmon.NewMonitor(s), nil, nil)
 	body, _ := wire.Encode(wire.GetAttr{FID: codafs.FID{Volume: 1, Vnode: 2, Unique: 3}})

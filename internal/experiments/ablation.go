@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -184,7 +185,7 @@ func AblationAdaptiveRTO(opts Options) AblationResult {
 		var elapsed time.Duration
 		w.Run(func() {
 			echo := rpc2.NewNode(s, w.Net.Host("server"), netmon.NewMonitor(s), func(src string, _ obs.SpanContext, b []byte) ([]byte, error) {
-				return b, nil
+				return bytes.Clone(b), nil // the reply is the Node's, body the caller's
 			}, reg)
 			defer echo.Close()
 			c := rpc2.NewNode(s, w.Net.Host("client"), netmon.NewMonitor(s), nil, reg)

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/simtime"
 )
 
@@ -31,9 +32,12 @@ type PacketConn interface {
 	// local problems (closed endpoint, oversized packet). Send must not
 	// retain payload after it returns — callers recycle the buffer
 	// (internal/bufpool), so an implementation that needs the bytes
-	// later must copy them, as the emulator does.
+	// later must copy them, as the emulator does into a bufpool frame.
 	Send(dst string, payload []byte) error
-	// Recv blocks until a packet arrives. ok is false once closed.
+	// Recv blocks until a packet arrives. ok is false once closed. The
+	// payload is the caller's alone, a bufpool frame from either backend:
+	// a caller done with it may bufpool.Free it (one that keeps it, or a
+	// slice of it, simply never frees it).
 	Recv() (payload []byte, src string, ok bool)
 	// RecvTimeout is Recv with a deadline on the owning clock.
 	RecvTimeout(d time.Duration) (payload []byte, src string, ok bool)
@@ -277,7 +281,9 @@ func (n *Network) send(src, dst string, payload []byte) error {
 	if dstEP == nil {
 		return nil // destination does not exist; packet vanishes
 	}
-	dstEP.inbox.PutAfter(arrival.Sub(now), Packet{Src: src, Dst: dst, Payload: append([]byte(nil), payload...), link: l})
+	frame := bufpool.Frame(len(payload))
+	copy(frame, payload)
+	dstEP.inbox.PutAfter(arrival.Sub(now), Packet{Src: src, Dst: dst, Payload: frame, link: l})
 	return nil
 }
 

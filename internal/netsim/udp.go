@@ -3,6 +3,8 @@ package netsim
 import (
 	"net"
 	"time"
+
+	"repro/internal/bufpool"
 )
 
 // UDP adapts a real UDP socket to the PacketConn interface, so the full
@@ -59,9 +61,10 @@ func (u *UDP) recv(deadline time.Time) ([]byte, string, bool) {
 	if err := u.conn.SetReadDeadline(deadline); err != nil {
 		return nil, "", false
 	}
-	buf := make([]byte, 64<<10)
+	buf := bufpool.Frame(64 << 10)
 	n, src, err := u.conn.ReadFromUDP(buf)
 	if err != nil {
+		bufpool.Free(buf)
 		return nil, "", false
 	}
 	return buf[:n], src.String(), true

@@ -104,6 +104,12 @@ func (e *RemoteError) Error() string { return "rpc2: remote: " + e.Msg }
 // handlers pass it to StartSpan so server-side work joins the caller's
 // trace tree. Returning a non-nil error ships the error string to the
 // caller as a RemoteError.
+//
+// body is valid until the handler returns: one that arrived as a side
+// effect is a bufpool frame the Node frees then, so a handler copies what
+// it keeps. The reply becomes the Node's, which frees it (bufpool.Free)
+// once the caller has it or the reply cache lets it go; it must be a
+// slice the handler neither keeps nor shares, and must not alias body.
 type Handler func(src string, sc obs.SpanContext, body []byte) ([]byte, error)
 
 // CallOpts tunes one call.
@@ -321,7 +327,10 @@ func (n *Node) Close() {
 	_ = n.conn.Close()
 }
 
-// Call sends body to dst and returns the peer handler's reply.
+// Call sends body to dst and returns the peer handler's reply. body is
+// not retained once Call returns. The reply is the caller's: a bufpool
+// frame when it came as a side effect, a slice of the datagram
+// otherwise, so a caller done with it may bufpool.Free it either way.
 func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 	if opts.Timeout == 0 {
 		opts.Timeout = DefaultTimeout
@@ -504,7 +513,8 @@ func (n *Node) recvLoop() {
 			continue
 		}
 		if payload[0]&sftpTag != 0 {
-			n.engine.Deliver(src, payload)
+			n.engine.Deliver(src, payload) // copies what it keeps
+			bufpool.Free(payload)
 			continue
 		}
 		kind, flags, seq, ts, tsEcho, inc, sc, body, ok := decodePacket(payload)
@@ -534,6 +544,7 @@ func (n *Node) recvLoop() {
 }
 
 func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32, sc obs.SpanContext, body []byte) {
+	now := n.ticks() // read before n.mu: a cached reply's header is framed under it
 	n.mu.Lock()
 	pc := n.replyCache[src]
 	if pc == nil || pc.inc != inc {
@@ -553,9 +564,10 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 			rep.shipping = true
 			pc.replies[seq] = rep
 		}
+		header := replyPacket(rep, seq, now, ts, inc)
 		n.mu.Unlock()
 		n.met.dupReplies.Inc()
-		n.sendPacket(src, kindRep, rep.flags, seq, n.ticks(), ts, inc, obs.SpanContext{}, rep.inline())
+		n.ship(src, header)
 		if reship {
 			n.clock.Go(func() { n.shipReply(pc, src, seq, rep.body, sc) })
 		}
@@ -563,7 +575,7 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 	}
 	if pc.inProgress[seq] {
 		n.mu.Unlock()
-		n.sendPacket(src, kindBusy, 0, seq, n.ticks(), ts, inc, obs.SpanContext{}, nil)
+		n.sendPacket(src, kindBusy, 0, seq, now, ts, inc, obs.SpanContext{}, nil)
 		return
 	}
 	pc.inProgress[seq] = true
@@ -594,6 +606,9 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 		} else {
 			repBody = out
 		}
+		if flags&flagBodyViaSFTP != 0 {
+			bufpool.Free(reqBody) // the handler is done with it, and its reply may not alias it
+		}
 
 		// The reply is cached before its header leaves, and a side effect
 		// follows the header: the caller awaits it as soon as it hears the
@@ -604,16 +619,21 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 			rep.flags |= flagBodyViaSFTP
 			rep.shipping = true
 		}
+		done := n.ticks() // the handler took its time: not the request's now
 		n.mu.Lock()
 		delete(pc.inProgress, seq)
 		pc.replies[seq] = rep
 		pc.order = append(pc.order, seq)
 		if len(pc.order) > 256 {
+			if old := pc.replies[pc.order[0]]; !old.shipping {
+				bufpool.Free(old.body) // a transfer under way is shipReply's to free
+			}
 			delete(pc.replies, pc.order[0])
 			pc.order = pc.order[1:]
 		}
+		header := replyPacket(rep, seq, done, ts, inc)
 		n.mu.Unlock()
-		n.sendPacket(src, kindRep, rep.flags, seq, n.ticks(), ts, inc, obs.SpanContext{}, rep.inline())
+		n.ship(src, header)
 		if rep.shipping {
 			n.shipReply(pc, src, seq, rep.body, sc)
 		}
@@ -622,19 +642,23 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 
 // shipReply transfers the side effect of pc's cached reply seq. The
 // transfer carries the caller's span context, so the receive lands in the
-// caller's rpc2_call span. Once the caller has acknowledged it the cache
-// lets go of the body; after a failure it keeps it for a retransmitted
-// request to ship again.
+// caller's rpc2_call span. Once the caller has acknowledged it the body
+// is freed; after a failure the cache keeps it for a retransmitted
+// request to ship again, unless the cache has let go of the reply.
 func (n *Node) shipReply(pc *peerCache, src string, seq uint64, body []byte, sc obs.SpanContext) {
 	err := n.engine.Send(src, repXferID(seq), body, sc)
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if rep, ok := pc.replies[seq]; ok {
+	rep, cached := pc.replies[seq]
+	if cached {
 		rep.shipping = false
 		if err == nil {
 			rep.body = nil
 		}
 		pc.replies[seq] = rep
+	}
+	n.mu.Unlock()
+	if err == nil || !cached {
+		bufpool.Free(body)
 	}
 }
 
@@ -704,6 +728,24 @@ func appendPacket(dst []byte, kind, flags byte, seq uint64, ts, tsEcho, inc uint
 func (n *Node) sendPacket(dst string, kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte) {
 	bp := bufpool.Get(packetHeader + len(body))
 	*bp = appendPacket(*bp, kind, flags, seq, ts, tsEcho, inc, sc, body)
+	n.ship(dst, bp)
+}
+
+// replyPacket frames the header packet of the cached reply rep into a
+// pooled buffer for ship. The caller holds n.mu: once it is released the
+// cache may evict rep and free its body.
+func replyPacket(rep wireReply, seq uint64, ts, tsEcho, inc uint32) *[]byte {
+	body := rep.inline()
+	bp := bufpool.Get(packetHeader + len(body))
+	*bp = appendPacket(*bp, kindRep, rep.flags, seq, ts, tsEcho, inc, obs.SpanContext{}, body)
+	return bp
+}
+
+// ship hands a framed packet to the conn, which does not retain it, and
+// recycles its buffer.
+//
+//codalint:hotpath rpc2 wire framing
+func (n *Node) ship(dst string, bp *[]byte) {
 	_ = n.conn.Send(dst, *bp)
 	bufpool.Put(bp)
 }

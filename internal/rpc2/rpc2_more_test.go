@@ -88,7 +88,7 @@ func TestManyPeersIsolation(t *testing.T) {
 		hits := make(map[string]int)
 		srv := w.node("server", func(src string, _ obs.SpanContext, body []byte) ([]byte, error) {
 			hits[src]++
-			return body, nil
+			return bytes.Clone(body), nil
 		})
 		_ = srv
 		const n = 8

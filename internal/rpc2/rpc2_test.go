@@ -29,8 +29,10 @@ func (w *world) node(name string, h Handler) *Node {
 	return NewNode(w.sim, w.net.Host(name), netmon.NewMonitor(w.sim), h, nil)
 }
 
+// echoHandler answers with a copy of the request: body is valid only
+// until the handler returns, and the reply is the Node's to free.
 func echoHandler(src string, _ obs.SpanContext, body []byte) ([]byte, error) {
-	return body, nil
+	return bytes.Clone(body), nil
 }
 
 func TestCallRoundTrip(t *testing.T) {
@@ -125,7 +127,7 @@ func TestAtMostOnceExecution(t *testing.T) {
 		counts := make(map[string]int)
 		w.node("server", func(src string, _ obs.SpanContext, body []byte) ([]byte, error) {
 			counts[string(body)]++
-			return body, nil
+			return bytes.Clone(body), nil
 		})
 		c := w.node("client", nil)
 		const calls = 25
@@ -248,16 +250,16 @@ func TestServerCallsClient(t *testing.T) {
 	// callback breaks require.
 	w := newWorld(12, netsim.Ethernet.Params())
 	w.sim.Run(func() {
-		var gotBreak []byte
+		var gotBreak string
 		w.node("client", func(src string, _ obs.SpanContext, body []byte) ([]byte, error) {
-			gotBreak = body
+			gotBreak = string(body)
 			return nil, nil
 		})
 		srv := w.node("server", echoHandler)
 		if _, err := srv.Call("client", []byte("callback-break"), CallOpts{}); err != nil {
 			t.Fatal(err)
 		}
-		if string(gotBreak) != "callback-break" {
+		if gotBreak != "callback-break" {
 			t.Errorf("client saw %q", gotBreak)
 		}
 	})
@@ -268,7 +270,7 @@ func TestConcurrentCalls(t *testing.T) {
 	w.sim.Run(func() {
 		w.node("server", func(src string, _ obs.SpanContext, body []byte) ([]byte, error) {
 			w.sim.Sleep(time.Duration(body[0]) * time.Millisecond)
-			return body, nil
+			return bytes.Clone(body), nil
 		})
 		c := w.node("client", nil)
 		done := simtime.NewQueue[error](w.sim)

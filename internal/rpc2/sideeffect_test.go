@@ -31,12 +31,12 @@ func isKind(p []byte, kind byte) bool { return p[0]&sftpTag == 0 && p[0]&kindMas
 
 // sideEffectWorld is a client and a server joined by link whose outgoing
 // packets pass clientDrop and serverDrop; the server counts executions
-// and answers reply.
+// and answers a copy of reply (the Node frees what a handler returns).
 func sideEffectWorld(seed int64, link netsim.LinkParams, reply []byte, clientDrop, serverDrop func(p []byte) bool) (w *world, c, srv *Node, execs *int) {
 	w = newWorld(seed, link)
 	execs = new(int)
 	srv = NewNode(w.sim, dropConn{w.net.Host("server"), serverDrop}, netmon.NewMonitor(w.sim),
-		func(string, obs.SpanContext, []byte) ([]byte, error) { *execs++; return reply, nil }, nil)
+		func(string, obs.SpanContext, []byte) ([]byte, error) { *execs++; return bytes.Clone(reply), nil }, nil)
 	c = NewNode(w.sim, dropConn{w.net.Host("client"), clientDrop}, netmon.NewMonitor(w.sim), nil, nil)
 	return w, c, srv, execs
 }

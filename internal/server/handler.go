@@ -70,7 +70,7 @@ func (s *Server) handle(src string, sc obs.SpanContext, body []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return wire.Encode(rep)
+	return wire.EncodeFrame(rep) // the rpc2 Node frees it once the caller has it
 }
 
 func (s *Server) getVolume(req wire.GetVolume) (wire.GetVolumeRep, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/bufpool"
 	"repro/internal/cml"
 	"repro/internal/codafs"
 	"repro/internal/obs"
@@ -183,11 +184,12 @@ func (s *Server) shipVolume(v *volume, sc obs.SpanContext) {
 		volID := v.info.ID
 		v.mu.Unlock()
 
-		// Encoded once for all peers: the chain before an entry is its
-		// predecessor's whoever it is sent to. A ShipLog always encodes.
+		// Encoded once for all peers, into frames freed after the last: the
+		// chain before an entry is its predecessor's whoever it is sent to.
+		// A ShipLog always encodes.
 		bodies := make([][]byte, len(entries))
 		for i, e := range entries {
-			bodies[i], _ = wire.Encode(wire.ShipLog{Volume: volID, PrevChain: prevChain, Entry: e})
+			bodies[i], _ = wire.EncodeFrame(wire.ShipLog{Volume: volID, PrevChain: prevChain, Entry: e})
 			prevChain = e.Chain
 		}
 		opts := rpc2.CallOpts{MaxRetries: 4, Span: sc} // a peer that stays silent is left to catch up on its own
@@ -202,6 +204,9 @@ func (s *Server) shipVolume(v *volume, sc obs.SpanContext) {
 					break
 				}
 			}
+		}
+		for _, body := range bodies {
+			bufpool.Free(body) // the last peer has been called
 		}
 		last := entries[len(entries)-1].LSN
 		v.mu.Lock()

@@ -37,21 +37,23 @@ func BenchmarkAllocShipAck(b *testing.B) {
 // BenchmarkAllocSFTPReceive pins the receive side of one fragment — parse,
 // copy into the reassembly buffer, advance the cumulative count, ack — at
 // zero steady-state allocations. The warm-up takes the buffer to the
-// capacity the timed fragments need (growth is geometric, so a longer
-// run amortises to zero rather than reading exactly zero).
+// capacity the timed fragments need: three growths, to the frame class
+// of 16 windows (growth is geometric, so a longer run amortises to zero
+// rather than reading exactly zero).
 func BenchmarkAllocSFTPReceive(b *testing.B) {
 	clock := simtime.NewSim(simtime.Epoch1995)
 	e := NewEngine(clock, netmon.NewMonitor(clock), func(dst string, p []byte) error { return nil }, nil, "rx")
-	const warm = 4*WindowPackets + 1 // the fragment that takes capacity to 16 windows
-	total := uint32(warm + b.N + 1)  // never completes
+	const room = 16 * WindowPackets * DataPacketSize
+	total := uint32(room/DataPacketSize + b.N + 1) // never completes
 	data := make([]byte, DataPacketSize)
 	var frame []byte
 	deliver := func(seq uint32) {
 		frame = appendData(frame[:0], 1, seq, uint64(total)*DataPacketSize, obs.SpanContext{}, data)
 		e.Deliver("tx", frame)
 	}
-	for seq := uint32(0); seq < warm; seq++ {
-		deliver(seq)
+	warm := uint32(0)
+	for ; warm == 0 || cap(e.incoming[key{"tx", 1}].buf) < room; warm++ {
+		deliver(warm)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/netmon"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -196,7 +197,7 @@ func TestDeliverDropsForgedFragments(t *testing.T) {
 				t.Errorf("%s: reassembly state moved: cum %d window %x len %d", name, in.cum, in.window, len(in.buf))
 			}
 		}
-		if len(in.buf) > 3*DataPacketSize || cap(in.buf) > WindowPackets*DataPacketSize {
+		if len(in.buf) > 3*DataPacketSize || cap(in.buf) > frameClass(WindowPackets*DataPacketSize) {
 			t.Errorf("reassembly holds len %d cap %d after three packets", len(in.buf), cap(in.buf))
 		}
 
@@ -207,9 +208,64 @@ func TestDeliverDropsForgedFragments(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Errorf("genuine transfer after the forgeries: %d bytes, err %v", len(got), err)
 		}
-		if cap(got) != len(data) {
-			t.Errorf("assembled buffer has cap %d for %d bytes", cap(got), len(data))
+		if cap(got) > frameClass(len(data)) {
+			t.Errorf("assembled buffer has cap %d for %d bytes, beyond its frame class", cap(got), len(data))
 		}
+	})
+}
+
+// frameClass is the capacity of the bufpool frame that holds n bytes.
+func frameClass(n int) int {
+	f := bufpool.Frame(n)
+	defer bufpool.Free(f)
+	return cap(f)
+}
+
+// TestAbandonedTransferReturnsItsBuffer: reassembly buffers are bufpool
+// frames, and one nobody will take goes back to the pool — on an Await
+// that times out, and on a Sweep, finished or not. A test binary poisons
+// what it frees, so each buffer reads as bufpool.Poison afterwards.
+func TestAbandonedTransferReturnsItsBuffer(t *testing.T) {
+	s := simtime.NewSim(simtime.Epoch1995)
+	s.Run(func() {
+		rx := newReceiver(s)
+		data := bytes.Repeat([]byte("abandon"), 3*DataPacketSize)
+		total := packetCount(uint64(len(data)))
+		buf := func(id uint64) []byte {
+			rx.mu.Lock()
+			defer rx.mu.Unlock()
+			b := rx.incoming[key{"tx", id}].buf
+			return b[:cap(b)]
+		}
+		freed := func(b []byte, how string) {
+			t.Helper()
+			for i, c := range b {
+				if c != bufpool.Poison {
+					t.Errorf("%s: the reassembly buffer was not freed (byte %d is %#x)", how, i, c)
+					return
+				}
+			}
+		}
+		deliver := func(id uint64, upTo uint32) {
+			for seq := uint32(0); seq < upTo; seq++ {
+				rx.Deliver("tx", fragment(id, seq, data))
+			}
+		}
+
+		deliver(1, total-1)
+		stalled := buf(1)
+		if _, err := rx.Await("tx", 1, time.Second); !errors.Is(err, ErrAwaitTimeout) {
+			t.Fatalf("Await of a stalled transfer: %v, want ErrAwaitTimeout", err)
+		}
+		freed(stalled, "Await timeout")
+
+		deliver(2, total-1)
+		deliver(3, total)
+		unfinished, finished := buf(2), buf(3)
+		rx.Sweep()
+		rx.Sweep()
+		freed(unfinished, "Sweep of an unfinished transfer")
+		freed(finished, "Sweep of a finished, unclaimed transfer")
 	})
 }
 
@@ -332,7 +388,9 @@ func TestSweepFreesUnawaitedTransfer(t *testing.T) {
 // it was read from (one encoding per fragment and per ack), and
 // reassembly may not hold more than it was fed: every transfer's buffer
 // is within one window of the bytes delivered, whatever sizes the
-// headers claimed.
+// headers claimed, and its capacity is at most the frame class of what
+// growth asks for — a window, or four times what is held — and of the
+// claimed total.
 func FuzzDeliver(f *testing.F) {
 	chunks := func(ps ...[]byte) []byte {
 		var in []byte
@@ -375,7 +433,8 @@ func FuzzDeliver(f *testing.F) {
 			held := 0
 			for k, tr := range rx.incoming {
 				held += len(tr.buf)
-				if c := cap(tr.buf); c > max(window, 4*len(tr.buf)) || uint64(c) > tr.totalBytes {
+				if c := cap(tr.buf); c > frameClass(max(window, 4*len(tr.buf))) ||
+					uint64(c) > tr.totalBytes && c > frameClass(int(tr.totalBytes)) {
 					t.Fatalf("transfer %d: cap %d for len %d of a claimed %d", k.id, c, len(tr.buf), tr.totalBytes)
 				}
 			}

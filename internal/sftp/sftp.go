@@ -132,7 +132,7 @@ const acked = math.MaxUint64
 type inTransfer struct {
 	total      uint32
 	totalBytes uint64
-	buf        []byte // reassembled prefix plus the window's slots; cap never exceeds totalBytes
+	buf        []byte // a bufpool frame: reassembled prefix plus the window's slots; see grow for its capacity
 	cum        uint32
 	window     uint64
 	idle       bool            // no fragment since the last Sweep
@@ -340,8 +340,8 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 }
 
 // Await blocks until the transfer (src, id) completes and returns its
-// contents. A transfer has one taker at a time, and a completed one can be
-// taken exactly once. timeout bounds silence, not the whole wait: Await
+// contents: a bufpool frame, the caller's to keep or to Free. A transfer
+// has one taker at a time, and a completed one can be taken exactly once. timeout bounds silence, not the whole wait: Await
 // gives up only once a full timeout passes without a new fragment, so a
 // long transfer that keeps arriving - a chunk sized on Ethernet and
 // shipped over a modem - is waited for however long it takes.
@@ -392,6 +392,7 @@ func (e *Engine) Await(src string, id uint64, timeout time.Duration) ([]byte, er
 	}
 	e.mu.Unlock()
 	if t != nil {
+		bufpool.Free(t.buf)
 		t.sp.End()
 	}
 	return nil, fmt.Errorf("%w: %s transfer %d", ErrAwaitTimeout, src, id)
@@ -407,6 +408,7 @@ func (e *Engine) Sweep() {
 	for k, t := range e.incoming {
 		if t.idle && e.done[k] == nil { // an awaited one is Await's to free
 			delete(e.incoming, k)
+			bufpool.Free(t.buf)
 			if t.cum < t.total {
 				e.forgetLocked(k, abandoned)
 				t.sp.End()
@@ -417,7 +419,8 @@ func (e *Engine) Sweep() {
 }
 
 // Deliver routes one incoming SFTP payload from src into the engine. The
-// owning node calls it from its demultiplex loop.
+// owning node calls it from its demultiplex loop. A fragment's bytes are
+// copied into reassembly, so payload is the caller's again on return.
 func (e *Engine) Deliver(src string, payload []byte) {
 	if len(payload) == 0 {
 		return
@@ -484,13 +487,15 @@ func (t *inTransfer) store(seq, total uint32, totalBytes uint64, data []byte) bo
 
 // grow extends buf to n bytes. Capacity starts at a window's worth and
 // quadruples from there — a long transfer is recopied a handful of times
-// and allocates about a third more than it carries — but never exceeds
-// totalBytes, so the buffer handed over on completion is exactly full.
+// — but is never asked for beyond totalBytes, so the buffer handed over
+// on completion is at most the frame class of totalBytes (< 1.25x). Each
+// buffer is a bufpool frame and the one outgrown goes back at once.
 func (t *inTransfer) grow(n int) {
 	if n > cap(t.buf) {
 		c := uint64(max(n, 4*cap(t.buf), WindowPackets*DataPacketSize))
-		nb := make([]byte, len(t.buf), min(c, t.totalBytes))
+		nb := bufpool.Frame(int(min(c, t.totalBytes)))[:len(t.buf)]
 		copy(nb, t.buf)
+		bufpool.Free(t.buf)
 		t.buf = nb
 	}
 	t.buf = t.buf[:n]

@@ -76,17 +76,33 @@ const (
 
 // Encode serializes a message: exactly one allocation, the returned
 // slice. The body is built in a pooled buffer first so the result is
-// sized exactly, whatever the message.
+// sized exactly, whatever the message; use it for bytes that outlive the
+// call that sends them.
 func Encode(v any) ([]byte, error) {
+	return encode(v, exact)
+}
+
+// EncodeFrame is Encode into a bufpool frame, for a body whose last
+// reader is known: its owner frees it there with bufpool.Free. Once the
+// pool is warm it allocates nothing.
+func EncodeFrame(v any) ([]byte, error) {
+	return encode(v, bufpool.Frame)
+}
+
+func exact(n int) []byte { return make([]byte, n) }
+
+// encode builds v in a pooled scratch buffer, then copies it into a
+// slice from alloc sized to the message.
+func encode(v any, alloc func(n int) []byte) ([]byte, error) {
 	bp := bufpool.Get(0)
+	defer bufpool.Put(bp)
 	b, err := appendMessage(*bp, v)
+	*bp = b
 	if err != nil {
-		bufpool.Put(bp)
 		return nil, fmt.Errorf("wire: encode %T: %w", v, err)
 	}
-	out := append([]byte(nil), b...)
-	*bp = b
-	bufpool.Put(bp)
+	out := alloc(len(b))
+	copy(out, b)
 	return out, nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/cml"
 	"repro/internal/codafs"
 	"repro/internal/delta"
@@ -345,21 +346,25 @@ type CallbackBreak struct {
 type CallbackBreakRep struct{}
 
 // Call performs a typed RPC: it encodes req (a []byte is one already encoded,
-// for several peers), calls dst through n, and decodes the reply as Rep.
+// for several peers, and stays the caller's), calls dst through n, and
+// decodes the reply as Rep. The request and reply frames are freed once
+// read: Decode copies every byte the reply keeps.
 func Call[Rep any](n *rpc2.Node, dst string, req any, opts rpc2.CallOpts) (Rep, error) {
 	var zero Rep
 	body, framed := req.([]byte)
 	if !framed {
 		var err error
-		if body, err = Encode(req); err != nil {
+		if body, err = EncodeFrame(req); err != nil {
 			return zero, err
 		}
+		defer bufpool.Free(body)
 	}
 	repBytes, err := n.Call(dst, body, opts)
 	if err != nil {
 		return zero, err
 	}
 	v, err := Decode(repBytes)
+	bufpool.Free(repBytes)
 	if err != nil {
 		return zero, err
 	}

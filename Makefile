@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-structure lint-ignores lint-graph loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz examples
+.PHONY: all build test race lint lint-structure lint-ignores loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz examples
 
 all: build vet lint test
 
@@ -100,11 +100,6 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 	@$(GO) run ./cmd/codalint -ignores ./... | tail -1
-
-# Whole-program lock-order graph as Graphviz DOT (may-hold edges
-# dashed). Pipe to `dot -Tsvg` to render.
-lint-graph:
-	$(GO) run ./cmd/codalint -lockgraph ./...
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...

@@ -1,14 +1,10 @@
-// Command codalint runs the repository's custom static-analysis suite:
-// simclock (virtual-clock discipline), lockguard (mutex discipline),
-// errwrap (error-wrapping discipline), testhygiene (test-helper and
-// real-sleep checks), obsname (metric naming), and the interprocedural
-// analyzers built on the shared effect engine — maporder
-// (map-iteration-order determinism taint), lockhold (mutexes held
-// across blocking calls), leakcheck (goroutine lifecycle), and
-// allocscan (//codalint:hotpath functions must not allocate, directly
-// or through any callee; pooled buffers exempt). See internal/lint for
-// the analyzers and README.md for the allowlist and suppression
-// policy.
+// Command codalint runs the repository's custom static-analysis suite,
+// six analyzers: simclock (virtual-clock discipline), lockguard (mutex
+// discipline), errwrap (error-wrapping discipline), testhygiene
+// (test-helper and real-sleep checks), obsname (metric naming), and
+// lockhold (mutexes held across blocking calls, through any chain of
+// static calls on the shared effect engine). See internal/lint for the
+// analyzers and README.md for the allowlist and suppression policy.
 //
 // Flags: -json (machine-readable findings), -ignores (suppression
 // audit — re-runs the suite and flags stale directives), -deadline DUR

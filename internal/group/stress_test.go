@@ -11,8 +11,8 @@ import (
 	"repro/internal/world"
 )
 
-// TestStressCheckpointDuringReintegration is the lockorder analyzer's
-// dynamic twin: while a client drains multi-volume reintegration
+// TestStressCheckpointDuringReintegration is the lock-order fence
+// (DESIGN.md §7, §8): while a client drains multi-volume reintegration
 // batches through a 3-replica group, every member is hammered with
 // concurrent Checkpoint and SaveState calls. That drives the full
 // documented hierarchy — Server.mu -> volume.mu -> sjMu -> WAL.mu on

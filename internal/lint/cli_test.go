@@ -165,48 +165,6 @@ func TestMainJSONOutput(t *testing.T) {
 	}
 }
 
-func TestMainLockGraph(t *testing.T) {
-	root := writeFixture(t, map[string]string{
-		"go.mod": "module faux\n\ngo 1.22\n",
-		"internal/venus/nest.go": `package venus
-
-import "sync"
-
-type Outer struct {
-	mu sync.Mutex
-	in Inner
-}
-
-type Inner struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Nest establishes one lock-order edge: Outer.mu held while
-// acquiring Inner.mu.
-func (o *Outer) Nest() {
-	o.mu.Lock()
-	o.in.mu.Lock()
-	o.in.n++
-	o.in.mu.Unlock()
-	o.mu.Unlock()
-}
-`,
-	})
-	chdir(t, root)
-	var out, errb bytes.Buffer
-	if code := Main([]string{"-lockgraph", "./..."}, &out, &errb); code != ExitClean {
-		t.Fatalf("-lockgraph: exit %d, stderr %s", code, errb.String())
-	}
-	s := out.String()
-	if !strings.HasPrefix(s, "digraph lockorder {") {
-		t.Fatalf("-lockgraph output is not DOT:\n%s", s)
-	}
-	if !strings.Contains(s, `"venus.Outer.mu" -> "venus.Inner.mu"`) {
-		t.Fatalf("-lockgraph output missing the Outer->Inner edge:\n%s", s)
-	}
-}
-
 func TestMainIgnoresAudit(t *testing.T) {
 	root := writeFixture(t, map[string]string{
 		"go.mod": "module faux\n\ngo 1.22\n",

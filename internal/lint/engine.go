@@ -11,32 +11,30 @@ import (
 
 // This file is codalint's interprocedural core: a call graph over every
 // loaded package plus per-function effect summaries, propagated to a
-// fixpoint across package boundaries. The maporder, lockhold, and
-// leakcheck analyzers are thin queries over these summaries.
+// fixpoint across package boundaries. lockhold and lockguard are thin
+// queries over these summaries and the critical-section walk built on
+// them (lockwalk.go).
 //
 // The graph is built from static calls only: package-level functions,
 // methods on concrete named types, method values, and immediately
 // invoked function literals. Calls through interface methods are not
 // devirtualized; instead, a small set of well-known interface methods
-// (simtime.Clock.Sleep, crashfs.File.Sync, io.Writer.Write, ...) are
-// effect roots matched by package-path suffix, so the repository's own
-// blocking and serialization primitives are recognized whether they are
-// reached through the interface or the concrete type. A function
-// literal is a node of its own: its effects reach the enclosing
-// function only through a real call edge (immediate invocation), so
-// registering a callback does not smear the callback's effects onto the
-// registrar.
+// (simtime.Clock.Sleep, crashfs.File.Sync, ...) are effect roots
+// matched by package-path suffix, so the repository's own blocking
+// primitives are recognized whether they are reached through the
+// interface or the concrete type. A function literal is a node of its
+// own: its effects reach the enclosing function only through a real
+// call edge (immediate invocation), so registering a callback does not
+// smear the callback's effects onto the registrar.
 
 // FuncNode is one function (declared or literal) in the call graph.
 type FuncNode struct {
-	Obj  *types.Func   // declared functions and methods; nil for literals
 	Decl *ast.FuncDecl // nil for literals
 	Lit  *ast.FuncLit  // nil for declared functions
 	Pkg  *Package
 	Name string // human-readable: "(*Server).Checkpoint", "New$1"
 
-	Calls  []*FuncNode // static callees, deduplicated, in call-site order
-	Spawns []SpawnSite // goroutine launch sites in this function's body
+	Calls []*FuncNode // static callees, deduplicated, in call-site order
 
 	// Blocks: the function can park its goroutine — transitively
 	// reaches a channel operation or a blocking primitive (simtime
@@ -44,53 +42,16 @@ type FuncNode struct {
 	Blocks   bool
 	BlockVia string // first-cause chain, e.g. "(*Node).Call: channel receive"
 
-	// Serializes: the function transitively writes to order-sensitive
-	// output — an encoder, a writer, a WAL append, an obs event.
-	Serializes bool
-	SerialVia  string
-
-	// Allocates: the function transitively allocates heap memory on its
-	// steady-state path (see alloc.go for what counts and what is
-	// exempt). Queried by allocscan from //codalint:hotpath roots.
-	Allocates bool
-	AllocVia  string
-
-	// allocSites: this function's own direct allocation sites, in
-	// source order; the seed for the Allocates bit.
-	allocSites []allocSite
-	// poolNew: the function is a sync.Pool New constructor — its
-	// allocations are the pool's amortized backing store.
-	poolNew bool
-
-	// Endless: the function transitively enters a condition-less for
-	// loop with no reachable exit (no return, no break that targets the
-	// loop), so it can never be stopped once started.
-	Endless    bool
-	EndlessVia string
-	EndlessPos token.Pos
-	// selectBreakOnly: the endless loop's only would-be exits are break
-	// statements that target an enclosing select or switch, not the
-	// loop — the classic shutdown bug leakcheck exists to catch.
-	selectBreakOnly bool
-
 	// Acquires: lock domains this function may acquire, directly or
-	// through any chain of static calls, mapped to the via-chain that
-	// reaches the Lock ("" = locked in this very body). Domains follow
-	// lockguard's naming convention and are rendered as
-	// "pkg.Type.field" ("server.volume.mu") or "pkg.var" for
-	// package-level mutexes. The goroutine bodies launched by `go`
-	// statements are excluded: their acquires happen on another stack.
-	Acquires map[string]string
+	// through any chain of static calls, each mapped to whether the Lock
+	// is in this very body. Domains follow lockguard's naming convention
+	// and are rendered as "pkg.Type.field" ("server.volume.mu") or
+	// "pkg.var" for package-level mutexes. The goroutine bodies launched
+	// by `go` statements are excluded: their acquires happen on another
+	// stack.
+	Acquires map[string]bool
 	// locks holds the rest of the lockset summary (see locksets.go).
 	locks lockSummary
-}
-
-// SpawnSite is one goroutine launch: a go statement or an x.Go(fn) call
-// on a clock-like spawner.
-type SpawnSite struct {
-	Pos    token.Pos
-	Target *FuncNode // nil when the spawned function cannot be resolved
-	Label  string    // how the site reads: "go func literal", "clock.Go((*Venus).trickleDaemon)"
 }
 
 // Engine is the whole-program analysis state shared by the
@@ -114,15 +75,11 @@ func NewEngine(pkgs []*Package) *Engine {
 	for _, pkg := range pkgs {
 		e.collect(pkg)
 	}
-	for _, pkg := range pkgs {
-		e.markPoolConstructors(pkg)
-	}
-	// Every later pass runs in source order, so via-chains and first
-	// witnesses are reproducible run to run.
+	// Every later pass runs in source order, so via-chains are
+	// reproducible run to run.
 	sort.Slice(e.nodes, func(i, j int) bool { return posLess(e.nodes[i].pos(), e.nodes[j].pos()) })
 	for _, n := range e.nodes {
 		e.scanDirect(n)
-		e.scanAllocs(n)
 		e.scanLocksets(n)
 	}
 	e.fixpoint()
@@ -147,7 +104,6 @@ func (e *Engine) collect(pkg *Package) {
 			}
 			n := &FuncNode{Decl: fd, Pkg: pkg, Name: declName(fd)}
 			if obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				n.Obj = obj
 				e.byObj[obj] = n
 			}
 			add(n)
@@ -264,13 +220,10 @@ func recvTypeName(fn *types.Func) string {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	switch t := t.(type) {
-	case *types.Named:
-		return t.Obj().Name()
-	case *types.Interface:
-		return "" // interface receivers are matched by package+name only
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
 	}
-	return ""
+	return "" // interface receivers are matched by package+name only
 }
 
 // blockRoot classifies fn as a known blocking primitive and returns the
@@ -320,132 +273,44 @@ func blockRoot(fn *types.Func) string {
 	return ""
 }
 
-// serialRoot classifies fn as a known order-sensitive output sink and
-// returns the reason, or "".
-func serialRoot(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	path, name := fn.Pkg().Path(), fn.Name()
-	switch {
-	case path == "encoding/json" && name == "Encode":
-		return "json.Encoder.Encode"
-	case path == "encoding/binary" && name == "Write":
-		return "binary.Write"
-	case path == "fmt" && (name == "Fprintf" || name == "Fprint" || name == "Fprintln"):
-		return "fmt." + name
-	case path == "io" && name == "Write":
-		return "io.Writer.Write"
-	case (path == "bytes" || path == "strings" || path == "bufio") &&
-		strings.HasPrefix(name, "Write") && recvTypeName(fn) != "":
-		return path + "." + recvTypeName(fn) + "." + name
-	case pathIs(path, "internal/wal") && name == "Append":
-		return "wal Append (journal record order is durable)"
-	case pathIs(path, "internal/obs") && (name == "Event" || name == "Dump"):
-		return "obs " + name + " (trace/dump order is compared byte-for-byte)"
-	}
-	return ""
-}
-
-// spawnCall reports whether a call expression is a goroutine spawner of
-// the clock.Go shape — a method named Go whose single argument is a
-// func() — and returns that argument.
-func spawnCall(pkg *Package, call *ast.CallExpr) (ast.Expr, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Go" || len(call.Args) != 1 {
-		return nil, false
-	}
-	fn := calleeObj(pkg, call.Fun)
-	if fn == nil {
-		return nil, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() != 1 {
-		return nil, false
-	}
-	arg, ok := sig.Params().At(0).Type().Underlying().(*types.Signature)
-	if !ok || arg.Params().Len() != 0 || arg.Results().Len() != 0 {
-		return nil, false
-	}
-	return call.Args[0], true
-}
-
-// scanDirect records a node's local effects: call edges, spawn sites,
-// direct blocking operations, direct sinks, and endless loops.
+// scanDirect records a node's local effects: call edges and direct
+// blocking operations.
 func (e *Engine) scanDirect(n *FuncNode) {
 	pkg := n.Pkg
+	block := func(why string) {
+		if !n.Blocks {
+			n.Blocks, n.BlockVia = true, why
+		}
+	}
 	n.inspectOwn(func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.CallExpr:
 			if callee := e.resolveCallee(pkg, x.Fun); callee != nil {
 				n.Calls = append(n.Calls, callee)
 			}
-			obj := calleeObj(pkg, x.Fun)
-			if r := blockRoot(obj); r != "" && !n.Blocks {
-				n.Blocks, n.BlockVia = true, r
+			if r := blockRoot(calleeObj(pkg, x.Fun)); r != "" {
+				block(r)
 			}
-			if r := serialRoot(obj); r != "" && !n.Serializes {
-				n.Serializes, n.SerialVia = true, r
-			}
-			if arg, ok := spawnCall(pkg, x); ok {
-				n.Spawns = append(n.Spawns, SpawnSite{
-					Pos:    x.Pos(),
-					Target: e.resolveCallee(pkg, arg),
-					Label:  "Go(" + targetLabel(e, pkg, arg) + ")",
-				})
-			}
-		case *ast.GoStmt:
-			n.Spawns = append(n.Spawns, SpawnSite{
-				Pos:    x.Pos(),
-				Target: e.resolveCallee(pkg, x.Call.Fun),
-				Label:  "go " + targetLabel(e, pkg, x.Call.Fun),
-			})
 		case *ast.SendStmt:
-			if !n.Blocks {
-				n.Blocks, n.BlockVia = true, "channel send"
-			}
+			block("channel send")
 		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && !n.Blocks {
-				n.Blocks, n.BlockVia = true, "channel receive"
+			if x.Op == token.ARROW {
+				block("channel receive")
 			}
 		case *ast.SelectStmt:
-			if !selectHasDefault(x) && !n.Blocks {
-				n.Blocks, n.BlockVia = true, "select with no default"
+			if !selectHasDefault(x) {
+				block("select with no default")
 			}
 		case *ast.RangeStmt:
 			if t := pkg.TypesInfo.Types[x.X].Type; t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok && !n.Blocks {
-					n.Blocks, n.BlockVia = true, "range over channel"
-				}
-			}
-		case *ast.ForStmt:
-			if x.Cond == nil && !n.Endless {
-				exits, selectBreaks := loopExits(x)
-				if !exits {
-					n.Endless = true
-					n.EndlessVia = "for loop with no exit"
-					n.EndlessPos = x.For
-					n.selectBreakOnly = selectBreaks
-					if selectBreaks {
-						n.EndlessVia = "for loop whose only break targets an inner select/switch, not the loop"
-					}
+				if _, ok := t.Underlying().(*types.Chan); ok {
+					block("range over channel")
 				}
 			}
 		}
 		return true
 	})
 	n.Calls = dedupeNodes(n.Calls)
-}
-
-// targetLabel renders a spawned expression for diagnostics.
-func targetLabel(e *Engine, pkg *Package, fun ast.Expr) string {
-	if n := e.resolveCallee(pkg, fun); n != nil {
-		return n.Name
-	}
-	if _, ok := fun.(*ast.FuncLit); ok {
-		return "func literal"
-	}
-	return "dynamic function"
 }
 
 func selectHasDefault(s *ast.SelectStmt) bool {
@@ -455,51 +320,6 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// loopExits reports whether a condition-less for loop has a reachable
-// exit: a return, a goto, a labeled break (labels are not resolved, so
-// any labeled break conservatively counts), or a bare break that
-// actually targets this loop rather than an inner select/switch/for.
-// selectBreaks is true when the only break statements found target an
-// inner construct — the classic `for { select { case <-done: break } }`
-// shutdown bug.
-func loopExits(loop *ast.ForStmt) (exits, selectBreaks bool) {
-	var walk func(node ast.Node, breakTargetsLoop bool)
-	walk = func(node ast.Node, breakTargetsLoop bool) {
-		ast.Inspect(node, func(nd ast.Node) bool {
-			switch x := nd.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.ReturnStmt:
-				exits = true
-			case *ast.BranchStmt:
-				switch x.Tok {
-				case token.GOTO:
-					exits = true
-				case token.BREAK:
-					switch {
-					case x.Label != nil, breakTargetsLoop:
-						exits = true
-					default:
-						selectBreaks = true
-					}
-				}
-			case *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt,
-				*ast.SwitchStmt, *ast.TypeSwitchStmt:
-				if nd != node {
-					walk(nd, false)
-					return false
-				}
-			}
-			return true
-		})
-	}
-	walk(loop.Body, true)
-	if exits {
-		selectBreaks = false
-	}
-	return exits, selectBreaks
 }
 
 func dedupeNodes(in []*FuncNode) []*FuncNode {
@@ -514,9 +334,9 @@ func dedupeNodes(in []*FuncNode) []*FuncNode {
 	return out
 }
 
-// fixpoint propagates Blocks, Serializes, Allocates, and Endless
-// through the call graph until nothing changes. The facts are monotone
-// bits, so iteration converges.
+// fixpoint propagates Blocks and the lockset summaries through the call
+// graph until nothing changes. The facts only grow, so iteration
+// converges.
 func (e *Engine) fixpoint() {
 	for changed := true; changed; {
 		changed = false
@@ -524,21 +344,6 @@ func (e *Engine) fixpoint() {
 			for _, c := range n.Calls {
 				if c.Blocks && !n.Blocks {
 					n.Blocks, n.BlockVia = true, c.Name+": "+c.BlockVia
-					changed = true
-				}
-				if c.Serializes && !n.Serializes {
-					n.Serializes, n.SerialVia = true, c.Name+": "+c.SerialVia
-					changed = true
-				}
-				if c.Allocates && !n.Allocates && !n.poolNew {
-					n.Allocates, n.AllocVia = true, c.Name+": "+c.AllocVia
-					changed = true
-				}
-				if c.Endless && !n.Endless {
-					n.Endless = true
-					n.EndlessVia = c.Name + ": " + c.EndlessVia
-					n.EndlessPos = c.EndlessPos
-					n.selectBreakOnly = c.selectBreakOnly
 					changed = true
 				}
 			}
@@ -573,21 +378,6 @@ func (e *Engine) BlockReason(pkg *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	if r := blockRoot(calleeObj(pkg, call.Fun)); r != "" {
-		return r, true
-	}
-	return "", false
-}
-
-// SerialReason reports whether calling fun writes order-sensitive
-// output.
-func (e *Engine) SerialReason(pkg *Package, call *ast.CallExpr) (string, bool) {
-	if n := e.resolveCallee(pkg, call.Fun); n != nil {
-		if n.Serializes {
-			return n.Name + ": " + n.SerialVia, true
-		}
-		return "", false
-	}
-	if r := serialRoot(calleeObj(pkg, call.Fun)); r != "" {
 		return r, true
 	}
 	return "", false

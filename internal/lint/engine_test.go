@@ -7,7 +7,8 @@ import (
 
 // engineModule materializes a three-package module whose effects must
 // propagate leaf → mid → top across two package boundaries: a channel
-// park, an fmt sink, and an endless loop, each wrapped once per hop.
+// park, an fmt write that does not block, and a lock acquire, each
+// wrapped once per hop.
 func engineModule(t *testing.T) *Module {
 	t.Helper()
 	root := writeFixture(t, map[string]string{
@@ -17,6 +18,7 @@ func engineModule(t *testing.T) *Module {
 import (
 	"fmt"
 	"io"
+	"sync"
 )
 
 func Park() {
@@ -28,9 +30,15 @@ func Emit(w io.Writer, s string) {
 	fmt.Fprintln(w, s)
 }
 
-func Forever() {
-	for {
-	}
+type Gate struct {
+	mu sync.Mutex
+	N  int
+}
+
+func (g *Gate) Bump() {
+	g.mu.Lock()
+	g.N++
+	g.mu.Unlock()
 }
 `,
 		"internal/mid/mid.go": `package mid
@@ -41,21 +49,23 @@ import (
 	"faux/internal/leaf"
 )
 
-func Relay()          { leaf.Park() }
-func Out(w io.Writer) { leaf.Emit(w, "x") }
-func SpinWrap()       { leaf.Forever() }
+func Relay()             { leaf.Park() }
+func Out(w io.Writer)    { leaf.Emit(w, "x") }
+func Touch(g *leaf.Gate) { g.Bump() }
 `,
 		"internal/top/top.go": `package top
 
 import (
 	"io"
 
+	"faux/internal/leaf"
 	"faux/internal/mid"
 )
 
 func Caller()            { mid.Relay() }
 func Writer(w io.Writer) { mid.Out(w) }
-func Launch()            { go mid.SpinWrap() }
+func Hold(g *leaf.Gate)  { mid.Touch(g) }
+func Spawn(g *leaf.Gate) { go mid.Touch(g) }
 `,
 	})
 	mod, err := LoadModule(root)
@@ -100,32 +110,28 @@ func TestEngineCrossPackageFixpoint(t *testing.T) {
 		t.Errorf("Caller: Blocks=%v via %q; want blocking through Relay down to a channel receive",
 			caller.Blocks, caller.BlockVia)
 	}
-	if caller.Serializes {
-		t.Errorf("Caller inherits serialization it never calls: via %q", caller.SerialVia)
-	}
-
-	writer := engineNode(t, eng, top, "Writer")
-	if !writer.Serializes || !strings.Contains(writer.SerialVia, "Out") {
-		t.Errorf("Writer: Serializes=%v via %q; want the fmt sink through Out",
-			writer.Serializes, writer.SerialVia)
-	}
-	if writer.Blocks {
+	if writer := engineNode(t, eng, top, "Writer"); writer.Blocks {
 		t.Errorf("Writer inherits blocking it never calls: via %q", writer.BlockVia)
 	}
 
-	launch := engineNode(t, eng, top, "Launch")
-	if len(launch.Spawns) != 1 {
-		t.Fatalf("Launch: %d spawn sites, want 1", len(launch.Spawns))
+	// Acquires crosses both boundaries, marked direct only where the
+	// Lock is, and never through a go statement.
+	const gate = "leaf.Gate.mu"
+	if direct, ok := engineNode(t, eng, top, "Hold").Acquires[gate]; !ok || direct {
+		t.Errorf("Hold: Acquires[%s] = %v, %v; want acquired through Touch, not directly", gate, direct, ok)
 	}
-	sp := launch.Spawns[0]
-	if sp.Target == nil || !sp.Target.Endless || !strings.Contains(sp.Target.EndlessVia, "Forever") {
-		t.Errorf("Launch spawn target must be endless through Forever; got %+v", sp.Target)
+	if acq := engineNode(t, eng, top, "Spawn").Acquires; len(acq) != 0 {
+		t.Errorf("Spawn inherits the spawned goroutine's locks: %v", acq)
 	}
 
-	// Leaf facts stay local truths: the sink does not block.
+	// Leaf facts stay local truths: the fmt write does not block, and
+	// the lock is taken in Bump's own body.
 	leaf := modPkg(t, mod, "internal/leaf")
 	if n := engineNode(t, eng, leaf, "Emit"); n.Blocks {
 		t.Errorf("Emit must not block (via %q)", n.BlockVia)
+	}
+	if direct := engineNode(t, eng, leaf, "(*Gate).Bump").Acquires[gate]; !direct {
+		t.Errorf("Bump must acquire %s directly", gate)
 	}
 }
 

@@ -38,11 +38,7 @@ func Analyzers() []Analyzer {
 		NewErrwrap(),
 		NewTesthygiene(),
 		NewObsname(),
-		NewMaporder(),
 		NewLockhold(),
-		NewLockorder(),
-		NewLeakcheck(),
-		NewAllocscan(),
 	}
 }
 

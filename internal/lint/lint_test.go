@@ -124,30 +124,14 @@ func TestObsnameFixture(t *testing.T) {
 	runFixture(t, "obsname", "internal/fixture", []Analyzer{NewObsname()})
 }
 
-func TestMaporderFixture(t *testing.T) {
-	runFixture(t, "maporder", "internal/fixture", []Analyzer{NewMaporder()})
-}
-
 func TestLockholdFixture(t *testing.T) {
 	runFixture(t, "lockhold", "internal/fixture", []Analyzer{NewLockhold()})
 }
 
-func TestLockorderFixture(t *testing.T) {
-	runFixture(t, "lockorder", "internal/fixture", []Analyzer{NewLockorder()})
-}
-
-// TestLockwalkFixture runs the three lock analyzers together over the
-// shapes the two old walkers disagreed on: one walk, one answer each.
+// TestLockwalkFixture runs both lock analyzers together over one
+// function per control-flow shape of the critical-section walk.
 func TestLockwalkFixture(t *testing.T) {
-	runFixture(t, "lockwalk", "internal/fixture", []Analyzer{NewLockguard(), NewLockhold(), NewLockorder()})
-}
-
-func TestLeakcheckFixture(t *testing.T) {
-	runFixture(t, "leakcheck", "internal/fixture", []Analyzer{NewLeakcheck()})
-}
-
-func TestAllocscanFixture(t *testing.T) {
-	runFixture(t, "allocscan", "internal/fixture", []Analyzer{NewAllocscan()})
+	runFixture(t, "lockwalk", "internal/fixture", []Analyzer{NewLockguard(), NewLockhold()})
 }
 
 // writeFixture materializes a file tree under a fresh temp dir.

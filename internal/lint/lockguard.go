@@ -282,7 +282,7 @@ func touchedFields(fn *ast.FuncDecl, recv string, guarded map[string]bool) map[s
 
 // takes reports whether the method takes the struct's lock: its own
 // body, a function literal in it, or a method of the same struct it
-// calls directly locks (Acquires with an empty via-chain) a mutex field
+// calls directly locks (an Acquires entry marked direct) a mutex field
 // of that name. Matching the field name rather than the whole domain
 // lets a stand-in count, as when simtime.Queue runs under its Sim's mu.
 func (l *Lockguard) takes(pkg *Package, gs *guardedStruct, fn *ast.FuncDecl, lock string) bool {
@@ -305,8 +305,8 @@ func (l *Lockguard) takes(pkg *Package, gs *guardedStruct, fn *ast.FuncDecl, loc
 		if n == nil {
 			continue
 		}
-		for d, via := range n.Acquires {
-			if via == "" && strings.HasSuffix(d, "."+lock) {
+		for d, direct := range n.Acquires {
+			if direct && strings.HasSuffix(d, "."+lock) {
 				return true
 			}
 		}

@@ -15,8 +15,7 @@ import "fmt"
 // blocks directly or five static calls (and any number of package
 // boundaries) away — reached with a lock must-held. What "held" means —
 // mutex naming, helper-opened regions, deferred unlocks, the
-// branch-merge rule and its may-hold limit — is defined there, once, for
-// lockorder too.
+// branch-merge rule and its may-hold limit — is defined there, once.
 type Lockhold struct {
 	eng *Engine
 }
@@ -42,7 +41,7 @@ func (l *Lockhold) Analyze(pkg *Package) []Finding {
 	}
 	var out []Finding
 	for _, n := range l.eng.PkgNodes(pkg) {
-		for _, p := range l.eng.lockFacts(n).parks {
+		for _, p := range l.eng.parks(n) {
 			for _, h := range p.held {
 				out = append(out, Finding{
 					Pos:      pkg.Fset.Position(p.pos),

@@ -1,21 +1,20 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"maps"
 )
 
 // This file is the one critical-section walk. Each function body is
-// walked once, after the engine's fixpoint, tracking which lock domains
-// are held at every statement; the walk records what the three lock
-// analyzers ask about — every acquire and every park (a point where the
-// goroutine can block) together with the holds in force — and they are
-// filters over those records: lockhold reports parks under a hold,
-// lockorder builds its graph from the acquires, lockguard reads the
-// per-function Acquires set the walk's classifier (lockOpDomain) fed.
+// walked after the engine's fixpoint, tracking which lock domains are
+// held at every statement, and records every park (a point where the
+// goroutine can block) together with the locks must-held there;
+// lockhold is a filter over those records.
 //
 // A region opens at a direct Lock/RLock or at a call to a helper whose
 // Lock-minus-Unlock balance is positive (lockVolume), and closes at an
@@ -27,31 +26,28 @@ import (
 // lock is must-held after a branch only if it is must-held at the end
 // of every arm that continues (the implicit empty else included), and
 // it is released if every continuing arm released it; anything in
-// between is a may-hold. May-holds still order — they produce graph
-// edges, drawn dashed — but never report, which is what keeps the
-// simtime.Queue idiom (unlock one of two mutexes, then park) clean. The
-// price is the may-hold limit: a lock taken on only some paths
+// between is a may-hold. May-holds never report, which is what keeps
+// the simtime.Queue idiom (unlock one of two mutexes, then park) clean.
+// The price is the may-hold limit: a lock taken on only some paths
 // (`if c { mu.Lock() }`) is never reported, even where the same
 // condition guards the park.
 
 // hold is one lock domain held at a program point.
 type hold struct {
-	domain string
-	text   string    // how the lock reads where it was taken: "s.mu"; the domain when a helper opened the region
-	pos    token.Pos // acquire site
-	may    bool      // held on only some paths to this point
-	owner  ast.Expr  // mutex owner expression at a direct acquire; nil via helper
+	text string    // how the lock reads where it was taken: "s.mu"; the domain when a helper opened the region
+	pos  token.Pos // acquire site
+	may  bool      // held on only some paths to this point
 }
 
 // holds is the walk's state: domain → hold. A nil map means the point
 // is unreachable (the code before it returned or panicked).
 type holds map[string]hold
 
-// sorted returns the holds in domain order, must-holds only on request.
-func (h holds) sorted(mustOnly bool) []hold {
+// must returns the must-holds in domain order.
+func (h holds) must() []hold {
 	var out []hold
 	for _, d := range sortedKeys(h) {
-		if !mustOnly || !h[d].may {
+		if !h[d].may {
 			out = append(out, h[d])
 		}
 	}
@@ -87,58 +83,31 @@ func mergeArms(arms ...holds) holds {
 	return out
 }
 
-// acquireSite is one lock acquire reached with locks held: a direct
-// Lock/RLock, or a call whose callee (transitively) acquires domain.
-type acquireSite struct {
-	pos    token.Pos
-	domain string
-	callee *FuncNode // nil at a direct acquire
-	held   []hold    // in force just before, may-holds included
-}
-
 // parkSite is one point where the goroutine can block with locks
 // must-held.
 type parkSite struct {
 	pos  token.Pos
 	what string // "channel send", "blocking call s.wait ((*store).wait: channel receive)"
-	wait bool   // the park waits for another goroutine's signal: a receive, a select, a Wait, a sleep
 	held []hold
 }
 
-// loopSite is one same-domain lock a loop body leaves held for its next
-// iteration.
-type loopSite struct {
-	hold    hold
-	rangeX  ast.Expr // the ranged expression; nil for a for loop
-	loopPos token.Pos
-}
-
-// lockFacts is what one function body's walk recorded.
-type lockFacts struct {
-	acquires []acquireSite
-	parks    []parkSite
-	loops    []loopSite
-}
-
-// lockFacts returns n's critical-section records, walking the body on
-// first use. A function that acquires nothing, even through its
-// callees, never holds a lock and is not walked.
-func (e *Engine) lockFacts(n *FuncNode) *lockFacts {
-	if n.locks.facts == nil {
-		n.locks.facts = &lockFacts{}
-		if len(n.Acquires) > 0 {
-			w := &lockWalker{e: e, n: n, facts: n.locks.facts}
-			w.block(n.body().List, holds{})
-		}
+// parks walks n's body and returns its park sites. A function that
+// acquires nothing, even through its callees, never holds a lock and is
+// not walked.
+func (e *Engine) parks(n *FuncNode) []parkSite {
+	if len(n.Acquires) == 0 {
+		return nil
 	}
-	return n.locks.facts
+	w := &lockWalker{e: e, n: n}
+	w.block(n.body().List, holds{})
+	return w.parks
 }
 
 // lockWalker is one function body's walk.
 type lockWalker struct {
 	e       *Engine
 	n       *FuncNode
-	facts   *lockFacts
+	parks   []parkSite
 	targets []*jumpTarget // enclosing loops, switches and selects, innermost last
 }
 
@@ -206,20 +175,14 @@ func (w *lockWalker) arms(body *ast.BlockStmt, exhaustive bool, held holds) hold
 
 // loop walks a for/range body. The code after the loop is reached from
 // the loop's condition — before the first iteration or after any one —
-// and from every break; a body that leaves a lock held for the next
-// iteration is recorded for the ascending-ID rule.
-func (w *lockWalker) loop(body *ast.BlockStmt, post ast.Stmt, hasCond bool, rangeX ast.Expr, loopPos token.Pos, held holds) holds {
+// and from every break.
+func (w *lockWalker) loop(body *ast.BlockStmt, post ast.Stmt, hasCond bool, held holds) holds {
 	t := w.push(true)
 	end := w.block(body.List, maps.Clone(held))
 	w.pop()
 	next := mergeArms(append(t.continues, end)...)
 	if next != nil && post != nil {
 		next = w.stmt(post, next)
-	}
-	for _, h := range next.sorted(true) {
-		if _, ok := held[h.domain]; !ok {
-			w.facts.loops = append(w.facts.loops, loopSite{hold: h, rangeX: rangeX, loopPos: loopPos})
-		}
 	}
 	var exits []holds
 	if hasCond {
@@ -275,7 +238,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held holds) holds {
 			w.expr(arg, held)
 		}
 	case *ast.SendStmt:
-		w.park(x.Pos(), "channel send", false, held)
+		w.park(x.Pos(), "channel send", held)
 		w.expr(x.Chan, held)
 		w.expr(x.Value, held)
 	case *ast.LabeledStmt:
@@ -297,15 +260,15 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held holds) holds {
 			held = w.stmt(x.Init, held)
 		}
 		w.expr(x.Cond, held)
-		return w.loop(x.Body, x.Post, x.Cond != nil, nil, x.For, held)
+		return w.loop(x.Body, x.Post, x.Cond != nil, held)
 	case *ast.RangeStmt:
 		if t := pkg.TypesInfo.Types[x.X].Type; t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
-				w.park(x.For, "range over channel", true, held)
+				w.park(x.For, "range over channel", held)
 			}
 		}
 		w.expr(x.X, held)
-		return w.loop(x.Body, nil, true, x.X, x.For, held)
+		return w.loop(x.Body, nil, true, held)
 	case *ast.SwitchStmt:
 		if x.Init != nil {
 			held = w.stmt(x.Init, held)
@@ -323,7 +286,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held holds) holds {
 		// never block when a default exists); a select always runs one
 		// of its clauses.
 		if !selectHasDefault(x) {
-			w.park(x.Select, "select with no default", true, held)
+			w.park(x.Select, "select with no default", held)
 		}
 		return w.arms(x.Body, true, held)
 	default:
@@ -346,7 +309,7 @@ func (w *lockWalker) expr(root ast.Node, held holds) {
 			return false
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				w.park(x.Pos(), "channel receive", true, held)
+				w.park(x.Pos(), "channel receive", held)
 			}
 		case *ast.CallExpr:
 			w.call(x, held)
@@ -356,72 +319,47 @@ func (w *lockWalker) expr(root ast.Node, held holds) {
 }
 
 // call applies one call: a direct Lock/Unlock, a park if the callee
-// blocks, an acquire per domain the callee takes, and the region its
-// balance opens (lockVolume) or closes (an unlock helper).
+// blocks, and the region the callee's balance opens (lockVolume) or
+// closes (an unlock helper).
 func (w *lockWalker) call(call *ast.CallExpr, held holds) {
 	pkg := w.n.Pkg
 	if d, delta := lockOpDomain(pkg, call); delta != 0 {
 		if delta < 0 {
 			delete(held, d)
-			return
-		}
-		w.acquire(call.Pos(), nil, d, held)
-		if h, ok := held[d]; !ok || h.may {
-			owner := call.Fun.(*ast.SelectorExpr).X
-			held[d] = hold{domain: d, text: exprText(pkg.Fset, owner), pos: call.Pos(), owner: owner}
+		} else if h, ok := held[d]; !ok || h.may {
+			held[d] = hold{text: exprText(pkg.Fset, call.Fun.(*ast.SelectorExpr).X), pos: call.Pos()}
 		}
 		return
 	}
 	if len(held) > 0 {
 		if reason, blocks := w.e.BlockReason(pkg, call); blocks {
-			w.park(call.Pos(), fmt.Sprintf("blocking call %s (%s)", exprText(pkg.Fset, call.Fun), reason),
-				waitRoot(calleeObj(pkg, call.Fun)), held)
+			w.park(call.Pos(), fmt.Sprintf("blocking call %s (%s)", exprText(pkg.Fset, call.Fun), reason), held)
 		}
 	}
 	callee := w.e.resolveCallee(pkg, call.Fun)
 	if callee == nil {
 		return
 	}
-	w.acquire(call.Pos(), callee, "", held)
-	for _, d := range sortedKeys(callee.locks.net) {
-		bal := callee.locks.net[d]
+	for d, bal := range callee.locks.net {
 		if h, ok := held[d]; bal > 0 && (!ok || h.may) {
-			held[d] = hold{domain: d, text: d, pos: call.Pos()}
+			held[d] = hold{text: d, pos: call.Pos()}
 		} else if bal < 0 {
 			delete(held, d)
 		}
 	}
 }
 
-// acquire records an acquire of domain direct, or of every domain
-// callee takes, when anything is held.
-func (w *lockWalker) acquire(pos token.Pos, callee *FuncNode, direct string, held holds) {
-	if len(held) == 0 {
-		return
-	}
-	snap, domains := held.sorted(false), []string{direct}
-	if callee != nil {
-		domains = sortedKeys(callee.Acquires)
-	}
-	for _, d := range domains {
-		w.facts.acquires = append(w.facts.acquires, acquireSite{pos: pos, domain: d, callee: callee, held: snap})
+func (w *lockWalker) park(pos token.Pos, what string, held holds) {
+	if must := held.must(); len(must) > 0 {
+		w.parks = append(w.parks, parkSite{pos: pos, what: what, held: must})
 	}
 }
 
-func (w *lockWalker) park(pos token.Pos, what string, wait bool, held holds) {
-	if must := held.sorted(true); len(must) > 0 {
-		w.facts.parks = append(w.facts.parks, parkSite{pos: pos, what: what, wait: wait, held: must})
+// exprText renders an expression for diagnostics.
+func exprText(fset *token.FileSet, expr ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, fset, expr); err != nil {
+		return "?"
 	}
-}
-
-// waitRoot reports whether fn is a wait-for-a-signal primitive.
-// Blocking I/O (rpc2, WAL, sftp) parks too, but no other goroutine of
-// this program has to act for it to end.
-func waitRoot(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	path, name := fn.Pkg().Path(), fn.Name()
-	return path == "sync" && name == "Wait" ||
-		(path == "time" || pathIs(path, "internal/simtime")) && name == "Sleep"
+	return buf.String()
 }

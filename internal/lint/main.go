@@ -21,10 +21,9 @@ const (
 
 // cliOptions holds the parsed command-line flags.
 type cliOptions struct {
-	jsonOut   bool          // -json: machine-readable findings
-	ignores   bool          // -ignores: audit suppressions instead of linting
-	lockgraph bool          // -lockgraph: dump the lock-order graph as DOT
-	deadline  time.Duration // -deadline: wall-clock budget; 0 = none
+	jsonOut  bool          // -json: machine-readable findings
+	ignores  bool          // -ignores: audit suppressions instead of linting
+	deadline time.Duration // -deadline: wall-clock budget; 0 = none
 }
 
 // parseArgs splits flags from package arguments. ok is false when the
@@ -40,8 +39,6 @@ func parseArgs(args []string, stderr io.Writer) (opts cliOptions, rest []string,
 			opts.jsonOut = true
 		case a == "-ignores":
 			opts.ignores = true
-		case a == "-lockgraph":
-			opts.lockgraph = true
 		case a == "-deadline" || strings.HasPrefix(a, "-deadline="):
 			var val string
 			if eq := strings.IndexByte(a, '='); eq >= 0 {
@@ -148,10 +145,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if opts.ignores {
 		return listIgnores(pkgs, Analyzers(), stdout, stderr)
 	}
-	if opts.lockgraph {
-		fmt.Fprint(stdout, LockGraphDOT(pkgs))
-		return ExitClean
-	}
 
 	findings := Run(pkgs, Analyzers())
 	if opts.jsonOut {
@@ -255,7 +248,6 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "flags:")
 	fmt.Fprintln(w, "  -json          emit findings as a JSON array ({file,line,col,analyzer,message})")
 	fmt.Fprintln(w, "  -ignores       audit //codalint:ignore suppressions: list all, fail (exit 4) on stale or malformed ones")
-	fmt.Fprintln(w, "  -lockgraph     dump the whole-program lock-order graph as Graphviz DOT and exit")
 	fmt.Fprintln(w, "  -deadline DUR  fail with exit 3 if analysis wall-clock exceeds DUR (e.g. 60s)")
 	fmt.Fprintln(w, "")
 	fmt.Fprintln(w, "analyzers:")

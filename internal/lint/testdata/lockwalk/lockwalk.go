@@ -1,8 +1,8 @@
 // Package lockwalkfix holds one function per control-flow shape the
-// two pre-merge statement walkers disagreed on. The three lock
-// analyzers run over it together, off one critical-section walk, so
-// each shape has exactly one answer to "what is held here"; a want
-// names the analyzer that must report it.
+// two pre-merge statement walkers disagreed on. Both lock analyzers
+// run over it together, off one critical-section walk, so each shape
+// has exactly one answer to "what is held here"; a want names the
+// analyzer that must report it.
 package lockwalkfix
 
 import "sync"
@@ -15,8 +15,8 @@ type box struct {
 }
 
 // post is the signaller: it takes box.mu on its way to a send, so a
-// receive parked under box.mu can starve it (lockorder's
-// cross-primitive shape, wherever a receive below is must-held).
+// receive parked under box.mu can starve it; lockhold reports every
+// such receive below that is must-held.
 func (b *box) post(v int) {
 	b.mu.Lock()
 	b.n = v
@@ -52,22 +52,22 @@ func (b *box) everyArmReleasesSwitch(k int) int {
 	return <-b.ch
 }
 
-// Bad: the arm that unlocked also returned, so the fall-through still
-// must-holds mu and the second Lock self-deadlocks. (The old lockorder
-// walker demoted the hold to "weak" after any releasing arm.)
+// Clean: the arm that unlocked also returned, so the fall-through still
+// must-holds mu and the second Lock self-deadlocks; a Lock is not a
+// park, and no analyzer in the suite reports it.
 func (b *box) terminatingArm(c bool) {
 	b.mu.Lock()
 	if c {
 		b.mu.Unlock()
 		return
 	}
-	b.mu.Lock() // want "[lockorder] (*box).terminatingArm acquires lockwalkfix.box.mu while already holding it"
+	b.mu.Lock()
 	b.mu.Unlock()
 }
 
 // Unreported — the may-hold limit: mu is taken on only some paths, so
-// it is a may-hold at the receive, and may-holds order but never
-// report, even though the same condition guards both.
+// it is a may-hold at the receive, and may-holds never report, even
+// though the same condition guards both.
 func (b *box) conditionalAcquire(c bool) int {
 	if c {
 		b.mu.Lock()
@@ -87,27 +87,27 @@ func (b *box) lock() { b.mu.Lock() }
 func (b *box) pause() { <-b.wake }
 
 // Bad: the region was opened by the helper, and the park is one call
-// away. Not a wait for a signal the lock's other users send, so only
-// lockhold reports.
+// away; lockhold sees both through the engine's balance and Blocks
+// summaries.
 func (b *box) helperHeldPark() {
 	b.lock()
 	b.pause() // want "[lockhold] lockwalkfix.box.mu (acquired line 93) held across blocking call b.pause"
 	b.mu.Unlock()
 }
 
-// Bad for lockhold only: a send parks, but it is not a wait for a
-// signal.
+// Bad: a send parks like a receive does, whoever is meant to take
+// the value.
 func (b *box) sendUnderLock(v int) {
 	b.mu.Lock()
 	b.ch <- v // want "[lockhold] b.mu (acquired line 101) held across channel send"
 	b.mu.Unlock()
 }
 
-// Bad for both, once each: the receive parks under mu (lockhold), and
-// post needs mu before it can ever send (lockorder).
+// Bad: the receive parks under mu, and post needs mu before it can
+// ever send.
 func (b *box) recvUnderLock() {
 	b.mu.Lock()
-	b.n = <-b.ch // want "[lockhold] b.mu (acquired line 109) held across channel receive" "[lockorder] lockwalkfix.box.mu held across channel receive in (*box).recvUnderLock, but (*box).post"
+	b.n = <-b.ch // want "[lockhold] b.mu (acquired line 109) held across channel receive"
 	b.mu.Unlock()
 }
 

@@ -131,8 +131,6 @@ func (p *Peer) Addr() string { return p.addr }
 // Samples from retransmitted packets are valid here because timestamp
 // echoing identifies which copy the peer answered. One of these fires
 // per RPC reply, so the estimator must stay allocation-free.
-//
-//codalint:hotpath per-reply RTT estimator
 func (p *Peer) ObserveRTT(sample time.Duration) {
 	if sample <= 0 {
 		return
@@ -164,8 +162,6 @@ func (p *Peer) SRTT() time.Duration {
 
 // RTO returns the current retransmission timeout: SRTT + 4·RTTVAR clamped
 // to [MinRTO, MaxRTO], or InitialRTO before any sample.
-//
-//codalint:hotpath consulted per send decision
 func (p *Peer) RTO() time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -186,8 +182,6 @@ func (p *Peer) RTO() time.Duration {
 // into the bandwidth estimate. The sample's weight grows with its size, so
 // a bulk SFTP transfer dominates chatter from small RPCs, whose apparent
 // throughput is mostly round-trip latency.
-//
-//codalint:hotpath per-transfer bandwidth estimator
 func (p *Peer) ObserveTransfer(bytes int64, elapsed time.Duration) {
 	if bytes <= 0 || elapsed <= 0 {
 		return
@@ -212,8 +206,6 @@ func (p *Peer) ObserveTransfer(bytes int64, elapsed time.Duration) {
 // exchange seen stands for the fixed cost (real RPC2 keeps the same
 // per-host latency estimate beside its bandwidth estimate), and only what
 // a later exchange moved and took beyond it counts as a transfer.
-//
-//codalint:hotpath per-reply bandwidth estimator
 func (p *Peer) ObserveExchange(bytes int64, elapsed time.Duration) {
 	if bytes <= 0 || elapsed <= 0 {
 		return
@@ -249,8 +241,6 @@ func (p *Peer) SetBandwidth(bitsPerSec int64) {
 // Heard records that any traffic (RPC2 reply, SFTP data or ack, probe) was
 // received from the peer. This is the unified keepalive of §4.1; it
 // fires per received packet.
-//
-//codalint:hotpath per-packet keepalive
 func (p *Peer) Heard() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -257,3 +257,21 @@ func TestBandwidthConvexProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEstimatorsAllocateNothing fences the observers rpc2 and sftp call
+// per packet, per reply and per send decision: each runs under the
+// peer's own mutex and allocates nothing.
+func TestEstimatorsAllocateNothing(t *testing.T) {
+	p := NewMonitor(simtime.NewSim(simtime.Epoch1995)).Peer("server")
+	for name, fn := range map[string]func(){
+		"ObserveRTT":      func() { p.ObserveRTT(300 * time.Millisecond) },
+		"RTO":             func() { _ = p.RTO() },
+		"ObserveTransfer": func() { p.ObserveTransfer(64<<10, 2*time.Second) },
+		"ObserveExchange": func() { p.ObserveExchange(4<<10, 500*time.Millisecond) },
+		"Heard":           p.Heard,
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
+	}
+}

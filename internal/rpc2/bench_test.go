@@ -46,3 +46,18 @@ func BenchmarkAllocSendSFTP(b *testing.B) {
 		_ = n.sendSFTP("dst", payload)
 	}
 }
+
+// TestDecodePacketAllocatesNothing fences the receive-side parse of every
+// rpc2 datagram: the body aliases the packet, so a traced header and its
+// body split off with no heap allocation.
+func TestDecodePacketAllocatesNothing(t *testing.T) {
+	p := appendPacket(nil, kindReq, 0, 1<<20, 2, 3, 4, obs.SpanContext{Trace: 5, Span: 6}, make([]byte, 256))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, _, _, _, _, _, ok := decodePacket(p); !ok {
+			t.Fatal("decodePacket rejected what appendPacket framed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decodePacket: %v allocs per packet, want 0", allocs)
+	}
+}

@@ -700,8 +700,6 @@ const packetHeader = 1 + 10 + 12 + 16
 
 // appendPacket frames one packet into dst (the caller owns the buffer)
 // and returns the extended slice.
-//
-//codalint:hotpath rpc2 wire framing
 func appendPacket(dst []byte, kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte) []byte {
 	head := len(dst)
 	dst = append(dst, kind|flags)
@@ -723,8 +721,6 @@ func appendPacket(dst []byte, kind, flags byte, seq uint64, ts, tsEcho, inc uint
 // times (pinned by BenchmarkAllocSendPacket and the benchgate). The
 // span context is two header words — propagation costs no allocations
 // either way.
-//
-//codalint:hotpath rpc2 wire framing
 func (n *Node) sendPacket(dst string, kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte) {
 	bp := bufpool.Get(packetHeader + len(body))
 	*bp = appendPacket(*bp, kind, flags, seq, ts, tsEcho, inc, sc, body)
@@ -743,8 +739,6 @@ func replyPacket(rep wireReply, seq uint64, ts, tsEcho, inc uint32) *[]byte {
 
 // ship hands a framed packet to the conn, which does not retain it, and
 // recycles its buffer.
-//
-//codalint:hotpath rpc2 wire framing
 func (n *Node) ship(dst string, bp *[]byte) {
 	_ = n.conn.Send(dst, *bp)
 	bufpool.Put(bp)
@@ -752,8 +746,6 @@ func (n *Node) ship(dst string, bp *[]byte) {
 
 // sendSFTP is the engine's ship callback, the hottest send path in the
 // system: the engine's tag is the mux byte, so the fragment goes as it is.
-//
-//codalint:hotpath sftp mux framing
 func (n *Node) sendSFTP(dst string, payload []byte) error {
 	return n.conn.Send(dst, payload)
 }
@@ -761,8 +753,6 @@ func (n *Node) sendSFTP(dst string, payload []byte) error {
 // decodePacket splits a framed packet; body aliases p, nothing is
 // copied. It accepts only what appendPacket frames: a minimal seq, and
 // flagTraced exactly when a valid span context follows.
-//
-//codalint:hotpath rpc2 wire parsing
 func decodePacket(p []byte) (kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte, ok bool) {
 	if len(p) == 0 {
 		return

@@ -70,8 +70,6 @@ func decodeMetaEntry(payload []byte) (metaEntry, error) {
 }
 
 // appendVolEntry frames one applied batch.
-//
-//codalint:hotpath per-batch journal framing
 func appendVolEntry(dst []byte, lsn uint64, client string, recs []cml.Record) []byte {
 	dst = wire.AppendUvarint(dst, lsn)
 	dst = wire.AppendString(dst, client)

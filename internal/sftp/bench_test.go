@@ -61,3 +61,18 @@ func BenchmarkAllocSFTPReceive(b *testing.B) {
 		deliver(warm + uint32(i))
 	}
 }
+
+// TestDecodeAckAllocatesNothing fences the parse of every ack a sender
+// receives, the one SFTP receive path BenchmarkAllocSFTPReceive does not
+// run.
+func TestDecodeAckAllocatesNothing(t *testing.T) {
+	p := appendAck(nil, 1<<40, 1<<20, 0xff00ff)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, ok := decodeAck(p); !ok {
+			t.Fatal("decodeAck rejected what appendAck framed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decodeAck: %v allocs per ack, want 0", allocs)
+	}
+}

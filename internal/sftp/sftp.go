@@ -604,8 +604,6 @@ func uvarint(p []byte, limit uint64) (v uint64, rest []byte) {
 
 // appendData frames one data fragment into dst (the caller owns the
 // buffer) and returns the extended slice.
-//
-//codalint:hotpath sftp fragment framing
 func appendData(dst []byte, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, data []byte) []byte {
 	tag := len(dst)
 	dst = append(dst, tagData)
@@ -625,8 +623,6 @@ func appendData(dst []byte, id uint64, seq uint32, totalBytes uint64, sc obs.Spa
 // per fragment of every bulk transfer; zero steady-state allocations
 // here is pinned by BenchmarkAllocShipData and the benchgate (the span
 // context is two header words, nothing heap-allocated).
-//
-//codalint:hotpath sftp fragment framing
 func (e *Engine) shipData(dst string, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, data []byte) {
 	bp := bufpool.Get(dataHeader + len(data))
 	*bp = appendData(*bp, id, seq, totalBytes, sc, data)
@@ -636,8 +632,6 @@ func (e *Engine) shipData(dst string, id uint64, seq uint32, totalBytes uint64, 
 
 // decodeData accepts only what appendData frames (Deliver has read the
 // tag); total is derived and data aliases p.
-//
-//codalint:hotpath sftp fragment parsing
 func decodeData(p []byte) (id uint64, seq, total uint32, totalBytes uint64, sc obs.SpanContext, data []byte, ok bool) {
 	traced := p[0]&flagTraced != 0
 	id, data = uvarint(p[1:], math.MaxUint64)
@@ -654,7 +648,6 @@ func decodeData(p []byte) (id uint64, seq, total uint32, totalBytes uint64, sc o
 	return id, uint32(s), packetCount(totalBytes), totalBytes, sc, data, true
 }
 
-//codalint:hotpath sftp ack framing
 func appendAck(dst []byte, id uint64, cum uint32, bitmap uint64) []byte {
 	dst = append(dst, tagAck)
 	dst = binary.AppendUvarint(dst, id)
@@ -664,8 +657,6 @@ func appendAck(dst []byte, id uint64, cum uint32, bitmap uint64) []byte {
 
 // shipAck frames one ack into a pooled buffer; every received data
 // fragment answers with one of these.
-//
-//codalint:hotpath sftp ack framing
 func (e *Engine) shipAck(dst string, id uint64, cum uint32, bitmap uint64) {
 	bp := bufpool.Get(ackHeader)
 	*bp = appendAck(*bp, id, cum, bitmap)
@@ -674,8 +665,6 @@ func (e *Engine) shipAck(dst string, id uint64, cum uint32, bitmap uint64) {
 }
 
 // decodeAck accepts only what appendAck frames, and nothing after it.
-//
-//codalint:hotpath sftp ack parsing
 func decodeAck(p []byte) (id uint64, cum uint32, bitmap uint64, ok bool) {
 	id, p = uvarint(p[1:], math.MaxUint64)
 	c, p := uvarint(p, math.MaxUint32)

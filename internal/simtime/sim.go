@@ -74,8 +74,6 @@ func (s *Sim) Now() time.Time {
 }
 
 // Sleep implements Clock.
-//
-//codalint:hotpath
 func (s *Sim) Sleep(d time.Duration) {
 	s.mu.Lock()
 	if s.advanceInlineLocked(d) {
@@ -86,10 +84,10 @@ func (s *Sim) Sleep(d time.Duration) {
 	if w != nil {
 		s.free = w.next
 	} else {
-		w = newSleeper(s) //codalint:ignore allocscan first sleeper at this depth of concurrency; recycled through s.free ever after
+		w = newSleeper(s)
 	}
 	s.scheduleLocked(&w.ev, d)
-	s.parkLocked() //codalint:ignore allocscan formats only the deadlock report, on the way to a panic
+	s.parkLocked()
 	s.mu.Unlock()
 
 	<-w.ch

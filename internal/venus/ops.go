@@ -51,8 +51,6 @@ const maxHitDepth = 32
 // closed Venus, a spelling path.Clean would change) it returns nil having
 // counted nothing, so the caller can run the general walk from the top
 // and the accounting comes out as if hitWalk had never been tried.
-//
-//codalint:hotpath
 func (v *Venus) hitWalk(path string, wantData bool) (*vclient, *fso) {
 	const prefix = codafs.MountPrefix + "/"
 	if !strings.HasPrefix(path, prefix) {
@@ -517,10 +515,7 @@ func (v *Venus) ReadFile(path string) ([]byte, error) {
 // the extended slice, so a caller that reads many files can reuse one
 // buffer. The bytes are copied: the result never aliases the cache. On
 // error it returns dst unchanged.
-//
-//codalint:hotpath
 func (v *Venus) AppendFile(dst []byte, path string) ([]byte, error) {
-	//codalint:ignore allocscan a hit is hitWalk's, audited on its own; resolve builds strings only past it, for the miss record, span field or error of the general walk
 	_, f, err := v.resolve(path, true)
 	if err != nil {
 		return dst, err
@@ -588,11 +583,8 @@ func (v *Venus) ReadLink(path string) (string, error) {
 // checks. done runs once, under v.mu, if and only if the update took
 // effect — with the server's reply if written through, nil if logged —
 // and says how that outcome shows in the cache.
-//
-//codalint:hotpath
 func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.CallOpts, done func(rep *wire.MutateRep)) error {
 	if state == Hoarding {
-		//codalint:ignore allocscan the written-through route is an RPC: the request built and boxed here, encoded, answered and decoded below
 		rep, err := callVol[wire.MutateRep](v, vc, wire.MutationOf(rec), opts)
 		if err == nil {
 			v.mu.Lock()
@@ -604,14 +596,12 @@ func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.Call
 		if !errors.Is(err, rpc2.ErrTimeout) {
 			return err
 		}
-		//codalint:ignore allocscan a demotion, once per lost server: the transition is counted and traced
 		v.transition(Emulating, "server unreachable")
 	}
 	now := v.clock.Now()
 	if !rec.ModTime.IsZero() {
 		rec.ModTime = now
 	}
-	//codalint:ignore allocscan what a logged update is made of: its record in the log, which shares the one copy of the data its operation made (BenchmarkAllocVenusWriteLogged pins the whole route)
 	if err := v.logAppend(vc, *rec, now); err != nil {
 		return err
 	}

@@ -340,8 +340,6 @@ func (w *WAL) startSegment(idx uint64) error {
 // SyncEachRecord, the record is durable. The frame is built in a
 // per-WAL scratch buffer — w.mu already serializes appends — so the
 // steady state allocates nothing (BenchmarkAllocWALAppend).
-//
-//codalint:hotpath journal framing
 func (w *WAL) Append(payload []byte) error {
 	var untraced obs.SpanContext
 	return w.AppendSpan(payload, untraced)
@@ -352,8 +350,6 @@ func (w *WAL) Append(payload []byte) error {
 // the policy forces one) as a wal_fsync child — the critical path's
 // fsync bucket. An invalid parent makes this exactly Append: no span
 // work touches the untraced hot path.
-//
-//codalint:hotpath journal framing
 func (w *WAL) AppendSpan(payload []byte, parent obs.SpanContext) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -365,22 +361,19 @@ func (w *WAL) AppendSpan(payload []byte, parent obs.SpanContext) error {
 	}
 	var syncCtx obs.SpanContext
 	if parent.Valid() {
-		//codalint:ignore allocscan span minting runs only for traced appends; the untraced steady state never enters this branch
 		sp := w.opts.Obs.StartSpan(w.opts.Node, "wal_append", parent)
-		syncCtx = sp.Context() //codalint:ignore allocscan traced-append branch only; see above
-		//codalint:ignore allocscan traced-append branch only; see above
+		syncCtx = sp.Context()
 		defer sp.End()
 	}
 
 	if w.segSize > 0 && w.segSize+frameHeader+int64(len(payload)) > w.opts.SegmentBytes {
 		//codalint:ignore lockhold the WAL mutex is the fsync serialization point: rotation must be ordered with appends
-		if err := w.rotateLocked(); err != nil { //codalint:ignore allocscan rotation fires once per SegmentBytes of traffic; its path names are amortized
+		if err := w.rotateLocked(); err != nil {
 			return err
 		}
 	}
 
 	if need := frameHeader + len(payload); cap(w.scratch) < need {
-		//codalint:ignore allocscan scratch growth is geometric: a handful of allocations in a WAL's life, then every append reuses it
 		w.scratch = make([]byte, max(need, 2*cap(w.scratch)))
 	}
 	frame := w.scratch[:frameHeader+len(payload)]
@@ -415,16 +408,13 @@ func (w *WAL) AppendSpan(payload []byte, parent obs.SpanContext) error {
 
 // syncSpanLocked is syncLocked with the force-down recorded as a
 // wal_fsync span when the append is traced and a sync actually runs.
-//
-//codalint:hotpath journal framing
 func (w *WAL) syncSpanLocked(parent obs.SpanContext) error {
 	if !parent.Valid() || !w.dirty {
 		return w.syncLocked()
 	}
-	//codalint:ignore allocscan span minting runs only for traced appends; the untraced steady state returns above
 	sp := w.opts.Obs.StartSpan(w.opts.Node, "wal_fsync", parent)
 	err := w.syncLocked()
-	sp.End() //codalint:ignore allocscan traced-append branch only; see above
+	sp.End()
 	return err
 }
 

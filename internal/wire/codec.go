@@ -107,8 +107,6 @@ func encode(v any, alloc func(n int) []byte) ([]byte, error) {
 }
 
 // appendMessage appends v's tag and fields to dst.
-//
-//codalint:hotpath RPC body framing
 func appendMessage(dst []byte, v any) ([]byte, error) {
 	switch m := v.(type) {
 	case GetVolume:
@@ -646,8 +644,6 @@ func recordMask(rec *cml.Record) (m uint16) {
 
 // AppendRecord appends one CML record: a two-byte presence mask, then
 // the non-zero fields in declaration order.
-//
-//codalint:hotpath CML record framing, shared by RPC bodies and both journals
 func AppendRecord(dst []byte, rec *cml.Record) []byte {
 	m := recordMask(rec)
 	dst = binary.LittleEndian.AppendUint16(dst, m)
@@ -823,8 +819,6 @@ func (r *Reader) Fail(what string) {
 }
 
 // Uvarint reads one minimal uvarint.
-//
-//codalint:hotpath scalar decode
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
@@ -838,8 +832,6 @@ func (r *Reader) Uvarint() uint64 {
 // Count reads a length or element count and rejects it unless that many
 // elements of at least elemMin encoded bytes each could still follow, so
 // no caller sizes an allocation from a count the input cannot back.
-//
-//codalint:hotpath scalar decode
 func (r *Reader) Count(elemMin int) int {
 	n := r.Uvarint()
 	if n > uint64(len(r.b)/elemMin) {
@@ -850,8 +842,6 @@ func (r *Reader) Count(elemMin int) int {
 }
 
 // Byte reads one byte.
-//
-//codalint:hotpath scalar decode
 func (r *Reader) Byte() byte {
 	if len(r.b) == 0 {
 		r.Fail("truncated")
@@ -863,8 +853,6 @@ func (r *Reader) Byte() byte {
 }
 
 // Bool reads one byte that must be 0 or 1.
-//
-//codalint:hotpath scalar decode
 func (r *Reader) Bool() bool {
 	c := r.Byte()
 	if c > 1 {
@@ -874,8 +862,6 @@ func (r *Reader) Bool() bool {
 }
 
 // Uint32 reads a uvarint that must fit 32 bits.
-//
-//codalint:hotpath scalar decode
 func (r *Reader) Uint32() uint32 {
 	v := r.Uvarint()
 	if v > 1<<32-1 {
@@ -885,7 +871,6 @@ func (r *Reader) Uint32() uint32 {
 	return uint32(v)
 }
 
-//codalint:hotpath scalar decode
 func (r *Reader) fixed32() uint32 {
 	if len(r.b) < 4 {
 		r.Fail("truncated")
@@ -944,8 +929,6 @@ func (r *Reader) bools() []bool {
 
 // Time reads what AppendTime wrote, as a UTC time with no monotonic
 // reading; the zero instant comes back as the zero Time.
-//
-//codalint:hotpath scalar decode
 func (r *Reader) Time() (t time.Time) {
 	sec, n := binary.Varint(r.b)
 	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
@@ -961,12 +944,9 @@ func (r *Reader) Time() (t time.Time) {
 	return time.Unix(sec, int64(nsec)).UTC()
 }
 
-//codalint:hotpath scalar decode
 func (r *Reader) volumeID() codafs.VolumeID { return codafs.VolumeID(r.Uint32()) }
 
 // FID reads what AppendFID wrote.
-//
-//codalint:hotpath scalar decode
 func (r *Reader) FID() (f codafs.FID) {
 	f.Volume, f.Vnode, f.Unique = r.volumeID(), r.Uvarint(), r.Uvarint()
 	return f

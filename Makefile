@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-structure lint-ignores loc bench bench-json bench-allocs bench-gate bench-baseline perf-ledger vet fmt clean crash scenarios fuzz examples
+.PHONY: all build test race lint lint-structure lint-ignores loc bench perf-ledger vet fmt clean crash scenarios fuzz examples
 
 all: build vet lint test
 
@@ -103,32 +103,6 @@ loc:
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
-
-# Machine-readable benchmark run: every figure's series plus a
-# deterministic metrics-registry snapshot per run, as one JSON file.
-bench-json:
-	$(GO) run ./cmd/codabench -quick -json bench.json
-
-# Alloc-fenced benchmark sweep. -benchtime=200x fixes the iteration
-# count so AllocsPerOp (and B/op, where amortized growth is charged)
-# is reproducible run to run — a prerequisite for gating it strictly.
-# BenchmarkReplicatedReintegrate rides along: a whole-sim benchmark, but
-# deterministic for the same reason, pinning the replicated
-# reintegration path's allocation budget.
-bench-allocs:
-	$(GO) test -run='^$$' -bench='BenchmarkAlloc|BenchmarkReplicatedReintegrate' -benchmem -benchtime=200x ./... | tee bench_allocs.txt
-
-# Perf gate: diff the sweep and the figure series against the
-# committed bench_baseline.json. Fails on any AllocsPerOp growth and
-# on >threshold_pct regression of B/op or a gated series; writes the
-# full comparison table to bench_diff.txt for the CI artifact.
-bench-gate: bench-json bench-allocs
-	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -bench bench_allocs.txt -json bench.json -diff bench_diff.txt
-
-# Refresh the committed baseline after an intentional perf change.
-# Review the resulting bench_baseline.json diff like any other code.
-bench-baseline: bench-json bench-allocs
-	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -bench bench_allocs.txt -json bench.json -update
 
 # Perf ledger: one full codaperf run (all four workloads end to end, the
 # traced pass and the probes, ~3 min) recorded as this PR's row of the

@@ -3,21 +3,16 @@
 //
 // Usage:
 //
-//	codabench [-fig 1,4,7,8,9,10,11,12,repl] [-ablations] [-quick] [-seed N] [-trials N] [-o out.txt] [-json out.json] [-trace out.trace.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	codabench [-fig 1,4,7,8,9,10,11,12,repl] [-ablations] [-quick] [-seed N] [-trials N] [-o out.txt] [-trace out.trace.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -fig selects figures (default all); Figure 12 includes Figures 13 and 14,
 // and "repl" is the replication overhead/failover experiment (not a paper
 // figure).
 // -quick runs reduced workloads (for smoke testing); the full run matches
 // the scales recorded in EXPERIMENTS.md.
-// -json writes a machine-readable record of every run: an array of
-// {figure, params, series, metrics} objects, where series is the typed
-// figure result and metrics holds the deterministic obs.Registry dumps
-// captured by the runs that produced it.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,22 +27,9 @@ import (
 // renderable is what every figure and ablation result satisfies.
 type renderable interface{ Render() string }
 
-// snapshotter is satisfied by results that embed experiments.ObsSnapshots.
-type snapshotter interface {
-	RegistrySnapshots() []experiments.RegistrySnapshot
-}
-
 // traceExporter is satisfied by results that captured a Perfetto span
 // export (currently Figure 12's first replay).
 type traceExporter interface{ TraceExport() []byte }
-
-// jsonRun is one element of the -json output array.
-type jsonRun struct {
-	Figure  string                         `json:"figure"`
-	Params  experiments.Options            `json:"params"`
-	Series  any                            `json:"series"`
-	Metrics []experiments.RegistrySnapshot `json:"metrics"`
-}
 
 func main() {
 	figs := flag.String("fig", "1,4,7,8,9,10,11,12,repl", "comma-separated figure numbers to run")
@@ -56,7 +38,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "random seed")
 	trials := flag.Int("trials", 0, "trials per cell (0 = paper's default of 5)")
 	out := flag.String("o", "", "also write output to this file")
-	jsonOut := flag.String("json", "", "write {figure, params, series, metrics} records to this file")
 	traceOut := flag.String("trace", "", "write a Perfetto (Chrome trace-event) span export to this file (needs a figure that records one, e.g. 12)")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -85,18 +66,6 @@ func main() {
 		selected[strings.TrimSpace(f)] = true
 	}
 
-	var runs []jsonRun
-	record := func(fig string, res renderable) {
-		if *jsonOut == "" {
-			return
-		}
-		jr := jsonRun{Figure: fig, Params: opts, Series: res}
-		if s, ok := res.(snapshotter); ok {
-			jr.Metrics = s.RegistrySnapshots()
-		}
-		runs = append(runs, jr)
-	}
-
 	var traceData []byte
 	run := func(fig string, fn func() renderable) {
 		if !selected[fig] {
@@ -107,7 +76,6 @@ func main() {
 		res := fn()
 		fmt.Fprint(w, res.Render())
 		fmt.Fprintf(w, "(completed in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		record(fig, res)
 		if traceData == nil {
 			if te, ok := res.(traceExporter); ok {
 				traceData = te.TraceExport()
@@ -135,27 +103,13 @@ func main() {
 			experiments.AblationAdaptiveRTO,
 			experiments.AblationDeltas,
 		} {
-			res := fn(opts)
-			fmt.Fprint(w, res.Render())
-			record("ablation:"+res.Name, res)
+			fmt.Fprint(w, fn(opts).Render())
 		}
 	}
 
 	if err := stopProfile(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(runs, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
 	if *traceOut != "" {

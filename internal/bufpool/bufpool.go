@@ -23,8 +23,8 @@
 // so a reader that outlives its frame sees Poison instead of a plausible
 // message, and every test doubles as a use-after-free check.
 //
-// What the pools save is measured, not assumed: BenchmarkAllocBufpoolCycle
-// and BenchmarkAllocFrameCycle pin a warm cycle at zero allocations, and
+// What the pools save is measured, not assumed: TestAllocBufpoolCycle
+// and TestAllocFrameCycle pin a warm cycle at zero allocations, and
 // the alloc fences of the wire paths that use them (DESIGN.md §7.2) pin
 // their callers.
 package bufpool

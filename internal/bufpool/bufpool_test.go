@@ -127,34 +127,3 @@ func TestFreePoisons(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkAllocBufpoolCycle pins the pool cycle itself at zero
-// steady-state allocations: a Get/append/Put round trip must not touch
-// the heap, or every framed packet pays for it.
-func BenchmarkAllocBufpoolCycle(b *testing.B) {
-	payload := make([]byte, 1200)
-	Put(Get(27 + len(payload))) // the pool's first buffer is set-up, not steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bp := Get(27 + len(payload))
-		*bp = append(*bp, payload...)
-		Put(bp)
-	}
-}
-
-// BenchmarkAllocFrameCycle pins a frame's round trip — Frame, fill,
-// Free, the path of every datagram through the emulator and every
-// reassembly buffer — at zero steady-state allocations: a frame is
-// pooled as a bare pointer, never boxed.
-func BenchmarkAllocFrameCycle(b *testing.B) {
-	payload := make([]byte, 1207)
-	Free(Frame(len(payload))) // the class's first frame is set-up, not steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := Frame(len(payload))
-		copy(f, payload)
-		Free(f)
-	}
-}

@@ -18,7 +18,6 @@ import (
 // AblationResult compares a design choice against its alternative on one
 // scalar metric.
 type AblationResult struct {
-	ObsSnapshots
 	Name             string
 	Metric           string
 	Baseline         float64 // the paper's design
@@ -42,16 +41,16 @@ func AblationAging(opts Options) AblationResult {
 		Name: "aging-window", Metric: "KB shipped over modem",
 		BaselineLabel: "A=600s", AlternativeLabel: "A≈0",
 	}
-	shipped := func(aging time.Duration, label string) float64 {
+	shipped := func(aging time.Duration) float64 {
 		st := ablationReplay(opts, venus.Config{
 			AgingWindow:          aging,
 			PinWriteDisconnected: true,
-		}, netsim.Modem, &res.ObsSnapshots, label)
+		}, netsim.Modem)
 		return float64(st.ShippedBytes) / 1024
 	}
 	// AgingWindow 0 means "default" in Config; use 1ns for "no aging".
-	res.Baseline = shipped(600*time.Second, "A=600s")
-	res.Alternative = shipped(time.Nanosecond, "A~0")
+	res.Baseline = shipped(600 * time.Second)
+	res.Alternative = shipped(time.Nanosecond)
 	return res
 }
 
@@ -61,16 +60,16 @@ func AblationLogOptimizations(opts Options) AblationResult {
 		Name: "log-optimizations", Metric: "KB shipped over modem",
 		BaselineLabel: "optimized", AlternativeLabel: "disabled",
 	}
-	shipped := func(disable bool, label string) float64 {
+	shipped := func(disable bool) float64 {
 		st := ablationReplay(opts, venus.Config{
 			AgingWindow:          600 * time.Second,
 			PinWriteDisconnected: true,
 			DisableLogOptimize:   disable,
-		}, netsim.Modem, &res.ObsSnapshots, label)
+		}, netsim.Modem)
 		return float64(st.ShippedBytes+0) / 1024
 	}
-	res.Baseline = shipped(false, "optimized")
-	res.Alternative = shipped(true, "disabled")
+	res.Baseline = shipped(false)
+	res.Alternative = shipped(true)
 	return res
 }
 
@@ -82,7 +81,7 @@ func AblationChunkSize(opts Options) AblationResult {
 		Name: "chunk-size", Metric: "worst foreground fetch delay (s) at modem",
 		BaselineLabel: "C=30s·bw", AlternativeLabel: "C=600s·bw",
 	}
-	delay := func(chunkSeconds int, label string) float64 {
+	delay := func(chunkSeconds int) float64 {
 		w := newWorld(opts.Seed + 31)
 		w.mustVol("usr")
 		w.mustWrite("usr", "wanted.txt", make([]byte, 4<<10))
@@ -130,14 +129,13 @@ func AblationChunkSize(opts Options) AblationResult {
 				w.mustWrite("usr", "wanted.txt", make([]byte, 4<<10))
 				w.Sim.Sleep(5 * time.Second)
 			}
-			res.addSnapshot(label, w.Reg)
 		})
 		return seconds(worst)
 	}
 	// ChunkSeconds 30 (default, C=36KB at modem) vs 600 (C=720KB: the
 	// whole backlog in one chunk, starving foreground traffic).
-	res.Baseline = delay(30, "C=30s")
-	res.Alternative = delay(600, "C=600s")
+	res.Baseline = delay(30)
+	res.Alternative = delay(600)
 	return res
 }
 
@@ -154,8 +152,7 @@ func AblationVolumeCallbacks(opts Options) AblationResult {
 		BaselineLabel: "volume stamps", AlternativeLabel: "per-object",
 	}
 	timeFor := func(scheme string) float64 {
-		cells, snap := fig8Run(opts, prof, scheme)
-		res.Snapshots = append(res.Snapshots, snap)
+		cells, _ := fig8Run(opts, prof, scheme)
 		for _, c := range cells {
 			if c.Network.Name == "Modem" {
 				return c.Seconds
@@ -176,7 +173,7 @@ func AblationAdaptiveRTO(opts Options) AblationResult {
 		Name: "adaptive-rto", Metric: "60 small RPCs over lossy modem (s)",
 		BaselineLabel: "adaptive", AlternativeLabel: "fixed-3s",
 	}
-	run := func(fixed bool, label string) float64 {
+	run := func(fixed bool) float64 {
 		w := world.New(opts.Seed + 5)
 		s, reg := w.Sim, w.Reg
 		p := netsim.Modem.Params()
@@ -206,19 +203,17 @@ func AblationAdaptiveRTO(opts Options) AblationResult {
 				_, _ = c.Call("server", []byte{byte(i)}, rpc2.CallOpts{Timeout: 5 * time.Minute, MaxRetries: 20})
 			}
 			elapsed = s.Now().Sub(start)
-			res.addSnapshot(label, reg)
 		})
 		return seconds(elapsed)
 	}
-	res.Baseline = run(false, "adaptive")
-	res.Alternative = run(true, "fixed")
+	res.Baseline = run(false)
+	res.Alternative = run(true)
 	return res
 }
 
-// ablationReplay runs a short write-heavy replay over the given network,
-// snapshots the world's registry under label and returns the venus stats
-// afterwards.
-func ablationReplay(opts Options, cfg venus.Config, prof netsim.Profile, snaps *ObsSnapshots, label string) venus.Stats {
+// ablationReplay runs a short write-heavy replay over the given network
+// and returns the venus stats afterwards.
+func ablationReplay(opts Options, cfg venus.Config, prof netsim.Profile) venus.Stats {
 	p := trace.SegmentPreset("Messiaen", opts.Seed)
 	p.Duration = 20 * time.Minute
 	p.Updates = 60
@@ -249,7 +244,6 @@ func ablationReplay(opts Options, cfg venus.Config, prof netsim.Profile, snaps *
 		// Let the trickle daemon finish what it can.
 		w.Sim.Sleep(10 * time.Minute)
 		stats = v.Stats()
-		snaps.addSnapshot(label, w.Reg)
 	})
 	return stats
 }

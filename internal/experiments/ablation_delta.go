@@ -24,7 +24,7 @@ func AblationDeltas(opts Options) AblationResult {
 		Name: "delta-shipping", Metric: "KB shipped for edits to a 120KB doc at modem",
 		BaselineLabel: "deltas", AlternativeLabel: "full-contents",
 	}
-	run := func(enable bool, label string) float64 {
+	run := func(enable bool) float64 {
 		w := newWorld(opts.Seed + 71)
 		w.mustVol("usr")
 		w.mustWrite("usr", "report.doc", base)
@@ -57,11 +57,10 @@ func AblationDeltas(opts Options) AblationResult {
 				w.Sim.Sleep(4 * time.Minute)
 			}
 			shippedKB = float64(v.Stats().ShippedBytes) / 1024
-			res.addSnapshot(label, w.Reg)
 		})
 		return shippedKB
 	}
-	res.Baseline = run(true, "deltas")
-	res.Alternative = run(false, "full")
+	res.Baseline = run(true)
+	res.Alternative = run(false)
 	return res
 }

@@ -2,13 +2,11 @@
 // evaluation (§6) on the simulated substrate. Each FigureN function builds
 // the worlds it needs (server, network emulator, Venus clients), runs the
 // experiment on virtual time, and returns a typed result whose Render
-// method prints rows in the paper's format. cmd/codabench and the
-// repository-level benchmarks call these; EXPERIMENTS.md records the
-// outputs next to the paper's numbers.
+// method prints rows in the paper's format. cmd/codabench calls these;
+// EXPERIMENTS.md records the outputs next to the paper's numbers.
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -47,7 +45,7 @@ func (o *Options) fill() {
 // and any number of clients. Every component registers its metrics in
 // the world's registry (handles carry node labels, so they coexist
 // without name collisions); figures dump it at the end of a run, before
-// teardown, so codabench can emit the metrics next to the series.
+// teardown, so their tests can pin the metrics next to the series.
 type deployment struct {
 	*world.World
 	grp *world.Group
@@ -67,16 +65,16 @@ func (w *deployment) venus(name string, cfg venus.Config) *venus.Venus {
 // RegistrySnapshot is one deterministic obs.Registry dump captured at the
 // end of an experiment run.
 type RegistrySnapshot struct {
-	Label string          `json:"label"`
-	Dump  json.RawMessage `json:"dump"`
+	Label string
+	Dump  []byte
 }
 
-// ObsSnapshots is embedded in every figure result. It is excluded from the
-// series JSON (codabench emits it as a sibling "metrics" field) and from
-// Render output; it exists so the same run that produced a figure also
-// yields its registry dumps.
+// ObsSnapshots is embedded in the results of the figures that run
+// simulated worlds (1, 8, 9, 12). It is not part of Render output; it
+// exists so the same run that produced a figure also yields its registry
+// dumps, which the figure tests pin series from.
 type ObsSnapshots struct {
-	Snapshots []RegistrySnapshot `json:"-"`
+	Snapshots []RegistrySnapshot
 }
 
 // addSnapshot appends reg's dump under label. Worlds call it at the end
@@ -84,13 +82,6 @@ type ObsSnapshots struct {
 func (o *ObsSnapshots) addSnapshot(label string, reg *obs.Registry) {
 	o.Snapshots = append(o.Snapshots, RegistrySnapshot{Label: label, Dump: reg.Dump()})
 }
-
-// RegistrySnapshots is the interface codabench type-asserts on results.
-func (o ObsSnapshots) RegistrySnapshots() []RegistrySnapshot { return o.Snapshots }
-
-// modelRegistry returns an empty world's registry, for figures that are
-// pure model evaluations: their snapshot is the deterministic empty dump.
-func modelRegistry() *obs.Registry { return world.New(0).Reg }
 
 func (w *deployment) setLink(client string, p netsim.Profile) {
 	w.Net.SetLink(client, "server", p.Params())

@@ -1,10 +1,43 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 )
+
+// pinSeries holds a figure's registry series to the values its seeded
+// quick run produced when they were pinned: each name's values, summed
+// over every snapshot and label set, may not grow, and a renamed or
+// unregistered series fails rather than reading as zero. The sim is
+// deterministic, so there is no headroom; a change that lowers one should
+// lower its pin too.
+func pinSeries(t *testing.T, snaps []RegistrySnapshot, pins map[string]int64) {
+	t.Helper()
+	got := make(map[string]int64)
+	for _, s := range snaps {
+		var doc struct {
+			Metrics []struct {
+				Name  string
+				Value int64
+			}
+		}
+		if err := json.Unmarshal(s.Dump, &doc); err != nil {
+			t.Fatalf("%s: %v", s.Label, err)
+		}
+		for _, m := range doc.Metrics {
+			got[m.Name] += m.Value
+		}
+	}
+	for name, want := range pins {
+		if n, ok := got[name]; !ok {
+			t.Errorf("%s: pinned, but in no dump", name)
+		} else if n > want {
+			t.Errorf("%s = %d, pinned at %d", name, n, want)
+		}
+	}
+}
 
 func TestFigure1Shape(t *testing.T) {
 	res := Figure1(Options{Seed: 1, Quick: true})
@@ -54,6 +87,7 @@ func TestFigure1Shape(t *testing.T) {
 	if !strings.Contains(res.Render(), "SFTP") {
 		t.Error("Render missing protocol name")
 	}
+	pinSeries(t, res.Snapshots, map[string]int64{"sftp_bytes_sent_total": 790032})
 }
 
 func TestFigure4Shape(t *testing.T) {
@@ -158,6 +192,10 @@ func TestFigure8Shape(t *testing.T) {
 				p.User, cell(p.User, "object", "Modem")/cell(p.User, "volume", "Modem"))
 		}
 	}
+	pinSeries(t, res.Snapshots, map[string]int64{
+		"rpc2_calls_total":         1294,
+		"sftp_window_stalls_total": 5,
+	})
 	_ = res.Render()
 }
 
@@ -181,6 +219,10 @@ func TestFigure9Shape(t *testing.T) {
 			t.Errorf("%s: objs/success = %.0f, paper 5-171", r.Client, r.ObjsPerSuccess)
 		}
 	}
+	pinSeries(t, res.Snapshots, map[string]int64{
+		"rpc2_call_timeouts_total": 16,
+		"rpc2_retransmits_total":   32,
+	})
 	_ = res.Render()
 }
 
@@ -247,8 +289,20 @@ func TestFigureReplShape(t *testing.T) {
 	if !res.Identical {
 		t.Error("replicas not byte-identical after recovery")
 	}
-	if len(res.RegistrySnapshots()) != 2 {
-		t.Errorf("snapshots = %d, want single + replicated", len(res.RegistrySnapshots()))
+	// The seeded run's values, pinned with no headroom: client-link
+	// overhead above 1×, a second failover or a longer wait fails.
+	for _, pin := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"ClientRatioX100", res.ClientRatioX100, 100},
+		{"CatchupRecords", res.CatchupRecords, 6},
+		{"FailoverWaitUS", res.FailoverWaitUS, 60_000_000},
+		{"Failovers", res.Failovers, 1},
+	} {
+		if pin.got > pin.want {
+			t.Errorf("%s = %d, pinned at %d", pin.name, pin.got, pin.want)
+		}
 	}
 	_ = res.Render()
 }
@@ -295,5 +349,20 @@ func TestFigure12Insulation(t *testing.T) {
 				seg, modem.OptimizedKB, eth.OptimizedKB)
 		}
 	}
+
+	// Every critical-path bucket but serialization and "other" is empty on
+	// these runs; a retransmit, a patience wait or an fsync on the path
+	// shows up here first.
+	pinSeries(t, res.Snapshots, map[string]int64{
+		"experiments_fig12_critpath_failover_us":               0,
+		"experiments_fig12_critpath_fragment_serialization_us": 1_175_569_312,
+		"experiments_fig12_critpath_fsync_us":                  0,
+		"experiments_fig12_critpath_other_us":                  21_382_922,
+		"experiments_fig12_critpath_patience_wait_us":          0,
+		"experiments_fig12_critpath_retransmit_us":             0,
+		"experiments_fig12_critpath_server_apply_us":           0,
+		"sftp_bytes_sent_total":                                33_277_630,
+		"venus_shipped_bytes_total":                            4_632_870,
+	})
 	_ = res.Render()
 }

@@ -12,7 +12,6 @@ import (
 // histogram of segment compressibility over 45-minute high-activity
 // segments whose optimized CML is at least 1 MB.
 type Fig10Result struct {
-	ObsSnapshots
 	Segments   int
 	Buckets    [10]int // [0-10%), [10-20%), ...
 	Below20    float64 // fraction of segments under 20% (paper: ~1/3)
@@ -56,9 +55,6 @@ func Figure10(opts Options) Fig10Result {
 			res.Mid40to100 += frac
 		}
 	}
-	// Trace analysis runs no simulated world; the snapshot is the
-	// deterministic empty dump.
-	res.addSnapshot("model", modelRegistry())
 	return res
 }
 

@@ -19,7 +19,6 @@ type Fig11Row struct {
 // Fig11Result reproduces Figure 11 (Segments Used in Trace Replay
 // Experiments).
 type Fig11Result struct {
-	ObsSnapshots
 	Rows []Fig11Row
 }
 
@@ -40,9 +39,6 @@ func Figure11(opts Options) Fig11Result {
 			Compressibility: an.Compressibility(),
 		})
 	}
-	// Trace analysis runs no simulated world; the snapshot is the
-	// deterministic empty dump.
-	res.addSnapshot("model", modelRegistry())
 	return res
 }
 

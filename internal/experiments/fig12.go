@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,9 +52,8 @@ type Fig12Result struct {
 	// Fig14[segment][network.Name], from the λ=1s A=600s runs.
 	Fig14 map[string]map[string]Fig14Cell
 	// Trace is the Perfetto span export of the first run (first combo,
-	// segment, network; trial 0): the codabench -trace payload. Excluded
-	// from -json, whose metrics dumps already carry the aggregates.
-	Trace []byte `json:"-"`
+	// segment, network; trial 0): the codabench -trace payload.
+	Trace []byte
 }
 
 // TraceExport surfaces the captured Perfetto trace to codabench -trace.
@@ -261,8 +258,9 @@ func fig12One(seed int64, r fig12Run, scale float64) fig12Out {
 			return
 		}
 		// Critical-path attribution over the run's traced reintegrations:
-		// exclusive self-time per bucket, exported as gauges so benchgate
-		// pins the breakdown alongside the wire counters.
+		// exclusive self-time per bucket, exported as gauges so
+		// TestFigure12Insulation pins the breakdown alongside the wire
+		// counters.
 		cp := w.Reg.CriticalPath("venus_reintegrate")
 		w.Reg.Gauge("experiments_fig12_critpath_patience_wait_us").Set(cp["patience_wait"].Microseconds())
 		w.Reg.Gauge("experiments_fig12_critpath_retransmit_us").Set(cp["retransmit"].Microseconds())
@@ -275,60 +273,6 @@ func fig12One(seed int64, r fig12Run, scale float64) fig12Out {
 		out.trace = w.Reg.ExportTrace()
 	})
 	return out
-}
-
-// fig12JSONCell is one flattened (combo, segment, network) entry of the
-// JSON export; the in-memory Cells map is keyed by a struct, which
-// encoding/json cannot marshal.
-type fig12JSONCell struct {
-	LambdaS float64 `json:"lambda_s"`
-	AgingS  float64 `json:"aging_s"`
-	Segment string  `json:"segment"`
-	Network string  `json:"network"`
-	MeanS   float64 `json:"mean_s"`
-	SDS     float64 `json:"sd_s"`
-}
-
-// MarshalJSON flattens the struct-keyed Cells map into a sorted slice so
-// the result serializes (and does so deterministically).
-func (r Fig12Result) MarshalJSON() ([]byte, error) {
-	combos := make([]Fig12Combo, 0, len(r.Cells))
-	for combo := range r.Cells {
-		combos = append(combos, combo)
-	}
-	sort.Slice(combos, func(i, j int) bool {
-		if combos[i].Lambda != combos[j].Lambda {
-			return combos[i].Lambda < combos[j].Lambda
-		}
-		return combos[i].Aging < combos[j].Aging
-	})
-	var cells []fig12JSONCell
-	for _, combo := range combos {
-		for _, seg := range r.Segments {
-			for _, nw := range r.Networks {
-				c := r.Cells[combo][seg][nw.Name]
-				cells = append(cells, fig12JSONCell{
-					LambdaS: combo.Lambda.Seconds(),
-					AgingS:  combo.Aging.Seconds(),
-					Segment: seg,
-					Network: nw.Name,
-					MeanS:   c.Mean,
-					SDS:     c.SD,
-				})
-			}
-		}
-	}
-	networks := make([]string, len(r.Networks))
-	for i, nw := range r.Networks {
-		networks[i] = nw.Name
-	}
-	return json.Marshal(struct {
-		Segments []string                        `json:"segments"`
-		Networks []string                        `json:"networks"`
-		Trials   int                             `json:"trials"`
-		Cells    []fig12JSONCell                 `json:"cells"`
-		Fig14    map[string]map[string]Fig14Cell `json:"fig14"`
-	}{r.Segments, networks, r.Trials, cells, r.Fig14})
 }
 
 // Render prints the four elapsed-time tables (Figure 12) and the data

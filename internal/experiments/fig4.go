@@ -24,7 +24,6 @@ type Fig4Curve struct {
 
 // Fig4Result reproduces Figure 4 (Effect of Aging on Optimizations).
 type Fig4Result struct {
-	ObsSnapshots
 	Curves []Fig4Curve
 }
 
@@ -58,9 +57,6 @@ func Figure4(opts Options) Fig4Result {
 		}
 		res.Curves = append(res.Curves, curve)
 	}
-	// Trace analysis runs no simulated world; the snapshot is the
-	// deterministic empty dump.
-	res.addSnapshot("model", modelRegistry())
 	return res
 }
 

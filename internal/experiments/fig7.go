@@ -18,7 +18,6 @@ type Fig7Sample struct {
 // Fig7Result reproduces Figure 7 (Patience Threshold versus Hoard
 // Priority).
 type Fig7Result struct {
-	ObsSnapshots
 	Params     venus.PatienceParams
 	Bandwidths []int64
 	// Curves: for each bandwidth, τ expressed as the largest fetchable
@@ -68,9 +67,6 @@ func Figure7(Options) Fig7Result {
 		}
 		res.Samples = append(res.Samples, sample)
 	}
-	// The patience model is evaluated analytically; the snapshot is the
-	// deterministic empty dump.
-	res.addSnapshot("model", modelRegistry())
 	return res
 }
 

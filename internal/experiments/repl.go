@@ -19,10 +19,10 @@ import (
 // The gated number is the client-link overhead. Replication fans writes
 // out between servers, but the client still ships each update once and
 // fails over rather than multicasting — so the weak link the paper is
-// about must not pay for the extra replicas. The ratio is exported ×100
-// as experiments_repl_client_wire_ratio_x100 with a ≤2× acceptance bound.
+// about must not pay for the extra replicas. TestFigureReplShape holds
+// ClientRatioX100 to a ≤2× acceptance bound and pins it with the failure
+// phase's fields.
 type ReplResult struct {
-	ObsSnapshots
 	Members   int
 	Files     int
 	FileBytes int
@@ -47,7 +47,6 @@ type ReplResult struct {
 type replRunOut struct {
 	clientBytes int64
 	totalBytes  int64
-	dump        []byte // registry dump, captured before teardown
 	ratioX100   int64
 	failovers   int64
 	failWaitUS  int64
@@ -111,7 +110,6 @@ func replRun(opts Options, members, files, fileBytes, extraFiles int, single *re
 		out.clientBytes, out.totalBytes = replWireBytes(w.Net, addrs)
 
 		if !fail {
-			out.dump = w.Reg.Dump()
 			return
 		}
 		// Kill the client's preferred member mid-workload. The writes that
@@ -139,15 +137,9 @@ func replRun(opts Options, members, files, fileBytes, extraFiles int, single *re
 		out.catchup = grp.Member(victim).Stats().CatchupRecords
 		_, _, err := grp.Identical()
 		out.identical = err == nil
-
-		// The gated overhead series, exported from the group run's registry
-		// so benchgate reads it out of the same snapshot as the failover
-		// series.
 		if single.clientBytes > 0 {
 			out.ratioX100 = out.clientBytes * 100 / single.clientBytes
 		}
-		w.Reg.Gauge("experiments_repl_client_wire_ratio_x100").Set(out.ratioX100)
-		out.dump = w.Reg.Dump()
 	})
 	return out
 }
@@ -173,9 +165,6 @@ func FigureRepl(opts Options) ReplResult {
 	res.FailoverWaitUS = grp.failWaitUS
 	res.CatchupRecords = grp.catchup
 	res.Identical = grp.identical
-	res.Snapshots = append(res.Snapshots,
-		RegistrySnapshot{Label: "single", Dump: single.dump},
-		RegistrySnapshot{Label: "replicated", Dump: grp.dump})
 	return res
 }
 

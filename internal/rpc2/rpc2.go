@@ -718,9 +718,8 @@ func appendPacket(dst []byte, kind, flags byte, seq uint64, ts, tsEcho, inc uint
 // sendPacket frames one packet into a pooled buffer and hands it to the
 // conn. PacketConn.Send must not retain the payload, so the buffer goes
 // straight back to the pool: steady-state sends touch the heap zero
-// times (pinned by BenchmarkAllocSendPacket and the benchgate). The
-// span context is two header words — propagation costs no allocations
-// either way.
+// times (pinned by TestAllocSendPacket). The span context is two header
+// words — propagation costs no allocations either way.
 func (n *Node) sendPacket(dst string, kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte) {
 	bp := bufpool.Get(packetHeader + len(body))
 	*bp = appendPacket(*bp, kind, flags, seq, ts, tsEcho, inc, sc, body)

@@ -230,7 +230,7 @@ func (s *Server) replayCreateVolume(e metaEntry) error {
 //
 // The payload is built in a pooled buffer: the WAL copies it into its
 // own frame before Append returns and the chain only folds over it, so
-// nothing retains it (BenchmarkAllocJournalBatch pins the steady state).
+// nothing retains it (TestAllocJournalBatch pins the steady state).
 func journalBatchLocked(v *volume, client string, recs []cml.Record, mode batchMode, wantChain uint32, sc obs.SpanContext) error {
 	lsn := v.log.Next()
 	bp := bufpool.Get(0)

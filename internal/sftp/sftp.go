@@ -621,8 +621,8 @@ func appendData(dst []byte, id uint64, seq uint32, totalBytes uint64, sc obs.Spa
 // shipData frames one data fragment into a pooled buffer and hands it
 // to the send callback, which must not retain it. One of these fires
 // per fragment of every bulk transfer; zero steady-state allocations
-// here is pinned by BenchmarkAllocShipData and the benchgate (the span
-// context is two header words, nothing heap-allocated).
+// here is pinned by TestAllocShipData (the span context is two header
+// words, nothing heap-allocated).
 func (e *Engine) shipData(dst string, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, data []byte) {
 	bp := bufpool.Get(dataHeader + len(data))
 	*bp = appendData(*bp, id, seq, totalBytes, sc, data)

@@ -1,0 +1,55 @@
+//go:build !race
+
+package venus
+
+import (
+	"testing"
+
+	"repro/internal/simtime"
+)
+
+// Venus's alloc fences. The race detector changes what allocates, so
+// these run only without it.
+
+// TestAllocVenusHitRead pins a warm read — a three-component path
+// resolved by hitWalk, contents copied into a buffer the caller sized —
+// at zero heap allocations.
+func TestAllocVenusHitRead(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, Hoarding)
+		defer v.Close()
+		buf := make([]byte, 0, 4096)
+		allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			if buf, err = v.AppendFile(buf[:0], "/coda/v/a/b/clean.txt"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("hit read: %v allocs, want 0", allocs)
+		}
+	})
+}
+
+// TestAllocVenusWriteLogged pins a logged update — a 4 KB WriteFile
+// while write-disconnected, no journal: the one copy of the data, which
+// the record and the cache entry share (codafs.Object), the CML record
+// itself and the owner string, and nothing else. Rewriting one file keeps
+// the log at one record (store-overwrite cancellation).
+func TestAllocVenusWriteLogged(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, WriteDisconnected)
+		defer v.Close()
+		data := make([]byte, 4096)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := v.WriteFile("/coda/v/a/b/clean.txt", data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("logged 4 KB write: %v allocs, want ≤ 3", allocs)
+		}
+	})
+}

@@ -307,45 +307,3 @@ func TestAppendFile(t *testing.T) {
 		}
 	})
 }
-
-// BenchmarkAllocVenusHitRead pins a warm read — a three-component path
-// resolved by hitWalk, contents copied into a buffer the caller sized — at
-// zero heap allocations. Enforced by benchgate against bench_baseline.json.
-func BenchmarkAllocVenusHitRead(b *testing.B) {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	sim.Run(func() {
-		v := newHitWorld(b, sim, Hoarding)
-		defer v.Close()
-		buf := make([]byte, 0, 4096)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if buf, err = v.AppendFile(buf[:0], "/coda/v/a/b/clean.txt"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAllocVenusWriteLogged pins a logged update — a 4 KB WriteFile
-// while write-disconnected, no journal: the one copy of the data, which
-// the record and the cache entry share (codafs.Object), the CML record
-// itself and the owner string, and nothing else.
-// Rewriting one file keeps the log at one record (store-overwrite
-// cancellation). Enforced by benchgate against bench_baseline.json.
-func BenchmarkAllocVenusWriteLogged(b *testing.B) {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	sim.Run(func() {
-		v := newHitWorld(b, sim, WriteDisconnected)
-		defer v.Close()
-		data := make([]byte, 4096)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := v.WriteFile("/coda/v/a/b/clean.txt", data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -339,7 +339,7 @@ func (w *WAL) startSegment(idx uint64) error {
 // and syncing as the policy dictates. When Append returns nil under
 // SyncEachRecord, the record is durable. The frame is built in a
 // per-WAL scratch buffer — w.mu already serializes appends — so the
-// steady state allocates nothing (BenchmarkAllocWALAppend).
+// steady state allocates nothing (TestAllocWALAppend).
 func (w *WAL) Append(payload []byte) error {
 	var untraced obs.SpanContext
 	return w.AppendSpan(payload, untraced)

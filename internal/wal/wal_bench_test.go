@@ -55,31 +55,6 @@ func runAppendBench(b *testing.B, opts Options, payload []byte) {
 	}
 }
 
-// BenchmarkAllocWALAppend pins the append framing path at zero
-// steady-state heap allocations: the frame is built in the per-WAL
-// scratch buffer (amortized growth only) and the in-memory filesystem
-// copies it on Write. SyncNone isolates framing from fsync cost.
-// Enforced by benchgate against bench_baseline.json.
-func BenchmarkAllocWALAppend(b *testing.B) {
-	fs := crashfs.NewMem()
-	w, _, err := Open(Options{FS: fs, Dir: "j", Policy: SyncNone, SegmentBytes: 1 << 30}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	payload := make([]byte, 256)
-	if err := w.Append(payload); err != nil { // warm the scratch buffer
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Append(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 const benchRecords = 10_000
 
 // BenchmarkRecoveryReplay measures a cold start that replays a full WAL

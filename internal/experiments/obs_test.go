@@ -13,7 +13,7 @@ import (
 
 // TestRegistryDumpDeterministic pins the observability contract: two runs
 // of the same seeded scenario produce byte-identical registry dumps —
-// counters, histograms, gauge evaluations, and the event trace included.
+// counters, histograms and gauge evaluations included.
 func TestRegistryDumpDeterministic(t *testing.T) {
 	opts := Options{Seed: 7, Quick: true}
 	prof := Fig8Profile{User: "det", Volumes: 3, Objects: 60, MeanKB: 4}
@@ -24,7 +24,7 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 			first.Dump, second.Dump)
 	}
 	// The scenario exercises every instrumented layer; its dump must
-	// carry series from each of them, plus the state-transition trace.
+	// carry series from each of them.
 	for _, name := range []string{
 		"venus_cache_hits_total",
 		"venus_state_transitions_total",
@@ -32,7 +32,6 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 		"server_ops_total",
 		"rpc2_calls_total",
 		"netmon_peer_bandwidth_bps",
-		"venus_state_transition",
 	} {
 		if !bytes.Contains(first.Dump, []byte(name)) {
 			t.Errorf("dump is missing %s", name)

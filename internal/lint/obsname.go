@@ -10,13 +10,13 @@ import (
 )
 
 // Obsname enforces the observability naming contract: the name argument
-// of every Registry.Counter / Gauge / GaugeFunc / Histogram / Event /
+// of every Registry.Counter / Gauge / GaugeFunc / Histogram /
 // StartSpan / SpanAt call must be a static snake_case string whose
 // first segment is the registering package's name. Static names keep
 // dumps grep-able and the Prometheus text export well-formed; the
 // package prefix keeps a shared registry collision-free when several
 // components register into it. Label VALUES and span node labels may be
-// dynamic — only names, event kinds, and span names are pinned.
+// dynamic — only metric and span names are pinned.
 type Obsname struct{}
 
 // NewObsname returns the analyzer.
@@ -27,18 +27,17 @@ func (*Obsname) Name() string { return "obsname" }
 
 // Doc implements Analyzer.
 func (*Obsname) Doc() string {
-	return "obs metric names and event kinds must be static snake_case literals with the package prefix"
+	return "obs metric and span names must be static snake_case literals with the package prefix"
 }
 
-// obsnameMethods maps each Registry method carrying a metric name,
-// event kind, or span name to that argument's index (span methods take
-// the dynamic node label first).
+// obsnameMethods maps each Registry method carrying a metric name or
+// span name to that argument's index (span methods take the dynamic
+// node label first).
 var obsnameMethods = map[string]int{
 	"Counter":   0,
 	"Gauge":     0,
 	"GaugeFunc": 0,
 	"Histogram": 0,
-	"Event":     0,
 	"StartSpan": 1,
 	"SpanAt":    1,
 }

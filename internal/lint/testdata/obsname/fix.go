@@ -18,8 +18,6 @@ func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {}
 
 func (r *Registry) Histogram(name string, buckets []int64, labels ...Label) *Counter { return nil }
 
-func (r *Registry) Event(kind string, fields ...Label) {}
-
 type SpanContext struct{ Trace, Span uint64 }
 
 type SpanHandle struct{}
@@ -52,9 +50,7 @@ func use(r *Registry, other *notARegistry, dyn string) {
 	r.GaugeFunc("queue_depth", func() int64 { return 0 }) // want "package prefix"
 	r.Histogram("fix_latency_us", []int64{1, 10})
 	r.Histogram("fix-latency-us", []int64{1, 10}) // want "snake_case"
-	r.Event("fix_reconnect")
-	r.Event("fixreconnect") // want "package prefix"
-	other.Counter(dyn)      // different receiver type: clean
+	other.Counter(dyn)                            // different receiver type: clean
 
 	// Span names are policed like metric names; the node label (first
 	// argument) stays dynamic.

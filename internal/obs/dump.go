@@ -17,29 +17,19 @@ type dumpMetric struct {
 	Count  int64             `json:"count,omitempty"`
 }
 
-// dumpEvent is the JSON shape of one trace event. Time is nanoseconds
-// since the Unix epoch on the injected clock.
-type dumpEvent struct {
-	T      int64             `json:"t"`
-	Kind   string            `json:"kind"`
-	Fields map[string]string `json:"fields,omitempty"`
-}
-
 // dumpDoc is the top-level Dump document.
 type dumpDoc struct {
-	Metrics       []dumpMetric `json:"metrics"`
-	Events        []dumpEvent  `json:"events"`
-	DroppedEvents int64        `json:"dropped_events,omitempty"`
+	Metrics []dumpMetric `json:"metrics"`
 }
 
-// Dump serializes the registry — every metric, gauge funcs evaluated,
-// plus the sorted event trace — to JSON. The output is deterministic:
-// metrics are sorted by (name, labels), events by (time, kind, fields),
-// and map keys are sorted by encoding/json. Two identical seeded sim
-// runs therefore produce byte-identical dumps, which the determinism
-// test in internal/experiments pins.
+// Dump serializes every metric in the registry, gauge funcs evaluated,
+// to JSON; spans leave through ExportTrace. The output is
+// deterministic: metrics are sorted by (name, labels), and map keys are
+// sorted by encoding/json. Two identical seeded sim runs therefore
+// produce byte-identical dumps, which the determinism test in
+// internal/experiments pins.
 func (r *Registry) Dump() []byte {
-	doc := dumpDoc{Metrics: []dumpMetric{}, Events: []dumpEvent{}}
+	doc := dumpDoc{Metrics: []dumpMetric{}}
 	if r != nil {
 		for _, s := range r.snapshot() {
 			dm := dumpMetric{
@@ -59,17 +49,6 @@ func (r *Registry) Dump() []byte {
 			}
 			doc.Metrics = append(doc.Metrics, dm)
 		}
-		for _, e := range r.Events() {
-			de := dumpEvent{T: e.Time.UnixNano(), Kind: e.Kind}
-			if len(e.Fields) > 0 {
-				de.Fields = make(map[string]string, len(e.Fields))
-				for _, f := range e.Fields {
-					de.Fields[f.Key] = f.Value
-				}
-			}
-			doc.Events = append(doc.Events, de)
-		}
-		doc.DroppedEvents = r.DroppedEvents()
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package obs is the repository's deterministic observability layer: a
 // stdlib-only metrics registry (counters, gauges, histograms with fixed
-// buckets) plus a structured event-trace ring buffer. Every timestamp
-// comes from the injected simtime clock, and Dump sorts metrics and
-// events by content, so two identical seeded sim runs produce
-// byte-identical output — the same determinism contract codalint
-// enforces for the rest of the tree.
+// buckets) plus a bounded table of causal spans (span.go), its one
+// event model: a point event such as a Venus state transition is a
+// zero-duration span. Every timestamp comes from the injected simtime
+// clock, and Dump and Spans sort by content, so two identical seeded
+// sim runs produce byte-identical output — the same determinism
+// contract codalint enforces for the rest of the tree.
 //
 // Registration is by injection: a *Registry is handed to constructors
 // (rpc2.NewNode, venus.Config.Obs, server.WithObs, wal.Options.Obs...).
@@ -151,7 +152,7 @@ func sortLabels(labels []Label) []Label {
 	return out
 }
 
-// Registry holds every registered metric and the event-trace ring. All
+// Registry holds every registered metric and the span table. All
 // methods are safe for concurrent use, and all are no-ops on a nil
 // receiver.
 type Registry struct {
@@ -160,61 +161,26 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
 
-	// The event ring has its own lock so Event can be called while the
-	// caller holds component locks (Venus records state transitions
-	// under its own mutex): nothing holding evMu ever calls out, and
-	// snapshot never holds mu while evaluating gauge funcs, so no lock
-	// cycle can form through the registry.
-	evMu         sync.Mutex
-	events       []Event // ring buffer, traceCap entries
-	eventsNext   int     // next write slot
-	eventsFilled bool    // ring has wrapped at least once
-	dropped      int64   // events overwritten after wrap
+	// The span table (span.go) has its own lock: span minting/ending
+	// under spanMu never calls out of the package, and snapshot never
+	// holds mu while evaluating gauge funcs, so no lock cycle can form
+	// through the registry.
+	spanMu   sync.Mutex
+	spans    []*Span
+	spanSeqs map[string]*spanSeq
 
-	// The span table (span.go) has the same isolation property: span
-	// minting/ending under spanMu never calls out of the package.
-	spanMu       sync.Mutex
-	spans        []*Span
-	spanCap      int // table capacity, defaultSpanCap unless WithSpanCap
-	spanSeqs     map[string]*spanSeq
-	spansDropped int64
-
-	// Drop counters are registered metrics (every dump shows them, and
-	// scenario asserts can bound them) as well as plain fields behind
-	// the DroppedEvents/DroppedSpans accessors.
-	evDropC *Counter
+	// spDropC, registered as obs_spans_dropped_total, is the one count of
+	// refused spans: every dump shows it, scenario asserts bound it, and
+	// DroppedSpans reads it.
 	spDropC *Counter
 }
 
-// traceCap bounds the event ring. Events are low-volume
-// (state transitions, recovery summaries), so overflow means something
-// is misusing Event as a per-packet log.
-const traceCap = 8192
-
-// Option configures a Registry at construction time.
-type Option func(*Registry)
-
-// WithSpanCap sets the span table capacity (default 65536); n <= 0 is
-// ignored.
-func WithSpanCap(n int) Option {
-	return func(r *Registry) {
-		if n > 0 {
-			r.spanCap = n
-		}
-	}
-}
-
-// NewRegistry returns an empty registry stamping events from clock.
-func NewRegistry(clock simtime.Clock, opts ...Option) *Registry {
+// NewRegistry returns an empty registry stamping spans from clock.
+func NewRegistry(clock simtime.Clock) *Registry {
 	r := &Registry{
 		clock:   clock,
 		metrics: make(map[string]*metric),
-		spanCap: defaultSpanCap,
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	r.evDropC = r.Counter("obs_events_dropped_total")
 	r.spDropC = r.Counter("obs_spans_dropped_total")
 	return r
 }

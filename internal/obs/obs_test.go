@@ -45,10 +45,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("fix_g").Set(3)
 	r.GaugeFunc("fix_f", func() int64 { return 1 })
 	r.Histogram("fix_h", []int64{1, 2}).Observe(5)
-	r.Event("fix_ev", F("k", "v"))
-	if evs := r.Events(); evs != nil {
-		t.Errorf("nil registry events = %v", evs)
-	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Errorf("nil registry prom output: %q, %v", buf.String(), err)
@@ -161,47 +157,6 @@ func TestHistogramAscendingBoundsEnforced(t *testing.T) {
 	r.Histogram("fix_bad", []int64{5, 5})
 }
 
-func TestEventRingAndOrdering(t *testing.T) {
-	r, sim := newTestRegistry()
-	sim.Run(func() {
-		r.Event("fix_b", F("n", "1"))
-		r.Event("fix_a", F("n", "2"))
-	})
-	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
-	}
-	// Same instant: sorted by kind, not arrival order.
-	if evs[0].Kind != "fix_a" || evs[1].Kind != "fix_b" {
-		t.Errorf("event order = %s, %s; want fix_a, fix_b", evs[0].Kind, evs[1].Kind)
-	}
-	if !evs[0].Time.Equal(simtime.Epoch1995) {
-		t.Errorf("event time = %v, want the sim epoch", evs[0].Time)
-	}
-}
-
-func TestEventRingOverflow(t *testing.T) {
-	r, sim := newTestRegistry()
-	sim.Run(func() {
-		for i := 0; i < traceCap+10; i++ {
-			r.Event("fix_tick")
-			sim.Sleep(time.Millisecond)
-		}
-	})
-	if got := len(r.Events()); got != traceCap {
-		t.Errorf("ring holds %d, want %d", got, traceCap)
-	}
-	if got := r.DroppedEvents(); got != 10 {
-		t.Errorf("dropped = %d, want 10", got)
-	}
-	// The survivors are the newest events.
-	evs := r.Events()
-	first := evs[0].Time.Sub(simtime.Epoch1995)
-	if first != 10*time.Millisecond {
-		t.Errorf("oldest surviving event at +%v, want +10ms", first)
-	}
-}
-
 func TestDumpDeterministicAcrossInterleavings(t *testing.T) {
 	// Two runs bumping the same metrics from racing goroutines in
 	// opposite completion order must dump identically: counters are
@@ -220,7 +175,6 @@ func TestDumpDeterministicAcrossInterleavings(t *testing.T) {
 					sim.Sleep(delay)
 					r.Counter("fix_work_total").Add(int64(n))
 					r.Histogram("fix_work_us", []int64{2, 4, 8}).Observe(int64(n))
-					r.Event("fix_done", F("after", delay.String()))
 					done.Put(n)
 				})
 			}

@@ -20,6 +20,22 @@ import (
 // inside an existing tree guard on parent.Valid() so an untraced
 // operation mints nothing at all.
 
+// Field is one key=value annotation on a span.
+type Field struct {
+	Key, Value string
+}
+
+// F is shorthand for constructing a Field.
+func F(key, value string) Field { return Field{Key: key, Value: value} }
+
+func fieldsKey(fs []Field) string {
+	s := ""
+	for _, f := range fs {
+		s += f.Key + "\x00" + f.Value + "\x00"
+	}
+	return s
+}
+
 // SpanContext identifies a span for propagation: Trace is the root
 // span's ID, Span the current span's. The zero value means "no trace"
 // and is what untraced wire traffic carries (all-zero header bytes).
@@ -61,20 +77,21 @@ type spanSeq struct {
 	seq uint64
 }
 
-// defaultSpanCap bounds the span table. Spans are per-operation, not
+// spanCap bounds the span table. Spans are per-operation, not
 // per-packet, so a long replay mints tens of thousands at most; once
 // the table is full new spans are dropped (counted, and returning an
 // invalid context so their would-be children are suppressed too —
 // partial trees would make the retained set interleaving-dependent).
-const defaultSpanCap = 65536
+const spanCap = 65536
 
-// SpanHandle is the live handle for an in-flight span. A nil handle
-// (nil registry, or a dropped span) is inert: End is a no-op and
-// Context returns the zero SpanContext.
+// SpanHandle is the live handle for an in-flight span; the span table
+// records the address of its sp, so span and handle are one
+// allocation. A nil handle (nil registry), or one with a nil r (a
+// dropped span), is inert: End is a no-op and Context returns the zero
+// SpanContext.
 type SpanHandle struct {
 	r  *Registry
-	sp *Span
-	sc SpanContext
+	sp Span
 }
 
 // StartSpan starts a span on node (a stable node label: the same
@@ -110,15 +127,11 @@ func (r *Registry) startSpanAt(node, name string, parent SpanContext, start time
 		fs = make([]Field, len(fields))
 		copy(fs, fields)
 	}
-	sp := &Span{Parent: parent.Span, Node: node, Name: name, Start: start, Fields: fs}
+	h := &SpanHandle{r: r, sp: Span{Parent: parent.Span, Node: node, Name: name, Start: start, Fields: fs}}
+	sp := &h.sp
 
 	r.spanMu.Lock()
-	cap := r.spanCap
-	if cap == 0 {
-		cap = defaultSpanCap
-	}
-	if len(r.spans) >= cap {
-		r.spansDropped++
+	if len(r.spans) >= spanCap {
 		r.spanMu.Unlock()
 		r.spDropC.Inc()
 		return &SpanHandle{}
@@ -140,22 +153,24 @@ func (r *Registry) startSpanAt(node, name string, parent SpanContext, start time
 	}
 	r.spans = append(r.spans, sp)
 	r.spanMu.Unlock()
-	return &SpanHandle{r: r, sp: sp, sc: SpanContext{Trace: sp.Trace, Span: sp.ID}}
+	return h
 }
 
 // Context returns the span's propagation context (zero on a nil or
 // dropped handle, so children of a dropped span are suppressed too).
+// Trace and ID never change once the span is minted, so this reads
+// them without the table lock.
 func (h *SpanHandle) Context() SpanContext {
 	if h == nil {
 		return SpanContext{}
 	}
-	return h.sc
+	return SpanContext{Trace: h.sp.Trace, Span: h.sp.ID}
 }
 
 // End finishes the span at the registry clock's current instant,
 // appending any extra fields. Ending twice keeps the first end.
 func (h *SpanHandle) End(fields ...Field) {
-	if h == nil || h.sp == nil {
+	if h == nil || h.r == nil {
 		return
 	}
 	var now time.Time
@@ -167,7 +182,7 @@ func (h *SpanHandle) End(fields ...Field) {
 
 // EndAt is End at an explicit instant from the injected clock domain.
 func (h *SpanHandle) EndAt(end time.Time, fields ...Field) {
-	if h == nil || h.sp == nil {
+	if h == nil || h.r == nil {
 		return
 	}
 	h.r.spanMu.Lock()
@@ -182,9 +197,8 @@ func (h *SpanHandle) EndAt(end time.Time, fields ...Field) {
 }
 
 // Spans returns copies of every recorded span, content-sorted by
-// (start, node, name, fields, end) — the same contract as Events: raw
-// IDs and arrival order vary with goroutine interleaving at one sim
-// instant, content does not.
+// (start, node, name, fields, end): raw IDs and arrival order vary
+// with goroutine interleaving at one sim instant, content does not.
 func (r *Registry) Spans() []Span {
 	if r == nil {
 		return nil
@@ -220,12 +234,11 @@ func (r *Registry) Spans() []Span {
 	return out
 }
 
-// DroppedSpans reports how many spans the bounded table has refused.
+// DroppedSpans reports how many spans the bounded table has refused
+// (obs_spans_dropped_total).
 func (r *Registry) DroppedSpans() int64 {
 	if r == nil {
 		return 0
 	}
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	return r.spansDropped
+	return r.spDropC.Value()
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"repro/internal/simtime"
 )
 
 func TestNilRegistrySpansInert(t *testing.T) {
@@ -78,10 +76,14 @@ func TestSpanTreeIdentity(t *testing.T) {
 }
 
 func TestSpanTableBoundedAndCounted(t *testing.T) {
-	s := simtime.NewSim(simtime.Epoch1995)
-	r := NewRegistry(s, WithSpanCap(2))
+	r, _ := newTestRegistry()
 	a := r.StartSpan("n", "fix_a", SpanContext{})
-	r.StartSpan("n", "fix_b", a.Context())
+	for i := 1; i < spanCap; i++ {
+		r.StartSpan("n", "fix_b", a.Context())
+	}
+	if got := r.DroppedSpans(); got != 0 {
+		t.Fatalf("DroppedSpans = %d with the table just full, want 0", got)
+	}
 	dropped := r.StartSpan("n", "fix_c", a.Context())
 	if dropped.Context().Valid() {
 		t.Error("span over capacity kept a valid context")
@@ -93,11 +95,11 @@ func TestSpanTableBoundedAndCounted(t *testing.T) {
 	if got := r.DroppedSpans(); got != 2 {
 		t.Errorf("DroppedSpans = %d, want 2", got)
 	}
-	if got := r.spDropC.Value(); got != 2 {
-		t.Errorf("obs_spans_dropped_total = %d, want 2", got)
+	if got, want := r.DroppedSpans(), r.Counter("obs_spans_dropped_total").Value(); got != want {
+		t.Errorf("DroppedSpans = %d, obs_spans_dropped_total = %d; want equal", got, want)
 	}
-	if got := len(r.Spans()); got != 2 {
-		t.Errorf("table holds %d spans, want 2", got)
+	if got := len(r.Spans()); got != spanCap {
+		t.Errorf("table holds %d spans, want %d", got, spanCap)
 	}
 }
 

@@ -92,8 +92,9 @@ func (v *Venus) defaultPref(id uint64) int {
 // noteFailover records one abandoned member attempt: the volume's
 // preference advances past the failed member and the failover counters
 // absorb the time the attempt burned (began until now) before Venus
-// gave up on it. When the operation is traced, the burned wait becomes
-// a venus_failover_wait span so the critical path can attribute it.
+// gave up on it. The burned wait becomes a venus_failover_wait span:
+// under sc when the operation is traced, so the critical path can
+// attribute it, and a root of its own when it is not.
 func (v *Venus) noteFailover(vc *vclient, from int, began time.Time, sc obs.SpanContext) {
 	n := len(v.cfg.Servers)
 	if n < 2 {
@@ -108,11 +109,8 @@ func (v *Venus) noteFailover(vc *vclient, from int, began time.Time, sc obs.Span
 	v.mu.Unlock()
 	v.met.failovers.Inc()
 	v.met.failoverWait.Add(wait.Microseconds())
-	v.met.reg.Event("venus_failover", obs.F("member", v.cfg.Servers[from]))
-	if sc.Valid() {
-		v.met.reg.SpanAt(v.met.self, "venus_failover_wait", sc, began,
-			obs.F("member", v.cfg.Servers[from])).End()
-	}
+	v.met.reg.SpanAt(v.met.self, "venus_failover_wait", sc, began,
+		obs.F("member", v.cfg.Servers[from])).End()
 }
 
 // callVol performs one volume-scoped RPC against the group: the volume's

@@ -9,7 +9,8 @@ import (
 )
 
 // transition moves Venus between states (Figure 2), performing the actions
-// each edge requires.
+// each edge requires. Each edge taken is a zero-duration
+// venus_state_transition root span, recorded after v.mu is released.
 func (v *Venus) transition(to State, reason string) {
 	v.mu.Lock()
 	from := v.state
@@ -25,10 +26,6 @@ func (v *Venus) transition(to State, reason string) {
 	v.state = to
 	v.stats.Transitions[fmt.Sprintf("%s->%s", from, to)]++
 	v.met.transitions[[2]State{from, to}].Inc()
-	// Event only takes the trace-ring lock, which never calls out — safe
-	// while holding v.mu.
-	v.met.reg.Event("venus_state_transition",
-		obs.F("from", from.String()), obs.F("to", to.String()), obs.F("reason", reason))
 
 	switch {
 	case to == Emulating:
@@ -42,6 +39,10 @@ func (v *Venus) transition(to State, reason string) {
 		// happens outside the lock, below.
 	}
 	v.mu.Unlock()
+
+	now := v.clock.Now()
+	v.met.reg.SpanAt(v.met.self, "venus_state_transition", obs.SpanContext{}, now,
+		obs.F("from", from.String()), obs.F("to", to.String()), obs.F("reason", reason)).EndAt(now)
 
 	if from == Emulating && to == WriteDisconnected {
 		v.validateOnReconnect()

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/codafs"
@@ -88,8 +90,11 @@ func TestFig8ValidationRPCCounts(t *testing.T) {
 	serverOp := func(reg *obs.Registry, op string) int64 {
 		return reg.Counter("server_ops_total", obs.L("node", "server"), obs.L("op", op)).Value()
 	}
+	// The validation counts are Venus's Stats fields, which the registry
+	// reads through CounterFunc: a Counter handle on them would collide,
+	// so read them from the dump.
 	clientVal := func(reg *obs.Registry, kind string) int64 {
-		return reg.Counter("venus_validations_total", obs.L("client", "client"), obs.L("kind", kind)).Value()
+		return dumpSeries(t, reg, "venus_validations_total", map[string]string{"client": "client", "kind": kind})
 	}
 
 	// Volume-stamp scheme: 1 RPC, k stamp validations, zero per-object
@@ -107,7 +112,7 @@ func TestFig8ValidationRPCCounts(t *testing.T) {
 	if got := clientVal(volReg, "object"); got != 0 {
 		t.Errorf("volume scheme: object validations = %d, want 0", got)
 	}
-	ok := volReg.Counter("venus_volume_validations_ok_total", obs.L("client", "client")).Value()
+	ok := dumpSeries(t, volReg, "venus_volume_validations_ok_total", map[string]string{"client": "client"})
 	if ok != volumes {
 		t.Errorf("volume scheme: successful stamp validations = %d, want %d", ok, volumes)
 	}
@@ -128,4 +133,27 @@ func TestFig8ValidationRPCCounts(t *testing.T) {
 	if got := clientVal(objReg, "object"); got != int64(cached) {
 		t.Errorf("object scheme: object validations = %d, want %d (every cached object)", got, cached)
 	}
+}
+
+// dumpSeries reads the value of the series with exactly this name and
+// label set from reg's dump; a series absent from the dump fails the test.
+func dumpSeries(t *testing.T, reg *obs.Registry, name string, labels map[string]string) int64 {
+	t.Helper()
+	var doc struct {
+		Metrics []struct {
+			Name   string
+			Labels map[string]string
+			Value  int64
+		}
+	}
+	if err := json.Unmarshal(reg.Dump(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range doc.Metrics {
+		if m.Name == name && maps.Equal(m.Labels, labels) {
+			return m.Value
+		}
+	}
+	t.Fatalf("no series %s%v in the dump", name, labels)
+	return 0
 }

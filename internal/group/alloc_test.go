@@ -61,7 +61,7 @@ func TestAllocReplicatedReintegrate(t *testing.T) {
 		})
 		grp.Close()
 	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs > 709 {
-		t.Errorf("one replicated reintegration: %v allocs, want ≤ 709", allocs)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 693 {
+		t.Errorf("one replicated reintegration: %v allocs, want ≤ 693", allocs)
 	}
 }

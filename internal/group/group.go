@@ -58,11 +58,11 @@ func New(clock simtime.Clock, conns []netsim.PacketConn, opts ...Option) (*Group
 	}
 	if g.reg != nil {
 		for i := range g.servers {
-			srv := g.servers[i]
-			node := obs.L("node", g.addrs[i])
+			// By index, not by server: Restart swaps in a replacement,
+			// and the gauge must read the live process.
 			g.reg.GaugeFunc("group_replica_lag_entries", func() int64 {
-				return g.lagOf(srv)
-			}, node)
+				return g.lagOf(g.servers[i])
+			}, obs.L("node", g.addrs[i]))
 		}
 	}
 	return g, nil

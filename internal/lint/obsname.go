@@ -10,9 +10,9 @@ import (
 )
 
 // Obsname enforces the observability naming contract: the name argument
-// of every Registry.Counter / Gauge / GaugeFunc / Histogram /
-// StartSpan / SpanAt call must be a static snake_case string whose
-// first segment is the registering package's name. Static names keep
+// of every Registry.Counter / CounterFunc / Gauge / GaugeFunc /
+// Histogram / StartSpan / SpanAt call must be a static snake_case string
+// whose first segment is the registering package's name. Static names keep
 // dumps grep-able and the Prometheus text export well-formed; the
 // package prefix keeps a shared registry collision-free when several
 // components register into it. Label VALUES and span node labels may be
@@ -34,12 +34,13 @@ func (*Obsname) Doc() string {
 // span name to that argument's index (span methods take the dynamic
 // node label first).
 var obsnameMethods = map[string]int{
-	"Counter":   0,
-	"Gauge":     0,
-	"GaugeFunc": 0,
-	"Histogram": 0,
-	"StartSpan": 1,
-	"SpanAt":    1,
+	"Counter":     0,
+	"CounterFunc": 0,
+	"Gauge":       0,
+	"GaugeFunc":   0,
+	"Histogram":   0,
+	"StartSpan":   1,
+	"SpanAt":      1,
 }
 
 // obsnameRe is the shape of a legal name: lower-case alphanumeric

@@ -12,6 +12,8 @@ type Label struct{ K, V string }
 
 func (r *Registry) Counter(name string, labels ...Label) *Counter { return nil }
 
+func (r *Registry) CounterFunc(name string, fn func() int64, labels ...Label) {}
+
 func (r *Registry) Gauge(name string, labels ...Label) *Counter { return nil }
 
 func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {}
@@ -48,6 +50,7 @@ func use(r *Registry, other *notARegistry, dyn string) {
 	r.Counter("venus_requests_total")   // want "package prefix"
 	r.Gauge("fix_queue_depth")
 	r.GaugeFunc("queue_depth", func() int64 { return 0 }) // want "package prefix"
+	r.CounterFunc(dyn, func() int64 { return 0 })         // want "static string literal"
 	r.Histogram("fix_latency_us", []int64{1, 10})
 	r.Histogram("fix-latency-us", []int64{1, 10}) // want "snake_case"
 	other.Counter(dyn)                            // different receiver type: clean

@@ -1,11 +1,15 @@
 // Package obs is the repository's deterministic observability layer: a
 // stdlib-only metrics registry (counters, gauges, histograms with fixed
-// buckets) plus a bounded table of causal spans (span.go), its one
-// event model: a point event such as a Venus state transition is a
-// zero-duration span. Every timestamp comes from the injected simtime
-// clock, and Dump and Spans sort by content, so two identical seeded
-// sim runs produce byte-identical output — the same determinism
-// contract codalint enforces for the rest of the tree.
+// buckets, and func-backed counters and gauges that read a count or
+// level a component keeps itself) plus a bounded table of causal spans
+// (span.go), its one event model: a point event such as a Venus state
+// transition is a zero-duration span. Each event is counted once: where
+// a component already keeps a count (its Stats), the registry reads
+// that field through CounterFunc instead of holding a second one.
+// Every timestamp comes from the injected simtime clock, and Dump and
+// Spans sort by content, so two identical seeded sim runs produce
+// byte-identical output — the same determinism contract codalint
+// enforces for the rest of the tree.
 //
 // Registration is by injection: a *Registry is handed to constructors
 // (rpc2.NewNode, venus.Config.Obs, server.WithObs, wal.Options.Obs...).
@@ -96,24 +100,21 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
 
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	case kindGaugeFunc:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	}
-	return "unknown"
+// desc tells a func-backed kind from its plain twin, for the
+// kind-collision panic.
+func (k metricKind) desc() string {
+	return [...]string{"counter", "counter func", "gauge", "gauge func", "histogram"}[k]
 }
+
+// String is the kind a dump and the Prometheus export show: a
+// func-backed series shows as the kind it reads.
+func (k metricKind) String() string { return strings.TrimSuffix(k.desc(), " func") }
 
 // metric is one registered time series: a (name, sorted labels) key
 // plus the kind-specific state.
@@ -196,7 +197,7 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label, make fun
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[k]; ok {
 		if m.kind != kind {
-			panic("obs: metric " + name + " re-registered as " + kind.String() + ", was " + m.kind.String())
+			panic("obs: metric " + name + " re-registered as " + kind.desc() + ", was " + m.kind.desc())
 		}
 		return m
 	}
@@ -234,10 +235,23 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // fn runs without the registry lock held; it may take component locks
 // but must not call back into the Registry.
 func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {
+	r.funcSeries(name, kindGaugeFunc, fn, labels)
+}
+
+// CounterFunc registers a pull-style counter: fn reads a count its
+// owner keeps (a Stats field), and the series dumps and exports as a
+// counter. It follows GaugeFunc's rules, so a restarted owner that
+// re-registers replaces the function and the series restarts from the
+// new owner's count — Prometheus's counter-reset convention.
+func (r *Registry) CounterFunc(name string, fn func() int64, labels ...Label) {
+	r.funcSeries(name, kindCounterFunc, fn, labels)
+}
+
+func (r *Registry) funcSeries(name string, kind metricKind, fn func() int64, labels []Label) {
 	if r == nil || fn == nil {
 		return
 	}
-	m := r.lookup(name, kindGaugeFunc, labels, func(m *metric) {})
+	m := r.lookup(name, kind, labels, func(m *metric) {})
 	r.mu.Lock()
 	m.fn = fn
 	r.mu.Unlock()
@@ -301,7 +315,7 @@ func (r *Registry) snapshot() []metricSnapshot {
 			s.Value = m.counter.Value()
 		case kindGauge:
 			s.Value = m.gauge.Value()
-		case kindGaugeFunc:
+		case kindCounterFunc, kindGaugeFunc:
 			s.Value = it.fn()
 		case kindHistogram:
 			s.Le, s.Counts, s.Sum, s.Count = m.hist.snapshot()

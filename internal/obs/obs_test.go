@@ -44,6 +44,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Counter("fix_x_total").Inc()
 	r.Gauge("fix_g").Set(3)
 	r.GaugeFunc("fix_f", func() int64 { return 1 })
+	r.CounterFunc("fix_cf_total", func() int64 { return 1 })
 	r.Histogram("fix_h", []int64{1, 2}).Observe(5)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
@@ -64,6 +65,44 @@ func TestKindCollisionPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("fix_thing")
+}
+
+// TestKindCollisionNamesFuncKind: a func-backed series shows as the kind
+// it reads, so the panic must say which twin was registered first.
+func TestKindCollisionNamesFuncKind(t *testing.T) {
+	r, _ := newTestRegistry()
+	r.CounterFunc("fix_thing_total", func() int64 { return 1 })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "re-registered as counter, was counter func") {
+			t.Fatalf("panic = %q, want it to tell the plain counter from the func-backed one", msg)
+		}
+	}()
+	r.Counter("fix_thing_total")
+}
+
+// TestCounterFunc: a func-backed counter reads its owner's count at dump
+// time, dumps and exports as a counter, and a re-registration (a
+// restarted owner) replaces the function.
+func TestCounterFunc(t *testing.T) {
+	r, _ := newTestRegistry()
+	var owned int64 = 3
+	r.CounterFunc("fix_done_total", func() int64 { return owned }, L("node", "a"))
+	owned = 5
+	if !bytes.Contains(r.Dump(), []byte(`"kind": "counter",
+      "value": 5`)) {
+		t.Errorf("dump does not read the owner's count as a counter:\n%s", r.Dump())
+	}
+	r.CounterFunc("fix_done_total", func() int64 { return 1 }, L("node", "a"))
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE fix_done_total counter\n", "fix_done_total{node=\"a\"} 1\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("prom output missing %q:\n%s", want, buf.String())
+		}
+	}
 }
 
 func TestGaugeFuncLastWriterWins(t *testing.T) {

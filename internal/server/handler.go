@@ -25,7 +25,6 @@ func (s *Server) handle(src string, sc obs.SpanContext, body []byte) ([]byte, er
 		return nil, err
 	}
 	s.stats.calls.Add(1)
-	s.met.calls.Inc()
 	s.observeOp(strings.TrimPrefix(fmt.Sprintf("%T", v), "wire."))
 
 	var rep any
@@ -217,7 +216,6 @@ func (s *Server) mutate(src string, sc obs.SpanContext, req any) (wire.MutateRep
 		return wire.MutateRep{}, fmt.Errorf("%s", res.Msg)
 	}
 	s.stats.recordsApplied.Add(1)
-	s.met.recordsApplied.Inc()
 	for _, st := range statuses {
 		if st.FID == repFID {
 			rep.Status = st
@@ -259,7 +257,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 		return wire.ReintegrateRep{}, fmt.Errorf("no volume %d", req.Volume)
 	}
 	s.stats.reintegrations.Add(1)
-	s.met.reintegrations.Inc()
 	s.observeVolOp(v)
 
 	// One traced chunk is one server_apply span: fragment attach, dedup,
@@ -324,7 +321,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 	deltas := req.Deltas
 	if len(dupFIDs) > 0 {
 		s.stats.duplicatesDropped.Add(int64(len(dupFIDs)))
-		s.met.replDups.Add(int64(len(dupFIDs)))
 		if len(keep) == 0 {
 			// The whole chunk is a retransmit of applied work: ack it as
 			// such, with the current statuses of the touched objects so
@@ -371,7 +367,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 			rep.VolStamp = v.info.Stamp
 			v.mu.Unlock()
 			s.stats.reintegrationFails.Add(1)
-			s.met.reintegFails.Inc()
 			return rep, nil
 		}
 		newData, err := delta.Apply(obj.Data, dd)
@@ -380,7 +375,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 			rep.VolStamp = v.info.Stamp
 			v.mu.Unlock()
 			s.stats.reintegrationFails.Add(1)
-			s.met.reintegFails.Inc()
 			return rep, nil
 		}
 		recs[idx].Data = newData
@@ -399,7 +393,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 		rep.VolStamp = v.info.Stamp
 		v.mu.Unlock()
 		s.stats.reintegrationFails.Add(1)
-		s.met.reintegFails.Inc()
 		if err != nil {
 			return wire.ReintegrateRep{}, err
 		}
@@ -412,7 +405,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 		}
 		if res.Conflict {
 			s.stats.conflicts.Add(1)
-			s.met.conflicts.Inc()
 		}
 		return rep, nil
 	}
@@ -424,7 +416,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 	v.mu.Unlock()
 
 	s.stats.recordsApplied.Add(int64(len(recs)))
-	s.met.recordsApplied.Add(int64(len(recs)))
 	s.dropFragments(usedFrags)
 
 	rep.Applied = true

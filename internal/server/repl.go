@@ -284,7 +284,6 @@ func (s *Server) shipLog(src string, sc obs.SpanContext, req wire.ShipLog) (wire
 		return wire.ShipLogRep{}, err
 	}
 	s.stats.replApplied.Add(recs)
-	s.met.replApplied.Add(recs)
 	if gap {
 		s.met.replGaps.Inc()
 		s.clock.Go(func() { _ = s.catchUpVolume(src, req.Volume, sc) })
@@ -379,7 +378,6 @@ func (s *Server) catchUpVolume(peer string, id codafs.VolumeID, sc obs.SpanConte
 		}
 		lsn, recs, bytes, gap, err := s.receive(v, chain, rep.Entries, sc)
 		s.stats.catchupRecords.Add(recs)
-		s.met.catchupRecs.Add(recs)
 		s.met.catchupBytes.Add(bytes)
 		if err != nil {
 			return fmt.Errorf("server: catch-up volume %d: %w", id, err)

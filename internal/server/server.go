@@ -104,9 +104,9 @@ type Server struct {
 	frags  map[fragKey]*fragBuf
 }
 
-// counters holds the activity counters behind Stats. All fields are
-// atomics so any handler, in any volume domain, may bump them without
-// synchronizing with the others.
+// counters holds the activity counters behind Stats, each event's one
+// count (the registry reads them too). All are atomics so any handler,
+// in any volume domain, may bump them without synchronizing.
 type counters struct {
 	calls              atomic.Int64
 	reintegrations     atomic.Int64
@@ -136,23 +136,14 @@ type Stats struct {
 	CatchupRecords int64
 }
 
-// smetrics holds the server's pre-registered obs handles; all nil (and
-// inert) without WithObs.
+// smetrics holds the server's pre-registered obs handles for events Stats
+// does not count; all nil (and inert) without WithObs.
 type smetrics struct {
-	self           obs.Label
-	calls          *obs.Counter
-	reintegrations *obs.Counter
-	reintegFails   *obs.Counter
-	recordsApplied *obs.Counter
-	conflicts      *obs.Counter
-	breaks         *obs.Counter
-	lockWait       *obs.Histogram
+	self     obs.Label
+	lockWait *obs.Histogram
 
 	replShipped   *obs.Counter // log entries pushed to peers
-	replApplied   *obs.Counter // records applied from peer-shipped entries
-	replDups      *obs.Counter // reintegrated records dropped as duplicates
 	replGaps      *obs.Counter // shipped entries refused pending catch-up
-	catchupRecs   *obs.Counter // records pulled via FetchLog
 	catchupBytes  *obs.Counter // journal-payload bytes pulled via FetchLog
 	catchupRounds *obs.Counter // FetchLog round trips issued
 }
@@ -165,27 +156,31 @@ var lockWaitBucketsUS = []int64{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 // initMetrics pre-registers the server's obs handles. It must run
 // before the rpc2 node exists: NewNode starts the receive loop, and on
 // a real connection a request may reach handle — which reads s.met —
-// the instant the loop is up.
+// the instant the loop is up. The Stats counts register as CounterFuncs
+// over s.stats: a restarted server's series restart with it.
 func (s *Server) initMetrics(addr string) {
 	node := obs.L("node", addr)
 	s.met = smetrics{
-		self:           node,
-		calls:          s.obs.Counter("server_calls_total", node),
-		reintegrations: s.obs.Counter("server_reintegrations_total", node),
-		reintegFails:   s.obs.Counter("server_reintegration_failures_total", node),
-		recordsApplied: s.obs.Counter("server_records_applied_total", node),
-		conflicts:      s.obs.Counter("server_conflicts_total", node),
-		breaks:         s.obs.Counter("server_callback_breaks_total", node),
-		lockWait:       s.obs.Histogram("server_lock_wait_us", lockWaitBucketsUS, node),
+		self:     node,
+		lockWait: s.obs.Histogram("server_lock_wait_us", lockWaitBucketsUS, node),
 
 		replShipped:   s.obs.Counter("server_repl_shipped_entries_total", node),
-		replApplied:   s.obs.Counter("server_repl_applied_records_total", node),
-		replDups:      s.obs.Counter("server_repl_duplicate_records_total", node),
 		replGaps:      s.obs.Counter("server_repl_gaps_total", node),
-		catchupRecs:   s.obs.Counter("server_catchup_records_total", node),
 		catchupBytes:  s.obs.Counter("server_catchup_bytes_total", node),
 		catchupRounds: s.obs.Counter("server_catchup_rounds_total", node),
 	}
+	if s.obs == nil {
+		return // a method value escapes to the heap even for a nil registry
+	}
+	s.obs.CounterFunc("server_calls_total", s.stats.calls.Load, node)
+	s.obs.CounterFunc("server_reintegrations_total", s.stats.reintegrations.Load, node)
+	s.obs.CounterFunc("server_reintegration_failures_total", s.stats.reintegrationFails.Load, node)
+	s.obs.CounterFunc("server_records_applied_total", s.stats.recordsApplied.Load, node)
+	s.obs.CounterFunc("server_conflicts_total", s.stats.conflicts.Load, node)
+	s.obs.CounterFunc("server_callback_breaks_total", s.stats.breaksSent.Load, node)
+	s.obs.CounterFunc("server_repl_applied_records_total", s.stats.replApplied.Load, node)
+	s.obs.CounterFunc("server_repl_duplicate_records_total", s.stats.duplicatesDropped.Load, node)
+	s.obs.CounterFunc("server_catchup_records_total", s.stats.catchupRecords.Load, node)
 	s.obs.GaugeFunc("server_clients_connected", func() int64 { return int64(s.ClientCount()) }, node)
 	s.obs.GaugeFunc("server_fragment_buffers", func() int64 { return int64(s.FragmentCount()) }, node)
 }
@@ -815,7 +810,6 @@ func (s *Server) dispatchBreaks(work []breakWork) {
 		}
 		client := client
 		s.stats.breaksSent.Add(1)
-		s.met.breaks.Inc()
 		s.clock.Go(func() {
 			// Best effort: an unreachable client revalidates later.
 			_, _ = wire.Call[wire.CallbackBreakRep](s.node, client, brk, rpc2.CallOpts{MaxRetries: 2})

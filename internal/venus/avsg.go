@@ -107,7 +107,6 @@ func (v *Venus) noteFailover(vc *vclient, from int, began time.Time, sc obs.Span
 	}
 	v.stats.Failovers++
 	v.mu.Unlock()
-	v.met.failovers.Inc()
 	v.met.failoverWait.Add(wait.Microseconds())
 	v.met.reg.SpanAt(v.met.self, "venus_failover_wait", sc, began,
 		obs.F("member", v.cfg.Servers[from])).End()

@@ -196,7 +196,6 @@ func (v *Venus) revalidateSuspects() {
 		}
 		v.mu.Lock()
 		v.stats.ObjValidations += int64(len(group))
-		v.met.objValidations.Add(int64(len(group)))
 		for i, f := range group {
 			if rep.Valid[i] {
 				f.valid = true

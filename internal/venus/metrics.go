@@ -44,11 +44,12 @@ var hoardPhaseBucketsUS = []int64{
 	1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000, 600_000_000,
 }
 
-// vmetrics holds Venus's pre-registered obs handles. Handles are created
-// once at construction — state transitions and CML cancellations fire
-// under Venus's or the log's mutex, and a pre-resolved atomic handle
-// keeps those paths allocation- and lock-free. Every handle is nil (and
-// inert) when no registry was injected.
+// vmetrics holds Venus's pre-registered obs handles for events Stats does
+// not count. Handles are created once at construction — CML cancellations
+// fire under the log's mutex, and a pre-resolved atomic handle keeps
+// those paths allocation- and lock-free. Every handle is nil (and inert)
+// when no registry was injected. The Stats counts themselves reach the
+// registry as func-backed series over v.stats (newVMetrics).
 type vmetrics struct {
 	reg  *obs.Registry
 	self string // the client's node address, span node label
@@ -56,27 +57,8 @@ type vmetrics struct {
 	cacheHits   map[string]*obs.Counter // by hoard band
 	cacheMisses map[string]*obs.Counter
 
-	verdictTransparent  *obs.Counter
-	verdictDeferred     *obs.Counter
-	verdictDisconnected *obs.Counter
-
-	volValidations   *obs.Counter
-	volValidationsOK *obs.Counter
-	objsSaved        *obs.Counter
-	missingStamp     *obs.Counter
-	objValidations   *obs.Counter
-
-	transitions map[[2]State]*obs.Counter
-
-	reintegrations *obs.Counter
-	reintegFails   *obs.Counter
-	failovers      *obs.Counter
-	failoverWait   *obs.Counter
-	shippedBytes   *obs.Counter
-	shippedRecords *obs.Counter
-	deltaStores    *obs.Counter
-	deltaSaved     *obs.Counter
-	residency      *obs.Histogram
+	failoverWait *obs.Counter
+	residency    *obs.Histogram
 
 	cancelRecs  map[cml.CancelClass]*obs.Counter
 	cancelBytes map[cml.CancelClass]*obs.Counter
@@ -85,11 +67,9 @@ type vmetrics struct {
 	hoardPhase map[string]*obs.Histogram
 }
 
-var venusStates = []State{Hoarding, Emulating, WriteDisconnected}
-
 // newVMetrics registers Venus's metric catalog under the client's node
-// address. The gauge funcs close over v and take v.mu when evaluated —
-// legal because obs never evaluates them under its own lock.
+// address. The gauge and counter funcs close over v and take v.mu when
+// evaluated — legal because obs never evaluates them under its own lock.
 func newVMetrics(reg *obs.Registry, v *Venus, addr string) *vmetrics {
 	client := obs.L("client", addr)
 	m := &vmetrics{
@@ -97,7 +77,6 @@ func newVMetrics(reg *obs.Registry, v *Venus, addr string) *vmetrics {
 		self:        addr,
 		cacheHits:   make(map[string]*obs.Counter, len(hoardBands)),
 		cacheMisses: make(map[string]*obs.Counter, len(hoardBands)),
-		transitions: make(map[[2]State]*obs.Counter),
 		cancelRecs:  make(map[cml.CancelClass]*obs.Counter, len(cancelClasses)),
 		cancelBytes: make(map[cml.CancelClass]*obs.Counter, len(cancelClasses)),
 		hoardPhase:  make(map[string]*obs.Histogram, len(hoardPhases)),
@@ -106,34 +85,7 @@ func newVMetrics(reg *obs.Registry, v *Venus, addr string) *vmetrics {
 		m.cacheHits[b] = reg.Counter("venus_cache_hits_total", client, obs.L("band", b))
 		m.cacheMisses[b] = reg.Counter("venus_cache_misses_total", client, obs.L("band", b))
 	}
-	m.verdictTransparent = reg.Counter("venus_miss_verdicts_total", client, obs.L("verdict", "transparent"))
-	m.verdictDeferred = reg.Counter("venus_miss_verdicts_total", client, obs.L("verdict", "deferred"))
-	m.verdictDisconnected = reg.Counter("venus_miss_verdicts_total", client, obs.L("verdict", "disconnected"))
-
-	m.volValidations = reg.Counter("venus_validations_total", client, obs.L("kind", "volume"))
-	m.volValidationsOK = reg.Counter("venus_volume_validations_ok_total", client)
-	m.objsSaved = reg.Counter("venus_objs_saved_by_volume_total", client)
-	m.missingStamp = reg.Counter("venus_missing_stamp_total", client)
-	m.objValidations = reg.Counter("venus_validations_total", client, obs.L("kind", "object"))
-
-	for _, from := range venusStates {
-		for _, to := range venusStates {
-			if from == to {
-				continue
-			}
-			m.transitions[[2]State{from, to}] = reg.Counter("venus_state_transitions_total",
-				client, obs.L("from", from.String()), obs.L("to", to.String()))
-		}
-	}
-
-	m.reintegrations = reg.Counter("venus_reintegrations_total", client)
-	m.reintegFails = reg.Counter("venus_reintegration_failures_total", client)
-	m.failovers = reg.Counter("venus_failovers_total", client)
 	m.failoverWait = reg.Counter("venus_failover_wait_us_total", client)
-	m.shippedBytes = reg.Counter("venus_shipped_bytes_total", client)
-	m.shippedRecords = reg.Counter("venus_shipped_records_total", client)
-	m.deltaStores = reg.Counter("venus_delta_stores_total", client)
-	m.deltaSaved = reg.Counter("venus_delta_saved_bytes_total", client)
 	m.residency = reg.Histogram("venus_cml_residency_s", residencyBucketsS, client)
 
 	for _, c := range cancelClasses {
@@ -146,6 +98,35 @@ func newVMetrics(reg *obs.Registry, v *Venus, addr string) *vmetrics {
 	for _, p := range hoardPhases {
 		m.hoardPhase[p] = reg.Histogram("venus_hoard_phase_us", hoardPhaseBucketsUS,
 			client, obs.L("phase", p))
+	}
+
+	if reg == nil {
+		return m // the closures below escape to the heap even for a nil registry
+	}
+	locked := func(p *int64) func() int64 { return func() int64 { return v.count(p) } }
+	st := &v.stats
+	reg.CounterFunc("venus_miss_verdicts_total", locked(&st.TransparentFetches), client, obs.L("verdict", "transparent"))
+	reg.CounterFunc("venus_miss_verdicts_total", locked(&st.DeferredMisses), client, obs.L("verdict", "deferred"))
+	reg.CounterFunc("venus_miss_verdicts_total", locked(&st.DisconnectedMisses), client, obs.L("verdict", "disconnected"))
+	reg.CounterFunc("venus_validations_total", locked(&st.VolValidations), client, obs.L("kind", "volume"))
+	reg.CounterFunc("venus_validations_total", locked(&st.ObjValidations), client, obs.L("kind", "object"))
+	reg.CounterFunc("venus_volume_validations_ok_total", locked(&st.VolValidationsOK), client)
+	reg.CounterFunc("venus_objs_saved_by_volume_total", locked(&st.ObjsSavedByVolume), client)
+	reg.CounterFunc("venus_missing_stamp_total", locked(&st.MissingStamp), client)
+	reg.CounterFunc("venus_reintegrations_total", locked(&st.Reintegrations), client)
+	reg.CounterFunc("venus_reintegration_failures_total", locked(&st.ReintegrationFailures), client)
+	reg.CounterFunc("venus_failovers_total", locked(&st.Failovers), client)
+	reg.CounterFunc("venus_shipped_bytes_total", locked(&st.ShippedBytes), client)
+	reg.CounterFunc("venus_shipped_records_total", locked(&st.ShippedRecords), client)
+	reg.CounterFunc("venus_delta_stores_total", locked(&st.DeltaStores), client)
+	reg.CounterFunc("venus_delta_saved_bytes_total", locked(&st.DeltaSavedBytes), client)
+	for from, row := range v.transitions {
+		for to := range row {
+			if from != to {
+				reg.CounterFunc("venus_state_transitions_total", locked(&v.transitions[from][to]),
+					client, obs.L("from", State(from).String()), obs.L("to", State(to).String()))
+			}
+		}
 	}
 
 	reg.GaugeFunc("venus_cml_records", func() int64 { return int64(v.CMLRecords()) }, client)

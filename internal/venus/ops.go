@@ -251,7 +251,6 @@ func (v *Venus) getObject(vc *vclient, fid codafs.FID, path string, wantData boo
 		} else {
 			v.met.miss(0)
 		}
-		v.met.verdictDisconnected.Inc()
 		prog := v.program
 		v.mu.Unlock()
 		v.recordMiss(MissRecord{Time: v.clock.Now(), Path: path, Program: prog})
@@ -280,7 +279,6 @@ func (v *Venus) getObject(vc *vclient, fid codafs.FID, path string, wantData boo
 		}
 		v.mu.Lock()
 		v.stats.ObjValidations++
-		v.met.objValidations.Inc()
 		if ga.Status.Version == f.obj.Status.Version {
 			f.valid = true
 			f.hasCallback = true
@@ -342,7 +340,6 @@ func (v *Venus) getObject(vc *vclient, fid codafs.FID, path string, wantData boo
 		if cost > tau {
 			v.mu.Lock()
 			v.stats.DeferredMisses++
-			v.met.verdictDeferred.Inc()
 			prog := v.program
 			v.mu.Unlock()
 			v.recordMiss(MissRecord{
@@ -360,7 +357,6 @@ func (v *Venus) getObject(vc *vclient, fid codafs.FID, path string, wantData boo
 	if state == WriteDisconnected {
 		v.mu.Lock()
 		v.stats.TransparentFetches++
-		v.met.verdictTransparent.Inc()
 		v.mu.Unlock()
 	}
 	return f, nil

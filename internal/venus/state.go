@@ -24,8 +24,7 @@ func (v *Venus) transition(to State, reason string) {
 		to = WriteDisconnected
 	}
 	v.state = to
-	v.stats.Transitions[fmt.Sprintf("%s->%s", from, to)]++
-	v.met.transitions[[2]State{from, to}].Inc()
+	v.transitions[from][to]++
 
 	switch {
 	case to == Emulating:
@@ -148,7 +147,6 @@ func (v *Venus) validateOnReconnect() {
 		if v.cfg.DisableVolumeCallbacks || !vc.hasStamp {
 			if !v.cfg.DisableVolumeCallbacks {
 				v.stats.MissingStamp++
-				v.met.missingStamp.Inc()
 			}
 			for _, f := range cached {
 				if !f.dirty {
@@ -189,12 +187,9 @@ func (v *Venus) validateOnReconnect() {
 		v.mu.Lock()
 		for i, e := range b.entries {
 			v.stats.VolValidations++
-			v.met.volValidations.Inc()
 			if rep.Valid[i] {
 				v.stats.VolValidationsOK++
 				v.stats.ObjsSavedByVolume += int64(e.objs)
-				v.met.volValidationsOK.Inc()
-				v.met.objsSaved.Add(int64(e.objs))
 				// Volume callback reacquired as a side effect; every
 				// cached object from the volume is revalidated at once.
 				for _, f := range v.cache.inVolume(e.vc.info.ID) {

@@ -215,11 +215,6 @@ func (v *Venus) shipRecords(vc *vclient, records []*cml.Record, c int64, prefix 
 	v.stats.ShippedBytes += shippedBytes
 	v.stats.DeltaStores += int64(len(deltas))
 	v.stats.DeltaSavedBytes += deltaSaved
-	v.met.reintegrations.Inc()
-	v.met.shippedRecords.Add(int64(len(records)))
-	v.met.shippedBytes.Add(shippedBytes)
-	v.met.deltaStores.Add(int64(len(deltas)))
-	v.met.deltaSaved.Add(deltaSaved)
 	vc.stamp = rep.VolStamp
 	for _, st := range rep.Statuses {
 		if f := v.cache.get(st.FID); f != nil {
@@ -237,7 +232,6 @@ func (v *Venus) shipRecords(vc *vclient, records []*cml.Record, c int64, prefix 
 func (v *Venus) bumpFailure() {
 	v.mu.Lock()
 	v.stats.ReintegrationFailures++
-	v.met.reintegFails.Inc()
 	v.mu.Unlock()
 }
 

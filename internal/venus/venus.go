@@ -167,24 +167,25 @@ type Venus struct {
 	node  *rpc2.Node
 	met   *vmetrics
 
-	mu         sync.Mutex
-	state      State
-	cache      *cache
-	volumes    map[string]*vclient          // by name
-	volByID    map[codafs.VolumeID]*vclient //
-	hdb        map[string]*HDBEntry         // by path
-	misses     []MissRecord                 // deferred misses awaiting user review
-	conflicts  []Conflict
-	nextVnode  uint64
-	nextXfer   uint64
-	foreground int  // foreground network operations in flight
-	walking    bool // a hoard walk is in progress
-	fetching   map[codafs.FID]bool
-	program    string // advisory tag for miss records (Figure 5)
-	netCost    NetworkCost
-	stats      Stats
-	closed     bool
-	journal    *journal // durability WAL; nil until AttachJournal
+	mu          sync.Mutex
+	state       State
+	cache       *cache
+	volumes     map[string]*vclient          // by name
+	volByID     map[codafs.VolumeID]*vclient //
+	hdb         map[string]*HDBEntry         // by path
+	misses      []MissRecord                 // deferred misses awaiting user review
+	conflicts   []Conflict
+	nextVnode   uint64
+	nextXfer    uint64
+	foreground  int  // foreground network operations in flight
+	walking     bool // a hoard walk is in progress
+	fetching    map[codafs.FID]bool
+	program     string // advisory tag for miss records (Figure 5)
+	netCost     NetworkCost
+	stats       Stats       // each count's one home; Transitions stays nil
+	transitions [3][3]int64 // Stats.Transitions by (from, to)
+	closed      bool
+	journal     *journal // durability WAL; nil until AttachJournal
 
 	stopped chan struct{}
 }
@@ -278,7 +279,6 @@ func New(clock simtime.Clock, conn netsim.PacketConn, cfg Config) *Venus {
 		fetching: make(map[codafs.FID]bool),
 		stopped:  make(chan struct{}),
 	}
-	v.stats.Transitions = make(map[string]int64)
 	v.cache = newCache(cfg.CacheBytes)
 	// Metric handles must exist before the rpc2 node: NewNode starts the
 	// receive loop, and on a real connection a server call may be
@@ -308,16 +308,29 @@ func (v *Venus) State() State {
 	return v.state
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, with a Transitions entry
+// for each edge taken.
 func (v *Venus) Stats() Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	st := v.stats
-	st.Transitions = make(map[string]int64, len(v.stats.Transitions))
-	for k, n := range v.stats.Transitions {
-		st.Transitions[k] = n
+	st.Transitions = make(map[string]int64)
+	for from, row := range v.transitions {
+		for to, n := range row {
+			if n > 0 {
+				st.Transitions[State(from).String()+"->"+State(to).String()] = n
+			}
+		}
 	}
 	return st
+}
+
+// count reads one Stats or transition count under v.mu, where every
+// increment happens: the registry's func-backed series call it.
+func (v *Venus) count(p *int64) int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return *p
 }
 
 // CacheStats describes cache occupancy, as shown at the bottom of the

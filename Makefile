@@ -24,10 +24,12 @@ crash:
 
 # Decoder fuzz gate: the wire codec's FuzzDecode, the server and Venus
 # journal decoders' FuzzJournalDecode and their image decoders'
-# FuzzLoadState, the rpc2 header parser's FuzzDecodePacket and the SFTP
-# receive path's FuzzDeliver, 10 s each (go test -fuzz takes one target
-# in one package per run). A crasher is written to that package's
-# testdata/fuzz/<target>/ — commit it with the fix.
+# FuzzLoadState, the rpc2 header parser's FuzzDecodePacket, the SFTP
+# receive path's FuzzDeliver and the scenario parser's FuzzParseScenario
+# (a .scn file is input from outside the process too), 10 s each (go
+# test -fuzz takes one target in one package per run). A crasher is
+# written to that package's testdata/fuzz/<target>/ — commit it with
+# the fix.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/server/
@@ -36,6 +38,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadState$$' -fuzztime=10s ./internal/venus/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePacket$$' -fuzztime=10s ./internal/rpc2/
 	$(GO) test -run='^$$' -fuzz='^FuzzDeliver$$' -fuzztime=10s ./internal/sftp/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseScenario$$' -fuzztime=10s ./internal/scenario/
 
 # Scenario gate: the declarative corpus (parse, validate, run, golden
 # dumps, determinism) plus the generated chaos matrix — the crash-point

@@ -35,9 +35,6 @@ func ExpandMatrix(name string, src []byte) ([]Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := Validate(tmpl); err != nil {
-		return nil, err
-	}
 	if !tmpl.IsTemplate() {
 		return nil, fmt.Errorf("scenario %s: no matrix axes; nothing to expand", tmpl.Name)
 	}

@@ -14,12 +14,12 @@ import (
 // wire.Decode honours for corrupt packets).
 func Parse(name string, src []byte) (*Scenario, error) {
 	s := &Scenario{Name: name}
-	inSchedule := false
 	lines := strings.Split(string(src), "\n")
 	// A file carrying matrix directives is a template: its body may use
 	// ${axis} references in positions that only parse once substituted
 	// (integer counts, durations), so only the header is parsed here.
-	// Each expanded instance goes through the full parser.
+	// Each expanded instance goes through the full parser. Anywhere else
+	// a ${...} token is a variable nobody will expand.
 	template := false
 	for _, raw := range lines {
 		if firstWord(raw) == "matrix" {
@@ -46,571 +46,285 @@ func Parse(name string, src []byte) (*Scenario, error) {
 		c := &cursor{toks: toks, i: 1}
 		directive := toks[0].text
 		if toks[0].quoted {
-			return nil, lineErr(name, lineNo, fmt.Errorf("directive must not be quoted"))
+			c.failf("directive must not be quoted")
+		}
+		if v := unexpanded(toks); v != "" && !template {
+			c.failf("unexpanded variable %s (expand the template with the matrix command first)", v)
 		}
 
-		isTopology := true
+		step := false
 		switch directive {
 		case "scenario":
-			n, err := c.word("name")
-			if err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			s.Name = n
+			s.Name = c.word("name")
 		case "doc":
 			if c.done() {
-				return nil, lineErr(name, lineNo, fmt.Errorf("missing doc text"))
+				c.failf("missing doc text")
 			}
 			var parts []string
 			for !c.done() {
-				parts = append(parts, c.must())
+				parts = append(parts, c.any("doc text"))
 			}
 			s.Doc = append(s.Doc, strings.Join(parts, " "))
 		case "seed":
-			v, err := c.integer("seed")
-			if err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			s.Seed = v
+			s.Seed = c.integer("seed")
 		case "matrix":
-			ax, err := parseAxis(c)
-			if err != nil {
-				return nil, lineErr(name, lineNo, err)
+			ax := parseAxis(c)
+			for _, prev := range s.Axes {
+				if prev.Name == ax.Name {
+					c.failf("duplicate axis %q", ax.Name)
+				}
 			}
 			s.Axes = append(s.Axes, ax)
 		case "group":
-			g := GroupDecl{Line: lineNo}
-			if g.Name, err = c.word("group name"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if err = c.keyword("members"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			n, err := c.integer("member count")
-			if err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			g.Members = int(n)
+			g := GroupDecl{Line: lineNo, Name: c.word("group name")}
+			c.keyword("members")
+			g.Members = int(c.integer("member count"))
 			for !c.done() {
-				switch k := c.must(); k {
-				case "journal":
+				if k := c.any("group option"); k == "journal" {
 					g.Journal = true
-				default:
-					return nil, lineErr(name, lineNo, fmt.Errorf("unknown group option %q", k))
+				} else {
+					c.failf("unknown group option %q", k)
 				}
 			}
 			s.Groups = append(s.Groups, g)
 		case "volume":
-			v := VolumeDecl{Line: lineNo}
-			if v.Name, err = c.word("volume name"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if !c.done() {
-				if err = c.keyword("group"); err != nil {
-					return nil, lineErr(name, lineNo, err)
-				}
-				if v.Group, err = c.word("group name"); err != nil {
-					return nil, lineErr(name, lineNo, err)
-				}
+			v := VolumeDecl{Line: lineNo, Name: c.word("volume name")}
+			if c.opt("group") {
+				v.Group = c.word("group name")
 			}
 			s.Volumes = append(s.Volumes, v)
-		case "seed-file":
-			d := SeedDecl{Line: lineNo}
-			if d.Volume, err = c.word("volume"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if d.Path, err = c.any("path"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if d.Data, err = c.content(); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			s.Seeds = append(s.Seeds, d)
-		case "seed-dir":
-			d := SeedDecl{Line: lineNo, Dir: true}
-			if d.Volume, err = c.word("volume"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if d.Path, err = c.any("path"); err != nil {
-				return nil, lineErr(name, lineNo, err)
+		case "seed-file", "seed-dir":
+			d := SeedDecl{Line: lineNo, Volume: c.word("volume"), Path: c.any("path"), Dir: directive == "seed-dir"}
+			if !d.Dir {
+				d.Data = c.content()
 			}
 			s.Seeds = append(s.Seeds, d)
 		case "trace":
-			t := TraceDecl{Line: lineNo}
-			if t.Name, err = c.word("trace name"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if err = c.keyword("segment"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if t.Segment, err = c.word("segment name"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
+			t := TraceDecl{Line: lineNo, Name: c.word("trace name")}
+			c.keyword("segment")
+			t.Segment = c.word("segment name")
 			for !c.done() {
-				switch k := c.must(); k {
+				switch k := c.any("trace option"); k {
 				case "scale":
-					n, err := c.integer("scale percent")
-					if err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
-					t.ScalePct = int(n)
+					t.ScalePct = int(c.size("scale percent"))
 				case "lambda":
-					if t.Lambda, err = c.duration("lambda"); err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
+					t.Lambda = c.duration("lambda")
 				case "opcost":
-					if t.OpCost, err = c.duration("opcost"); err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
+					t.OpCost = c.duration("opcost")
 				default:
-					return nil, lineErr(name, lineNo, fmt.Errorf("unknown trace option %q", k))
+					c.failf("unknown trace option %q", k)
 				}
 			}
 			s.Traces = append(s.Traces, t)
 		case "client":
-			cl := ClientDecl{Line: lineNo}
-			if cl.Name, err = c.word("client name"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if err = c.keyword("id"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			id, err := c.integer("client id")
-			if err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
+			cl := ClientDecl{Line: lineNo, Name: c.word("client name")}
+			c.keyword("id")
+			id := c.integer("client id")
 			if id <= 0 || id > 1<<31 {
-				return nil, lineErr(name, lineNo, fmt.Errorf("client id %d out of range", id))
+				c.failf("client id %d out of range", id)
 			}
 			cl.ID = uint32(id)
 			for !c.done() {
-				switch k := c.must(); k {
+				switch k := c.any("client option"); k {
 				case "group":
-					if cl.Group, err = c.word("group name"); err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
+					cl.Group = c.word("group name")
 				case "cache":
-					if cl.CacheBytes, err = c.integer("cache bytes"); err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
+					cl.CacheBytes = c.size("cache bytes")
 				case "aging":
-					if cl.Aging, err = c.duration("aging window"); err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
+					cl.Aging = c.duration("aging window")
 				case "trickle":
-					if cl.Trickle, err = c.duration("trickle interval"); err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
+					cl.Trickle = c.duration("trickle interval")
 				case "chunk-seconds":
-					n, err := c.integer("chunk seconds")
-					if err != nil {
-						return nil, lineErr(name, lineNo, err)
-					}
-					cl.ChunkSeconds = int(n)
+					cl.ChunkSeconds = int(c.size("chunk seconds"))
 				case "pin-write-disconnected":
 					cl.PinWD = true
 				default:
-					return nil, lineErr(name, lineNo, fmt.Errorf("unknown client option %q", k))
+					c.failf("unknown client option %q", k)
 				}
 			}
 			s.Clients = append(s.Clients, cl)
 		case "mount":
-			m := MountDecl{Line: lineNo}
-			if m.Client, err = c.word("client"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			if m.Volume, err = c.word("volume"); err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			s.Mounts = append(s.Mounts, m)
+			s.Mounts = append(s.Mounts, MountDecl{Line: lineNo, Client: c.word("client"), Volume: c.word("volume")})
 		case "assert":
-			a, err := parseAssert(c, lineNo)
-			if err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			s.Asserts = append(s.Asserts, a)
+			s.Asserts = append(s.Asserts, parseAssert(c, lineNo))
 		default:
-			isTopology = false
-			st, err := parseStep(directive, c, lineNo)
-			if err != nil {
-				return nil, lineErr(name, lineNo, err)
-			}
-			s.Steps = append(s.Steps, st)
-			inSchedule = true
+			s.Steps = append(s.Steps, parseStep(directive, c, lineNo))
+			step = true
 		}
-		if isTopology && inSchedule && directive != "assert" {
-			return nil, lineErr(name, lineNo, fmt.Errorf(
-				"topology directive %q after the first schedule step", directive))
+		if !step && directive != "assert" && len(s.Steps) > 0 {
+			c.failf("topology directive %q after the first schedule step", directive)
 		}
-		if isTopology && !c.done() {
-			return nil, lineErr(name, lineNo, fmt.Errorf("trailing arguments after %q directive", directive))
+		if !c.done() {
+			c.failf("trailing arguments after %q directive", directive)
+		}
+		if c.err != nil {
+			return nil, lineErr(name, lineNo, c.err)
 		}
 	}
 	return s, nil
 }
 
 // parseStep parses one schedule directive.
-func parseStep(directive string, c *cursor, lineNo int) (Step, error) {
+func parseStep(directive string, c *cursor, lineNo int) Step {
 	st := Step{Line: lineNo, Kind: StepKind(directive)}
-	var err error
 	switch st.Kind {
 	case StepAt, StepAfter:
-		if st.Dur, err = c.duration("offset"); err != nil {
-			return st, err
-		}
+		st.Dur = c.duration("offset")
 	case StepWrite:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if st.Path, err = c.any("path"); err != nil {
-			return st, err
-		}
-		if st.Data, err = c.content(); err != nil {
-			return st, err
-		}
-		st.HasData = true
+		st.Client, st.Path, st.Data, st.HasData = c.word("client"), c.any("path"), c.content(), true
 	case StepMkdir, StepRemove:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if st.Path, err = c.any("path"); err != nil {
-			return st, err
-		}
+		st.Client, st.Path = c.word("client"), c.any("path")
 	case StepRead:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if st.Path, err = c.any("path"); err != nil {
-			return st, err
-		}
-		if !c.done() {
-			if err = c.keyword("expect"); err != nil {
-				return st, err
-			}
-			if st.Expect, err = c.content(); err != nil {
-				return st, err
-			}
-			st.HasData = true
+		st.Client, st.Path = c.word("client"), c.any("path")
+		if c.opt("expect") {
+			st.Expect, st.HasData = c.content(), true
 		}
 	case StepDisconnect, StepWriteDisc, StepHoardWalk, StepReintegrate:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
+		st.Client = c.word("client")
 	case StepConnect:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if !c.done() {
-			if err = c.keyword("bw"); err != nil {
-				return st, err
-			}
-			if st.N, err = c.integer("bandwidth"); err != nil {
-				return st, err
-			}
+		st.Client = c.word("client")
+		if c.opt("bw") {
+			st.N = c.size("bandwidth")
 		}
 	case StepHoard:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if st.Path, err = c.any("path"); err != nil {
-			return st, err
-		}
-		if err = c.keyword("priority"); err != nil {
-			return st, err
-		}
-		if st.N, err = c.integer("priority"); err != nil {
-			return st, err
-		}
-		if !c.done() {
-			if err = c.keyword("children"); err != nil {
-				return st, err
-			}
-			st.Flag = true
-		}
+		st.Client, st.Path = c.word("client"), c.any("path")
+		c.keyword("priority")
+		st.N = c.integer("priority")
+		st.Flag = c.opt("children")
 	case StepLink:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if st.Target, err = c.word("server or group"); err != nil {
-			return st, err
-		}
-		mode, err := c.word("link mode")
-		if err != nil {
-			return st, err
-		}
-		switch mode {
+		st.Client, st.Target = c.word("client"), c.word("server or group")
+		switch mode := c.word("link mode"); mode {
 		case "up":
 			st.Mode = LinkUp
 		case "down":
 			st.Mode = LinkDown
 		case "profile":
-			st.Mode = LinkProfile
-			if st.Profile, err = c.word("profile name"); err != nil {
-				return st, err
-			}
+			st.Mode, st.Profile = LinkProfile, c.word("profile name")
 		case "bw":
-			st.Mode = LinkParams
-			if st.N, err = c.integer("bandwidth"); err != nil {
-				return st, err
-			}
-			if !c.done() {
-				if err = c.keyword("latency"); err != nil {
-					return st, err
-				}
-				if st.Latency, err = c.duration("latency"); err != nil {
-					return st, err
-				}
+			st.Mode, st.N = LinkParams, c.size("bandwidth")
+			if c.opt("latency") {
+				st.Latency = c.duration("latency")
 			}
 		default:
-			return st, fmt.Errorf("unknown link mode %q (want up, down, profile, bw)", mode)
+			c.failf("unknown link mode %q (want up, down, profile, bw)", mode)
 		}
 	case StepFlap:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if st.Target, err = c.word("server or group"); err != nil {
-			return st, err
-		}
-		if st.N, err = c.integer("flap count"); err != nil {
-			return st, err
-		}
-		if err = c.keyword("period"); err != nil {
-			return st, err
-		}
-		if st.Dur, err = c.duration("period"); err != nil {
-			return st, err
-		}
-		if st.N < 0 || st.N > 10_000 {
-			return st, fmt.Errorf("flap count %d out of range [0, 10000]", st.N)
+		st.Client, st.Target, st.N = c.word("client"), c.word("server or group"), c.size("flap count")
+		c.keyword("period")
+		st.Dur = c.duration("period")
+		if st.N > 10_000 {
+			c.failf("flap count %d out of range [0, 10000]", st.N)
 		}
 	case StepKill, StepConverge:
-		if st.Target, err = c.word("target"); err != nil {
-			return st, err
-		}
+		st.Target = c.word("target")
 	case StepCrashArm:
-		if st.Target, err = c.word("server"); err != nil {
-			return st, err
-		}
-		if st.N, err = c.integer("write count"); err != nil {
-			return st, err
-		}
+		st.Target, st.N = c.word("server"), c.integer("write count")
 		if st.N < 1 {
-			return st, fmt.Errorf("crash-arm write count must be >= 1, got %d", st.N)
+			c.failf("crash-arm write count must be >= 1, got %d", st.N)
 		}
 	case StepRestart:
-		if st.Target, err = c.word("server"); err != nil {
-			return st, err
-		}
-		if !c.done() {
-			if err = c.keyword("from"); err != nil {
-				return st, err
-			}
-			if st.From, err = c.word("peer server"); err != nil {
-				return st, err
-			}
+		st.Target = c.word("server")
+		if c.opt("from") {
+			st.From = c.word("peer server")
 		}
 	case StepDrain:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		st.Dur = 30 * time.Minute
-		if !c.done() {
-			if err = c.keyword("within"); err != nil {
-				return st, err
-			}
-			if st.Dur, err = c.duration("deadline"); err != nil {
-				return st, err
-			}
+		st.Client, st.Dur = c.word("client"), 30*time.Minute
+		if c.opt("within") {
+			st.Dur = c.duration("deadline")
 		}
 	case StepReplay:
-		if st.Client, err = c.word("client"); err != nil {
-			return st, err
-		}
-		if st.Target, err = c.word("trace name"); err != nil {
-			return st, err
-		}
-		if !c.done() {
-			if err = c.keyword("warm"); err != nil {
-				return st, err
-			}
-			if st.Dur, err = c.duration("warm duration"); err != nil {
-				return st, err
-			}
+		st.Client, st.Target = c.word("client"), c.word("trace name")
+		if c.opt("warm") {
+			st.Dur = c.duration("warm duration")
 		}
 	default:
-		return st, fmt.Errorf("unknown directive %q", directive)
+		c.failf("unknown directive %q", directive)
 	}
-	if !c.done() {
-		return st, fmt.Errorf("trailing arguments after %q step", directive)
-	}
-	return st, nil
+	return st
 }
 
 // parseAssert parses the tail of an assert directive.
-func parseAssert(c *cursor, lineNo int) (Assert, error) {
-	a := Assert{Line: lineNo}
-	kind, err := c.word("assertion kind")
-	if err != nil {
-		return a, err
-	}
-	a.Kind = AssertKind(kind)
+func parseAssert(c *cursor, lineNo int) Assert {
+	kind := c.word("assertion kind")
+	a := Assert{Line: lineNo, Kind: AssertKind(kind)}
 	switch a.Kind {
 	case AssertIdentical:
-		if a.Target, err = c.word("group"); err != nil {
-			return a, err
-		}
+		a.Target = c.word("group")
 	case AssertFile:
-		if a.Target, err = c.word("server or group"); err != nil {
-			return a, err
-		}
-		if a.Volume, err = c.word("volume"); err != nil {
-			return a, err
-		}
-		if a.Path, err = c.any("path"); err != nil {
-			return a, err
-		}
-		if a.Data, err = c.content(); err != nil {
-			return a, err
-		}
+		a.Target, a.Volume, a.Path, a.Data = c.word("server or group"), c.word("volume"), c.any("path"), c.content()
 	case AssertClientFile:
-		if a.Client, err = c.word("client"); err != nil {
-			return a, err
-		}
-		if a.Path, err = c.any("path"); err != nil {
-			return a, err
-		}
-		if a.Data, err = c.content(); err != nil {
-			return a, err
-		}
+		a.Client, a.Path, a.Data = c.word("client"), c.any("path"), c.content()
 	case AssertCMLEmpty:
-		if a.Client, err = c.word("client"); err != nil {
-			return a, err
-		}
+		a.Client = c.word("client")
 	case AssertStamp:
-		if a.Target, err = c.word("group"); err != nil {
-			return a, err
-		}
-		if a.Volume, err = c.word("volume"); err != nil {
-			return a, err
-		}
-		if a.Op, a.N, err = c.bound(); err != nil {
-			return a, err
-		}
+		a.Target, a.Volume = c.word("group"), c.word("volume")
+		a.Op, a.N = c.bound()
 	case AssertMetric:
-		if a.Metric, err = c.word("metric name"); err != nil {
-			return a, err
-		}
+		a.Metric = c.word("metric name")
 		for {
-			tok, quoted, ok := c.peek()
-			if !ok {
-				return a, fmt.Errorf("metric assertion needs a bound (== != <= >= < >)")
-			}
-			if !quoted && isOp(tok) {
+			t, ok := c.peek()
+			if !ok || !t.quoted && isOp(t.text) {
 				break
 			}
-			kv, err := c.any("label")
-			if err != nil {
-				return a, err
-			}
+			kv := c.any("label")
 			k, v, found := strings.Cut(kv, "=")
 			if !found || k == "" {
-				return a, fmt.Errorf("label %q is not key=value", kv)
+				c.failf("label %q is not key=value", kv)
 			}
 			a.Labels = append(a.Labels, [2]string{k, v})
 		}
-		if a.Op, a.N, err = c.bound(); err != nil {
-			return a, err
+		if c.done() {
+			c.failf("metric assertion needs a bound (== != <= >= < >)")
 		}
+		a.Op, a.N = c.bound()
 	case AssertFailovers:
-		if a.Client, err = c.word("client"); err != nil {
-			return a, err
-		}
-		if a.Op, a.N, err = c.bound(); err != nil {
-			return a, err
-		}
+		a.Client = c.word("client")
+		a.Op, a.N = c.bound()
 	case AssertElapsed:
-		op, err := c.word("comparison")
-		if err != nil {
-			return a, err
-		}
-		if !isOp(op) {
-			return a, fmt.Errorf("%q is not a comparison operator", op)
-		}
-		a.Op = op
-		if a.Dur, err = c.duration("elapsed bound"); err != nil {
-			return a, err
-		}
+		a.Op, a.Dur = c.op(), c.duration("elapsed bound")
 	case AssertState:
-		if a.Client, err = c.word("client"); err != nil {
-			return a, err
-		}
-		if a.State, err = c.word("state"); err != nil {
-			return a, err
-		}
+		a.Client, a.State = c.word("client"), c.word("state")
 	case AssertSpans:
-		if a.Metric, err = c.word("span name"); err != nil {
-			return a, err
-		}
-		if a.State, err = c.word("spans mode (count or dur)"); err != nil {
-			return a, err
-		}
+		a.Metric, a.State = c.word("span name"), c.word("spans mode (count or dur)")
 		switch a.State {
 		case "count":
-			if a.Op, a.N, err = c.bound(); err != nil {
-				return a, err
-			}
+			a.Op, a.N = c.bound()
 		case "dur":
-			op, err := c.word("comparison")
-			if err != nil {
-				return a, err
-			}
-			if !isOp(op) {
-				return a, fmt.Errorf("%q is not a comparison operator", op)
-			}
-			a.Op = op
-			if a.Dur, err = c.duration("duration bound"); err != nil {
-				return a, err
-			}
+			a.Op, a.Dur = c.op(), c.duration("duration bound")
 		default:
-			return a, fmt.Errorf("spans mode %q is not count or dur", a.State)
+			c.failf("spans mode %q is not count or dur", a.State)
 		}
 	default:
-		return a, fmt.Errorf("unknown assertion kind %q", kind)
+		c.failf("unknown assertion kind %q", kind)
 	}
-	if !c.done() {
-		return a, fmt.Errorf("trailing arguments after assert %s", kind)
-	}
-	return a, nil
+	return a
 }
 
 // parseAxis parses a matrix directive: a variable plus explicit values,
 // where a single token of the form a..b expands to the integer range.
-func parseAxis(c *cursor) (Axis, error) {
-	var ax Axis
-	var err error
-	if ax.Name, err = c.word("axis name"); err != nil {
-		return ax, err
+func parseAxis(c *cursor) Axis {
+	ax := Axis{Name: c.word("axis name")}
+	if strings.ContainsAny(ax.Name, "${}") {
+		c.failf("bad axis name %q", ax.Name)
 	}
 	for !c.done() {
-		v, err := c.any("axis value")
-		if err != nil {
-			return ax, err
-		}
-		if lo, hi, ok := cutRange(v); ok {
-			if hi < lo || hi-lo >= 1000 {
-				return ax, fmt.Errorf("range %s spans %d values (max 1000, ascending)", v, hi-lo+1)
-			}
+		v := c.any("axis value")
+		lo, hi, ok := cutRange(v)
+		switch {
+		case !ok:
+			ax.Values = append(ax.Values, v)
+		case hi < lo || uint64(hi-lo) >= 1000: // unsigned: hi-lo may overflow int64
+			c.failf("range %s: want an ascending range of max 1000 values", v)
+		default:
 			for n := lo; n <= hi; n++ {
 				ax.Values = append(ax.Values, strconv.FormatInt(n, 10))
 			}
-			continue
 		}
-		ax.Values = append(ax.Values, v)
 	}
 	if len(ax.Values) == 0 {
-		return ax, fmt.Errorf("axis %s has no values", ax.Name)
+		c.failf("axis %s has no values", ax.Name)
 	}
-	return ax, nil
+	return ax
 }
 
 // cutRange parses "a..b" into its integer bounds.
@@ -625,6 +339,19 @@ func cutRange(s string) (lo, hi int64, ok bool) {
 		return 0, 0, false
 	}
 	return lo, hi, true
+}
+
+// unexpanded returns the first ${var} reference in toks, or "".
+func unexpanded(toks []token) string {
+	for _, t := range toks {
+		if i := strings.Index(t.text, "${"); i >= 0 {
+			if j := strings.Index(t.text[i:], "}"); j >= 0 {
+				return t.text[i : i+j+1]
+			}
+			return t.text[i:]
+		}
+	}
+	return ""
 }
 
 // isOp reports whether tok is a comparison operator.
@@ -691,131 +418,141 @@ func tokenize(line string) ([]token, error) {
 	return out, nil
 }
 
-// cursor walks a token list with typed accessors.
+// cursor walks one line's tokens with typed reads. The first failure
+// sticks, the same rule as wire.Reader: once a read fails, every later
+// read returns its zero value, done reports true, and err keeps that
+// first error. A directive therefore reads its arguments straight
+// through, in order, and Parse checks err once per line.
 type cursor struct {
 	toks []token
 	i    int
+	err  error
 }
 
-func (c *cursor) done() bool { return c.i >= len(c.toks) }
+// done reports whether the line is used up or a read has failed.
+func (c *cursor) done() bool { return c.err != nil || c.i >= len(c.toks) }
+
+// failf records a failure unless an earlier one already stuck.
+func (c *cursor) failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
 
 // peek returns the next token without consuming it.
-func (c *cursor) peek() (text string, quoted, ok bool) {
+func (c *cursor) peek() (token, bool) {
 	if c.done() {
-		return "", false, false
+		return token{}, false
 	}
-	return c.toks[c.i].text, c.toks[c.i].quoted, true
+	return c.toks[c.i], true
 }
 
-// must consumes and returns the next token's text; callers have already
-// checked done().
-func (c *cursor) must() string {
-	t := c.toks[c.i].text
-	c.i++
+// next consumes a token; at the end of the line it fails with
+// "missing <what>".
+func (c *cursor) next(what string) token {
+	t, ok := c.peek()
+	if ok {
+		c.i++
+	} else {
+		c.failf("missing %s", what)
+	}
 	return t
 }
 
-// word consumes an unquoted token.
-func (c *cursor) word(what string) (string, error) {
-	if c.done() {
-		return "", fmt.Errorf("missing %s", what)
-	}
-	t := c.toks[c.i]
-	if t.quoted {
-		return "", fmt.Errorf("%s must not be quoted", what)
-	}
-	c.i++
-	return t.text, nil
-}
-
 // any consumes a token, quoted or not.
-func (c *cursor) any(what string) (string, error) {
-	if c.done() {
-		return "", fmt.Errorf("missing %s", what)
+func (c *cursor) any(what string) string { return c.next(what).text }
+
+// word consumes an unquoted token.
+func (c *cursor) word(what string) string {
+	t := c.next(what)
+	if t.quoted {
+		c.failf("%s must not be quoted", what)
+		return ""
 	}
-	t := c.toks[c.i]
-	c.i++
-	return t.text, nil
+	return t.text
 }
 
 // keyword consumes the expected literal token.
-func (c *cursor) keyword(kw string) error {
+func (c *cursor) keyword(kw string) {
+	if t := c.next(strconv.Quote(kw)); t.quoted || t.text != kw {
+		c.failf("expected %q, got %q", kw, t.text)
+	}
+}
+
+// opt reports whether the line goes on; if it does, the next token must
+// be kw, the keyword that introduces an optional tail.
+func (c *cursor) opt(kw string) bool {
 	if c.done() {
-		return fmt.Errorf("missing %q", kw)
+		return false
 	}
-	t := c.toks[c.i]
-	if t.quoted || t.text != kw {
-		return fmt.Errorf("expected %q, got %q", kw, t.text)
-	}
-	c.i++
-	return nil
+	c.keyword(kw)
+	return true
 }
 
 // integer consumes an int64.
-func (c *cursor) integer(what string) (int64, error) {
-	w, err := c.word(what)
+func (c *cursor) integer(what string) int64 {
+	n, err := strconv.ParseInt(c.word(what), 10, 64)
 	if err != nil {
-		return 0, err
+		c.failf("%s: %w", what, err)
+		return 0
 	}
-	n, err := strconv.ParseInt(w, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", what, err)
-	}
-	return n, nil
+	return n
 }
 
-// duration consumes a time.ParseDuration value.
-func (c *cursor) duration(what string) (time.Duration, error) {
-	w, err := c.word(what)
-	if err != nil {
-		return 0, err
+// size consumes a non-negative int64: a byte count, a rate or a
+// repetition count.
+func (c *cursor) size(what string) int64 {
+	n := c.integer(what)
+	if n < 0 {
+		c.failf("%s must not be negative", what)
+		return 0
 	}
-	d, err := time.ParseDuration(w)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", what, err)
+	return n
+}
+
+// duration consumes a non-negative time.ParseDuration value.
+func (c *cursor) duration(what string) time.Duration {
+	d, err := time.ParseDuration(c.word(what))
+	switch {
+	case err != nil:
+		c.failf("%s: %w", what, err)
+	case d < 0:
+		c.failf("%s must not be negative", what)
+	default:
+		return d
 	}
-	if d < 0 {
-		return 0, fmt.Errorf("%s must not be negative", what)
-	}
-	return d, nil
+	return 0
 }
 
 // content consumes file content: either a quoted string or `zeros N`.
-func (c *cursor) content() ([]byte, error) {
-	if c.done() {
-		return nil, fmt.Errorf("missing content (quoted string or zeros N)")
+func (c *cursor) content() []byte {
+	t := c.next("content (quoted string or zeros N)")
+	switch {
+	case t.quoted:
+		return []byte(t.text)
+	case t.text != "zeros":
+		c.failf("content must be a quoted string or zeros N, got %q", t.text)
+		return nil
 	}
-	t := c.toks[c.i]
-	if t.quoted {
-		c.i++
-		return []byte(t.text), nil
+	n := c.size("zeros size")
+	if n > 64<<20 {
+		c.failf("zeros size %d out of range [0, %d]", n, 64<<20)
 	}
-	if t.text != "zeros" {
-		return nil, fmt.Errorf("content must be a quoted string or zeros N, got %q", t.text)
+	if c.err != nil {
+		return nil
 	}
-	c.i++
-	n, err := c.integer("zeros size")
-	if err != nil {
-		return nil, err
+	return make([]byte, n)
+}
+
+// op consumes a comparison operator.
+func (c *cursor) op() string {
+	op := c.word("comparison")
+	if !isOp(op) {
+		c.failf("%q is not a comparison operator (want == != <= >= < >)", op)
+		return ""
 	}
-	if n < 0 || n > 64<<20 {
-		return nil, fmt.Errorf("zeros size %d out of range [0, %d]", n, 64<<20)
-	}
-	return make([]byte, n), nil
+	return op
 }
 
 // bound consumes a comparison operator and an integer.
-func (c *cursor) bound() (string, int64, error) {
-	op, err := c.word("comparison")
-	if err != nil {
-		return "", 0, err
-	}
-	if !isOp(op) {
-		return "", 0, fmt.Errorf("%q is not a comparison operator (want == != <= >= < >)", op)
-	}
-	n, err := c.integer("bound")
-	if err != nil {
-		return "", 0, err
-	}
-	return op, n, nil
-}
+func (c *cursor) bound() (string, int64) { return c.op(), c.integer("bound") }

@@ -31,15 +31,12 @@ var profileByName = map[string]netsim.Profile{
 // journal fault points, trace workloads — derives from the scenario
 // seed on a virtual clock.
 func Run(s *Scenario) (*Result, error) {
-	if err := Validate(s); err != nil {
+	topo, err := validate(s)
+	if err != nil {
 		return nil, err
 	}
 	if s.IsTemplate() {
 		return nil, fmt.Errorf("scenario %s: is a template; expand it with the matrix command first", s.Name)
-	}
-	topo, err := resolveTopology(s)
-	if err != nil {
-		return nil, err
 	}
 	w, err := compile(s, topo)
 	if err != nil {
@@ -283,7 +280,7 @@ func (w *compiled) execStep(st *Step) error {
 		}
 	case StepReplay:
 		tr := w.traces[st.Target]
-		td := w.traceDecl(st.Target)
+		td := w.topo.traces[st.Target]
 		opts := trace.ReplayOpts{Lambda: td.Lambda, OpCost: td.OpCost}
 		if opts.Lambda == 0 {
 			opts.Lambda = time.Second
@@ -303,16 +300,6 @@ func (w *compiled) execStep(st *Step) error {
 		return fmt.Errorf("unhandled step kind %q", st.Kind)
 	}
 	return nil
-}
-
-// traceDecl returns the declaration behind a trace name.
-func (w *compiled) traceDecl(name string) *TraceDecl {
-	for i := range w.scn.Traces {
-		if w.scn.Traces[i].Name == name {
-			return &w.scn.Traces[i]
-		}
-	}
-	panic("scenario: unresolved trace " + name)
 }
 
 // scheduleFlaps schedules st.N down/up cycles of the client↔target

@@ -31,8 +31,8 @@ type Scenario struct {
 	Seed int64
 
 	// Axes are matrix sweep dimensions, in declaration order. A scenario
-	// with axes (or with unexpanded ${var} references) is a template and
-	// cannot run directly; ExpandMatrix turns it into runnable instances.
+	// with axes is a template and cannot run directly; ExpandMatrix turns
+	// it into runnable instances.
 	Axes []Axis
 
 	Groups  []GroupDecl

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -234,7 +235,9 @@ func TestGoldenTrace(t *testing.T) {
 }
 
 // TestParseErrors pins the parser's error surface: every malformed
-// input returns a wrapped error naming the line, never a panic.
+// input returns a wrapped error naming its line (the last line of each
+// case), never a panic. Every directive, step kind and assertion kind
+// has a row.
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src, want string
@@ -247,9 +250,67 @@ func TestParseErrors(t *testing.T) {
 		{"trailing args", "group g members 3 journal extra", "unknown group option"},
 		{"axis no values", "matrix crash", "no values"},
 		{"range too big", "matrix n 1..99999", "max 1000"},
+		{"range overflows", "matrix n -9223372036854775808..9223372036854775807", "max 1000"},
 		{"zeros too big", `write c /f zeros 99999999999`, "out of range"},
 		{"metric without bound", "assert metric venus_cml_records", "needs a bound"},
 		{"bad label", "assert metric m novalue == 1", "not key=value"},
+		{"unexpanded var", "group g members 1\nclient c id 1\nkill ${victim}", "unexpanded variable ${victim}"},
+		{"unexpanded var in content", `write c /f "v${n}"`, "unexpanded variable ${n}"},
+		{"duplicate axis", "matrix a 1 2\nmatrix a 3", `duplicate axis "a"`},
+		{"bad axis name", "matrix ${a} 1", "bad axis name"},
+
+		// Header and topology directives.
+		{"scenario no name", "scenario", "missing name"},
+		{"doc no text", "doc", "missing doc text"},
+		{"seed not integer", "seed x", "seed: strconv.ParseInt"},
+		{"group no members", "group g", `missing "members"`},
+		{"volume bad keyword", "volume v grp g", `expected "group", got "grp"`},
+		{"seed-file no content", "seed-file v p", "missing content"},
+		{"seed-dir trailing", "seed-dir v p x", "trailing arguments"},
+		{"trace bad option", "trace t segment s bogus", "unknown trace option"},
+		{"trace negative scale", "trace t segment s scale -5", "scale percent must not be negative"},
+		{"client id out of range", "client c id 0", "client id 0 out of range"},
+		{"client bad option", "client c id 1 bogus", "unknown client option"},
+		{"client negative cache", "client c id 1 cache -1", "cache bytes must not be negative"},
+		{"client negative chunk seconds", "client c id 1 chunk-seconds -5", "chunk seconds must not be negative"},
+		{"mount no volume", "mount c", "missing volume"},
+
+		// The twenty step kinds.
+		{"at negative", "at -1s", "offset must not be negative"},
+		{"write no content", "write c /f", "missing content"},
+		{"write negative zeros", "write c /f zeros -1", "zeros size must not be negative"},
+		{"mkdir no path", "mkdir c", "missing path"},
+		{"remove no client", "remove", "missing client"},
+		{"read bad keyword", "read c /f foo", `expected "expect"`},
+		{"disconnect trailing", "disconnect c x", "trailing arguments"},
+		{"write-disconnect no client", "write-disconnect", "missing client"},
+		{"connect bad bandwidth", "connect c bw x", "bandwidth: strconv.ParseInt"},
+		{"connect negative bandwidth", "connect c bw -5", "bandwidth must not be negative"},
+		{"hoard no priority", "hoard c /p", `missing "priority"`},
+		{"hoard-walk quoted client", `hoard-walk "c"`, "client must not be quoted"},
+		{"reintegrate no client", "reintegrate", "missing client"},
+		{"link bad mode", "link c g sideways", "unknown link mode"},
+		{"link negative bandwidth", "link c g bw -9600", "bandwidth must not be negative"},
+		{"flap too many", "flap c g 99999 period 1s", "out of range"},
+		{"flap negative count", "flap c g -1 period 1s", "flap count must not be negative"},
+		{"kill no target", "kill", "missing target"},
+		{"crash-arm zero", "crash-arm g0 0", "must be >= 1"},
+		{"restart bad keyword", "restart g0 frm g1", `expected "from"`},
+		{"converge no target", "converge", "missing target"},
+		{"drain bad deadline", "drain c within x", "deadline"},
+		{"replay bad keyword", "replay c t cold 1s", `expected "warm"`},
+
+		// The ten assertion kinds.
+		{"assert unknown kind", "assert bogus", "unknown assertion kind"},
+		{"assert identical trailing", "assert identical g extra", "trailing arguments"},
+		{"assert file no path", "assert file g v", "missing path"},
+		{"assert client-file no content", "assert client-file c p", "missing content"},
+		{"assert cml-empty no client", "assert cml-empty", "missing client"},
+		{"assert stamp bad op", "assert stamp g v ~ 3", "not a comparison operator"},
+		{"assert failovers no bound", "assert failovers c", "missing comparison"},
+		{"assert elapsed bad bound", "assert elapsed < x", "elapsed bound"},
+		{"assert state no state", "assert state c", "missing state"},
+		{"assert spans bad mode", "assert spans s bogus", "not count or dur"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,8 +321,8 @@ func TestParseErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Parse(%q) error %q does not contain %q", tc.src, err, tc.want)
 			}
-			if !strings.Contains(err.Error(), "scenario t:") {
-				t.Errorf("error %q does not name the file and line", err)
+			if at := fmt.Sprintf("scenario t:%d:", strings.Count(tc.src, "\n")+1); !strings.Contains(err.Error(), at) {
+				t.Errorf("error %q does not name the file and line (%s)", err, at)
 			}
 		})
 	}
@@ -279,7 +340,6 @@ func TestValidateErrors(t *testing.T) {
 		{"member out of range", "group g members 2\nkill g5", "has 2 members"},
 		{"crash-arm without journal", "group g members 1\nclient c id 1\ncrash-arm g0 1", "journal"},
 		{"restart with seeds", "group g members 1 journal\nvolume v\nseed-file v f \"x\"\nclient c id 1\nrestart g0", "not journaled"},
-		{"unexpanded var", "group g members 1\nclient c id 1\nkill ${victim}", "unexpanded variable"},
 		{"unknown state", "group g members 1\nclient c id 1\nassert state c confused", "unknown state"},
 	}
 	for _, tc := range cases {

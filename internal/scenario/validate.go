@@ -8,14 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// linkProfiles names the netsim profiles a scenario may refer to.
-var linkProfiles = map[string]bool{
-	"ethernet": true,
-	"wavelan":  true,
-	"isdn":     true,
-	"modem":    true,
-}
-
 // clientStates names the Venus states an assert state may expect.
 var clientStates = map[string]bool{
 	"hoarding":           true,
@@ -27,55 +19,47 @@ var clientStates = map[string]bool{
 // generator's default).
 const traceVolume = "usr"
 
-// Validate statically checks a scenario: every reference resolves, the
-// topology is well-formed, and — unless the scenario is a template —
-// no unexpanded ${var} remains. Templates get their axes checked here
-// and full validation per instance after expansion.
+// Validate statically checks a scenario: every reference resolves and
+// the topology is well-formed. A template passes as Parse left it (Parse
+// has checked its axes); ExpandMatrix validates each instance.
 func Validate(s *Scenario) error {
+	_, err := validate(s)
+	return err
+}
+
+// validate is Validate returning the topology index it resolved, nil for
+// a template.
+func validate(s *Scenario) (*topology, error) {
 	if s.Name == "" {
-		return fmt.Errorf("scenario: empty name")
+		return nil, fmt.Errorf("scenario: empty name")
 	}
 	if s.IsTemplate() {
-		seen := map[string]bool{}
-		for _, ax := range s.Axes {
-			if ax.Name == "" || strings.ContainsAny(ax.Name, "${} \t") {
-				return fmt.Errorf("scenario %s: bad axis name %q", s.Name, ax.Name)
-			}
-			if seen[ax.Name] {
-				return fmt.Errorf("scenario %s: duplicate axis %q", s.Name, ax.Name)
-			}
-			seen[ax.Name] = true
-		}
-		return nil
+		return nil, nil
 	}
-	if v := firstUnexpanded(s); v != "" {
-		return fmt.Errorf("scenario %s: unexpanded variable %s (expand the template with the matrix command first)", s.Name, v)
-	}
-
 	t, err := resolveTopology(s)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i := range s.Mounts {
 		m := &s.Mounts[i]
 		if _, ok := t.clients[m.Client]; !ok {
-			return declErr(s, m.Line, "mount", fmt.Errorf("unknown client %q", m.Client))
+			return nil, declErr(s, m.Line, "mount", fmt.Errorf("unknown client %q", m.Client))
 		}
 		if _, ok := t.volumes[m.Volume]; !ok {
-			return declErr(s, m.Line, "mount", fmt.Errorf("unknown volume %q", m.Volume))
+			return nil, declErr(s, m.Line, "mount", fmt.Errorf("unknown volume %q", m.Volume))
 		}
 	}
 	for i := range s.Steps {
 		if err := validateStep(s, t, &s.Steps[i]); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for i := range s.Asserts {
 		if err := validateAssert(s, t, &s.Asserts[i]); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return t, nil
 }
 
 // topology indexes a scenario's declarations for reference resolution.
@@ -218,7 +202,7 @@ func validateStep(s *Scenario, t *topology, st *Step) error {
 		if _, _, _, err := t.resolveTarget(st.Target); err != nil {
 			return fail(err)
 		}
-		if st.Kind == StepLink && st.Mode == LinkProfile && !linkProfiles[st.Profile] {
+		if _, ok := profileByName[st.Profile]; st.Kind == StepLink && st.Mode == LinkProfile && !ok {
 			return fail(fmt.Errorf("unknown profile %q (want ethernet, wavelan, isdn, modem)", st.Profile))
 		}
 	case StepKill, StepCrashArm, StepRestart:
@@ -303,66 +287,6 @@ func validSegment(name string) bool {
 		}
 	}
 	return false
-}
-
-// firstUnexpanded returns the first ${var} reference left in a
-// non-template scenario, or "".
-func firstUnexpanded(s *Scenario) string {
-	check := func(fields ...string) string {
-		for _, f := range fields {
-			if i := strings.Index(f, "${"); i >= 0 {
-				if j := strings.Index(f[i:], "}"); j >= 0 {
-					return f[i : i+j+1]
-				}
-				return f[i:]
-			}
-		}
-		return ""
-	}
-	if v := check(s.Name); v != "" {
-		return v
-	}
-	for _, g := range s.Groups {
-		if v := check(g.Name); v != "" {
-			return v
-		}
-	}
-	for _, d := range s.Volumes {
-		if v := check(d.Name, d.Group); v != "" {
-			return v
-		}
-	}
-	for _, d := range s.Seeds {
-		if v := check(d.Volume, d.Path, string(d.Data)); v != "" {
-			return v
-		}
-	}
-	for _, d := range s.Traces {
-		if v := check(d.Name, d.Segment); v != "" {
-			return v
-		}
-	}
-	for _, c := range s.Clients {
-		if v := check(c.Name, c.Group); v != "" {
-			return v
-		}
-	}
-	for _, m := range s.Mounts {
-		if v := check(m.Client, m.Volume); v != "" {
-			return v
-		}
-	}
-	for _, st := range s.Steps {
-		if v := check(st.Client, st.Target, st.Path, string(st.Data), st.Profile, st.From); v != "" {
-			return v
-		}
-	}
-	for _, a := range s.Asserts {
-		if v := check(a.Client, a.Target, a.Volume, a.Path, string(a.Data), a.Metric, a.State); v != "" {
-			return v
-		}
-	}
-	return ""
 }
 
 // declErr attributes a validation error to its source line.

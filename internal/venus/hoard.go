@@ -251,10 +251,6 @@ func (v *Venus) expandChildren(cands *[]walkCand, seen map[codafs.FID]bool, vc *
 	}
 	v.mu.Lock()
 	names := dir.obj.ChildNames()
-	children := make(map[string]codafs.FID, len(names))
-	for _, n := range names {
-		children[n] = dir.obj.Children[n]
-	}
 	v.mu.Unlock()
 	for _, name := range names {
 		childPath := dirPath + "/" + name
@@ -267,7 +263,6 @@ func (v *Venus) expandChildren(cands *[]walkCand, seen map[codafs.FID]bool, vc *
 			v.expandChildren(cands, seen, vc, childPath, pri, state, depth+1)
 		}
 	}
-	_ = children
 }
 
 func (v *Venus) addCandidate(cands *[]walkCand, seen map[codafs.FID]bool, vc *vclient, f *fso, path string, pri int, state State) {

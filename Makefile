@@ -75,7 +75,10 @@ examples:
 # Server.WriteFile, Server.ReadFile); a fourth fails here until the ledger
 # has a row for it. Then one count per event: a Venus or server Stats
 # count is its own field, read by the registry through CounterFunc, so
-# no met.<handle> for one of those events comes back beside it.
+# no met.<handle> for one of those events comes back beside it. And a
+# cached directory is listed from its kept, sorted name list: Venus
+# calls ChildNames( from one place, the builder of that list
+# (fso.listing), so no second per-call sort comes back.
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
@@ -87,6 +90,7 @@ lint-structure:
 	! grep -rn --include='*.go' --exclude='*_test.go' 'Sleep(0)' . | grep -v '^./internal/simtime/'
 	test "$$(grep -rnE --include='*.go' --exclude='*_test.go' 'append\(\[\]byte\(nil\), [A-Za-z0-9_.]*[dD]ata\.\.\.\)' . | grep -vc -e '^./cmd/codaperf/' -e '/testdata/')" -le 3
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'met\.(calls|reintegrations|reintegFails|recordsApplied|conflicts|breaks|replApplied|replDups|catchupRecs|verdict[A-Za-z]*|volValidations[A-Za-z]*|objsSaved|missingStamp|objValidations|failovers|shipped[A-Za-z]*|delta[A-Za-z]*|transitions)\b' internal/venus internal/server
+	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'ChildNames(' internal/venus | wc -l)" -eq 1
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

@@ -187,10 +187,11 @@ func Replay(clock simtime.Clock, v *venus.Venus, tr *Trace, opts ReplayOpts) Rep
 	var st ReplayStats
 	start := clock.Now()
 	var prev time.Duration
-	// One buffer receives every read and one run of zeros feeds every
-	// write (Venus copies what it keeps), so the replayer itself adds no
-	// garbage to the path it is timing.
+	// One buffer receives every read, one slice every listing, and one
+	// run of zeros feeds every write (Venus copies what it keeps), so the
+	// replayer itself adds no garbage to the path it is timing.
 	var readBuf, zeros []byte
+	var names []string
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		gap := r.T - prev
@@ -215,7 +216,7 @@ func Replay(clock simtime.Clock, v *venus.Venus, tr *Trace, opts ReplayOpts) Rep
 		case OpStat:
 			_, err = v.Stat(r.Path)
 		case OpReadDir:
-			_, err = v.ReadDir(r.Path)
+			names, err = v.AppendDir(names[:0], r.Path)
 		case OpMkdir:
 			err = v.Mkdir(r.Path)
 			st.Updates++

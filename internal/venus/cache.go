@@ -30,6 +30,21 @@ type fso struct {
 	hoardPri int
 	// refSeq orders recency (larger = more recent).
 	refSeq int64
+	// names is a directory's kept listing: its entry names, sorted, built
+	// by listing on first use and dropped by cache.install and
+	// cache.recharge. It is never written after it is built, so a holder
+	// may keep the slice after releasing Venus.mu.
+	names []string
+}
+
+// listing returns the directory's entry names in sorted order, building
+// the kept listing if the entries changed since the last call. The slice
+// is shared: read it or append from it, never write into it.
+func (f *fso) listing() []string {
+	if f.names == nil {
+		f.names = f.obj.ChildNames()
+	}
+	return f.names
 }
 
 // dataBytes is the object's charge against cache space.
@@ -73,6 +88,7 @@ func (c *cache) install(obj *codafs.Object, dirty bool) *fso {
 	if old := c.objs[fid]; old != nil {
 		c.used -= old.dataBytes()
 		old.obj = obj
+		old.names = nil
 		old.placeholder = false
 		old.valid = true
 		old.dirty = old.dirty || dirty
@@ -88,8 +104,12 @@ func (c *cache) install(obj *codafs.Object, dirty bool) *fso {
 }
 
 // recharge recomputes an object's space charge after in-place mutation.
+// It is also where a directory's kept listing is dropped, by the one
+// rule that keeps it true: every change to a cached directory's entries
+// ends in recharge, or in install, which replaces the object.
 func (c *cache) recharge(f *fso, before int64) {
 	c.used += f.dataBytes() - before
+	f.names = nil
 }
 
 // remove evicts fid.

@@ -1,10 +1,17 @@
 package venus
 
 import (
+	"bytes"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/codafs"
+	"repro/internal/netsim"
+	"repro/internal/server"
+	"repro/internal/simtime"
 )
 
 func mkObj(vnode uint64, size int) *codafs.Object {
@@ -178,4 +185,137 @@ func TestCacheStatsFigure6Fields(t *testing.T) {
 	if cs.Available() != cs.AllocatedBytes-cs.OccupiedBytes {
 		t.Error("Available inconsistent")
 	}
+}
+
+// checkListings fails the test unless every kept listing in v's cache
+// equals its directory's sorted entries, and ReadDir of each of dirs
+// equals the entries of the directory it resolves to.
+func checkListings(t *testing.T, v *Venus, step string, dirs ...string) {
+	t.Helper()
+	entries := func(f *fso) []string {
+		names := make([]string, 0, len(f.obj.Children))
+		for name := range f.obj.Children {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return names
+	}
+	v.mu.Lock()
+	for _, f := range v.cache.all() {
+		if f.names != nil && !slices.Equal(f.names, entries(f)) {
+			t.Errorf("%s: %v keeps listing %q, entries are %q", step, f.obj.Status.FID, f.names, entries(f))
+		}
+	}
+	v.mu.Unlock()
+	for _, dir := range dirs {
+		got, err := v.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("%s: ReadDir(%s): %v", step, dir, err)
+		}
+		_, f, err := v.resolve(dir, true)
+		if err != nil {
+			t.Fatalf("%s: resolve(%s): %v", step, dir, err)
+		}
+		v.mu.Lock()
+		want := entries(f)
+		v.mu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: ReadDir(%s) = %q, entries are %q", step, dir, got, want)
+		}
+	}
+}
+
+// TestListingFollowsEntryChanges drives every site that changes a cached
+// directory's entries — each operation written through and logged, a
+// refetch, validation demoting a directory, a restored CML applied to a
+// cached directory and overlaid on a fetched one — with every directory
+// listed before each step, so a kept listing that is not dropped shows.
+func TestListingFollowsEntryChanges(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	net := netsim.New(sim, 11)
+	net.SetDefaults(netsim.Ethernet.Params())
+	srv := server.New(sim, net.Host("server"))
+	if _, err := srv.CreateVolume("v"); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"d/a", "d/b", "e/c"} {
+		if _, err := srv.WriteFile("v", rel, []byte(rel)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{Server: "server", ClientID: 1, AgingWindow: time.Hour, PinWriteDisconnected: true}
+	dirs := []string{"/coda/v", "/coda/v/d", "/coda/v/e"}
+	sim.Run(func() {
+		v := New(sim, net.Host("c1"), cfg)
+		if err := v.Mount("v"); err != nil {
+			t.Fatal(err)
+		}
+		checkListings(t, v, "mount", dirs...)
+
+		for _, mode := range []string{"connected", "logged"} {
+			if mode == "logged" {
+				v.WriteDisconnect()
+			}
+			for _, op := range []struct {
+				name string
+				do   func() error
+			}{
+				{"create", func() error { return v.WriteFile("/coda/v/d/new-"+mode, nil) }},
+				{"mkdir", func() error { return v.Mkdir("/coda/v/d/sub-" + mode) }},
+				{"symlink", func() error { return v.Symlink("a", "/coda/v/d/ln-"+mode) }},
+				{"link", func() error { return v.Link("/coda/v/d/a", "/coda/v/d/hard-"+mode) }},
+				{"remove", func() error { return v.Remove("/coda/v/d/new-" + mode) }},
+				{"rmdir", func() error { return v.Rmdir("/coda/v/d/sub-" + mode) }},
+				{"rename within", func() error { return v.Rename("/coda/v/d/ln-"+mode, "/coda/v/d/ln2-"+mode) }},
+				{"rename across", func() error { return v.Rename("/coda/v/d/ln2-"+mode, "/coda/v/e/ln3-"+mode) }},
+			} {
+				if err := op.do(); err != nil {
+					t.Fatalf("%s %s: %v", mode, op.name, err)
+				}
+				checkListings(t, v, mode+" "+op.name, dirs...)
+			}
+			if mode != "connected" {
+				continue
+			}
+			// Another writer's create breaks d's callback; the next
+			// listing revalidates d and refetches it through install.
+			if _, err := srv.WriteFile("v", "d/theirs", nil); err != nil {
+				t.Fatal(err)
+			}
+			sim.Sleep(time.Second)
+			checkListings(t, v, "refetch", dirs...)
+			// The same for e, but a hoard walk's validation finds it
+			// changed first and demotes it to a placeholder.
+			if _, err := srv.WriteFile("v", "e/theirs", nil); err != nil {
+				t.Fatal(err)
+			}
+			sim.Sleep(time.Second)
+			if err := v.HoardWalk(); err != nil {
+				t.Fatal(err)
+			}
+			checkListings(t, v, "demote", dirs...)
+		}
+
+		// A restart restores the logged records: d is cached and listed
+		// when they are applied, e is fetched afterwards and overlaid.
+		var img bytes.Buffer
+		if err := v.SaveState(&img); err != nil {
+			t.Fatal(err)
+		}
+		v.Close()
+		v2 := New(sim, net.Host("c1b"), cfg)
+		defer v2.Close()
+		if err := v2.Mount("v"); err != nil {
+			t.Fatal(err)
+		}
+		checkListings(t, v2, "restart", "/coda/v", "/coda/v/d")
+		if err := v2.LoadState(&img); err != nil {
+			t.Fatal(err)
+		}
+		checkListings(t, v2, "restore", dirs...)
+		names, _ := v2.ReadDir("/coda/v/e")
+		if !slices.Contains(names, "ln3-logged") {
+			t.Errorf("e after restore = %q; the logged rename is not overlaid", names)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package venus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -122,6 +123,7 @@ var hitScript = []hitStep{
 	{"read", "a/b/ph.txt"},      // its data is a miss
 	{"read", "a/b/suspect.txt"}, // revalidated, or used as-is when emulating
 	{"readdir", "a/b"},
+	{"appenddir", "a/b"},
 	{"readlink", "a/b/link"},
 	{"readdir", "a/sdir"},        // suspect directory
 	{"read", "a/sdir/under.txt"}, // ... and a miss half-way down
@@ -135,6 +137,8 @@ var hitScript = []hitStep{
 	{"parent", "a/cold/new"},
 	{"stat", ""}, // the volume root
 	{"readdir", ""},
+	{"appenddir", "a/sdir"},
+	{"appenddir", "a/b/clean.txt"},
 	{"read", "a/b/hoarded.txt"},
 }
 
@@ -172,6 +176,10 @@ func (v *Venus) runHitStep(st hitStep, spelling int) string {
 	case "readdir":
 		var names []string
 		names, err = v.ReadDir(path)
+		res = fmt.Sprint(names)
+	case "appenddir":
+		var names []string
+		names, err = v.AppendDir([]string{"prefix"}, path)
 		res = fmt.Sprint(names)
 	case "readlink":
 		res, err = v.ReadLink(path)
@@ -304,6 +312,46 @@ func TestAppendFile(t *testing.T) {
 		}
 		if got, err := v.AppendFile(nil, "/coda/v/a/b/nope.txt"); got != nil || err == nil {
 			t.Errorf("AppendFile(nil, missing) = %v, %v", got, err)
+		}
+	})
+}
+
+func TestAppendDir(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, Hoarding)
+		defer v.Close()
+		const path = "/coda/v/a/b"
+		want := []string{"clean.txt", "dirty.txt", "hoarded.txt", "link", "ph.txt", "suspect.txt"}
+
+		buf := make([]string, 1, 16)
+		buf[0] = "kept"
+		got, err := v.AppendDir(buf, path)
+		if err != nil || !slices.Equal(got, append([]string{"kept"}, want...)) {
+			t.Fatalf("AppendDir = %q, %v", got, err)
+		}
+		if &got[0] != &buf[0] {
+			t.Error("AppendDir reallocated a slice that had room")
+		}
+
+		// Mutating the result must not reach the kept listing.
+		for i := range got {
+			got[i] = "X"
+		}
+		if again, err := v.ReadDir(path); err != nil || !slices.Equal(again, want) {
+			t.Errorf("re-list after mutating the result = %q, %v", again, err)
+		}
+
+		// Errors return dst as it was.
+		buf[0] = "kept"
+		for _, bad := range []string{"/coda/v/a/b/nope", "/coda/v/a/b/clean.txt"} {
+			got, err := v.AppendDir(buf[:1], bad)
+			if err == nil || len(got) != 1 || got[0] != "kept" || &got[0] != &buf[0] {
+				t.Errorf("AppendDir(%q) = %q, %v; want dst unchanged and an error", bad, got, err)
+			}
+		}
+		if got, err := v.AppendDir(nil, "/coda/v/a/b/nope"); got != nil || err == nil {
+			t.Errorf("AppendDir(nil, missing) = %v, %v", got, err)
 		}
 	})
 }

@@ -250,7 +250,7 @@ func (v *Venus) expandChildren(cands *[]walkCand, seen map[codafs.FID]bool, vc *
 		return
 	}
 	v.mu.Lock()
-	names := dir.obj.ChildNames()
+	names := dir.listing() // never written, so safe to range after Unlock
 	v.mu.Unlock()
 	for _, name := range names {
 		childPath := dirPath + "/" + name

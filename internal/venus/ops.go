@@ -535,18 +535,27 @@ func (v *Venus) Stat(path string) (codafs.Status, error) {
 	return f.obj.Status, nil
 }
 
-// ReadDir lists the directory at path.
+// ReadDir lists the directory at path, in name order, in a fresh slice.
 func (v *Venus) ReadDir(path string) ([]string, error) {
+	return v.AppendDir(nil, path)
+}
+
+// AppendDir appends the names in the directory at path, in sorted order,
+// to dst and returns the extended slice, so a caller that lists many
+// directories can reuse one slice. The names are copied from the listing
+// the cache keeps with the directory (fso.listing): the result never
+// aliases it. On error it returns dst unchanged.
+func (v *Venus) AppendDir(dst []string, path string) ([]string, error) {
 	_, f, err := v.resolve(path, true)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if f.obj.Status.Type != codafs.Directory {
-		return nil, fmt.Errorf("venus: %s: %w", path, ErrNotDir)
+		return dst, fmt.Errorf("venus: %s: %w", path, ErrNotDir)
 	}
-	return f.obj.ChildNames(), nil
+	return append(dst, f.listing()...), nil
 }
 
 // ReadLink returns the symlink target at path.
@@ -645,7 +654,7 @@ func (v *Venus) WriteFile(path string, data []byte) error {
 	rec := cml.Record{
 		Kind: cml.Store, FID: fid, Parent: parent.obj.Status.FID, Name: name,
 		Data: data, Length: int64(len(data)), ModTime: v.clock.Now(),
-		PrevVersion: f.obj.Status.Version, Owner: v.owner(),
+		PrevVersion: f.obj.Status.Version, Owner: v.owner,
 	}
 	state := v.state
 	v.mu.Unlock()
@@ -710,7 +719,7 @@ func (v *Venus) makeObject(vc *vclient, parent *fso, name string, typ codafs.Obj
 	}
 	rec := cml.Record{
 		Kind: kind, FID: v.allocFID(vc.info.ID), Parent: parent.obj.Status.FID, Name: name, Target: target,
-		ModTime: v.clock.Now(), Owner: v.owner(), PrevParentVersion: parent.obj.Status.Version,
+		ModTime: v.clock.Now(), Owner: v.owner, PrevParentVersion: parent.obj.Status.Version,
 	}
 	state := v.state
 	v.mu.Unlock()
@@ -782,7 +791,7 @@ func (v *Venus) removeCommon(path string, rmdir bool) error {
 	}
 	rec := cml.Record{
 		Kind: kind, FID: target.obj.Status.FID, Parent: parent.obj.Status.FID, Name: name,
-		PrevVersion: target.obj.Status.Version, Owner: v.owner(),
+		PrevVersion: target.obj.Status.Version, Owner: v.owner,
 	}
 	state := v.state
 	v.mu.Unlock()
@@ -823,7 +832,7 @@ func (v *Venus) Rename(oldPath, newPath string) error {
 	}
 	rec := cml.Record{
 		Kind: cml.Rename, FID: fid, Parent: oldParent.obj.Status.FID, Name: oldName,
-		NewParent: newParent.obj.Status.FID, NewName: newName, Owner: v.owner(),
+		NewParent: newParent.obj.Status.FID, NewName: newName, Owner: v.owner,
 	}
 	state := v.state
 	v.mu.Unlock()
@@ -866,7 +875,7 @@ func (v *Venus) Link(existingPath, newPath string) error {
 		return fmt.Errorf("venus: %s: %w", newPath, ErrExist)
 	}
 	rec := cml.Record{
-		Kind: cml.Link, FID: target.obj.Status.FID, Parent: parent.obj.Status.FID, Name: name, Owner: v.owner(),
+		Kind: cml.Link, FID: target.obj.Status.FID, Parent: parent.obj.Status.FID, Name: name, Owner: v.owner,
 	}
 	state := v.state
 	v.mu.Unlock()
@@ -892,7 +901,7 @@ func (v *Venus) SetAttr(path string, mode uint32) error {
 	v.mu.Lock()
 	rec := cml.Record{
 		Kind: cml.SetAttr, FID: f.obj.Status.FID, Mode: mode, ModTime: v.clock.Now(),
-		PrevVersion: f.obj.Status.Version, Owner: v.owner(),
+		PrevVersion: f.obj.Status.Version, Owner: v.owner,
 	}
 	state := v.state
 	v.mu.Unlock()
@@ -906,10 +915,6 @@ func (v *Venus) SetAttr(path string, mode uint32) error {
 		f.obj.Status.ModTime = rec.ModTime
 		f.dirty = true
 	})
-}
-
-func (v *Venus) owner() string {
-	return fmt.Sprintf("client-%d", v.cfg.ClientID)
 }
 
 // noteStamp updates the cached volume stamp after this client's own

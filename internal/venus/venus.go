@@ -164,6 +164,7 @@ func (c *Config) fillDefaults() {
 type Venus struct {
 	clock simtime.Clock
 	cfg   Config
+	owner string // "client-<ClientID>", the Owner of every record built here
 	node  *rpc2.Node
 	met   *vmetrics
 
@@ -272,6 +273,7 @@ func New(clock simtime.Clock, conn netsim.PacketConn, cfg Config) *Venus {
 	v := &Venus{
 		clock:    clock,
 		cfg:      cfg,
+		owner:    fmt.Sprintf("client-%d", cfg.ClientID),
 		state:    Hoarding,
 		volumes:  make(map[string]*vclient),
 		volByID:  make(map[codafs.VolumeID]*vclient),

@@ -78,7 +78,10 @@ examples:
 # no met.<handle> for one of those events comes back beside it. And a
 # cached directory is listed from its kept, sorted name list: Venus
 # calls ChildNames( from one place, the builder of that list
-# (fso.listing), so no second per-call sort comes back.
+# (fso.listing), so no second per-call sort comes back. Last, a
+# directory's Length is kept by one rule: outside internal/codafs
+# (Object.SetEntry / DropEntry) only the wire decoder's Reader.Object
+# writes into a Children map.
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
@@ -91,6 +94,7 @@ lint-structure:
 	test "$$(grep -rnE --include='*.go' --exclude='*_test.go' 'append\(\[\]byte\(nil\), [A-Za-z0-9_.]*[dD]ata\.\.\.\)' . | grep -vc -e '^./cmd/codaperf/' -e '/testdata/')" -le 3
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'met\.(calls|reintegrations|reintegFails|recordsApplied|conflicts|breaks|replApplied|replDups|catchupRecs|verdict[A-Za-z]*|volValidations[A-Za-z]*|objsSaved|missingStamp|objValidations|failovers|shipped[A-Za-z]*|delta[A-Za-z]*|transitions)\b' internal/venus internal/server
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'ChildNames(' internal/venus | wc -l)" -eq 1
+	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'Children\[[^]]*\] *=[^=]' -e 'delete\([^,]*Children,' . | grep -v -e '^./internal/codafs/' -e '^./internal/wire/codec.go:[0-9]*:\s*o\.Children\[name\] = r\.FID()$$'
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

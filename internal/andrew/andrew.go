@@ -6,7 +6,7 @@
 // window), its references are only marginally affected by log optimizations
 // (no overwrite cancellations), and it has no user think time. This package
 // exists to *demonstrate* those limitations on this reproduction — see
-// BenchmarkAndrewInsensitivity in the repository root — and doubles as a
+// TestAndrewInsensitiveToBandwidth in this package — and doubles as a
 // compact end-to-end smoke workload.
 //
 // Phases follow the classic structure: MakeDir (create the subtree),

@@ -105,6 +105,34 @@ func (r *Record) Size() int64 {
 	return int64(RecordOverhead + len(r.Name) + len(r.NewName) + len(r.Target) + len(r.Data))
 }
 
+// NewObject returns the object a Create, Mkdir or MakeSymlink record
+// makes, before any version is stamped on it: the one description the
+// server's apply and the client cache share. A file or directory created
+// without a mode gets 0644 or 0755; a symlink's Length is its target's.
+func (r *Record) NewObject() *codafs.Object {
+	o := &codafs.Object{
+		Status: codafs.Status{FID: r.FID, ModTime: r.ModTime, Mode: r.Mode, Owner: r.Owner, Links: 1},
+		Target: r.Target,
+	}
+	switch r.Kind {
+	case Create:
+		o.Status.Type = codafs.File
+		if o.Status.Mode == 0 {
+			o.Status.Mode = 0644
+		}
+	case Mkdir:
+		o.Status.Type = codafs.Directory
+		o.Children = make(map[string]codafs.FID)
+		if o.Status.Mode == 0 {
+			o.Status.Mode = 0755
+		}
+	case MakeSymlink:
+		o.Status.Type = codafs.Symlink
+		o.Status.Length = int64(len(r.Target))
+	}
+	return o
+}
+
 // CancelClass classifies which optimization rule eliminated a record,
 // matching the cancellation taxonomy of §4.3.2.
 type CancelClass string

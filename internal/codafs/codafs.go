@@ -106,6 +106,21 @@ func (o *Object) Clone() *Object {
 	return &c
 }
 
+// SetEntry binds name to fid in the directory's entries and DropEntry
+// unbinds it. They are the only writers of a Children map outside the
+// wire decoder, so a directory's Length is kept by one rule: 32 bytes an
+// entry, which lets Venus cost a fetch from status alone (§4.4.1).
+func (o *Object) SetEntry(name string, fid FID) {
+	o.Children[name] = fid
+	o.Status.Length = int64(len(o.Children)) * 32
+}
+
+// DropEntry removes name from the directory's entries (see SetEntry).
+func (o *Object) DropEntry(name string) {
+	delete(o.Children, name)
+	o.Status.Length = int64(len(o.Children)) * 32
+}
+
 // ChildNames returns the directory's entry names in sorted order.
 func (o *Object) ChildNames() []string {
 	names := make([]string, 0, len(o.Children))

@@ -72,15 +72,6 @@ func failure(format string, args ...any) wire.RecordResult {
 
 var okResult = wire.RecordResult{OK: true}
 
-// refreshDirLen keeps a directory's Length proportional to its entry count
-// (~32 bytes per entry), so Venus can estimate fetch costs from status
-// information alone (§4.4.1).
-func refreshDirLen(o *codafs.Object) {
-	if o.Status.Type == codafs.Directory {
-		o.Status.Length = int64(len(o.Children)) * 32
-	}
-}
-
 // versionOK implements the optimistic update/update check: the record's
 // PrevVersion must match the server's current version, or the current
 // version must itself be the reintegrating client's own earlier work
@@ -156,32 +147,8 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 		if rec.FID.Volume != a.v.info.ID {
 			return failure("%s %q: fid %s outside volume %d", rec.Kind, rec.Name, rec.FID, a.v.info.ID)
 		}
-		o := &codafs.Object{
-			Status: codafs.Status{
-				FID: rec.FID, ModTime: rec.ModTime, Mode: rec.Mode,
-				Owner: rec.Owner, Links: 1,
-			},
-			Target: rec.Target,
-		}
-		switch rec.Kind {
-		case cml.Create:
-			o.Status.Type = codafs.File
-			if o.Status.Mode == 0 {
-				o.Status.Mode = 0644
-			}
-		case cml.Mkdir:
-			o.Status.Type = codafs.Directory
-			o.Children = make(map[string]codafs.FID)
-			if o.Status.Mode == 0 {
-				o.Status.Mode = 0755
-			}
-		case cml.MakeSymlink:
-			o.Status.Type = codafs.Symlink
-			o.Status.Length = int64(len(rec.Target))
-		}
-		a.create(o)
-		parent.Children[rec.Name] = rec.FID
-		refreshDirLen(parent)
+		a.create(rec.NewObject())
+		parent.SetEntry(rec.Name, rec.FID)
 		a.touch(rec.Parent)
 		return okResult
 
@@ -189,6 +156,9 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 		parent, ok := a.get(rec.Parent)
 		if !ok {
 			return conflict("link %q: parent gone", rec.Name)
+		}
+		if parent.Status.Type != codafs.Directory {
+			return failure("link %q: parent not a directory", rec.Name)
 		}
 		if _, taken := parent.Children[rec.Name]; taken {
 			return conflict("link %q: name already exists", rec.Name)
@@ -201,8 +171,7 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 			return failure("link %q: cannot hard-link a directory", rec.Name)
 		}
 		o.Status.Links++
-		parent.Children[rec.Name] = rec.FID
-		refreshDirLen(parent)
+		parent.SetEntry(rec.Name, rec.FID)
 		a.touch(rec.FID)
 		a.touch(rec.Parent)
 		return okResult
@@ -232,8 +201,7 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 		if rec.PrevVersion != 0 && !versionOK(a, fid, rec.PrevVersion, client) {
 			return conflict("remove %q: object updated on server (remove/update conflict)", rec.Name)
 		}
-		delete(parent.Children, rec.Name)
-		refreshDirLen(parent)
+		parent.DropEntry(rec.Name)
 		a.touch(rec.Parent)
 		if o.Status.Links > 1 {
 			o.Status.Links--
@@ -259,8 +227,7 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 		if len(o.Children) > 0 {
 			return conflict("rmdir %q: directory not empty on server", rec.Name)
 		}
-		delete(parent.Children, rec.Name)
-		refreshDirLen(parent)
+		parent.DropEntry(rec.Name)
 		a.touch(rec.Parent)
 		a.remove(fid)
 		return okResult
@@ -290,10 +257,8 @@ func applyRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 		if !codafs.ValidName(rec.NewName) {
 			return failure("rename: invalid name %q", rec.NewName)
 		}
-		delete(src.Children, rec.Name)
-		dst.Children[rec.NewName] = fid
-		refreshDirLen(src)
-		refreshDirLen(dst)
+		src.DropEntry(rec.Name)
+		dst.SetEntry(rec.NewName, fid)
 		a.touch(rec.Parent)
 		if rec.NewParent != rec.Parent {
 			a.touch(rec.NewParent)

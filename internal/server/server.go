@@ -634,8 +634,7 @@ func (s *Server) writeObject(volName, relPath string, typ codafs.ObjType, data [
 				o.Status.Mode = 0755
 			}
 			v.objects[fid] = o
-			parent.Children[c] = fid
-			refreshDirLen(parent)
+			parent.SetEntry(c, fid)
 			parent.Status.ModTime = s.clock.Now()
 			v.bumpLocked(fid, "")
 			v.bumpLocked(parent.Status.FID, "")
@@ -656,8 +655,7 @@ func (s *Server) writeObject(volName, relPath string, typ codafs.ObjType, data [
 				},
 				Children: make(map[string]codafs.FID),
 			}
-			parent.Children[c] = fid
-			refreshDirLen(parent)
+			parent.SetEntry(c, fid)
 			v.bumpLocked(fid, "")
 			v.bumpLocked(parent.Status.FID, "")
 			child = fid

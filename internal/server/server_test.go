@@ -529,3 +529,25 @@ func TestUpdaterKeepsOwnVolumeCallback(t *testing.T) {
 
 // callOpts returns default options for ad-hoc calls in tests.
 func callOpts() rpc2.CallOpts { return rpc2.CallOpts{} }
+
+// TestLinkIntoNonDirectoryRefused: a link record whose parent names a
+// file is refused like any other malformed record, not applied to the
+// file's (absent) entries.
+func TestLinkIntoNonDirectoryRefused(t *testing.T) {
+	w := newWorld()
+	w.srv.CreateVolume("v")
+	w.srv.WriteFile("v", "a", []byte("a"))
+	w.srv.WriteFile("v", "b", []byte("b"))
+	w.sim.Run(func() {
+		c := w.client("c1")
+		gv := call[wire.GetVolumeRep](t, c, wire.GetVolume{Name: "v"})
+		a, _ := w.srv.Resolve("v", "a")
+		b, _ := w.srv.Resolve("v", "b")
+		rep := call[wire.ReintegrateRep](t, c, wire.Reintegrate{Volume: gv.Info.ID, Records: []cml.Record{
+			{Kind: cml.Link, FID: a.FID, Parent: b.FID, Name: "x"},
+		}})
+		if rep.Applied || rep.Results[0].OK || rep.Results[0].Conflict {
+			t.Errorf("link into a file: %+v, want a refusal that is no conflict", rep.Results)
+		}
+	})
+}

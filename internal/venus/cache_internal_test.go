@@ -8,8 +8,10 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/cml"
 	"repro/internal/codafs"
 	"repro/internal/netsim"
+	"repro/internal/rpc2"
 	"repro/internal/server"
 	"repro/internal/simtime"
 )
@@ -316,6 +318,90 @@ func TestListingFollowsEntryChanges(t *testing.T) {
 		names, _ := v2.ReadDir("/coda/v/e")
 		if !slices.Contains(names, "ln3-logged") {
 			t.Errorf("e after restore = %q; the logged rename is not overlaid", names)
+		}
+	})
+}
+
+// TestUpdateOfEvictedTarget evicts an update's target between the
+// operation's resolve and the update's relock, as a fetch making room
+// may, for each route. A store still shows its contents; a setattr
+// leaves the uncached object to the next fetch, so a file reads back
+// whole and a directory lists and takes new entries.
+func TestUpdateOfEvictedTarget(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	net := netsim.New(sim, 11)
+	net.SetDefaults(netsim.Ethernet.Params())
+	srv := server.New(sim, net.Host("server"))
+	if _, err := srv.CreateVolume("v"); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"f", "g", "d/x"} {
+		if _, err := srv.WriteFile("v", rel, []byte("server "+rel)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{Server: "server", ClientID: 1, AgingWindow: time.Hour, PinWriteDisconnected: true}
+	sim.Run(func() {
+		v := New(sim, net.Host("c1"), cfg)
+		defer v.Close()
+		if err := v.Mount("v"); err != nil {
+			t.Fatal(err)
+		}
+		// evicted runs the update rec(f) builds for path's object after
+		// evicting that object.
+		evicted := func(path string, rec func(f *fso) cml.Record) {
+			t.Helper()
+			vc, f, err := v.resolve(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.mu.Lock()
+			r, state := rec(f), v.state
+			v.cache.remove(f.obj.Status.FID)
+			v.mu.Unlock()
+			if err := v.update(vc, state, &r, rpc2.CallOpts{}); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+		}
+		setAttr := func(f *fso) cml.Record {
+			return cml.Record{Kind: cml.SetAttr, FID: f.obj.Status.FID, Mode: 0600,
+				ModTime: v.clock.Now(), PrevVersion: f.obj.Status.Version, Owner: v.owner}
+		}
+		for _, mode := range []string{"connected", "logged"} {
+			if mode == "logged" {
+				v.WriteDisconnect()
+			}
+			data := []byte(mode + " contents")
+			evicted("/coda/v/g", func(f *fso) cml.Record {
+				return cml.Record{Kind: cml.Store, FID: f.obj.Status.FID, Data: data,
+					Length: int64(len(data)), ModTime: v.clock.Now(),
+					PrevVersion: f.obj.Status.Version, Owner: v.owner}
+			})
+			if got, err := v.ReadFile("/coda/v/g"); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s store: ReadFile = %q, %v; want %q", mode, got, err, data)
+			}
+
+			evicted("/coda/v/f", setAttr)
+			if got, err := v.ReadFile("/coda/v/f"); err != nil || string(got) != "server f" {
+				t.Errorf("%s setattr: ReadFile(f) = %q, %v", mode, got, err)
+			}
+
+			evicted("/coda/v/d", setAttr)
+			if st, err := v.Stat("/coda/v/d"); err != nil || st.Type != codafs.Directory {
+				t.Errorf("%s setattr: Stat(d) = %+v, %v", mode, st, err)
+			}
+			if err := v.WriteFile("/coda/v/d/new-"+mode, nil); err != nil {
+				t.Fatalf("%s: create in d: %v", mode, err)
+			}
+			names, err := v.ReadDir("/coda/v/d")
+			if err != nil || !slices.Contains(names, "x") || !slices.Contains(names, "new-"+mode) {
+				t.Errorf("%s setattr: ReadDir(d) = %q, %v", mode, names, err)
+			}
+			if mode == "connected" {
+				if st, _ := v.Stat("/coda/v/f"); st.Mode != 0600 {
+					t.Errorf("connected setattr: Stat(f).Mode = %o, want the server's 600", st.Mode)
+				}
+			}
 		}
 	})
 }

@@ -427,47 +427,15 @@ func (v *Venus) fetchSingleFlight(vc *vclient, fid codafs.FID, size int64, sc ob
 	return f, nil
 }
 
-// overlayPendingLocked re-applies pending CML records that affect a freshly
-// fetched directory's entries: the server's copy cannot yet show the
-// client's own unreintegrated creates, removes, and renames (relevant after
-// LoadState restores a CML whose directories were not cached).
+// overlayPendingLocked shows the pending CML records in a freshly fetched
+// directory's entries: the server's copy cannot yet show the client's own
+// unreintegrated creates, removes and renames (relevant after a restore
+// whose directories were not cached).
 func (v *Venus) overlayPendingLocked(f *fso) {
-	if f.obj.Status.Type != codafs.Directory {
-		return
-	}
-	fid := f.obj.Status.FID
-	vc := v.volByID[fid.Volume]
-	if vc == nil {
-		return
-	}
-	before := f.dataBytes()
-	changed := false
-	for _, rec := range vc.log.Records() {
-		switch rec.Kind {
-		case cml.Create, cml.Mkdir, cml.MakeSymlink, cml.Link:
-			if rec.Parent == fid {
-				f.obj.Children[rec.Name] = rec.FID
-				changed = true
-			}
-		case cml.Remove, cml.Rmdir:
-			if rec.Parent == fid {
-				delete(f.obj.Children, rec.Name)
-				changed = true
-			}
-		case cml.Rename:
-			if rec.Parent == fid {
-				delete(f.obj.Children, rec.Name)
-				changed = true
-			}
-			if rec.NewParent == fid {
-				f.obj.Children[rec.NewName] = rec.FID
-				changed = true
-			}
+	if vc := v.volByID[f.obj.Status.FID.Volume]; vc != nil && f.obj.Status.Type == codafs.Directory {
+		for _, rec := range vc.log.Records() {
+			v.showEntriesLocked(rec, f, true)
 		}
-	}
-	if changed {
-		f.dirty = true
-		v.cache.recharge(f, before)
 	}
 }
 
@@ -585,15 +553,14 @@ func (v *Venus) ReadLink(path string) (string, error) {
 // timed-out attempt has burned its wait.
 //
 // state is what the caller read under the same hold of v.mu as its
-// checks. done runs once, under v.mu, if and only if the update took
-// effect — with the server's reply if written through, nil if logged —
-// and says how that outcome shows in the cache.
-func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.CallOpts, done func(rep *wire.MutateRep)) error {
+// checks. If and only if the update took effect, the cache shows it
+// (showLocked).
+func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.CallOpts) error {
 	if state == Hoarding {
 		rep, err := callVol[wire.MutateRep](v, vc, wire.MutationOf(rec), opts)
 		if err == nil {
 			v.mu.Lock()
-			done(&rep)
+			v.showLocked(rec, &rep)
 			vc.noteStamp(rep.VolStamp)
 			v.mu.Unlock()
 			return nil
@@ -611,9 +578,121 @@ func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.Call
 		return err
 	}
 	v.mu.Lock()
-	done(nil)
+	v.showLocked(rec, nil)
+	if rec.Kind == cml.Store {
+		v.cache.evictFor(0)
+	}
 	v.mu.Unlock()
 	return nil
+}
+
+// showLocked makes the cache show rec: the one rule for what an update
+// does to cached objects, whether it was written through (rep is the
+// server's reply), logged, or restored from the CML (rep nil). A logged
+// update's objects become dirty, local truth until reintegration; a
+// written-through one takes the server's statuses for the objects the
+// reply names. A record may name objects this Venus has not cached — a
+// restore's, or one evicted meanwhile: a store, which carries the whole
+// contents, installs its file; an uncached directory shows the entry
+// when it is fetched (overlayPendingLocked); anything else is left to
+// the next fetch. showLocked evicts nothing: a logged store makes room
+// afterwards (update), and a restore never, so no object a later
+// restored record names is dropped mid-restore.
+func (v *Venus) showLocked(rec *cml.Record, rep *wire.MutateRep) {
+	logged := rep == nil
+	var f *fso // the object rec changes, if it is cached
+	switch rec.Kind {
+	case cml.Store, cml.SetAttr:
+		if f = v.cache.get(rec.FID); f == nil {
+			if rec.Kind == cml.SetAttr {
+				break // the next fetch shows the object
+			}
+			f = v.cache.install(&codafs.Object{Status: codafs.Status{
+				FID: rec.FID, Type: codafs.File, Version: rec.PrevVersion, Owner: rec.Owner, Links: 1,
+			}}, logged)
+		}
+		if rec.Kind == cml.Store {
+			before := f.dataBytes()
+			if logged && v.cfg.EnableDeltas && !f.dirty && !f.placeholder &&
+				f.obj.Status.Version > 0 && len(f.obj.Data) >= 2048 {
+				// Shadow the last server-known contents so reintegration
+				// can ship a difference instead of the whole file.
+				f.base = f.obj.Data
+			}
+			f.obj.Data = rec.Data
+			f.placeholder = false
+			v.cache.recharge(f, before)
+		}
+		switch {
+		case !logged:
+			f.obj.Status = rep.Status
+			f.hasCallback = f.hasCallback || rec.Kind == cml.Store
+		case rec.Kind == cml.Store:
+			f.obj.Status.Length, f.obj.Status.ModTime = rec.Length, rec.ModTime
+		default:
+			f.obj.Status.Mode, f.obj.Status.ModTime = rec.Mode, rec.ModTime
+		}
+	case cml.Create, cml.Mkdir, cml.MakeSymlink:
+		obj := rec.NewObject()
+		if !logged {
+			obj.Status = rep.Status
+		}
+		f = v.cache.install(obj, logged)
+		f.hasCallback = !logged
+	case cml.Link:
+		if f = v.cache.get(rec.FID); f != nil {
+			f.obj.Status.Links++
+		}
+	case cml.Remove, cml.Rmdir:
+		v.cache.remove(rec.FID)
+	}
+	if f != nil && logged {
+		f.dirty = true
+	}
+	if p := v.cache.get(rec.Parent); p != nil && v.showEntriesLocked(rec, p, logged) {
+		switch rec.Kind {
+		case cml.Create, cml.Mkdir, cml.MakeSymlink:
+			v.cache.touch(p)
+			if !logged {
+				p.obj.Status = rep.ParentStatus
+			}
+		}
+	}
+	if rec.Kind == cml.Rename && rec.NewParent != rec.Parent {
+		if p := v.cache.get(rec.NewParent); p != nil {
+			v.showEntriesLocked(rec, p, logged)
+		}
+	}
+}
+
+// showEntriesLocked is showLocked's directory-entry part for one cached
+// directory: it shows the entry rec adds to or drops from dir, if any,
+// and reports whether there was one. A placeholder holds no entries to
+// change; it shows them when fetched.
+func (v *Venus) showEntriesLocked(rec *cml.Record, dir *fso, logged bool) bool {
+	if dir.placeholder {
+		return false
+	}
+	fid, before, changed := dir.obj.Status.FID, dir.dataBytes(), false
+	if rec.Parent == fid {
+		switch rec.Kind {
+		case cml.Create, cml.Mkdir, cml.MakeSymlink, cml.Link:
+			dir.obj.SetEntry(rec.Name, rec.FID)
+			changed = true
+		case cml.Remove, cml.Rmdir, cml.Rename:
+			dir.obj.DropEntry(rec.Name)
+			changed = true
+		}
+	}
+	if rec.Kind == cml.Rename && rec.NewParent == fid {
+		dir.obj.SetEntry(rec.NewName, rec.FID)
+		changed = true
+	}
+	if changed {
+		v.cache.recharge(dir, before)
+		dir.dirty = dir.dirty || logged
+	}
+	return changed
 }
 
 // WriteFile stores data at path, creating the file if needed (open-close
@@ -659,27 +738,7 @@ func (v *Venus) WriteFile(path string, data []byte) error {
 	state := v.state
 	v.mu.Unlock()
 
-	return v.update(vc, state, &rec, rpc2.CallOpts{Timeout: 10 * time.Minute}, func(rep *wire.MutateRep) {
-		before := f.dataBytes()
-		if rep == nil && v.cfg.EnableDeltas && !f.dirty && !f.placeholder &&
-			f.obj.Status.Version > 0 && len(f.obj.Data) >= 2048 {
-			// Shadow the last server-known contents so reintegration can
-			// ship a difference instead of the whole file.
-			f.base = f.obj.Data
-		}
-		f.obj.Data = data
-		f.placeholder = false
-		v.cache.recharge(f, before)
-		if rep != nil {
-			f.obj.Status = rep.Status
-			f.hasCallback = true
-			return
-		}
-		f.obj.Status.Length = rec.Length
-		f.obj.Status.ModTime = rec.ModTime
-		f.dirty = true
-		v.cache.evictFor(0)
-	})
+	return v.update(vc, state, &rec, rpc2.CallOpts{Timeout: 10 * time.Minute})
 }
 
 // Mkdir creates a directory at path.
@@ -724,37 +783,7 @@ func (v *Venus) makeObject(vc *vclient, parent *fso, name string, typ codafs.Obj
 	state := v.state
 	v.mu.Unlock()
 
-	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
-		if rep != nil {
-			v.installChildLocked(parent, name, rep.Status, target, false)
-			parent.obj.Status = rep.ParentStatus
-			return
-		}
-		st := codafs.Status{
-			FID: rec.FID, Type: typ, ModTime: rec.ModTime, Owner: rec.Owner, Links: 1,
-			Mode: 0644, Length: int64(len(target)),
-		}
-		if typ == codafs.Directory {
-			st.Mode = 0755
-		}
-		v.installChildLocked(parent, name, st, target, true)
-		parent.dirty = true
-	})
-}
-
-// installChildLocked adds a freshly created object to the cache and its
-// parent's entry map.
-func (v *Venus) installChildLocked(parent *fso, name string, st codafs.Status, target string, dirty bool) {
-	obj := &codafs.Object{Status: st, Target: target}
-	if st.Type == codafs.Directory {
-		obj.Children = make(map[string]codafs.FID)
-	}
-	f := v.cache.install(obj, dirty)
-	f.hasCallback = !dirty
-	before := parent.dataBytes()
-	parent.obj.Children[name] = st.FID
-	v.cache.recharge(parent, before)
-	v.cache.touch(parent)
+	return v.update(vc, state, &rec, rpc2.CallOpts{})
 }
 
 // Remove unlinks the file or symlink at path.
@@ -796,15 +825,7 @@ func (v *Venus) removeCommon(path string, rmdir bool) error {
 	state := v.state
 	v.mu.Unlock()
 
-	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
-		before := parent.dataBytes()
-		delete(parent.obj.Children, name)
-		v.cache.recharge(parent, before)
-		v.cache.remove(rec.FID)
-		if rep == nil {
-			parent.dirty = true
-		}
-	})
+	return v.update(vc, state, &rec, rpc2.CallOpts{})
 }
 
 // Rename moves oldPath to newPath within one volume.
@@ -837,19 +858,7 @@ func (v *Venus) Rename(oldPath, newPath string) error {
 	state := v.state
 	v.mu.Unlock()
 
-	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
-		beforeOld, beforeNew := oldParent.dataBytes(), newParent.dataBytes()
-		delete(oldParent.obj.Children, oldName)
-		newParent.obj.Children[newName] = fid
-		v.cache.recharge(oldParent, beforeOld)
-		if newParent != oldParent {
-			v.cache.recharge(newParent, beforeNew)
-		}
-		if rep == nil {
-			oldParent.dirty = true
-			newParent.dirty = true
-		}
-	})
+	return v.update(vc, state, &rec, rpc2.CallOpts{})
 }
 
 // Link creates a hard link at newPath to the file at existingPath.
@@ -880,16 +889,7 @@ func (v *Venus) Link(existingPath, newPath string) error {
 	state := v.state
 	v.mu.Unlock()
 
-	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
-		before := parent.dataBytes()
-		parent.obj.Children[name] = rec.FID
-		target.obj.Status.Links++
-		v.cache.recharge(parent, before)
-		if rep == nil {
-			parent.dirty = true
-			target.dirty = true
-		}
-	})
+	return v.update(vc, state, &rec, rpc2.CallOpts{})
 }
 
 // SetAttr updates an object's mode bits.
@@ -906,15 +906,7 @@ func (v *Venus) SetAttr(path string, mode uint32) error {
 	state := v.state
 	v.mu.Unlock()
 
-	return v.update(vc, state, &rec, rpc2.CallOpts{}, func(rep *wire.MutateRep) {
-		if rep != nil {
-			f.obj.Status = rep.Status
-			return
-		}
-		f.obj.Status.Mode = mode
-		f.obj.Status.ModTime = rec.ModTime
-		f.dirty = true
-	})
+	return v.update(vc, state, &rec, rpc2.CallOpts{})
 }
 
 // noteStamp updates the cached volume stamp after this client's own

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/cml"
-	"repro/internal/codafs"
 	"repro/internal/wire"
 )
 
@@ -55,11 +54,7 @@ func (v *Venus) image(lsn uint64) []byte {
 	for _, p := range paths {
 		img = appendHDBEntry(img, v.hdb[p])
 	}
-	names := make([]string, 0, len(v.volumes))
-	for name := range v.volumes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := v.volumeNamesLocked()
 	logs := make([]*cml.Log, len(names))
 	for i, name := range names {
 		logs[i] = v.volumes[name].log
@@ -77,6 +72,16 @@ func (v *Venus) image(lsn uint64) []byte {
 		img = wire.AppendRecords(img, li.Records)
 	}
 	return img
+}
+
+// volumeNamesLocked returns the mounted volumes' names in ascending order.
+func (v *Venus) volumeNamesLocked() []string {
+	names := make([]string, 0, len(v.volumes))
+	for name := range v.volumes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // stateImage is a decoded image: every part validated, nothing installed.
@@ -173,16 +178,18 @@ func (v *Venus) installImage(img stateImage) error {
 	return nil
 }
 
-// finishRestore replays the restored CML records into the cache so the
-// local name space shows the offline work again (the paper's Venus
-// persists its whole cache in RVM; here contents travel with the CML),
-// re-seats the FID allocator above every restored allocation, and moves
-// to write-disconnected if updates are pending.
+// finishRestore shows the restored CML records in the cache, volume by
+// volume in name order, by the rule that showed them when they were
+// logged (showLocked), so the local name space shows the offline work
+// again (the paper's Venus persists its whole cache in RVM; here contents
+// travel with the CML); it re-seats the FID allocator above every
+// restored allocation, and moves to write-disconnected if updates are
+// pending.
 func (v *Venus) finishRestore() {
 	v.mu.Lock()
-	for _, vc := range v.volumes {
-		for _, rec := range vc.log.Records() {
-			v.applyRestoredRecordLocked(rec)
+	for _, name := range v.volumeNamesLocked() {
+		for _, rec := range v.volumes[name].log.Records() {
+			v.showLocked(rec, nil)
 			// FIDs this client minted encode ClientID in the top half of
 			// the vnode; continue allocating above the restored ones so a
 			// post-recovery create cannot collide with a logged one.
@@ -199,82 +206,5 @@ func (v *Venus) finishRestore() {
 	// daemon promotes back to hoarding afterwards).
 	if v.CMLRecords() > 0 && v.State() == Hoarding {
 		v.transition(WriteDisconnected, "restored CML")
-	}
-}
-
-// applyRestoredRecordLocked re-applies one restored CML record to the local
-// cache: objects it created are reinstated, contents it stored become local
-// truth, and parent directories regain the entries. Parents not currently
-// cached are reconciled when fetched (see overlayPendingLocked).
-func (v *Venus) applyRestoredRecordLocked(rec *cml.Record) {
-	ensure := func(fid codafs.FID, typ codafs.ObjType) *fso {
-		f := v.cache.get(fid)
-		if f != nil {
-			f.dirty = true
-			return f
-		}
-		obj := &codafs.Object{Status: codafs.Status{
-			FID: fid, Type: typ, Version: rec.PrevVersion,
-			ModTime: rec.ModTime, Mode: rec.Mode, Owner: rec.Owner, Links: 1,
-		}}
-		if typ == codafs.Directory {
-			obj.Children = make(map[string]codafs.FID)
-		}
-		return v.cache.install(obj, true)
-	}
-	addEntry := func(parent codafs.FID, name string, child codafs.FID) {
-		if p := v.cache.get(parent); p != nil && p.obj.Children != nil {
-			before := p.dataBytes()
-			p.obj.Children[name] = child
-			p.dirty = true
-			v.cache.recharge(p, before)
-		}
-	}
-	dropEntry := func(parent codafs.FID, name string) {
-		if p := v.cache.get(parent); p != nil && p.obj.Children != nil {
-			before := p.dataBytes()
-			delete(p.obj.Children, name)
-			p.dirty = true
-			v.cache.recharge(p, before)
-		}
-	}
-
-	switch rec.Kind {
-	case cml.Create:
-		ensure(rec.FID, codafs.File)
-		addEntry(rec.Parent, rec.Name, rec.FID)
-	case cml.Mkdir:
-		ensure(rec.FID, codafs.Directory)
-		addEntry(rec.Parent, rec.Name, rec.FID)
-	case cml.MakeSymlink:
-		f := ensure(rec.FID, codafs.Symlink)
-		f.obj.Target = rec.Target
-		addEntry(rec.Parent, rec.Name, rec.FID)
-	case cml.Store:
-		f := ensure(rec.FID, codafs.File)
-		before := f.dataBytes()
-		f.obj.Data = rec.Data
-		f.obj.Status.Length = rec.Length
-		f.placeholder = false
-		v.cache.recharge(f, before)
-	case cml.SetAttr:
-		f := ensure(rec.FID, codafs.File)
-		if rec.Mode != 0 {
-			f.obj.Status.Mode = rec.Mode
-		}
-	case cml.Remove, cml.Rmdir:
-		dropEntry(rec.Parent, rec.Name)
-		v.cache.remove(rec.FID)
-	case cml.Link:
-		addEntry(rec.Parent, rec.Name, rec.FID)
-		if f := v.cache.get(rec.FID); f != nil {
-			f.dirty = true
-		}
-	case cml.Rename:
-		dropEntry(rec.Parent, rec.Name)
-		addEntry(rec.NewParent, rec.NewName, rec.FID)
-		if f := v.cache.get(rec.FID); f != nil {
-			f.dirty = true
-		}
 	}
 }

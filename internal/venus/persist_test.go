@@ -5,10 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cml"
+	"repro/internal/codafs"
 	"repro/internal/crashfs"
 	"repro/internal/obs"
 	"repro/internal/venus"
@@ -293,6 +295,67 @@ func TestCancelCountersSurviveRestoreAndJournalRecovery(t *testing.T) {
 			if cancelled != 1 || v2.CMLRecords() != 1 {
 				t.Errorf("%s: overwrite after restore counted %d cancelled records (%d in the CML), want 1 and 1",
 					how, cancelled, v2.CMLRecords())
+			}
+		})
+	}
+}
+
+// TestRestoreShowsWhatLoggingShowed: a Venus restored from a CML shows the
+// name space the Venus that logged it showed (§4.3.1: the CML is what
+// persists offline work), because the restore shows each record by the
+// rule that showed it when it was logged. Each row logs the nine-op
+// script of TestRoutesAgree, restores it into a fresh Venus with the same
+// ClientID that has cached the same objects — once from a SaveState
+// image, once by AttachJournal replaying the WAL after a power cut — and
+// compares Stat and ReadDir at every path the script touches. Version is
+// blanked: the restoring Venus fetched its objects at its own time, the
+// logging one earlier.
+func TestRestoreShowsWhatLoggingShowed(t *testing.T) {
+	blank := func(st codafs.Status) codafs.Status {
+		st.Version = 0
+		return st
+	}
+	for _, how := range []string{"LoadState", "AttachJournal"} {
+		w := routeWorld(t)
+		w.sim.Run(func() {
+			mem := crashfs.NewMem()
+			opts := venus.JournalOptions{FS: mem, Dir: "rj"}
+			cfg := venus.Config{ClientID: 9, AgingWindow: time.Hour, PinWriteDisconnected: true}
+			v1 := w.venus("c1", cfg)
+			mustMount(t, v1, "usr")
+			routeWarm(t, v1)
+			v1.WriteDisconnect()
+			if how == "AttachJournal" {
+				if _, err := v1.AttachJournal(opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			routeScript(t, v1)
+			want := clientView(v1, blank)
+			var img bytes.Buffer
+			if err := v1.SaveState(&img); err != nil {
+				t.Fatal(err)
+			}
+			v1.Close()
+			mem.Reboot() // power cut: the script is in the WAL only
+
+			v2 := w.venus("c1b", cfg)
+			defer v2.Close()
+			mustMount(t, v2, "usr")
+			routeWarm(t, v2)
+			if how == "LoadState" {
+				if err := v2.LoadState(&img); err != nil {
+					t.Fatal(err)
+				}
+			} else if info, err := v2.AttachJournal(opts); err != nil || info.SnapshotLoaded || info.EntriesReplayed == 0 {
+				t.Fatalf("AttachJournal = %+v, %v; want a WAL replay", info, err)
+			}
+			if got := clientView(v2, blank); !reflect.DeepEqual(got, want) {
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s: restored view differs\n  logged:   %s\n  restored: %s", how, want[i], got[i])
+					}
+				}
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-structure lint-ignores loc bench perf-ledger vet fmt clean crash scenarios fuzz examples
+.PHONY: all build test race lint lint-structure lint-ignores loc bench perf-ledger vet fmt clean crash scenarios fuzz examples results
 
 all: build vet lint test
 
@@ -58,6 +58,20 @@ scenarios:
 examples:
 	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
+# Results fence: regenerate the paper's tables (results_full.txt, the
+# full sweep, about half a minute) and the design-choice ablations
+# (results_ablations.txt) into a temporary directory, and fail on any
+# difference from the committed files outside the "(completed in ...)"
+# wall-time lines. A change that moves a figure commits the new files.
+results:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/codabench" ./cmd/codabench && \
+	"$$tmp/codabench" -o "$$tmp/results_full.txt" >/dev/null && \
+	"$$tmp/codabench" -fig none -ablations -o "$$tmp/results_ablations.txt" >/dev/null && \
+	for f in results_full.txt results_ablations.txt; do \
+		diff -u -I '^(completed in ' "$$f" "$$tmp/$$f" || exit 1; \
+	done && echo "results: results_full.txt and results_ablations.txt regenerate unchanged"
+
 # Structural fences, the one copy CI calls too. The first grep keeps
 # encoding/gob out of the module: every byte format is the wire codec's.
 # The next two keep world assembly in internal/world (cmd/codaperf has
@@ -81,7 +95,10 @@ examples:
 # (fso.listing), so no second per-call sort comes back. Last, a
 # directory's Length is kept by one rule: outside internal/codafs
 # (Object.SetEntry / DropEntry) only the wire decoder's Reader.Object
-# writes into a Children map.
+# writes into a Children map. And contents are replaced, never written
+# through: no non-test line in Venus or codafs copies into, assigns into
+# or appends onto a .Data slice, which is what lets Venus.ViewFile hand
+# out the cache's own bytes as a snapshot.
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
@@ -95,6 +112,7 @@ lint-structure:
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'met\.(calls|reintegrations|reintegFails|recordsApplied|conflicts|breaks|replApplied|replDups|catchupRecs|verdict[A-Za-z]*|volValidations[A-Za-z]*|objsSaved|missingStamp|objValidations|failovers|shipped[A-Za-z]*|delta[A-Za-z]*|transitions)\b' internal/venus internal/server
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'ChildNames(' internal/venus | wc -l)" -eq 1
 	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'Children\[[^]]*\] *=[^=]' -e 'delete\([^,]*Children,' . | grep -v -e '^./internal/codafs/' -e '^./internal/wire/codec.go:[0-9]*:\s*o\.Children\[name\] = r\.FID()$$'
+	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'copy\([][A-Za-z0-9_.]*\.Data[^A-Za-z0-9_]' -e '\.Data\[[^]]*\] *([-+*/%&|^]?=[^=]|\+\+|--)' -e 'append\([][A-Za-z0-9_.]*\.Data,' internal/venus internal/codafs
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

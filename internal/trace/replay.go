@@ -182,15 +182,18 @@ type ReplayOpts struct {
 
 // Replay drives the trace through a live Venus (§6.2.1): operations become
 // Venus calls. Replay continues past per-op errors (misses are expected
-// while weakly connected) and returns counts.
+// while weakly connected) and returns counts. A read is a ViewFile: the
+// trace charges an operation's local cost as OpCost in simulated time,
+// and the bytes read are not used, so copying them would be simulator
+// work that models nothing.
 func Replay(clock simtime.Clock, v *venus.Venus, tr *Trace, opts ReplayOpts) ReplayStats {
 	var st ReplayStats
 	start := clock.Now()
 	var prev time.Duration
-	// One buffer receives every read, one slice every listing, and one
-	// run of zeros feeds every write (Venus copies what it keeps), so the
-	// replayer itself adds no garbage to the path it is timing.
-	var readBuf, zeros []byte
+	// One slice receives every listing and one run of zeros feeds every
+	// write (Venus copies what it keeps), so the replayer itself adds no
+	// garbage to the path it is timing.
+	var zeros []byte
 	var names []string
 	for i := range tr.Records {
 		r := &tr.Records[i]
@@ -206,7 +209,7 @@ func Replay(clock simtime.Clock, v *venus.Venus, tr *Trace, opts ReplayOpts) Rep
 		var err error
 		switch r.Op {
 		case OpRead:
-			readBuf, err = v.AppendFile(readBuf[:0], r.Path)
+			_, err = v.ViewFile(r.Path)
 		case OpWrite:
 			if len(zeros) < r.Size {
 				zeros = make([]byte, r.Size)

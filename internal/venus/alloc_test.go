@@ -32,6 +32,25 @@ func TestAllocVenusHitRead(t *testing.T) {
 	})
 }
 
+// TestAllocVenusHitView pins a warm view — the same three-component
+// path resolved by hitWalk, the cached contents handed out without a
+// copy — at zero heap allocations.
+func TestAllocVenusHitView(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, Hoarding)
+		defer v.Close()
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := v.ViewFile("/coda/v/a/b/clean.txt"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("hit view: %v allocs, want 0", allocs)
+		}
+	})
+}
+
 // TestAllocVenusHitReadDir pins a warm listing — a two-component path
 // resolved by hitWalk, the names copied from the directory's kept
 // listing into a slice the caller sized — at zero heap allocations.

@@ -91,9 +91,9 @@ func (v *Venus) snapshot() string {
 	defer v.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "state=%v seq=%d used=%d stats=%+v\n", v.state, v.cache.seq, v.cache.used, v.stats)
-	for _, band := range hoardBands {
+	for i, band := range hoardBands {
 		fmt.Fprintf(&b, "band %s: hits=%d misses=%d\n", band,
-			v.met.cacheHits[band].Value(), v.met.cacheMisses[band].Value())
+			v.met.cacheHits[i].Value(), v.met.cacheMisses[i].Value())
 	}
 	fids := make([]codafs.FID, 0, len(v.cache.objs))
 	for fid := range v.cache.objs {

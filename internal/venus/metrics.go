@@ -7,21 +7,23 @@ import (
 
 // bandOf buckets a hoard priority into the coarse bands used for cache
 // hit/miss accounting: unhoarded objects, then low/medium/high hoard
-// priority (Figure 6's working-set tiers).
-func bandOf(pri int) string {
+// priority (Figure 6's working-set tiers). It returns an index into
+// hoardBands.
+func bandOf(pri int) int {
 	switch {
 	case pri <= 0:
-		return "none"
+		return 0
 	case pri < 100:
-		return "low"
+		return 1
 	case pri < 600:
-		return "medium"
+		return 2
 	default:
-		return "high"
+		return 3
 	}
 }
 
-var hoardBands = []string{"none", "low", "medium", "high"}
+// hoardBands labels the bands bandOf numbers, in order.
+var hoardBands = [...]string{"none", "low", "medium", "high"}
 
 // hoardPhases names the four phases of HoardWalk, in order.
 var hoardPhases = []string{"status_walk", "approval", "data_walk", "stamps"}
@@ -54,8 +56,8 @@ type vmetrics struct {
 	reg  *obs.Registry
 	self string // the client's node address, span node label
 
-	cacheHits   map[string]*obs.Counter // by hoard band
-	cacheMisses map[string]*obs.Counter
+	cacheHits   [len(hoardBands)]*obs.Counter // by bandOf
+	cacheMisses [len(hoardBands)]*obs.Counter
 
 	failoverWait *obs.Counter
 	residency    *obs.Histogram
@@ -75,15 +77,13 @@ func newVMetrics(reg *obs.Registry, v *Venus, addr string) *vmetrics {
 	m := &vmetrics{
 		reg:         reg,
 		self:        addr,
-		cacheHits:   make(map[string]*obs.Counter, len(hoardBands)),
-		cacheMisses: make(map[string]*obs.Counter, len(hoardBands)),
 		cancelRecs:  make(map[cml.CancelClass]*obs.Counter, len(cancelClasses)),
 		cancelBytes: make(map[cml.CancelClass]*obs.Counter, len(cancelClasses)),
 		hoardPhase:  make(map[string]*obs.Histogram, len(hoardPhases)),
 	}
-	for _, b := range hoardBands {
-		m.cacheHits[b] = reg.Counter("venus_cache_hits_total", client, obs.L("band", b))
-		m.cacheMisses[b] = reg.Counter("venus_cache_misses_total", client, obs.L("band", b))
+	for i, b := range hoardBands {
+		m.cacheHits[i] = reg.Counter("venus_cache_hits_total", client, obs.L("band", b))
+		m.cacheMisses[i] = reg.Counter("venus_cache_misses_total", client, obs.L("band", b))
 	}
 	m.failoverWait = reg.Counter("venus_failover_wait_us_total", client)
 	m.residency = reg.Histogram("venus_cml_residency_s", residencyBucketsS, client)

@@ -470,7 +470,8 @@ func (v *Venus) rpcFailed(path string, err error) error {
 
 // ---- Read operations ----
 
-// ReadFile returns the contents of the file at path in a fresh slice.
+// ReadFile returns the contents of the file at path in a fresh slice;
+// ViewFile is the read that does not copy.
 func (v *Venus) ReadFile(path string) ([]byte, error) {
 	return v.AppendFile(nil, path)
 }
@@ -480,16 +481,31 @@ func (v *Venus) ReadFile(path string) ([]byte, error) {
 // buffer. The bytes are copied: the result never aliases the cache. On
 // error it returns dst unchanged.
 func (v *Venus) AppendFile(dst []byte, path string) ([]byte, error) {
-	_, f, err := v.resolve(path, true)
+	view, err := v.ViewFile(path)
 	if err != nil {
 		return dst, err
+	}
+	return append(dst, view...), nil
+}
+
+// ViewFile returns the cached contents of the file at path without
+// copying them. The result aliases the cache and is read-only: the
+// caller must not write through it. It stays a snapshot of the contents
+// at the time of the call, because Venus never writes into a contents
+// slice, only replaces it (codafs.Object); its capacity is capped at its
+// length, so an append reallocates rather than reaching the cache.
+func (v *Venus) ViewFile(path string) ([]byte, error) {
+	_, f, err := v.resolve(path, true)
+	if err != nil {
+		return nil, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if f.obj.Status.Type != codafs.File {
-		return dst, fmt.Errorf("venus: %s: %w", path, ErrIsDir)
+		return nil, fmt.Errorf("venus: %s: %w", path, ErrIsDir)
 	}
-	return append(dst, f.obj.Data...), nil
+	n := len(f.obj.Data)
+	return f.obj.Data[:n:n], nil
 }
 
 // Stat returns the status of the object at path without fetching contents.

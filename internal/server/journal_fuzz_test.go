@@ -2,7 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,17 +16,61 @@ import (
 	"repro/internal/wire"
 )
 
+var (
+	metaSample = metaEntry{LSN: 1, Name: "usr", ID: 3, ModTime: time.Unix(800000000, 5).UTC()}
+	volSample  = volEntry{LSN: 7, Client: "laptop", Recs: []cml.Record{
+		{Seq: 1, Kind: cml.Store, FID: codafs.FID{Volume: 3, Vnode: 2, Unique: 2}, Data: []byte("contents"), Length: 8},
+		{Seq: 2, Kind: cml.Rename, FID: codafs.FID{Volume: 3, Vnode: 2, Unique: 2}, Name: "a", NewName: "b"},
+	}}
+)
+
+// TestJournalBytesGolden pins the meta-WAL and volume-WAL payloads byte
+// for byte — a change strands every journal on disk and breaks the
+// replication chain between versions — and decodes the pinned bytes
+// back to the entries. Regenerate with:
+// go test ./internal/server -run Golden -update
+func TestJournalBytesGolden(t *testing.T) {
+	const path = "testdata/golden/journal.golden"
+	meta := appendMetaEntry(nil, metaSample)
+	vol := appendVolEntry(nil, volSample.LSN, volSample.Client, volSample.Recs)
+	got := fmt.Sprintf("meta\t%s\nvol\t%s\n", hex.EncodeToString(meta), hex.EncodeToString(vol))
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("payloads differ from %s:\n got %s\nwant %s", path, got, want)
+	}
+	lines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	payload := func(i int) []byte {
+		_, h, _ := strings.Cut(lines[i], "\t")
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if e, err := decodeMetaEntry(payload(0)); err != nil || e != metaSample {
+		t.Errorf("meta line decodes to %+v, %v; want %+v", e, err, metaSample)
+	}
+	if e, err := decodeVolEntry(payload(1)); err != nil || !reflect.DeepEqual(e, volSample) {
+		t.Errorf("vol line decodes to %+v, %v; want %+v", e, err, volSample)
+	}
+}
+
 // FuzzJournalDecode: a WAL payload that survived its frame CRC but is
 // not a journal entry (a foreign or damaged log) must fail recovery with
 // an error wrapping wire.ErrMalformed, never a panic; and a payload
 // either decoder accepts is the canonical framing of the entry it
 // decoded to — the property the replication chain fingerprint rests on.
 func FuzzJournalDecode(f *testing.F) {
-	f.Add(appendMetaEntry(nil, metaEntry{LSN: 1, Name: "usr", ID: 3, ModTime: time.Unix(800000000, 5).UTC()}))
-	f.Add(appendVolEntry(nil, 7, "laptop", []cml.Record{
-		{Seq: 1, Kind: cml.Store, FID: codafs.FID{Volume: 3, Vnode: 2, Unique: 2}, Data: []byte("contents"), Length: 8},
-		{Seq: 2, Kind: cml.Rename, FID: codafs.FID{Volume: 3, Vnode: 2, Unique: 2}, Name: "a", NewName: "b"},
-	}))
+	f.Add(appendMetaEntry(nil, metaSample))
+	f.Add(appendVolEntry(nil, volSample.LSN, volSample.Client, volSample.Recs))
 	f.Add(appendVolEntry(nil, 8, "", nil))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0xff, 0xff, 0xff, 0x0f})

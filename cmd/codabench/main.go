@@ -74,8 +74,10 @@ func main() {
 		start := time.Now()
 		fmt.Fprintf(w, "==== Figure %s ====\n", fig)
 		res := fn()
-		fmt.Fprint(w, res.Render())
-		fmt.Fprintf(w, "(completed in %v)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprint(w, res.Render(), "\n")
+		// Wall time goes to stderr only, so the results files are a pure
+		// function of the seed.
+		fmt.Fprintf(os.Stderr, "Figure %s (completed in %v)\n", fig, time.Since(start).Round(time.Millisecond))
 		if traceData == nil {
 			if te, ok := res.(traceExporter); ok {
 				traceData = te.TraceExport()

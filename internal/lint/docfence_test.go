@@ -51,6 +51,7 @@ func staleCitations(doc string, defined map[string]bool) []string {
 // module's test files, so a rename or deletion cannot leave a document
 // pointing at nothing.
 func TestDocsCiteOnlyExistingTests(t *testing.T) {
+	t.Parallel()
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)

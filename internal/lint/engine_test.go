@@ -100,6 +100,7 @@ func engineNode(t *testing.T, e *Engine, pkg *Package, name string) *FuncNode {
 }
 
 func TestEngineCrossPackageFixpoint(t *testing.T) {
+	t.Parallel()
 	mod := engineModule(t)
 	eng := NewEngine(mod.Packages)
 	top := modPkg(t, mod, "internal/top")
@@ -139,6 +140,7 @@ func TestEngineCrossPackageFixpoint(t *testing.T) {
 // repository packages by path suffix, so a fixture module's
 // faux/internal/simtime is recognized exactly like repro/internal/simtime.
 func TestEngineRootsMatchBySuffix(t *testing.T) {
+	t.Parallel()
 	root := writeFixture(t, map[string]string{
 		"go.mod": "module faux\n\ngo 1.22\n",
 		"internal/simtime/q.go": `package simtime

@@ -24,6 +24,7 @@ func loadFauxModule(t *testing.T, files map[string]string) *Module {
 }
 
 func TestLockholdCrossPackage(t *testing.T) {
+	t.Parallel()
 	mod := loadFauxModule(t, map[string]string{
 		"internal/rpcish/rpcish.go": `package rpcish
 
@@ -66,6 +67,7 @@ func (s *Server) Probe() {
 }
 
 func TestLockholdCrossPackageHelperHeld(t *testing.T) {
+	t.Parallel()
 	// The region is opened by a lockVolume-style helper one package
 	// away and the park is in a third: the helper's positive balance
 	// and the callee's Blocks bit must both cross a package boundary.

@@ -76,10 +76,12 @@ func runFixture(t *testing.T, name, relDir string, analyzers []Analyzer) {
 }
 
 func TestSimclockFixture(t *testing.T) {
+	t.Parallel()
 	runFixture(t, "simclock", "internal/fixture", []Analyzer{NewSimclock(DefaultAllowlist())})
 }
 
 func TestSimclockAllowlist(t *testing.T) {
+	t.Parallel()
 	// The same real-clock calls are clean when the package sits inside
 	// an allowlisted directory...
 	runFixture(t, "simclock_allowed", "cmd/fixture", []Analyzer{NewSimclock(DefaultAllowlist())})
@@ -96,6 +98,7 @@ func TestSimclockAllowlist(t *testing.T) {
 }
 
 func TestSimclockFileAllowlist(t *testing.T) {
+	t.Parallel()
 	// A file-granular allowlist entry ("internal/netsim/udp.go") covers
 	// exactly that file.
 	a := NewSimclock([]string{"internal/fixture/allowed.go"})
@@ -109,28 +112,34 @@ func TestSimclockFileAllowlist(t *testing.T) {
 }
 
 func TestLockguardFixture(t *testing.T) {
+	t.Parallel()
 	runFixture(t, "lockguard", "internal/fixture", []Analyzer{NewLockguard()})
 }
 
 func TestErrwrapFixture(t *testing.T) {
+	t.Parallel()
 	runFixture(t, "errwrap", "internal/fixture", []Analyzer{NewErrwrap()})
 }
 
 func TestTesthygieneFixture(t *testing.T) {
+	t.Parallel()
 	runFixture(t, "testhygiene", "internal/fixture", []Analyzer{NewTesthygiene()})
 }
 
 func TestObsnameFixture(t *testing.T) {
+	t.Parallel()
 	runFixture(t, "obsname", "internal/fixture", []Analyzer{NewObsname()})
 }
 
 func TestLockholdFixture(t *testing.T) {
+	t.Parallel()
 	runFixture(t, "lockhold", "internal/fixture", []Analyzer{NewLockhold()})
 }
 
 // TestLockwalkFixture runs both lock analyzers together over one
 // function per control-flow shape of the critical-section walk.
 func TestLockwalkFixture(t *testing.T) {
+	t.Parallel()
 	runFixture(t, "lockwalk", "internal/fixture", []Analyzer{NewLockguard(), NewLockhold()})
 }
 
@@ -161,6 +170,7 @@ func loadSingle(t *testing.T, src string) *Package {
 }
 
 func TestDirectiveRequiresReason(t *testing.T) {
+	t.Parallel()
 	pkg := loadSingle(t, `package fix
 
 import "time"
@@ -189,6 +199,7 @@ func f() time.Time {
 }
 
 func TestDirectiveUnused(t *testing.T) {
+	t.Parallel()
 	pkg := loadSingle(t, `package fix
 
 //codalint:ignore lockguard this suppresses nothing at all
@@ -201,6 +212,7 @@ func f() int { return 1 }
 }
 
 func TestDirectiveSuppressesSameAndNextLine(t *testing.T) {
+	t.Parallel()
 	pkg := loadSingle(t, `package fix
 
 import "time"
@@ -220,6 +232,7 @@ func nextLine() time.Time {
 }
 
 func TestDirectiveWrongAnalyzerDoesNotSuppress(t *testing.T) {
+	t.Parallel()
 	pkg := loadSingle(t, `package fix
 
 import "time"
@@ -250,6 +263,7 @@ func f() time.Time {
 // must stay codalint-clean. If this fails, either fix the finding or
 // suppress it with a reasoned //codalint:ignore.
 func TestRepoIsLintClean(t *testing.T) {
+	t.Parallel()
 	mod, err := LoadModule(".")
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +275,7 @@ func TestRepoIsLintClean(t *testing.T) {
 }
 
 func TestSimclockWALNotAllowlisted(t *testing.T) {
+	t.Parallel()
 	// internal/wal must take its flush clock by injection (wal.Options
 	// carries a simtime.Clock for the interval-sync policy), so the
 	// allowlist deliberately does not cover it. Pin that: the same

@@ -33,6 +33,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+)
+
+// One standard-library importer per process, and the file set every load
+// records positions in (the importer's must be the same): type-checking
+// fmt, sync, time and their dependencies from source is most of a load.
+// The source importer is not safe for concurrent use; stdMu serializes it.
+var (
+	stdFset = token.NewFileSet()
+	stdMu   sync.Mutex
+	stdImp  = importer.ForCompiler(stdFset, "source", nil)
 )
 
 // Package is one type-checked module package plus its (syntax-only)
@@ -130,7 +141,6 @@ func LoadModule(dir string) (*Module, error) {
 		return nil, err
 	}
 
-	fset := token.NewFileSet()
 	var parsed []*parsedPkg
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -142,7 +152,7 @@ func LoadModule(dir string) (*Module, error) {
 		if path != root && skipDir(d.Name()) {
 			return filepath.SkipDir
 		}
-		pp, err := parseDir(fset, path)
+		pp, err := parseDir(stdFset, path)
 		if err != nil {
 			return err
 		}
@@ -180,16 +190,11 @@ func LoadModule(dir string) (*Module, error) {
 		return nil, err
 	}
 
-	mod := &Module{Root: root, ModPath: modPath, Fset: fset}
+	mod := &Module{Root: root, ModPath: modPath, Fset: stdFset}
 	checked := make(map[string]*types.Package)
-	imp := &chainImporter{
-		fset:    fset,
-		modPath: modPath,
-		checked: checked,
-		std:     importer.ForCompiler(fset, "source", nil),
-	}
+	imp := &chainImporter{modPath: modPath, checked: checked}
 	for _, pp := range ordered {
-		pkg, err := typeCheck(fset, pp, imp)
+		pkg, err := typeCheck(stdFset, pp, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -203,8 +208,7 @@ func LoadModule(dir string) (*Module, error) {
 // only standard-library imports. It is the fixture loader used by the
 // analyzer tests; relDir names the package for allowlist decisions.
 func LoadDir(dir, relDir string) (*Package, error) {
-	fset := token.NewFileSet()
-	pp, err := parseDir(fset, dir)
+	pp, err := parseDir(stdFset, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -213,13 +217,8 @@ func LoadDir(dir, relDir string) (*Package, error) {
 	}
 	pp.path = relDir
 	pp.relDir = relDir
-	imp := &chainImporter{
-		fset:    fset,
-		modPath: "\x00none",
-		checked: map[string]*types.Package{},
-		std:     importer.ForCompiler(fset, "source", nil),
-	}
-	return typeCheck(fset, pp, imp)
+	imp := &chainImporter{modPath: "\x00none", checked: map[string]*types.Package{}}
+	return typeCheck(stdFset, pp, imp)
 }
 
 // parseDir parses the Go files of dir into a parsedPkg, or nil if the
@@ -343,12 +342,10 @@ func typeCheck(fset *token.FileSet, pp *parsedPkg, imp types.Importer) (*Package
 
 // chainImporter serves module-internal packages from the already
 // type-checked set and everything else (the standard library) from the
-// source importer.
+// process's source importer.
 type chainImporter struct {
-	fset    *token.FileSet
 	modPath string
 	checked map[string]*types.Package
-	std     types.Importer
 }
 
 func (c *chainImporter) Import(path string) (*types.Package, error) {
@@ -358,5 +355,7 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 		}
 		return nil, fmt.Errorf("module package %s not yet type-checked (import cycle?)", path)
 	}
-	return c.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImp.Import(path)
 }

@@ -419,7 +419,7 @@ func tokenize(line string) ([]token, error) {
 }
 
 // cursor walks one line's tokens with typed reads. The first failure
-// sticks, the same rule as wire.Reader: once a read fails, every later
+// sticks, the same rule as wire.Coder: once a read fails, every later
 // read returns its zero value, done reports true, and err keeps that
 // first error. A directive therefore reads its arguments straight
 // through, in order, and Parse checks err once per line.

@@ -49,39 +49,24 @@ type volEntry struct {
 	Recs   []cml.Record
 }
 
-// Journal payloads are framed with the wire codec's primitives, fields
-// in declaration order. The encoding is canonical (one byte string per
-// value), which the replication chain relies on: a replica re-frames
-// the entry it was shipped and must arrive at the shipper's bytes.
+// Journal payloads are walks over the wire codec's Coder, fields in
+// declaration order. The encoding is canonical (one byte string per
+// value), which the replication chain relies on: a replica re-frames the
+// entry it was shipped and must arrive at the shipper's bytes. A payload
+// that is not exactly one entry fails to decode with an error wrapping
+// wire.ErrMalformed.
 
-func appendMetaEntry(dst []byte, e metaEntry) []byte {
-	dst = wire.AppendUvarint(dst, e.LSN)
-	dst = wire.AppendString(dst, e.Name)
-	dst = wire.AppendUvarint(dst, uint64(e.ID))
-	return wire.AppendTime(dst, e.ModTime)
+func (e *metaEntry) walk(c *wire.Coder) {
+	c.Uvarint(&e.LSN)
+	c.String(&e.Name)
+	c.Uint32((*uint32)(&e.ID))
+	c.Time(&e.ModTime)
 }
 
-// decodeMetaEntry parses one meta-WAL payload; a payload that is not
-// exactly one entry is an error wrapping wire.ErrMalformed.
-func decodeMetaEntry(payload []byte) (metaEntry, error) {
-	r := wire.NewReader(payload)
-	e := metaEntry{LSN: r.Uvarint(), Name: r.String(), ID: codafs.VolumeID(r.Uint32()), ModTime: r.Time()}
-	return e, r.Done()
-}
-
-// appendVolEntry frames one applied batch.
-func appendVolEntry(dst []byte, lsn uint64, client string, recs []cml.Record) []byte {
-	dst = wire.AppendUvarint(dst, lsn)
-	dst = wire.AppendString(dst, client)
-	return wire.AppendRecords(dst, recs)
-}
-
-// decodeVolEntry parses one per-volume WAL payload, with the same
-// contract as decodeMetaEntry.
-func decodeVolEntry(payload []byte) (volEntry, error) {
-	r := wire.NewReader(payload)
-	e := volEntry{LSN: r.Uvarint(), Client: r.String(), Recs: r.Records()}
-	return e, r.Done()
+func (e *volEntry) walk(c *wire.Coder) {
+	c.Uvarint(&e.LSN)
+	c.String(&e.Client)
+	c.Records(&e.Recs)
 }
 
 // JournalOptions configures Server.AttachJournal (see wal.JournalOptions).
@@ -130,21 +115,23 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		return info, fmt.Errorf("server: %w", err)
 	}
 	if ok {
-		vols, nextVolID, metaLSN, err := decodeImage(image)
+		img, err := decodeImage(image)
 		if err != nil {
 			return info, fmt.Errorf("server: journal snapshot: %w", err)
 		}
-		if err := s.install(vols, nextVolID); err != nil {
+		if err := s.install(img); err != nil {
 			return info, err
 		}
-		sj.meta = wal.JournalAt(metaLSN)
+		sj.meta = wal.JournalAt(img.metaLSN)
 		info.SnapshotLoaded = true
 	}
 
 	// Meta WAL: replay volume creations the snapshot predates.
 	info.Meta, err = sj.meta.Attach(opts.WAL("meta", s.clock, s.obs, s.addr), func(payload []byte) error {
-		e, err := decodeMetaEntry(payload)
-		if err != nil {
+		var e metaEntry
+		c := wire.NewDecoder(payload)
+		e.walk(&c)
+		if err := c.Done(); err != nil {
 			return fmt.Errorf("server: meta journal entry: %w", err)
 		}
 		info.VolumesReplayed++
@@ -162,8 +149,10 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		v.mu.Lock()
 		//codalint:ignore lockhold recovery replay runs before the server takes traffic; the volume lock covers replaying WAL batches into volume state
 		stats, err := v.log.Attach(opts.WAL(volSub(v.info.ID), s.clock, s.obs, s.addr), func(payload []byte) error {
-			e, err := decodeVolEntry(payload)
-			if err != nil {
+			var e volEntry
+			c := wire.NewDecoder(payload)
+			e.walk(&c)
+			if err := c.Done(); err != nil {
 				return fmt.Errorf("server: volume %d journal entry: %w", v.info.ID, err)
 			}
 			info.BatchesReplayed++
@@ -235,7 +224,9 @@ func journalBatchLocked(v *volume, client string, recs []cml.Record, mode batchM
 	lsn := v.log.Next()
 	bp := bufpool.Get(0)
 	defer bufpool.Put(bp)
-	*bp = appendVolEntry(*bp, lsn, client, recs)
+	c := wire.NewEncoder(*bp)
+	(&volEntry{LSN: lsn, Client: client, Recs: recs}).walk(&c)
+	*bp = c.Bytes()
 	chain := v.nextChainLocked(*bp)
 	if mode == batchPeer && chain != wantChain {
 		return fmt.Errorf("%w: volume %d entry %d chain %08x != %08x", ErrDiverged, v.info.ID, lsn, chain, wantChain)
@@ -257,9 +248,10 @@ func (s *Server) journalCreateLocked(v *volume, modTime time.Time) error {
 	}
 	sj.sjMu.Lock()
 	defer sj.sjMu.Unlock()
-	e := metaEntry{LSN: sj.meta.Next(), Name: v.info.Name, ID: v.info.ID, ModTime: modTime}
+	c := wire.NewEncoder(nil)
+	(&metaEntry{LSN: sj.meta.Next(), Name: v.info.Name, ID: v.info.ID, ModTime: modTime}).walk(&c)
 	//codalint:ignore lockhold journal-first commit: sjMu must cover the meta append so meta-LSN order matches creation order
-	if err := sj.meta.Append(appendMetaEntry(nil, e), obs.SpanContext{}); err != nil {
+	if err := sj.meta.Append(c.Bytes(), obs.SpanContext{}); err != nil {
 		return err
 	}
 	//codalint:ignore lockhold the new volume's WAL must exist before the creation is visible; sjMu covers the open
@@ -279,10 +271,8 @@ func (s *Server) Checkpoint() error {
 		return errors.New("server: no journal attached")
 	}
 	vols := s.volumesByIDLocked()
-	size := 0
 	for _, v := range vols {
 		v.mu.Lock()
-		size += v.imageSizeLocked()
 	}
 	sj.sjMu.Lock()
 	defer func() {
@@ -293,10 +283,9 @@ func (s *Server) Checkpoint() error {
 		s.mu.Unlock()
 	}()
 
-	img := appendImageHeader(make([]byte, 0, 32+size), s.nextVolID, sj.meta.LSN(), len(vols))
+	img := s.imageLocked(sj.meta.LSN(), true)
 	fenced := []*wal.Journal{&sj.meta}
 	for _, v := range vols {
-		img = v.appendLocked(img, true)
 		fenced = append(fenced, &v.log)
 	}
 	//codalint:ignore lockhold checkpoint holds every lock for the duration so the snapshot is exactly consistent with its WAL watermarks and no racing append is truncated

@@ -24,6 +24,22 @@ var (
 	}}
 )
 
+// walker is a journal entry: metaEntry or volEntry.
+type walker interface{ walk(*wire.Coder) }
+
+// encodeEntry and decodeEntry frame one WAL payload as the journal does.
+func encodeEntry(e walker) []byte {
+	c := wire.NewEncoder(nil)
+	e.walk(&c)
+	return c.Bytes()
+}
+
+func decodeEntry(e walker, payload []byte) error {
+	c := wire.NewDecoder(payload)
+	e.walk(&c)
+	return c.Done()
+}
+
 // TestJournalBytesGolden pins the meta-WAL and volume-WAL payloads byte
 // for byte — a change strands every journal on disk and breaks the
 // replication chain between versions — and decodes the pinned bytes
@@ -31,8 +47,7 @@ var (
 // go test ./internal/server -run Golden -update
 func TestJournalBytesGolden(t *testing.T) {
 	const path = "testdata/golden/journal.golden"
-	meta := appendMetaEntry(nil, metaSample)
-	vol := appendVolEntry(nil, volSample.LSN, volSample.Client, volSample.Recs)
+	meta, vol := encodeEntry(&metaSample), encodeEntry(&volSample)
 	got := fmt.Sprintf("meta\t%s\nvol\t%s\n", hex.EncodeToString(meta), hex.EncodeToString(vol))
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -55,11 +70,13 @@ func TestJournalBytesGolden(t *testing.T) {
 		}
 		return b
 	}
-	if e, err := decodeMetaEntry(payload(0)); err != nil || e != metaSample {
-		t.Errorf("meta line decodes to %+v, %v; want %+v", e, err, metaSample)
+	var me metaEntry
+	if err := decodeEntry(&me, payload(0)); err != nil || me != metaSample {
+		t.Errorf("meta line decodes to %+v, %v; want %+v", me, err, metaSample)
 	}
-	if e, err := decodeVolEntry(payload(1)); err != nil || !reflect.DeepEqual(e, volSample) {
-		t.Errorf("vol line decodes to %+v, %v; want %+v", e, err, volSample)
+	var ve volEntry
+	if err := decodeEntry(&ve, payload(1)); err != nil || !reflect.DeepEqual(ve, volSample) {
+		t.Errorf("vol line decodes to %+v, %v; want %+v", ve, err, volSample)
 	}
 }
 
@@ -69,21 +86,23 @@ func TestJournalBytesGolden(t *testing.T) {
 // either decoder accepts is the canonical framing of the entry it
 // decoded to — the property the replication chain fingerprint rests on.
 func FuzzJournalDecode(f *testing.F) {
-	f.Add(appendMetaEntry(nil, metaSample))
-	f.Add(appendVolEntry(nil, volSample.LSN, volSample.Client, volSample.Recs))
-	f.Add(appendVolEntry(nil, 8, "", nil))
+	f.Add(encodeEntry(&metaSample))
+	f.Add(encodeEntry(&volSample))
+	f.Add(encodeEntry(&volEntry{LSN: 8}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if e, err := decodeMetaEntry(payload); err == nil {
-			if again := appendMetaEntry(nil, e); !bytes.Equal(again, payload) {
+		var me metaEntry
+		if err := decodeEntry(&me, payload); err == nil {
+			if again := encodeEntry(&me); !bytes.Equal(again, payload) {
 				t.Fatalf("meta entry not canonical:\n in %x\nout %x", payload, again)
 			}
 		} else if !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("meta entry error %v does not wrap ErrMalformed", err)
 		}
-		if e, err := decodeVolEntry(payload); err == nil {
-			if again := appendVolEntry(nil, e.LSN, e.Client, e.Recs); !bytes.Equal(again, payload) {
+		var ve volEntry
+		if err := decodeEntry(&ve, payload); err == nil {
+			if again := encodeEntry(&ve); !bytes.Equal(again, payload) {
 				t.Fatalf("volume entry not canonical:\n in %x\nout %x", payload, again)
 			}
 		} else if !errors.Is(err, wire.ErrMalformed) {

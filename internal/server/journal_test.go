@@ -331,26 +331,39 @@ func TestServerLoadStateCorrupted(t *testing.T) {
 		return codafs.Object{Status: codafs.Status{FID: f, Type: codafs.File}}
 	}
 	vol := func(id codafs.VolumeID, name string, objs []codafs.Object, authors []author, applied []appliedKey) []byte {
-		b := wire.AppendVolumeInfo(nil, &codafs.VolumeInfo{ID: id, Name: name, Stamp: 1})
-		b = wire.AppendFID(b, fid(id, 1))
-		b = append(b, 2, 0, 0) // nextVnode, journal LSN, chain
-		b = wire.AppendUvarint(b, uint64(len(objs)))
+		c := wire.NewEncoder(nil)
+		c.VolumeInfo(&codafs.VolumeInfo{ID: id, Name: name, Stamp: 1})
+		root := fid(id, 1)
+		c.FID(&root)
+		nextVnode, lsn, chain := uint64(2), uint64(0), uint32(0)
+		c.Uvarint(&nextVnode)
+		c.Uvarint(&lsn)
+		c.Uint32(&chain)
+		count := func(n int) {
+			u := uint64(n)
+			c.Uvarint(&u)
+		}
+		count(len(objs))
 		for i := range objs {
-			b = wire.AppendObject(b, &objs[i])
+			c.Object(&objs[i])
 		}
-		b = wire.AppendUvarint(b, uint64(len(authors)))
+		count(len(authors))
 		for _, a := range authors {
-			b = wire.AppendString(wire.AppendFID(b, a.fid), a.who)
+			c.FID(&a.fid)
+			c.String(&a.who)
 		}
-		b = wire.AppendUvarint(b, uint64(len(applied)))
+		count(len(applied))
 		for _, k := range applied {
-			b = wire.AppendUvarint(wire.AppendString(b, k.client), k.seq)
+			c.String(&k.client)
+			c.Uvarint(&k.seq)
 		}
-		return b
+		return c.Bytes()
+	}
+	header := func(volumes int) []byte { // magic, version, next volume ID 9, meta LSN 0, volume count
+		return append([]byte(imageMagic), 9, 0, byte(volumes))
 	}
 	raw := func(vols ...[]byte) []byte {
-		b := appendImageHeader(nil, 9, 0, len(vols))
-		return append(b, bytes.Join(vols, nil)...)
+		return append(header(len(vols)), bytes.Join(vols, nil)...)
 	}
 	plain := func(id codafs.VolumeID, name string) []byte {
 		return vol(id, name, []codafs.Object{obj(fid(id, 1))}, nil, nil)
@@ -372,7 +385,7 @@ func TestServerLoadStateCorrupted(t *testing.T) {
 		"duplicate volume ID":     raw(plain(1, "a"), plain(1, "b")),
 		"descending volume IDs":   raw(plain(2, "b"), plain(1, "a")),
 		"duplicate volume name":   raw(plain(1, "a"), plain(2, "a")),
-		"volume count too large":  append(appendImageHeader(nil, 9, 0, 2), plain(1, "a")...),
+		"volume count too large":  append(header(2), plain(1, "a")...),
 		"duplicate object FID":    raw(vol(1, "a", []codafs.Object{obj(fid(1, 1)), obj(fid(1, 1))}, nil, nil)),
 		"descending object FIDs":  raw(vol(1, "a", []codafs.Object{obj(fid(1, 2)), obj(fid(1, 1))}, nil, nil)),
 		"descending directory names": bytes.Replace(raw(vol(1, "a", []codafs.Object{dir}, nil, nil)),

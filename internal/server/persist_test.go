@@ -180,7 +180,7 @@ func FuzzLoadState(f *testing.F) {
 	}
 	f.Add(gobImage)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vols, nextVolID, metaLSN, err := decodeImage(data)
+		img, err := decodeImage(data)
 		// A bare registry, not newWorld: a world's daemons would outlive
 		// every one of the fuzzer's thousands of executions a second.
 		empty := &Server{volumes: make(map[codafs.VolumeID]*volume), byName: make(map[string]codafs.VolumeID)}
@@ -194,11 +194,9 @@ func FuzzLoadState(f *testing.F) {
 			}
 			return
 		}
-		again := appendImageHeader(nil, nextVolID, metaLSN, len(vols))
-		for _, v := range vols {
-			again = v.appendLocked(again, true)
-		}
-		if !bytes.Equal(again, data) {
+		c := wire.NewEncoder(nil)
+		img.walk(&c, true)
+		if again := c.Bytes(); !bytes.Equal(again, data) {
 			t.Fatalf("accepted image is not canonical:\n in %x\nout %x", data, again)
 		}
 	})

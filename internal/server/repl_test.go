@@ -455,7 +455,7 @@ func TestShipLogBadChainLeavesLogUntouched(t *testing.T) {
 			t.Error("refused entry changed the image")
 		}
 
-		e.Chain = crc32.Update(0, castagnoli, appendVolEntry(nil, e.LSN, e.Client, e.Recs))
+		e.Chain = crc32.Update(0, castagnoli, encodeEntry(&volEntry{LSN: e.LSN, Client: e.Client, Recs: e.Recs}))
 		rep := callTo[wire.ShipLogRep](t, c, replAddr(1), wire.ShipLog{Volume: gv.Info.ID, Entry: e})
 		if rep.LSN != 1 || rep.NeedCatchUp {
 			t.Errorf("genuine entry answered %+v, want LSN 1 applied", rep)

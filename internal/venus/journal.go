@@ -36,9 +36,8 @@ const (
 	jHoardRemove
 )
 
-// journalEntry is the payload of one WAL record, framed with the wire
-// codec's primitives: LSN, Op, then only the fields that op uses, in the
-// order declared here.
+// journalEntry is the payload of one WAL record: LSN, Op, then only the
+// fields that op uses, in the order declared here.
 type journalEntry struct {
 	LSN    uint64
 	Op     journalOp
@@ -50,58 +49,34 @@ type journalEntry struct {
 	Path   string     // jHoardRemove
 }
 
-func appendJournalEntry(dst []byte, e *journalEntry) []byte {
-	dst = wire.AppendUvarint(dst, e.LSN)
-	dst = append(dst, byte(e.Op))
+// walk codes the entry. A payload that is not exactly one entry of a
+// known op fails to decode with an error wrapping wire.ErrMalformed.
+func (e *journalEntry) walk(c *wire.Coder) {
+	c.Uvarint(&e.LSN)
+	c.Byte((*byte)(&e.Op))
 	switch e.Op {
 	case jAppend:
-		dst = wire.AppendString(dst, e.Volume)
-		dst = wire.AppendRecord(dst, &e.Rec)
-		dst = wire.AppendTime(dst, e.Now)
+		c.String(&e.Volume)
+		c.Record(&e.Rec)
+		c.Time(&e.Now)
 	case jDrop:
-		dst = wire.AppendString(dst, e.Volume)
-		dst = wire.AppendUvarints(dst, e.Seqs)
+		c.String(&e.Volume)
+		c.Uvarints(&e.Seqs)
 	case jHoardAdd:
-		dst = appendHDBEntry(dst, &e.HDB)
+		e.HDB.walk(c)
 	case jHoardRemove:
-		dst = wire.AppendString(dst, e.Path)
-	}
-	return dst
-}
-
-// appendHDBEntry frames one hoard-database row, for the journal and the
-// state image alike.
-func appendHDBEntry(dst []byte, e *HDBEntry) []byte {
-	dst = wire.AppendString(dst, e.Path)
-	dst = wire.AppendUvarint(dst, uint64(e.Priority))
-	return wire.AppendBool(dst, e.Children)
-}
-
-func readHDBEntry(r *wire.Reader) HDBEntry {
-	return HDBEntry{Path: r.String(), Priority: int(r.Uvarint()), Children: r.Bool()}
-}
-
-// decodeJournalEntry parses one WAL payload. A payload that is not
-// exactly one entry of a known op is an error wrapping
-// wire.ErrMalformed.
-func decodeJournalEntry(payload []byte) (journalEntry, error) {
-	r := wire.NewReader(payload)
-	e := journalEntry{LSN: r.Uvarint(), Op: journalOp(r.Byte())}
-	switch e.Op {
-	case jAppend:
-		e.Volume = r.String()
-		r.Record(&e.Rec)
-		e.Now = r.Time()
-	case jDrop:
-		e.Volume, e.Seqs = r.String(), r.Uvarints()
-	case jHoardAdd:
-		e.HDB = readHDBEntry(&r)
-	case jHoardRemove:
-		e.Path = r.String()
+		c.String(&e.Path)
 	default:
-		return journalEntry{}, fmt.Errorf("%w: unknown journal op %d", wire.ErrMalformed, e.Op)
+		c.Fail(fmt.Sprintf("unknown journal op %d", e.Op))
 	}
-	return e, r.Done()
+}
+
+// walk codes one hoard-database row, for the journal and the state image
+// alike.
+func (e *HDBEntry) walk(c *wire.Coder) {
+	c.String(&e.Path)
+	c.Int(&e.Priority)
+	c.Bool(&e.Children)
 }
 
 // JournalOptions configures AttachJournal (see wal.JournalOptions).
@@ -136,7 +111,9 @@ func (j *journal) write(e journalEntry, commit func()) error {
 	e.LSN = j.log.Next()
 	bp := bufpool.Get(0)
 	defer bufpool.Put(bp)
-	*bp = appendJournalEntry(*bp, &e)
+	c := wire.NewEncoder(*bp)
+	e.walk(&c)
+	*bp = c.Bytes()
 	//codalint:ignore lockhold journal-first commit: j.mu orders WAL records with the CML and HDB mutations they describe
 	if err := j.log.Append(*bp, obs.SpanContext{}); err != nil {
 		return err
@@ -175,8 +152,10 @@ func (v *Venus) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		info.SnapshotLoaded = true
 	}
 	info.WAL, err = j.log.Attach(opts.WAL("wal", v.clock, v.cfg.Obs, ""), func(payload []byte) error {
-		e, err := decodeJournalEntry(payload)
-		if err != nil {
+		var e journalEntry
+		c := wire.NewDecoder(payload)
+		e.walk(&c)
+		if err := c.Done(); err != nil {
 			return fmt.Errorf("venus: journal entry: %w", err)
 		}
 		info.EntriesReplayed++

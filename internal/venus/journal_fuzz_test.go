@@ -17,6 +17,20 @@ import (
 	"repro/internal/wire"
 )
 
+// encodeEntry and decodeEntry frame one WAL payload as the journal does.
+func encodeEntry(e *journalEntry) []byte {
+	c := wire.NewEncoder(nil)
+	e.walk(&c)
+	return c.Bytes()
+}
+
+func decodeEntry(payload []byte) (journalEntry, error) {
+	var e journalEntry
+	c := wire.NewDecoder(payload)
+	e.walk(&c)
+	return e, c.Done()
+}
+
 // journalSamples holds one entry of each op, and a negative priority.
 func journalSamples() []journalEntry {
 	now := time.Unix(800000000, 5).UTC()
@@ -39,7 +53,7 @@ func TestJournalBytesGolden(t *testing.T) {
 	var b strings.Builder
 	samples := journalSamples()
 	for i := range samples {
-		fmt.Fprintf(&b, "%d\t%s\n", samples[i].Op, hex.EncodeToString(appendJournalEntry(nil, &samples[i])))
+		fmt.Fprintf(&b, "%d\t%s\n", samples[i].Op, hex.EncodeToString(encodeEntry(&samples[i])))
 	}
 	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
@@ -59,7 +73,7 @@ func TestJournalBytesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e, err := decodeJournalEntry(payload); err != nil || !reflect.DeepEqual(e, samples[i]) {
+		if e, err := decodeEntry(payload); err != nil || !reflect.DeepEqual(e, samples[i]) {
 			t.Errorf("line %d decodes to %+v, %v; want %+v", i+1, e, err, samples[i])
 		}
 	}
@@ -72,20 +86,20 @@ func TestJournalBytesGolden(t *testing.T) {
 func FuzzJournalDecode(f *testing.F) {
 	for _, e := range journalSamples() {
 		e := e
-		f.Add(appendJournalEntry(nil, &e))
+		f.Add(encodeEntry(&e))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 9})
 	f.Add([]byte{1, byte(jDrop), 0, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		e, err := decodeJournalEntry(payload)
+		e, err := decodeEntry(payload)
 		if err != nil {
 			if !errors.Is(err, wire.ErrMalformed) {
 				t.Fatalf("error %v does not wrap ErrMalformed", err)
 			}
 			return
 		}
-		if again := appendJournalEntry(nil, &e); !bytes.Equal(again, payload) {
+		if again := encodeEntry(&e); !bytes.Equal(again, payload) {
 			t.Fatalf("accepted payload is not canonical:\n in %x\nout %x", payload, again)
 		}
 	})

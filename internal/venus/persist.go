@@ -1,8 +1,10 @@
 package venus
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 
 	"repro/internal/cml"
@@ -33,45 +35,65 @@ func (v *Venus) SaveState(w io.Writer) error {
 	return nil
 }
 
-// image encodes the durable state with the wire codec's primitives
-// (DESIGN.md "Wire, journal and image formats"): magic and version, the
-// journal watermark, the HDB in ascending path order, then each volume
-// name in ascending order followed by its CML. lsn is the watermark of
-// the attached journal at snapshot time — WAL entries at or below it are
+// stateImage is the durable state: the journal watermark, the HDB and
+// each mounted volume's CML by name. lsn is the watermark of the
+// attached journal at snapshot time — WAL entries at or below it are
 // already reflected in the image and must not be replayed over it — and
-// zero when the image stands alone. The crash matrices compare images
-// byte for byte, so identical states must serialize identically.
+// zero when the image stands alone.
+type stateImage struct {
+	lsn  uint64
+	hdb  map[string]*HDBEntry
+	logs map[string]*cml.Log
+}
+
+// walk codes the image (DESIGN.md "Wire, journal and image formats"):
+// magic and version, the watermark, the HDB in ascending path order, then
+// each volume name in ascending order followed by its CML. The crash
+// matrices compare images byte for byte, so identical states serialize
+// identically. A decoded CML is checked by cml.Load.
+func (img *stateImage) walk(c *wire.Coder) {
+	c.Magic(imageMagic)
+	c.Uvarint(&img.lsn)
+	wire.Map(c, &img.hdb, 3, cmp.Compare[string], func(_ string, e *HDBEntry) (string, *HDBEntry) { // path length, priority, children
+		if e == nil {
+			e = new(HDBEntry)
+		}
+		e.walk(c)
+		return e.Path, e
+	})
+	wire.Map(c, &img.logs, 6, cmp.Compare[string], func(name string, log *cml.Log) (string, *cml.Log) { // name length, four scalars, record count
+		var li cml.Image
+		if log != nil {
+			li = log.Save()
+		}
+		c.String(&name)
+		c.Uvarint(&li.NextSeq)
+		c.Int64(&li.SavedBytes)
+		c.Int64(&li.SavedRecs)
+		c.Bool(&li.Optimize)
+		c.Records(&li.Records)
+		if log == nil {
+			var err error
+			if log, err = cml.Load(li); err != nil {
+				c.Fail(fmt.Sprintf("CML for %s: %v", name, err))
+			}
+		}
+		return name, log
+	})
+}
+
+// image encodes the durable state with the given watermark. The HDB and
+// the log pointers are taken under v.mu; the logs are encoded outside it.
 func (v *Venus) image(lsn uint64) []byte {
 	v.mu.Lock()
-	paths := make([]string, 0, len(v.hdb))
-	for p := range v.hdb {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	img := append([]byte(nil), imageMagic...)
-	img = wire.AppendUvarint(img, lsn)
-	img = wire.AppendUvarint(img, uint64(len(paths)))
-	for _, p := range paths {
-		img = appendHDBEntry(img, v.hdb[p])
-	}
-	names := v.volumeNamesLocked()
-	logs := make([]*cml.Log, len(names))
-	for i, name := range names {
-		logs[i] = v.volumes[name].log
+	img := stateImage{lsn: lsn, hdb: maps.Clone(v.hdb), logs: make(map[string]*cml.Log, len(v.volumes))}
+	for name, vc := range v.volumes {
+		img.logs[name] = vc.log
 	}
 	v.mu.Unlock()
-
-	img = wire.AppendUvarint(img, uint64(len(names)))
-	for i, name := range names {
-		li := logs[i].Save()
-		img = wire.AppendString(img, name)
-		img = wire.AppendUvarint(img, li.NextSeq)
-		img = wire.AppendUvarint(img, uint64(li.SavedBytes))
-		img = wire.AppendUvarint(img, uint64(li.SavedRecs))
-		img = wire.AppendBool(img, li.Optimize)
-		img = wire.AppendRecords(img, li.Records)
-	}
-	return img
+	c := wire.NewEncoder(nil)
+	img.walk(&c)
+	return c.Bytes()
 }
 
 // volumeNamesLocked returns the mounted volumes' names in ascending order.
@@ -84,50 +106,16 @@ func (v *Venus) volumeNamesLocked() []string {
 	return names
 }
 
-// stateImage is a decoded image: every part validated, nothing installed.
-type stateImage struct {
-	lsn     uint64
-	hdb     []HDBEntry
-	volumes []string   // ascending
-	logs    []*cml.Log // aligned with volumes
-}
-
-// decodeImage parses what image wrote. A truncated or corrupted stream
-// comes back as an error wrapping wire.ErrMalformed (a half-written state
-// file must degrade to "start fresh or recover from the journal", never
-// crash the client), and nothing is allocated for a count the input
-// cannot back. Paths and volume names out of ascending order are
-// rejected, not merged.
+// decodeImage parses an image: every part validated, nothing installed. A
+// truncated or corrupted stream comes back as an error wrapping
+// wire.ErrMalformed (a half-written state file must degrade to "start
+// fresh or recover from the journal", never crash the client), and
+// nothing is allocated for a count the input cannot back.
 func decodeImage(data []byte) (stateImage, error) {
-	r := wire.NewReader(data)
-	for i := 0; i < len(imageMagic); i++ {
-		if r.Byte() != imageMagic[i] {
-			r.Fail("unrecognised image format")
-		}
-	}
-	img := stateImage{lsn: r.Uvarint()}
-	for i, n := 0, r.Count(3); i < n && r.Err() == nil; i++ { // path length, priority, children
-		e := readHDBEntry(&r)
-		if i > 0 && e.Path <= img.hdb[i-1].Path {
-			r.Fail("HDB paths out of order")
-		}
-		img.hdb = append(img.hdb, e)
-	}
-	for i, n := 0, r.Count(6); i < n && r.Err() == nil; i++ { // name length, four scalars, record count
-		name := r.String()
-		if i > 0 && name <= img.volumes[i-1] {
-			r.Fail("volume names out of order")
-		}
-		li := cml.Image{NextSeq: r.Uvarint(), SavedBytes: int64(r.Uvarint()), SavedRecs: int64(r.Uvarint()),
-			Optimize: r.Bool(), Records: r.Records()}
-		log, err := cml.Load(li)
-		if err != nil {
-			r.Fail(fmt.Sprintf("CML for %s: %v", name, err))
-		}
-		img.volumes = append(img.volumes, name)
-		img.logs = append(img.logs, log)
-	}
-	if err := r.Done(); err != nil {
+	var img stateImage
+	c := wire.NewDecoder(data)
+	img.walk(&c)
+	if err := c.Done(); err != nil {
 		return stateImage{}, fmt.Errorf("venus: load state: %w", err)
 	}
 	return img, nil
@@ -162,18 +150,18 @@ func (v *Venus) LoadState(r io.Reader) error {
 func (v *Venus) installImage(img stateImage) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, name := range img.volumes {
+	for name := range img.logs {
 		if v.volumes[name] == nil {
 			return fmt.Errorf("venus: CML for unmounted volume %q", name)
 		}
 	}
-	for i := range img.hdb {
-		v.hdb[img.hdb[i].Path] = &img.hdb[i]
+	for path, e := range img.hdb {
+		v.hdb[path] = e
 	}
 	// Into the mounted log, not over it: Mount configured its cancel
 	// observer and the volume's trickle loop already holds the pointer.
-	for i, name := range img.volumes {
-		v.volumes[name].log.Restore(img.logs[i])
+	for name, log := range img.logs {
+		v.volumes[name].log.Restore(log)
 	}
 	return nil
 }

@@ -142,22 +142,34 @@ func TestVenusLoadStateCorrupted(t *testing.T) {
 			seqs    []uint64
 		}
 		raw := func(rows []hdb, vols []vol) []byte {
-			b := append([]byte("CODV\x01"), 0) // magic, version, journal LSN
-			b = wire.AppendUvarint(b, uint64(len(rows)))
-			for _, r := range rows {
-				b = wire.AppendBool(wire.AppendUvarint(wire.AppendString(b, r.path), r.prio), false)
+			c := wire.NewEncoder(append([]byte("CODV\x01"), 0)) // magic, version, journal LSN
+			count := func(n int) {
+				u := uint64(n)
+				c.Uvarint(&u)
 			}
-			b = wire.AppendUvarint(b, uint64(len(vols)))
+			count(len(rows))
+			for _, r := range rows {
+				children := false
+				c.String(&r.path)
+				c.Uvarint(&r.prio)
+				c.Bool(&children)
+			}
+			count(len(vols))
 			for _, vl := range vols {
 				recs := make([]cml.Record, len(vl.seqs))
 				for i, seq := range vl.seqs {
 					recs[i] = cml.Record{Seq: seq, Kind: cml.Store, Name: "f"}
 				}
-				b = wire.AppendUvarint(wire.AppendString(b, vl.name), vl.nextSeq)
-				b = wire.AppendBool(append(b, 0, 0), true) // saved bytes, saved records, optimize
-				b = wire.AppendRecords(b, recs)
+				var savedBytes, savedRecs int64
+				optimize := true
+				c.String(&vl.name)
+				c.Uvarint(&vl.nextSeq)
+				c.Int64(&savedBytes)
+				c.Int64(&savedRecs)
+				c.Bool(&optimize)
+				c.Records(&recs)
 			}
-			return b
+			return c.Bytes()
 		}
 		gobImage, err := os.ReadFile("testdata/parent_gob_onevol_nologs.image")
 		if err != nil {

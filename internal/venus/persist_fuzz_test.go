@@ -44,7 +44,7 @@ func FuzzLoadState(f *testing.F) {
 		v.hdb = make(map[string]*HDBEntry)
 		v.cache = newCache(v.cfg.CacheBytes)
 		v.volumes = make(map[string]*vclient)
-		for _, name := range img.volumes {
+		for name := range img.logs {
 			v.volumes[name] = &vclient{log: cml.NewLog()}
 		}
 		v.mu.Unlock()

@@ -3,7 +3,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -51,24 +50,40 @@ func TestAllocWireReintegrate32(t *testing.T) {
 	}
 }
 
-// TestReaderScalarsAllocateNothing fences the scalar readers every
-// decoder and both journals are built from, fixed32 (read only by the
-// ShipLog and FetchLog decoders) included: a well-formed field reads with
-// no heap allocation. Only a failure allocates, for its error.
+// TestReaderScalarsAllocateNothing fences the scalar fields every walk,
+// both journals and both images are built from, fixed32 (coded only by
+// ShipLog and FetchLog) included: a decoder reads a well-formed field
+// with no heap allocation. Only a failure allocates, for its error.
 func TestReaderScalarsAllocateNothing(t *testing.T) {
-	var b []byte
-	b = AppendUvarint(b, 1<<40)
-	b = AppendUvarint(b, 3) // a count the rest of the input backs
-	b = append(b, 0xab)
-	b = AppendBool(b, true)
-	b = AppendUvarint(b, 1<<31)
-	b = binary.LittleEndian.AppendUint32(b, 0xdeadbeef)
-	b = AppendTime(b, time.Unix(811_000_000, 5))
-	b = AppendFID(b, codafs.FID{Volume: 7, Vnode: 1 << 20, Unique: 3})
+	var (
+		u, count uint64 = 1 << 40, 3 // a count the rest of the input backs
+		b        byte   = 0xab
+		flag            = true
+		u32, fp  uint32 = 1 << 31, 0xdeadbeef
+		when            = time.Unix(811_000_000, 5)
+		fid             = codafs.FID{Volume: 7, Vnode: 1 << 20, Unique: 3}
+	)
+	enc := NewEncoder(nil)
+	enc.Uvarint(&u)
+	enc.Uvarint(&count)
+	enc.Byte(&b)
+	enc.Bool(&flag)
+	enc.Uint32(&u32)
+	enc.fixed32(&fp)
+	enc.Time(&when)
+	enc.FID(&fid)
+	in := enc.Bytes()
 	allocs := testing.AllocsPerRun(100, func() {
-		r := NewReader(b)
-		_, _, _, _ = r.Uvarint(), r.Count(1), r.Byte(), r.Bool()
-		_, _, _, _ = r.Uint32(), r.fixed32(), r.Time(), r.FID()
+		u, b, flag, u32, fp, when, fid = 0, 0, false, 0, 0, time.Time{}, codafs.FID{}
+		r := NewDecoder(in)
+		r.Uvarint(&u)
+		r.count(0, 1)
+		r.Byte(&b)
+		r.Bool(&flag)
+		r.Uint32(&u32)
+		r.fixed32(&fp)
+		r.Time(&when)
+		r.FID(&fid)
 		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}

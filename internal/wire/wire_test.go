@@ -347,7 +347,9 @@ func TestValidationBatchScalesSubLinearly(t *testing.T) {
 func TestRecordOverheadBelowGob(t *testing.T) {
 	for _, rec := range everyKind() {
 		rec := rec
-		framing := len(AppendRecord(nil, &rec)) - len(rec.Name) - len(rec.NewName) - len(rec.Target) - len(rec.Owner) - len(rec.Data)
+		c := NewEncoder(nil)
+		c.Record(&rec)
+		framing := len(c.Bytes()) - len(rec.Name) - len(rec.NewName) - len(rec.Target) - len(rec.Owner) - len(rec.Data)
 		if framing > cml.RecordOverhead {
 			t.Errorf("%s record carries %d bytes of framing, over cml.RecordOverhead %d", rec.Kind, framing, cml.RecordOverhead)
 		}

@@ -283,7 +283,7 @@ func (s *Server) Checkpoint() error {
 		s.mu.Unlock()
 	}()
 
-	img := s.imageLocked(sj.meta.LSN(), true)
+	img := (&serverImage{nextVolID: s.nextVolID, metaLSN: sj.meta.LSN(), vols: s.volumes}).encode(true)
 	fenced := []*wal.Journal{&sj.meta}
 	for _, v := range vols {
 		fenced = append(fenced, &v.log)

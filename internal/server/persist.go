@@ -116,18 +116,19 @@ func (v *volume) walk(c *wire.Coder, lsn *uint64, chain *uint32) {
 	})
 }
 
-// imageLocked encodes the server. Caller holds s.mu and every volume
-// lock.
-func (s *Server) imageLocked(metaLSN uint64, watermarks bool) []byte {
-	img := serverImage{nextVolID: s.nextVolID, metaLSN: metaLSN, vols: s.volumes}
+// encode codes the image into one buffer of its exact size. Caller holds
+// every volume lock in img.vols.
+func (img *serverImage) encode(watermarks bool) []byte {
 	return wire.Sized(func(c *wire.Coder) { img.walk(c, watermarks) })
 }
 
 // SaveState writes all volumes to w. It acquires the registry lock, then
 // every volume lock in ascending ID order — the canonical lock order, so a
 // snapshot cannot deadlock against handlers or a concurrent SaveState —
-// encodes, and writes w after the last lock is dropped. The image is
-// therefore a consistent point-in-time cut across all volumes.
+// and releases the registry lock before encoding; the volume locks are
+// held until the whole image is encoded (both of wire.Sized's passes), and
+// w is written after the last is dropped. The image is therefore a
+// consistent point-in-time cut across all volumes.
 func (s *Server) SaveState(w io.Writer) error {
 	if _, err := w.Write(s.image()); err != nil {
 		return fmt.Errorf("server: save state: %w", err)
@@ -138,16 +139,18 @@ func (s *Server) SaveState(w io.Writer) error {
 // image encodes the SaveState form of the server: watermarks zero.
 func (s *Server) image() []byte {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	vols := s.volumesByIDLocked()
+	img := serverImage{nextVolID: s.nextVolID, vols: make(map[codafs.VolumeID]*volume, len(vols))}
 	for _, v := range vols {
 		v.mu.Lock()
+		img.vols[v.id()] = v
 	}
-	img := s.imageLocked(0, false)
+	s.mu.Unlock()
+	b := img.encode(false)
 	for _, v := range vols {
 		v.mu.Unlock()
 	}
-	return img
+	return b
 }
 
 // decodeImage parses an image into volumes ready to install. Corrupted

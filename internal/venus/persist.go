@@ -1,11 +1,11 @@
 package venus
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"maps"
 	"sort"
+	"strings"
 
 	"repro/internal/cml"
 	"repro/internal/wire"
@@ -54,14 +54,15 @@ type stateImage struct {
 func (img *stateImage) walk(c *wire.Coder) {
 	c.Magic(imageMagic)
 	c.Uvarint(&img.lsn)
-	wire.Map(c, &img.hdb, 3, cmp.Compare[string], func(_ string, e *HDBEntry) (string, *HDBEntry) { // path length, priority, children
+	byName := func(a, b string) int { return strings.Compare(a, b) }
+	wire.Map(c, &img.hdb, 3, byName, func(_ string, e *HDBEntry) (string, *HDBEntry) { // path length, priority, children
 		if e == nil {
 			e = new(HDBEntry)
 		}
 		e.walk(c)
 		return e.Path, e
 	})
-	wire.Map(c, &img.logs, 6, cmp.Compare[string], func(name string, log *cml.Log) (string, *cml.Log) { // name length, four scalars, record count
+	wire.Map(c, &img.logs, 6, byName, func(name string, log *cml.Log) (string, *cml.Log) { // name length, four scalars, record count
 		var li cml.Image
 		if log != nil {
 			li = log.Save()
@@ -83,7 +84,9 @@ func (img *stateImage) walk(c *wire.Coder) {
 }
 
 // image encodes the durable state with the given watermark. The HDB and
-// the log pointers are taken under v.mu; the logs are encoded outside it.
+// the log pointers are taken under v.mu and encoded outside it: an HDB
+// entry is replaced, never mutated, and an encoder only reads what it
+// codes; each log guards its own records while Save copies them.
 func (v *Venus) image(lsn uint64) []byte {
 	v.mu.Lock()
 	img := stateImage{lsn: lsn, hdb: maps.Clone(v.hdb), logs: make(map[string]*cml.Log, len(v.volumes))}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/bufpool"
@@ -224,27 +225,27 @@ func (c *Coder) message(v any) any {
 		c.Uvarint(&m.VolStamp)
 		return decoded(c, &m)
 	case ValidateVolumes:
-		for i := range elems(c, &m.Volumes, 2) {
-			c.Uint32((*uint32)(&m.Volumes[i].ID))
-			c.Uvarint(&m.Volumes[i].Stamp)
-		}
+		each(c, &m.Volumes, 2, func(p *VolStampPair) {
+			c.volumeID(&p.ID)
+			c.Uvarint(&p.Stamp)
+		})
 		return decoded(c, &m)
 	case ValidateVolumesRep:
 		each(c, &m.Valid, 1, c.Bool)
 		c.Uvarints(&m.Stamps)
 		return decoded(c, &m)
 	case ValidateObjects:
-		for i := range elems(c, &m.Objects, 4) {
-			c.FID(&m.Objects[i].FID)
-			c.Uvarint(&m.Objects[i].Version)
-		}
+		each(c, &m.Objects, 4, func(p *FIDVersion) {
+			c.FID(&p.FID)
+			c.Uvarint(&p.Version)
+		})
 		return decoded(c, &m)
 	case ValidateObjectsRep:
 		each(c, &m.Valid, 1, c.Bool)
 		each(c, &m.Statuses, 1, c.status)
 		return decoded(c, &m)
 	case GetVolumeStamp:
-		c.Uint32((*uint32)(&m.Volume))
+		c.volumeID(&m.Volume)
 		return decoded(c, &m)
 	case GetVolumeStampRep:
 		c.Uvarint(&m.Stamp)
@@ -271,7 +272,7 @@ func (c *Coder) message(v any) any {
 		c.Time(&m.ServerTime)
 		return decoded(c, &m)
 	case ShipLog:
-		c.Uint32((*uint32)(&m.Volume))
+		c.volumeID(&m.Volume)
 		c.fixed32(&m.PrevChain)
 		c.logEntry(&m.Entry)
 		return decoded(c, &m)
@@ -280,7 +281,7 @@ func (c *Coder) message(v any) any {
 		c.Bool(&m.NeedCatchUp)
 		return decoded(c, &m)
 	case FetchLog:
-		c.Uint32((*uint32)(&m.Volume))
+		c.volumeID(&m.Volume)
 		c.Uvarint(&m.AfterLSN)
 		c.fixed32(&m.Chain)
 		return decoded(c, &m)
@@ -290,9 +291,7 @@ func (c *Coder) message(v any) any {
 		return decoded(c, &m)
 	case CallbackBreak:
 		each(c, &m.FIDs, 3, c.FID)
-		for i := range elems(c, &m.Volumes, 1) {
-			c.Uint32((*uint32)(&m.Volumes[i]))
-		}
+		each(c, &m.Volumes, 1, c.volumeID)
 		return decoded(c, &m)
 	}
 	panic(fmt.Sprintf("wire: %T has a tag and no walk", v))
@@ -301,7 +300,9 @@ func (c *Coder) message(v any) any {
 // Coder runs a walk over a value's fields in one of two directions. An
 // encoder (NewEncoder) appends each field it is handed to its buffer; a
 // decoder (NewDecoder) reads each field from its input into the place it
-// is handed, which must start zero. A decoder's first failure sticks:
+// is handed, which must start zero. An encoder only reads what it is
+// handed, so encoding a shared value needs no lock beyond the one that
+// keeps it from changing. A decoder's first failure sticks:
 // later fields read as zero values and allocate nothing, so a walk codes
 // every field unconditionally and checks Done once.
 type Coder struct {
@@ -375,23 +376,29 @@ func (c *Coder) Uint32(p *uint32) {
 	c.Uvarint(&v)
 	if v > 1<<32-1 {
 		c.Fail("uint32 overflow")
-		return
+	} else if c.dec {
+		*p = uint32(v)
 	}
-	*p = uint32(v)
 }
+
+func (c *Coder) volumeID(p *codafs.VolumeID) { c.Uint32((*uint32)(p)) }
 
 // Int64 codes a uvarint of the value's two's-complement bits.
 func (c *Coder) Int64(p *int64) {
 	v := uint64(*p)
 	c.Uvarint(&v)
-	*p = int64(v)
+	if c.dec {
+		*p = int64(v)
+	}
 }
 
 // Int is Int64 for an int.
 func (c *Coder) Int(p *int) {
 	v := uint64(*p)
 	c.Uvarint(&v)
-	*p = int(v)
+	if c.dec {
+		*p = int(v)
+	}
 }
 
 // Byte codes one byte.
@@ -413,8 +420,9 @@ func (c *Coder) Bool(p *bool) {
 	c.Byte(&b)
 	if b > 1 {
 		c.Fail("bad bool")
+	} else if c.dec {
+		*p = b == 1
 	}
-	*p = b == 1
 }
 
 // raw codes len(p) bytes as they are.
@@ -443,7 +451,9 @@ func (c *Coder) fixed32(p *uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], *p)
 	c.raw(b[:])
-	*p = binary.LittleEndian.Uint32(b[:])
+	if c.dec {
+		*p = binary.LittleEndian.Uint32(b[:])
+	}
 }
 
 // count codes a length or element count. A decoder rejects one unless
@@ -499,7 +509,8 @@ func each[T any](c *Coder, s *[]T, elemMin int, elem func(*T)) {
 	}
 }
 
-// Uvarints codes a count and each element as a uvarint.
+// Uvarints codes a count and each element as a uvarint. Not through each:
+// inlined into another package, its method value moves the Coder to the heap.
 func (c *Coder) Uvarints(s *[]uint64) {
 	for i := range elems(c, s, 1) {
 		c.Uvarint(&(*s)[i])
@@ -557,14 +568,14 @@ func (c *Coder) Time(t *time.Time) {
 
 // FID codes the three components as uvarints.
 func (c *Coder) FID(f *codafs.FID) {
-	c.Uint32((*uint32)(&f.Volume))
+	c.volumeID(&f.Volume)
 	c.Uvarint(&f.Vnode)
 	c.Uvarint(&f.Unique)
 }
 
 // VolumeInfo codes ID, name and stamp.
 func (c *Coder) VolumeInfo(vi *codafs.VolumeInfo) {
-	c.Uint32((*uint32)(&vi.ID))
+	c.volumeID(&vi.ID)
 	c.String(&vi.Name)
 	c.Uvarint(&vi.Stamp)
 }
@@ -643,7 +654,8 @@ func (c *Coder) status(s *codafs.Status) {
 func (c *Coder) Object(o *codafs.Object) {
 	c.status(&o.Status)
 	c.bytes(&o.Data)
-	Map(c, &o.Children, 4, cmp.Compare[string], func(name string, f codafs.FID) (string, codafs.FID) { // name length + three FID components
+	byName := func(a, b string) int { return strings.Compare(a, b) }
+	Map(c, &o.Children, 4, byName, func(name string, f codafs.FID) (string, codafs.FID) { // name length + three FID components
 		c.String(&name)
 		c.FID(&f)
 		return name, f
@@ -728,7 +740,8 @@ func (c *Coder) Record(r *cml.Record) {
 	}
 }
 
-// Records codes a count and each record; zero length decodes to nil.
+// Records codes a count and each record, looping itself as Uvarints does;
+// zero length decodes to nil.
 func (c *Coder) Records(s *[]cml.Record) {
 	for i := range elems(c, s, 2) {
 		c.Record(&(*s)[i])
@@ -747,8 +760,9 @@ func (c *Coder) recordResult(res *RecordResult) {
 	c.Byte(&flags)
 	if flags >= resDeltaFailed<<1 {
 		c.Fail("bad result flags")
+	} else if c.dec {
+		res.OK, res.Conflict, res.DeltaFailed = flags&resOK != 0, flags&resConflict != 0, flags&resDeltaFailed != 0
 	}
-	res.OK, res.Conflict, res.DeltaFailed = flags&resOK != 0, flags&resConflict != 0, flags&resDeltaFailed != 0
 	c.String(&res.Msg)
 }
 
@@ -764,18 +778,18 @@ func (c *Coder) delta(d *delta.Delta) {
 	c.raw(d.BaseHash[:])
 	c.Int64(&d.TargetSize)
 	c.raw(d.TargetHash[:])
-	for i := range elems(c, &d.Ops, 3) {
-		c.Int(&d.Ops[i].From)
-		c.Int(&d.Ops[i].Blocks)
-		c.bytes(&d.Ops[i].Literal)
-	}
+	each(c, &d.Ops, 3, func(op *delta.Op) {
+		c.Int(&op.From)
+		c.Int(&op.Blocks)
+		c.bytes(&op.Literal)
+	})
 }
 
 // reintegrate codes the chunk. Fragments and Deltas are keyed by record
 // index, and a key that names no record is malformed either way. Empty
 // maps decode to nil; the server only reads them.
 func (c *Coder) reintegrate(m *Reintegrate) {
-	c.Uint32((*uint32)(&m.Volume))
+	c.volumeID(&m.Volume)
 	c.Records(&m.Records)
 	index := func(i int) int {
 		c.Int(&i)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,6 +197,42 @@ func TestEncodeDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEncodeSharedConcurrently: an encoder only reads the value it codes.
+// A server encodes one log entry's records from two goroutines at once —
+// a FetchLogRep answering a peer's pull while the same entry is pushed
+// as a ShipLog — holding no lock over either; under -race a store into
+// the shared records would show here as a data race.
+func TestEncodeSharedConcurrently(t *testing.T) {
+	entry := LogEntry{LSN: 2, Chain: 0xdeadbeef, Client: "laptop", Recs: everyKind()}
+	msgs := []any{
+		ShipLog{Volume: 3, PrevChain: 1, Entry: entry},
+		FetchLogRep{Entries: []LogEntry{entry, entry}, LSN: 2},
+	}
+	want := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		var err error
+		if want[i], err = Encode(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for range 2 {
+		for i, m := range msgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 50 {
+					if got, err := Encode(m); err != nil || !bytes.Equal(got, want[i]) {
+						t.Errorf("%T: concurrent encoding differs (err %v)", m, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestTimeDropsMonotonic: rule (c) for a wall-clock reading, which

@@ -77,7 +77,7 @@ results:
 # The next two keep world assembly in internal/world (cmd/codaperf has
 # its own until it moves): nothing else outside tests constructs a Sim
 # or a fault-injectable disk. The last three keep the update pipeline in
-# one place each: records are validated and journaled only by the server's
+# one place each: records are admitted and journaled only by the server's
 # batch function in apply.go, Venus sends a connected-mode mutation from
 # one line (update's), and ships a chunk from one call site (shipRecords').
 # Then the one replication rule: a log entry is pushed from one call site
@@ -106,7 +106,7 @@ lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
 	! grep -rn --include='*.go' --exclude='*_test.go' 'crashfs\.NewMem(' . | grep -v -e '^./internal/crashfs/' -e '^./internal/world/' -e '^./cmd/codaperf/'
-	! grep -rn --include='*.go' --exclude='*_test.go' -e 'applyRecord(' -e 'journalBatchLocked(' . | grep -v -e '^./internal/server/apply.go:' -e ':func '
+	! grep -rn --include='*.go' --exclude='*_test.go' -e 'admitRecord(' -e 'journalBatchLocked(' . | grep -v -e '^./internal/server/apply.go:' -e ':func '
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'callVol[wire.MutateRep]' . | wc -l)" -eq 1
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'reintegrateCall(' . | grep -vc ':func ')" -eq 1
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'shipVolume(' . | grep -vc ':func ')" -eq 1

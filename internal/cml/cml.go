@@ -105,18 +105,102 @@ func (r *Record) Size() int64 {
 	return int64(RecordOverhead + len(r.Name) + len(r.NewName) + len(r.Target) + len(r.Data))
 }
 
-// NewObject returns the object a Create, Mkdir or MakeSymlink record
-// makes, before any version is stamped on it: the one description the
-// server's apply and the client cache share. A file or directory created
-// without a mode gets 0644 or 0755; a symlink's Length is its target's.
-func (r *Record) NewObject() *codafs.Object {
+// Objects is the object store a record's effect runs against: the
+// server's all-or-nothing overlay over one volume, or a view of a client
+// cache. Get returns fid's object for the effect to change in place, or
+// nil if the store does not hold it; Put adds a new object, Drop removes
+// fid, and Touch reports that the effect changed fid's object.
+type Objects interface {
+	Get(fid codafs.FID) *codafs.Object
+	Put(o *codafs.Object)
+	Drop(fid codafs.FID)
+	Touch(fid codafs.FID)
+}
+
+// Apply writes r's effect into objs: the one rule for what an update
+// does to objects, on the server that validated it and in the client
+// cache that logged or sent it (§4.3: one update, two routes). It checks
+// nothing — the server admits a record before applying it — and changes
+// only what objs holds: an object or directory Get does not return is
+// left as it is. It Gets only what it changes, and Touches each object
+// after changing it — the object before its directory for a create or
+// link, the directories first for a remove or rename — which is the
+// order the server reports their new statuses in.
+func (r *Record) Apply(objs Objects) {
+	switch r.Kind {
+	case Store:
+		o := objs.Get(r.FID)
+		if o == nil {
+			o = r.newObject() // a cache that does not hold the file learns it whole
+			objs.Put(o)
+		}
+		o.Data = r.Data[:len(r.Data):len(r.Data)] // adopted, not copied (codafs.Object); capped against appends
+		o.Status.Length, o.Status.ModTime = r.Length, r.ModTime
+		objs.Touch(r.FID)
+	case SetAttr:
+		if o := objs.Get(r.FID); o != nil {
+			if r.Mode != 0 { // a zero mode leaves the mode unchanged
+				o.Status.Mode = r.Mode
+			}
+			if !r.ModTime.IsZero() {
+				o.Status.ModTime = r.ModTime
+			}
+			objs.Touch(r.FID)
+		}
+	case Create, Mkdir, MakeSymlink:
+		objs.Put(r.newObject())
+		bind(objs, r.Parent, r.Name, r.FID)
+	case Link:
+		if o := objs.Get(r.FID); o != nil {
+			o.Status.Links++
+			objs.Touch(r.FID)
+		}
+		bind(objs, r.Parent, r.Name, r.FID)
+	case Remove, Rmdir:
+		unbind(objs, r.Parent, r.Name)
+		if o := objs.Get(r.FID); o != nil && o.Status.Links > 1 {
+			o.Status.Links--
+			objs.Touch(r.FID)
+		} else {
+			objs.Drop(r.FID)
+		}
+	case Rename:
+		unbind(objs, r.Parent, r.Name)
+		bind(objs, r.NewParent, r.NewName, r.FID)
+		objs.Touch(r.FID)
+	}
+}
+
+// bind enters name for fid in directory dir, if objs holds dir.
+func bind(objs Objects, dir codafs.FID, name string, fid codafs.FID) {
+	if d := objs.Get(dir); d != nil {
+		d.SetEntry(name, fid)
+		objs.Touch(dir)
+	}
+}
+
+// unbind drops name from directory dir, if objs holds dir.
+func unbind(objs Objects, dir codafs.FID, name string) {
+	if d := objs.Get(dir); d != nil {
+		d.DropEntry(name)
+		objs.Touch(dir)
+	}
+}
+
+// newObject returns the object a Create, Mkdir or MakeSymlink record
+// makes, before any version is stamped on it, or the file a Store makes
+// in a cache that does not hold it, at the version the store was made
+// against. A file or directory created without a mode gets 0644 or
+// 0755; a symlink's Length is its target's.
+func (r *Record) newObject() *codafs.Object {
 	o := &codafs.Object{
-		Status: codafs.Status{FID: r.FID, ModTime: r.ModTime, Mode: r.Mode, Owner: r.Owner, Links: 1},
+		Status: codafs.Status{FID: r.FID, Type: codafs.File, ModTime: r.ModTime, Mode: r.Mode, Owner: r.Owner, Links: 1},
 		Target: r.Target,
 	}
 	switch r.Kind {
+	case Store:
+		o.Status.Version = r.PrevVersion
 	case Create:
-		o.Status.Type = codafs.File
 		if o.Status.Mode == 0 {
 			o.Status.Mode = 0644
 		}

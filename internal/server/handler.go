@@ -271,9 +271,10 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 	// Attach fragment data under the fragment lock, before entering the
 	// volume domain (fragMu and volume locks never nest). The server does
 	// not logically attempt reintegration until whole files have arrived
-	// (§4.3.5). applyRecord adopts an attached slice as the contents, so it
-	// is capped at its completed length — a racing resend appends past it,
-	// never into it — after a copy to size if append left over 1/8 spare.
+	// (§4.3.5). A store's effect adopts an attached slice as the contents,
+	// so it is capped at its completed length — a racing resend appends
+	// past it, never into it — after a copy to size if append left over
+	// 1/8 spare.
 	recs := req.Records
 	var usedFrags []fragKey
 	s.fragMu.Lock()

@@ -261,6 +261,10 @@ type volume struct {
 	// token before mu (the holder takes mu only briefly).
 	shippedLSN uint64
 	shipTok    *simtime.Queue[struct{}]
+
+	// overlay is the volume's one apply overlay (apply.go), made on the
+	// first batch and reused by every later one. Guarded by mu.
+	overlay applyCtx
 }
 
 type fragKey struct {

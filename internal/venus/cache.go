@@ -30,6 +30,10 @@ type fso struct {
 	hoardPri int
 	// refSeq orders recency (larger = more recent).
 	refSeq int64
+	// charge is what the object counts against cache space (dataBytes)
+	// as of the last install or recharge, so what is taken back on
+	// removal is what was charged, whatever changed in between.
+	charge int64
 	// names is a directory's kept listing: its entry names, sorted, built
 	// by listing on first use and dropped by cache.install and
 	// cache.recharge. It is never written after it is built, so a holder
@@ -84,21 +88,16 @@ func (c *cache) touch(f *fso) {
 // returned fso is valid (freshly obtained from the server) unless replacing
 // a dirty local object, whose dirtiness it preserves.
 func (c *cache) install(obj *codafs.Object, dirty bool) *fso {
-	fid := obj.Status.FID
-	if old := c.objs[fid]; old != nil {
-		c.used -= old.dataBytes()
-		old.obj = obj
-		old.names = nil
-		old.placeholder = false
-		old.valid = true
-		old.dirty = old.dirty || dirty
-		c.used += old.dataBytes()
-		c.touch(old)
-		return old
+	f := c.objs[obj.Status.FID]
+	if f == nil {
+		f = &fso{}
+		c.objs[obj.Status.FID] = f
 	}
-	f := &fso{obj: obj, valid: true, dirty: dirty}
-	c.objs[fid] = f
-	c.used += f.dataBytes()
+	f.obj = obj
+	f.placeholder = false
+	f.valid = true
+	f.dirty = f.dirty || dirty
+	c.recharge(f)
 	c.touch(f)
 	return f
 }
@@ -107,15 +106,17 @@ func (c *cache) install(obj *codafs.Object, dirty bool) *fso {
 // It is also where a directory's kept listing is dropped, by the one
 // rule that keeps it true: every change to a cached directory's entries
 // ends in recharge, or in install, which replaces the object.
-func (c *cache) recharge(f *fso, before int64) {
-	c.used += f.dataBytes() - before
+func (c *cache) recharge(f *fso) {
+	n := f.dataBytes()
+	c.used += n - f.charge
+	f.charge = n
 	f.names = nil
 }
 
 // remove evicts fid.
 func (c *cache) remove(fid codafs.FID) {
 	if f := c.objs[fid]; f != nil {
-		c.used -= f.dataBytes()
+		c.used -= f.charge
 		delete(c.objs, fid)
 	}
 }
@@ -158,7 +159,7 @@ func (c *cache) evictFor(need int64) bool {
 		if f.dirty || f.obj.Status.FID.Vnode == 1 { // never roots or dirty
 			continue
 		}
-		if f.dataBytes() == 0 {
+		if f.charge == 0 {
 			continue
 		}
 		victims = append(victims, f)

@@ -208,14 +208,13 @@ func (v *Venus) revalidateSuspects() {
 				continue
 			}
 			// Changed: keep fresh status, drop stale contents.
-			before := f.dataBytes()
 			f.obj.Status = rep.Statuses[i]
 			f.obj.Data = nil
 			f.obj.Children = nil
 			f.placeholder = true
 			f.valid = true
 			f.hasCallback = true
-			v.cache.recharge(f, before)
+			v.cache.recharge(f)
 		}
 		v.mu.Unlock()
 	}

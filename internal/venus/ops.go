@@ -428,13 +428,14 @@ func (v *Venus) fetchSingleFlight(vc *vclient, fid codafs.FID, size int64, sc ob
 }
 
 // overlayPendingLocked shows the pending CML records in a freshly fetched
-// directory's entries: the server's copy cannot yet show the client's own
-// unreintegrated creates, removes and renames (relevant after a restore
-// whose directories were not cached).
+// directory: the server's copy cannot yet show the client's own
+// unreintegrated creates, removes, renames and setattrs (relevant after a
+// restore whose directories were not cached). Each record's effect runs
+// restricted to the directory, as if nothing else were cached.
 func (v *Venus) overlayPendingLocked(f *fso) {
 	if vc := v.volByID[f.obj.Status.FID.Volume]; vc != nil && f.obj.Status.Type == codafs.Directory {
 		for _, rec := range vc.log.Records() {
-			v.showEntriesLocked(rec, f, true)
+			v.applyLocked(rec, true, f.obj.Status.FID)
 		}
 	}
 }
@@ -602,113 +603,96 @@ func (v *Venus) update(vc *vclient, state State, rec *cml.Record, opts rpc2.Call
 	return nil
 }
 
-// showLocked makes the cache show rec: the one rule for what an update
-// does to cached objects, whether it was written through (rep is the
-// server's reply), logged, or restored from the CML (rep nil). A logged
-// update's objects become dirty, local truth until reintegration; a
-// written-through one takes the server's statuses for the objects the
-// reply names. A record may name objects this Venus has not cached — a
-// restore's, or one evicted meanwhile: a store, which carries the whole
-// contents, installs its file; an uncached directory shows the entry
-// when it is fetched (overlayPendingLocked); anything else is left to
-// the next fetch. showLocked evicts nothing: a logged store makes room
-// afterwards (update), and a restore never, so no object a later
-// restored record names is dropped mid-restore.
+// showLocked makes the cache show rec, written through (rep is the
+// server's reply), logged, or restored from the CML (rep nil): rec's
+// effect (applyLocked) and what only a client keeps — a logged store's
+// delta base, a written-through update's statuses from the reply. An
+// uncached directory shows rec's entry when it is fetched
+// (overlayPendingLocked). showLocked evicts nothing: a logged store
+// makes room afterwards (update), and a restore never, so no object a
+// later restored record names is dropped mid-restore.
 func (v *Venus) showLocked(rec *cml.Record, rep *wire.MutateRep) {
 	logged := rep == nil
-	var f *fso // the object rec changes, if it is cached
+	if f := v.cache.get(rec.FID); f != nil && rec.Kind == cml.Store {
+		if logged && v.cfg.EnableDeltas && !f.dirty && !f.placeholder &&
+			f.obj.Status.Version > 0 && len(f.obj.Data) >= 2048 {
+			// Shadow the last server-known contents so reintegration
+			// can ship a difference instead of the whole file.
+			f.base = f.obj.Data
+		}
+		f.placeholder = false
+	}
+	v.applyLocked(rec, logged, codafs.FID{})
 	switch rec.Kind {
-	case cml.Store, cml.SetAttr:
-		if f = v.cache.get(rec.FID); f == nil {
-			if rec.Kind == cml.SetAttr {
-				break // the next fetch shows the object
-			}
-			f = v.cache.install(&codafs.Object{Status: codafs.Status{
-				FID: rec.FID, Type: codafs.File, Version: rec.PrevVersion, Owner: rec.Owner, Links: 1,
-			}}, logged)
-		}
-		if rec.Kind == cml.Store {
-			before := f.dataBytes()
-			if logged && v.cfg.EnableDeltas && !f.dirty && !f.placeholder &&
-				f.obj.Status.Version > 0 && len(f.obj.Data) >= 2048 {
-				// Shadow the last server-known contents so reintegration
-				// can ship a difference instead of the whole file.
-				f.base = f.obj.Data
-			}
-			f.obj.Data = rec.Data
-			f.placeholder = false
-			v.cache.recharge(f, before)
-		}
-		switch {
-		case !logged:
-			f.obj.Status = rep.Status
-			f.hasCallback = f.hasCallback || rec.Kind == cml.Store
-		case rec.Kind == cml.Store:
-			f.obj.Status.Length, f.obj.Status.ModTime = rec.Length, rec.ModTime
-		default:
-			f.obj.Status.Mode, f.obj.Status.ModTime = rec.Mode, rec.ModTime
-		}
 	case cml.Create, cml.Mkdir, cml.MakeSymlink:
-		obj := rec.NewObject()
-		if !logged {
-			obj.Status = rep.Status
-		}
-		f = v.cache.install(obj, logged)
-		f.hasCallback = !logged
-	case cml.Link:
-		if f = v.cache.get(rec.FID); f != nil {
-			f.obj.Status.Links++
-		}
-	case cml.Remove, cml.Rmdir:
-		v.cache.remove(rec.FID)
-	}
-	if f != nil && logged {
-		f.dirty = true
-	}
-	if p := v.cache.get(rec.Parent); p != nil && v.showEntriesLocked(rec, p, logged) {
-		switch rec.Kind {
-		case cml.Create, cml.Mkdir, cml.MakeSymlink:
+		if p := v.cache.get(rec.Parent); p != nil && !p.placeholder {
 			v.cache.touch(p)
 			if !logged {
 				p.obj.Status = rep.ParentStatus
 			}
 		}
-	}
-	if rec.Kind == cml.Rename && rec.NewParent != rec.Parent {
-		if p := v.cache.get(rec.NewParent); p != nil {
-			v.showEntriesLocked(rec, p, logged)
+		fallthrough
+	case cml.Store, cml.SetAttr:
+		if f := v.cache.get(rec.FID); f != nil && !logged {
+			f.obj.Status = rep.Status
+			f.hasCallback = f.hasCallback || rec.Kind != cml.SetAttr
 		}
 	}
 }
 
-// showEntriesLocked is showLocked's directory-entry part for one cached
-// directory: it shows the entry rec adds to or drops from dir, if any,
-// and reports whether there was one. A placeholder holds no entries to
-// change; it shows them when fetched.
-func (v *Venus) showEntriesLocked(rec *cml.Record, dir *fso, logged bool) bool {
-	if dir.placeholder {
-		return false
+// applyLocked runs rec's effect on the cache through v's one view of it;
+// a logged effect dirties what it changes, and a non-zero only restricts
+// it to that directory.
+func (v *Venus) applyLocked(rec *cml.Record, logged bool, only codafs.FID) {
+	v.view = cacheView{c: v.cache, own: rec.FID, only: only, logged: logged}
+	rec.Apply(&v.view)
+}
+
+// cacheView is the cml.Objects a record's effect runs against in Venus:
+// the cache, with the bookkeeping only a client keeps. A placeholder
+// holds no contents or entries to change, so Get shows only the record's
+// own object (own) as a placeholder, whose status the effect may still
+// change; a touched object is recharged, and dirtied if the effect is
+// logged. Restricted to one directory (only), the view shows nothing else
+// and neither makes nor drops an object. Venus keeps one, used under
+// v.mu, so handing it to Apply as an interface allocates nothing.
+type cacheView struct {
+	c         *cache
+	own, only codafs.FID
+	logged    bool
+}
+
+func (w *cacheView) lookup(fid codafs.FID) *fso {
+	if !w.only.IsZero() && fid != w.only {
+		return nil
 	}
-	fid, before, changed := dir.obj.Status.FID, dir.dataBytes(), false
-	if rec.Parent == fid {
-		switch rec.Kind {
-		case cml.Create, cml.Mkdir, cml.MakeSymlink, cml.Link:
-			dir.obj.SetEntry(rec.Name, rec.FID)
-			changed = true
-		case cml.Remove, cml.Rmdir, cml.Rename:
-			dir.obj.DropEntry(rec.Name)
-			changed = true
-		}
+	return w.c.get(fid)
+}
+
+func (w *cacheView) Get(fid codafs.FID) *codafs.Object {
+	if f := w.lookup(fid); f != nil && (!f.placeholder || fid == w.own) {
+		return f.obj
 	}
-	if rec.Kind == cml.Rename && rec.NewParent == fid {
-		dir.obj.SetEntry(rec.NewName, rec.FID)
-		changed = true
+	return nil
+}
+
+func (w *cacheView) Touch(fid codafs.FID) {
+	if f := w.lookup(fid); f != nil {
+		w.c.recharge(f)
+		f.dirty = f.dirty || w.logged
 	}
-	if changed {
-		v.cache.recharge(dir, before)
-		dir.dirty = dir.dirty || logged
+}
+
+func (w *cacheView) Put(o *codafs.Object) {
+	if w.only.IsZero() {
+		w.c.install(o, w.logged)
 	}
-	return changed
+}
+
+func (w *cacheView) Drop(fid codafs.FID) {
+	if w.only.IsZero() {
+		w.c.remove(fid)
+	}
 }
 
 // WriteFile stores data at path, creating the file if needed (open-close

@@ -171,6 +171,7 @@ type Venus struct {
 	mu          sync.Mutex
 	state       State
 	cache       *cache
+	view        cacheView                    // the one view records' effects run through (applyLocked)
 	volumes     map[string]*vclient          // by name
 	volByID     map[codafs.VolumeID]*vclient //
 	hdb         map[string]*HDBEntry         // by path

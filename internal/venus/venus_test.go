@@ -368,6 +368,34 @@ func TestCallbackBreakRefetch(t *testing.T) {
 	})
 }
 
+// TestRereadOfRewrittenFileKeepsCacheSpace: a file another writer
+// rewrites at the same size takes the same cache space however often it
+// is revalidated and refetched.
+func TestRereadOfRewrittenFileKeepsCacheSpace(t *testing.T) {
+	w := newWorld(t)
+	w.seed("usr", map[string]string{"shared": "v0"})
+	w.sim.Run(func() {
+		v := w.venus("c1", venus.Config{})
+		mustMount(t, v, "usr")
+		var want int64
+		for i := 0; i < 10; i++ {
+			if _, err := w.srv.WriteFile("usr", "shared", bytes.Repeat([]byte{byte('a' + i)}, 8000)); err != nil {
+				t.Fatal(err)
+			}
+			w.sim.Sleep(time.Second)
+			if _, err := v.ReadFile("/coda/usr/shared"); err != nil {
+				t.Fatal(err)
+			}
+			got := v.CacheStats().OccupiedBytes
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("re-read %d: OccupiedBytes = %d, want %d", i, got, want)
+			}
+		}
+	})
+}
+
 func TestBreakIgnoredOnDirtyObjectThenConflict(t *testing.T) {
 	w := newWorld(t)
 	w.seed("usr", map[string]string{"shared": "base"})

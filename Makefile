@@ -101,7 +101,10 @@ results:
 # (wire.Append..., wire.NewReader, wire.Reader). And contents are replaced, never written
 # through: no non-test line in Venus or codafs copies into, assigns into
 # or appends onto a .Data slice, which is what lets Venus.ViewFile hand
-# out the cache's own bytes as a snapshot.
+# out the cache's own bytes as a snapshot. Last, a record has one effect,
+# cml.Record.Apply, on the server and in the client cache alike: outside
+# internal/cml nothing counts a link up or down, and nothing enters or
+# drops a directory entry but the server's administrative writeObject.
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
@@ -117,6 +120,8 @@ lint-structure:
 	test "$$(grep -rnE --include='*.go' --exclude='*_test.go' -e 'Children\[[^]]*\] *=[^=]' -e 'delete\([^,]*Children,' -e 'Map\([^,]*, *&[A-Za-z0-9_.]*Children,' . | grep -v '^./internal/codafs/' | wc -l)" -eq 1
 	grep -qE '^\s*Map\(c, &o\.Children, ' internal/wire/codec.go
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'wire\.(Append[A-Za-z]*|NewReader|Reader)\b' . | grep -v '^./internal/wire/'
+	! grep -rnE --include='*.go' --exclude='*_test.go' 'Links(\+\+|--)' . | grep -v '^./internal/cml/'
+	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(SetEntry|DropEntry)\(' . | grep -v -e '^./internal/cml/' -e '^./internal/server/server.go:'
 	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'copy\([][A-Za-z0-9_.]*\.Data[^A-Za-z0-9_]' -e '\.Data\[[^]]*\] *([-+*/%&|^]?=[^=]|\+\+|--)' -e 'append\([][A-Za-z0-9_.]*\.Data,' internal/venus internal/codafs
 
 # Same wall-clock budget as CI so a local `make lint` catches an

@@ -348,6 +348,12 @@ func (l *Log) optimizeLocked(r *Record) bool {
 				if o.FID == r.FID {
 					renamed = true
 				}
+			case Link:
+				if o.FID == r.FID {
+					// Another name may outlive this one: the object,
+					// and what was stored into it, survives the remove.
+					return false
+				}
 			}
 		}
 		if createdHere && !renamed && !l.hasLiveChildrenLocked(r.FID) {

@@ -152,6 +152,35 @@ func TestRenamedObjectNotIdentityCancelled(t *testing.T) {
 	}
 }
 
+// TestLinkedObjectSurvivesRemoveOfOneName: removing one of two names
+// removes neither the object nor its contents, whether it was created
+// inside the log or predates it.
+func TestLinkedObjectSurvivesRemoveOfOneName(t *testing.T) {
+	for _, created := range []bool{true, false} {
+		l := NewLog()
+		f := fid(2)
+		if created {
+			l.Append(Record{Kind: Create, FID: f, Parent: dirFID, Name: "a"}, t0)
+		}
+		l.Append(storeRec(f, 100), t0)
+		l.Append(Record{Kind: Link, FID: f, Parent: dirFID, Name: "b"}, t0)
+		if !l.Append(Record{Kind: Remove, FID: f, Parent: dirFID, Name: "b"}, t0) {
+			t.Errorf("created=%v: remove of a second name was annihilated", created)
+		}
+		var kinds []Kind
+		for _, r := range l.Records() {
+			kinds = append(kinds, r.Kind)
+		}
+		want := []Kind{Store, Link, Remove}
+		if created {
+			want = append([]Kind{Create}, want...)
+		}
+		if !reflect.DeepEqual(kinds, want) {
+			t.Errorf("created=%v: log = %v, want %v", created, kinds, want)
+		}
+	}
+}
+
 func TestOptimizeDisabled(t *testing.T) {
 	l := NewLog()
 	l.SetOptimize(false)

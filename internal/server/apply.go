@@ -57,6 +57,22 @@ func (a *applyCtx) Drop(fid codafs.FID) {
 	a.Touch(fid)
 }
 
+// within reports whether fid is dir or lies in dir's subtree, reading
+// the overlay without copying it.
+func (a *applyCtx) within(fid, dir codafs.FID) bool {
+	if fid == dir {
+		return true
+	}
+	if d := a.peek(dir); d != nil {
+		for _, c := range d.Children {
+			if a.within(fid, c) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func conflict(format string, args ...any) wire.RecordResult {
 	return wire.RecordResult{Conflict: true, Msg: fmt.Sprintf(format, args...)}
 }
@@ -134,7 +150,12 @@ func admitRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 		if res := a.names(k, rec.Parent, rec.Name, rec.FID); !res.OK {
 			return res
 		}
-		return a.enterable(k, rec.NewParent, rec.NewName)
+		if res := a.enterable(k, rec.NewParent, rec.NewName); !res.OK {
+			return res
+		}
+		if a.within(rec.NewParent, rec.FID) {
+			return failure("rename %q: into its own subtree", rec.Name)
+		}
 	default:
 		return failure("unknown record kind %v", k)
 	}

@@ -551,3 +551,55 @@ func TestLinkIntoNonDirectoryRefused(t *testing.T) {
 		}
 	})
 }
+
+// refused runs each request as a connected-mode update and demands that
+// the server refuse it.
+func refused(t *testing.T, w *world, reqs map[string]any) {
+	t.Helper()
+	w.sim.Run(func() {
+		defer w.srv.Close()
+		for name, req := range reqs {
+			if _, err := w.srv.mutate("c1", obs.SpanContext{}, req); err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		}
+	})
+}
+
+// TestLinkRefusesInvalidName: a link enters a name in a directory, so
+// the name must be one a create or rename could enter.
+func TestLinkRefusesInvalidName(t *testing.T) {
+	w := newWorld()
+	if _, err := w.srv.CreateVolume("v"); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := w.srv.WriteFile("v", "f", []byte("x"))
+	root, _ := w.srv.Resolve("v", "")
+	reqs := map[string]any{}
+	for _, name := range []string{"", ".", "..", "x/y"} {
+		reqs["link "+name] = wire.LinkOp{Parent: root.FID, Name: name, FID: f.FID}
+	}
+	refused(t, w, reqs)
+	if root2, _ := w.srv.Resolve("v", ""); root2.Length != root.Length {
+		t.Errorf("root length %d after refused links, want %d", root2.Length, root.Length)
+	}
+}
+
+// TestRenameRefusesCycle: moving a directory into itself or below itself
+// would detach it and everything under it from the volume.
+func TestRenameRefusesCycle(t *testing.T) {
+	w := newWorld()
+	if _, err := w.srv.CreateVolume("v"); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := w.srv.MakeDir("v", "d/e")
+	d, _ := w.srv.Resolve("v", "d")
+	root, _ := w.srv.Resolve("v", "")
+	refused(t, w, map[string]any{
+		"d into d":   wire.RenameOp{Parent: root.FID, Name: "d", NewParent: d.FID, NewName: "d", FID: d.FID},
+		"d into d/e": wire.RenameOp{Parent: root.FID, Name: "d", NewParent: e.FID, NewName: "d", FID: d.FID},
+	})
+	if _, err := w.srv.Resolve("v", "d/e"); err != nil {
+		t.Errorf("d/e after refused renames: %v", err)
+	}
+}

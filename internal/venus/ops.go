@@ -3,6 +3,7 @@ package venus
 import (
 	"errors"
 	"fmt"
+	"path"
 	"strings"
 	"time"
 
@@ -840,6 +841,9 @@ func (v *Venus) Rename(oldPath, newPath string) error {
 	}
 	if vc != vcNew {
 		return fmt.Errorf("venus: rename across volumes")
+	}
+	if strings.HasPrefix(path.Clean(newPath), path.Clean(oldPath)+"/") {
+		return fmt.Errorf("venus: rename %s into its own subtree", oldPath)
 	}
 	v.mu.Lock()
 	fid, ok := oldParent.obj.Children[oldName]

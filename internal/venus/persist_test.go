@@ -303,7 +303,7 @@ func TestCancelCountersSurviveRestoreAndJournalRecovery(t *testing.T) {
 // TestRestoreShowsWhatLoggingShowed: a Venus restored from a CML shows the
 // name space the Venus that logged it showed (§4.3.1: the CML is what
 // persists offline work), because the restore shows each record by the
-// rule that showed it when it was logged. Each row logs the nine-op
+// rule that showed it when it was logged. Each row logs the twelve-op
 // script of TestRoutesAgree, restores it into a fresh Venus with the same
 // ClientID that has cached the same objects — once from a SaveState
 // image, once by AttachJournal replaying the WAL after a power cut — and

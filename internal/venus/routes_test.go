@@ -10,10 +10,10 @@ import (
 	"repro/internal/venus"
 )
 
-// routePaths are the ten paths the route tests compare: everything the
-// nine-op script (routeScript) touches, present or not at its end.
+// routePaths are the eleven paths the route tests compare: everything
+// the twelve-op script (routeScript) touches, present or not at its end.
 var routePaths = []string{"", "old.txt", "docs", "docs/new.txt", "docs/moved.txt", "docs/hard", "docs/ptr",
-	"doomed.txt", "tmp", "renamed.txt"}
+	"doomed.txt", "tmp", "renamed.txt", "docs/second"}
 
 // routeWorld seeds the volume the route tests run in.
 func routeWorld(t *testing.T) *world {
@@ -40,7 +40,9 @@ func routeWarm(t *testing.T, v *venus.Venus) {
 	}
 }
 
-// routeScript runs all six mutating operations, nine calls in all.
+// routeScript runs all six mutating operations, twelve calls in all: the
+// last three set a zero mode, which leaves the mode as it is, and add and
+// remove a second name, which leaves the object and its first name.
 func routeScript(t *testing.T, v *venus.Venus) {
 	t.Helper()
 	for i, op := range []func() error{
@@ -53,6 +55,9 @@ func routeScript(t *testing.T, v *venus.Venus) {
 		func() error { return v.SetAttr("/coda/usr/old.txt", 0600) },
 		func() error { return v.Remove("/coda/usr/doomed.txt") },
 		func() error { return v.Rmdir("/coda/usr/tmp") },
+		func() error { return v.SetAttr("/coda/usr/docs/new.txt", 0) },
+		func() error { return v.Link("/coda/usr/docs/new.txt", "/coda/usr/docs/second") },
+		func() error { return v.Remove("/coda/usr/docs/second") },
 	} {
 		if err := op(); err != nil {
 			t.Fatalf("op %d: %v", i, err)

@@ -396,6 +396,36 @@ func TestRereadOfRewrittenFileKeepsCacheSpace(t *testing.T) {
 	})
 }
 
+// TestRenameRefusesCycle: a directory cannot move into its own subtree,
+// on either route; the refusal comes before anything is sent or logged.
+func TestRenameRefusesCycle(t *testing.T) {
+	w := newWorld(t)
+	w.seed("usr", map[string]string{"d/e/f": "x"})
+	w.sim.Run(func() {
+		v := w.venus("c1", venus.Config{PinWriteDisconnected: true})
+		mustMount(t, v, "usr")
+		for _, logged := range []bool{false, true} {
+			if logged {
+				v.WriteDisconnect()
+			}
+			for _, to := range []string{"/coda/usr/d/d", "/coda/usr/d/e/d", "/coda/usr/d/e/../d"} {
+				if err := v.Rename("/coda/usr/d", to); err == nil {
+					t.Errorf("logged=%v: rename d to %s accepted", logged, to)
+				}
+			}
+			if n := v.CMLRecords(); n != 0 {
+				t.Errorf("logged=%v: %d records logged", logged, n)
+			}
+		}
+		if _, err := w.srv.Resolve("usr", "d/e/f"); err != nil {
+			t.Errorf("d/e/f after refused renames: %v", err)
+		}
+		if _, err := v.Stat("/coda/usr/d/e/f"); err != nil {
+			t.Errorf("client d/e/f after refused renames: %v", err)
+		}
+	})
+}
+
 func TestBreakIgnoredOnDirtyObjectThenConflict(t *testing.T) {
 	w := newWorld(t)
 	w.seed("usr", map[string]string{"shared": "base"})

@@ -119,10 +119,14 @@ func admitRecord(a *applyCtx, rec *cml.Record, client string) wire.RecordResult 
 			return conflict("%s %s: update/update conflict", k, rec.FID)
 		}
 	case cml.Create, cml.Mkdir, cml.MakeSymlink:
+		// Name first: a create whose reply was lost comes back with its
+		// name taken (a create/create conflict), not just its FID in use.
+		if res := a.enterable(k, rec.Parent, rec.Name); !res.OK {
+			return res
+		}
 		if a.Get(rec.FID) != nil || rec.FID.Volume != a.v.info.ID {
 			return failure("%s %q: fid %s in use or outside volume %d", k, rec.Name, rec.FID, a.v.info.ID)
 		}
-		return a.enterable(k, rec.Parent, rec.Name)
 	case cml.Link:
 		if o := a.Get(rec.FID); o == nil {
 			return conflict("link %q: target %s gone", rec.Name, rec.FID)

@@ -552,6 +552,28 @@ func TestLinkIntoNonDirectoryRefused(t *testing.T) {
 	})
 }
 
+// TestReplayedCreateConflicts: a connected-mode create whose reply was
+// lost after the server applied it is logged and reintegrated again with
+// the same FID. Its name is taken, so it is a create/create conflict,
+// which the client drops from its log, not a failure that would hold the
+// head of the log and abort every later reintegration.
+func TestReplayedCreateConflicts(t *testing.T) {
+	w := newWorld()
+	w.srv.CreateVolume("v")
+	w.sim.Run(func() {
+		c := w.client("c1")
+		gv := call[wire.GetVolumeRep](t, c, wire.GetVolume{Name: "v"})
+		rec := cml.Record{Kind: cml.Create, FID: clientFID(gv.Info.ID, 10), Parent: gv.Root.FID, Name: "n", Owner: "hqb"}
+		if rep := call[wire.ReintegrateRep](t, c, wire.Reintegrate{Volume: gv.Info.ID, Records: []cml.Record{rec}}); !rep.Applied {
+			t.Fatalf("first create: %+v", rep.Results)
+		}
+		rep := call[wire.ReintegrateRep](t, c, wire.Reintegrate{Volume: gv.Info.ID, Records: []cml.Record{rec}})
+		if rep.Applied || !rep.Results[0].Conflict {
+			t.Errorf("replayed create: %+v, want a conflict", rep.Results)
+		}
+	})
+}
+
 // refused runs each request as a connected-mode update and demands that
 // the server refuse it.
 func refused(t *testing.T, w *world, reqs map[string]any) {

@@ -115,10 +115,11 @@ func TestCacheNeverEvictsRoots(t *testing.T) {
 	}
 }
 
-// Property: used bytes always equals the sum of residents' charges, across
-// arbitrary install/remove/recharge sequences and objects demoted to
-// placeholders in place (as revalidation does), so removing every
-// resident returns it to zero.
+// Property: used bytes always equals the sum of residents' charges, and
+// each charge its object's dataBytes, across arbitrary
+// install/remove/recharge sequences; objects demoted to placeholders in
+// place (as revalidation does) keep their charge until the next recharge
+// or install, and removing every resident returns used bytes to zero.
 func TestCacheAccountingProperty(t *testing.T) {
 	type op struct {
 		Kind  uint8
@@ -127,24 +128,39 @@ func TestCacheAccountingProperty(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		c := newCache(1 << 30)
+		demoted := map[codafs.FID]bool{}
 		for _, o := range ops {
 			vn := uint64(o.Vnode%16) + 2
 			fid := codafs.FID{Volume: 1, Vnode: vn, Unique: vn}
 			switch o.Kind % 4 {
 			case 0:
 				c.install(mkObj(vn, int(o.Size)), o.Kind%2 == 0)
+				delete(demoted, fid)
 			case 1:
 				c.remove(fid)
+				delete(demoted, fid)
 			case 2:
 				if f := c.get(fid); f != nil {
 					f.obj.Data = make([]byte, o.Size)
 					c.recharge(f)
+					delete(demoted, fid)
 				}
 			case 3:
 				if f := c.get(fid); f != nil {
 					f.placeholder = true
+					demoted[fid] = true
 				}
 			}
+		}
+		var charged int64
+		for _, f := range c.all() {
+			charged += f.charge
+			if !demoted[f.obj.Status.FID] && f.charge != f.dataBytes() {
+				return false
+			}
+		}
+		if c.bytesUsed() != charged {
+			return false
 		}
 		for _, f := range c.all() {
 			c.remove(f.obj.Status.FID)

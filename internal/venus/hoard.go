@@ -275,8 +275,8 @@ func (v *Venus) addCandidate(cands *[]walkCand, seen map[codafs.FID]bool, vc *vc
 	if f.hoardPri < pri {
 		f.hoardPri = pri
 	}
-	if !f.placeholder || f.dirty {
-		return // contents already cached (or locally newer)
+	if !f.placeholder {
+		return // contents already cached
 	}
 	size := f.obj.Status.Length
 	cost := v.costVia(v.cfg.Servers[vc.pref], size) + v.costPenaltyLocked(size)

@@ -100,17 +100,16 @@ func (v *Venus) hitWalk(path string, wantData bool) (*vclient, *fso) {
 }
 
 // usableLocked is the cache-hit rule: f can be served without the server.
-// Dirty objects are local truth, served regardless of callbacks; otherwise
-// the copy must be valid — or Venus disconnected, when cached data is used
-// as-is — and must hold its contents if the caller wants them.
+// It must hold its contents if the caller wants them, even when dirty: a
+// logged rename, link, remove or setattr dirties an object it knows only
+// by status. Dirty objects are local truth, served regardless of
+// callbacks; otherwise the copy must be valid — or Venus disconnected,
+// when cached data is used as-is.
 func (v *Venus) usableLocked(f *fso, wantData bool) bool {
-	if f == nil {
+	if f == nil || (wantData && f.placeholder) {
 		return false
 	}
-	if f.dirty {
-		return true
-	}
-	return (f.valid || v.state == Emulating) && (!wantData || !f.placeholder)
+	return f.dirty || f.valid || v.state == Emulating
 }
 
 // resolve walks path to its object, fetching intermediate directories (and,
@@ -271,9 +270,10 @@ func (v *Venus) getObject(vc *vclient, fid codafs.FID, path string, wantData boo
 
 	// Revalidate a suspect cached object: one cheap status check; if the
 	// version still matches, the copy is good and a fresh callback came
-	// with the GetAttr.
+	// with the GetAttr. A dirty object is not: its status is local truth,
+	// shown again on the fetched copy (overlayPendingLocked).
 	var size int64 = -1
-	if f != nil && !f.valid {
+	if f != nil && !f.valid && !f.dirty {
 		ga, err := callVol[wire.GetAttrRep](v, vc, wire.GetAttr{FID: fid, WantCallback: true}, rpc2.CallOpts{Span: sc})
 		if err != nil {
 			return nil, v.rpcFailed(path, err)
@@ -429,12 +429,14 @@ func (v *Venus) fetchSingleFlight(vc *vclient, fid codafs.FID, size int64, sc ob
 }
 
 // overlayPendingLocked shows the pending CML records in a freshly fetched
-// directory: the server's copy cannot yet show the client's own
-// unreintegrated creates, removes, renames and setattrs (relevant after a
-// restore whose directories were not cached). Each record's effect runs
-// restricted to the directory, as if nothing else were cached.
+// directory, or in an object that was dirty before the fetch: the
+// server's copy cannot yet show the client's own unreintegrated creates,
+// removes, renames, links and setattrs (relevant after a restore whose
+// directories were not cached, or a logged update of an object cached
+// only by status). Each record's effect runs restricted to the object, as
+// if nothing else were cached.
 func (v *Venus) overlayPendingLocked(f *fso) {
-	if vc := v.volByID[f.obj.Status.FID.Volume]; vc != nil && f.obj.Status.Type == codafs.Directory {
+	if vc := v.volByID[f.obj.Status.FID.Volume]; vc != nil && (f.obj.Status.Type == codafs.Directory || f.dirty) {
 		for _, rec := range vc.log.Records() {
 			v.applyLocked(rec, true, f.obj.Status.FID)
 		}

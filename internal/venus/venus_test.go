@@ -396,6 +396,77 @@ func TestRereadOfRewrittenFileKeepsCacheSpace(t *testing.T) {
 	})
 }
 
+// TestLoggedUpdateOfStatusOnlyFile: a logged rename, link, remove of one
+// of two names or setattr dirties a file Venus knows only by status. A
+// read then fetches its contents, or misses when disconnected; it never
+// serves the empty contents of the status-only copy, and the fetched copy
+// still shows the logged updates.
+func TestLoggedUpdateOfStatusOnlyFile(t *testing.T) {
+	steps := map[string]func(v *venus.Venus) error{
+		"rename": func(v *venus.Venus) error { return v.Rename("/coda/usr/a", "/coda/usr/moved") },
+		"link+remove": func(v *venus.Venus) error {
+			if err := v.Link("/coda/usr/a", "/coda/usr/second"); err != nil {
+				return err
+			}
+			return v.Remove("/coda/usr/second")
+		},
+		"link":    func(v *venus.Venus) error { return v.Link("/coda/usr/a", "/coda/usr/second") },
+		"setattr": func(v *venus.Venus) error { return v.SetAttr("/coda/usr/a", 0600) },
+	}
+	for name, step := range steps {
+		for _, disconnected := range []bool{false, true} {
+			w := newWorld(t)
+			w.seed("usr", map[string]string{"a": "contents"})
+			w.sim.Run(func() {
+				defer w.srv.Close()
+				v := w.venus("c1", venus.Config{PinWriteDisconnected: true})
+				defer v.Close()
+				mustMount(t, v, "usr")
+				before, err := v.Stat("/coda/usr/a")
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.WriteDisconnect()
+				if err := step(v); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if disconnected {
+					v.Disconnect()
+				}
+				path := "/coda/usr/a"
+				if name == "rename" {
+					path = "/coda/usr/moved"
+				}
+				got, err := v.ReadFile(path)
+				var miss *venus.MissError
+				switch {
+				case disconnected && !errors.As(err, &miss):
+					t.Errorf("%s, disconnected: read = %q, %v; want a miss", name, got, err)
+				case !disconnected && (err != nil || string(got) != "contents"):
+					t.Errorf("%s: read = %q, %v; want the contents", name, got, err)
+				}
+				if disconnected {
+					return
+				}
+				st, err := v.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLinks, wantMode := before.Links, before.Mode
+				switch name {
+				case "link":
+					wantLinks++
+				case "setattr":
+					wantMode = 0600
+				}
+				if st.Links != wantLinks || st.Mode != wantMode {
+					t.Errorf("%s: after the read links %d mode %o, want %d %o", name, st.Links, st.Mode, wantLinks, wantMode)
+				}
+			})
+		}
+	}
+}
+
 // TestRenameRefusesCycle: a directory cannot move into its own subtree,
 // on either route; the refusal comes before anything is sent or logged.
 func TestRenameRefusesCycle(t *testing.T) {

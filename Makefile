@@ -105,6 +105,10 @@ results:
 # cml.Record.Apply, on the server and in the client cache alike: outside
 # internal/cml nothing counts a link up or down, and nothing enters or
 # drops a directory entry but the server's administrative writeObject.
+# And a cache hit's path memo stays true by one rule: in Venus only
+# cache.install, cache.recharge and cache.remove write the namespace
+# generation (cache.gen), and only hitWalk reads or writes the memo
+# (Venus.memo, Venus.memoGen).
 lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
@@ -123,6 +127,8 @@ lint-structure:
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'Links(\+\+|--)' . | grep -v '^./internal/cml/'
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(SetEntry|DropEntry)\(' . | grep -v -e '^./internal/cml/' -e '^./internal/server/server.go:'
 	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'copy\([][A-Za-z0-9_.]*\.Data[^A-Za-z0-9_]' -e '\.Data\[[^]]*\] *([-+*/%&|^]?=[^=]|\+\+|--)' -e 'append\([][A-Za-z0-9_.]*\.Data,' internal/venus internal/codafs
+	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]gen *(\+\+|--|[-+*\/|&^]?=[^=])/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/cache.go: func (c \*cache) \(install\|recharge\|remove\)('
+	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]memo(Gen)?([^A-Za-z0-9_]|$$)/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/ops.go: func (v \*Venus) hitWalk('
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

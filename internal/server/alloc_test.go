@@ -83,8 +83,8 @@ func TestAllocServerMutate(t *testing.T) {
 			bufpool.Free(rep)
 		}
 		mutate()
-		if allocs := testing.AllocsPerRun(200, mutate); allocs > 12 {
-			t.Errorf("StoreOp through handle: %v allocs, want ≤ 12", allocs)
+		if allocs := testing.AllocsPerRun(200, mutate); allocs > 7 {
+			t.Errorf("StoreOp through handle: %v allocs, want ≤ 7", allocs)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/cml"
 	"repro/internal/codafs"
@@ -25,7 +24,7 @@ func (s *Server) handle(src string, sc obs.SpanContext, body []byte) ([]byte, er
 		return nil, err
 	}
 	s.stats.calls.Add(1)
-	s.observeOp(strings.TrimPrefix(fmt.Sprintf("%T", v), "wire."))
+	s.observeOp(v)
 
 	var rep any
 	switch req := v.(type) {

@@ -29,6 +29,7 @@ package server
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,11 +186,13 @@ func (s *Server) initMetrics(addr string) {
 	s.obs.GaugeFunc("server_fragment_buffers", func() int64 { return int64(s.FragmentCount()) }, node)
 }
 
-// observeOp counts one dispatched RPC by request type.
-func (s *Server) observeOp(op string) {
+// observeOp counts one dispatched RPC by request type, naming the type
+// only when a registry will count it.
+func (s *Server) observeOp(req any) {
 	if s.obs == nil {
 		return
 	}
+	op := strings.TrimPrefix(fmt.Sprintf("%T", req), "wire.")
 	s.obs.Counter("server_ops_total", s.met.self, obs.L("op", op)).Inc()
 }
 

@@ -72,6 +72,25 @@ func TestAllocVenusHitReadDir(t *testing.T) {
 	})
 }
 
+// TestAllocVenusHitStat pins a warm stat — the same three-component path
+// served by hitWalk's memo, which the warm-up run filled, and the status
+// returned by value — at zero heap allocations.
+func TestAllocVenusHitStat(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, Hoarding)
+		defer v.Close()
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := v.Stat("/coda/v/a/b/clean.txt"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("hit stat: %v allocs, want 0", allocs)
+		}
+	})
+}
+
 // TestAllocVenusWriteLogged pins a logged update — a 4 KB WriteFile
 // while write-disconnected, no journal: the one copy of the data, which
 // the record and the cache entry share (codafs.Object), and the CML

@@ -68,6 +68,9 @@ type cache struct {
 	used     int64
 	objs     map[codafs.FID]*fso
 	seq      int64
+	// gen, the namespace generation, moves whenever a cached directory's
+	// entries may change or an object leaves (Venus.hitWalk's memo).
+	gen uint64
 }
 
 func newCache(capacity int64) *cache {
@@ -90,23 +93,34 @@ func (c *cache) touch(f *fso) {
 func (c *cache) install(obj *codafs.Object, dirty bool) *fso {
 	f := c.objs[obj.Status.FID]
 	if f == nil {
-		f = &fso{}
+		f = &fso{} // new to the cache, so on no walked path
 		c.objs[obj.Status.FID] = f
+	} else if f.obj.Status.Type == codafs.Directory || obj.Status.Type == codafs.Directory {
+		c.gen++
 	}
 	f.obj = obj
 	f.placeholder = false
 	f.valid = true
 	f.dirty = f.dirty || dirty
-	c.recharge(f)
+	c.account(f)
 	c.touch(f)
 	return f
 }
 
 // recharge recomputes an object's space charge after in-place mutation.
-// It is also where a directory's kept listing is dropped, by the one
-// rule that keeps it true: every change to a cached directory's entries
-// ends in recharge, or in install, which replaces the object.
+// It and install are where a directory's kept listing is dropped and the
+// namespace generation moves, by the one rule that keeps both true: every
+// change to a cached directory's entries ends in recharge, or in install,
+// which replaces the object.
 func (c *cache) recharge(f *fso) {
+	if f.obj.Status.Type == codafs.Directory {
+		c.gen++
+	}
+	c.account(f)
+}
+
+// account charges f's current size and drops its kept listing.
+func (c *cache) account(f *fso) {
 	n := f.dataBytes()
 	c.used += n - f.charge
 	f.charge = n
@@ -116,6 +130,7 @@ func (c *cache) recharge(f *fso) {
 // remove evicts fid.
 func (c *cache) remove(fid codafs.FID) {
 	if f := c.objs[fid]; f != nil {
+		c.gen++
 		c.used -= f.charge
 		delete(c.objs, fid)
 	}

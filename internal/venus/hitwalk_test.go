@@ -198,26 +198,36 @@ func (v *Venus) runHitStep(st hitStep, spelling int) string {
 	return fmt.Sprintf("%s %s -> %s\n%s", st.op, st.rel, res, v.snapshot())
 }
 
+// Every step runs twice, by one of three routes: route 0 spells the path
+// cleanly, so the repeat is served by hitWalk's memo whenever the cache
+// can serve it; route 1 spells it cleanly with the memo emptied before
+// each lookup, so hitWalk walks; routes 2-4 spell it uncleanly, so the
+// general walk serves it.
 func TestHitWalkAccountingMatchesGeneralWalk(t *testing.T) {
 	for _, state := range []State{Hoarding, WriteDisconnected, Emulating} {
 		t.Run(state.String(), func(t *testing.T) {
-			var logs [4][]string
-			for sp := range logs {
+			var logs [5][]string
+			for route := range logs {
 				sim := simtime.NewSim(simtime.Epoch1995)
 				sim.Run(func() {
 					v := newHitWorld(t, sim, state)
-					logs[sp] = append(logs[sp], v.snapshot())
+					logs[route] = append(logs[route], v.snapshot())
 					for _, st := range hitScript {
-						logs[sp] = append(logs[sp], v.runHitStep(st, sp))
+						for range 2 {
+							if route == 1 {
+								v.forgetPaths()
+							}
+							logs[route] = append(logs[route], v.runHitStep(st, max(route-1, 0)))
+						}
 					}
 					v.Close()
 				})
 			}
-			for sp := 1; sp < len(logs); sp++ {
+			for route := 1; route < len(logs); route++ {
 				for i := range logs[0] {
-					if logs[sp][i] != logs[0][i] {
-						t.Fatalf("spelling %d diverges from the clean path at step %d:\n--- clean\n%s--- unclean\n%s",
-							sp, i, logs[0][i], logs[sp][i])
+					if logs[route][i] != logs[0][i] {
+						t.Fatalf("route %d diverges from the memo route at step %d:\n--- memo\n%s--- route %d\n%s",
+							route, i, logs[0][i], route, logs[route][i])
 					}
 				}
 			}

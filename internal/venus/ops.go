@@ -39,8 +39,18 @@ func (v *Venus) volumeFor(path string) (*vclient, []string, error) {
 }
 
 // maxHitDepth bounds hitWalk's on-stack record of the objects it passes;
-// a deeper path resolves through the general walk.
-const maxHitDepth = 32
+// a deeper path resolves through the general walk. memoDepth bounds what
+// its memo keeps of one path, so an entry lives in the map itself; a
+// deeper path walks every time.
+const maxHitDepth, memoDepth = 32, 8
+
+// memoEntry is hitWalk's memo of one spelling: the volume and the objects
+// its last walk passed, root first.
+type memoEntry struct {
+	vc    *vclient
+	chain [memoDepth]*fso
+	n     int
+}
 
 // hitWalk resolves path from the cache alone, under one acquisition of
 // v.mu and without building a string: components are sliced out of path
@@ -52,26 +62,62 @@ const maxHitDepth = 32
 // closed Venus, a spelling path.Clean would change) it returns nil having
 // counted nothing, so the caller can run the general walk from the top
 // and the accounting comes out as if hitWalk had never been tried.
+//
+// A spelling it walked is memoized, and a repeat is served from the memo
+// without parsing: until the namespace generation (cache.gen) moves, a
+// walk passes the same objects, so only their usability is checked again.
+// Older entries are dropped before the memo is read, and it never holds
+// more current entries than the cache holds objects.
 func (v *Venus) hitWalk(path string, wantData bool) (*vclient, *fso) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.closed {
+		return nil, nil
+	}
+	if v.memoGen != v.cache.gen {
+		clear(v.memo)
+		v.memoGen = v.cache.gen
+	}
+	e, memoized := v.memo[path]
+	chain := e.chain[:e.n]
+	for i, f := range chain {
+		if !v.usableLocked(f, i < e.n-1 || wantData) {
+			return nil, nil
+		}
+	}
+	if !memoized {
+		var hits [maxHitDepth]*fso
+		if e.vc, chain = v.walkLocked(path, wantData, &hits); chain == nil {
+			return nil, nil
+		}
+		if e.n = copy(e.chain[:], chain); e.n == len(chain) {
+			if v.memo == nil || len(v.memo) >= v.cache.count() {
+				v.memo = make(map[string]memoEntry)
+			}
+			v.memo[path] = e
+		}
+	}
+	for _, f := range chain {
+		v.cache.touch(f)
+		v.met.hit(f.hoardPri)
+	}
+	return e.vc, chain[len(chain)-1]
+}
+
+// walkLocked is hitWalk's walk: it records in hits the objects path
+// passes and returns them, or nil where hitWalk must refuse.
+func (v *Venus) walkLocked(path string, wantData bool, hits *[maxHitDepth]*fso) (*vclient, []*fso) {
 	const prefix = codafs.MountPrefix + "/"
 	if !strings.HasPrefix(path, prefix) {
 		return nil, nil
 	}
 	// more: a slash, and so another component (possibly empty), follows.
 	name, rest, more := strings.Cut(path[len(prefix):], "/")
-	if !codafs.ValidName(name) {
-		return nil, nil
-	}
-
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	vc := v.volumes[name]
-	if vc == nil || v.closed {
+	if vc == nil || !codafs.ValidName(name) {
 		return nil, nil
 	}
-	var hits [maxHitDepth]*fso
-	n := 0
-	fid := vc.root
+	fid, n := vc.root, 0
 	for {
 		f := v.cache.get(fid)
 		if n == len(hits) || !v.usableLocked(f, more || wantData) {
@@ -80,7 +126,7 @@ func (v *Venus) hitWalk(path string, wantData bool) (*vclient, *fso) {
 		hits[n] = f
 		n++
 		if !more {
-			break
+			return vc, hits[:n]
 		}
 		name, rest, more = strings.Cut(rest, "/")
 		if !codafs.ValidName(name) || f.obj.Status.Type != codafs.Directory {
@@ -92,11 +138,6 @@ func (v *Venus) hitWalk(path string, wantData bool) (*vclient, *fso) {
 		}
 		fid = child
 	}
-	for _, f := range hits[:n] {
-		v.cache.touch(f)
-		v.met.hit(f.hoardPri)
-	}
-	return vc, hits[n-1]
 }
 
 // usableLocked is the cache-hit rule: f can be served without the server.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -66,4 +67,29 @@ func TestDecodePacketAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("decodePacket: %v allocs per packet, want 0", allocs)
 	}
+}
+
+// TestAllocNodeCall pins one warm served call: an inline request and
+// reply between two Nodes on a Sim, through the network emulator, the
+// server's reply cache and a kept handler worker.
+func TestAllocNodeCall(t *testing.T) {
+	w := newWorld(1, netsim.Ethernet.Params())
+	w.sim.Run(func() {
+		srv := w.node("server", echoHandler)
+		c := w.node("client", nil)
+		body := []byte("status")
+		call := func() {
+			if _, err := c.Call("server", body, CallOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 300 { // fill the reply cache to its cap, so each call evicts one
+			call()
+		}
+		if allocs := testing.AllocsPerRun(200, call); allocs > 9 {
+			t.Errorf("served call: %v allocs, want ≤ 9", allocs)
+		}
+		srv.Close()
+		c.Close()
+	})
 }

@@ -141,7 +141,10 @@ type Node struct {
 	// replyCache remembers recent replies per peer for duplicate
 	// suppression (at-most-once execution).
 	replyCache map[string]*peerCache
-	closed     bool
+	// idle holds the queues of parked handler workers, most recently
+	// idled last; see serve.
+	idle   []*simtime.Queue[func()]
+	closed bool
 
 	epoch time.Time // base for 32-bit microsecond timestamps
 	// inc is the node's incarnation, stamped on every request it issues
@@ -312,7 +315,8 @@ func (n *Node) AwaitTransfer(src string, id uint64, timeout time.Duration) ([]by
 	return n.engine.Await(src, userXferID(id), timeout)
 }
 
-// Close shuts the node down; in-flight calls fail with ErrClosed.
+// Close shuts the node down; in-flight calls fail with ErrClosed, and
+// idle handler workers end.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -323,6 +327,10 @@ func (n *Node) Close() {
 	for _, q := range n.pending {
 		q.Close()
 	}
+	for _, q := range n.idle {
+		q.Close()
+	}
+	n.idle = nil
 	n.mu.Unlock()
 	_ = n.conn.Close()
 }
@@ -569,7 +577,7 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 		n.met.dupReplies.Inc()
 		n.ship(src, header)
 		if reship {
-			n.clock.Go(func() { n.shipReply(pc, src, seq, rep.body, sc) })
+			n.serve(func() { n.shipReply(pc, src, seq, rep.body, sc) })
 		}
 		return
 	}
@@ -581,7 +589,7 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 	pc.inProgress[seq] = true
 	n.mu.Unlock()
 
-	n.clock.Go(func() {
+	n.serve(func() {
 		reqBody := body
 		if flags&flagBodyViaSFTP != 0 {
 			var err error
@@ -638,6 +646,46 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 			n.shipReply(pc, src, seq, rep.body, sc)
 		}
 	})
+}
+
+// serve runs job on a handler worker: the most recently idled one, woken
+// through its own queue, or a new one when none is idle. A worker outlives
+// its job and keeps the stack it grew, so a served request costs one
+// hand-off, not a goroutine start and the stack growth of a handler's
+// deep frames; the pool grows to the node's peak number of concurrent
+// jobs. Under Sim a woken worker becomes runnable at the same instant and
+// under the same accounting as a new goroutine would, so the event order
+// is the same either way.
+func (n *Node) serve(job func()) {
+	n.mu.Lock()
+	if k := len(n.idle) - 1; k >= 0 {
+		q := n.idle[k]
+		n.idle[k] = nil
+		n.idle = n.idle[:k]
+		n.mu.Unlock()
+		q.Put(job)
+		return
+	}
+	n.mu.Unlock()
+	n.clock.Go(func() { n.work(job) })
+}
+
+// work is a handler worker's loop. The worker owns its queue; after each
+// job it lists the queue in n.idle and parks in Get. Close closes every
+// listed queue, which ends its worker, and a worker busy at Close ends
+// when its job does.
+func (n *Node) work(job func()) {
+	q := simtime.NewQueue[func()](n.clock)
+	for ok := true; ok; job, ok = q.Get() {
+		job()
+		n.mu.Lock()
+		if n.closed {
+			n.mu.Unlock()
+			return
+		}
+		n.idle = append(n.idle, q)
+		n.mu.Unlock()
+	}
 }
 
 // shipReply transfers the side effect of pc's cached reply seq. The

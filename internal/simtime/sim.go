@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -25,6 +26,7 @@ import (
 type Sim struct {
 	mu      sync.Mutex
 	now     time.Time
+	at      int64 // now as an offset from the start, in ns: the heap's key (see after)
 	seq     int64
 	events  eventHeap
 	running int      // tracked goroutines currently runnable
@@ -105,7 +107,8 @@ func (s *Sim) Sleep(d time.Duration) {
 // find the world quiescent, pop that same wakeup (every other event is
 // strictly later) and resume the caller at now+d — so it does only the
 // assignment. An event due exactly at now+d was scheduled earlier and
-// fires first under the FIFO rule, hence "at or before": that case parks.
+// fires first under the FIFO rule, hence "at or before": that case parks,
+// and so does a wakeup past where heap keys saturate (maxAt).
 func (s *Sim) advanceInlineLocked(d time.Duration) bool {
 	if !s.inRun || s.running != 1 {
 		return false
@@ -113,12 +116,21 @@ func (s *Sim) advanceInlineLocked(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	wake := s.now.Add(d)
-	if len(s.events) > 0 && !s.events[0].when.After(wake) {
+	wake := s.after(d)
+	if len(s.events) > 0 && s.events[0].at <= wake {
 		return false
 	}
-	s.now = wake
+	s.now, s.at = s.now.Add(d), wake
 	return true
+}
+
+// after is the heap key of now+d, d >= 0: its offset from the start,
+// saturating at maxAt as Time.Sub does.
+func (s *Sim) after(d time.Duration) int64 {
+	if s.at > maxAt-int64(d) {
+		return maxAt
+	}
+	return s.at + int64(d)
 }
 
 // AfterFunc implements Clock.
@@ -173,8 +185,8 @@ func (s *Sim) scheduleLocked(ev *event, d time.Duration) {
 		d = 0
 	}
 	s.seq++
-	ev.when, ev.seq = s.now.Add(d), s.seq
-	s.events.push(ev)
+	ev.when = s.now.Add(d)
+	s.events.push(heapSlot{at: s.after(d), seq: s.seq, ev: ev})
 }
 
 // cancelLocked takes ev out of the heap. It reports whether ev was still
@@ -227,12 +239,19 @@ func (s *Sim) maybeAdvanceLocked() {
 			}
 			return
 		}
-		ev := s.events.remove(0)
-		if ev.when.After(s.now) {
-			s.now = ev.when
-		}
-		ev.fire()
+		s.popLocked().fire()
 	}
+}
+
+// popLocked takes the earliest event out of the heap and moves the clock
+// to it.
+func (s *Sim) popLocked() *event {
+	at := s.events[0].at
+	ev := s.events.remove(0)
+	if ev.when.After(s.now) {
+		s.now, s.at = ev.when, at
+	}
+	return ev
 }
 
 // waiter is the record of one goroutine blocked in a simtime primitive
@@ -294,45 +313,60 @@ func (t *simTimer) Reset(d time.Duration) bool {
 // so scheduling allocates nothing.
 type event struct {
 	when  time.Time
-	seq   int64
 	fire  func()
 	index int // heap index; -1 while not pending
 }
+
+// heapSlot is one pending event with its sort key beside it: at is the
+// event's when as an offset from the Sim's start, and seq its scheduling
+// order, so ordering reads the slice and no event.
+type heapSlot struct {
+	at, seq int64
+	ev      *event
+}
+
+// maxAt is where an offset saturates, about 292 years past the start;
+// events keyed there are ordered by their own times.
+const maxAt = math.MaxInt64
 
 // eventHeap is a binary min-heap of events ordered by (when, seq); seq
 // breaks ties FIFO. It is typed rather than container/heap so that push
 // and remove do not box through `any`, and it maintains event.index so any
 // pending event can be removed in O(log n).
-type eventHeap []*event
+type eventHeap []heapSlot
 
 func (h eventHeap) less(i, j int) bool {
-	if !h[i].when.Equal(h[j].when) {
-		return h[i].when.Before(h[j].when)
+	a, b := &h[i], &h[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	if a.at == maxAt && !a.ev.when.Equal(b.ev.when) {
+		return a.ev.when.Before(b.ev.when)
+	}
+	return a.seq < b.seq
 }
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].ev.index = i
+	h[j].ev.index = j
 }
 
-func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
-	*h = append(*h, ev)
-	h.up(ev.index)
+func (h *eventHeap) push(slot heapSlot) {
+	slot.ev.index = len(*h)
+	*h = append(*h, slot)
+	h.up(slot.ev.index)
 }
 
 // remove takes the event at index i out of the heap and returns it.
 func (h *eventHeap) remove(i int) *event {
 	old := *h
 	n := len(old) - 1
-	ev := old[i]
+	ev := old[i].ev
 	if i != n {
 		old.swap(i, n)
 	}
-	old[n] = nil
+	old[n] = heapSlot{}
 	*h = old[:n]
 	if i != n && !h.down(i) {
 		h.up(i)

@@ -107,7 +107,7 @@ results:
 # drops a directory entry but the server's administrative writeObject.
 # And a cache hit's path memo stays true by one rule: in Venus only
 # cache.install, cache.recharge and cache.remove write the namespace
-# generation (cache.gen), and only hitWalk reads or writes the memo
+# generation (cache.gen), and only walk reads or writes the memo
 # (Venus.memo, Venus.memoGen). And rpc2 serves a request on a kept
 # handler worker: outside tests it starts a goroutine only in NewNode
 # (its receive loop and reply-cache sweeper) and in Node.serve, which
@@ -131,7 +131,7 @@ lint-structure:
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(SetEntry|DropEntry)\(' . | grep -v -e '^./internal/cml/' -e '^./internal/server/server.go:'
 	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'copy\([][A-Za-z0-9_.]*\.Data[^A-Za-z0-9_]' -e '\.Data\[[^]]*\] *([-+*/%&|^]?=[^=]|\+\+|--)' -e 'append\([][A-Za-z0-9_.]*\.Data,' internal/venus internal/codafs
 	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]gen *(\+\+|--|[-+*\/|&^]?=[^=])/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/cache.go: func (c \*cache) \(install\|recharge\|remove\)('
-	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]memo(Gen)?([^A-Za-z0-9_]|$$)/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/ops.go: func (v \*Venus) hitWalk('
+	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]memo(Gen)?([^A-Za-z0-9_]|$$)/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/ops.go: func (v \*Venus) walk('
 	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /clock[.]Go\(/ {print FILENAME ": " fn}' internal/rpc2/*.go | grep -v -e '^internal/rpc2/rpc2.go: func NewNode(' -e '^internal/rpc2/rpc2.go: func (n \*Node) serve('
 
 # Same wall-clock budget as CI so a local `make lint` catches an

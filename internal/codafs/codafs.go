@@ -139,13 +139,9 @@ const MountPrefix = "/coda"
 // component list.
 func SplitPath(p string) (volume string, components []string, err error) {
 	p = path.Clean(p)
-	if !strings.HasPrefix(p, MountPrefix) {
-		return "", nil, fmt.Errorf("codafs: path %q is outside %s", p, MountPrefix)
-	}
-	rest := strings.TrimPrefix(p, MountPrefix)
-	rest = strings.TrimPrefix(rest, "/")
-	if rest == "" {
-		return "", nil, fmt.Errorf("codafs: path %q names no volume", p)
+	rest, ok := strings.CutPrefix(p, MountPrefix+"/")
+	if !ok {
+		return "", nil, fmt.Errorf("codafs: path %q names no volume under %s", p, MountPrefix)
 	}
 	parts := strings.Split(rest, "/")
 	return parts[0], parts[1:], nil

@@ -19,6 +19,8 @@ func TestSplitPath(t *testing.T) {
 		{"/coda", "", nil, true},
 		{"/tmp/x", "", nil, true},
 		{"relative", "", nil, true},
+		{"/codav/f", "", nil, true},
+		{"/coda-old/x", "", nil, true},
 	}
 	for _, c := range cases {
 		vol, comps, err := SplitPath(c.in)

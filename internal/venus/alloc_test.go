@@ -12,7 +12,7 @@ import (
 // these run only without it.
 
 // TestAllocVenusHitRead pins a warm read — a three-component path
-// resolved by hitWalk, contents copied into a buffer the caller sized —
+// resolved by the walk's memo, contents copied into a buffer the caller sized —
 // at zero heap allocations.
 func TestAllocVenusHitRead(t *testing.T) {
 	sim := simtime.NewSim(simtime.Epoch1995)
@@ -33,7 +33,7 @@ func TestAllocVenusHitRead(t *testing.T) {
 }
 
 // TestAllocVenusHitView pins a warm view — the same three-component
-// path resolved by hitWalk, the cached contents handed out without a
+// path resolved by the walk's memo, the cached contents handed out without a
 // copy — at zero heap allocations.
 func TestAllocVenusHitView(t *testing.T) {
 	sim := simtime.NewSim(simtime.Epoch1995)
@@ -52,7 +52,7 @@ func TestAllocVenusHitView(t *testing.T) {
 }
 
 // TestAllocVenusHitReadDir pins a warm listing — a two-component path
-// resolved by hitWalk, the names copied from the directory's kept
+// resolved by the walk's memo, the names copied from the directory's kept
 // listing into a slice the caller sized — at zero heap allocations.
 func TestAllocVenusHitReadDir(t *testing.T) {
 	sim := simtime.NewSim(simtime.Epoch1995)
@@ -73,7 +73,7 @@ func TestAllocVenusHitReadDir(t *testing.T) {
 }
 
 // TestAllocVenusHitStat pins a warm stat — the same three-component path
-// served by hitWalk's memo, which the warm-up run filled, and the status
+// served by the walk's memo, which the warm-up run filled, and the status
 // returned by value — at zero heap allocations.
 func TestAllocVenusHitStat(t *testing.T) {
 	sim := simtime.NewSim(simtime.Epoch1995)

@@ -69,7 +69,7 @@ type cache struct {
 	objs     map[codafs.FID]*fso
 	seq      int64
 	// gen, the namespace generation, moves whenever a cached directory's
-	// entries may change or an object leaves (Venus.hitWalk's memo).
+	// entries may change or an object leaves (Venus.walk's memo).
 	gen uint64
 }
 

@@ -1,6 +1,7 @@
 package venus
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,12 +15,12 @@ import (
 	"repro/internal/simtime"
 )
 
-// The hit walk must be invisible: a lookup it serves leaves exactly the
-// counters, recency stamps and results the general walk leaves. The tests
-// here run the same script of lookups against identical worlds, one
-// spelling every path cleanly (served by hitWalk whenever the cache can)
-// and the others spelling it uncleanly (hitWalk refuses, so the general
-// walk serves it), and demand identical snapshots after every step.
+// The memo must be invisible, and the walk must count what the general
+// walk it replaced counted: a lookup leaves exactly the counters, recency
+// stamps and results of refResolve, that general walk kept here as the
+// reference. The tests run the same lookups against identical worlds by
+// the memo, by the walk and by refResolve, and demand identical
+// snapshots after every step.
 
 // newHitWorld builds a client whose cache holds a clean, a dirty, a suspect,
 // a placeholder and hoarded objects, a suspect directory and an uncached
@@ -198,15 +199,92 @@ func (v *Venus) runHitStep(st hitStep, spelling int) string {
 	return fmt.Sprintf("%s %s -> %s\n%s", st.op, st.rel, res, v.snapshot())
 }
 
-// Every step runs twice, by one of three routes: route 0 spells the path
-// cleanly, so the repeat is served by hitWalk's memo whenever the cache
-// can serve it; route 1 spells it cleanly with the memo emptied before
-// each lookup, so hitWalk walks; routes 2-4 spell it uncleanly, so the
-// general walk serves it.
-func TestHitWalkAccountingMatchesGeneralWalk(t *testing.T) {
+// refResolve is the general walk Venus resolved a path by before it had
+// one walk, kept as the reference the walk is compared with: the volume
+// split off by codafs.SplitPath, one getObject per component, and the
+// walked path rebuilt by codafs.JoinPath and appending.
+func (v *Venus) refResolve(path string, wantData bool) (*vclient, *fso, error) {
+	volName, comps, err := codafs.SplitPath(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	v.mu.Lock()
+	vc := v.volumes[volName]
+	v.mu.Unlock()
+	if vc == nil {
+		return nil, nil, fmt.Errorf("venus: volume %q not mounted: %w", volName, ErrNotFound)
+	}
+	fid := vc.root
+	walked := codafs.JoinPath(vc.info.Name)
+	for _, c := range comps {
+		dir, err := v.getObject(vc, fid, walked, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		v.mu.Lock()
+		isDir := dir.obj.Status.Type == codafs.Directory
+		child, ok := dir.obj.Children[c]
+		v.mu.Unlock()
+		if !isDir {
+			return nil, nil, fmt.Errorf("venus: %s: %w", walked, ErrNotDir)
+		}
+		if !ok {
+			return nil, nil, fmt.Errorf("venus: %s/%s: %w", walked, c, ErrNotFound)
+		}
+		fid = child
+		walked += "/" + c
+	}
+	f, err := v.getObject(vc, fid, walked, wantData)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vc, f, nil
+}
+
+// refResolveParent is resolveParent over refResolve.
+func (v *Venus) refResolveParent(path string) (*fso, error) {
+	volName, comps, err := codafs.SplitPath(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(comps) == 0 {
+		return nil, fmt.Errorf("venus: %s names a volume root", path)
+	}
+	_, parent, err := v.refResolve(codafs.JoinPath(volName, comps[:len(comps)-1]...), true)
+	if err != nil {
+		return nil, err
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if parent.obj.Status.Type != codafs.Directory {
+		return nil, ErrNotDir
+	}
+	return parent, nil
+}
+
+// runRefStep resolves what st's operation resolves by refResolve and
+// returns what a lookup may move, under a header line.
+func (v *Venus) runRefStep(st hitStep) string {
+	path := spellings(st.rel)[0]
+	// The results are not compared, only what the lookup moved.
+	if st.op == "parent" {
+		_, _ = v.refResolveParent(path)
+	} else {
+		_, _, _ = v.refResolve(path, st.op != "stat")
+	}
+	return fmt.Sprintf("ref %s %s\n%s", st.op, st.rel, v.snapshot())
+}
+
+// Every step runs twice, by one of four routes: route 0 spells the path
+// cleanly, so the repeat is served by the memo whenever the cache can
+// serve it; route 1 spells it cleanly with the memo emptied before each
+// lookup, so each lookup walks; routes 2-4 spell it uncleanly; route 5
+// resolves it by refResolve, and only its snapshots are compared (what
+// an operation makes of the object it resolved is not refResolve's).
+func TestLookupRoutesCountAlike(t *testing.T) {
 	for _, state := range []State{Hoarding, WriteDisconnected, Emulating} {
 		t.Run(state.String(), func(t *testing.T) {
-			var logs [5][]string
+			var logs [6][]string
 			for route := range logs {
 				sim := simtime.NewSim(simtime.Epoch1995)
 				sim.Run(func() {
@@ -214,8 +292,12 @@ func TestHitWalkAccountingMatchesGeneralWalk(t *testing.T) {
 					logs[route] = append(logs[route], v.snapshot())
 					for _, st := range hitScript {
 						for range 2 {
-							if route == 1 {
+							switch route {
+							case 1:
 								v.forgetPaths()
+							case 5:
+								logs[route] = append(logs[route], v.runRefStep(st))
+								continue
 							}
 							logs[route] = append(logs[route], v.runHitStep(st, max(route-1, 0)))
 						}
@@ -225,7 +307,12 @@ func TestHitWalkAccountingMatchesGeneralWalk(t *testing.T) {
 			}
 			for route := 1; route < len(logs); route++ {
 				for i := range logs[0] {
-					if logs[route][i] != logs[0][i] {
+					memo, other := logs[0][i], logs[route][i]
+					if route == 5 {
+						_, memo, _ = strings.Cut(memo, "\n")
+						_, other, _ = strings.Cut(other, "\n")
+					}
+					if other != memo {
 						t.Fatalf("route %d diverges from the memo route at step %d:\n--- memo\n%s--- route %d\n%s",
 							route, i, logs[0][i], route, logs[route][i])
 					}
@@ -235,53 +322,141 @@ func TestHitWalkAccountingMatchesGeneralWalk(t *testing.T) {
 	}
 }
 
-// TestHitWalkServesOrCountsNothing pins the two halves of hitWalk's
-// contract directly, so the equivalence test above cannot pass vacuously
-// (a hitWalk that always refused would also be "equivalent").
-func TestHitWalkServesOrCountsNothing(t *testing.T) {
-	sim := simtime.NewSim(simtime.Epoch1995)
-	sim.Run(func() {
-		v := newHitWorld(t, sim, Hoarding)
-		defer v.Close()
+// errClass names the kind of a lookup's error.
+func errClass(err error) string {
+	var miss *MissError
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrNotFound):
+		return "not found"
+	case errors.Is(err, ErrNotDir):
+		return "not a directory"
+	case errors.As(err, &miss):
+		return "miss"
+	}
+	return "other"
+}
 
+// TestResolveCountsAsReferenceWalk resolves each path twice (the repeat
+// memo-served where the first resolved) on one world and by refResolve
+// on another, and demands the same snapshot and error class after each
+// lookup. A lookup that resolved must have moved the snapshot, so the
+// comparison cannot pass by neither route counting anything.
+func TestResolveCountsAsReferenceWalk(t *testing.T) {
+	deep := "/coda/v" + strings.Repeat("/a", 33)
+	for _, state := range []State{Hoarding, WriteDisconnected, Emulating} {
 		for _, tc := range []struct {
 			path     string
 			wantData bool
 		}{
 			{"/coda/v/a/b/clean.txt", true},
 			{"/coda/v/a/b/dirty.txt", true},
+			{"/coda/v/a/b/hoarded.txt", false},
 			{"/coda/v/a/b/ph.txt", false},
 			{"/coda/v/a/b", true},
 			{"/coda/v", true},
+			{"/coda/v/a/b/ph.txt", true},       // placeholder, data wanted
+			{"/coda/v/a/b/suspect.txt", true},  // suspect leaf
+			{"/coda/v/a/sdir/under.txt", true}, // suspect directory on the way
+			{"/coda/v/a/cold/x.txt", true},     // uncached directory on the way
+			{"/coda/v/a/b/nope.txt", true},     // no such name
+			{"/coda/v/a/b/clean.txt/x", true},  // file on the way
+			{"/coda/nosuchvol/a", true},        // unmounted volume
+			{"/coda/v//a/b/clean.txt", true},
+			{"/coda/v/a/./b/clean.txt", true},
+			{"/coda/v/a/b/../b/clean.txt", true},
+			{"/coda/v/a/b/clean.txt/", true},
+			{"/coda/v/", true},
+			{"/coda", true},
+			{"/codav/a", true},
+			{"/codav/a/b/clean.txt", false},
+			{"/elsewhere/v/a", true},
+			{"", true},
+			{deep, true},
 		} {
-			before := v.snapshot()
-			if _, f := v.hitWalk(tc.path, tc.wantData); f == nil {
-				t.Errorf("hitWalk(%q) refused a lookup the cache can serve", tc.path)
+			var logs [2][]string
+			for route := range logs {
+				sim := simtime.NewSim(simtime.Epoch1995)
+				sim.Run(func() {
+					v := newHitWorld(t, sim, state)
+					defer v.Close()
+					lookup := v.resolve
+					if route == 1 {
+						lookup = v.refResolve
+					}
+					before := v.snapshot()
+					for range 2 {
+						_, _, err := lookup(tc.path, tc.wantData)
+						after := v.snapshot()
+						if err == nil && after == before {
+							t.Errorf("%v %q route %d: resolved without recording a lookup", state, tc.path, route)
+						}
+						logs[route] = append(logs[route], errClass(err)+"\n"+after)
+						before = after
+					}
+				})
 			}
-			if v.snapshot() == before {
-				t.Errorf("hitWalk(%q) served a lookup without recording it", tc.path)
+			for i := range logs[0] {
+				if logs[0][i] != logs[1][i] {
+					t.Errorf("%v %q, lookup %d:\n--- resolve\n%s--- refResolve\n%s",
+						state, tc.path, i, logs[0][i], logs[1][i])
+				}
 			}
 		}
+	}
+}
 
-		deep := "/coda/v" + strings.Repeat("/d", maxHitDepth)
+// TestResolveParentRefusesCountingNothing gives resolveParent paths that
+// name no object in a volume: each must be refused and leave no trace.
+func TestResolveParentRefusesCountingNothing(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, Hoarding)
+		defer v.Close()
 		for _, path := range []string{
-			"/coda/v/a/b/ph.txt",       // placeholder, data wanted
-			"/coda/v/a/b/suspect.txt",  // suspect leaf
-			"/coda/v/a/sdir/under.txt", // suspect directory on the way
-			"/coda/v/a/cold/x.txt",     // uncached directory on the way
-			"/coda/v/a/b/nope.txt",     // no such name
-			"/coda/v/a/b/clean.txt/x",  // file on the way
-			"/coda/nosuchvol/a",        // unmounted volume
-			"/coda/v//a/b/clean.txt", "/coda/v/a/./b/clean.txt", "/coda/v/a/b/../b/clean.txt",
-			"/coda/v/a/b/clean.txt/", "/coda/v/", "/coda", "/codav/a", "/elsewhere/v/a", "",
-			deep,
+			"/codav/x", "/coda-old/x", "/coda/v", "/coda/v/a/..", "/coda", "/", "relative", "",
 		} {
 			before := v.snapshot()
-			if _, f := v.hitWalk(path, true); f != nil {
-				t.Errorf("hitWalk(%q) served a lookup it must leave to the general walk", path)
+			if _, _, _, err := v.resolveParent(path); err == nil {
+				t.Errorf("resolveParent(%q) resolved", path)
 			}
 			if after := v.snapshot(); after != before {
-				t.Errorf("hitWalk(%q) refused but left a trace:\n--- before\n%s--- after\n%s", path, before, after)
+				t.Errorf("resolveParent(%q) left a trace:\n--- before\n%s--- after\n%s", path, before, after)
+			}
+		}
+	})
+}
+
+// TestLookupRacesLoggedUpdate misses in a cached directory while logged
+// creates enter names into it; under -race it fails if a lookup reads a
+// directory's entries without v.mu.
+func TestLookupRacesLoggedUpdate(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, WriteDisconnected)
+		defer v.Close()
+		const rounds = 50
+		done := simtime.NewQueue[error](sim)
+		sim.Go(func() {
+			var err error
+			for i := 0; i < rounds && err == nil; i++ {
+				err = v.WriteFile(fmt.Sprintf("/coda/v/a/b/new%d", i), []byte("new"))
+			}
+			done.Put(err)
+		})
+		sim.Go(func() {
+			var err error
+			for i := 0; i < rounds && err == nil; i++ {
+				if _, _, err = v.resolve("/coda/v/a/b/nope.txt", false); errors.Is(err, ErrNotFound) {
+					err = nil
+				}
+			}
+			done.Put(err)
+		})
+		for range 2 {
+			if err, _ := done.Get(); err != nil {
+				t.Error(err)
 			}
 		}
 	})

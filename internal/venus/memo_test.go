@@ -2,6 +2,7 @@ package venus
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,13 +15,13 @@ import (
 	"repro/internal/simtime"
 )
 
-// hitWalk's memo must be invisible: after any change to the name space, a
+// The walk's memo must be invisible: after any change to the name space, a
 // lookup leaves the result, counters and recency stamps that a Venus with
 // a cold memo leaves. Each case below runs on two identical worlds, one
 // whose client keeps its memo and one whose client's memo is emptied
 // before every operation, and the two logs must agree step for step.
 
-// forgetPaths empties hitWalk's memo, so the next lookup walks.
+// forgetPaths empties the walk's memo, so the next lookup walks.
 func (v *Venus) forgetPaths() {
 	v.mu.Lock()
 	clear(v.memo)
@@ -245,4 +246,37 @@ func TestMemoFollowsNamespaceChanges(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestNoMemoAcrossMovedGeneration renames a file while a read of it waits
+// for its contents with v.mu dropped, and has a second lookup read the
+// memo after the rename. The read's chain was walked before the rename,
+// so it must not be memoized: the old name must be gone.
+func TestNoMemoAcrossMovedGeneration(t *testing.T) {
+	sim := simtime.NewSim(simtime.Epoch1995)
+	sim.Run(func() {
+		v := newHitWorld(t, sim, WriteDisconnected)
+		defer v.Close()
+		done := simtime.NewQueue[error](sim)
+		sim.Go(func() {
+			_, err := v.ReadFile("/coda/v/a/b/ph.txt") // a placeholder: its contents are fetched
+			done.Put(err)
+		})
+		sim.Go(func() {
+			sim.Sleep(time.Microsecond)
+			err := v.Rename("/coda/v/a/b/ph.txt", "/coda/v/a/b/ph2.txt")
+			if err == nil {
+				_, err = v.Stat("/coda/v") // reads the memo at the new generation
+			}
+			done.Put(err)
+		})
+		for range 2 {
+			if err, _ := done.Get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := v.Stat("/coda/v/a/b/ph.txt"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Stat of the renamed name = %v, want ErrNotFound", err)
+		}
+	})
 }

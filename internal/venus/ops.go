@@ -24,120 +24,16 @@ func (v *Venus) SetProgram(name string) {
 
 // ---- Path resolution ----
 
-func (v *Venus) volumeFor(path string) (*vclient, []string, error) {
-	volName, comps, err := codafs.SplitPath(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	v.mu.Lock()
-	vc := v.volumes[volName]
-	v.mu.Unlock()
-	if vc == nil {
-		return nil, nil, fmt.Errorf("venus: volume %q not mounted: %w", volName, ErrNotFound)
-	}
-	return vc, comps, nil
-}
+// memoDepth bounds what the memo keeps of one path, so an entry lives in
+// the map itself; a deeper path walks every time.
+const memoDepth = 8
 
-// maxHitDepth bounds hitWalk's on-stack record of the objects it passes;
-// a deeper path resolves through the general walk. memoDepth bounds what
-// its memo keeps of one path, so an entry lives in the map itself; a
-// deeper path walks every time.
-const maxHitDepth, memoDepth = 32, 8
-
-// memoEntry is hitWalk's memo of one spelling: the volume and the objects
+// memoEntry is walk's memo of one spelling: the volume and the objects
 // its last walk passed, root first.
 type memoEntry struct {
 	vc    *vclient
 	chain [memoDepth]*fso
 	n     int
-}
-
-// hitWalk resolves path from the cache alone, under one acquisition of
-// v.mu and without building a string: components are sliced out of path
-// in place. It returns the object only if every object on the way is a
-// usable copy (usableLocked), and only then records the lookups — the
-// same cache.touch and met.hit per component, root first, that the
-// general walk in resolve performs. On anything else (an uncached,
-// suspect or data-less object, a missing name, an unmounted volume, a
-// closed Venus, a spelling path.Clean would change) it returns nil having
-// counted nothing, so the caller can run the general walk from the top
-// and the accounting comes out as if hitWalk had never been tried.
-//
-// A spelling it walked is memoized, and a repeat is served from the memo
-// without parsing: until the namespace generation (cache.gen) moves, a
-// walk passes the same objects, so only their usability is checked again.
-// Older entries are dropped before the memo is read, and it never holds
-// more current entries than the cache holds objects.
-func (v *Venus) hitWalk(path string, wantData bool) (*vclient, *fso) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.closed {
-		return nil, nil
-	}
-	if v.memoGen != v.cache.gen {
-		clear(v.memo)
-		v.memoGen = v.cache.gen
-	}
-	e, memoized := v.memo[path]
-	chain := e.chain[:e.n]
-	for i, f := range chain {
-		if !v.usableLocked(f, i < e.n-1 || wantData) {
-			return nil, nil
-		}
-	}
-	if !memoized {
-		var hits [maxHitDepth]*fso
-		if e.vc, chain = v.walkLocked(path, wantData, &hits); chain == nil {
-			return nil, nil
-		}
-		if e.n = copy(e.chain[:], chain); e.n == len(chain) {
-			if v.memo == nil || len(v.memo) >= v.cache.count() {
-				v.memo = make(map[string]memoEntry)
-			}
-			v.memo[path] = e
-		}
-	}
-	for _, f := range chain {
-		v.cache.touch(f)
-		v.met.hit(f.hoardPri)
-	}
-	return e.vc, chain[len(chain)-1]
-}
-
-// walkLocked is hitWalk's walk: it records in hits the objects path
-// passes and returns them, or nil where hitWalk must refuse.
-func (v *Venus) walkLocked(path string, wantData bool, hits *[maxHitDepth]*fso) (*vclient, []*fso) {
-	const prefix = codafs.MountPrefix + "/"
-	if !strings.HasPrefix(path, prefix) {
-		return nil, nil
-	}
-	// more: a slash, and so another component (possibly empty), follows.
-	name, rest, more := strings.Cut(path[len(prefix):], "/")
-	vc := v.volumes[name]
-	if vc == nil || !codafs.ValidName(name) {
-		return nil, nil
-	}
-	fid, n := vc.root, 0
-	for {
-		f := v.cache.get(fid)
-		if n == len(hits) || !v.usableLocked(f, more || wantData) {
-			return nil, nil
-		}
-		hits[n] = f
-		n++
-		if !more {
-			return vc, hits[:n]
-		}
-		name, rest, more = strings.Cut(rest, "/")
-		if !codafs.ValidName(name) || f.obj.Status.Type != codafs.Directory {
-			return nil, nil
-		}
-		child, ok := f.obj.Children[name]
-		if !ok {
-			return nil, nil
-		}
-		fid = child
-	}
 }
 
 // usableLocked is the cache-hit rule: f can be served without the server.
@@ -154,75 +50,118 @@ func (v *Venus) usableLocked(f *fso, wantData bool) bool {
 }
 
 // resolve walks path to its object, fetching intermediate directories (and,
-// when wantData is set, the object's own contents) as needed. A lookup the
-// cache can serve whole is hitWalk's; the walk below is the general case.
+// when wantData is set, the object's own contents) as needed.
 func (v *Venus) resolve(path string, wantData bool) (*vclient, *fso, error) {
-	if vc, f := v.hitWalk(path, wantData); f != nil {
-		return vc, f, nil
-	}
-	vc, comps, err := v.volumeFor(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	fid := vc.root
-	walked := codafs.JoinPath(vc.info.Name)
-	for _, c := range comps {
-		dir, err := v.getObject(vc, fid, walked, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		if dir.obj.Status.Type != codafs.Directory {
-			return nil, nil, fmt.Errorf("venus: %s: %w", walked, ErrNotDir)
-		}
-		child, ok := dir.obj.Children[c]
-		if !ok {
-			return nil, nil, fmt.Errorf("venus: %s/%s: %w", walked, c, ErrNotFound)
-		}
-		fid = child
-		walked += "/" + c
-	}
-	f, err := v.getObject(vc, fid, walked, wantData)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vc, f, nil
+	return v.walk(path, wantData)
 }
 
-// resolveParent resolves everything but the final component, returning the
-// parent directory object and the final name.
-func (v *Venus) resolveParent(path string) (*vclient, *fso, string, error) {
-	var (
-		vc               *vclient
-		parent           *fso
-		parentPath, name string
-	)
-	// A hit on everything left of the last slash also proves that part
-	// cleanly spelled, so the split needs no SplitPath/JoinPath round trip.
-	if i := strings.LastIndexByte(path, '/'); i > 0 && codafs.ValidName(path[i+1:]) {
-		parentPath, name = path[:i], path[i+1:]
-		vc, parent = v.hitWalk(parentPath, true)
+// walk is the one path walk. Under v.mu it passes the components of the
+// cleaned spelling, root first, counting each usable copy (usableLocked;
+// a directory on the way is wanted whole) as a hit: cache.touch and
+// met.hit. At the first object the cache cannot serve it drops v.mu for
+// getObject, which fetches the object or refuses and counts that lookup
+// itself, and resumes from what it returned. The path getObject sees
+// (miss record, patience, span) is a prefix of the cleaned spelling.
+//
+// A spelling that resolved is memoized, and a repeat is served from the
+// memo without parsing: until the namespace generation (cache.gen)
+// moves, a walk passes the same objects, so only their usability is
+// checked again; a repeat that fails the check walks. Older entries go
+// before the memo is read, a walk the generation moved under (a fetch
+// replaced a directory, a rename landed while v.mu was dropped)
+// memoizes nothing, and the memo never holds more current entries than
+// the cache holds objects.
+func (v *Venus) walk(spelling string, wantData bool) (*vclient, *fso, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.closed {
+		return nil, nil, ErrClosed
 	}
-	if parent == nil {
-		var comps []string
-		var err error
-		vc, comps, err = v.volumeFor(path)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if len(comps) == 0 {
-			return nil, nil, "", fmt.Errorf("venus: %s names a volume root", path)
-		}
-		name = comps[len(comps)-1]
-		parentPath = codafs.JoinPath(vc.info.Name, comps[:len(comps)-1]...)
-		_, parent, err = v.resolve(parentPath, true)
-		if err != nil {
-			return nil, nil, "", err
-		}
+	if v.memoGen != v.cache.gen {
+		clear(v.memo)
+		v.memoGen = v.cache.gen
 	}
+	e, ok := v.memo[spelling]
+	for i := 0; ok && i < e.n; i++ {
+		ok = v.usableLocked(e.chain[i], i < e.n-1 || wantData)
+	}
+	if ok {
+		for _, f := range e.chain[:e.n] {
+			v.cache.touch(f)
+			v.met.hit(f.hoardPri)
+		}
+		return e.vc, e.chain[e.n-1], nil
+	}
+
+	const prefix = codafs.MountPrefix + "/"
+	p := path.Clean(spelling)
+	if !strings.HasPrefix(p, prefix) {
+		return nil, nil, fmt.Errorf("venus: %s names no volume under %s", p, codafs.MountPrefix)
+	}
+	// more: a slash, and so another component, follows p[:end].
+	name, rest, more := strings.Cut(p[len(prefix):], "/")
+	if e = (memoEntry{vc: v.volumes[name]}); e.vc == nil {
+		return nil, nil, fmt.Errorf("venus: volume %q not mounted: %w", name, ErrNotFound)
+	}
+	gen, fid, end := v.cache.gen, e.vc.root, len(prefix)+len(name)
+	var f *fso
+	for {
+		if f = v.cache.get(fid); v.usableLocked(f, more || wantData) {
+			v.cache.touch(f)
+			v.met.hit(f.hoardPri)
+		} else {
+			v.mu.Unlock()
+			var err error
+			f, err = v.getObject(e.vc, fid, p[:end], more || wantData)
+			v.mu.Lock()
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		if e.n++; e.n <= memoDepth {
+			e.chain[e.n-1] = f
+		}
+		if !more {
+			break
+		}
+		if f.obj.Status.Type != codafs.Directory {
+			return nil, nil, fmt.Errorf("venus: %s: %w", p[:end], ErrNotDir)
+		}
+		name, rest, more = strings.Cut(rest, "/")
+		child, ok := f.obj.Children[name]
+		if end += 1 + len(name); !ok {
+			return nil, nil, fmt.Errorf("venus: %s: %w", p[:end], ErrNotFound)
+		}
+		fid = child
+	}
+	if e.n <= memoDepth && v.cache.gen == gen {
+		if v.memo == nil || len(v.memo) >= v.cache.count() {
+			v.memo = make(map[string]memoEntry)
+		}
+		v.memo[spelling] = e
+	}
+	return e.vc, f, nil
+}
+
+// resolveParent is walk stopped one component early: it returns the
+// parent directory and the final name. A path naming no object in a
+// volume is refused, here or by walk, before anything is counted.
+func (v *Venus) resolveParent(spelling string) (*vclient, *fso, string, error) {
+	p := path.Clean(spelling)
+	i := strings.LastIndexByte(p, '/')
+	if i <= len(codafs.MountPrefix) {
+		return nil, nil, "", fmt.Errorf("venus: %s names no object in a volume", p)
+	}
+	vc, parent, err := v.walk(p[:i], true)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if parent.obj.Status.Type != codafs.Directory {
-		return nil, nil, "", fmt.Errorf("venus: %s: %w", parentPath, ErrNotDir)
+		return nil, nil, "", fmt.Errorf("venus: %s: %w", p[:i], ErrNotDir)
 	}
-	return vc, parent, name, nil
+	return vc, parent, p[i+1:], nil
 }
 
 // ---- Miss handling (§4.4.1) ----

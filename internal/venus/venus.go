@@ -174,7 +174,7 @@ type Venus struct {
 	view        cacheView                    // the one view records' effects run through (applyLocked)
 	volumes     map[string]*vclient          // by name
 	volByID     map[codafs.VolumeID]*vclient //
-	memo        map[string]memoEntry         // hitWalk's, by path: entries of generation memoGen only
+	memo        map[string]memoEntry         // walk's, by spelling: entries of generation memoGen only
 	memoGen     uint64                       // the cache.gen memo's entries were walked at
 	hdb         map[string]*HDBEntry         // by path
 	misses      []MissRecord                 // deferred misses awaiting user review

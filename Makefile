@@ -77,9 +77,11 @@ results:
 # The next two keep world assembly in internal/world (cmd/codaperf has
 # its own until it moves): nothing else outside tests constructs a Sim
 # or a fault-injectable disk. The last three keep the update pipeline in
-# one place each: records are admitted and journaled only by the server's
-# batch function in apply.go, Venus sends a connected-mode mutation from
-# one line (update's), and ships a chunk from one call site (shipRecords').
+# one place each: records are admitted, journaled and committed only by
+# the server's batch functions in apply.go, so every server state change
+# commits there (administrative writes included), Venus sends a
+# connected-mode mutation from one line (update's), and ships a chunk
+# from one call site (shipRecords').
 # Then the one replication rule: a log entry is pushed from one call site
 # (shipToPeers', reached only from a client commit), never relayed. And no
 # Sleep(0) orders same-instant goroutines outside the kernel that defines it.
@@ -103,8 +105,8 @@ results:
 # or appends onto a .Data slice, which is what lets Venus.ViewFile hand
 # out the cache's own bytes as a snapshot. Last, a record has one effect,
 # cml.Record.Apply, on the server and in the client cache alike: outside
-# internal/cml nothing counts a link up or down, and nothing enters or
-# drops a directory entry but the server's administrative writeObject.
+# internal/cml nothing counts a link up or down or enters or drops a
+# directory entry: the server's administrative writes are records too.
 # And a cache hit's path memo stays true by one rule: in Venus only
 # cache.install, cache.recharge and cache.remove write the namespace
 # generation (cache.gen), and only walk reads or writes the memo
@@ -116,7 +118,7 @@ lint-structure:
 	! grep -rn --include='*.go' '"encoding/gob"' .
 	! grep -rn --include='*.go' --exclude='*_test.go' 'simtime\.NewSim(' . | grep -v -e '^./internal/simtime/' -e '^./internal/world/' -e '^./cmd/codaperf/'
 	! grep -rn --include='*.go' --exclude='*_test.go' 'crashfs\.NewMem(' . | grep -v -e '^./internal/crashfs/' -e '^./internal/world/' -e '^./cmd/codaperf/'
-	! grep -rn --include='*.go' --exclude='*_test.go' -e 'admitRecord(' -e 'journalBatchLocked(' . | grep -v -e '^./internal/server/apply.go:' -e ':func '
+	! grep -rn --include='*.go' --exclude='*_test.go' -e 'admitRecord(' -e 'journalBatchLocked(' -e 'commitApply(' . | grep -v -e '^./internal/server/apply.go:' -e ':func '
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'callVol[wire.MutateRep]' . | wc -l)" -eq 1
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'reintegrateCall(' . | grep -vc ':func ')" -eq 1
 	test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'shipVolume(' . | grep -vc ':func ')" -eq 1
@@ -128,7 +130,7 @@ lint-structure:
 	grep -qE '^\s*Map\(c, &o\.Children, ' internal/wire/codec.go
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'wire\.(Append[A-Za-z]*|NewReader|Reader)\b' . | grep -v '^./internal/wire/'
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'Links(\+\+|--)' . | grep -v '^./internal/cml/'
-	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(SetEntry|DropEntry)\(' . | grep -v -e '^./internal/cml/' -e '^./internal/server/server.go:'
+	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(SetEntry|DropEntry)\(' . | grep -v '^./internal/cml/'
 	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'copy\([][A-Za-z0-9_.]*\.Data[^A-Za-z0-9_]' -e '\.Data\[[^]]*\] *([-+*/%&|^]?=[^=]|\+\+|--)' -e 'append\([][A-Za-z0-9_.]*\.Data,' internal/venus internal/codafs
 	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]gen *(\+\+|--|[-+*\/|&^]?=[^=])/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/cache.go: func (c \*cache) \(install\|recharge\|remove\)('
 	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]memo(Gen)?([^A-Za-z0-9_]|$$)/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/ops.go: func (v \*Venus) walk('

@@ -160,8 +160,9 @@ func (g *Group) CreateVolume(name string) (codafs.VolumeInfo, error) {
 	return info, nil
 }
 
-// WriteFile seeds a file identically on every member (administrative
-// writes bypass the replicated log, so the group mirrors them).
+// WriteFile seeds a file identically on every member (an administrative
+// write takes each member's update pipeline but is neither journaled nor
+// shipped to peers, so the group mirrors it).
 func (g *Group) WriteFile(volName, relPath string, data []byte) error {
 	return g.Each(func(s *server.Server) error {
 		_, err := s.WriteFile(volName, relPath, data)

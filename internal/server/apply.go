@@ -199,52 +199,75 @@ func (a *applyCtx) names(k cml.Kind, dir codafs.FID, name string, fid codafs.FID
 	return okResult
 }
 
-// batchMode says how a batch reached the volume, which decides the two
-// steps of applyBatchLocked that are not common to every route.
+// batchMode says how a journaled batch reached the volume, which decides
+// whether its framing is checked against a shipper's chain.
 type batchMode uint8
 
 const (
-	batchLive   batchMode = iota // from a client: journal, then commit
-	batchPeer                    // a peer's log entry: as live, but its framing must reach the shipper's chain before it is journaled
-	batchReplay                  // read back from this volume's own WAL: already journaled
+	batchLive batchMode = iota // from a client: journal, then commit
+	batchPeer                  // a peer's log entry: as live, but its framing must reach the shipper's chain before it is journaled
 )
 
-// applyBatchLocked is the server's one update pipeline, whichever way the
-// records arrived — a connected-mode request, a reintegrated chunk, a
-// peer's log entry, this volume's own WAL at recovery: admit each record
-// in order (admitRecord) and apply it (cml.Record.Apply) to the volume's
-// overlay, journal the batch, commit. All or
+// applyBatchLocked is the server's one update pipeline for a batch that
+// is journaled here — a connected-mode request, a reintegrated chunk, a
+// peer's log entry: stage it (stageLocked), journal it, commit. All or
 // nothing: a record that fails admission is reported as failed, its
 // index, and res, its result; a journal failure is err (an update must be
-// durable before it is visible or acknowledged); either way the overlay is
-// dropped and the volume untouched. Otherwise failed is -1, statuses are
-// the new statuses of every touched object and breaks the callback breaks
-// to deliver once v.mu, which the caller holds, is released.
+// durable before it is visible or acknowledged); either way the volume is
+// untouched. Otherwise failed is -1, statuses are the new statuses of
+// every touched object and breaks the callback breaks to deliver once
+// v.mu, which the caller holds, is released.
 func applyBatchLocked(v *volume, client string, recs []cml.Record, mode batchMode, wantChain uint32, sc obs.SpanContext) (failed int, res wire.RecordResult, statuses []codafs.Status, breaks []breakWork, err error) {
+	defer v.overlay.reset()
+	if failed, res = stageLocked(v, client, recs); failed < 0 {
+		if err = journalBatchLocked(v, client, recs, mode, wantChain, sc); err == nil {
+			statuses, breaks = commitApply(&v.overlay, client)
+		}
+	}
+	return failed, res, statuses, breaks, err
+}
+
+// commitBatchLocked is applyBatchLocked without the journal step, the
+// route of the batches not journaled here: this volume's own WAL at
+// recovery (journaled already) and the administrative writes (never
+// journaled or replicated).
+func commitBatchLocked(v *volume, client string, recs []cml.Record) (failed int, res wire.RecordResult, statuses []codafs.Status, breaks []breakWork) {
+	defer v.overlay.reset()
+	if failed, res = stageLocked(v, client, recs); failed < 0 {
+		statuses, breaks = commitApply(&v.overlay, client)
+	}
+	return failed, res, statuses, breaks
+}
+
+// stageLocked admits each record in order (admitRecord) and applies it
+// (cml.Record.Apply) to the volume's overlay, for the caller to commit or
+// drop. It returns the index and result of the first record refused, or
+// -1. Caller holds v.mu.
+func stageLocked(v *volume, client string, recs []cml.Record) (failed int, res wire.RecordResult) {
 	a := &v.overlay
 	if a.v == nil {
 		*a = applyCtx{v: v, objs: make(map[codafs.FID]*codafs.Object)}
 	}
-	defer func() { clear(a.objs); a.touched = a.touched[:0] }()
 	for i := range recs {
 		if res = admitRecord(a, &recs[i], client); !res.OK {
-			return i, res, nil, nil, nil
+			return i, res
 		}
 		recs[i].Apply(a)
 	}
-	if mode != batchReplay {
-		if err := journalBatchLocked(v, client, recs, mode, wantChain, sc); err != nil {
-			return -1, res, nil, nil, err
-		}
-	}
-	statuses, breaks = commitApply(a, client)
-	return -1, res, statuses, breaks, nil
+	return -1, res
 }
 
-// commitApply installs the overlay into the volume, bumping versions and
-// the volume stamp, and returns the new statuses of every touched object
-// plus the callback breaks to deliver (after a.v.mu is released). Must be
-// called with a.v.mu held.
+// reset empties the overlay once its batch is committed or dropped.
+func (a *applyCtx) reset() {
+	clear(a.objs)
+	a.touched = a.touched[:0]
+}
+
+// commitApply installs the overlay into the volume — the only installer
+// of objects but a volume's creation and an image install — stamping
+// each touched object with the next volume stamp, and returns their new
+// statuses plus the callback breaks to deliver (after a.v.mu is
+// released). Must be called with a.v.mu held.
 func commitApply(a *applyCtx, client string) (statuses []codafs.Status, breaks []breakWork) {
 	seen := make(map[codafs.FID]bool)
 	for _, fid := range a.touched {
@@ -269,8 +292,14 @@ func commitApply(a *applyCtx, client string) (statuses []codafs.Status, breaks [
 				continue
 			}
 		}
+		a.v.info.Stamp++
+		obj.Status.Version = a.v.info.Stamp
 		a.v.objects[fid] = obj
-		a.v.bumpLocked(fid, client)
+		if client != "" {
+			a.v.lastAuthor[fid] = client
+		} else {
+			delete(a.v.lastAuthor, fid)
+		}
 		statuses = append(statuses, obj.Status)
 	}
 	return statuses, breaks

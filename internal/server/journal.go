@@ -15,20 +15,21 @@ import (
 )
 
 // Server-side durability. Real Coda servers keep their metadata in RVM;
-// here every mutation that reaches commitApply is first framed into a
-// write-ahead log, so a crashed server recovers to exactly the set of
-// updates it acknowledged. The journal is split along the concurrency
-// domains of DESIGN.md §8: one meta WAL (under the registry lock)
-// records volume creations, and one WAL per volume (under that volume's
-// lock) records applied mutation batches — a shared log would re-
-// serialize the volumes that the per-volume locking deliberately keeps
-// independent.
+// here every client's or peer's mutation (applyBatchLocked) is framed
+// into a write-ahead log before commitApply, so a crashed server
+// recovers to exactly the set of updates it acknowledged. The journal is
+// split along the concurrency domains of DESIGN.md §8: one meta WAL
+// (under the registry lock) records volume creations, and one WAL per
+// volume (under that volume's lock) records applied mutation batches — a
+// shared log would re-serialize the volumes that the per-volume locking
+// deliberately keeps independent.
 //
 // Replay is deterministic because apply.go takes every timestamp and
 // version decision from the records themselves and from volume state;
 // the server clock is never consulted during apply. The administrative
-// seeding helpers (WriteFile, MakeDir, MakeSymlink) bypass the apply
-// pipeline and are NOT journaled: seed volumes before attaching the
+// seeding helpers (WriteFile, MakeDir, MakeSymlink) run their records
+// through replay's route, stage and commit (commitBatchLocked), so they
+// are NOT journaled (or replicated): seed volumes before attaching the
 // journal, or re-seed on boot.
 
 // metaEntry is one meta-WAL record: a volume creation.
@@ -162,7 +163,7 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 			// failure here means the journal and snapshot disagree —
 			// surfaced, not ignored. Callback state is empty during
 			// recovery, so there are no breaks to dispatch.
-			if failed, res, _, _, _ := applyBatchLocked(v, e.Client, e.Recs, batchReplay, 0, obs.SpanContext{}); failed >= 0 {
+			if failed, res, _, _ := commitBatchLocked(v, e.Client, e.Recs); failed >= 0 {
 				return fmt.Errorf("server: journal replay: record %d (%s) no longer applies: %s",
 					failed, e.Recs[failed].Kind, res.Msg)
 			}

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cml"
 	"repro/internal/codafs"
 	"repro/internal/netmon"
 	"repro/internal/netsim"
@@ -522,63 +523,69 @@ func (s *Server) CreateVolume(name string) (codafs.VolumeInfo, error) {
 
 // WriteFile creates or replaces a file at relPath inside the named volume,
 // creating intermediate directories. It acts as an anonymous co-located
-// client: versions are bumped and callbacks broken, which is how the
-// experiments inject "another client updated the volume" events (Fig 9).
-// data is copied, and the caller's again on return (codafs.Object).
+// client: its records take the update pipeline, so versions are bumped
+// and callbacks broken, which is how the experiments inject "another
+// client updated the volume" events (Fig 9), but they are not journaled
+// or replicated. data is copied, and the caller's again on return
+// (codafs.Object).
 func (s *Server) WriteFile(volName, relPath string, data []byte) (codafs.Status, error) {
-	return s.writeObject(volName, relPath, codafs.File, append([]byte(nil), data...), "")
+	return s.writeObject(volName, relPath, cml.Create, append([]byte(nil), data...), "")
 }
 
 // MakeDir creates a directory (and parents) inside the named volume.
 func (s *Server) MakeDir(volName, relPath string) (codafs.Status, error) {
-	return s.writeObject(volName, relPath, codafs.Directory, nil, "")
+	return s.writeObject(volName, relPath, cml.Mkdir, nil, "")
 }
 
 // MakeSymlink creates a symlink at relPath pointing at target.
 func (s *Server) MakeSymlink(volName, relPath, target string) (codafs.Status, error) {
-	return s.writeObject(volName, relPath, codafs.Symlink, nil, target)
+	return s.writeObject(volName, relPath, cml.MakeSymlink, nil, target)
 }
 
 // Resolve walks relPath within the named volume and returns the object's
 // status. An empty relPath names the volume root.
 func (s *Server) Resolve(volName, relPath string) (codafs.Status, error) {
-	v, comps, err := s.splitPath(volName, relPath)
-	if err != nil {
-		return codafs.Status{}, err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	fid, err := v.walkLocked(comps)
-	if err != nil {
-		return codafs.Status{}, err
-	}
-	o := v.objects[fid]
-	if o == nil {
-		return codafs.Status{}, fmt.Errorf("server: dangling entry %s/%s", volName, relPath)
-	}
-	return o.Status, nil
+	st, _, err := s.lookup(volName, relPath)
+	return st, err
 }
 
 // ReadFile returns a file's contents, server-side.
 func (s *Server) ReadFile(volName, relPath string) ([]byte, error) {
-	v, comps, err := s.splitPath(volName, relPath)
+	st, data, err := s.lookup(volName, relPath)
 	if err != nil {
 		return nil, err
+	}
+	if st.Type != codafs.File {
+		return nil, fmt.Errorf("server: %s/%s is a %s", volName, relPath, st.Type)
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// lookup walks relPath from the named volume's root and returns the
+// object's status and contents, both read under v.mu: commitApply bumps
+// a base object's version in place. Contents are never written through
+// (codafs.Object), so the slice may be read after the lock is released.
+func (s *Server) lookup(volName, relPath string) (codafs.Status, []byte, error) {
+	v, comps, err := s.splitPath(volName, relPath)
+	if err != nil {
+		return codafs.Status{}, nil, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	fid, err := v.walkLocked(comps)
-	if err != nil {
-		return nil, err
+	o := v.objects[v.root]
+	for _, c := range comps {
+		if o.Status.Type != codafs.Directory {
+			return codafs.Status{}, nil, fmt.Errorf("server: %s is not a directory", c)
+		}
+		fid, ok := o.Children[c]
+		if !ok {
+			return codafs.Status{}, nil, fmt.Errorf("server: %s not found", c)
+		}
+		if o = v.objects[fid]; o == nil {
+			return codafs.Status{}, nil, fmt.Errorf("server: dangling entry %s/%s", volName, relPath)
+		}
 	}
-	o := v.objects[fid]
-	if o == nil {
-		return nil, fmt.Errorf("server: dangling entry %s/%s", volName, relPath)
-	}
-	if o.Status.Type != codafs.File {
-		return nil, fmt.Errorf("server: %s/%s is a %s", volName, relPath, o.Status.Type)
-	}
-	return append([]byte(nil), o.Data...), nil
+	return o.Status, o.Data, nil
 }
 
 // VolumeStamp returns the named volume's current stamp.
@@ -592,7 +599,14 @@ func (s *Server) VolumeStamp(volName string) (uint64, error) {
 	return v.info.Stamp, nil
 }
 
-func (s *Server) writeObject(volName, relPath string, typ codafs.ObjType, data []byte, target string) (codafs.Status, error) {
+// writeObject runs an administrative write as the anonymous client "",
+// through the update pipeline without its journal (commitBatchLocked):
+// one Mkdir batch for each directory missing on the way, then one batch
+// for the object itself — kind is Create for a file, Mkdir or
+// MakeSymlink. One batch per path component stamps versions as one
+// update per object would. A refused record is returned as the error;
+// the batches before it stay committed.
+func (s *Server) writeObject(volName, relPath string, kind cml.Kind, data []byte, target string) (codafs.Status, error) {
 	v, comps, err := s.splitPath(volName, relPath)
 	if err != nil {
 		return codafs.Status{}, err
@@ -600,80 +614,46 @@ func (s *Server) writeObject(volName, relPath string, typ codafs.ObjType, data [
 	if len(comps) == 0 {
 		return codafs.Status{}, fmt.Errorf("server: path names the volume root")
 	}
+	now := s.clock.Now()
+	var st codafs.Status
+	var breaks []breakWork
 	v.mu.Lock()
 	dir := v.root
-	var breaks []breakWork
-	for i, c := range comps {
+	for i, name := range comps {
+		fid, exists := v.objects[dir].Children[name]
 		last := i == len(comps)-1
-		parent := v.objects[dir]
-		child, exists := parent.Children[c]
-		if last {
-			if typ == codafs.File && exists {
-				o := v.objects[child]
-				if o.Status.Type != codafs.File {
-					v.mu.Unlock()
-					return codafs.Status{}, fmt.Errorf("server: %s exists and is a %s", c, o.Status.Type)
-				}
-				o.Data = data
-				o.Status.Length = int64(len(data))
-				o.Status.ModTime = s.clock.Now()
-				v.bumpLocked(child, "")
-				breaks = append(breaks, v.collectBreaksLocked(child, ""))
-				st := o.Status
-				v.mu.Unlock()
-				s.dispatchBreaks(breaks)
-				return st, nil
-			}
-			if exists {
-				v.mu.Unlock()
-				return codafs.Status{}, fmt.Errorf("server: %s already exists", c)
-			}
-			fid := v.allocFIDLocked()
-			o := &codafs.Object{
-				Status: codafs.Status{
-					FID: fid, Type: typ, Length: int64(len(data)),
-					ModTime: s.clock.Now(), Mode: 0644, Owner: "root", Links: 1,
-				},
-				Data: data, Target: target,
-			}
-			if typ == codafs.Directory {
-				o.Children = make(map[string]codafs.FID)
-				o.Status.Mode = 0755
-			}
-			v.objects[fid] = o
-			parent.SetEntry(c, fid)
-			parent.Status.ModTime = s.clock.Now()
-			v.bumpLocked(fid, "")
-			v.bumpLocked(parent.Status.FID, "")
-			breaks = append(breaks,
-				v.collectBreaksLocked(fid, ""),
-				v.collectBreaksLocked(parent.Status.FID, ""))
-			st := o.Status
-			v.mu.Unlock()
-			s.dispatchBreaks(breaks)
-			return st, nil
+		var batch []cml.Record
+		switch {
+		case !last && exists:
+			dir = fid
+			continue
+		case !last:
+			batch = []cml.Record{{Kind: cml.Mkdir, FID: v.allocFIDLocked(), Parent: dir, Name: name}}
+		case kind != cml.Create:
+			batch = []cml.Record{{Kind: kind, FID: v.allocFIDLocked(), Parent: dir, Name: name, Target: target}}
+		case exists: // a file stored over at its current version
+			batch = []cml.Record{{Kind: cml.Store, FID: fid, PrevVersion: v.objects[fid].Status.Version}}
+		default:
+			fid = v.allocFIDLocked()
+			batch = []cml.Record{{Kind: cml.Create, FID: fid, Parent: dir, Name: name}, {Kind: cml.Store, FID: fid}}
 		}
-		if !exists {
-			fid := v.allocFIDLocked()
-			v.objects[fid] = &codafs.Object{
-				Status: codafs.Status{
-					FID: fid, Type: codafs.Directory,
-					ModTime: s.clock.Now(), Mode: 0755, Owner: "root",
-				},
-				Children: make(map[string]codafs.FID),
+		for j := range batch {
+			batch[j].ModTime, batch[j].Owner = now, "root"
+			if batch[j].Kind == cml.Store {
+				batch[j].Data, batch[j].Length = data, int64(len(data))
 			}
-			parent.SetEntry(c, fid)
-			v.bumpLocked(fid, "")
-			v.bumpLocked(parent.Status.FID, "")
-			child = fid
-		} else if v.objects[child].Status.Type != codafs.Directory {
-			v.mu.Unlock()
-			return codafs.Status{}, fmt.Errorf("server: %s is not a directory", c)
 		}
-		dir = child
+		failed, res, statuses, b := commitBatchLocked(v, "", batch)
+		breaks = append(breaks, b...)
+		if failed >= 0 {
+			err = fmt.Errorf("server: %s", res.Msg)
+			break
+		}
+		st, dir = statuses[0], batch[0].FID
 	}
 	v.mu.Unlock()
-	return codafs.Status{}, fmt.Errorf("server: empty path")
+	s.dispatchBreaks(breaks)
+	return st, err
 }
 
 // splitPath resolves the named volume's domain and splits relPath into
@@ -690,44 +670,10 @@ func (s *Server) splitPath(volName, relPath string) (*volume, []string, error) {
 	return v, comps, nil
 }
 
-// walkLocked resolves comps from the volume root. Caller holds v.mu.
-func (v *volume) walkLocked(comps []string) (codafs.FID, error) {
-	fid := v.root
-	for _, c := range comps {
-		o := v.objects[fid]
-		if o == nil {
-			return codafs.FID{}, fmt.Errorf("server: dangling entry at %s", c)
-		}
-		if o.Status.Type != codafs.Directory {
-			return codafs.FID{}, fmt.Errorf("server: %s is not a directory", c)
-		}
-		child, ok := o.Children[c]
-		if !ok {
-			return codafs.FID{}, fmt.Errorf("server: %s not found", c)
-		}
-		fid = child
-	}
-	return fid, nil
-}
-
 // allocFIDLocked allocates a fresh FID. Caller holds v.mu.
 func (v *volume) allocFIDLocked() codafs.FID {
 	v.nextVnode++
 	return codafs.FID{Volume: v.info.ID, Vnode: v.nextVnode, Unique: v.nextVnode}
-}
-
-// bumpLocked advances the volume stamp and sets the object's version to it.
-// Caller holds v.mu.
-func (v *volume) bumpLocked(fid codafs.FID, author string) {
-	v.info.Stamp++
-	if o, ok := v.objects[fid]; ok {
-		o.Status.Version = v.info.Stamp
-	}
-	if author != "" {
-		v.lastAuthor[fid] = author
-	} else {
-		delete(v.lastAuthor, fid)
-	}
 }
 
 // registerObjCallbackLocked grants client a callback on fid. Caller holds

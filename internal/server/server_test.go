@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,58 @@ func TestAdminVolumeAndFiles(t *testing.T) {
 	after, _ := w.srv.VolumeStamp("usr")
 	if st2.Version <= st1.Version || after <= before {
 		t.Error("versions not bumped on overwrite")
+	}
+}
+
+// TestAdminWritesMakeWhatClientsMake: an administrative write makes the
+// statuses a client's records make. Under "a" the server writes a file
+// two directories deep, a directory and a symlink; under "ca" a client
+// makes the same tree over RPC, its records naming the owner the
+// server's do. Each object must match its twin in every status field
+// but identity, version and time.
+func TestAdminWritesMakeWhatClientsMake(t *testing.T) {
+	const data, target = "0123456789", "../x/y/z.c"
+	w := newWorld()
+	w.srv.CreateVolume("v")
+	if _, err := w.srv.WriteFile("v", "a/b/f", []byte(data)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.srv.MakeDir("v", "a/d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.srv.MakeSymlink("v", "a/ln", target); err != nil {
+		t.Fatal(err)
+	}
+	w.sim.Run(func() {
+		c := w.client("c1")
+		gv := call[wire.GetVolumeRep](t, c, wire.GetVolume{Name: "v"})
+		mk := func(n uint64, dir codafs.FID, name string, typ codafs.ObjType, target string) codafs.Status {
+			return call[wire.MutateRep](t, c, wire.MakeObject{
+				Parent: dir, Name: name, FID: clientFID(gv.Info.ID, n), Type: typ, Target: target, Owner: "root",
+			}).Status
+		}
+		ca := mk(1, gv.Root.FID, "ca", codafs.Directory, "").FID
+		b := mk(2, ca, "b", codafs.Directory, "").FID
+		f := mk(3, b, "f", codafs.File, "")
+		call[wire.MutateRep](t, c, wire.StoreOp{FID: f.FID, Data: []byte(data), PrevVersion: f.Version})
+		mk(4, ca, "d", codafs.Directory, "")
+		mk(5, ca, "ln", codafs.Symlink, target)
+	})
+	show := func(st codafs.Status) string {
+		return fmt.Sprintf("%v links %d mode %o length %d owner %q", st.Type, st.Links, st.Mode, st.Length, st.Owner)
+	}
+	for _, p := range []string{"", "/b", "/b/f", "/d", "/ln"} {
+		admin, err := w.srv.Resolve("v", "a"+p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := w.srv.Resolve("v", "ca"+p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if show(admin) != show(client) {
+			t.Errorf("a%s: admin-made %s, client-made %s", p, show(admin), show(client))
+		}
 	}
 }
 

@@ -368,6 +368,29 @@ func TestCallbackBreakRefetch(t *testing.T) {
 	})
 }
 
+// TestAdminWriteBreaksDirectoryOnTheWay: a server-side write that makes
+// directories on its way breaks the callback on the directory it enters
+// the first of them in, so a client that listed that directory sees the
+// new entry.
+func TestAdminWriteBreaksDirectoryOnTheWay(t *testing.T) {
+	w := newWorld(t)
+	w.seed("usr", map[string]string{"a/x": "x"})
+	w.sim.Run(func() {
+		v := w.venus("c1", venus.Config{})
+		mustMount(t, v, "usr")
+		if names, err := v.ReadDir("/coda/usr/a"); err != nil || fmt.Sprint(names) != "[x]" {
+			t.Fatalf("ReadDir a = %v, %v", names, err)
+		}
+		if _, err := w.srv.WriteFile("usr", "a/b/c", []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		w.sim.Sleep(10 * time.Second)
+		if names, err := v.ReadDir("/coda/usr/a"); err != nil || fmt.Sprint(names) != "[b x]" {
+			t.Errorf("ReadDir a after the server made a/b/c = %v, %v; want [b x]", names, err)
+		}
+	})
+}
+
 // TestRereadOfRewrittenFileKeepsCacheSpace: a file another writer
 // rewrites at the same size takes the same cache space however often it
 // is revalidated and refetched.

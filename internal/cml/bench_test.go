@@ -20,6 +20,29 @@ func BenchmarkAppendNoCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendStoreLongLog appends a store to a file no record names
+// behind 4,096 unfrozen records: no rule can cancel anything, so its cost
+// must not grow with the log. Each store is taken out again, so every
+// append finds the same log.
+func BenchmarkAppendStoreLongLog(b *testing.B) {
+	l := NewLog()
+	now := time.Date(1995, 7, 1, 9, 0, 0, 0, time.UTC)
+	for i := 0; i < 4096; i++ {
+		l.Append(Record{Kind: Create, FID: fid(uint64(i) + 2), Parent: dirFID, Name: "f"}, now)
+	}
+	data := make([]byte, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Append(Record{Kind: Store, FID: fid(1 << 20), Parent: dirFID, Name: "g", Data: data, Length: 64}, now)
+		l.mu.Lock()
+		last := len(l.records) - 1
+		l.refLocked(l.records[last], -1)
+		l.records[last] = nil
+		l.records = l.records[:last]
+		l.mu.Unlock()
+	}
+}
+
 func BenchmarkAppendWithCancellation(b *testing.B) {
 	l := NewLog()
 	now := time.Date(1995, 7, 1, 9, 0, 0, 0, time.UTC)

@@ -187,6 +187,18 @@ func unbind(objs Objects, dir codafs.FID, name string) {
 	}
 }
 
+// RestoreEntry undoes bind and unbind: name in directory d names fid
+// again, or, for the zero FID, nothing. The server stages a batch in its
+// live objects and puts back the entries the batch changed this way when
+// the batch does not commit.
+func RestoreEntry(d *codafs.Object, name string, fid codafs.FID) {
+	if fid.IsZero() {
+		d.DropEntry(name)
+	} else {
+		d.SetEntry(name, fid)
+	}
+}
+
 // newObject returns the object a Create, Mkdir or MakeSymlink record
 // makes, before any version is stamped on it, or the file a Store makes
 // in a cache that does not hold it, at the version the store was made
@@ -241,14 +253,23 @@ const (
 type Log struct {
 	mu         sync.Mutex
 	records    []*Record
-	barrier    int                // records[:barrier] are frozen for reintegration
-	dead       int                // records sliced off the array's front since CommitReintegration last compacted it
-	refs       map[codafs.FID]int // per object, how many names of it the records hold
+	barrier    int                    // records[:barrier] are frozen for reintegration
+	dead       int                    // records sliced off the array's front since CommitReintegration last compacted it
+	refs       map[codafs.FID]objRefs // per object, the records that name it and that update it
 	nextSeq    uint64
 	savedBytes int64
 	savedRecs  int64
 	optimize   bool
 	onCancel   func(class CancelClass, records int, bytes int64)
+}
+
+// objRefs counts, for one object, the records in the log that name it:
+// as their object, directory or rename destination (names), and as the
+// object of a Store or SetAttr (updates). The cancellation rules read it
+// to skip a scan that can find nothing.
+type objRefs struct {
+	names   int
+	updates int
 }
 
 // NewLog returns an empty log with optimizations enabled.
@@ -294,20 +315,25 @@ func (l *Log) Append(r Record, now time.Time) bool {
 	return true
 }
 
-// refLocked adds d to the count of every object r names. Every path by
+// refLocked adds d to the counts of every object r names. Every path by
 // which a record enters or leaves l.records passes through here.
 func (l *Log) refLocked(r *Record, d int) {
 	if l.refs == nil {
-		l.refs = make(map[codafs.FID]int)
+		l.refs = make(map[codafs.FID]objRefs)
 	}
-	for _, fid := range [...]codafs.FID{r.FID, r.Parent, r.NewParent} {
+	for i, fid := range [...]codafs.FID{r.FID, r.Parent, r.NewParent} {
 		if fid.IsZero() {
 			continue // no parent, or no rename destination
 		}
-		if n := l.refs[fid] + d; n != 0 {
-			l.refs[fid] = n
+		c := l.refs[fid]
+		c.names += d
+		if i == 0 && (r.Kind == Store || r.Kind == SetAttr) {
+			c.updates += d
+		}
+		if c.names != 0 {
+			l.refs[fid] = c
 		} else {
-			delete(l.refs, fid)
+			delete(l.refs, fid) // no record names it, so none updates it
 		}
 	}
 }
@@ -318,24 +344,36 @@ func (l *Log) refLocked(r *Record, d int) {
 func (l *Log) Referenced(fid codafs.FID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.refs[fid] > 0
+	return l.refs[fid].names > 0
 }
 
 // optimizeLocked applies the paper's cancellation rules. It may cancel
 // earlier unfrozen records and reports whether the incoming record is
-// itself annihilated.
+// itself annihilated. A rule scans the log only when the counts say a
+// record it could cancel exists: logging n new files costs O(n), not
+// O(n²). The counts may cover records not in the unfrozen suffix (frozen
+// ones, or, during AbortReintegration's replay, ones not replayed yet),
+// which costs a scan that finds nothing but never skips a victim.
 func (l *Log) optimizeLocked(r *Record) bool {
+	c := l.refs[r.FID]
 	switch r.Kind {
 	case Store:
 		// A store overrides any earlier store of the same file.
-		l.cancelLocked(CancelStoreOverwrite, func(o *Record) bool {
-			return o.Kind == Store && o.FID == r.FID
-		})
+		if c.updates > 0 {
+			l.cancelLocked(CancelStoreOverwrite, func(o *Record) bool {
+				return o.Kind == Store && o.FID == r.FID
+			})
+		}
 	case SetAttr:
-		l.cancelLocked(CancelSetAttrOverwrite, func(o *Record) bool {
-			return o.Kind == SetAttr && o.FID == r.FID
-		})
+		if c.updates > 0 {
+			l.cancelLocked(CancelSetAttrOverwrite, func(o *Record) bool {
+				return o.Kind == SetAttr && o.FID == r.FID
+			})
+		}
 	case Remove, Rmdir:
+		if c.names == 0 {
+			return false // no record names the object: nothing to cancel
+		}
 		createdHere := false
 		renamed := false
 		for _, o := range l.unfrozenLocked() {
@@ -371,7 +409,7 @@ func (l *Log) optimizeLocked(r *Record) bool {
 		}
 		// The object predates the log: pending stores and setattrs on
 		// it are moot once it is removed.
-		if r.Kind == Remove {
+		if r.Kind == Remove && c.updates > 0 {
 			l.cancelLocked(CancelRemoveMoot, func(o *Record) bool {
 				return (o.Kind == Store || o.Kind == SetAttr) && o.FID == r.FID
 			})

@@ -10,14 +10,21 @@ import (
 )
 
 // recount is the reference for Log.refs: every object the records name
-// (the zero FID is no object), counted by walking the whole log.
-func recount(l *Log) map[codafs.FID]int {
-	want := map[codafs.FID]int{}
+// (the zero FID is no object), and the Store and SetAttr records of each,
+// counted by walking the whole log.
+func recount(l *Log) map[codafs.FID]objRefs {
+	want := map[codafs.FID]objRefs{}
 	for _, r := range l.records {
-		for _, f := range [...]codafs.FID{r.FID, r.Parent, r.NewParent} {
-			if !f.IsZero() {
-				want[f]++
+		for i, f := range [...]codafs.FID{r.FID, r.Parent, r.NewParent} {
+			if f.IsZero() {
+				continue
 			}
+			c := want[f]
+			c.names++
+			if i == 0 && (r.Kind == Store || r.Kind == SetAttr) {
+				c.updates++
+			}
+			want[f] = c
 		}
 	}
 	return want
@@ -27,7 +34,8 @@ func recount(l *Log) map[codafs.FID]int {
 // every operation that adds or removes records - appends that cancel or
 // annihilate, prefix and subtree reintegrations committed or aborted,
 // conflict removal, restoring an earlier image, optimization toggled - and after
-// every step compares the maintained per-object counts with a full recount.
+// every step compares the maintained per-object counts (names, and the
+// Store/SetAttr updates the cancellation rules read) with a full recount.
 func TestReferencedModel(t *testing.T) {
 	kinds := []Kind{Store, Create, Mkdir, MakeSymlink, Link, Remove, Rmdir, Rename, SetAttr}
 	for seed := int64(1); seed <= 40; seed++ {
@@ -101,7 +109,7 @@ func TestReferencedModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: counts %v, recount %v", seed, step, l.refs, want)
 			}
 			for v := uint64(1); v <= 9; v++ {
-				if got, want := l.Referenced(fid(v)), recount(l)[fid(v)] > 0; got != want {
+				if got, want := l.Referenced(fid(v)), recount(l)[fid(v)].names > 0; got != want {
 					t.Fatalf("seed %d step %d: Referenced(%d) = %v, want %v", seed, step, v, got, want)
 				}
 			}

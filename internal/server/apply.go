@@ -9,38 +9,90 @@ import (
 	"repro/internal/wire"
 )
 
-// applyCtx is an all-or-nothing overlay over one volume's object store,
-// the cml.Objects records are applied to: objs holds its copies of
-// changed objects, and nil for dropped ones. Nothing reaches the volume
-// until commitApply; a batch that fails leaves the volume untouched,
-// which is what makes reintegration atomic (§4.3.3). Each volume keeps
-// one, used under its mu and emptied after every batch, so handing it to
-// Apply as an interface allocates nothing.
+// applyCtx stages one batch against one volume's object store, the
+// cml.Objects records are applied to, all or nothing (§4.3.3). Every
+// object the batch names gets a slot in saved: an object the volume
+// holds is changed in place, its prior status, contents and target saved
+// in the slot first; an object the batch makes or drops is held in the
+// slot until commit. Before each record's effect, the prior binding of
+// each directory entry it changes is saved too. A batch that does not
+// commit is undone from the slots, leaving the volume as it was; a batch
+// that commits is installed by commitApply. No reader of v.objects sees
+// a batch half done, because every one of them (fetch, lookup, the
+// image, a delta's base) holds v.mu, which covers a batch from staging
+// to commit or undo. Each volume keeps one, used under its mu and emptied
+// after every batch, so handing it to Apply as an interface allocates
+// nothing, and neither do its slots once they have grown to the volume's
+// largest batch.
 type applyCtx struct {
 	v       *volume
-	objs    map[codafs.FID]*codafs.Object
+	slots   map[codafs.FID]int // index in saved of every object the batch named
+	saved   []savedObj
+	entries []savedEntry
 	touched []codafs.FID
+	done    bool // committed: nothing to undo
 }
 
-// peek returns the overlay's view of fid, nil if it is not there,
-// without copying it: for reading only.
+// savedObj is one object as the batch found it — live is the volume's
+// object (nil if it held none), followed by the fields an effect changes
+// in place but its entries — and, once made is set, obj, what the batch
+// put in its place (nil if it dropped it). stamped marks it installed by
+// commitApply, which sees each object once however often the batch
+// touched it.
+type savedObj struct {
+	live    *codafs.Object
+	status  codafs.Status
+	data    []byte
+	target  string
+	made    bool
+	obj     *codafs.Object
+	stamped bool
+}
+
+// savedEntry is what name in directory dir named before a record's
+// effect: fid, or nothing if it is zero.
+type savedEntry struct {
+	dir  codafs.FID
+	name string
+	fid  codafs.FID
+}
+
+// overlaySlots is how many objects and entries a volume's applyCtx is
+// sized for when it is made; a larger batch grows it once, for good.
+const overlaySlots = 8
+
+// peek returns the batch's view of fid, nil if it is not there, for
+// reading only: it takes no slot.
 func (a *applyCtx) peek(fid codafs.FID) *codafs.Object {
-	if o, ok := a.objs[fid]; ok {
-		return o
+	if i, ok := a.slots[fid]; ok && a.saved[i].made {
+		return a.saved[i].obj
 	}
 	return a.v.objects[fid]
 }
 
-// Get returns the overlay's copy of fid to change, cloning it from the
-// volume on first access (status and entries; contents are shared until
-// replaced).
-func (a *applyCtx) Get(fid codafs.FID) *codafs.Object {
-	o := a.peek(fid)
-	if o != nil && a.objs[fid] != o {
-		o = o.Clone()
-		a.objs[fid] = o
+// slot returns fid's slot, saving the volume's object in it on first use.
+func (a *applyCtx) slot(fid codafs.FID) *savedObj {
+	i, ok := a.slots[fid]
+	if !ok {
+		i = len(a.saved)
+		a.slots[fid] = i
+		var s savedObj
+		if o := a.v.objects[fid]; o != nil {
+			s = savedObj{live: o, status: o.Status, data: o.Data, target: o.Target}
+		}
+		a.saved = append(a.saved, s)
 	}
-	return o
+	return &a.saved[i]
+}
+
+// Get returns fid's object for the effect to change in place: one the
+// batch made, or the volume's own, saved first.
+func (a *applyCtx) Get(fid codafs.FID) *codafs.Object {
+	s := a.slot(fid)
+	if s.made {
+		return s.obj
+	}
+	return s.live
 }
 
 func (a *applyCtx) Touch(fid codafs.FID) {
@@ -48,17 +100,61 @@ func (a *applyCtx) Touch(fid codafs.FID) {
 }
 
 func (a *applyCtx) Put(o *codafs.Object) {
-	a.objs[o.Status.FID] = o
-	a.Touch(o.Status.FID)
+	a.replace(o.Status.FID, o)
 }
 
 func (a *applyCtx) Drop(fid codafs.FID) {
-	a.objs[fid] = nil
+	a.replace(fid, nil)
+}
+
+// replace puts o, or nothing, in fid's place for commitApply to install.
+func (a *applyCtx) replace(fid codafs.FID, o *codafs.Object) {
+	s := a.slot(fid)
+	s.made, s.obj = true, o
 	a.Touch(fid)
 }
 
-// within reports whether fid is dir or lies in dir's subtree, reading
-// the overlay without copying it.
+// saveEntries saves, before rec's effect, what each directory entry the
+// effect binds or unbinds names now. An entry of a directory the batch
+// made or dropped needs none: undo discards that object, or never
+// changed it.
+func (a *applyCtx) saveEntries(rec *cml.Record) {
+	switch rec.Kind {
+	case cml.Store, cml.SetAttr:
+		return
+	case cml.Rename:
+		a.saveEntry(rec.NewParent, rec.NewName)
+	}
+	a.saveEntry(rec.Parent, rec.Name)
+}
+
+func (a *applyCtx) saveEntry(dir codafs.FID, name string) {
+	if i, ok := a.slots[dir]; ok && a.saved[i].made {
+		return
+	}
+	if d := a.v.objects[dir]; d != nil {
+		a.entries = append(a.entries, savedEntry{dir: dir, name: name, fid: d.Children[name]})
+	}
+}
+
+// undo puts the volume's objects back as the batch found them: the
+// entries in reverse order, then each object's saved fields (which
+// include a directory's Length). What the batch made is discarded with
+// its slot.
+func (a *applyCtx) undo() {
+	for i := len(a.entries) - 1; i >= 0; i-- {
+		e := &a.entries[i]
+		cml.RestoreEntry(a.v.objects[e.dir], e.name, e.fid)
+	}
+	for i := range a.saved {
+		if s := &a.saved[i]; s.live != nil {
+			s.live.Status, s.live.Data, s.live.Target = s.status, s.data, s.target
+		}
+	}
+}
+
+// within reports whether fid is dir or lies in dir's subtree, as the
+// batch has left it, without taking a slot.
 func (a *applyCtx) within(fid, dir codafs.FID) bool {
 	if fid == dir {
 		return true
@@ -90,7 +186,7 @@ var okResult = wire.RecordResult{OK: true}
 func versionOK(a *applyCtx, fid codafs.FID, prev uint64, client string) bool {
 	base, ok := a.v.objects[fid]
 	if !ok {
-		// Object created inside this same overlay: trivially current.
+		// Object created inside this same batch: trivially current.
 		return true
 	}
 	if base.Status.Version == prev {
@@ -100,7 +196,7 @@ func versionOK(a *applyCtx, fid codafs.FID, prev uint64, client string) bool {
 }
 
 // admitRecord is the server's admission check for rec against the
-// overlay, the records before it in the batch applied: conflicts
+// volume as the records before it in the batch left it: conflicts
 // (optimistic replica control, §4.3.3), failures, version stamps, names
 // and types. It changes nothing; what an admitted record does is
 // rec.Apply's. The whole pipeline runs inside one volume's domain: the
@@ -218,7 +314,7 @@ const (
 // every touched object and breaks the callback breaks to deliver once
 // v.mu, which the caller holds, is released.
 func applyBatchLocked(v *volume, client string, recs []cml.Record, mode batchMode, wantChain uint32, sc obs.SpanContext) (failed int, res wire.RecordResult, statuses []codafs.Status, breaks []breakWork, err error) {
-	defer v.overlay.reset()
+	defer v.overlay.end()
 	if failed, res = stageLocked(v, client, recs); failed < 0 {
 		if err = journalBatchLocked(v, client, recs, mode, wantChain, sc); err == nil {
 			statuses, breaks = commitApply(&v.overlay, client)
@@ -232,7 +328,7 @@ func applyBatchLocked(v *volume, client string, recs []cml.Record, mode batchMod
 // recovery (journaled already) and the administrative writes (never
 // journaled or replicated).
 func commitBatchLocked(v *volume, client string, recs []cml.Record) (failed int, res wire.RecordResult, statuses []codafs.Status, breaks []breakWork) {
-	defer v.overlay.reset()
+	defer v.overlay.end()
 	if failed, res = stageLocked(v, client, recs); failed < 0 {
 		statuses, breaks = commitApply(&v.overlay, client)
 	}
@@ -240,55 +336,73 @@ func commitBatchLocked(v *volume, client string, recs []cml.Record) (failed int,
 }
 
 // stageLocked admits each record in order (admitRecord) and applies it
-// (cml.Record.Apply) to the volume's overlay, for the caller to commit or
-// drop. It returns the index and result of the first record refused, or
-// -1. Caller holds v.mu.
+// (cml.Record.Apply) through the volume's applyCtx, for the caller to
+// commit or, by ending the batch uncommitted, undo. It returns the
+// index and result of the first record refused, or -1. Caller holds
+// v.mu.
 func stageLocked(v *volume, client string, recs []cml.Record) (failed int, res wire.RecordResult) {
 	a := &v.overlay
 	if a.v == nil {
-		*a = applyCtx{v: v, objs: make(map[codafs.FID]*codafs.Object)}
+		*a = applyCtx{
+			v:       v,
+			slots:   make(map[codafs.FID]int, overlaySlots),
+			saved:   make([]savedObj, 0, overlaySlots),
+			entries: make([]savedEntry, 0, overlaySlots),
+		}
 	}
 	for i := range recs {
 		if res = admitRecord(a, &recs[i], client); !res.OK {
 			return i, res
 		}
+		a.saveEntries(&recs[i])
 		recs[i].Apply(a)
 	}
 	return -1, res
 }
 
-// reset empties the overlay once its batch is committed or dropped.
-func (a *applyCtx) reset() {
-	clear(a.objs)
+// end finishes the batch: undone unless commitApply installed
+// it — a record refused, or the journal write failed — and then emptied,
+// dropping its hold on saved contents.
+func (a *applyCtx) end() {
+	if !a.done {
+		a.undo()
+	}
+	clear(a.slots)
+	clear(a.saved)
+	a.saved = a.saved[:0]
+	clear(a.entries)
+	a.entries = a.entries[:0]
 	a.touched = a.touched[:0]
+	a.done = false
 }
 
-// commitApply installs the overlay into the volume — the only installer
-// of objects but a volume's creation and an image install — stamping
-// each touched object with the next volume stamp, and returns their new
-// statuses plus the callback breaks to deliver (after a.v.mu is
-// released). Must be called with a.v.mu held.
+// commitApply installs the staged batch into the volume — the only
+// installer of objects but a volume's creation and an image install —
+// stamping each touched object, once, with the next volume stamp, and
+// returns their new statuses plus the callback breaks to deliver (after
+// a.v.mu is released). Must be called with a.v.mu held.
 func commitApply(a *applyCtx, client string) (statuses []codafs.Status, breaks []breakWork) {
-	seen := make(map[codafs.FID]bool)
+	a.done = true
 	for _, fid := range a.touched {
-		if seen[fid] {
+		s := a.slot(fid) // an object only touched (moved by a rename) gets its slot here
+		if s.stamped {
 			continue
 		}
-		seen[fid] = true
+		s.stamped = true
 
 		breaks = append(breaks, a.v.collectBreaksLocked(fid, client))
-		obj, copied := a.objs[fid]
-		if copied && obj == nil {
+		obj := s.obj
+		if s.made && obj == nil {
 			delete(a.v.objects, fid)
 			delete(a.v.lastAuthor, fid)
 			delete(a.v.objCallbacks, fid)
 			a.v.info.Stamp++
 			continue
 		}
-		if !copied {
-			// Touched without modification (e.g. the object moved by a
-			// rename): bump the base object in place.
-			if obj = a.v.objects[fid]; obj == nil {
+		if !s.made {
+			// The volume's own object, changed in place or only touched
+			// (e.g. the object moved by a rename).
+			if obj = s.live; obj == nil {
 				continue
 			}
 		}

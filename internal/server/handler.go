@@ -12,8 +12,9 @@ import (
 )
 
 // handle dispatches one incoming RPC. Connected-mode mutations and
-// reintegration share the applyCtx machinery, so conflict semantics are
-// identical whichever path an update takes to the server.
+// reintegration share one pipeline (applyBatchLocked: admit, stage in
+// place, journal, commit or undo), so conflict semantics are identical
+// whichever path an update takes to the server.
 //
 // Each handler resolves its request to a volume under the registry lock,
 // then executes entirely inside that volume's domain, so requests for

@@ -8,8 +8,9 @@
 // hold on the object and on the volume.
 //
 // Reintegration (§4.3) is atomic: a chunk of CML records is validated and
-// applied under an all-or-nothing overlay, so a failure — conflict, crash,
-// or network loss — leaves no server state that would hinder a retry.
+// staged in the volume's objects with an undo list, all or nothing, so a
+// failure — conflict, crash, or network loss — leaves no server state
+// that would hinder a retry.
 // Large files arrive ahead of reintegration as resumable fragments
 // (§4.3.5); the server assembles them and only then lets the Reintegrate
 // that references them proceed, the reverse of the strong-connectivity
@@ -266,8 +267,8 @@ type volume struct {
 	shippedLSN uint64
 	shipTok    *simtime.Queue[struct{}]
 
-	// overlay is the volume's one apply overlay (apply.go), made on the
-	// first batch and reused by every later one. Guarded by mu.
+	// overlay stages the volume's batches (apply.go), made on the first
+	// batch and reused by every later one. Guarded by mu.
 	overlay applyCtx
 }
 

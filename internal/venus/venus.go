@@ -364,10 +364,9 @@ func (v *Venus) CacheStats() CacheStats {
 // CMLBytes returns the total bytes awaiting reintegration across volumes.
 func (v *Venus) CMLBytes() int64 {
 	v.mu.Lock()
-	vols := v.volumeList()
-	v.mu.Unlock()
+	defer v.mu.Unlock()
 	var n int64
-	for _, vc := range vols {
+	for _, vc := range v.volumes {
 		n += vc.log.Bytes()
 	}
 	return n
@@ -376,10 +375,9 @@ func (v *Venus) CMLBytes() int64 {
 // CMLRecords returns the total record count awaiting reintegration.
 func (v *Venus) CMLRecords() int {
 	v.mu.Lock()
-	vols := v.volumeList()
-	v.mu.Unlock()
+	defer v.mu.Unlock()
 	n := 0
-	for _, vc := range vols {
+	for _, vc := range v.volumes {
 		n += vc.log.Len()
 	}
 	return n
@@ -388,10 +386,9 @@ func (v *Venus) CMLRecords() int {
 // OptimizedBytes returns cumulative bytes saved by CML optimizations.
 func (v *Venus) OptimizedBytes() int64 {
 	v.mu.Lock()
-	vols := v.volumeList()
-	v.mu.Unlock()
+	defer v.mu.Unlock()
 	var n int64
-	for _, vc := range vols {
+	for _, vc := range v.volumes {
 		n += vc.log.SavedBytes()
 	}
 	return n

@@ -110,10 +110,10 @@ results:
 # And a cache hit's path memo stays true by one rule: in Venus only
 # cache.install, cache.recharge and cache.remove write the namespace
 # generation (cache.gen), and only walk reads or writes the memo
-# (Venus.memo, Venus.memoGen). And rpc2 serves a request on a kept
-# handler worker: outside tests it starts a goroutine only in NewNode
-# (its receive loop and reply-cache sweeper) and in Node.serve, which
-# starts a worker when none is idle. And the server stages a batch in
+# (Venus.memo, Venus.memoGen). And rpc2 serves each request as a tracked
+# goroutine of its own: outside tests it starts one only in NewNode (its
+# receive loop) and in Node.serve, which under Sim runs on a carrier the
+# clock reuses. And the server stages a batch in
 # place with an undo list, so a batch costs what its records change:
 # server/apply.go calls no .Clone() (a directory's clone copies its whole
 # entry map).

@@ -61,7 +61,7 @@ func TestAllocReplicatedReintegrate(t *testing.T) {
 		})
 		grp.Close()
 	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs > 685 {
-		t.Errorf("one replicated reintegration: %v allocs, want ≤ 685", allocs)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 672 {
+		t.Errorf("one replicated reintegration: %v allocs, want ≤ 672", allocs)
 	}
 }

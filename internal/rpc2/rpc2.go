@@ -141,10 +141,7 @@ type Node struct {
 	// replyCache remembers recent replies per peer for duplicate
 	// suppression (at-most-once execution).
 	replyCache map[string]*peerCache
-	// idle holds the queues of parked handler workers, most recently
-	// idled last; see serve.
-	idle   []*simtime.Queue[func()]
-	closed bool
+	closed     bool
 
 	epoch time.Time // base for 32-bit microsecond timestamps
 	// inc is the node's incarnation, stamped on every request it issues
@@ -251,7 +248,7 @@ func NewNode(clock simtime.Clock, conn netsim.PacketConn, mon *netmon.Monitor, h
 	mon.Observe(reg, self)
 	n.engine = sftp.NewEngine(clock, mon, n.sendSFTP, reg, self)
 	clock.Go(n.recvLoop)
-	clock.Go(n.sweepReplyCache)
+	simtime.Every(clock, replySweepInterval, n.sweepReplyCache)
 	return n
 }
 
@@ -261,32 +258,31 @@ func NewNode(clock simtime.Clock, conn netsim.PacketConn, mon *netmon.Monitor, h
 // tick sweeps the engine: a side-effect transfer whose header packet
 // never came has no Await to free it, and after an interval untouched
 // (sftpAwaitSlack, and beyond a live sender's backoff) is past claiming.
-func (n *Node) sweepReplyCache() {
-	for {
-		n.clock.Sleep(replySweepInterval)
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return
-		}
-		// Probe in sorted order: Peer registers gauges on first sight,
-		// and that registration order must not depend on map iteration.
-		srcs := make([]string, 0, len(n.replyCache))
-		for src := range n.replyCache {
-			srcs = append(srcs, src)
-		}
-		sort.Strings(srcs)
-		for _, src := range srcs {
-			if len(n.replyCache[src].inProgress) > 0 {
-				continue
-			}
-			if !n.mon.Peer(src).Alive(replyCacheTTL) {
-				delete(n.replyCache, src)
-			}
-		}
+// It runs every replySweepInterval until the first tick after Close.
+func (n *Node) sweepReplyCache() bool {
+	n.mu.Lock()
+	if n.closed {
 		n.mu.Unlock()
-		n.engine.Sweep()
+		return false
 	}
+	// Probe in sorted order: Peer registers gauges on first sight,
+	// and that registration order must not depend on map iteration.
+	srcs := make([]string, 0, len(n.replyCache))
+	for src := range n.replyCache {
+		srcs = append(srcs, src)
+	}
+	sort.Strings(srcs)
+	for _, src := range srcs {
+		if len(n.replyCache[src].inProgress) > 0 {
+			continue
+		}
+		if !n.mon.Peer(src).Alive(replyCacheTTL) {
+			delete(n.replyCache, src)
+		}
+	}
+	n.mu.Unlock()
+	n.engine.Sweep()
+	return true
 }
 
 // ReplyCacheSize reports how many peers currently have cached replies
@@ -315,8 +311,7 @@ func (n *Node) AwaitTransfer(src string, id uint64, timeout time.Duration) ([]by
 	return n.engine.Await(src, userXferID(id), timeout)
 }
 
-// Close shuts the node down; in-flight calls fail with ErrClosed, and
-// idle handler workers end.
+// Close shuts the node down; in-flight calls fail with ErrClosed.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -327,10 +322,6 @@ func (n *Node) Close() {
 	for _, q := range n.pending {
 		q.Close()
 	}
-	for _, q := range n.idle {
-		q.Close()
-	}
-	n.idle = nil
 	n.mu.Unlock()
 	_ = n.conn.Close()
 }
@@ -648,44 +639,12 @@ func (n *Node) handleRequest(src string, flags byte, seq uint64, ts, inc uint32,
 	})
 }
 
-// serve runs job on a handler worker: the most recently idled one, woken
-// through its own queue, or a new one when none is idle. A worker outlives
-// its job and keeps the stack it grew, so a served request costs one
-// hand-off, not a goroutine start and the stack growth of a handler's
-// deep frames; the pool grows to the node's peak number of concurrent
-// jobs. Under Sim a woken worker becomes runnable at the same instant and
-// under the same accounting as a new goroutine would, so the event order
-// is the same either way.
+// serve runs job as a tracked goroutine of its own. Under Sim it runs on
+// a carrier that an earlier goroutine of the same Run left idle, so a
+// served request costs one switch, not a goroutine start and the stack
+// growth of a handler's deep frames.
 func (n *Node) serve(job func()) {
-	n.mu.Lock()
-	if k := len(n.idle) - 1; k >= 0 {
-		q := n.idle[k]
-		n.idle[k] = nil
-		n.idle = n.idle[:k]
-		n.mu.Unlock()
-		q.Put(job)
-		return
-	}
-	n.mu.Unlock()
-	n.clock.Go(func() { n.work(job) })
-}
-
-// work is a handler worker's loop. The worker owns its queue; after each
-// job it lists the queue in n.idle and parks in Get. Close closes every
-// listed queue, which ends its worker, and a worker busy at Close ends
-// when its job does.
-func (n *Node) work(job func()) {
-	q := simtime.NewQueue[func()](n.clock)
-	for ok := true; ok; job, ok = q.Get() {
-		job()
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return
-		}
-		n.idle = append(n.idle, q)
-		n.mu.Unlock()
-	}
+	n.clock.Go(job)
 }
 
 // shipReply transfers the side effect of pc's cached reply seq. The

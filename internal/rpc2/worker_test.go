@@ -2,9 +2,7 @@ package rpc2
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,63 +11,48 @@ import (
 	"repro/internal/simtime"
 )
 
-// workers counts the goroutines running n's handler worker loop, by the
-// receiver in their stacks. A goroutine still running on another thread
-// shows no stack, and one that has just parked in the Sim may be that
-// until it blocks, so it waits (in real time) for the caller to be the
-// only one running.
-func workers(n *Node) int {
-	frame := fmt.Sprintf("repro/internal/rpc2.(*Node).work(%p,", n)
-	buf := make([]byte, 1<<20)
-	for wait := time.Now(); ; runtime.Gosched() {
-		dump := string(buf[:runtime.Stack(buf, true)])
-		if strings.Count(dump, "[running]") == 1 || time.Since(wait) > 2*time.Second {
-			return strings.Count(dump, frame)
-		}
-	}
-}
-
-// idleQueues returns the queues of n's idle workers.
-func idleQueues(n *Node) []*simtime.Queue[func()] {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]*simtime.Queue[func()](nil), n.idle...)
+// goid returns the calling goroutine's id, from its stack header.
+func goid() string {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	return string(b[:bytes.IndexByte(b, ' ')])
 }
 
 // TestWorkerServesSequentialCalls: calls that never overlap are all
-// served by one handler goroutine, idle between them.
+// served on one goroutine, the carrier the kernel keeps idle between them.
 func TestWorkerServesSequentialCalls(t *testing.T) {
 	w := newWorld(21, netsim.Ethernet.Params())
 	w.sim.Run(func() {
-		srv := w.node("server", echoHandler)
+		served := make(map[string]int)
+		srv := w.node("server", func(src string, sc obs.SpanContext, body []byte) ([]byte, error) {
+			served[goid()]++
+			return echoHandler(src, sc, body)
+		})
 		c := w.node("client", nil)
 		for i := range 20 {
 			if _, err := c.Call("server", []byte{byte(i)}, CallOpts{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := workers(srv); got != 1 {
-			t.Errorf("20 sequential calls ran on %d handler workers, want 1", got)
-		}
-		if got := len(idleQueues(srv)); got != 1 {
-			t.Errorf("%d idle workers, want 1", got)
+		if len(served) != 1 {
+			t.Errorf("20 sequential calls ran on %d goroutines, want 1: %v", len(served), served)
 		}
 		srv.Close()
 		c.Close()
 	})
 }
 
-// TestWorkersGrowToPeakAndAreReused: K handlers blocked at once hold K
-// workers; once they return, the next K concurrent calls run on the same
-// K workers and start none.
+// TestWorkersGrowToPeakAndAreReused: K handlers blocked at once run on K
+// goroutines; once they and their callers have returned, the next K
+// concurrent calls and their handlers run on the carriers they left.
 func TestWorkersGrowToPeakAndAreReused(t *testing.T) {
 	const k = 5
 	w := newWorld(22, netsim.Ethernet.Params())
 	w.sim.Run(func() {
-		entered := simtime.NewQueue[struct{}](w.sim)
+		entered := simtime.NewQueue[string](w.sim)
 		gate := simtime.NewQueue[struct{}](w.sim)
 		srv := w.node("server", func(_ string, _ obs.SpanContext, body []byte) ([]byte, error) {
-			entered.Put(struct{}{})
+			entered.Put(goid())
 			gate.Get()
 			return bytes.Clone(body), nil
 		})
@@ -77,51 +60,40 @@ func TestWorkersGrowToPeakAndAreReused(t *testing.T) {
 		for i := range clients {
 			clients[i] = w.node(string(rune('a'+i)), nil)
 		}
-		round := func() {
-			done := simtime.NewQueue[error](w.sim)
+		// round returns the goroutines its callers and handlers ran on.
+		round := func() map[string]bool {
+			done := simtime.NewQueue[string](w.sim)
 			for _, c := range clients {
 				w.sim.Go(func() {
-					_, err := c.Call("server", []byte("x"), CallOpts{})
-					done.Put(err)
+					if _, err := c.Call("server", []byte("x"), CallOpts{}); err != nil {
+						t.Error(err)
+					}
+					done.Put(goid())
 				})
 			}
+			ids := make(map[string]bool)
 			for range k {
-				entered.Get()
+				id, _ := entered.Get()
+				ids[id] = true
 			}
-			if got := workers(srv); got != k {
-				t.Errorf("%d handlers blocked on %d workers, want %d", k, got, k)
+			if len(ids) != k {
+				t.Errorf("%d blocked handlers ran on %d goroutines, want %d", k, len(ids), k)
 			}
 			for range k {
 				gate.Put(struct{}{})
 			}
 			for range k {
-				if err, _ := done.Get(); err != nil {
-					t.Error(err)
-				}
+				id, _ := done.Get()
+				ids[id] = true
 			}
+			return ids
 		}
 
-		round()
-		first := idleQueues(srv)
-		if len(first) != k {
-			t.Fatalf("%d idle workers after the first round, want %d", len(first), k)
-		}
-		round()
-		second := idleQueues(srv)
-		if len(second) != k {
-			t.Fatalf("%d idle workers after the second round, want %d", len(second), k)
-		}
-		for _, q := range second {
-			found := false
-			for _, p := range first {
-				found = found || p == q
+		first := round()
+		for id := range round() {
+			if !first[id] {
+				t.Errorf("the second round ran on goroutine %s, new; the first round's %d were idle", id, len(first))
 			}
-			if !found {
-				t.Error("the second round started a worker; every one of the first round was idle")
-			}
-		}
-		if got := workers(srv); got != k {
-			t.Errorf("%d workers after two rounds, want %d", got, k)
 		}
 		srv.Close()
 		for _, c := range clients {
@@ -184,8 +156,9 @@ func TestBlockedWorkerDelaysNoOtherPeer(t *testing.T) {
 	}
 }
 
-// TestCloseEndsWorkers: Close ends every idle worker, and the node's other
-// goroutines end with it, so the process is back to its goroutine count.
+// TestCloseEndsWorkers: once the handlers have returned and the nodes are
+// closed, the node's goroutines end and the Run's idle carriers with it,
+// so the process is back to its goroutine count.
 func TestCloseEndsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := newWorld(24, netsim.Ethernet.Params())
@@ -207,9 +180,6 @@ func TestCloseEndsWorkers(t *testing.T) {
 		}
 		for range clients {
 			done.Get()
-		}
-		if got := len(idleQueues(srv)); got != len(clients) {
-			t.Errorf("%d idle workers, want %d", got, len(clients))
 		}
 		srv.Close()
 		for _, c := range clients {

@@ -324,7 +324,7 @@ func New(clock simtime.Clock, conn netsim.PacketConn, opts ...Option) *Server {
 	s.addr = conn.LocalAddr()
 	s.initMetrics(conn.LocalAddr())
 	s.node = rpc2.NewNode(clock, conn, netmon.NewMonitor(clock), s.handle, s.obs)
-	clock.Go(s.sweepLoop)
+	simtime.Every(clock, sweepInterval, s.sweep)
 	return s
 }
 
@@ -425,19 +425,17 @@ func (v *volume) id() codafs.VolumeID { return v.info.ID }
 
 // ---- Maintenance sweep ----
 
-// sweepLoop reclaims abandoned fragment buffers and stale client-table
-// entries until the server closes.
-func (s *Server) sweepLoop() {
-	for {
-		s.clock.Sleep(sweepInterval)
-		select {
-		case <-s.stopped:
-			return
-		default:
-		}
-		s.sweepFrags()
-		s.sweepClients()
+// sweep reclaims abandoned fragment buffers and stale client-table
+// entries every sweepInterval, until the first tick after Close.
+func (s *Server) sweep() bool {
+	select {
+	case <-s.stopped:
+		return false
+	default:
 	}
+	s.sweepFrags()
+	s.sweepClients()
+	return true
 }
 
 // sweepFrags drops fragment buffers whose transfer has gone idle past

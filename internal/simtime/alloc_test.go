@@ -76,3 +76,23 @@ func TestAllocQueueHandoff(t *testing.T) {
 		ping.Close()
 	})
 }
+
+// TestAllocSimGo: once a carrier is idle, a Go of a function that
+// returns without parking runs on it and costs only its closure.
+func TestAllocSimGo(t *testing.T) {
+	s := NewSim(Epoch1995)
+	s.Run(func() {
+		var n int
+		spawn := func() {
+			s.Go(func() { n++ })
+			s.Sleep(0) // the new goroutine runs, returns and leaves its carrier idle
+		}
+		spawn()
+		if allocs := testing.AllocsPerRun(200, spawn); allocs > 1 {
+			t.Errorf("Go: %v allocs, want ≤ 1", allocs)
+		}
+		if n != 202 {
+			t.Errorf("%d goroutines ran, want 202", n)
+		}
+	})
+}

@@ -317,11 +317,11 @@ func TestHandoff(t *testing.T) {
 					ack.Put(v)
 				}
 			})
-			var first *qwaiter[int]
+			var first *waiter
 			for i := 0; i < 50; i++ {
 				s.Sleep(time.Millisecond) // the consumer is parked again
 				s.mu.Lock()
-				w := q.waiters[0]
+				w := q.waiters
 				s.mu.Unlock()
 				if first == nil {
 					first = w

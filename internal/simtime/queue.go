@@ -20,22 +20,11 @@ type Queue[T any] struct {
 	mu      sync.Mutex // guards the fields below in Real mode; s.mu in Sim mode
 	items   []T        // buffered items are items[head:]
 	head    int
-	waiters []*qwaiter[T] // oldest first; never non-empty while items is
+	handed  int     // items[head:head+handed] are promised to woken waiters, oldest first
+	waiters *waiter // oldest first, linked through waiter.next and ending at lastW;
+	lastW   *waiter // never non-empty while an unpromised item is buffered
 	closed  bool
-	free    *qwaiter[T]  // reusable waiter records; see waiter for the ownership rule
-	freeDel *delivery[T] // reusable PutAfter records, same rule
-}
-
-// qwaiter is one goroutine parked in Get/GetTimeout, and the slot Put
-// hands its item into. Put, Close and the deadline each take the waiter off
-// q.waiters as they resolve it, under the queue lock, so it is resolved once.
-type qwaiter[T any] struct {
-	waiter
-	q     *Queue[T]
-	item  T
-	got   bool // item was handed over by Put
-	woken bool // resolved; a Real-clock deadline may still run afterwards
-	next  *qwaiter[T]
+	freeDel *delivery[T] // reusable PutAfter records
 }
 
 // delivery is one PutAfter in flight under Sim: the item and the event
@@ -107,15 +96,14 @@ func (q *Queue[T]) PutAfter(d time.Duration, v T) {
 		q.freeDel = dl.next
 	} else {
 		dl = &delivery[T]{q: q}
-		dl.ev.index = -1
-		dl.ev.fire = dl.land
+		dl.ev = event{owner: dl, index: -1}
 	}
 	dl.item = v
 	q.s.scheduleLocked(&dl.ev, d)
 }
 
-// land is a delivery's fire: it runs with s.mu held.
-func (dl *delivery[T]) land() {
+// fire lands the delivery: it runs with s.mu held.
+func (dl *delivery[T]) fire() {
 	var zero T
 	q, v := dl.q, dl.item
 	dl.item = zero // release for GC
@@ -124,23 +112,24 @@ func (dl *delivery[T]) land() {
 	q.putLocked(v)
 }
 
+// putLocked buffers v and, when a consumer waits, promises it to the
+// oldest one: the waiter takes it from the front of the buffer when it
+// runs, and no other Get can take it first.
 func (q *Queue[T]) putLocked(v T) {
 	if q.closed {
 		return
 	}
-	if len(q.waiters) == 0 {
-		if q.head > 0 && len(q.items) == cap(q.items) {
-			// Reclaim the consumed prefix before growing.
-			n := copy(q.items, q.items[q.head:])
-			clear(q.items[n:])
-			q.items, q.head = q.items[:n], 0
-		}
-		q.items = append(q.items, v)
-		return
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Reclaim the consumed prefix before growing.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
-	w := q.waiters[0]
-	w.item, w.got = v, true
-	q.wakeLocked(w)
+	q.items = append(q.items, v)
+	if q.waiters != nil {
+		q.handed++
+		q.wakeLocked(q.waiters, true)
+	}
 }
 
 // Get removes and returns the oldest item, blocking until one is available.
@@ -166,7 +155,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 func (q *Queue[T]) Len() int {
 	q.lock()
 	defer q.unlock()
-	return len(q.items) - q.head
+	return len(q.items) - q.head - q.handed
 }
 
 // Close wakes all waiters and makes future Gets fail once drained.
@@ -177,17 +166,26 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for len(q.waiters) > 0 {
-		q.wakeLocked(q.waiters[0])
+	for q.waiters != nil {
+		q.wakeLocked(q.waiters, false)
 	}
 }
 
+// popLocked removes the oldest item nobody was promised.
 func (q *Queue[T]) popLocked() (T, bool) {
-	var zero T
-	if q.head == len(q.items) {
+	if q.head+q.handed == len(q.items) {
+		var zero T
 		return zero, false
 	}
-	v := q.items[q.head]
+	return q.removeLocked(q.head + q.handed), true
+}
+
+// removeLocked takes items[i] out of the buffer, head <= i <= head+handed;
+// the promised items before it move up one, in order.
+func (q *Queue[T]) removeLocked(i int) T {
+	var zero T
+	v := q.items[i]
+	copy(q.items[q.head+1:i+1], q.items[q.head:i])
 	q.items[q.head] = zero // release for GC
 	q.head++
 	if q.head == len(q.items) {
@@ -195,34 +193,52 @@ func (q *Queue[T]) popLocked() (T, bool) {
 		// array instead of creeping through fresh ones.
 		q.items, q.head = q.items[:0], 0
 	}
-	return v, true
+	return v
 }
 
-// wakeLocked resolves w, which must be listed: it leaves q.waiters, its
-// deadline is disarmed, and its goroutine becomes runnable.
-func (q *Queue[T]) wakeLocked(w *qwaiter[T]) {
-	for i := range q.waiters {
-		if q.waiters[i] == w {
-			copy(q.waiters[i:], q.waiters[i+1:])
-			q.waiters[len(q.waiters)-1] = nil
-			q.waiters = q.waiters[:len(q.waiters)-1]
-			break
-		}
+// listLocked appends w to the waiters.
+func (q *Queue[T]) listLocked(w *waiter) {
+	w.next = nil
+	if q.lastW == nil {
+		q.waiters = w
+	} else {
+		q.lastW.next = w
 	}
-	w.woken = true
+	q.lastW = w
+}
+
+// wakeLocked resolves w, which must be listed: it leaves the waiters, its
+// deadline is disarmed, and its goroutine becomes runnable. got says Put
+// promised it an item.
+func (q *Queue[T]) wakeLocked(w *waiter, got bool) {
+	var prev *waiter
+	for x := q.waiters; x != w; x = x.next {
+		prev = x
+	}
+	if prev == nil {
+		q.waiters = w.next
+	} else {
+		prev.next = w.next
+	}
+	if q.lastW == w {
+		q.lastW = prev
+	}
+	w.next, w.on, w.got, w.woken = nil, nil, got, true
 	if q.s != nil {
 		q.s.cancelLocked(&w.ev)
-		q.s.unparkLocked()
+		q.s.wakeLocked(w.p)
+	} else {
+		w.ch <- struct{}{}
 	}
-	w.ch <- struct{}{}
 }
 
-// expire is w's deadline, run with the queue lock held: the Sim event's
-// fire, or the body of the Real clock's AfterFunc callback — which, unlike
-// a Sim event, cannot be disarmed once started and so may find w resolved.
-func (w *qwaiter[T]) expire() {
+// expireLocked is w's deadline, run with the queue lock held: the Sim
+// event's fire, or the body of the Real clock's AfterFunc callback — which,
+// unlike a Sim event, cannot be disarmed once started and so may find w
+// resolved.
+func (q *Queue[T]) expireLocked(w *waiter) {
 	if !w.woken {
-		w.q.wakeLocked(w)
+		q.wakeLocked(w, false)
 	}
 }
 
@@ -237,55 +253,53 @@ func (q *Queue[T]) get(timed bool, d time.Duration) (T, bool) {
 		q.unlock()
 		return zero, false
 	}
-	if timed && q.s != nil && q.s.advanceInlineLocked(d) {
+	if q.s == nil {
+		return q.getReal(timed, d)
+	}
+	if timed && q.s.advanceInlineLocked(d) {
 		// Nobody else can run, and nothing fires, before the deadline:
 		// the queue is still empty then.
 		q.unlock()
 		return zero, false
 	}
-
-	w := q.free
-	if w != nil {
-		q.free = w.next
-		w.got, w.woken = false, false
-	} else {
-		w = &qwaiter[T]{q: q}
-		w.ch = make(chan struct{}, 1)
-		w.ev.index = -1
-		w.ev.fire = w.expire
-	}
-	q.waiters = append(q.waiters, w)
-
-	// stop is set only for a Real-clock deadline, which runs in a timer
-	// goroutine that may still hold w after Stop reports false.
-	var stop func() bool
+	p := q.s.curLocked()
+	w := &p.waiter
+	w.on, w.got, w.woken = q, false, false
+	q.listLocked(w)
 	if timed {
-		if q.s != nil {
-			q.s.scheduleLocked(&w.ev, d)
-		} else {
-			stop = q.clock.AfterFunc(d, func() {
-				q.mu.Lock()
-				defer q.mu.Unlock()
-				w.expire()
-			}).Stop
-		}
+		q.s.scheduleLocked(&w.ev, d)
 	}
-	if q.s != nil {
-		// Sim: park while still holding s.mu, then release and block.
-		// The park may advance time and even fire our own wakeup before
-		// we reach the receive; the token waits in the channel.
-		q.s.parkLocked()
-	}
-	q.unlock()
+	q.s.parkLocked(p)
+	return q.takeLocked(w)
+}
 
+// getReal is get's wait under the Real clock, entered with q.mu held.
+func (q *Queue[T]) getReal(timed bool, d time.Duration) (T, bool) {
+	w := &waiter{ch: make(chan struct{}, 1)}
+	q.listLocked(w)
+	var deadline *Timer
+	if timed {
+		deadline = q.clock.AfterFunc(d, func() {
+			q.mu.Lock()
+			defer q.mu.Unlock()
+			q.expireLocked(w)
+		})
+	}
+	q.mu.Unlock()
 	<-w.ch
+	if deadline != nil {
+		deadline.Stop()
+	}
+	q.mu.Lock()
+	return q.takeLocked(w)
+}
 
-	q.lock()
-	v, ok := w.item, w.got
-	if stop == nil || stop() {
-		w.item = zero // release for GC
-		w.next = q.free
-		q.free = w
+// takeLocked ends a wait, with the queue lock held, and releases it: a
+// waiter that was promised an item takes the oldest promised one.
+func (q *Queue[T]) takeLocked(w *waiter) (v T, ok bool) {
+	if w.got {
+		q.handed--
+		v, ok = q.removeLocked(q.head), true
 	}
 	q.unlock()
 	return v, ok

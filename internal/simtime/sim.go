@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sync"
 	"time"
@@ -9,16 +10,25 @@ import (
 
 // Sim is a discrete-event virtual clock.
 //
-// A Sim tracks goroutines: the one that calls Run, plus any started with Go
-// or AfterFunc. Virtual time advances only when every tracked goroutine is
-// parked inside a simtime primitive (Sleep, Queue.Get, ...). At that moment
-// the earliest pending event fires, waking exactly the goroutines it names,
-// and execution resumes at the event's timestamp. Events at equal timestamps
-// fire in scheduling order (FIFO), which keeps runs reproducible.
+// A Sim tracks goroutines ("procs"): the one that calls Run, plus any
+// started with Go or AfterFunc. It runs exactly one of them at a time. The
+// others wait in a FIFO run queue or are parked inside a simtime primitive
+// (Sleep, Queue.Get, ...). A proc gives up the processor only by parking
+// or returning; then the oldest runnable proc runs. Procs started by Go or
+// AfterFunc run on carriers, coroutines made with iter.Pull, so switching
+// between procs is a direct goroutine switch that involves no scheduler
+// wake-up; a finished proc's carrier runs the next Go or AfterFunc of the
+// same Run.
 //
-// A goroutine that blocks while it is the only runnable one, with nothing
-// due before its own wakeup, is that earliest event: Sleep and an expiring
-// GetTimeout then move the clock with an assignment instead of parking
+// Virtual time advances only when the run queue is empty. Then the
+// earliest pending event fires, which makes runnable exactly the procs it
+// names, and execution resumes at the event's timestamp. Events at equal
+// timestamps fire in scheduling order (FIFO), and procs run in the order
+// they became runnable, which keeps runs reproducible.
+//
+// A proc that blocks with the run queue empty and nothing due before its
+// own wakeup is that earliest event: Sleep and an expiring GetTimeout then
+// move the clock with an assignment instead of parking
 // (advanceInlineLocked).
 //
 // If every tracked goroutine is parked and no events are pending, the
@@ -29,15 +39,23 @@ type Sim struct {
 	at      int64 // now as an offset from the start, in ns: the heap's key (see after)
 	seq     int64
 	events  eventHeap
-	running int      // tracked goroutines currently runnable
-	parked  int      // tracked goroutines blocked in a simtime primitive
-	inRun   bool     // a Run call is active; time may advance
-	free    *sleeper // reusable waiter records for Sleep; see waiter
+	head    *proc         // the run queue, oldest first, linked through proc.next,
+	tail    *proc         // ends at tail
+	cur     *proc         // the proc running now; nil when none is
+	parked  int           // procs blocked in a simtime primitive
+	inRun   bool          // a Run call is active
+	live    bool          // that Run's fn has not returned: time may advance
+	driving bool          // a goroutine is running procs: Run's, or one started outside Run
+	idle    *proc         // carriers whose proc returned during this Run, for reuse
+	drained chan struct{} // closed when a driver started outside Run stops; made by a Run that waits for it
+	main    proc          // the goroutine that calls Run; it runs on no carrier
 }
 
 // NewSim returns a Sim whose clock reads start.
 func NewSim(start time.Time) *Sim {
-	return &Sim{now: start}
+	s := &Sim{now: start}
+	s.main.init(s)
+	return s
 }
 
 // Epoch1995 is a convenient simulation start time contemporary with the
@@ -45,27 +63,54 @@ func NewSim(start time.Time) *Sim {
 var Epoch1995 = time.Date(1995, time.July, 1, 9, 0, 0, 0, time.UTC)
 
 // Run executes fn on the virtual clock, tracking the calling goroutine.
-// It returns when fn returns. fn must join (via Queue) any goroutines whose
-// completion it depends on: once Run returns, time stops advancing, so
-// stragglers parked on the clock stay parked. Run calls must not nest, but
-// sequential Run calls on the same Sim continue from the current time.
+// It returns once fn has returned and the run queue is empty; procs that
+// became runnable before then run to their next park, but time does not
+// move. fn must join (via Queue) any goroutines whose completion it
+// depends on: once fn returns, time stops advancing, so stragglers parked
+// on the clock stay parked. Run calls must not nest, but sequential Run
+// calls on the same Sim continue from the current time.
+//
+// A panic in any tracked goroutine surfaces from Run with its value, and a
+// runtime.Goexit in one (a t.FailNow) ends Run's goroutine, because a
+// carrier hands both to the goroutine that switched into it.
 func (s *Sim) Run(fn func()) {
 	s.mu.Lock()
 	if s.inRun {
 		s.mu.Unlock()
 		panic("simtime: nested Sim.Run")
 	}
-	s.inRun = true
-	s.running++
-	s.mu.Unlock()
-
-	defer func() {
-		s.mu.Lock()
-		s.inRun = false
-		s.running--
+	for s.driving { // a driver started outside Run is still at work
+		if s.drained == nil {
+			s.drained = make(chan struct{})
+		}
+		drained := s.drained
 		s.mu.Unlock()
-	}()
+		<-drained
+		s.mu.Lock()
+	}
+	s.inRun, s.live, s.driving, s.cur = true, true, true, &s.main
+	s.mu.Unlock()
+	defer s.endRun()
+
 	fn()
+
+	s.mu.Lock()
+	s.live, s.cur = false, nil
+	s.runLocked(nil)
+	s.mu.Unlock()
+}
+
+// endRun closes a Run, normally or on the way out of a panic: nothing is
+// driving any more, and the idle carriers end.
+func (s *Sim) endRun() {
+	s.mu.Lock()
+	s.inRun, s.live, s.driving, s.cur = false, false, false, nil
+	idle := s.idle
+	s.idle = nil
+	s.mu.Unlock()
+	for p := idle; p != nil; p = p.next {
+		p.stop()
+	}
 }
 
 // Now implements Clock.
@@ -78,39 +123,26 @@ func (s *Sim) Now() time.Time {
 // Sleep implements Clock.
 func (s *Sim) Sleep(d time.Duration) {
 	s.mu.Lock()
-	if s.advanceInlineLocked(d) {
-		s.mu.Unlock()
-		return
+	if !s.advanceInlineLocked(d) {
+		p := s.curLocked()
+		s.scheduleLocked(&p.ev, d)
+		s.parkLocked(p)
 	}
-	w := s.free
-	if w != nil {
-		s.free = w.next
-	} else {
-		w = newSleeper(s)
-	}
-	s.scheduleLocked(&w.ev, d)
-	s.parkLocked()
-	s.mu.Unlock()
-
-	<-w.ch
-
-	s.mu.Lock()
-	w.next = s.free
-	s.free = w
 	s.mu.Unlock()
 }
 
 // advanceInlineLocked moves the clock to now+d without parking when doing
-// so is indistinguishable from the park path: a Run is active, the caller
-// is the only runnable tracked goroutine, and no event is due at or before
-// now+d. Parking would schedule the caller's wakeup as the newest event,
-// find the world quiescent, pop that same wakeup (every other event is
-// strictly later) and resume the caller at now+d — so it does only the
-// assignment. An event due exactly at now+d was scheduled earlier and
-// fires first under the FIFO rule, hence "at or before": that case parks,
-// and so does a wakeup past where heap keys saturate (maxAt).
+// so is indistinguishable from the park path: a Run's fn is live, the
+// caller is the current proc with nobody in the run queue behind it, and
+// no event is due at or before now+d. Parking would schedule the caller's
+// wakeup as the newest event, find the run queue empty, pop that same
+// wakeup (every other event is strictly later) and resume the caller at
+// now+d — so it does only the assignment. An event due exactly at now+d
+// was scheduled earlier and fires first under the FIFO rule, hence "at or
+// before": that case parks, and so does a wakeup past where heap keys
+// saturate (maxAt).
 func (s *Sim) advanceInlineLocked(d time.Duration) bool {
-	if !s.inRun || s.running != 1 {
+	if !s.live || s.head != nil {
 		return false
 	}
 	if d < 0 {
@@ -133,32 +165,30 @@ func (s *Sim) after(d time.Duration) int64 {
 	return s.at + int64(d)
 }
 
-// AfterFunc implements Clock.
+// AfterFunc implements Clock. When the timer fires, fn becomes a new
+// tracked goroutine at the back of the run queue.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	t := &simTimer{s: s}
-	t.ev.fire = func() {
-		s.running++
-		go func() {
-			fn()
-			s.goExit()
-		}()
-	}
-	s.scheduleLocked(&t.ev, d)
-	return &Timer{stop: t.Stop, reset: t.Reset}
+	t := &Timer{}
+	t.sim.fn = fn
+	s.startTimer(&t.sim, d)
+	return t
 }
 
-// Go implements Clock.
+// startTimer schedules t, whose fn is set, to fire d from now.
+func (s *Sim) startTimer(t *simTimer, d time.Duration) {
+	t.s = s
+	t.ev = event{owner: t, index: -1}
+	s.mu.Lock()
+	s.scheduleLocked(&t.ev, d)
+	s.mu.Unlock()
+}
+
+// Go implements Clock. fn joins the back of the run queue; outside Run it
+// runs to its first park on a driver goroutine, with time frozen.
 func (s *Sim) Go(fn func()) {
 	s.mu.Lock()
-	s.running++
+	s.spawnLocked(fn)
 	s.mu.Unlock()
-	go func() {
-		fn()
-		s.goExit()
-	}()
 }
 
 // Pending reports the number of scheduled events, for tests and diagnostics.
@@ -168,18 +198,140 @@ func (s *Sim) Pending() int {
 	return len(s.events)
 }
 
-// goExit retires a tracked goroutine started by Go or AfterFunc.
-func (s *Sim) goExit() {
+// spawnLocked makes fn a runnable proc, on an idle carrier if there is one.
+func (s *Sim) spawnLocked(fn func()) {
+	p := s.idle
+	if p != nil {
+		s.idle = p.next
+	} else {
+		p = &proc{}
+		p.init(s)
+		newCarrier(p)
+	}
+	p.fn = fn
+	s.readyLocked(p)
+}
+
+// readyLocked appends p to the run queue. Outside Run, with nobody
+// driving, it starts a driver to run it.
+func (s *Sim) readyLocked(p *proc) {
+	p.next = nil
+	if s.tail == nil {
+		s.head = p
+	} else {
+		s.tail.next = p
+	}
+	s.tail = p
+	if !s.driving {
+		s.driving = true
+		go s.drive()
+	}
+}
+
+// wakeLocked makes a parked proc runnable: an event fire or a queue
+// hand-off, with s.mu held.
+func (s *Sim) wakeLocked(p *proc) {
+	s.parked--
+	s.readyLocked(p)
+}
+
+// curLocked returns the running proc: the caller, which is about to park.
+func (s *Sim) curLocked() *proc {
+	if s.cur == nil {
+		s.mu.Unlock()
+		panic("simtime: park from a goroutine not tracked by this Sim")
+	}
+	return s.cur
+}
+
+// parkLocked blocks p, the caller, until something wakes it. The caller
+// holds s.mu, has registered its wakeup (an event or a queue waiter), and
+// holds s.mu again when parkLocked returns. The main proc runs the kernel
+// loop itself until its turn comes back; a carrier switches to the
+// driver, handing it s.mu, and gets s.mu back with its next turn.
+func (s *Sim) parkLocked(p *proc) {
+	s.parked++
+	if p == &s.main {
+		s.runLocked(p)
+		return
+	}
+	p.yield(struct{}{})
+}
+
+// runLocked is the kernel loop, run with s.mu held by whichever goroutine
+// drives: Run's, or a driver started outside Run. It switches into the
+// oldest runnable proc, handing it s.mu, and takes s.mu back when that
+// proc parks or returns. When the run queue is empty it fires events until
+// some proc is runnable again — only when self, the parked main proc, is
+// waiting, since time moves only while a Run's fn is live. It returns when
+// self's turn comes, or, for self == nil, when nobody is runnable.
+func (s *Sim) runLocked(self *proc) {
+	for {
+		p := s.head
+		if p == nil {
+			if self == nil {
+				return
+			}
+			if len(s.events) == 0 {
+				// Release the lock before panicking so deferred
+				// cleanup (Sim.Run's bookkeeping, test recovery) can
+				// acquire it during unwinding.
+				msg := fmt.Sprintf(
+					"simtime: deadlock at %s: %d goroutine(s) parked with no pending events",
+					s.now.Format(time.RFC3339), s.parked)
+				s.mu.Unlock()
+				panic(msg)
+			}
+			s.popLocked().owner.fire()
+			continue
+		}
+		s.head = p.next
+		if s.head == nil {
+			s.tail = nil
+		}
+		p.next = nil
+		s.cur = p
+		if p == self {
+			return
+		}
+		p.resume()
+		s.cur = nil
+		if p.fn == nil { // it returned: its carrier is free
+			if s.inRun {
+				p.next = s.idle
+				s.idle = p
+			} else {
+				p.stop()
+			}
+		}
+	}
+}
+
+// drive runs procs made runnable outside Run until none is, with time
+// frozen. If a proc's Goexit ends it, the deferred reset lets the next
+// wake-up or Run drive again.
+func (s *Sim) drive() {
 	s.mu.Lock()
-	s.running--
-	s.maybeAdvanceLocked()
-	s.mu.Unlock()
+	done := false
+	defer func() {
+		if !done {
+			s.mu.Lock() // a Goexit unwound through the loop with s.mu released
+		}
+		s.driving = false
+		if s.drained != nil {
+			close(s.drained)
+			s.drained = nil
+		}
+		s.mu.Unlock()
+	}()
+	s.runLocked(nil)
+	done = true
 }
 
 // scheduleLocked enqueues ev, which must not be pending, to fire at now+d.
-// It can be cancelled until it fires. ev.fire runs with s.mu held and must
-// only touch Sim-internal state (counters, waiter lists, channels); it must
-// not call public Sim or Queue methods.
+// It can be cancelled until it fires. ev's owner fires with s.mu held and
+// must only touch Sim-internal state (counters, waiter lists, the run
+// queue); it must not call public Sim or Queue methods.
 func (s *Sim) scheduleLocked(ev *event, d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -200,49 +352,6 @@ func (s *Sim) cancelLocked(ev *event) bool {
 	return true
 }
 
-// parkLocked marks the calling goroutine as blocked and, if it was the last
-// runnable one, advances virtual time. The caller must hold s.mu, must have
-// already registered a wakeup (an event or a queue waiter), and must block
-// on that wakeup after releasing s.mu.
-func (s *Sim) parkLocked() {
-	s.running--
-	s.parked++
-	if s.running < 0 {
-		panic("simtime: park from a goroutine not tracked by this Sim")
-	}
-	s.maybeAdvanceLocked()
-}
-
-// unparkLocked accounts for one parked goroutine becoming runnable. It is
-// called from event fires and queue hand-offs, with s.mu held.
-func (s *Sim) unparkLocked() {
-	s.running++
-	s.parked--
-}
-
-// maybeAdvanceLocked fires events until some goroutine is runnable again.
-func (s *Sim) maybeAdvanceLocked() {
-	if !s.inRun {
-		return // Run has finished; the simulation is frozen.
-	}
-	for s.running == 0 {
-		if len(s.events) == 0 {
-			if s.parked > 0 {
-				// Release the lock before panicking so deferred
-				// cleanup (Sim.Run's bookkeeping, test recovery) can
-				// acquire it during unwinding.
-				msg := fmt.Sprintf(
-					"simtime: deadlock at %s: %d goroutine(s) parked with no pending events",
-					s.now.Format(time.RFC3339), s.parked)
-				s.mu.Unlock()
-				panic(msg)
-			}
-			return
-		}
-		s.popLocked().fire()
-	}
-}
-
 // popLocked takes the earliest event out of the heap and moves the clock
 // to it.
 func (s *Sim) popLocked() *event {
@@ -254,53 +363,93 @@ func (s *Sim) popLocked() *event {
 	return ev
 }
 
-// waiter is the record of one goroutine blocked in a simtime primitive
-// under Sim: the channel it blocks on and the event that wakes it at a
-// deadline, allocated together once and reused.
-//
-// Ownership: a waiter belongs to the goroutine blocked on it from the
-// moment it leaves a free list until that goroutine puts it back, which it
-// does only after receiving its wakeup and with s.mu held. A waker sends
-// exactly one token per block, under s.mu, and keeps no reference
-// afterwards — the deadline event is out of the heap by then (fired, or
-// removed by cancelLocked) — so a recycled waiter can never receive a
-// stale wakeup. The channel has one slot so that send never blocks the
-// waker, who holds s.mu and may run before the owner reaches its receive.
-type waiter struct {
-	ev event
-	ch chan struct{}
-}
-
-// sleeper is Sleep's waiter; its event wakes it and nothing else does.
-type sleeper struct {
+// proc is one tracked goroutine and the waiter it blocks on. Every proc
+// but a Sim's main one runs on a carrier: a coroutine (iter.Pull; see
+// newCarrier) whose body runs fn, then reports back to the driver and
+// waits for the next fn.
+type proc struct {
 	waiter
-	next *sleeper
+	s      *Sim
+	fn     func()                  // what the carrier runs; nil once it has returned
+	resume func() (struct{}, bool) // switch into the carrier, from the driver
+	stop   func()                  // end the carrier, which must be idle
+	yield  func(struct{}) bool     // switch back to the driver, from the carrier
+	next   *proc                   // run queue or idle list
 }
 
-func newSleeper(s *Sim) *sleeper {
-	w := &sleeper{}
-	w.ch = make(chan struct{}, 1)
-	w.ev.index = -1
-	w.ev.fire = func() {
-		s.unparkLocked()
-		w.ch <- struct{}{}
+// newCarrier gives p its carrier, a coroutine that runs p.carry. Race
+// builds replace it (carrier_race.go).
+var newCarrier = func(p *proc) {
+	p.resume, p.stop = iter.Pull(p.carry)
+}
+
+func (p *proc) init(s *Sim) {
+	p.s = s
+	p.p = p
+	p.ev = event{owner: &p.waiter, index: -1}
+}
+
+// carry is the carrier's body. The driver hands it s.mu with every switch
+// in, and it hands s.mu back with every switch out.
+func (p *proc) carry(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		p.s.mu.Unlock()
+		p.fn()
+		p.s.mu.Lock()
+		p.fn = nil
+		if !yield(struct{}{}) {
+			return
+		}
 	}
-	return w
 }
 
-// simTimer implements Timer.Stop/Reset for the Sim clock.
+// waiter is what one goroutine blocked in a simtime primitive waits on.
+// Under Sim it is its proc's own (Sleep's wakeup or GetTimeout's deadline
+// is ev), so blocking allocates nothing. Under the Real clock a Get makes
+// a fresh one with a channel; the deadline's timer goroutine may still
+// hold it after the wait is over, and nothing reuses it.
+type waiter struct {
+	ev    event
+	on    waitList      // the queue listing it while it waits in Get, or nil
+	got   bool          // Put promised it the item at the front of its queue's buffer
+	woken bool          // resolved; a Real-clock deadline may still run afterwards
+	ch    chan struct{} // Real clock: where it blocks
+	p     *proc         // Sim: the proc it belongs to
+	next  *waiter       // the next in its queue's waiter list
+}
+
+// waitList is a queue, as its waiters see it.
+type waitList interface {
+	expireLocked(w *waiter)
+}
+
+// fire is the waiter's event: a Sleep's wakeup, or a GetTimeout's deadline,
+// which takes the waiter off its queue empty-handed.
+func (w *waiter) fire() {
+	if w.on != nil {
+		w.on.expireLocked(w)
+		return
+	}
+	w.p.s.wakeLocked(w.p)
+}
+
+// simTimer is a Timer on the Sim clock: its event spawns fn.
 type simTimer struct {
 	s  *Sim
+	fn func()
 	ev event
 }
 
-func (t *simTimer) Stop() bool {
+func (t *simTimer) fire() { t.s.spawnLocked(t.fn) }
+
+func (t *simTimer) stop() bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	return t.s.cancelLocked(&t.ev)
 }
 
-func (t *simTimer) Reset(d time.Duration) bool {
+func (t *simTimer) reset(d time.Duration) bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	active := t.s.cancelLocked(&t.ev)
@@ -309,13 +458,17 @@ func (t *simTimer) Reset(d time.Duration) bool {
 }
 
 // event is a pending occurrence in the simulation. Events are embedded in
-// the record that owns them (a waiter, a simTimer) and pushed by pointer,
-// so scheduling allocates nothing.
+// the record that owns them (a waiter, a simTimer, a delivery) and pushed
+// by pointer, and the owner is the interface through which they fire, so
+// scheduling allocates nothing.
 type event struct {
 	when  time.Time
-	fire  func()
+	owner firer
 	index int // heap index; -1 while not pending
 }
+
+// firer is an event's owner.
+type firer interface{ fire() }
 
 // heapSlot is one pending event with its sort key beside it: at is the
 // event's when as an offset from the Sim's start, and seq its scheduling

@@ -54,16 +54,14 @@ func (v *Venus) HoardList() []HDBEntry {
 	return out
 }
 
-// hoardDaemon runs a hoard walk every HoardInterval (10 minutes by
-// default).
-func (v *Venus) hoardDaemon() {
-	for {
-		v.clock.Sleep(v.cfg.HoardInterval)
-		if v.isClosed() {
-			return
-		}
-		_ = v.HoardWalk()
+// hoardTick runs a hoard walk every HoardInterval (10 minutes by
+// default), until the first tick after Close.
+func (v *Venus) hoardTick() bool {
+	if v.isClosed() {
+		return false
 	}
+	_ = v.HoardWalk()
+	return true
 }
 
 // walkCand is an object the status walk decided could be fetched.

@@ -4,7 +4,7 @@ import (
 	"time"
 )
 
-// probeDaemon maintains Venus's picture of server reachability, as the
+// probeTick maintains Venus's picture of server reachability, as the
 // real Venus does with periodic RPC2 probes:
 //
 //   - While disconnected (emulating), it probes the group at each
@@ -17,32 +17,30 @@ import (
 //     demotes to emulating so misses fail fast instead of hanging on
 //     timeouts.
 //
-// The daemon only runs when Config.ProbeInterval is set; experiments
-// control connectivity explicitly and leave it off.
-func (v *Venus) probeDaemon() {
-	interval := v.cfg.ProbeInterval
-	for {
-		v.clock.Sleep(interval)
-		if v.isClosed() {
-			return
+// It runs every Config.ProbeInterval, until the first tick after Close,
+// and only when that is set; experiments control connectivity explicitly
+// and leave it off.
+func (v *Venus) probeTick() bool {
+	if v.isClosed() {
+		return false
+	}
+	switch v.State() {
+	case Emulating:
+		if v.probeAny() == nil {
+			v.Connect(0) // bandwidth learned from subsequent traffic
 		}
-		switch v.State() {
-		case Emulating:
-			if v.probeAny() == nil {
-				v.Connect(0) // bandwidth learned from subsequent traffic
+	default:
+		if v.anyAlive(v.cfg.ProbeInterval) {
+			return true // recent traffic is proof enough
+		}
+		if err := v.probeAny(); err != nil {
+			if v.isClosed() {
+				return false
 			}
-		default:
-			if v.anyAlive(interval) {
-				continue // recent traffic is proof enough
-			}
-			if err := v.probeAny(); err != nil {
-				if v.isClosed() {
-					return
-				}
-				v.transition(Emulating, "probe failed")
-			}
+			v.transition(Emulating, "probe failed")
 		}
 	}
+	return true
 }
 
 // anyAlive reports whether any member's link has seen traffic within the

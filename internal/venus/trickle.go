@@ -11,21 +11,20 @@ import (
 	"repro/internal/simtime"
 )
 
-// trickleDaemon supervises the state machine on the trickle cadence:
+// trickleTick supervises the state machine on the trickle cadence:
 // demotions when bandwidth sinks, promotions when the CMLs drain. The
 // drains themselves are per-volume — every mounted volume runs its own
 // volumeTrickleLoop, so independent volumes reintegrate concurrently and
 // a large shipment on one cannot delay another's aged records (§4.3.3's
-// per-volume reintegration, carried into the client).
-func (v *Venus) trickleDaemon() {
-	for {
-		v.clock.Sleep(v.cfg.TrickleInterval)
-		if v.isClosed() {
-			return
-		}
-		v.maybeDemote()
-		v.maybePromote()
+// per-volume reintegration, carried into the client). It runs every
+// TrickleInterval until the first tick after Close.
+func (v *Venus) trickleTick() bool {
+	if v.isClosed() {
+		return false
 	}
+	v.maybeDemote()
+	v.maybePromote()
+	return true
 }
 
 // volumeTrickleLoop is one volume's trickle daemon (§4.3.3): it ships the

@@ -295,10 +295,10 @@ func New(clock simtime.Clock, conn netsim.PacketConn, cfg Config) *Venus {
 	for _, addr := range v.cfg.Servers {
 		v.node.Monitor().Peer(addr)
 	}
-	clock.Go(v.trickleDaemon)
-	clock.Go(v.hoardDaemon)
+	simtime.Every(clock, cfg.TrickleInterval, v.trickleTick)
+	simtime.Every(clock, cfg.HoardInterval, v.hoardTick)
 	if cfg.ProbeInterval > 0 {
-		clock.Go(v.probeDaemon)
+		simtime.Every(clock, cfg.ProbeInterval, v.probeTick)
 	}
 	return v
 }

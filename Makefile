@@ -111,9 +111,10 @@ results:
 # cache.install, cache.recharge and cache.remove write the namespace
 # generation (cache.gen), and only walk reads or writes the memo
 # (Venus.memo, Venus.memoGen). And rpc2 serves each request as a tracked
-# goroutine of its own: outside tests it starts one only in NewNode (its
-# receive loop) and in Node.serve, which under Sim runs on a carrier the
-# clock reuses. And the server stages a batch in
+# goroutine of its own: outside tests it starts one only in Node.serve,
+# which under Sim runs on a carrier the clock reuses; its datagrams are
+# served by the conn (PacketConn.Serve), on no goroutine of rpc2's. And
+# the server stages a batch in
 # place with an undo list, so a batch costs what its records change:
 # server/apply.go calls no .Clone() (a directory's clone copies its whole
 # entry map).
@@ -138,7 +139,7 @@ lint-structure:
 	! grep -rnE --include='*.go' --exclude='*_test.go' -e 'copy\([][A-Za-z0-9_.]*\.Data[^A-Za-z0-9_]' -e '\.Data\[[^]]*\] *([-+*/%&|^]?=[^=]|\+\+|--)' -e 'append\([][A-Za-z0-9_.]*\.Data,' internal/venus internal/codafs
 	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]gen *(\+\+|--|[-+*\/|&^]?=[^=])/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/cache.go: func (c \*cache) \(install\|recharge\|remove\)('
 	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /[.]memo(Gen)?([^A-Za-z0-9_]|$$)/ {print FILENAME ": " fn}' internal/venus/*.go | grep -v '^internal/venus/ops.go: func (v \*Venus) walk('
-	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /clock[.]Go\(/ {print FILENAME ": " fn}' internal/rpc2/*.go | grep -v -e '^internal/rpc2/rpc2.go: func NewNode(' -e '^internal/rpc2/rpc2.go: func (n \*Node) serve('
+	! awk 'FILENAME ~ /_test[.]go$$/ {next} FNR == 1 {fn = ""} /^func / {fn = $$0} /clock[.]Go\(/ {print FILENAME ": " fn}' internal/rpc2/*.go | grep -v '^internal/rpc2/rpc2.go: func (n \*Node) serve('
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

@@ -10,6 +10,7 @@
 package codafs
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"path"
@@ -30,6 +31,12 @@ type FID struct {
 
 // IsZero reports whether the FID is the null identifier.
 func (f FID) IsZero() bool { return f == FID{} }
+
+// Compare orders FIDs by volume, vnode and uniquifier, as cmp.Compare
+// orders numbers.
+func (f FID) Compare(g FID) int {
+	return cmp.Or(cmp.Compare(f.Volume, g.Volume), cmp.Compare(f.Vnode, g.Vnode), cmp.Compare(f.Unique, g.Unique))
+}
 
 // String renders the FID in the traditional dotted triple form.
 func (f FID) String() string {

@@ -14,19 +14,49 @@ import (
 )
 
 // TestRegistryDumpDeterministic pins the observability contract: two runs
-// of the same seeded scenario produce byte-identical registry dumps —
-// counters, histograms and gauge evaluations included.
+// of the same seeded experiments in one process produce byte-identical
+// output - every figure that keeps registry snapshots (1, 8, 9, 12; Quick,
+// one trial) and FigureRepl, their tables and their dumps, counters,
+// histograms and gauge evaluations included. A map-order leak on any
+// path these worlds run (one server update breaking callbacks at several
+// clients, in Figure 9) shows up as two runs that differ. Figure 9 runs
+// at two seeds: the order of the server's breaks shows at seed 0, the
+// order of a Venus's per-volume calls at seed 7.
 func TestRegistryDumpDeterministic(t *testing.T) {
-	opts := Options{Seed: 7, Quick: true}
-	prof := Fig8Profile{User: "det", Volumes: 3, Objects: 60, MeanKB: 4}
-	_, first := fig8Run(opts, prof, "volume")
-	_, second := fig8Run(opts, prof, "volume")
-	if !bytes.Equal(first.Dump, second.Dump) {
-		t.Fatalf("identical runs produced different dumps:\n--- first ---\n%s\n--- second ---\n%s",
-			first.Dump, second.Dump)
+	opts := Options{Seed: 7, Quick: true, Trials: 1}
+	seed0 := Options{Seed: 0, Quick: true, Trials: 1}
+	figures := []struct {
+		name string
+		run  func() (string, ObsSnapshots)
+	}{
+		{"Figure1", func() (string, ObsSnapshots) { r := Figure1(opts); return r.Render(), r.ObsSnapshots }},
+		{"Figure8", func() (string, ObsSnapshots) { r := Figure8(opts); return r.Render(), r.ObsSnapshots }},
+		{"Figure9", func() (string, ObsSnapshots) { r := Figure9(opts); return r.Render(), r.ObsSnapshots }},
+		{"Figure9, seed 0", func() (string, ObsSnapshots) { r := Figure9(seed0); return r.Render(), r.ObsSnapshots }},
+		{"Figure12", func() (string, ObsSnapshots) { r := Figure12(opts); return r.Render(), r.ObsSnapshots }},
+		{"FigureRepl", func() (string, ObsSnapshots) { return FigureRepl(opts).Render(), ObsSnapshots{} }},
 	}
-	// The scenario exercises every instrumented layer; its dump must
-	// carry series from each of them.
+	output := func(run func() (string, ObsSnapshots)) []byte {
+		table, snaps := run()
+		var b bytes.Buffer
+		b.WriteString(table)
+		for _, s := range snaps.Snapshots {
+			fmt.Fprintf(&b, "--- %s\n%s\n", s.Label, s.Dump)
+		}
+		return b.Bytes()
+	}
+	var fig8 []byte
+	for _, f := range figures {
+		first, second := output(f.run), output(f.run)
+		if !bytes.Equal(first, second) {
+			t.Errorf("%s: identical runs differ: %s", f.name, firstLineDiff(first, second))
+		}
+		if f.name == "Figure8" {
+			fig8 = first
+		}
+	}
+	// The Figure 8 worlds exercise every instrumented layer; their dumps
+	// must carry series from each of them.
 	for _, name := range []string{
 		"venus_cache_hits_total",
 		"venus_state_transitions_total",
@@ -35,10 +65,21 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 		"rpc2_calls_total",
 		"netmon_peer_bandwidth_bps",
 	} {
-		if !bytes.Contains(first.Dump, []byte(name)) {
-			t.Errorf("dump is missing %s", name)
+		if !bytes.Contains(fig8, []byte(name)) {
+			t.Errorf("Figure 8 dumps are missing %s", name)
 		}
 	}
+}
+
+// firstLineDiff names the first line at which a and b differ.
+func firstLineDiff(a, b []byte) string {
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			return fmt.Sprintf("line %d: %q vs %q", i+1, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("%d lines vs %d", len(la), len(lb))
 }
 
 // TestFig8ValidationRPCCounts re-asserts Figure 8's volume-callback win

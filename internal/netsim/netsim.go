@@ -41,6 +41,13 @@ type PacketConn interface {
 	Recv() (payload []byte, src string, ok bool)
 	// RecvTimeout is Recv with a deadline on the owning clock.
 	RecvTimeout(d time.Duration) (payload []byte, src string, ok bool)
+	// Serve hands every packet that arrives from now on to h, in arrival
+	// order, until the endpoint closes; the payload is h's as it is
+	// Recv's caller's. It is called once, and a served conn is not read
+	// with Recv. On the emulator h runs as simtime.Queue.Serve runs its
+	// handler, so under Sim it must not park (it may send and start
+	// goroutines); over UDP it runs on a reader goroutine of its own.
+	Serve(h func(payload []byte, src string))
 	// LocalAddr returns the endpoint's own address.
 	LocalAddr() string
 	// Close shuts the endpoint; pending and future Recvs return !ok.
@@ -95,9 +102,9 @@ func DefaultLinkParams() LinkParams {
 }
 
 // Stats counts traffic for one direction of a link. A packet is delivered
-// when the destination's Recv or RecvTimeout returns it: one still in
-// flight, waiting unread in the inbox, or landed on a closed endpoint is
-// sent but not (yet) delivered.
+// when the destination's Recv or RecvTimeout returns it or its Serve
+// handler is given it: one still in flight, waiting unread in the inbox,
+// or landed on a closed endpoint is sent but not (yet) delivered.
 type Stats struct {
 	PacketsSent      int64
 	BytesSent        int64 // payload bytes offered, before loss/drops
@@ -321,19 +328,31 @@ func (e *Endpoint) RecvTimeout(d time.Duration) ([]byte, string, bool) {
 	return e.received(e.inbox.GetTimeout(d))
 }
 
-// received counts a packet taken from the inbox as delivered. The count
-// lives here and not at arrival because an arrival is a simtime event,
-// which runs inside the clock's lock and so may not take n.mu (send holds
-// n.mu while it reads the clock).
+// Serve implements PacketConn through the inbox's simtime.Queue.Serve.
+func (e *Endpoint) Serve(h func(payload []byte, src string)) {
+	e.inbox.Serve(func(p Packet) {
+		e.delivered(p)
+		h(p.Payload, p.Src)
+	})
+}
+
 func (e *Endpoint) received(p Packet, ok bool) ([]byte, string, bool) {
 	if !ok {
 		return nil, "", false
 	}
+	e.delivered(p)
+	return p.Payload, p.Src, true
+}
+
+// delivered counts a packet taken from the inbox as delivered. The count
+// lives here and not at arrival because an arrival is a simtime event,
+// which runs inside the clock's lock and so may not take n.mu (send holds
+// n.mu while it reads the clock).
+func (e *Endpoint) delivered(p Packet) {
 	e.net.mu.Lock()
 	p.link.stats.PacketsDelivered++
 	p.link.stats.BytesDelivered += int64(len(p.Payload))
 	e.net.mu.Unlock()
-	return p.Payload, p.Src, true
 }
 
 // Close implements PacketConn.

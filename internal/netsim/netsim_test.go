@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -27,6 +28,39 @@ func TestDeliveryBasic(t *testing.T) {
 		if !ok || string(payload) != "hello" || src != "a" {
 			t.Fatalf("Recv = %q from %q, ok=%v", payload, src, ok)
 		}
+	})
+}
+
+// TestServeDelivers: a served endpoint's handler gets each datagram at its
+// arrival, in arrival order, and the link counts it delivered then.
+func TestServeDelivers(t *testing.T) {
+	s, n := newNet(t)
+	p := DefaultLinkParams()
+	p.Bandwidth = 9600
+	p.Latency = 0
+	p.Overhead = 0
+	n.SetLink("a", "b", p)
+	s.Run(func() {
+		a, b := n.Host("a"), n.Host("b")
+		var got []string
+		b.Serve(func(payload []byte, src string) {
+			got = append(got, fmt.Sprintf("%v %s %s", s.Now().Sub(simtime.Epoch1995), src, payload[:1]))
+		})
+		for _, c := range "xyz" {
+			payload := make([]byte, 1200) // one second each at 9600 b/s
+			payload[0] = byte(c)
+			if err := a.Send("b", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Sleep(10 * time.Second)
+		if want := "[1s a x 2s a y 3s a z]"; fmt.Sprint(got) != want {
+			t.Errorf("served %v, want %s", got, want)
+		}
+		if st := n.StatsBetween("a", "b"); st.PacketsDelivered != 3 || st.BytesDelivered != 3600 {
+			t.Errorf("delivered %d packets, %d bytes; want 3, 3600", st.PacketsDelivered, st.BytesDelivered)
+		}
+		b.Close()
 	})
 }
 

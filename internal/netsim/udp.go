@@ -57,6 +57,20 @@ func (u *UDP) RecvTimeout(d time.Duration) ([]byte, string, bool) {
 	return u.recv(time.Now().Add(d))
 }
 
+// Serve implements PacketConn: a reader goroutine hands h each datagram
+// until the socket closes.
+func (u *UDP) Serve(h func(payload []byte, src string)) {
+	go func() {
+		for {
+			payload, src, ok := u.Recv()
+			if !ok {
+				return
+			}
+			h(payload, src)
+		}
+	}()
+}
+
 func (u *UDP) recv(deadline time.Time) ([]byte, string, bool) {
 	if err := u.conn.SetReadDeadline(deadline); err != nil {
 		return nil, "", false

@@ -22,8 +22,9 @@ func (nullConn) Recv() ([]byte, string, bool)          { return nil, "", false }
 func (nullConn) RecvTimeout(d time.Duration) ([]byte, string, bool) {
 	return nil, "", false
 }
-func (nullConn) LocalAddr() string { return "bench" }
-func (nullConn) Close() error      { return nil }
+func (nullConn) Serve(func([]byte, string)) {}
+func (nullConn) LocalAddr() string          { return "bench" }
+func (nullConn) Close() error               { return nil }
 
 // TestAllocSendPacket pins the framed control-packet send path at zero
 // steady-state heap allocations: the frame is built in a pooled buffer

@@ -213,7 +213,7 @@ func (r wireReply) inline() []byte {
 	return r.body
 }
 
-// NewNode creates a node on conn and starts its receive loop. handler may
+// NewNode creates a node on conn and serves it with demux. handler may
 // be nil for pure clients. reg may be nil; when present, the node, its
 // SFTP engine, and the shared netmon estimator all publish through it —
 // this is the single injection point for transport observability.
@@ -247,7 +247,7 @@ func NewNode(clock simtime.Clock, conn netsim.PacketConn, mon *netmon.Monitor, h
 	reg.GaugeFunc("rpc2_reply_cache_peers", func() int64 { return int64(n.ReplyCacheSize()) }, node)
 	mon.Observe(reg, self)
 	n.engine = sftp.NewEngine(clock, mon, n.sendSFTP, reg, self)
-	clock.Go(n.recvLoop)
+	conn.Serve(n.demux)
 	simtime.Every(clock, replySweepInterval, n.sweepReplyCache)
 	return n
 }
@@ -501,43 +501,42 @@ func (n *Node) Probe(dst string, timeout time.Duration) error {
 	}
 }
 
-func (n *Node) recvLoop() {
-	for {
-		payload, src, ok := n.conn.Recv()
-		if !ok {
-			return
+// demux routes one datagram from src: an SFTP fragment or ack to the
+// engine, a request to handleRequest, an answer to the call awaiting it.
+// Any datagram is news that src is alive. It is the conn's Serve handler,
+// so it must not park: a request's handler runs on a goroutine of its own
+// (serve), and everything else here only sends and puts.
+func (n *Node) demux(payload []byte, src string) {
+	n.mon.Peer(src).Heard()
+	if len(payload) == 0 {
+		return
+	}
+	if payload[0]&sftpTag != 0 {
+		n.engine.Deliver(src, payload) // copies what it keeps
+		bufpool.Free(payload)
+		return
+	}
+	kind, flags, seq, ts, tsEcho, inc, sc, body, ok := decodePacket(payload)
+	if !ok {
+		return
+	}
+	switch kind {
+	case kindReq:
+		n.handleRequest(src, flags, seq, ts, inc, sc, body)
+	case kindProbe:
+		n.sendPacket(src, kindProbeAck, 0, seq, n.ticks(), ts, inc, obs.SpanContext{}, nil)
+	case kindRep, kindBusy, kindProbeAck:
+		if inc != n.inc {
+			return // reply addressed to a previous incarnation of this node
 		}
-		n.mon.Peer(src).Heard()
-		if len(payload) == 0 {
-			continue
+		if kind == kindProbeAck {
+			n.observeEcho(n.mon.Peer(src), tsEcho)
 		}
-		if payload[0]&sftpTag != 0 {
-			n.engine.Deliver(src, payload) // copies what it keeps
-			bufpool.Free(payload)
-			continue
-		}
-		kind, flags, seq, ts, tsEcho, inc, sc, body, ok := decodePacket(payload)
-		if !ok {
-			continue
-		}
-		switch kind {
-		case kindReq:
-			n.handleRequest(src, flags, seq, ts, inc, sc, body)
-		case kindProbe:
-			n.sendPacket(src, kindProbeAck, 0, seq, n.ticks(), ts, inc, obs.SpanContext{}, nil)
-		case kindRep, kindBusy, kindProbeAck:
-			if inc != n.inc {
-				continue // reply addressed to a previous incarnation of this node
-			}
-			if kind == kindProbeAck {
-				n.observeEcho(n.mon.Peer(src), tsEcho)
-			}
-			n.mu.Lock()
-			q := n.pending[seq]
-			n.mu.Unlock()
-			if q != nil {
-				q.Put(inbound{kind: kind, flags: flags, tsEcho: tsEcho, inc: inc, body: body, src: src})
-			}
+		n.mu.Lock()
+		q := n.pending[seq]
+		n.mu.Unlock()
+		if q != nil {
+			q.Put(inbound{kind: kind, flags: flags, tsEcho: tsEcho, inc: inc, body: body, src: src})
 		}
 	}
 }

@@ -29,11 +29,8 @@ import (
 // version.
 const imageMagic = "CODS\x01"
 
-// fidCompare and appliedCompare order an image's keys.
-func fidCompare(a, b codafs.FID) int {
-	return cmp.Or(cmp.Compare(a.Volume, b.Volume), cmp.Compare(a.Vnode, b.Vnode), cmp.Compare(a.Unique, b.Unique))
-}
-
+// appliedCompare orders an image's dedup keys; FID.Compare orders its
+// object and authorship keys.
 func appliedCompare(a, b appliedKey) int {
 	return cmp.Or(cmp.Compare[string](a.client, b.client), cmp.Compare(a.seq, b.seq))
 }
@@ -97,14 +94,14 @@ func (v *volume) walk(c *wire.Coder, lsn *uint64, chain *uint32) {
 	c.Uvarint(&v.nextVnode)
 	c.Uvarint(lsn)
 	c.Uint32(chain)
-	wire.Map(c, &v.objects, 4, fidCompare, func(_ codafs.FID, o *codafs.Object) (codafs.FID, *codafs.Object) { // status mask, data length, entry count, target length
+	wire.Map(c, &v.objects, 4, codafs.FID.Compare, func(_ codafs.FID, o *codafs.Object) (codafs.FID, *codafs.Object) { // status mask, data length, entry count, target length
 		if o == nil {
 			o = new(codafs.Object)
 		}
 		c.Object(o)
 		return o.Status.FID, o
 	})
-	wire.Map(c, &v.lastAuthor, 4, fidCompare, func(fid codafs.FID, who string) (codafs.FID, string) { // three FID components, author length
+	wire.Map(c, &v.lastAuthor, 4, codafs.FID.Compare, func(fid codafs.FID, who string) (codafs.FID, string) { // three FID components, author length
 		c.FID(&fid)
 		c.String(&who)
 		return fid, who

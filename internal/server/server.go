@@ -29,6 +29,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -157,10 +158,10 @@ type smetrics struct {
 var lockWaitBucketsUS = []int64{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
 // initMetrics pre-registers the server's obs handles. It must run
-// before the rpc2 node exists: NewNode starts the receive loop, and on
-// a real connection a request may reach handle — which reads s.met —
-// the instant the loop is up. The Stats counts register as CounterFuncs
-// over s.stats: a restarted server's series restart with it.
+// before the rpc2 node exists: NewNode serves its conn, and on a real
+// connection a request may reach handle — which reads s.met — the
+// instant the conn's reader is up. The Stats counts register as
+// CounterFuncs over s.stats: a restarted server's series restart with it.
 func (s *Server) initMetrics(addr string) {
 	node := obs.L("node", addr)
 	s.met = smetrics{
@@ -750,15 +751,24 @@ func (s *Server) dispatchBreaks(work []breakWork) {
 			get(c).vols[w.volID] = true
 		}
 	}
-	for client, a := range byClient {
+	// In sorted order throughout: the breaks start in Go order, which
+	// orders the server's sends, and a break's bytes are its lists'.
+	clients := make([]string, 0, len(byClient))
+	for c := range byClient {
+		clients = append(clients, c)
+	}
+	slices.Sort(clients)
+	for _, client := range clients {
+		a := byClient[client]
 		brk := wire.CallbackBreak{}
 		for f := range a.fids {
 			brk.FIDs = append(brk.FIDs, f)
 		}
+		slices.SortFunc(brk.FIDs, codafs.FID.Compare)
 		for v := range a.vols {
 			brk.Volumes = append(brk.Volumes, v)
 		}
-		client := client
+		slices.Sort(brk.Volumes)
 		s.stats.breaksSent.Add(1)
 		s.clock.Go(func() {
 			// Best effort: an unreachable client revalidates later.

@@ -6,9 +6,9 @@
 // carry a cumulative count plus a bitmap, so a single lost packet costs one
 // retransmission rather than a window. Retransmission timeouts come from
 // the shared per-peer netmon estimator, and every packet in either
-// direction refreshes the peer's liveness — this is the keepalive
-// unification the paper describes (SFTP traffic suppresses RPC2 and Venus
-// keepalives).
+// direction refreshes the peer's liveness (the owner records it as it
+// demultiplexes) — this is the keepalive unification the paper describes
+// (SFTP traffic suppresses RPC2 and Venus keepalives).
 //
 // The Engine does not own a socket: its owner (rpc2.Node) passes a send
 // function and routes incoming SFTP packets to Deliver. Both directions of
@@ -211,6 +211,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 	var next, newest uint64 // newest: the latest copy the ack in hand newly covers
 	base := uint32(0)       // all packets < base are acked
 	sent := uint32(0)       // highest packet index ever sent + 1
+	inflight := int64(0)    // packets in [base, sent) that no ack has covered
 	timeouts := 0
 
 	// Single-timer RTT sampling (as in TCP): time one fresh packet at a
@@ -227,8 +228,11 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		e.met.bytesSent.Add(int64(hi - lo))
 		e.shipData(dst, id, i, uint64(len(data)), wireCtx, data[lo:hi])
 	}
-	xmitFresh := func(i uint32) {
+	xmitFresh := func(i uint32) { // i is sent, about to join [base, sent)
 		xmit(i)
+		if i >= base { // base passes sent only after a stale ack (see cover)
+			inflight++
+		}
 		if timedSeq < 0 {
 			timedSeq = int64(i)
 			timedAt = e.clock.Now()
@@ -249,13 +253,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 	ackWait := func(extra time.Duration) time.Duration {
 		wait := peer.RTO() + extra
 		if bw := peer.Bandwidth(); bw > 0 {
-			var inflight int64
-			for i := base; i < sent; i++ {
-				if tx[i] != acked {
-					inflight += DataPacketSize
-				}
-			}
-			wait += time.Duration(inflight * 8 * int64(time.Second) / bw)
+			wait += time.Duration(inflight * DataPacketSize * 8 * int64(time.Second) / bw)
 		}
 		return wait
 	}
@@ -272,6 +270,9 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 				newest = max(newest, tx[i])
 			}
 			tx[i] = acked
+			if base <= i && i < sent { // a stale ack may cover what was never sent
+				inflight--
+			}
 		}
 	}
 
@@ -419,13 +420,14 @@ func (e *Engine) Sweep() {
 }
 
 // Deliver routes one incoming SFTP payload from src into the engine. The
-// owning node calls it from its demultiplex loop. A fragment's bytes are
-// copied into reassembly, so payload is the caller's again on return.
+// owning node calls it from its demultiplexer, which has already recorded
+// that src is alive (netmon.Peer.Heard), so Deliver does not. A
+// fragment's bytes are copied into reassembly, so payload is the caller's
+// again on return.
 func (e *Engine) Deliver(src string, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	e.mon.Peer(src).Heard()
 	switch payload[0] {
 	case tagData, tagData | flagTraced:
 		e.deliverData(src, payload)

@@ -13,7 +13,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// node bundles an endpoint with an Engine and a pump goroutine.
+// node bundles an endpoint with an Engine and a pump goroutine, which
+// plays the owning node's demultiplexer.
 type node struct {
 	ep     *netsim.Endpoint
 	engine *Engine
@@ -45,6 +46,7 @@ func newLossyPair(s *simtime.Sim, n *netsim.Network, lose func(from string, p []
 				if !ok {
 					return
 				}
+				mon.Peer(src).Heard() // the owning node's keepalive, as rpc2's demux records it
 				eng.Deliver(src, payload)
 			}
 		})

@@ -21,7 +21,10 @@
 // reported as a deadlock, which turns lost-wakeup bugs into immediate test
 // failures instead of hangs. Because the others wait while one runs, a
 // tracked goroutine that blocks outside the clock (a sync.Mutex held by a
-// parked goroutine, a bare channel) stops the whole simulation.
+// parked goroutine, a bare channel) stops the whole simulation. A consumer
+// that never parks between items can be a Queue's Serve handler instead
+// of a goroutine: the kernel runs it where that goroutine would have run,
+// without switching to it.
 package simtime
 
 import "time"

@@ -132,6 +132,78 @@ func (q *Queue[T]) putLocked(v T) {
 	}
 }
 
+// Serve hands every item put on q to h, oldest first, until q is closed:
+// observably clock.Go of a loop over Get that calls h, and over a Real
+// clock exactly that. Under Sim the queue gets a run-queue entry instead
+// of a goroutine. It waits as a consumer parked in Get waits, and a put
+// makes it runnable where it would make that consumer runnable. When its
+// turn comes the kernel loop calls h on every buffered item, with the
+// clock unlocked around each call, so an item costs no switch between
+// goroutines. h must therefore not park: a Sleep, a Get that would block
+// or a GetTimeout in h panics. It may put, start goroutines and send.
+// Serve is called once, before anything else consumes q.
+func (q *Queue[T]) Serve(h func(T)) {
+	if q.s == nil {
+		q.clock.Go(func() {
+			for {
+				v, ok := q.Get()
+				if !ok {
+					return
+				}
+				h(v)
+			}
+		})
+		return
+	}
+	sv := &served[T]{q: q, h: h}
+	sv.init(q.s)
+	sv.drain = sv.run
+	q.s.mu.Lock()
+	defer q.s.mu.Unlock()
+	if q.head < len(q.items) {
+		q.s.readyLocked(&sv.proc) // the consumer would start and find them
+	} else if !q.closed {
+		sv.waitLocked()
+	}
+}
+
+// served is a Queue's Serve entry under Sim: a proc with no carrier. It
+// is allocated by Serve, so a Queue that is never served is no larger.
+type served[T any] struct {
+	proc
+	q *Queue[T]
+	h func(T)
+}
+
+// waitLocked lists the entry's waiter on its queue, as Get lists a
+// consumer's before it parks.
+func (sv *served[T]) waitLocked() {
+	w := &sv.waiter
+	w.on, w.got, w.woken = sv.q, false, false
+	sv.q.listLocked(w)
+	sv.q.s.parked++
+}
+
+// run is the entry's turn, called by the kernel loop with s.mu held: what a
+// Get loop does between two parks. It takes the item a put promised it,
+// then every item still buffered, and calls h on each with s.mu released;
+// then, unless the queue is closed, it waits again.
+func (sv *served[T]) run() {
+	q, w := sv.q, &sv.waiter
+	if w.got { // the promised item is the front one, and nobody else takes
+		w.got = false
+		q.handed--
+	}
+	for v, ok := q.popLocked(); ok; v, ok = q.popLocked() {
+		q.s.mu.Unlock()
+		sv.h(v)
+		q.s.mu.Lock()
+	}
+	if !q.closed {
+		sv.waitLocked()
+	}
+}
+
 // Get removes and returns the oldest item, blocking until one is available.
 // It returns ok=false once the queue is closed and drained.
 func (q *Queue[T]) Get() (T, bool) {

@@ -24,7 +24,9 @@ import (
 // earliest pending event fires, which makes runnable exactly the procs it
 // names, and execution resumes at the event's timestamp. Events at equal
 // timestamps fire in scheduling order (FIFO), and procs run in the order
-// they became runnable, which keeps runs reproducible.
+// they became runnable, which keeps runs reproducible. A queue's Serve
+// handler takes a place in the run queue too, but as no goroutine: the
+// kernel loop calls it itself (see Queue.Serve).
 //
 // A proc that blocks with the run queue empty and nothing due before its
 // own wakeup is that earliest event: Sleep and an expiring GetTimeout then
@@ -142,8 +144,8 @@ func (s *Sim) Sleep(d time.Duration) {
 // before": that case parks, and so does a wakeup past where heap keys
 // saturate (maxAt).
 func (s *Sim) advanceInlineLocked(d time.Duration) bool {
-	if !s.live || s.head != nil {
-		return false
+	if !s.live || s.head != nil || (s.cur != nil && s.cur.drain != nil) {
+		return false // a Serve handler goes on to park, which panics
 	}
 	if d < 0 {
 		d = 0
@@ -237,11 +239,16 @@ func (s *Sim) wakeLocked(p *proc) {
 
 // curLocked returns the running proc: the caller, which is about to park.
 func (s *Sim) curLocked() *proc {
-	if s.cur == nil {
+	p := s.cur
+	if p == nil || p.drain != nil {
+		msg := "simtime: park from a goroutine not tracked by this Sim"
+		if p != nil {
+			msg = "simtime: a Queue.Serve handler parked"
+		}
 		s.mu.Unlock()
-		panic("simtime: park from a goroutine not tracked by this Sim")
+		panic(msg)
 	}
-	return s.cur
+	return p
 }
 
 // parkLocked blocks p, the caller, until something wakes it. The caller
@@ -293,6 +300,11 @@ func (s *Sim) runLocked(self *proc) {
 		s.cur = p
 		if p == self {
 			return
+		}
+		if p.drain != nil { // a Queue.Serve entry: it runs here, on no carrier
+			p.drain()
+			s.cur = nil
+			continue
 		}
 		p.resume()
 		s.cur = nil
@@ -366,11 +378,13 @@ func (s *Sim) popLocked() *event {
 // proc is one tracked goroutine and the waiter it blocks on. Every proc
 // but a Sim's main one runs on a carrier: a coroutine (iter.Pull; see
 // newCarrier) whose body runs fn, then reports back to the driver and
-// waits for the next fn.
+// waits for the next fn. A Queue.Serve entry is a proc on no carrier
+// either: it has drain, which the kernel loop calls itself.
 type proc struct {
 	waiter
 	s      *Sim
 	fn     func()                  // what the carrier runs; nil once it has returned
+	drain  func()                  // a Serve entry's turn, run by the kernel loop with s.mu held
 	resume func() (struct{}, bool) // switch into the carrier, from the driver
 	stop   func()                  // end the carrier, which must be idle
 	yield  func(struct{}) bool     // switch back to the driver, from the carrier

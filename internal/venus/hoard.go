@@ -1,6 +1,8 @@
 package venus
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/codafs"
@@ -170,8 +172,11 @@ func (v *Venus) revalidateSuspects() {
 	if len(suspects) == 0 {
 		return
 	}
-	sort.Slice(suspects, func(i, j int) bool {
-		return suspects[i].obj.Status.FID.Vnode < suspects[j].obj.Status.FID.Vnode
+	// By vnode, and among equal vnodes of different volumes by FID, so
+	// the batches do not depend on the cache's map order.
+	slices.SortFunc(suspects, func(a, b *fso) int {
+		fa, fb := a.obj.Status.FID, b.obj.Status.FID
+		return cmp.Or(cmp.Compare(fa.Vnode, fb.Vnode), fa.Compare(fb))
 	})
 
 	const batch = 50

@@ -1,7 +1,10 @@
 package venus
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/rpc2"
@@ -138,10 +141,11 @@ func (v *Venus) validateOnReconnect() {
 		objs int
 	}
 	type memberBatch struct {
+		pref    int
 		pairs   []wire.VolStampPair
 		entries []batchEntry
 	}
-	batches := make(map[int]*memberBatch)
+	var batches []memberBatch // one per member
 	for _, vc := range v.volumes {
 		cached := v.cache.inVolume(vc.info.ID)
 		if v.cfg.DisableVolumeCallbacks || !vc.hasStamp {
@@ -155,13 +159,22 @@ func (v *Venus) validateOnReconnect() {
 			}
 			continue
 		}
-		b := batches[vc.pref]
-		if b == nil {
-			b = &memberBatch{}
-			batches[vc.pref] = b
+		i := slices.IndexFunc(batches, func(b memberBatch) bool { return b.pref == vc.pref })
+		if i < 0 {
+			i = len(batches)
+			batches = append(batches, memberBatch{pref: vc.pref})
 		}
-		b.pairs = append(b.pairs, wire.VolStampPair{ID: vc.info.ID, Stamp: vc.stamp})
-		b.entries = append(b.entries, batchEntry{vc: vc, objs: len(cached)})
+		batches[i].entries = append(batches[i].entries, batchEntry{vc: vc, objs: len(cached)})
+	}
+	// Out of map order: the batches go by member and each lists its
+	// volumes by name, so the calls and their bytes repeat run to run.
+	slices.SortFunc(batches, func(a, b memberBatch) int { return cmp.Compare(a.pref, b.pref) })
+	for i := range batches {
+		b := &batches[i]
+		slices.SortFunc(b.entries, func(x, y batchEntry) int { return strings.Compare(x.vc.info.Name, y.vc.info.Name) })
+		for _, e := range b.entries {
+			b.pairs = append(b.pairs, wire.VolStampPair{ID: e.vc.info.ID, Stamp: e.vc.stamp})
+		}
 	}
 	v.mu.Unlock()
 

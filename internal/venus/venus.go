@@ -22,6 +22,8 @@ package venus
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -285,9 +287,9 @@ func New(clock simtime.Clock, conn netsim.PacketConn, cfg Config) *Venus {
 		stopped:  make(chan struct{}),
 	}
 	v.cache = newCache(cfg.CacheBytes)
-	// Metric handles must exist before the rpc2 node: NewNode starts the
-	// receive loop, and on a real connection a server call may be
-	// dispatched the instant the loop is up.
+	// Metric handles must exist before the rpc2 node: NewNode serves its
+	// conn, and on a real connection a server call may be dispatched the
+	// instant the conn's reader is up.
 	v.met = newVMetrics(cfg.Obs, v, conn.LocalAddr())
 	v.node = rpc2.NewNode(clock, conn, netmon.NewMonitor(clock), v.handleServerCall, cfg.Obs)
 	// Register every group member with the monitor up front, so gauges
@@ -425,11 +427,15 @@ func (v *Venus) isClosed() bool {
 	}
 }
 
+// volumeList returns the mounted volumes in name order, so that per-volume
+// work (a stamp call, a drain goroutine) starts in the same order on every
+// run. The caller holds v.mu.
 func (v *Venus) volumeList() []*vclient {
 	out := make([]*vclient, 0, len(v.volumes))
 	for _, vc := range v.volumes {
 		out = append(out, vc)
 	}
+	slices.SortFunc(out, func(a, b *vclient) int { return strings.Compare(a.info.Name, b.info.Name) })
 	return out
 }
 

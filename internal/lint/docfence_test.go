@@ -14,6 +14,10 @@ import (
 // only together with its benchmark.
 var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
+// designLines is DESIGN.md's line budget: a change that needs more lines
+// there removes as many elsewhere in it.
+const designLines = 1994
+
 var (
 	citedTestRe   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)
 	definedTestRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
@@ -49,7 +53,7 @@ func staleCitations(doc string, defined map[string]bool) []string {
 // TestDocsCiteOnlyExistingTests: every test, benchmark and fuzz target
 // the design notes, README and experiment log name is defined in the
 // module's test files, so a rename or deletion cannot leave a document
-// pointing at nothing.
+// pointing at nothing; and DESIGN.md stays within designLines.
 func TestDocsCiteOnlyExistingTests(t *testing.T) {
 	t.Parallel()
 	root, err := FindModuleRoot(".")
@@ -89,6 +93,9 @@ func TestDocsCiteOnlyExistingTests(t *testing.T) {
 		}
 		for _, s := range staleCitations(string(doc), defined) {
 			t.Errorf("%s cites %s, which no test file defines", name, s)
+		}
+		if n := strings.Count(string(doc), "\n"); name == "DESIGN.md" && n > designLines {
+			t.Errorf("DESIGN.md is %d lines, over its budget of %d: remove lines elsewhere in it", n, designLines)
 		}
 	}
 }

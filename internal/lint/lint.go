@@ -33,7 +33,7 @@ type Analyzer interface {
 // Analyzers returns the full production suite.
 func Analyzers() []Analyzer {
 	return []Analyzer{
-		NewSimclock(DefaultAllowlist()),
+		NewFence(),
 		NewLockguard(),
 		NewErrwrap(),
 		NewTesthygiene(),
@@ -136,7 +136,7 @@ func run(pkgs []*Package, analyzers []Analyzer) (findings []Finding, allSups []*
 		allSups = append(allSups, sups...)
 		for _, a := range analyzers {
 			for _, f := range a.Analyze(pkg) {
-				if suppressed(sups, a.Name(), f) {
+				if suppressed(sups, f) {
 					continue
 				}
 				out = append(out, f)
@@ -168,11 +168,12 @@ func run(pkgs []*Package, analyzers []Analyzer) (findings []Finding, allSups []*
 	return out, allSups, malformed
 }
 
-// suppressed reports whether f is covered by a directive on its own
-// line or on the line directly above.
-func suppressed(sups []*suppression, analyzer string, f Finding) bool {
+// suppressed reports whether f is covered by a directive naming its
+// analyzer (for fence, its row) on its own line or on the line directly
+// above.
+func suppressed(sups []*suppression, f Finding) bool {
 	for _, s := range sups {
-		if s.analyzer != analyzer || s.file != f.Pos.Filename {
+		if s.analyzer != f.Analyzer || s.file != f.Pos.Filename {
 			continue
 		}
 		if s.line == f.Pos.Line || s.line == f.Pos.Line-1 {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -77,21 +78,21 @@ func runFixture(t *testing.T, name, relDir string, analyzers []Analyzer) {
 
 func TestSimclockFixture(t *testing.T) {
 	t.Parallel()
-	runFixture(t, "simclock", "internal/fixture", []Analyzer{NewSimclock(DefaultAllowlist())})
+	runFixture(t, "simclock", "internal/fixture", []Analyzer{NewFence()})
 }
 
 func TestSimclockAllowlist(t *testing.T) {
 	t.Parallel()
 	// The same real-clock calls are clean when the package sits inside
 	// an allowlisted directory...
-	runFixture(t, "simclock_allowed", "cmd/fixture", []Analyzer{NewSimclock(DefaultAllowlist())})
+	runFixture(t, "simclock_allowed", "cmd/fixture", []Analyzer{NewFence()})
 
 	// ...and flagged when it does not.
 	pkg, err := LoadDir(filepath.Join("testdata", "simclock_allowed"), "internal/fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Run([]*Package{pkg}, []Analyzer{NewSimclock(DefaultAllowlist())})
+	got := Run([]*Package{pkg}, []Analyzer{NewFence()})
 	if len(got) != 2 {
 		t.Fatalf("outside the allowlist: got %d findings, want 2:\n%v", len(got), got)
 	}
@@ -99,16 +100,38 @@ func TestSimclockAllowlist(t *testing.T) {
 
 func TestSimclockFileAllowlist(t *testing.T) {
 	t.Parallel()
-	// A file-granular allowlist entry ("internal/netsim/udp.go") covers
-	// exactly that file.
-	a := NewSimclock([]string{"internal/fixture/allowed.go"})
+	// A file-granular allowlist entry (applybatch's
+	// "internal/server/apply.go") covers exactly that file.
+	row := fences[0]
+	row.allow = []string{"internal/fixture/allowed.go"}
 	pkg, err := LoadDir(filepath.Join("testdata", "simclock_allowed"), "internal/fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Run([]*Package{pkg}, []Analyzer{a}); len(got) != 0 {
+	if got := Run([]*Package{pkg}, []Analyzer{Fence{row}}); len(got) != 0 {
 		t.Fatalf("file allowlist entry did not cover the file: %v", got)
 	}
+}
+
+// TestFenceFixture runs one row of each kind over the fixture's own
+// objects, plus two rows that must stay silent: one allowing the
+// fixture's whole directory, one covering another directory only.
+func TestFenceFixture(t *testing.T) {
+	t.Parallel()
+	rows := []fenceRow{
+		{name: "callrow", objs: []string{"internal/fixture.T.ship"}, kind: fenceCall, allow: []string{"internal/fixture.T.shipper"}},
+		{name: "writerow", objs: []string{"internal/fixture.Stat.Links", "internal/fixture.Object.Data", "internal/fixture.Object.Children"}, kind: fenceWrite, allow: []string{"internal/cml"}},
+		{name: "userow", objs: []string{"internal/fixture.T.memo"}, kind: fenceUse, allow: []string{"internal/fixture.T.walk"}},
+		{name: "importrow", objs: []string{"strings"}, kind: fenceImport, allow: []string{"internal/fixture/allowed.go"}},
+		{name: "dirrow", objs: []string{"internal/fixture.T.ship"}, kind: fenceCall, allow: []string{"internal/fixture"}},
+		{name: "scoperow", objs: []string{"internal/fixture.T.ship"}, kind: fenceCall, in: []string{"internal/elsewhere"}},
+	}
+	for _, r := range fences {
+		if r.name == "nogob" {
+			rows = append(rows, r)
+		}
+	}
+	runFixture(t, "fence", "internal/fixture", []Analyzer{Fence(rows)})
 }
 
 func TestLockguardFixture(t *testing.T) {
@@ -180,7 +203,7 @@ func f() time.Time {
 	return time.Now()
 }
 `)
-	got := Run([]*Package{pkg}, []Analyzer{NewSimclock(nil)})
+	got := Run([]*Package{pkg}, []Analyzer{NewFence()})
 	var directive, simclock int
 	for _, f := range got {
 		switch f.Analyzer {
@@ -226,7 +249,7 @@ func nextLine() time.Time {
 	return time.Now()
 }
 `)
-	if got := Run([]*Package{pkg}, []Analyzer{NewSimclock(nil)}); len(got) != 0 {
+	if got := Run([]*Package{pkg}, []Analyzer{NewFence()}); len(got) != 0 {
 		t.Fatalf("both suppression placements must work: got %v", got)
 	}
 }
@@ -242,7 +265,7 @@ func f() time.Time {
 	return time.Now()
 }
 `)
-	got := Run([]*Package{pkg}, []Analyzer{NewSimclock(nil)})
+	got := Run([]*Package{pkg}, []Analyzer{NewFence()})
 	// The simclock finding survives, and the lockguard directive is
 	// reported as unused.
 	var simclock, unused bool
@@ -272,6 +295,21 @@ func TestRepoIsLintClean(t *testing.T) {
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
+	// A fence row whose object was renamed away would fence nothing.
+	resolvers := make([]func(string) types.Object, len(mod.Packages))
+	for i, p := range mod.Packages {
+		resolvers[i] = resolver(p)
+	}
+	for _, r := range fences {
+		for _, spec := range slices.Concat(r.objs, r.allow) {
+			if r.kind == fenceImport || isPath(spec) {
+				continue
+			}
+			if !slices.ContainsFunc(resolvers, func(resolve func(string) types.Object) bool { return resolve(spec) != nil }) {
+				t.Errorf("fence row %s: %s names nothing in the module", r.name, spec)
+			}
+		}
+	}
 }
 
 func TestSimclockWALNotAllowlisted(t *testing.T) {
@@ -285,10 +323,10 @@ func TestSimclockWALNotAllowlisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Run([]*Package{pkg}, []Analyzer{NewSimclock(DefaultAllowlist())}); len(got) != 2 {
+	if got := Run([]*Package{pkg}, []Analyzer{NewFence()}); len(got) != 2 {
 		t.Fatalf("real-clock use under internal/wal: got %d findings, want 2:\n%v", len(got), got)
 	}
-	for _, entry := range DefaultAllowlist() {
+	for _, entry := range realTime {
 		if strings.Contains(entry, "wal") {
 			t.Errorf("allowlist entry %q covers internal/wal", entry)
 		}

@@ -1,19 +1,8 @@
 // Package lint is the repository's custom static-analysis suite
-// (codalint). It enforces the invariants that keep the reproduction
-// deterministic and race-free:
-//
-//   - simclock: all simulated code blocks and reads time only through
-//     simtime.Clock; raw package time / math/rand default-source calls
-//     are confined to a small allowlist (the clock veneer itself, the
-//     real-UDP adapter, and cmd/ entry points).
-//   - lockguard: structs owning a `mu sync.Mutex`/`sync.RWMutex` must
-//     not export methods that touch mutated sibling fields without
-//     acquiring the lock.
-//   - errwrap: errors propagated via fmt.Errorf must use %w so callers
-//     can errors.Is/As against the sentinels in internal/venus/errors.go;
-//     bare discarded error returns are flagged.
-//   - testhygiene: test helpers call t.Helper(); tests never block on
-//     real time.Sleep (they should run under a simtime.Sim clock).
+// (codalint; cmd/codalint lists the analyzers). It enforces what keeps the
+// reproduction deterministic and race-free and its structure as designed:
+// the virtual clock, lock discipline, error wrapping, test hygiene, metric
+// names, and the structure table in fence.go (DESIGN.md §7).
 //
 // The suite is built from the standard library only (go/parser,
 // go/types, go/importer) so `go build ./...` stays hermetic: module

@@ -1,6 +1,6 @@
-// Package simclockfix exercises the simclock analyzer: every
-// real-clock and global-randomness call is flagged, while clock-method
-// calls, seeded generators, and time.Time methods stay clean.
+// Package simclockfix exercises the simclock and simrand fence rows:
+// every real-clock and global-randomness call is flagged, while
+// clock-method calls, seeded generators, and time.Time methods stay clean.
 package simclockfix
 
 import (
@@ -13,15 +13,15 @@ type clock struct{}
 func (clock) Now() time.Time { return time.Time{} }
 
 func bad() {
-	_ = time.Now()                  // want "time.Now bypasses the virtual clock"
-	time.Sleep(time.Second)         // want "time.Sleep bypasses the virtual clock"
-	<-time.After(time.Second)       // want "time.After bypasses the virtual clock"
-	_ = time.NewTimer(time.Second)  // want "time.NewTimer bypasses the virtual clock"
-	_ = time.NewTicker(time.Second) // want "time.NewTicker bypasses the virtual clock"
-	_ = time.Since(time.Time{})     // want "time.Since bypasses the virtual clock"
-	_ = time.Until(time.Time{})     // want "time.Until bypasses the virtual clock"
-	_ = rand.Intn(10)               // want "rand.Intn uses the global random source"
-	_ = rand.Float64()              // want "rand.Float64 uses the global random source"
+	_ = time.Now()                  // want "time.Now called: bypasses the virtual clock"
+	time.Sleep(time.Second)         // want "time.Sleep called: bypasses the virtual clock"
+	<-time.After(time.Second)       // want "time.After called: bypasses the virtual clock"
+	_ = time.NewTimer(time.Second)  // want "time.NewTimer called: bypasses the virtual clock"
+	_ = time.NewTicker(time.Second) // want "time.NewTicker called: bypasses the virtual clock"
+	_ = time.Since(time.Time{})     // want "time.Since called: bypasses the virtual clock"
+	_ = time.Until(time.Time{})     // want "time.Until called: bypasses the virtual clock"
+	_ = rand.Intn(10)               // want "rand.Intn called: uses the global random source"
+	_ = rand.Float64()              // want "rand.Float64 called: uses the global random source"
 }
 
 func good(c clock) {

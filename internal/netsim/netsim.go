@@ -34,23 +34,17 @@ type PacketConn interface {
 	// (internal/bufpool), so an implementation that needs the bytes
 	// later must copy them, as the emulator does into a bufpool frame.
 	Send(dst string, payload []byte) error
-	// Recv blocks until a packet arrives. ok is false once closed. The
-	// payload is the caller's alone, a bufpool frame from either backend:
-	// a caller done with it may bufpool.Free it (one that keeps it, or a
-	// slice of it, simply never frees it).
-	Recv() (payload []byte, src string, ok bool)
-	// RecvTimeout is Recv with a deadline on the owning clock.
-	RecvTimeout(d time.Duration) (payload []byte, src string, ok bool)
 	// Serve hands every packet that arrives from now on to h, in arrival
-	// order, until the endpoint closes; the payload is h's as it is
-	// Recv's caller's. It is called once, and a served conn is not read
-	// with Recv. On the emulator h runs as simtime.Queue.Serve runs its
-	// handler, so under Sim it must not park (it may send and start
+	// order, until the endpoint closes. The payload is h's alone, a
+	// bufpool frame from either backend: h may bufpool.Free it when done
+	// (if it keeps it, or a slice of it, it simply never frees it). Serve
+	// is called once. On the emulator h runs as simtime.Queue.Serve runs
+	// its handler, so under Sim it must not park (it may send and start
 	// goroutines); over UDP it runs on a reader goroutine of its own.
 	Serve(h func(payload []byte, src string))
 	// LocalAddr returns the endpoint's own address.
 	LocalAddr() string
-	// Close shuts the endpoint; pending and future Recvs return !ok.
+	// Close shuts the endpoint; h is handed nothing more.
 	Close() error
 }
 
@@ -318,12 +312,14 @@ func (e *Endpoint) Send(dst string, payload []byte) error {
 	return e.net.send(e.addr, dst, payload)
 }
 
-// Recv implements PacketConn.
+// Recv blocks until a packet arrives; ok is false once closed. The
+// payload is the caller's, as it is a Serve handler's. A served endpoint
+// is not read with Recv.
 func (e *Endpoint) Recv() ([]byte, string, bool) {
 	return e.received(e.inbox.Get())
 }
 
-// RecvTimeout implements PacketConn.
+// RecvTimeout is Recv with a deadline on the owning clock.
 func (e *Endpoint) RecvTimeout(d time.Duration) ([]byte, string, bool) {
 	return e.received(e.inbox.GetTimeout(d))
 }

@@ -378,19 +378,33 @@ func TestUDPAdapterRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 
+	// b answers each ping from its handler; a's handler reports what came
+	// back and from where.
+	b.Serve(func(payload []byte, src string) {
+		if string(payload) == "ping" {
+			if err := b.Send(src, []byte("pong")); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	type datagram struct{ payload, src string }
+	got := make(chan datagram, 1)
+	a.Serve(func(payload []byte, src string) {
+		select {
+		case got <- datagram{string(payload), src}:
+		default:
+		}
+	})
 	if err := a.Send(b.LocalAddr(), []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	payload, src, ok := b.RecvTimeout(2 * time.Second)
-	if !ok || string(payload) != "ping" {
-		t.Fatalf("Recv = %q ok=%v", payload, ok)
-	}
-	if err := b.Send(src, []byte("pong")); err != nil {
-		t.Fatal(err)
-	}
-	payload, _, ok = a.RecvTimeout(2 * time.Second)
-	if !ok || string(payload) != "pong" {
-		t.Fatalf("reply = %q ok=%v", payload, ok)
+	select {
+	case d := <-got:
+		if d.payload != "pong" || d.src != b.LocalAddr() {
+			t.Fatalf("reply = %q from %s, want \"pong\" from %s", d.payload, d.src, b.LocalAddr())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no reply within 2 s")
 	}
 }
 

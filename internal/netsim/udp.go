@@ -2,20 +2,15 @@ package netsim
 
 import (
 	"net"
-	"time"
 
 	"repro/internal/bufpool"
 )
 
 // UDP adapts a real UDP socket to the PacketConn interface, so the full
 // client/server stack (rpc2, sftp, venus, server) runs unchanged over a
-// live network. Addresses are "host:port" strings.
-//
-// This file is the real-transport adapter on codalint's simclock
-// allowlist: it is the one place outside internal/simtime and cmd/
-// where wall-clock time may be read, because kernel socket deadlines
-// (SetReadDeadline) are necessarily real time. Everything above this
-// adapter blocks only through simtime.Clock.
+// live network. Addresses are "host:port" strings. Datagrams are served
+// (PacketConn.Serve) by a reader goroutine blocked in the socket read, so
+// the adapter sets no deadline and reads no clock.
 type UDP struct {
 	conn *net.UDPConn
 }
@@ -47,22 +42,12 @@ func (u *UDP) Send(dst string, payload []byte) error {
 	return err
 }
 
-// Recv implements PacketConn.
-func (u *UDP) Recv() ([]byte, string, bool) {
-	return u.recv(time.Time{})
-}
-
-// RecvTimeout implements PacketConn.
-func (u *UDP) RecvTimeout(d time.Duration) ([]byte, string, bool) {
-	return u.recv(time.Now().Add(d))
-}
-
 // Serve implements PacketConn: a reader goroutine hands h each datagram
 // until the socket closes.
 func (u *UDP) Serve(h func(payload []byte, src string)) {
 	go func() {
 		for {
-			payload, src, ok := u.Recv()
+			payload, src, ok := u.recv()
 			if !ok {
 				return
 			}
@@ -71,10 +56,9 @@ func (u *UDP) Serve(h func(payload []byte, src string)) {
 	}()
 }
 
-func (u *UDP) recv(deadline time.Time) ([]byte, string, bool) {
-	if err := u.conn.SetReadDeadline(deadline); err != nil {
-		return nil, "", false
-	}
+// recv reads one datagram into a bufpool frame; ok is false once the
+// socket is closed.
+func (u *UDP) recv() ([]byte, string, bool) {
 	buf := bufpool.Frame(64 << 10)
 	n, src, err := u.conn.ReadFromUDP(buf)
 	if err != nil {

@@ -4,7 +4,6 @@ package rpc2
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -18,13 +17,9 @@ import (
 type nullConn struct{}
 
 func (nullConn) Send(dst string, payload []byte) error { return nil }
-func (nullConn) Recv() ([]byte, string, bool)          { return nil, "", false }
-func (nullConn) RecvTimeout(d time.Duration) ([]byte, string, bool) {
-	return nil, "", false
-}
-func (nullConn) Serve(func([]byte, string)) {}
-func (nullConn) LocalAddr() string          { return "bench" }
-func (nullConn) Close() error               { return nil }
+func (nullConn) Serve(func([]byte, string))            {}
+func (nullConn) LocalAddr() string                     { return "bench" }
+func (nullConn) Close() error                          { return nil }
 
 // TestAllocSendPacket pins the framed control-packet send path at zero
 // steady-state heap allocations: the frame is built in a pooled buffer

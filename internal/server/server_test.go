@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -211,6 +212,51 @@ func TestObjectAndVolumeCallbackBreaks(t *testing.T) {
 		}
 		if w.srv.Stats().BreaksSent == 0 {
 			t.Error("BreaksSent stat not counted")
+		}
+	})
+}
+
+// TestCallbackBreakWireOrder decodes breaks as they arrive at a bare
+// rpc2 node standing in for the client: their FIDs come in FID order.
+// Each round one reintegration stores eight files the client holds
+// callbacks on, so one break carries eight FIDs gathered from a map;
+// unsorted, they would go in map order, which changes only the bytes of
+// an equal-sized message, so no dump sees it. Iterating a small map
+// starts at a random slot and wraps, so one round in eight would come out
+// sorted by chance; six rounds make that vanishingly unlikely. A break's
+// Volumes list has one entry at most: every dispatchBreaks caller hands
+// it the work of one volume.
+func TestCallbackBreakWireOrder(t *testing.T) {
+	w := newWorld()
+	w.srv.CreateVolume("v")
+	for i := range 8 {
+		w.srv.WriteFile("v", fmt.Sprintf("f%d", i), []byte("v1"))
+	}
+	w.sim.Run(func() {
+		c, writer := w.client("c1"), w.client("c2")
+		gv := call[wire.GetVolumeRep](t, c, wire.GetVolume{Name: "v"})
+		root := call[wire.FetchRep](t, c, wire.Fetch{FID: gv.Root.FID})
+		for round := range 6 {
+			var recs []cml.Record
+			for _, fid := range root.Object.Children {
+				f := call[wire.FetchRep](t, c, wire.Fetch{FID: fid, WantCallback: true})
+				recs = append(recs, cml.Record{Kind: cml.Store, FID: fid, PrevVersion: f.Object.Status.Version, Data: []byte("v2"), Length: 2})
+			}
+			call[wire.GetVolumeStampRep](t, c, wire.GetVolumeStamp{Volume: gv.Info.ID})
+			rep := call[wire.ReintegrateRep](t, writer, wire.Reintegrate{Volume: gv.Info.ID, Records: recs})
+			if !rep.Applied {
+				t.Fatalf("round %d: not applied: %+v", round, rep.Results)
+			}
+			brk, ok := c.breaks.GetTimeout(time.Minute)
+			if !ok {
+				t.Fatalf("round %d: no break", round)
+			}
+			if len(brk.FIDs) != 8 || !slices.IsSortedFunc(brk.FIDs, codafs.FID.Compare) {
+				t.Fatalf("round %d: break FIDs %v, want all eight in FID order", round, brk.FIDs)
+			}
+			if len(brk.Volumes) != 1 || brk.Volumes[0] != gv.Info.ID {
+				t.Fatalf("round %d: break volumes %v, want [%d]", round, brk.Volumes, gv.Info.ID)
+			}
 		}
 	})
 }

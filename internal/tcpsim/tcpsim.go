@@ -39,7 +39,7 @@ const (
 var ErrTransferFailed = errors.New("tcpsim: transfer failed")
 
 // Send streams data to dst over conn, blocking until fully acknowledged.
-func Send(clock simtime.Clock, conn netsim.PacketConn, dst string, streamID uint64, data []byte) error {
+func Send(clock simtime.Clock, conn *netsim.Endpoint, dst string, streamID uint64, data []byte) error {
 	total := uint32((len(data) + SegmentSize - 1) / SegmentSize)
 	if total == 0 {
 		total = 1
@@ -197,7 +197,7 @@ func Send(clock simtime.Clock, conn netsim.PacketConn, dst string, streamID uint
 
 // Receive assembles one stream identified by streamID from conn, acking
 // cumulatively, and returns the payload.
-func Receive(clock simtime.Clock, conn netsim.PacketConn, streamID uint64, timeout time.Duration) ([]byte, error) {
+func Receive(clock simtime.Clock, conn *netsim.Endpoint, streamID uint64, timeout time.Duration) ([]byte, error) {
 	var (
 		got      = make(map[uint32][]byte)
 		total    uint32

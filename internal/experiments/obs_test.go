@@ -13,15 +13,20 @@ import (
 	"repro/internal/venus"
 )
 
-// TestRegistryDumpDeterministic pins the observability contract: two runs
+// TestRegistryDumpDeterministic pins the observability contract: five runs
 // of the same seeded experiments in one process produce byte-identical
 // output - every figure that keeps registry snapshots (1, 8, 9, 12; Quick,
 // one trial) and FigureRepl, their tables and their dumps, counters,
 // histograms and gauge evaluations included. A map-order leak on any
 // path these worlds run (one server update breaking callbacks at several
-// clients, in Figure 9) shows up as two runs that differ. Figure 9 runs
-// at two seeds: the order of the server's breaks shows at seed 0, the
-// order of a Venus's per-volume calls at seed 7.
+// clients, in Figure 9) shows up as runs that differ. Five, not two: Go
+// iterates a map of eight or fewer entries as a rotation of one slot
+// order, so runs through small maps fall into a few outcomes, one of them
+// common. With dispatchBreaks unsorted, Figure 9 at seed 0 gave five
+// outcomes in 60 runs, the commonest 19 times: two runs agree about one
+// time in five, three one in 18, five one in 250. Figure 9 runs at two
+// seeds: the order of the server's breaks shows at seed 0, the order of a
+// Venus's per-volume calls at seed 7.
 func TestRegistryDumpDeterministic(t *testing.T) {
 	opts := Options{Seed: 7, Quick: true, Trials: 1}
 	seed0 := Options{Seed: 0, Quick: true, Trials: 1}
@@ -47,9 +52,12 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 	}
 	var fig8 []byte
 	for _, f := range figures {
-		first, second := output(f.run), output(f.run)
-		if !bytes.Equal(first, second) {
-			t.Errorf("%s: identical runs differ: %s", f.name, firstLineDiff(first, second))
+		first := output(f.run)
+		for run := 2; run <= 5; run++ {
+			if again := output(f.run); !bytes.Equal(first, again) {
+				t.Errorf("%s: run %d differs from run 1: %s", f.name, run, firstLineDiff(first, again))
+				break
+			}
 		}
 		if f.name == "Figure8" {
 			fig8 = first

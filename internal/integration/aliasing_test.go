@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/crashfs"
+	"repro/internal/netsim"
 	"repro/internal/venus"
 	"repro/internal/wal"
 	"repro/internal/world"
@@ -15,10 +16,12 @@ import (
 // between cache, CML, server store and retained log (codafs.Object), which
 // is only sound if every way in and out copies. Each buffer handed to a
 // WriteFile — a client's written through, a client's logged and journaled
-// and later reintegrated, a server's own — is scribbled over the moment
-// the call returns, as is every slice a ReadFile returned, and the client's
-// cache, its CML (read from its state image before it reintegrates) and all
-// three journaled replicas must still hold what was written.
+// and later reintegrated, one larger than a modem's chunk and so
+// pre-shipped as fragments whose data the server decodes lent, a server's
+// own — is scribbled over the moment the call returns, as is every slice a
+// ReadFile returned, and the client's cache, its CML (read from its state
+// image before it reintegrates) and all three journaled replicas must
+// still hold what was written.
 func TestContentsCopiedAtTrustEdges(t *testing.T) {
 	w := world.New(5)
 	grp := w.Group(true, "s0", "s1", "s2")
@@ -44,8 +47,7 @@ func TestContentsCopiedAtTrustEdges(t *testing.T) {
 		_, err := v.AttachJournal(venus.JournalOptions{FS: crashfs.NewMem(), Dir: "vj", Policy: wal.SyncEachRecord})
 		must(t, err)
 
-		write := func(rel, tag string) {
-			buf := content(tag)
+		write := func(rel string, buf []byte) {
 			want[rel] = bytes.Clone(buf)
 			must(t, v.WriteFile("/coda/work/"+rel, buf))
 			scribble(buf)
@@ -63,16 +65,19 @@ func TestContentsCopiedAtTrustEdges(t *testing.T) {
 			}
 		}
 
-		write("through.dat", "written through while hoarding")
+		write("through.dat", content("written through while hoarding"))
 		check("connected")
 
 		v.Disconnect()
-		write("logged.dat", "logged and journaled while disconnected")
-		write("through.dat", "overwritten while disconnected")
+		write("logged.dat", content("logged and journaled while disconnected"))
+		write("through.dat", content("overwritten while disconnected"))
+		// 60 KB, past the 36 KB chunk of a modem: its own chunk, and its
+		// data pre-shipped in PutFragments before the Reintegrate (§4.3.5).
+		write("fragmented.dat", bytes.Repeat(content("pre-shipped as fragments"), 10))
 		check("disconnected")
 		var img bytes.Buffer
 		must(t, v.SaveState(&img))
-		for _, rel := range []string{"logged.dat", "through.dat"} {
+		for _, rel := range []string{"logged.dat", "through.dat", "fragmented.dat"} {
 			// The image is the CML; the cache was looked at through ReadFile.
 			if n := bytes.Count(img.Bytes(), want[rel]); n != 1 {
 				t.Fatalf("client image holds the contents of %s %d times, want once, in its CML record", rel, n)
@@ -82,7 +87,10 @@ func TestContentsCopiedAtTrustEdges(t *testing.T) {
 			t.Fatal("client image holds scribbled bytes")
 		}
 
-		v.Connect(0)
+		for i := 0; i < grp.Len(); i++ {
+			w.Net.SetLink("laptop", grp.Member(i).Addr(), netsim.Modem.Params())
+		}
+		v.Connect(9600)
 		for deadline := w.Sim.Now().Add(time.Hour); v.CMLRecords() > 0 && w.Sim.Now().Before(deadline); {
 			w.Sim.Sleep(100 * time.Millisecond)
 		}

@@ -229,7 +229,18 @@ func (s *Server) mutate(src string, sc obs.SpanContext, req any) (wire.MutateRep
 	return rep, nil
 }
 
+// putFragment appends one fragment to its transfer's buffer. A fragment
+// is refused, its buffer untouched, unless it fits the transfer's shape:
+// a Total that is not negative and repeats the first fragment's, and data
+// that ends within it. The buffer grows by the SFTP receiver's rule
+// (DESIGN.md §4.9) — to four times the bytes received, never past Total —
+// so a file of up to four fragments is allocated once, at its size, and a
+// forged Total claims no more memory than the bytes that came with it.
+// req.Data is lent (wire.PutFragment): this append is its one copy.
 func (s *Server) putFragment(src string, req wire.PutFragment) (wire.PutFragmentRep, error) {
+	if req.Total < 0 || req.Offset < 0 || int64(len(req.Data)) > req.Total-req.Offset {
+		return wire.PutFragmentRep{}, fmt.Errorf("fragment [%d, +%d) does not fit total %d", req.Offset, len(req.Data), req.Total)
+	}
 	s.fragMu.Lock()
 	defer s.fragMu.Unlock()
 	k := fragKey{client: src, transfer: req.Transfer}
@@ -237,6 +248,8 @@ func (s *Server) putFragment(src string, req wire.PutFragment) (wire.PutFragment
 	if fb == nil {
 		fb = &fragBuf{total: req.Total}
 		s.frags[k] = fb
+	} else if fb.total != req.Total {
+		return wire.PutFragmentRep{}, fmt.Errorf("fragment total %d, transfer %d began with %d", req.Total, req.Transfer, fb.total)
 	}
 	fb.lastActive = s.clock.Now()
 	have := int64(len(fb.data))
@@ -244,6 +257,11 @@ func (s *Server) putFragment(src string, req wire.PutFragment) (wire.PutFragment
 	case req.Offset < have:
 		// Duplicate or overlapping resend; keep what we have.
 	case req.Offset == have:
+		if n := have + int64(len(req.Data)); n > int64(cap(fb.data)) {
+			grown := make([]byte, have, min(4*n, fb.total))
+			copy(grown, fb.data)
+			fb.data = grown
+		}
 		fb.data = append(fb.data, req.Data...)
 	default:
 		// Gap: tell the client where to resume (§4.3.5).
@@ -271,10 +289,10 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 	// Attach fragment data under the fragment lock, before entering the
 	// volume domain (fragMu and volume locks never nest). The server does
 	// not logically attempt reintegration until whole files have arrived
-	// (§4.3.5). A store's effect adopts an attached slice as the contents,
-	// so it is capped at its completed length — a racing resend appends
-	// past it, never into it — after a copy to size if append left over
-	// 1/8 spare.
+	// (§4.3.5). A store's effect adopts the buffer as the contents: it is
+	// never larger than Total, so a complete one is exactly the file, and
+	// nothing appends to it once complete (putFragment refuses data past
+	// Total).
 	recs := req.Records
 	var usedFrags []fragKey
 	s.fragMu.Lock()
@@ -288,9 +306,6 @@ func (s *Server) reintegrate(src string, sc obs.SpanContext, req wire.Reintegrat
 		if fb == nil || int64(len(fb.data)) != fb.total {
 			s.fragMu.Unlock()
 			return wire.ReintegrateRep{}, fmt.Errorf("fragment transfer %d incomplete", tid)
-		}
-		if int64(cap(fb.data)) > fb.total+fb.total/8 {
-			fb.data = append(make([]byte, 0, fb.total), fb.data...)
 		}
 		recs[idx].Data = fb.data[:fb.total:fb.total]
 		recs[idx].Length = fb.total

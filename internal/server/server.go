@@ -279,8 +279,8 @@ type fragKey struct {
 }
 
 type fragBuf struct {
-	total      int64
-	data       []byte
+	total      int64     // every fragment repeats the first one's
+	data       []byte    // the contiguous prefix received; cap ≤ min(4 × len, total)
 	lastActive time.Time // last append, for the TTL sweep
 }
 

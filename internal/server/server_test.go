@@ -502,10 +502,10 @@ func TestFragmentedStoreReintegration(t *testing.T) {
 }
 
 // TestFragmentBufferAdoptedWithoutSlack: the reassembly buffer becomes the
-// file's contents without a copy, so what append's growth left behind the
-// last fragment must not stay pinned with them: a buffer with more than an
-// eighth to spare is copied to size when it is attached. A refused chunk
-// keeps its fragments, which is where the attached buffer can be seen.
+// file's contents without a copy, so it must hold nothing beyond the file:
+// it grows to four times the bytes received, never past Total, and the
+// complete buffer is exactly the file's size. A refused chunk keeps its
+// fragments as they were; the applied one adopts the same array.
 func TestFragmentBufferAdoptedWithoutSlack(t *testing.T) {
 	w := newWorld()
 	w.srv.CreateVolume("v")
@@ -513,17 +513,30 @@ func TestFragmentBufferAdoptedWithoutSlack(t *testing.T) {
 		c := w.client("c1")
 		gv := call[wire.GetVolumeRep](t, c, wire.GetVolume{Name: "v"})
 		for xfer, cuts := range [][]int{
-			{0, 4000, 4090}, // the last fragment fits the array the first one got: attached as it is
-			{0, 8000, 8200}, // the last 200 bytes grow the array by a quarter: copied to size
+			{0, 4000, 4090},                         // the last fragment is 90 bytes
+			{0, 8000, 8200},                         // the first is almost all of the file
+			{0, 1000, 2000, 3000, 4000, 5000, 6000}, // grows once, at 4000 bytes received
 		} {
 			name := "big" + string(rune('0'+xfer))
 			w.srv.WriteFile("v", name, nil)
 			st, _ := w.srv.Resolve("v", name)
 			content := bytes.Repeat([]byte{byte('a' + xfer)}, cuts[len(cuts)-1])
+			fragBuffer := func() []byte {
+				w.srv.fragMu.Lock()
+				defer w.srv.fragMu.Unlock()
+				return w.srv.frags[fragKey{client: "c1", transfer: uint64(xfer)}].data
+			}
 			for i := 1; i < len(cuts); i++ {
 				call[wire.PutFragmentRep](t, c, wire.PutFragment{
 					Transfer: uint64(xfer), Offset: int64(cuts[i-1]), Total: int64(len(content)), Data: content[cuts[i-1]:cuts[i]],
 				})
+				if buf := fragBuffer(); cap(buf) > min(4*len(buf), len(content)) {
+					t.Errorf("%s: %d bytes received into a buffer of cap %d, total %d", name, len(buf), cap(buf), len(content))
+				}
+			}
+			buf := fragBuffer()
+			if n := len(content); len(buf) != n || cap(buf) != n {
+				t.Errorf("%s: complete buffer has len %d cap %d for %d bytes", name, len(buf), cap(buf), n)
 			}
 			reintegrate := func(prev uint64) bool {
 				return call[wire.ReintegrateRep](t, c, wire.Reintegrate{
@@ -535,11 +548,8 @@ func TestFragmentBufferAdoptedWithoutSlack(t *testing.T) {
 			if reintegrate(st.Version + 1) {
 				t.Fatalf("%s: stale store applied", name)
 			}
-			w.srv.fragMu.Lock()
-			buf := w.srv.frags[fragKey{client: "c1", transfer: uint64(xfer)}].data
-			w.srv.fragMu.Unlock()
-			if n := len(content); len(buf) != n || cap(buf) > n+n/8 {
-				t.Errorf("%s: attached buffer has len %d cap %d for %d bytes", name, len(buf), cap(buf), n)
+			if kept := fragBuffer(); &kept[0] != &buf[0] || len(kept) != len(buf) {
+				t.Errorf("%s: a refused chunk changed its fragment buffer", name)
 			}
 			if !reintegrate(st.Version) {
 				t.Fatalf("%s: fragmented store rejected", name)
@@ -552,7 +562,7 @@ func TestFragmentBufferAdoptedWithoutSlack(t *testing.T) {
 				t.Errorf("%s: assembled file wrong: %d bytes", name, len(data))
 			}
 			if &data[0] != &buf[0] || cap(data) != len(data) {
-				t.Errorf("%s: contents are not the attached buffer capped at its length (cap %d)", name, cap(data))
+				t.Errorf("%s: contents are not the fragment buffer as it was (cap %d)", name, cap(data))
 			}
 		}
 	})
@@ -593,6 +603,53 @@ func TestReintegrateIncompleteFragmentRejected(t *testing.T) {
 			t.Error("reintegrate with incomplete fragment succeeded")
 		}
 	})
+}
+
+// TestPutFragmentRefusesMisshapenFragment: a fragment whose Total is
+// negative or differs from its transfer's first fragment's, or whose data
+// does not lie within [0, Total), is refused and leaves every buffer as it
+// was: the fragment that fits next is taken and the file reintegrates.
+func TestPutFragmentRefusesMisshapenFragment(t *testing.T) {
+	content := bytes.Repeat([]byte("f"), 4000)
+	for _, tc := range []struct {
+		name string
+		bad  wire.PutFragment
+	}{
+		{"changed total", wire.PutFragment{Transfer: 3, Offset: 2000, Total: 5000, Data: make([]byte, 3000)}},
+		{"data past total", wire.PutFragment{Transfer: 3, Offset: 2000, Total: 4000, Data: make([]byte, 2001)}},
+		{"negative offset", wire.PutFragment{Transfer: 3, Offset: -1, Total: 4000, Data: make([]byte, 10)}},
+		{"negative total", wire.PutFragment{Transfer: 4, Total: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld()
+			w.srv.CreateVolume("v")
+			st, _ := w.srv.WriteFile("v", "big", nil)
+			w.sim.Run(func() {
+				c := w.client("c1")
+				call[wire.PutFragmentRep](t, c, wire.PutFragment{Transfer: 3, Total: 4000, Data: content[:2000]})
+				if rep, err := wire.Call[wire.PutFragmentRep](c.node, "server", tc.bad, rpc2.CallOpts{}); err == nil {
+					t.Errorf("fragment accepted: Received = %d", rep.Received)
+				}
+				w.srv.fragMu.Lock()
+				n, have := len(w.srv.frags), len(w.srv.frags[fragKey{client: "c1", transfer: 3}].data)
+				w.srv.fragMu.Unlock()
+				if n != 1 || have != 2000 {
+					t.Errorf("after the refusal: %d buffers, transfer 3 holds %d bytes; want 1 buffer of 2000", n, have)
+				}
+				if rep := call[wire.PutFragmentRep](t, c, wire.PutFragment{Transfer: 3, Offset: 2000, Total: 4000, Data: content[2000:]}); rep.Received != 4000 {
+					t.Fatalf("Received = %d, want 4000", rep.Received)
+				}
+				rep := call[wire.ReintegrateRep](t, c, wire.Reintegrate{
+					Volume:    st.FID.Volume,
+					Records:   []cml.Record{{Kind: cml.Store, FID: st.FID, PrevVersion: st.Version, Length: 4000}},
+					Fragments: map[int]uint64{0: 3},
+				})
+				if got, _ := w.srv.ReadFile("v", "big"); !rep.Applied || !bytes.Equal(got, content) {
+					t.Errorf("reintegration: applied %v, %d bytes", rep.Applied, len(got))
+				}
+			})
+		})
+	}
 }
 
 func TestListVolumes(t *testing.T) {

@@ -130,6 +130,7 @@ func encode(v any, alloc func(n int) []byte) ([]byte, error) {
 
 // Decode deserializes a message produced by Encode. Any failure wraps
 // ErrMalformed; nothing is allocated for a length the input cannot back.
+// The result shares no bytes with b, except a PutFragment's Data.
 func Decode(b []byte) (any, error) {
 	if len(b) == 0 || int(b[0]) >= len(messages) || messages[b[0]] == nil {
 		return nil, fmt.Errorf("wire: decode: %w: empty input or unknown tag", ErrMalformed)
@@ -263,7 +264,7 @@ func (c *Coder) message(v any) any {
 		c.Uvarint(&m.Transfer)
 		c.Int64(&m.Offset)
 		c.Int64(&m.Total)
-		c.bytes(&m.Data)
+		c.lent(&m.Data)
 		return decoded(c, &m)
 	case PutFragmentRep:
 		c.Int64(&m.Received)
@@ -318,7 +319,8 @@ type Coder struct {
 func NewEncoder(dst []byte) Coder { return Coder{dst: dst} }
 
 // NewDecoder returns a Coder that reads b. Decoded strings and byte
-// slices are copies; the Coder never retains b past Done.
+// slices are copies, but for PutFragment.Data, which is lent (see lent);
+// the Coder never retains b past Done.
 func NewDecoder(b []byte) Coder { return Coder{in: b, dec: true} }
 
 // Bytes returns what an encoder has written.
@@ -490,6 +492,22 @@ func (c *Coder) bytes(p *[]byte) {
 		c.dst = append(c.dst, *p...)
 	case n > 0:
 		*p, c.in = append([]byte(nil), c.in[:n]...), c.in[n:]
+	}
+}
+
+// lent codes a byte slice as bytes does, but a decoder lends it: the
+// result aliases the input, capped at its length, and is valid only while
+// the input is — for a request, until its handler returns. Only
+// PutFragment.Data is decoded so: its one reader, the server's
+// putFragment, appends it at once into the buffer the file keeps, so the
+// copy bytes would make is dropped unread (DESIGN.md §4.11).
+func (c *Coder) lent(p *[]byte) {
+	if !c.dec {
+		c.bytes(p)
+		return
+	}
+	if n := c.count(len(*p), 1); n > 0 {
+		*p, c.in = c.in[:n:n], c.in[n:]
 	}
 }
 

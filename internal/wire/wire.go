@@ -268,6 +268,8 @@ type ReintegrateRep struct {
 // PutFragment ships one piece of a large file ahead of reintegration
 // (§4.3.5). The server holds fragments until the Reintegrate that
 // references them; transfers are resumable after the last received byte.
+// Decoded, Data is lent: it aliases the request body, so it is valid only
+// until the handler returns.
 type PutFragment struct {
 	Transfer uint64
 	Offset   int64

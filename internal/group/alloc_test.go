@@ -58,8 +58,8 @@ func TestAllocReplicatedReintegrate(t *testing.T) {
 			if n := v.CMLRecords(); n != 0 {
 				t.Fatalf("CML still holds %d records", n)
 			}
+			grp.Close()
 		})
-		grp.Close()
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs > 672 {
 		t.Errorf("one replicated reintegration: %v allocs, want ≤ 672", allocs)

@@ -55,7 +55,7 @@ var realTime = []string{"internal/simtime", "cmd"}
 // of failing a test.
 var fences = []fenceRow{
 	{name: "simclock", objs: names("time", "Now Sleep After Tick NewTimer NewTicker AfterFunc Since Until"), kind: fenceCall, allow: realTime,
-		why: "bypasses the virtual clock; use the component's simtime.Clock (Now, Sleep, AfterFunc) or a simtime.Queue"},
+		why: "bypasses the virtual clock; use the component's simtime.Clock (Now, Sleep, Go) or a simtime.Queue"},
 	{name: "simrand", objs: names("math/rand", "Int Intn Int31 Int31n Int63 Int63n Uint32 Uint64 Float32 Float64 ExpFloat64 NormFloat64 Perm Shuffle Seed Read"), kind: fenceCall, allow: realTime,
 		why: "uses the global random source; use rand.New(rand.NewSource(seed)) so runs are reproducible"},
 	{name: "nogob", objs: []string{"encoding/gob"}, kind: fenceImport,

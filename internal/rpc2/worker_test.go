@@ -144,7 +144,7 @@ func TestBlockedWorkerDelaysNoOtherPeer(t *testing.T) {
 				if took := w.sim.Now().Sub(start); took > 100*time.Millisecond {
 					t.Errorf("fast call took %v behind the slow peer's transfer", took)
 				}
-				if _, ok := slowDone.TryGet(); ok {
+				if _, ok := slowDone.GetTimeout(0); ok {
 					t.Fatal("the slow call finished before the fast one started; nothing was blocked")
 				}
 				slowDone.Get()

@@ -2,8 +2,8 @@
 //
 // Every component in this repository (RPC2, SFTP, the network emulator, the
 // Venus daemons, the file server) blocks only through the primitives in this
-// package: Clock.Sleep, Clock.AfterFunc, and Queue. This lets the identical
-// protocol and daemon code run in two modes:
+// package: Sleep, Go and Queue. This lets the identical protocol and daemon
+// code run in two modes:
 //
 //   - Real: a thin veneer over package time; used by cmd/codasrv and
 //     cmd/codaclient for live operation over UDP.
@@ -25,53 +25,33 @@
 // that never parks between items can be a Queue's Serve handler instead
 // of a goroutine: the kernel runs it where that goroutine would have run,
 // without switching to it.
+//
+// A Sim test cannot show a data race between procs. They run one at a
+// time, and every switch hands over the clock's lock, so the race detector
+// sees each proc's accesses ordered after the last one's. Race evidence
+// for code the procs share comes from the Real clock, where those
+// goroutines do run in parallel.
 package simtime
 
 import "time"
 
 // Clock abstracts the passage of time. Implementations: Real and Sim.
 //
-// Code using a Clock must route every block through the clock: Sleep and
-// AfterFunc here, or a Queue constructed against the same clock. Blocking on
-// a bare channel while running under a Sim clock stalls virtual time.
+// Code using a Clock must route every block through the clock: Sleep here,
+// or a Queue constructed against the same clock. Blocking on a bare
+// channel while running under a Sim clock stalls virtual time.
 type Clock interface {
 	// Now reports the current (real or virtual) time.
 	Now() time.Time
 	// Sleep pauses the calling goroutine for d. Non-positive d still
 	// yields to other goroutines runnable at the current instant.
 	Sleep(d time.Duration)
-	// AfterFunc arranges for fn to run in its own goroutine once d has
-	// elapsed. The returned Timer can stop or reschedule the call.
-	AfterFunc(d time.Duration, fn func()) *Timer
 	// Go starts fn in a new goroutine tracked by the clock. Under Sim it
 	// joins the back of the run queue, so inside a Run it starts once the
 	// caller and every goroutine runnable before it have parked. Untracked
 	// goroutines (plain go statements) are invisible to the kernel and
 	// must not block on simtime primitives.
 	Go(fn func())
-}
-
-// Timer is a handle to a pending AfterFunc call, usable under both clocks.
-type Timer struct {
-	real *time.Timer // under Real
-	sim  simTimer    // under Sim
-}
-
-// Stop cancels the timer. It reports whether the call was still pending.
-func (t *Timer) Stop() bool {
-	if t.real != nil {
-		return t.real.Stop()
-	}
-	return t.sim.stop()
-}
-
-// Reset reschedules the timer to fire after d. It reports whether the call
-// was still pending at the time of the reset.
-func (t *Timer) Reset(d time.Duration) bool {
-	if t.real != nil {
-		return t.real.Reset(d)
-	}
-	return t.sim.reset(d)
 }
 
 // Every calls fn on c every d, the first time d from now, until fn
@@ -96,7 +76,7 @@ func Every(c Clock, d time.Duration, fn func() bool) {
 	t := &simTimer{}
 	t.fn = func() {
 		if fn() {
-			t.reset(d)
+			s.startTimer(t, d)
 		}
 	}
 	s.startTimer(t, d)
@@ -110,11 +90,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// AfterFunc implements Clock.
-func (Real) AfterFunc(d time.Duration, fn func()) *Timer {
-	return &Timer{real: time.AfterFunc(d, fn)}
-}
 
 // Go implements Clock.
 func (Real) Go(fn func()) { go fn() }

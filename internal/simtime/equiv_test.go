@@ -124,25 +124,17 @@ func runKernelProgram(seed int64) []byte {
 			pdone.Put(struct{}{})
 		})
 
-		// tm: arms, stops and resets timers whose callbacks feed qb.
+		// tm: arms timers whose callbacks feed qb.
 		s.Go(func() {
 			r := start(3)
-			var timers []*Timer
 			for i := 0; i < 40; i++ {
 				i := i
 				who := fmt.Sprintf("t%02d", i)
-				timers = append(timers, s.AfterFunc(dur(r, 3, 6), func() {
+				s.AfterFunc(dur(r, 3, 6), func() {
 					l.add(who, "fire")
 					qb.Put(i)
-				}))
+				})
 				s.Sleep(dur(r, 3, 3))
-				victim := r.Intn(len(timers))
-				switch r.Intn(3) {
-				case 0:
-					l.add("tm", "stop t%02d %v", victim, timers[victim].Stop())
-				case 1:
-					l.add("tm", "reset t%02d %v", victim, timers[victim].Reset(dur(r, 3, 6)))
-				}
 			}
 			s.Sleep(dur(r, 3, 40)) // let the stragglers fire
 			pdone.Put(struct{}{})

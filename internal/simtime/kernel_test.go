@@ -16,6 +16,25 @@ func scheduled(s *Sim) int64 {
 	return s.seq
 }
 
+// queued reports how many procs wait in s's run queue.
+func queued(s *Sim) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for p := s.head; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
+// yieldAWhile gives other goroutines of the process a chance to run, so a
+// test can tell that a proc queued outside Run does not.
+func yieldAWhile() {
+	for range 100 {
+		runtime.Gosched()
+	}
+}
+
 // awaitParked spins (in real time) until n tracked goroutines are parked.
 func awaitParked(s *Sim, n int) {
 	for {
@@ -67,16 +86,20 @@ func TestInlineAdvance(t *testing.T) {
 	t.Run("cancelled timer at the heap top does not block the advance", func(t *testing.T) {
 		s := NewSim(Epoch1995)
 		s.Run(func() {
-			tm := s.AfterFunc(5*time.Millisecond, func() { t.Error("stopped timer fired") })
+			q := NewQueue[int](s)
+			got := NewQueue[bool](s)
 			s.AfterFunc(time.Hour, func() {})
-			if !tm.Stop() {
-				t.Error("Stop = false on a pending timer")
-			}
-			if tm.Stop() {
-				t.Error("second Stop = true")
+			s.Go(func() {
+				_, ok := q.GetTimeout(5 * time.Millisecond) // the heap's top
+				got.Put(ok)
+			})
+			s.Sleep(0) // the consumer arms its deadline and parks
+			q.Put(1)   // answered before the deadline, which is cancelled
+			if ok, _ := got.Get(); !ok {
+				t.Error("GetTimeout timed out although answered first")
 			}
 			if n := s.Pending(); n != 1 {
-				t.Errorf("Pending = %d after Stop, want 1 (cancel removes, not tombstones)", n)
+				t.Errorf("Pending = %d after the answer, want 1 (cancel removes, not tombstones)", n)
 			}
 			before := scheduled(s)
 			s.Sleep(10 * time.Millisecond)
@@ -132,7 +155,7 @@ func TestInlineAdvance(t *testing.T) {
 			}
 			// And the same through GetTimeout: the Put arrives first.
 			s.AfterFunc(5*time.Millisecond, func() { q.Put(8) })
-			q.TryGet()
+			q.GetTimeout(0)
 			if v, ok := q.GetTimeout(time.Second); !ok || v != 8 {
 				t.Errorf("GetTimeout = %d, %v; want 8 from the timer", v, ok)
 			}
@@ -165,19 +188,24 @@ func TestInlineAdvance(t *testing.T) {
 	t.Run("Sleep after Run returned still freezes", func(t *testing.T) {
 		s := NewSim(Epoch1995)
 		s.Run(func() {})
-		var woke atomic.Bool
+		var started, woke atomic.Bool
 		s.Go(func() {
+			started.Store(true)
 			s.Sleep(time.Second)
 			woke.Store(true)
 		})
-		awaitParked(s, 1)
-		if woke.Load() || elapsed(s) != 0 {
-			t.Fatalf("time moved outside Run: woke=%v elapsed=%v", woke.Load(), elapsed(s))
+		yieldAWhile()
+		if started.Load() || queued(s) != 1 || elapsed(s) != 0 {
+			t.Fatalf("outside Run a proc ran or time moved: started=%v queued=%d elapsed=%v",
+				started.Load(), queued(s), elapsed(s))
 		}
-		// The next Run thaws it.
+		// The next Run runs it, from the frozen instant, and thaws it.
 		s.Run(func() { s.Sleep(2 * time.Second) })
 		if !woke.Load() {
 			t.Error("frozen sleeper did not wake in the next Run")
+		}
+		if got := elapsed(s); got != 2*time.Second {
+			t.Errorf("elapsed = %v, want 2s: the sleeper started at +0", got)
 		}
 	})
 
@@ -222,8 +250,8 @@ func TestHandoff(t *testing.T) {
 					t.Errorf("consumer %d got %d, want %d", r[0], r[1], 100*r[0])
 				}
 			}
-			if v, ok := q.TryGet(); !ok || v != 400 {
-				t.Errorf("TryGet = %d, %v; want the unclaimed 400", v, ok)
+			if v, ok := q.GetTimeout(0); !ok || v != 400 {
+				t.Errorf("GetTimeout(0) = %d, %v; want the unclaimed 400", v, ok)
 			}
 		})
 	})

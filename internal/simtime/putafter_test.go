@@ -36,7 +36,7 @@ func TestPutAfterDelivers(t *testing.T) {
 		// Nobody waiting: the item is buffered on time.
 		q.PutAfter(time.Second, 5)
 		s.Sleep(2 * time.Second)
-		if v, ok := q.TryGet(); !ok || v != 5 {
+		if v, ok := q.GetTimeout(0); !ok || v != 5 {
 			t.Errorf("buffered item: got %d, %v", v, ok)
 		}
 		// A deadline that expires first is not rescued by a later item.

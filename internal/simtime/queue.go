@@ -73,17 +73,17 @@ func (q *Queue[T]) Put(v T) {
 }
 
 // PutAfter is Put d from now on the owning clock: observably
-// clock.AfterFunc(d, func() { q.Put(v) }), and over a Real clock exactly
-// that. Under Sim the put is the event itself — it takes the (when, seq)
-// slot the AfterFunc would have taken and runs inside the kernel when the
-// world is quiescent, handing v to the oldest waiter (whose goroutine is
-// then the only runnable one, as the callback's would have been) or
-// buffering it — so an item in flight costs no goroutine, closure or
-// Timer. It cannot be cancelled; a queue closed by the time it lands
-// drops the item, as Put does.
+// Sim.AfterFunc(d, func() { q.Put(v) }), and over a Real clock exactly
+// time.AfterFunc of that. Under Sim the put is the event itself — it
+// takes the (when, seq) slot the AfterFunc would have taken and runs
+// inside the kernel when the world is quiescent, handing v to the oldest
+// waiter (whose goroutine is then the only runnable one, as the
+// callback's would have been) or buffering it — so an item in flight
+// costs no goroutine, closure or timer. It cannot be cancelled; a queue
+// closed by the time it lands drops the item, as Put does.
 func (q *Queue[T]) PutAfter(d time.Duration, v T) {
 	if q.s == nil {
-		q.clock.AfterFunc(d, func() { q.Put(v) })
+		time.AfterFunc(d, func() { q.Put(v) })
 		return
 	}
 	q.s.mu.Lock()
@@ -211,16 +211,9 @@ func (q *Queue[T]) Get() (T, bool) {
 }
 
 // GetTimeout is Get with a deadline d on the owning clock. On timeout it
-// returns ok=false with the zero value.
+// returns ok=false with the zero value; GetTimeout(0) never blocks.
 func (q *Queue[T]) GetTimeout(d time.Duration) (T, bool) {
 	return q.get(true, d)
-}
-
-// TryGet removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryGet() (T, bool) {
-	q.lock()
-	defer q.unlock()
-	return q.popLocked()
 }
 
 // Len reports the number of buffered items.
@@ -305,9 +298,9 @@ func (q *Queue[T]) wakeLocked(w *waiter, got bool) {
 }
 
 // expireLocked is w's deadline, run with the queue lock held: the Sim
-// event's fire, or the body of the Real clock's AfterFunc callback — which,
-// unlike a Sim event, cannot be disarmed once started and so may find w
-// resolved.
+// event's fire, or the body of the Real clock's time.AfterFunc callback —
+// which, unlike a Sim event, cannot be disarmed once started and so may
+// find w resolved.
 func (q *Queue[T]) expireLocked(w *waiter) {
 	if !w.woken {
 		q.wakeLocked(w, false)
@@ -349,9 +342,9 @@ func (q *Queue[T]) get(timed bool, d time.Duration) (T, bool) {
 func (q *Queue[T]) getReal(timed bool, d time.Duration) (T, bool) {
 	w := &waiter{ch: make(chan struct{}, 1)}
 	q.listLocked(w)
-	var deadline *Timer
+	var deadline *time.Timer
 	if timed {
-		deadline = q.clock.AfterFunc(d, func() {
+		deadline = time.AfterFunc(d, func() {
 			q.mu.Lock()
 			defer q.mu.Unlock()
 			q.expireLocked(w)

@@ -151,28 +151,26 @@ func TestKernelContract(t *testing.T) {
 	t.Run("an untracked Put after Run wakes a goroutine to its next park", func(t *testing.T) {
 		s := NewSim(Epoch1995)
 		q := NewQueue[int](s)
-		var seen atomic.Int64
+		var seen, seenAt atomic.Int64
 		s.Run(func() {
 			s.Go(func() {
 				v, _ := q.Get()
 				seen.Store(int64(v))
+				seenAt.Store(int64(s.Now().Sub(Epoch1995)))
 				s.Sleep(time.Second)
 				seen.Store(-1)
 			})
 		})
 		q.Put(7) // from the test's goroutine, which the Sim does not track
-		for start := time.Now(); seen.Load() != 7; runtime.Gosched() {
-			if time.Since(start) > 10*time.Second {
-				t.Fatal("the goroutine woken outside Run never ran")
-			}
+		yieldAWhile()
+		if v, n, elapsed := seen.Load(), queued(s), s.Now().Sub(Epoch1995); v != 0 || n != 1 || elapsed != 0 {
+			t.Fatalf("outside Run the woken goroutine ran or time moved: seen %d, queued %d, elapsed %v", v, n, elapsed)
 		}
-		awaitParked(s, 1)
-		if v, elapsed := seen.Load(), s.Now().Sub(Epoch1995); v != 7 || elapsed != 0 {
-			t.Fatalf("outside Run the woken goroutine went past its park: seen %d, elapsed %v", v, elapsed)
-		}
+		// The next Run runs it to its next park, the Sleep, at the frozen
+		// instant, then thaws that.
 		s.Run(func() { s.Sleep(2 * time.Second) })
-		if v := seen.Load(); v != -1 {
-			t.Errorf("the next Run did not finish the goroutine's sleep: seen %d", v)
+		if v, at := seen.Load(), time.Duration(seenAt.Load()); v != -1 || at != 0 {
+			t.Errorf("the next Run did not run the woken goroutine from +0 through its sleep: seen %d at +%v", v, at)
 		}
 	})
 }

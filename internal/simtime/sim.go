@@ -33,24 +33,26 @@ import (
 // move the clock with an assignment instead of parking
 // (advanceInlineLocked).
 //
+// Procs run only inside Run. One woken or started outside a Run (a Put
+// from an untracked goroutine, a Go after Run returned) waits in the run
+// queue, with time frozen, and runs in the next Run.
+//
 // If every tracked goroutine is parked and no events are pending, the
 // simulation can never progress; Sim panics with a deadlock report.
 type Sim struct {
-	mu      sync.Mutex
-	now     time.Time
-	at      int64 // now as an offset from the start, in ns: the heap's key (see after)
-	seq     int64
-	events  eventHeap
-	head    *proc         // the run queue, oldest first, linked through proc.next,
-	tail    *proc         // ends at tail
-	cur     *proc         // the proc running now; nil when none is
-	parked  int           // procs blocked in a simtime primitive
-	inRun   bool          // a Run call is active
-	live    bool          // that Run's fn has not returned: time may advance
-	driving bool          // a goroutine is running procs: Run's, or one started outside Run
-	idle    *proc         // carriers whose proc returned during this Run, for reuse
-	drained chan struct{} // closed when a driver started outside Run stops; made by a Run that waits for it
-	main    proc          // the goroutine that calls Run; it runs on no carrier
+	mu     sync.Mutex
+	now    time.Time
+	at     int64 // now as an offset from the start, in ns: the heap's key (see after)
+	seq    int64
+	events eventHeap
+	head   *proc // the run queue, oldest first, linked through proc.next,
+	tail   *proc // ends at tail
+	cur    *proc // the proc running now; nil when none is
+	parked int   // procs blocked in a simtime primitive
+	inRun  bool  // a Run call is active
+	live   bool  // that Run's fn has not returned: time may advance
+	idle   *proc // carriers whose proc returned during this Run, for reuse
+	main   proc  // the goroutine that calls Run; it runs on no carrier
 }
 
 // NewSim returns a Sim whose clock reads start.
@@ -65,12 +67,14 @@ func NewSim(start time.Time) *Sim {
 var Epoch1995 = time.Date(1995, time.July, 1, 9, 0, 0, 0, time.UTC)
 
 // Run executes fn on the virtual clock, tracking the calling goroutine.
-// It returns once fn has returned and the run queue is empty; procs that
-// became runnable before then run to their next park, but time does not
-// move. fn must join (via Queue) any goroutines whose completion it
-// depends on: once fn returns, time stops advancing, so stragglers parked
-// on the clock stay parked. Run calls must not nest, but sequential Run
-// calls on the same Sim continue from the current time.
+// Procs already in the run queue (woken or started since the last Run)
+// run once fn parks. Run returns once fn has returned and the run queue
+// is empty; procs that became runnable before then run to their next
+// park, but time does not move. fn must join (via Queue) any goroutines
+// whose completion it depends on: once fn returns, time stops advancing,
+// so stragglers parked on the clock stay parked. Run calls must not nest,
+// but sequential Run calls on the same Sim continue from the current
+// time.
 //
 // A panic in any tracked goroutine surfaces from Run with its value, and a
 // runtime.Goexit in one (a t.FailNow) ends Run's goroutine, because a
@@ -81,16 +85,7 @@ func (s *Sim) Run(fn func()) {
 		s.mu.Unlock()
 		panic("simtime: nested Sim.Run")
 	}
-	for s.driving { // a driver started outside Run is still at work
-		if s.drained == nil {
-			s.drained = make(chan struct{})
-		}
-		drained := s.drained
-		s.mu.Unlock()
-		<-drained
-		s.mu.Lock()
-	}
-	s.inRun, s.live, s.driving, s.cur = true, true, true, &s.main
+	s.inRun, s.live, s.cur = true, true, &s.main
 	s.mu.Unlock()
 	defer s.endRun()
 
@@ -102,11 +97,11 @@ func (s *Sim) Run(fn func()) {
 	s.mu.Unlock()
 }
 
-// endRun closes a Run, normally or on the way out of a panic: nothing is
-// driving any more, and the idle carriers end.
+// endRun closes a Run, normally or on the way out of a panic: no proc
+// runs any more, and the idle carriers end.
 func (s *Sim) endRun() {
 	s.mu.Lock()
-	s.inRun, s.live, s.driving, s.cur = false, false, false, nil
+	s.inRun, s.live, s.cur = false, false, nil
 	idle := s.idle
 	s.idle = nil
 	s.mu.Unlock()
@@ -167,16 +162,14 @@ func (s *Sim) after(d time.Duration) int64 {
 	return s.at + int64(d)
 }
 
-// AfterFunc implements Clock. When the timer fires, fn becomes a new
-// tracked goroutine at the back of the run queue.
-func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
-	t := &Timer{}
-	t.sim.fn = fn
-	s.startTimer(&t.sim, d)
-	return t
+// AfterFunc runs fn d from now as a new tracked goroutine: when the timer
+// fires, fn joins the back of the run queue. It cannot be cancelled.
+func (s *Sim) AfterFunc(d time.Duration, fn func()) {
+	s.startTimer(&simTimer{fn: fn}, d)
 }
 
-// startTimer schedules t, whose fn is set, to fire d from now.
+// startTimer schedules t, whose fn is set and which is not pending, to
+// fire d from now.
 func (s *Sim) startTimer(t *simTimer, d time.Duration) {
 	t.s = s
 	t.ev = event{owner: t, index: -1}
@@ -186,7 +179,7 @@ func (s *Sim) startTimer(t *simTimer, d time.Duration) {
 }
 
 // Go implements Clock. fn joins the back of the run queue; outside Run it
-// runs to its first park on a driver goroutine, with time frozen.
+// waits there for the next Run.
 func (s *Sim) Go(fn func()) {
 	s.mu.Lock()
 	s.spawnLocked(fn)
@@ -214,8 +207,7 @@ func (s *Sim) spawnLocked(fn func()) {
 	s.readyLocked(p)
 }
 
-// readyLocked appends p to the run queue. Outside Run, with nobody
-// driving, it starts a driver to run it.
+// readyLocked appends p to the run queue.
 func (s *Sim) readyLocked(p *proc) {
 	p.next = nil
 	if s.tail == nil {
@@ -224,10 +216,6 @@ func (s *Sim) readyLocked(p *proc) {
 		s.tail.next = p
 	}
 	s.tail = p
-	if !s.driving {
-		s.driving = true
-		go s.drive()
-	}
 }
 
 // wakeLocked makes a parked proc runnable: an event fire or a queue
@@ -254,8 +242,8 @@ func (s *Sim) curLocked() *proc {
 // parkLocked blocks p, the caller, until something wakes it. The caller
 // holds s.mu, has registered its wakeup (an event or a queue waiter), and
 // holds s.mu again when parkLocked returns. The main proc runs the kernel
-// loop itself until its turn comes back; a carrier switches to the
-// driver, handing it s.mu, and gets s.mu back with its next turn.
+// loop itself until its turn comes back; a carrier switches back to that
+// loop, handing it s.mu, and gets s.mu back with its next turn.
 func (s *Sim) parkLocked(p *proc) {
 	s.parked++
 	if p == &s.main {
@@ -265,13 +253,13 @@ func (s *Sim) parkLocked(p *proc) {
 	p.yield(struct{}{})
 }
 
-// runLocked is the kernel loop, run with s.mu held by whichever goroutine
-// drives: Run's, or a driver started outside Run. It switches into the
-// oldest runnable proc, handing it s.mu, and takes s.mu back when that
-// proc parks or returns. When the run queue is empty it fires events until
-// some proc is runnable again — only when self, the parked main proc, is
-// waiting, since time moves only while a Run's fn is live. It returns when
-// self's turn comes, or, for self == nil, when nobody is runnable.
+// runLocked is the kernel loop, run with s.mu held by Run's goroutine. It
+// switches into the oldest runnable proc, handing it s.mu, and takes s.mu
+// back when that proc parks or returns. When the run queue is empty it
+// fires events until some proc is runnable again — only when self, the
+// parked main proc, is waiting, since time moves only while a Run's fn is
+// live. It returns when self's turn comes, or, for self == nil, when
+// nobody is runnable.
 func (s *Sim) runLocked(self *proc) {
 	for {
 		p := s.head
@@ -309,35 +297,10 @@ func (s *Sim) runLocked(self *proc) {
 		p.resume()
 		s.cur = nil
 		if p.fn == nil { // it returned: its carrier is free
-			if s.inRun {
-				p.next = s.idle
-				s.idle = p
-			} else {
-				p.stop()
-			}
+			p.next = s.idle
+			s.idle = p
 		}
 	}
-}
-
-// drive runs procs made runnable outside Run until none is, with time
-// frozen. If a proc's Goexit ends it, the deferred reset lets the next
-// wake-up or Run drive again.
-func (s *Sim) drive() {
-	s.mu.Lock()
-	done := false
-	defer func() {
-		if !done {
-			s.mu.Lock() // a Goexit unwound through the loop with s.mu released
-		}
-		s.driving = false
-		if s.drained != nil {
-			close(s.drained)
-			s.drained = nil
-		}
-		s.mu.Unlock()
-	}()
-	s.runLocked(nil)
-	done = true
 }
 
 // scheduleLocked enqueues ev, which must not be pending, to fire at now+d.
@@ -353,15 +316,13 @@ func (s *Sim) scheduleLocked(ev *event, d time.Duration) {
 	s.events.push(heapSlot{at: s.after(d), seq: s.seq, ev: ev})
 }
 
-// cancelLocked takes ev out of the heap. It reports whether ev was still
-// pending. Removal (rather than a tombstone) keeps events[0] live, which is
-// what lets advanceInlineLocked decide by reading one entry.
-func (s *Sim) cancelLocked(ev *event) bool {
-	if ev.index < 0 {
-		return false
+// cancelLocked takes ev out of the heap if it is pending. Removal (rather
+// than a tombstone) keeps events[0] live, which is what lets
+// advanceInlineLocked decide by reading one entry.
+func (s *Sim) cancelLocked(ev *event) {
+	if ev.index >= 0 {
+		s.events.remove(ev.index)
 	}
-	s.events.remove(ev.index)
-	return true
 }
 
 // popLocked takes the earliest event out of the heap and moves the clock
@@ -377,17 +338,17 @@ func (s *Sim) popLocked() *event {
 
 // proc is one tracked goroutine and the waiter it blocks on. Every proc
 // but a Sim's main one runs on a carrier: a coroutine (iter.Pull; see
-// newCarrier) whose body runs fn, then reports back to the driver and
-// waits for the next fn. A Queue.Serve entry is a proc on no carrier
+// newCarrier) whose body runs fn, then reports back to the kernel loop
+// and waits for the next fn. A Queue.Serve entry is a proc on no carrier
 // either: it has drain, which the kernel loop calls itself.
 type proc struct {
 	waiter
 	s      *Sim
 	fn     func()                  // what the carrier runs; nil once it has returned
 	drain  func()                  // a Serve entry's turn, run by the kernel loop with s.mu held
-	resume func() (struct{}, bool) // switch into the carrier, from the driver
+	resume func() (struct{}, bool) // switch into the carrier, from the kernel loop
 	stop   func()                  // end the carrier, which must be idle
-	yield  func(struct{}) bool     // switch back to the driver, from the carrier
+	yield  func(struct{}) bool     // switch back to the kernel loop, from the carrier
 	next   *proc                   // run queue or idle list
 }
 
@@ -403,8 +364,8 @@ func (p *proc) init(s *Sim) {
 	p.ev = event{owner: &p.waiter, index: -1}
 }
 
-// carry is the carrier's body. The driver hands it s.mu with every switch
-// in, and it hands s.mu back with every switch out.
+// carry is the carrier's body. The kernel loop hands it s.mu with every
+// switch in, and it hands s.mu back with every switch out.
 func (p *proc) carry(yield func(struct{}) bool) {
 	p.yield = yield
 	for {
@@ -448,7 +409,7 @@ func (w *waiter) fire() {
 	w.p.s.wakeLocked(w.p)
 }
 
-// simTimer is a Timer on the Sim clock: its event spawns fn.
+// simTimer is an AfterFunc or Every timer: its event spawns fn.
 type simTimer struct {
 	s  *Sim
 	fn func()
@@ -456,20 +417,6 @@ type simTimer struct {
 }
 
 func (t *simTimer) fire() { t.s.spawnLocked(t.fn) }
-
-func (t *simTimer) stop() bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.s.cancelLocked(&t.ev)
-}
-
-func (t *simTimer) reset(d time.Duration) bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	active := t.s.cancelLocked(&t.ev)
-	t.s.scheduleLocked(&t.ev, d)
-	return active
-}
 
 // event is a pending occurrence in the simulation. Events are embedded in
 // the record that owns them (a waiter, a simTimer, a delivery) and pushed

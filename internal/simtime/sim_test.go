@@ -104,63 +104,6 @@ func TestSimAfterFuncFiresAtDeadline(t *testing.T) {
 	}
 }
 
-func TestSimTimerStop(t *testing.T) {
-	s := NewSim(Epoch1995)
-	var fired atomic.Bool
-	s.Run(func() {
-		tm := s.AfterFunc(time.Second, func() { fired.Store(true) })
-		if !tm.Stop() {
-			t.Error("Stop reported timer already inactive")
-		}
-		if tm.Stop() {
-			t.Error("second Stop reported timer active")
-		}
-		s.Sleep(5 * time.Second)
-	})
-	if fired.Load() {
-		t.Error("stopped timer fired")
-	}
-}
-
-func TestSimTimerReset(t *testing.T) {
-	s := NewSim(Epoch1995)
-	var firedAt time.Time
-	s.Run(func() {
-		done := NewQueue[struct{}](s)
-		tm := s.AfterFunc(time.Second, func() {
-			firedAt = s.Now()
-			done.Put(struct{}{})
-		})
-		if !tm.Reset(10 * time.Second) {
-			t.Error("Reset reported timer inactive")
-		}
-		done.Get()
-	})
-	if got := firedAt.Sub(Epoch1995); got != 10*time.Second {
-		t.Errorf("reset timer fired at +%v, want +10s", got)
-	}
-}
-
-func TestSimTimerResetAfterFire(t *testing.T) {
-	s := NewSim(Epoch1995)
-	var fires atomic.Int32
-	s.Run(func() {
-		done := NewQueue[struct{}](s)
-		tm := s.AfterFunc(time.Second, func() {
-			fires.Add(1)
-			done.Put(struct{}{})
-		})
-		done.Get()
-		if tm.Reset(time.Second) {
-			t.Error("Reset after fire reported timer still active")
-		}
-		done.Get()
-	})
-	if fires.Load() != 2 {
-		t.Errorf("fires = %d, want 2", fires.Load())
-	}
-}
-
 func TestSimDeadlockPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -324,20 +267,6 @@ func TestQueuePutAfterCloseDropped(t *testing.T) {
 	})
 }
 
-func TestQueueTryGet(t *testing.T) {
-	s := NewSim(Epoch1995)
-	s.Run(func() {
-		q := NewQueue[string](s)
-		if _, ok := q.TryGet(); ok {
-			t.Error("TryGet on empty queue returned ok")
-		}
-		q.Put("x")
-		if v, ok := q.TryGet(); !ok || v != "x" {
-			t.Errorf("TryGet = %q,%v", v, ok)
-		}
-	})
-}
-
 func TestRealClockBasics(t *testing.T) {
 	var c Clock = Real{}
 	start := c.Now()
@@ -355,14 +284,6 @@ func TestRealClockBasics(t *testing.T) {
 	<-done
 	if v, ok := q.Get(); !ok || v != 42 {
 		t.Errorf("real-clock queue Get = %d,%v", v, ok)
-	}
-
-	fired := make(chan struct{})
-	c.AfterFunc(5*time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Error("Real.AfterFunc never fired")
 	}
 }
 

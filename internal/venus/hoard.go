@@ -283,7 +283,7 @@ func (v *Venus) addCandidate(cands *[]walkCand, seen map[codafs.FID]bool, vc *vc
 	}
 	size := f.obj.Status.Length
 	cost := v.costVia(v.cfg.Servers[vc.pref], size) + v.costPenaltyLocked(size)
-	tau := v.cfg.Patience.Threshold(pri)
+	tau := DefaultPatience().Threshold(pri)
 	*cands = append(*cands, walkCand{
 		vc:  vc,
 		fid: fid,

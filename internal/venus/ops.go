@@ -317,7 +317,7 @@ func (v *Venus) getObject(vc *vclient, fid codafs.FID, path string, wantData boo
 	if state == WriteDisconnected {
 		cost := v.estimateCost(vc, size) + v.costPenalty(size)
 		pri := v.priorityOf(path)
-		tau := v.cfg.Patience.Threshold(pri)
+		tau := DefaultPatience().Threshold(pri)
 		if cost > tau {
 			v.mu.Lock()
 			v.stats.DeferredMisses++

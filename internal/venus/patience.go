@@ -25,12 +25,6 @@ func DefaultPatience() PatienceParams {
 	return PatienceParams{Alpha: 2, Beta: 1, Gamma: 0.01}
 }
 
-func (p *PatienceParams) fillDefaults() {
-	if p.Alpha == 0 && p.Beta == 0 && p.Gamma == 0 {
-		*p = DefaultPatience()
-	}
-}
-
 // Threshold returns τ for an object of the given hoard priority.
 func (p PatienceParams) Threshold(priority int) time.Duration {
 	secs := p.Alpha + p.Beta*math.Exp(p.Gamma*float64(priority))

@@ -79,6 +79,10 @@ func (v *Venus) WriteDisconnect() {
 	v.transition(WriteDisconnected, "forced write-disconnect")
 }
 
+// strongThreshold is the bandwidth (b/s) from which connectivity counts
+// as strong: LANs are strong, ISDN and modems weak.
+const strongThreshold = 1_000_000
+
 // maybePromote moves WriteDisconnected → Hoarding when connectivity is
 // strong and every CML has drained; called by the trickle daemon after
 // successful reintegrations.
@@ -91,7 +95,7 @@ func (v *Venus) maybePromote() {
 		v.mu.Unlock()
 		return
 	}
-	strong := v.linkBandwidth() >= v.cfg.StrongThreshold
+	strong := v.linkBandwidth() >= strongThreshold
 	empty := true
 	for _, vc := range v.volumes {
 		if vc.log.Len() > 0 {
@@ -115,7 +119,7 @@ func (v *Venus) maybeDemote() {
 		return
 	}
 	bw := v.linkBandwidth()
-	if bw > 0 && bw < v.cfg.StrongThreshold {
+	if bw > 0 && bw < strongThreshold {
 		v.transition(WriteDisconnected, "bandwidth below strong threshold")
 	}
 }
@@ -147,16 +151,11 @@ func (v *Venus) validateOnReconnect() {
 	}
 	var batches []memberBatch // one per member
 	for _, vc := range v.volumes {
-		cached := v.cache.inVolume(vc.info.ID)
 		if v.cfg.DisableVolumeCallbacks || !vc.hasStamp {
 			if !v.cfg.DisableVolumeCallbacks {
 				v.stats.MissingStamp++
 			}
-			for _, f := range cached {
-				if !f.dirty {
-					f.valid = false
-				}
-			}
+			v.markCleanLocked(vc, false)
 			continue
 		}
 		i := slices.IndexFunc(batches, func(b memberBatch) bool { return b.pref == vc.pref })
@@ -164,7 +163,7 @@ func (v *Venus) validateOnReconnect() {
 			i = len(batches)
 			batches = append(batches, memberBatch{pref: vc.pref})
 		}
-		batches[i].entries = append(batches[i].entries, batchEntry{vc: vc, objs: len(cached)})
+		batches[i].entries = append(batches[i].entries, batchEntry{vc: vc, objs: len(v.cache.inVolume(vc.info.ID))})
 	}
 	// Out of map order: the batches go by member and each lists its
 	// volumes by name, so the calls and their bytes repeat run to run.
@@ -187,11 +186,7 @@ func (v *Venus) validateOnReconnect() {
 			v.mu.Lock()
 			for _, e := range b.entries {
 				e.vc.hasStamp = false
-				for _, f := range v.cache.inVolume(e.vc.info.ID) {
-					if !f.dirty {
-						f.valid = false
-					}
-				}
+				v.markCleanLocked(e.vc, false)
 			}
 			v.mu.Unlock()
 			continue
@@ -201,25 +196,27 @@ func (v *Venus) validateOnReconnect() {
 		for i, e := range b.entries {
 			v.stats.VolValidations++
 			if rep.Valid[i] {
-				v.stats.VolValidationsOK++
-				v.stats.ObjsSavedByVolume += int64(e.objs)
 				// Volume callback reacquired as a side effect; every
 				// cached object from the volume is revalidated at once.
-				for _, f := range v.cache.inVolume(e.vc.info.ID) {
-					if !f.dirty {
-						f.valid = true
-					}
-				}
+				v.stats.VolValidationsOK++
+				v.stats.ObjsSavedByVolume += int64(e.objs)
 			} else {
 				e.vc.hasStamp = false
-				for _, f := range v.cache.inVolume(e.vc.info.ID) {
-					if !f.dirty {
-						f.valid = false
-					}
-				}
 			}
+			v.markCleanLocked(e.vc, rep.Valid[i])
 		}
 		v.mu.Unlock()
+	}
+}
+
+// markCleanLocked makes every clean cached object of vc's volume valid or
+// suspect, as a verdict on the volume's stamp covers them all; a dirty
+// object awaits reintegration and keeps its own.
+func (v *Venus) markCleanLocked(vc *vclient, valid bool) {
+	for _, f := range v.cache.inVolume(vc.info.ID) {
+		if !f.dirty {
+			f.valid = valid
+		}
 	}
 }
 

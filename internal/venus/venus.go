@@ -100,13 +100,6 @@ type Config struct {
 	// looking again for aged records (default 10 s); a loop that just
 	// committed a chunk looks again at once.
 	TrickleInterval time.Duration
-	// StrongThreshold is the bandwidth (b/s) above which connectivity
-	// counts as strong (default 1 Mb/s: LANs are strong, ISDN and modems
-	// are weak).
-	StrongThreshold int64
-	// Patience holds the patience-model parameters (default α=2 s, β=1,
-	// γ=0.01).
-	Patience PatienceParams
 	// DefaultPriority is the hoard priority assumed for objects not in
 	// the HDB when evaluating patience.
 	DefaultPriority int
@@ -153,10 +146,6 @@ func (c *Config) fillDefaults() {
 	if c.TrickleInterval == 0 {
 		c.TrickleInterval = 10 * time.Second
 	}
-	if c.StrongThreshold == 0 {
-		c.StrongThreshold = 1_000_000
-	}
-	c.Patience.fillDefaults()
 	if c.Advisor == nil {
 		c.Advisor = AutoAdvisor{}
 	}

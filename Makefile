@@ -42,13 +42,13 @@ fuzz:
 # Scenario gate: the declarative corpus (parse, validate, run, golden
 # dumps, determinism) plus the generated chaos matrix — the crash-point
 # x victim x link-churn sweep expanded from crash_matrix.scn — all
-# under the race detector, then the determinism test sixteen times over:
-# two same-seed runs must dump identical bytes however the Go scheduler
-# orders goroutines runnable at one instant. `codascn run` then executes
+# under the race detector, then the determinism tests sixteen times over:
+# two same-seed runs must dump and export a trace of identical bytes
+# however the Go scheduler orders goroutines runnable at one instant. `codascn run` then executes
 # the runnable corpus through the CLI path as well.
 scenarios:
 	$(GO) test -race -count=1 ./internal/scenario/
-	$(GO) test -race -count=16 -run TestRunDeterministic ./internal/scenario/
+	$(GO) test -race -count=16 -run 'TestRunDeterministic|TestGoldenTrace' ./internal/scenario/
 	$(GO) run ./cmd/codascn validate internal/scenario/testdata/scenarios
 	$(GO) run ./cmd/codascn matrix -run internal/scenario/testdata/scenarios/crash_matrix.scn
 

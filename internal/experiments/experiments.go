@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strings"
@@ -63,10 +64,18 @@ func (w *deployment) venus(name string, cfg venus.Config) *venus.Venus {
 }
 
 // RegistrySnapshot is one deterministic obs.Registry dump captured at the
-// end of an experiment run.
+// end of an experiment run, with a digest of the same registry's span
+// trace for the determinism test to compare.
 type RegistrySnapshot struct {
 	Label string
 	Dump  []byte
+
+	traceSum [sha256.Size]byte
+}
+
+// snapshot captures reg's dump and trace digest under label.
+func snapshot(label string, reg *obs.Registry) RegistrySnapshot {
+	return RegistrySnapshot{Label: label, Dump: reg.Dump(), traceSum: sha256.Sum256(reg.ExportTrace())}
 }
 
 // ObsSnapshots is embedded in the results of the figures that run
@@ -80,7 +89,7 @@ type ObsSnapshots struct {
 // addSnapshot appends reg's dump under label. Worlds call it at the end
 // of their run, before teardown.
 func (o *ObsSnapshots) addSnapshot(label string, reg *obs.Registry) {
-	o.Snapshots = append(o.Snapshots, RegistrySnapshot{Label: label, Dump: reg.Dump()})
+	o.Snapshots = append(o.Snapshots, snapshot(label, reg))
 }
 
 func (w *deployment) setLink(client string, p netsim.Profile) {

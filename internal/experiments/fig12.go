@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sync"
@@ -137,7 +138,7 @@ func Figure12(opts Options) Fig12Result {
 			continue
 		}
 		label := fmt.Sprintf("%s/%s/lambda=%v/A=%v", o.segment, o.network.Name, o.combo.Lambda, o.combo.Aging)
-		res.Snapshots = append(res.Snapshots, RegistrySnapshot{Label: label, Dump: o.dump})
+		res.Snapshots = append(res.Snapshots, RegistrySnapshot{Label: label, Dump: o.dump, traceSum: sha256.Sum256(o.trace)})
 		if res.Trace == nil {
 			res.Trace = o.trace
 		}

@@ -89,7 +89,7 @@ func fig8Run(opts Options, prof Fig8Profile, scheme string) ([]Fig8Cell, Registr
 	}
 
 	var cells []Fig8Cell
-	snap := RegistrySnapshot{Label: prof.User + "/" + scheme}
+	var snap RegistrySnapshot
 	w.Run(func() {
 		v := w.venus("client", venus.Config{
 			ClientID:               1,
@@ -129,7 +129,7 @@ func fig8Run(opts Options, prof Fig8Profile, scheme string) ([]Fig8Cell, Registr
 				Seconds: seconds(elapsed),
 			})
 		}
-		snap.Dump = w.Reg.Dump()
+		snap = snapshot(prof.User+"/"+scheme, w.Reg)
 	})
 	return cells, snap
 }

@@ -17,9 +17,11 @@ import (
 // of the same seeded experiments in one process produce byte-identical
 // output - every figure that keeps registry snapshots (1, 8, 9, 12; Quick,
 // one trial) and FigureRepl, their tables and their dumps, counters,
-// histograms and gauge evaluations included. A map-order leak on any
-// path these worlds run (one server update breaking callbacks at several
-// clients, in Figure 9) shows up as runs that differ. Five, not two: Go
+// histograms and gauge evaluations included, and the digest of each
+// world's span trace, which is exported in recording order. A map-order
+// leak on any path these worlds run (one server update breaking
+// callbacks at several clients, in Figure 9) shows up as runs that
+// differ. Five, not two: Go
 // iterates a map of eight or fewer entries as a rotation of one slot
 // order, so runs through small maps fall into a few outcomes, one of them
 // common. With dispatchBreaks unsorted, Figure 9 at seed 0 gave five
@@ -46,7 +48,7 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 		var b bytes.Buffer
 		b.WriteString(table)
 		for _, s := range snaps.Snapshots {
-			fmt.Fprintf(&b, "--- %s\n%s\n", s.Label, s.Dump)
+			fmt.Fprintf(&b, "--- %s\n%s\ntrace sha256 %x\n", s.Label, s.Dump, s.traceSum)
 		}
 		return b.Bytes()
 	}

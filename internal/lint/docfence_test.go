@@ -16,7 +16,7 @@ var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 // designLines is DESIGN.md's line budget: a change that needs more lines
 // there removes as many elsewhere in it.
-const designLines = 1992
+const designLines = 1989
 
 var (
 	citedTestRe   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)

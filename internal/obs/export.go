@@ -3,19 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"sort"
-	"strconv"
 )
 
-// Chrome trace-event / Perfetto JSON export. The file must be
-// byte-identical across two identical seeded runs, but raw span IDs
-// depend on goroutine interleaving at one sim instant, so the exporter
-// renumbers everything by content: spans are arranged into trees,
-// every subtree gets a canonical key built purely from span content
-// (start, node, name, fields, end) plus its children's keys, siblings
-// and roots are sorted by that key, and a pre-order DFS assigns the
-// sequential export IDs that appear in the file. Two runs that record
-// the same spans therefore emit the same bytes no matter how the raw
-// IDs were interleaved.
+// Chrome trace-event / Perfetto JSON export. Spans are emitted in
+// recording order with their raw IDs: a seeded run records the same
+// spans in the same order every time, so two identical runs export the
+// same bytes.
 
 // traceEvent is one Chrome trace-event object. Fixed struct field
 // order (encoding/json preserves it) keeps the output deterministic.
@@ -29,7 +22,7 @@ type traceEvent struct {
 	Args any    `json:"args,omitempty"`
 }
 
-// spanArgs annotates a ph="X" event with the renumbered identity.
+// spanArgs annotates a ph="X" event with the span's identity.
 type spanArgs struct {
 	Span   int64  `json:"span"`
 	Parent int64  `json:"parent"`
@@ -46,57 +39,25 @@ type traceDoc struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-type expNode struct {
-	sp       *Span
-	children []*expNode
-	key      string
-}
-
 // ExportTrace renders every ended span as Chrome trace-event JSON
 // (complete "X" events, one process per node label, one thread per
 // trace tree), deterministic and byte-identical for identical seeded
-// runs. A nil registry exports an empty, still-valid document.
+// runs. A span whose parent is not an earlier ended span of this table
+// (dropped, never ended, or recorded by another registry) is exported
+// as a root. A nil registry exports an empty, still-valid document.
 func (r *Registry) ExportTrace() []byte {
 	spans := r.Spans()
 
-	nodes := make([]*expNode, 0, len(spans))
-	byID := make(map[uint64]*expNode, len(spans))
-	for i := range spans {
-		if !spans[i].Ended {
-			continue
-		}
-		n := &expNode{sp: &spans[i]}
-		nodes = append(nodes, n)
-		byID[spans[i].ID] = n
-	}
-	var roots []*expNode
-	for _, n := range nodes {
-		if p, ok := byID[n.sp.Parent]; ok && n.sp.Parent != 0 {
-			p.children = append(p.children, n)
-		} else {
-			// True roots, plus orphans whose parent was dropped or
-			// never ended — exporting them flat beats losing them.
-			roots = append(roots, n)
-		}
-	}
-	for _, n := range nodes {
-		if n.key == "" {
-			keyOf(n)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].key < roots[j].key })
-
 	// Process IDs: node labels sorted, numbered from 1.
-	labelSet := make(map[string]bool)
-	for _, n := range nodes {
-		labelSet[n.sp.Node] = true
-	}
-	labels := make([]string, 0, len(labelSet))
-	for l := range labelSet {
-		labels = append(labels, l)
+	pid := make(map[string]int)
+	var labels []string
+	for i := range spans {
+		if l := spans[i].Node; spans[i].Ended && pid[l] == 0 {
+			pid[l] = 1
+			labels = append(labels, l)
+		}
 	}
 	sort.Strings(labels)
-	pid := make(map[string]int, len(labels))
 	doc := traceDoc{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
 	for i, l := range labels {
 		pid[l] = i + 1
@@ -105,31 +66,32 @@ func (r *Registry) ExportTrace() []byte {
 		})
 	}
 
-	// Pre-order DFS over sorted roots assigns export IDs; each root's
-	// tree is one thread (tid = 1-based root index).
-	nextID := int64(0)
-	for ti, root := range roots {
-		var walk func(n *expNode, parent int64)
-		walk = func(n *expNode, parent int64) {
-			nextID++
-			id := nextID
-			sp := n.sp
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
-				Name: sp.Name,
-				Ph:   "X",
-				Ts:   sp.Start.UnixMicro(),
-				Dur:  sp.End.Sub(sp.Start).Microseconds(),
-				Pid:  pid[sp.Node],
-				Tid:  int64(ti + 1),
-				Args: spanArgs{Span: id, Parent: parent, Trace: int64(ti + 1), Fields: fieldsString(sp.Fields)},
-			})
-			kids := append([]*expNode(nil), n.children...)
-			sort.Slice(kids, func(i, j int) bool { return kids[i].key < kids[j].key })
-			for _, k := range kids {
-				walk(k, id)
-			}
+	// tid[i] is the thread of the exported span at position i (0: not
+	// exported): each root opens the next thread and its descendants,
+	// always recorded after it, join it.
+	tid := make([]int64, len(spans))
+	var roots int64
+	for i := range spans {
+		sp := &spans[i]
+		if !sp.Ended {
+			continue
 		}
-		walk(root, 0)
+		parent := sp.Parent
+		if parent == 0 || parent > uint64(i) || tid[parent-1] == 0 {
+			roots++
+			tid[i], parent = roots, 0
+		} else {
+			tid[i] = tid[parent-1]
+		}
+		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+			Name: sp.Name,
+			Ph:   "X",
+			Ts:   sp.Start.UnixMicro(),
+			Dur:  sp.End.Sub(sp.Start).Microseconds(),
+			Pid:  pid[sp.Node],
+			Tid:  tid[i],
+			Args: spanArgs{Span: int64(sp.ID), Parent: int64(parent), Trace: tid[i], Fields: fieldsString(sp.Fields)},
+		})
 	}
 
 	out, err := json.Marshal(doc)
@@ -139,33 +101,6 @@ func (r *Registry) ExportTrace() []byte {
 		return []byte("{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n")
 	}
 	return append(out, '\n')
-}
-
-// keyOf computes n's canonical subtree key post-order: own content,
-// then the sorted keys of the children. Identical keys mean identical
-// subtrees, so any sort tie is emission-order irrelevant.
-func keyOf(n *expNode) string {
-	if n.key != "" {
-		return n.key
-	}
-	sp := n.sp
-	own := strconv.FormatInt(sp.Start.UnixMicro(), 10) + "\x00" +
-		sp.Node + "\x00" + sp.Name + "\x00" + fieldsKey(sp.Fields) + "\x00" +
-		strconv.FormatInt(sp.End.UnixMicro(), 10)
-	if len(n.children) == 0 {
-		n.key = own
-		return own
-	}
-	kids := make([]string, 0, len(n.children))
-	for _, k := range n.children {
-		kids = append(kids, keyOf(k))
-	}
-	sort.Strings(kids)
-	for _, k := range kids {
-		own += "\x01" + k
-	}
-	n.key = own
-	return own
 }
 
 // fieldsString renders span fields compactly for the args payload.

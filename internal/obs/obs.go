@@ -6,9 +6,9 @@
 // transition is a zero-duration span. Each event is counted once: where
 // a component already keeps a count (its Stats), the registry reads
 // that field through CounterFunc instead of holding a second one.
-// Every timestamp comes from the injected simtime clock, and Dump and
-// Spans sort by content, so two identical seeded sim runs produce
-// byte-identical output — the same determinism contract codalint
+// Every timestamp comes from the injected simtime clock, Dump sorts by
+// content and Spans keeps the kernel's recording order, so two identical
+// seeded sim runs produce byte-identical output — the same determinism contract codalint
 // enforces for the rest of the tree.
 //
 // Registration is by injection: a *Registry is handed to constructors
@@ -166,9 +166,8 @@ type Registry struct {
 	// under spanMu never calls out of the package, and snapshot never
 	// holds mu while evaluating gauge funcs, so no lock cycle can form
 	// through the registry.
-	spanMu   sync.Mutex
-	spans    []*Span
-	spanSeqs map[string]*spanSeq
+	spanMu sync.Mutex
+	spans  []*Span
 
 	// spDropC, registered as obs_spans_dropped_total, is the one count of
 	// refused spans: every dump shows it, scenario asserts bound it, and

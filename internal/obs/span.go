@@ -1,19 +1,14 @@
 package obs
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Causal span tracing. A span is a timed interval on one node with a
 // (trace, span, parent) identity; spans form trees that cross nodes
 // because the SpanContext travels on the wire (rpc2 packet header,
-// sftp fragment header). IDs are minted deterministically from the
-// seeded world: no wall clock, no randomness — each registry keeps a
-// per-node-label counter, and a span's ID is (node index, node-local
-// sequence). Raw IDs still depend on goroutine interleaving at the
-// same sim instant, so every deterministic consumer (ExportTrace, the
-// scenario golden files) renumbers spans by content, never by raw ID.
+// sftp fragment header). A span's ID is its position in the registry's
+// table plus one: no wall clock, no randomness. The simulation kernel
+// runs one proc at a time from a FIFO run queue, so a seeded run records
+// its spans in the same order every time, and that order is the trace's.
 //
 // A nil *Registry, and the nil *SpanHandle it returns, are fully
 // inert, mirroring the metric handles. Sites that only want to trace
@@ -27,14 +22,6 @@ type Field struct {
 
 // F is shorthand for constructing a Field.
 func F(key, value string) Field { return Field{Key: key, Value: value} }
-
-func fieldsKey(fs []Field) string {
-	s := ""
-	for _, f := range fs {
-		s += f.Key + "\x00" + f.Value + "\x00"
-	}
-	return s
-}
 
 // SpanContext identifies a span for propagation: Trace is the root
 // span's ID, Span the current span's. The zero value means "no trace"
@@ -70,18 +57,11 @@ func (s *Span) Duration() time.Duration {
 	return s.End.Sub(s.Start)
 }
 
-// spanSeq is one node label's ID allocator: idx is the order the label
-// was first seen by this registry, seq the per-label sequence.
-type spanSeq struct {
-	idx uint64
-	seq uint64
-}
-
 // spanCap bounds the span table. Spans are per-operation, not
 // per-packet, so a long replay mints tens of thousands at most; once
 // the table is full new spans are dropped (counted, and returning an
-// invalid context so their would-be children are suppressed too —
-// partial trees would make the retained set interleaving-dependent).
+// invalid context so their would-be children are suppressed too: a
+// tree is kept whole or not at all).
 const spanCap = 65536
 
 // SpanHandle is the live handle for an in-flight span; the span table
@@ -136,16 +116,7 @@ func (r *Registry) startSpanAt(node, name string, parent SpanContext, start time
 		r.spDropC.Inc()
 		return &SpanHandle{}
 	}
-	if r.spanSeqs == nil {
-		r.spanSeqs = make(map[string]*spanSeq)
-	}
-	seq := r.spanSeqs[node]
-	if seq == nil {
-		seq = &spanSeq{idx: uint64(len(r.spanSeqs))}
-		r.spanSeqs[node] = seq
-	}
-	seq.seq++
-	sp.ID = seq.idx<<40 | seq.seq
+	sp.ID = uint64(len(r.spans)) + 1
 	if parent.Valid() {
 		sp.Trace = parent.Trace
 	} else {
@@ -196,41 +167,19 @@ func (h *SpanHandle) EndAt(end time.Time, fields ...Field) {
 	h.r.spanMu.Unlock()
 }
 
-// Spans returns copies of every recorded span, content-sorted by
-// (start, node, name, fields, end): raw IDs and arrival order vary
-// with goroutine interleaving at one sim instant, content does not.
+// Spans returns copies of every recorded span in recording order, so
+// spans[i].ID is i+1.
 func (r *Registry) Spans() []Span {
 	if r == nil {
 		return nil
 	}
 	r.spanMu.Lock()
-	out := make([]Span, 0, len(r.spans))
-	for _, sp := range r.spans {
-		c := *sp
-		if len(sp.Fields) > 0 {
-			c.Fields = make([]Field, len(sp.Fields))
-			copy(c.Fields, sp.Fields)
-		}
-		out = append(out, c)
+	defer r.spanMu.Unlock()
+	out := make([]Span, len(r.spans))
+	for i, sp := range r.spans {
+		out[i] = *sp
+		out[i].Fields = append([]Field(nil), sp.Fields...)
 	}
-	r.spanMu.Unlock()
-
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if ka, kb := fieldsKey(a.Fields), fieldsKey(b.Fields); ka != kb {
-			return ka < kb
-		}
-		return a.End.Before(b.End)
-	})
 	return out
 }
 

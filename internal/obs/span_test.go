@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 )
@@ -56,7 +57,7 @@ func TestSpanTreeIdentity(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("recorded %d spans, want 2", len(spans))
 	}
-	// Content sort: the root started first.
+	// Recording order: the root was started first.
 	if spans[0].Name != "fix_root" || spans[1].Name != "fix_child" {
 		t.Fatalf("span order = %s, %s", spans[0].Name, spans[1].Name)
 	}
@@ -70,8 +71,8 @@ func TestSpanTreeIdentity(t *testing.T) {
 		t.Errorf("child duration = %v, want 1s", d)
 	}
 	// End fields were appended after the start fields.
-	if got, want := fieldsKey(spans[0].Fields), fieldsKey([]Field{F("path", "/f"), F("outcome", "ok")}); got != want {
-		t.Errorf("root fields = %q, want %q", got, want)
+	if got, want := spans[0].Fields, []Field{F("path", "/f"), F("outcome", "ok")}; !slices.Equal(got, want) {
+		t.Errorf("root fields = %v, want %v", got, want)
 	}
 }
 
@@ -157,39 +158,67 @@ func TestCriticalPathSelfTime(t *testing.T) {
 	}
 }
 
-func TestExportTraceDeterministicAcrossInterleavings(t *testing.T) {
-	// Two registries record the same sibling spans in opposite arrival
-	// orders at the same instants; the canonical subtree renumbering must
-	// serialize them byte-identically.
-	build := func(flip bool) []byte {
-		r, sim := newTestRegistry()
-		sim.Run(func() {
-			root := r.StartSpan("c", "fix_root", SpanContext{})
-			sim.Sleep(time.Second)
-			names := []string{"fix_a", "fix_b"}
-			if flip {
-				names[0], names[1] = names[1], names[0]
-			}
-			var kids []*SpanHandle
-			for _, nm := range names {
-				kids = append(kids, r.StartSpan("c", nm, root.Context()))
-			}
-			sim.Sleep(time.Second)
-			for _, k := range kids {
-				k.End()
-			}
-			root.End()
-		})
-		return r.ExportTrace()
+// TestExportTraceRecordOrder: a span's ID is its table position across
+// node labels, Spans and ExportTrace keep recording order whatever the
+// start instants, a span under an unended parent exports as a root of
+// its own thread, and a full table records no child of a dropped span.
+func TestExportTraceRecordOrder(t *testing.T) {
+	r, s := newTestRegistry()
+	t0 := s.Now()
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+
+	root := r.SpanAt("alpha", "fix_root", SpanContext{}, at(time.Second))
+	call := r.SpanAt("beta", "fix_call", root.Context(), at(2*time.Second))
+	early := r.SpanAt("alpha", "fix_early", root.Context(), at(0)) // starts before its parent
+	open := r.SpanAt("beta", "fix_open", SpanContext{}, at(time.Second))
+	orphan := r.SpanAt("alpha", "fix_orphan", open.Context(), at(2*time.Second))
+	for _, h := range []*SpanHandle{call, early, orphan, root} {
+		h.EndAt(at(3 * time.Second))
 	}
-	a, b := build(false), build(true)
-	if !bytes.Equal(a, b) {
-		t.Errorf("export differs across interleavings:\n%s\nvs\n%s", a, b)
+
+	names := []string{"fix_root", "fix_call", "fix_early", "fix_open", "fix_orphan"}
+	spans := r.Spans()
+	if len(spans) != len(names) {
+		t.Fatalf("recorded %d spans, want %d", len(spans), len(names))
 	}
-	if len(a) == 0 || a[len(a)-1] != '\n' {
+	for i, sp := range spans {
+		if sp.ID != uint64(i+1) || sp.Name != names[i] {
+			t.Errorf("span %d = %s with ID %d, want %s with ID %d", i, sp.Name, sp.ID, names[i], i+1)
+		}
+	}
+
+	out := r.ExportTrace()
+	if len(out) == 0 || out[len(out)-1] != '\n' {
 		t.Error("export must be newline-terminated")
 	}
-	if !bytes.Contains(a, []byte(`"ph": "X"`)) && !bytes.Contains(a, []byte(`"ph":"X"`)) {
-		t.Errorf("export has no complete events:\n%s", a)
+	type event struct {
+		Name string
+		Pid  int
+		Tid  int64
+		Args spanArgs
+	}
+	var doc struct{ TraceEvents []event }
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := []event{
+		{"process_name", 1, 0, spanArgs{}},
+		{"process_name", 2, 0, spanArgs{}},
+		{"fix_root", 1, 1, spanArgs{Span: 1, Parent: 0, Trace: 1}},
+		{"fix_call", 2, 1, spanArgs{Span: 2, Parent: 1, Trace: 1}},
+		{"fix_early", 1, 1, spanArgs{Span: 3, Parent: 1, Trace: 1}},
+		{"fix_orphan", 1, 2, spanArgs{Span: 5, Parent: 0, Trace: 2}},
+	}
+	if !slices.Equal(doc.TraceEvents, want) {
+		t.Errorf("exported events:\n got %v\nwant %v", doc.TraceEvents, want)
+	}
+
+	for range spanCap - len(spans) {
+		r.StartSpan("alpha", "fix_fill", root.Context())
+	}
+	dropped := r.StartSpan("alpha", "fix_dropped", root.Context())
+	r.StartSpan("beta", "fix_child", dropped.Context())
+	if n := len(r.Spans()); n != spanCap || r.DroppedSpans() != 2 {
+		t.Errorf("full table: %d spans recorded, %d dropped; want %d and 2", n, r.DroppedSpans(), spanCap)
 	}
 }

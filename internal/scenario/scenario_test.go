@@ -114,16 +114,18 @@ func TestMatrix(t *testing.T) {
 }
 
 // TestRunDeterministic runs the same scenario several times and requires
-// byte-identical result dumps — the determinism contract every metric
-// assertion and golden file rests on. Eight rounds, because the defect
-// it exists for shows up as a rate: two goroutines runnable at one
-// instant racing for the same link (under -race, about one pair of runs
-// in seven differed before the ShipLog handler let its reply leave
+// byte-identical result dumps and span traces — the determinism contract
+// every metric assertion and golden file rests on. The trace is exported
+// in recording order, unsorted, so it differs if the kernel ever runs the
+// procs of one instant in a different order. Eight rounds, because the
+// defect it exists for shows up as a rate: two goroutines runnable at
+// one instant racing for the same link (under -race, about one pair of
+// runs in seven differed before the ShipLog handler let its reply leave
 // first).
 func TestRunDeterministic(t *testing.T) {
 	_, srcs := readCorpus(t)
 	for _, name := range []string{"disconnected_reintegrate", "replicated_kill_catchup"} {
-		var first []byte
+		var first, firstTrace []byte
 		for round := 0; round < 8; round++ {
 			s, err := Parse(name, srcs[name])
 			if err != nil {
@@ -138,10 +140,14 @@ func TestRunDeterministic(t *testing.T) {
 			}
 			dump := res.DumpJSON()
 			if round == 0 {
-				first = dump
+				first, firstTrace = dump, res.Trace
 			} else if !bytes.Equal(dump, first) {
 				t.Errorf("%s: identical-seed runs 0 and %d produced different result dumps (%d vs %d bytes)",
 					name, round, len(first), len(dump))
+				break
+			} else if !bytes.Equal(res.Trace, firstTrace) {
+				t.Errorf("%s: identical-seed runs 0 and %d exported different traces (%d vs %d bytes)",
+					name, round, len(firstTrace), len(res.Trace))
 				break
 			}
 		}

@@ -178,9 +178,15 @@ func TestAllocFragmentedStore(t *testing.T) {
 // bytesPerRun is testing.AllocsPerRun for bytes: what one call of f
 // allocates, averaged over runs calls. The collector is off meanwhile: a
 // collection empties the pool behind bufpool, and refilling a frame (the
-// journal's, the size of the batch) is no cost of f's.
+// journal's, the size of the batch) is no cost of f's. Turning it off
+// lets a cycle already running finish first, and that cycle may have
+// emptied the pool, so one call of f refills it before the count starts.
+// One P for the whole count: a frame freed into one P's private pool
+// slot is out of reach of a call that runs on another.
 func bytesPerRun(runs int, f func()) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -37,8 +37,6 @@ func (s *Server) handle(src string, sc obs.SpanContext, body []byte) ([]byte, er
 
 	case wire.GetVolume:
 		rep, err = s.getVolume(req)
-	case wire.ListVolumes:
-		rep = s.listVolumes()
 	case wire.GetAttr:
 		rep, err = s.getAttr(src, req)
 	case wire.Fetch:
@@ -80,18 +78,6 @@ func (s *Server) getVolume(req wire.GetVolume) (wire.GetVolumeRep, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return wire.GetVolumeRep{Info: v.info, Root: v.objects[v.root].Status}, nil
-}
-
-func (s *Server) listVolumes() wire.ListVolumesRep {
-	var rep wire.ListVolumesRep
-	// Ascending ID order: one volume lock at a time, and the reply is
-	// deterministic (the registry map's range order is not).
-	for _, v := range s.volumesByID() {
-		v.mu.Lock()
-		rep.Infos = append(rep.Infos, v.info)
-		v.mu.Unlock()
-	}
-	return rep
 }
 
 func (s *Server) getAttr(src string, req wire.GetAttr) (wire.GetAttrRep, error) {

@@ -652,19 +652,6 @@ func TestPutFragmentRefusesMisshapenFragment(t *testing.T) {
 	}
 }
 
-func TestListVolumes(t *testing.T) {
-	w := newWorld()
-	w.srv.CreateVolume("a")
-	w.srv.CreateVolume("b")
-	w.sim.Run(func() {
-		c := w.client("c1")
-		rep := call[wire.ListVolumesRep](t, c, wire.ListVolumes{})
-		if len(rep.Infos) != 2 {
-			t.Errorf("ListVolumes = %d entries", len(rep.Infos))
-		}
-	})
-}
-
 func TestUpdaterKeepsOwnVolumeCallback(t *testing.T) {
 	// A client updating through the server must not have its own volume
 	// callback broken (it learns the new stamp from the reply).

@@ -36,8 +36,8 @@ var ErrMalformed = errors.New("malformed message")
 const (
 	tagGetVolume byte = iota + 1
 	tagGetVolumeRep
-	tagListVolumes
-	tagListVolumesRep
+	_ // 3 and 4 are reserved and decode as malformed: they were ListVolumes and its reply, which nothing sent
+	_
 	tagGetAttr
 	tagGetAttrRep
 	tagFetch
@@ -74,7 +74,6 @@ const (
 // walks into; encode looks a value's tag up by its type here.
 var messages = [...]any{
 	tagGetVolume: GetVolume{}, tagGetVolumeRep: GetVolumeRep{},
-	tagListVolumes: ListVolumes{}, tagListVolumesRep: ListVolumesRep{},
 	tagGetAttr: GetAttr{}, tagGetAttrRep: GetAttrRep{},
 	tagFetch: Fetch{}, tagFetchRep: FetchRep{},
 	tagStoreOp: StoreOp{}, tagSetAttrOp: SetAttrOp{}, tagMakeObject: MakeObject{},
@@ -163,10 +162,7 @@ func (c *Coder) message(v any) any {
 		c.VolumeInfo(&m.Info)
 		c.status(&m.Root)
 		return decoded(c, &m)
-	case ListVolumes, ConnectClient, CallbackBreakRep:
-		return decoded(c, &m)
-	case ListVolumesRep:
-		each(c, &m.Infos, 3, c.VolumeInfo)
+	case ConnectClient, CallbackBreakRep:
 		return decoded(c, &m)
 	case GetAttr:
 		c.FID(&m.FID)

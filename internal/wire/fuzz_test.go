@@ -27,6 +27,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{tagReintegrate, 3, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{tagFetchRep, 0, 0xff, 0xff, 0x03})
+	// The reserved tags, which decode as malformed.
+	f.Add([]byte{3})
+	f.Add([]byte{4, 0})
+	f.Add([]byte{12})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

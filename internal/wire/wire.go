@@ -36,12 +36,6 @@ type GetVolumeRep struct {
 	Root codafs.Status
 }
 
-// ListVolumes enumerates all volumes on the server.
-type ListVolumes struct{}
-
-// ListVolumesRep lists volume descriptions.
-type ListVolumesRep struct{ Infos []codafs.VolumeInfo }
-
 // GetAttr fetches an object's status. If WantCallback is set the server
 // establishes an object callback for the calling client.
 type GetAttr struct {
@@ -280,10 +274,13 @@ type PutFragment struct {
 // PutFragmentRep acknowledges contiguous receipt through Received bytes.
 type PutFragmentRep struct{ Received int64 }
 
-// ConnectClient registers the caller for callback-break delivery.
+// ConnectClient announces the caller to the server, which records it in
+// the table behind server_clients_connected and sweeps it once idle past
+// the TTL. It registers no callback: GetAttr, Fetch and GetVolumeStamp
+// do that.
 type ConnectClient struct{}
 
-// ConnectClientRep acknowledges registration.
+// ConnectClientRep acknowledges the announcement.
 type ConnectClientRep struct{ ServerTime time.Time }
 
 // ---- Server ↔ server replication ----

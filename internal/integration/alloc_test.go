@@ -29,7 +29,7 @@ import (
 func TestAllocGroupJournaledStore(t *testing.T) {
 	const (
 		runs       = 200
-		wantAllocs = 165
+		wantAllocs = 162
 		maxBytes   = 96 << 10
 	)
 	w := world.New(3)

@@ -81,9 +81,15 @@ func TestNodeReleasesFrames(t *testing.T) {
 	t.Run("inline reply evicted", func(t *testing.T) {
 		w := newWorld(43, netsim.Ethernet.Params())
 		w.sim.Run(func() {
+			// The 257th reply is of another size class: the caller's copy
+			// of it must not reuse the frame its caching just evicted.
 			var replies [][]byte
 			w.node("server", func(string, obs.SpanContext, []byte) ([]byte, error) {
-				replies = append(replies, filledFrame(100))
+				size := 100
+				if len(replies) == 256 {
+					size = 300
+				}
+				replies = append(replies, filledFrame(size))
 				return replies[len(replies)-1], nil
 			})
 			c := w.node("client", nil)

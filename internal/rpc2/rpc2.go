@@ -327,9 +327,10 @@ func (n *Node) Close() {
 }
 
 // Call sends body to dst and returns the peer handler's reply. body is
-// not retained once Call returns. The reply is the caller's: a bufpool
-// frame when it came as a side effect, a slice of the datagram
-// otherwise, so a caller done with it may bufpool.Free it either way.
+// not retained once Call returns. The reply is the caller's, a bufpool
+// frame it may bufpool.Free once done with it: the side effect's
+// reassembly buffer, or a copy of an inline body taken out of its
+// datagram, which demux frees.
 func (n *Node) Call(dst string, body []byte, opts CallOpts) ([]byte, error) {
 	if opts.Timeout == 0 {
 		opts.Timeout = DefaultTimeout
@@ -505,7 +506,9 @@ func (n *Node) Probe(dst string, timeout time.Duration) error {
 // engine, a request to handleRequest, an answer to the call awaiting it.
 // Any datagram is news that src is alive. It is the conn's Serve handler,
 // so it must not park: a request's handler runs on a goroutine of its own
-// (serve), and everything else here only sends and puts.
+// (serve), and everything else here only sends and puts. demux frees
+// every datagram but a request's: its handler reads the body later, and
+// may return it as the reply.
 func (n *Node) demux(payload []byte, src string) {
 	n.mon.Peer(src).Heard()
 	if len(payload) == 0 {
@@ -517,12 +520,15 @@ func (n *Node) demux(payload []byte, src string) {
 		return
 	}
 	kind, flags, seq, ts, tsEcho, inc, sc, body, ok := decodePacket(payload)
+	if ok && kind == kindReq {
+		n.handleRequest(src, flags, seq, ts, inc, sc, body)
+		return
+	}
+	defer bufpool.Free(payload)
 	if !ok {
 		return
 	}
 	switch kind {
-	case kindReq:
-		n.handleRequest(src, flags, seq, ts, inc, sc, body)
 	case kindProbe:
 		n.sendPacket(src, kindProbeAck, 0, seq, n.ticks(), ts, inc, obs.SpanContext{}, nil)
 	case kindRep, kindBusy, kindProbeAck:
@@ -535,9 +541,17 @@ func (n *Node) demux(payload []byte, src string) {
 		n.mu.Lock()
 		q := n.pending[seq]
 		n.mu.Unlock()
-		if q != nil {
-			q.Put(inbound{kind: kind, flags: flags, tsEcho: tsEcho, inc: inc, body: body, src: src})
+		if q == nil {
+			return
 		}
+		// An inline reply leaves its datagram for a frame of its own,
+		// which the caller frees once read.
+		var rep []byte
+		if kind == kindRep && len(body) > 0 {
+			rep = bufpool.Frame(len(body))
+			copy(rep, body)
+		}
+		q.Put(inbound{kind: kind, flags: flags, tsEcho: tsEcho, inc: inc, body: rep, src: src})
 	}
 }
 

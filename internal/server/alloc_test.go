@@ -21,9 +21,10 @@ import (
 // items at random, so these run only without it.
 
 // TestAllocJournalBatch pins the framing of one applied mutation batch
-// into the volume WAL. The payload is appended into a pooled buffer and
-// the WAL frames into its own scratch, so the steady state allocates
-// nothing but the amortized growth of the retained replication log.
+// into the volume WAL. The entry is encoded behind the WAL's header in a
+// pooled buffer, which the WAL writes as is, so the steady state
+// allocates nothing but the amortized growth of the retained
+// replication log.
 func TestAllocJournalBatch(t *testing.T) {
 	fs := crashfs.NewMem()
 	v := newVolume(1, "bench", time.Unix(0, 0))
@@ -42,8 +43,8 @@ func TestAllocJournalBatch(t *testing.T) {
 		Data:   make([]byte, 256),
 		Length: 256,
 	}}
-	// Warm the buffer pool and the WAL scratch so first-use growth is not
-	// charged to the steady state.
+	// Warm the buffer pool so first-use growth is not charged to the
+	// steady state.
 	journal := func() {
 		if err := journalBatchLocked(v, "bench-client", recs, batchLive, 0, obs.SpanContext{}); err != nil {
 			t.Fatal(err)

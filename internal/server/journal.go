@@ -218,24 +218,25 @@ func (s *Server) replayCreateVolume(e metaEntry) error {
 // before this entry, nothing silent to do — leaves WAL, LSN, chain,
 // retained log and dedup set untouched.
 //
-// The payload is built in a pooled buffer: the WAL copies it into its
-// own frame before Append returns and the chain only folds over it, so
+// The entry is encoded behind the WAL's header in a pooled buffer, the
+// frame the WAL writes as is; the WAL and the chain only read it, so
 // nothing retains it (TestAllocJournalBatch pins the steady state).
 func journalBatchLocked(v *volume, client string, recs []cml.Record, mode batchMode, wantChain uint32, sc obs.SpanContext) error {
 	lsn := v.log.Next()
-	bp := bufpool.Get(0)
+	bp := bufpool.Get(wal.FrameHeader)
 	defer bufpool.Put(bp)
-	c := wire.NewEncoder(*bp)
+	c := wire.NewEncoder((*bp)[:wal.FrameHeader])
 	(&volEntry{LSN: lsn, Client: client, Recs: recs}).walk(&c)
 	*bp = c.Bytes()
-	chain := v.nextChainLocked(*bp)
+	payload := (*bp)[wal.FrameHeader:]
+	chain := v.nextChainLocked(payload)
 	if mode == batchPeer && chain != wantChain {
 		return fmt.Errorf("%w: volume %d entry %d chain %08x != %08x", ErrDiverged, v.info.ID, lsn, chain, wantChain)
 	}
 	if err := v.log.Append(*bp, sc); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	v.journaledBytes += int64(len(*bp))
+	v.journaledBytes += int64(len(payload))
 	v.advanceReplLocked(client, lsn, recs, chain)
 	return nil
 }
@@ -249,7 +250,7 @@ func (s *Server) journalCreateLocked(v *volume, modTime time.Time) error {
 	}
 	sj.sjMu.Lock()
 	defer sj.sjMu.Unlock()
-	c := wire.NewEncoder(nil)
+	c := wire.NewEncoder(make([]byte, wal.FrameHeader))
 	(&metaEntry{LSN: sj.meta.Next(), Name: v.info.Name, ID: v.info.ID, ModTime: modTime}).walk(&c)
 	//codalint:ignore lockhold journal-first commit: sjMu must cover the meta append so meta-LSN order matches creation order
 	if err := sj.meta.Append(c.Bytes(), obs.SpanContext{}); err != nil {

@@ -109,9 +109,9 @@ func (j *journal) write(e journalEntry, commit func()) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	e.LSN = j.log.Next()
-	bp := bufpool.Get(0)
+	bp := bufpool.Get(wal.FrameHeader)
 	defer bufpool.Put(bp)
-	c := wire.NewEncoder(*bp)
+	c := wire.NewEncoder((*bp)[:wal.FrameHeader])
 	e.walk(&c)
 	*bp = c.Bytes()
 	//codalint:ignore lockhold journal-first commit: j.mu orders WAL records with the CML and HDB mutations they describe

@@ -103,12 +103,12 @@ func (j *Journal) LSN() uint64 { return j.lsn }
 // Next is the sequence number the next entry's payload must open with.
 func (j *Journal) Next() uint64 { return j.lsn + 1 }
 
-// Append commits the entry framed with Next: into the WAL when attached
-// (durable on return under SyncEachRecord), then the LSN advances. On
-// error nothing has changed.
-func (j *Journal) Append(payload []byte, sc obs.SpanContext) error {
+// Append commits the entry numbered Next, framed behind FrameHeader
+// reserved bytes: into the WAL when attached (durable on return under
+// SyncEachRecord), then the LSN advances. On error nothing has changed.
+func (j *Journal) Append(frame []byte, sc obs.SpanContext) error {
 	if j.w != nil {
-		if err := j.w.AppendSpan(payload, sc); err != nil {
+		if err := j.w.AppendSpan(frame, sc); err != nil {
 			return err
 		}
 	}

@@ -58,7 +58,7 @@ func openFence(t *testing.T, fs crashfs.FS, attach bool) *fenceState {
 
 func (s *fenceState) append() (uint64, error) {
 	lsn := s.log.Next()
-	if err := s.log.Append(append(binary.AppendUvarint(nil, lsn), 'x'), untraced); err != nil {
+	if err := s.log.Append(append(binary.AppendUvarint(make([]byte, FrameHeader), lsn), 'x'), untraced); err != nil {
 		return 0, err
 	}
 	s.applied = append(s.applied, lsn)

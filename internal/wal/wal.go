@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/crashfs"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -110,7 +111,9 @@ type RecoveryStats struct {
 const maxPayload = 64 << 20
 
 const (
-	frameHeader = 8 // length + CRC
+	// FrameHeader is the length of a frame's header, the payload's length
+	// and CRC-32C; a caller of AppendSpan reserves it.
+	FrameHeader = 8
 	segPrefix   = "wal-"
 	segSuffix   = ".seg"
 )
@@ -128,7 +131,6 @@ type WAL struct {
 	segSize  int64
 	lastSync time.Time // SyncInterval bookkeeping
 	dirty    bool      // unsynced appends pending
-	scratch  []byte    // frame buffer reused across appends (mu serializes them)
 }
 
 // walMetrics holds the log's obs handles; all nil (inert) without
@@ -262,12 +264,9 @@ func (w *WAL) recover(apply func([]byte) error) (RecoveryStats, error) {
 		}
 	}
 
-	// Reopen the last surviving segment for appending. Segment files
-	// are append-only and crashfs files are opened at the end by
-	// re-creating content: copy the surviving bytes into a fresh file.
-	// To avoid rewriting (and because crashfs.File has no O_APPEND
-	// open), recovery instead continues in a new segment; the old ones
-	// stay read-only until the next checkpoint truncates them.
+	// crashfs.File has no append-mode open, so recovery continues in a
+	// new segment; the old ones stay read-only until the next checkpoint
+	// truncates them.
 	next := lastIdx + 1
 	if lastSize == 0 && stats.Records == 0 && len(segs) == 1 {
 		next = lastIdx // empty log: reuse the first segment slot
@@ -294,15 +293,15 @@ func (w *WAL) scanSegment(path string, apply func([]byte) error) (good int64, to
 	off := int64(0)
 	total := int64(len(data))
 	for off < total {
-		if total-off < frameHeader {
+		if total-off < FrameHeader {
 			return off, total - off, records, nil
 		}
 		length := binary.LittleEndian.Uint32(data[off:])
 		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxPayload || off+frameHeader+int64(length) > total {
+		if length > maxPayload || off+FrameHeader+int64(length) > total {
 			return off, total - off, records, nil
 		}
-		payload := data[off+frameHeader : off+frameHeader+int64(length)]
+		payload := data[off+FrameHeader : off+FrameHeader+int64(length)]
 		if crc32.Checksum(payload, castagnoli) != sum {
 			return off, total - off, records, nil
 		}
@@ -311,7 +310,7 @@ func (w *WAL) scanSegment(path string, apply func([]byte) error) (good int64, to
 				return off, 0, records, fmt.Errorf("wal: replay %s at %d: %w", path, off, err)
 			}
 		}
-		off += frameHeader + int64(length)
+		off += FrameHeader + int64(length)
 		records++
 	}
 	return off, 0, records, nil
@@ -335,29 +334,33 @@ func (w *WAL) startSegment(idx uint64) error {
 	return nil
 }
 
-// Append frames payload and writes it to the active segment, rotating
-// and syncing as the policy dictates. When Append returns nil under
-// SyncEachRecord, the record is durable. The frame is built in a
-// per-WAL scratch buffer — w.mu already serializes appends — so the
-// steady state allocates nothing (TestAllocWALAppend).
+// Append is AppendSpan, untraced, of payload copied behind a header in a
+// pooled buffer (TestAllocWALAppend: no allocation). A journal writer
+// reserves the header itself and saves the copy.
 func (w *WAL) Append(payload []byte) error {
+	bp := bufpool.Get(FrameHeader + len(payload))
+	defer bufpool.Put(bp)
+	*bp = append((*bp)[:FrameHeader], payload...)
 	var untraced obs.SpanContext
-	return w.AppendSpan(payload, untraced)
+	return w.AppendSpan(*bp, untraced)
 }
 
-// AppendSpan is Append on behalf of a traced operation: the whole
-// append becomes a wal_append span under parent, with the fsync (when
-// the policy forces one) as a wal_fsync child — the critical path's
-// fsync bucket. An invalid parent makes this exactly Append: no span
-// work touches the untraced hot path.
-func (w *WAL) AppendSpan(payload []byte, parent obs.SpanContext) error {
+// AppendSpan fills in frame's first FrameHeader bytes, the header of the
+// payload after them, and writes frame to the active segment in one
+// Write, the unit a crash cuts, rotating and syncing as the policy
+// dictates; under SyncEachRecord a nil return means durable. The WAL
+// keeps nothing of frame. A valid parent makes the append a wal_append
+// span, with the fsync (when the policy forces one) as a wal_fsync child
+// — the critical path's fsync bucket; an invalid one costs no span work.
+func (w *WAL) AppendSpan(frame []byte, parent obs.SpanContext) error {
+	if len(frame) < FrameHeader || len(frame)-FrameHeader > maxPayload {
+		return fmt.Errorf("wal: frame of %d bytes, want a %d-byte header and at most %d payload bytes", len(frame), FrameHeader, maxPayload)
+	}
+	payload := frame[FrameHeader:]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.seg == nil {
 		return errors.New("wal: closed")
-	}
-	if len(payload) > maxPayload {
-		return fmt.Errorf("wal: payload %d exceeds %d", len(payload), maxPayload)
 	}
 	var syncCtx obs.SpanContext
 	if parent.Valid() {
@@ -366,20 +369,15 @@ func (w *WAL) AppendSpan(payload []byte, parent obs.SpanContext) error {
 		defer sp.End()
 	}
 
-	if w.segSize > 0 && w.segSize+frameHeader+int64(len(payload)) > w.opts.SegmentBytes {
+	if w.segSize > 0 && w.segSize+int64(len(frame)) > w.opts.SegmentBytes {
 		//codalint:ignore lockhold the WAL mutex is the fsync serialization point: rotation must be ordered with appends
 		if err := w.rotateLocked(); err != nil {
 			return err
 		}
 	}
 
-	if need := frameHeader + len(payload); cap(w.scratch) < need {
-		w.scratch = make([]byte, max(need, 2*cap(w.scratch)))
-	}
-	frame := w.scratch[:frameHeader+len(payload)]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
 	if _, err := w.seg.Write(frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}

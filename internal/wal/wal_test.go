@@ -197,10 +197,10 @@ func corruptSegment(t *testing.T, fs *crashfs.Mem, path string) {
 	buf := make([]byte, 1<<16)
 	n, _ := f.Read(buf)
 	f.Close()
-	if n <= frameHeader {
+	if n <= FrameHeader {
 		t.Fatalf("segment %s too short to corrupt", path)
 	}
-	buf[frameHeader] ^= 0xff
+	buf[FrameHeader] ^= 0xff
 	g, err := fs.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -302,4 +302,70 @@ func TestIntervalRequiresClock(t *testing.T) {
 	if err == nil {
 		t.Fatal("Open with SyncInterval and no clock must fail")
 	}
+}
+
+// TestAppendSpanFrameContract: AppendSpan owns a frame's first
+// FrameHeader bytes only while it runs. A frame with no room for the
+// header, or with a payload over maxPayload, is refused before anything
+// is written; a frame AppendSpan has returned is the caller's again, so
+// overwriting all of it, header included, changes nothing Open replays.
+func TestAppendSpanFrameContract(t *testing.T) {
+	t.Run("refused", func(t *testing.T) {
+		fs := crashfs.NewMem()
+		opts := Options{FS: fs, Dir: "j", Policy: SyncEachRecord}
+		w, _, _ := openCollect(t, opts)
+		writes := fs.Writes()
+		for n := 0; n < FrameHeader; n++ {
+			if err := w.AppendSpan(make([]byte, n), untraced); err == nil {
+				t.Errorf("a %d-byte frame was accepted", n)
+			}
+		}
+		// Never read: the length check comes before the checksum.
+		if err := w.AppendSpan(make([]byte, FrameHeader+maxPayload+1), untraced); err == nil {
+			t.Error("a payload over maxPayload was accepted")
+		}
+		if got := fs.Writes(); got != writes {
+			t.Errorf("refused frames made %d writes", got-writes)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w2, got, _ := openCollect(t, opts)
+		defer w2.Close()
+		if len(got) != 0 {
+			t.Fatalf("refused frames replayed as %q", got)
+		}
+	})
+	t.Run("reused", func(t *testing.T) {
+		fs := crashfs.NewMem()
+		opts := Options{FS: fs, Dir: "j", Policy: SyncEachRecord}
+		w, _, _ := openCollect(t, opts)
+		frame := make([]byte, FrameHeader+16)
+		var want [][]byte
+		for i := 0; i < 3; i++ {
+			payload := frame[FrameHeader:]
+			for j := range payload {
+				payload[j] = byte('a' + i)
+			}
+			want = append(want, bytes.Clone(payload))
+			if err := w.AppendSpan(frame, untraced); err != nil {
+				t.Fatal(err)
+			}
+			for j := range frame {
+				frame[j] = 0xFF
+			}
+		}
+		fs.Crash()
+		fs.Reboot()
+		w2, got, _ := openCollect(t, opts)
+		defer w2.Close()
+		if len(got) != len(want) {
+			t.Fatalf("replayed %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d: got %q want %q", i, got[i], want[i])
+			}
+		}
+	})
 }

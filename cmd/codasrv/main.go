@@ -72,8 +72,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("journal recovery: %v", err)
 		}
-		log.Printf("journal %s: snapshot %v, %d volumes and %d batches replayed",
-			*journalDir, info.SnapshotLoaded, info.VolumesReplayed, info.BatchesReplayed)
+		log.Printf("journal %s: snapshot %v, %d batches replayed",
+			*journalDir, info.SnapshotLoaded, info.BatchesReplayed)
 	}
 	// checkpoint folds the state into the journal's snapshot: after
 	// seeding, which bypasses the journal, and at clean shutdown.

@@ -511,31 +511,6 @@ func (l *Log) Records() []*Record {
 	return append([]*Record(nil), l.records...)
 }
 
-// EligibleBytes reports how much of the log is older than the aging window
-// age at time now, i.e. ready for trickle reintegration.
-func (l *Log) EligibleBytes(age time.Duration, now time.Time) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var n int64
-	for _, r := range l.records {
-		if now.Sub(r.Time) < age {
-			break
-		}
-		n += r.Size()
-	}
-	return n
-}
-
-// OldestAge returns the age of the log head at now, or 0 if empty.
-func (l *Log) OldestAge(now time.Time) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.records) == 0 {
-		return 0
-	}
-	return now.Sub(l.records[0].Time)
-}
-
 // BeginReintegration selects the chunk for one reintegration attempt: the
 // maximal prefix of records older than age whose sizes sum to at most
 // chunkBytes — always at least one record, even if it alone exceeds the

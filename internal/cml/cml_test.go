@@ -286,20 +286,6 @@ func TestAbortReoptimizes(t *testing.T) {
 	}
 }
 
-func TestEligibleBytesAndOldestAge(t *testing.T) {
-	l := NewLog()
-	l.Append(storeRec(fid(2), 936), t0) // Size = 64 + 1 + 935... compute below
-	sz := l.Records()[0].Size()
-	l.Append(storeRec(fid(3), 100), t0.Add(time.Hour))
-	now := t0.Add(90 * time.Minute)
-	if got := l.EligibleBytes(time.Hour, now); got != sz {
-		t.Errorf("EligibleBytes = %d, want %d", got, sz)
-	}
-	if got := l.OldestAge(now); got != 90*time.Minute {
-		t.Errorf("OldestAge = %v", got)
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	l := NewLog()
 	l.Append(Record{Kind: Create, FID: fid(2), Parent: dirFID, Name: "a"}, t0)

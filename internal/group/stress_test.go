@@ -15,7 +15,7 @@ import (
 // (DESIGN.md §7, §8): while a client drains multi-volume reintegration
 // batches through a 3-replica group, every member is hammered with
 // concurrent Checkpoint and SaveState calls. That drives the full
-// documented hierarchy — Server.mu -> volume.mu -> sjMu -> WAL.mu on
+// documented hierarchy — Server.mu -> volume.mu -> WAL.mu on
 // the servers, drain token -> journal.mu -> Venus.mu on the client — from
 // many goroutines at once. Run under -race it doubles as the data-race
 // fence; a lock-order violation shows up as the sim failing to drain
@@ -29,8 +29,8 @@ func TestStressCheckpointDuringReintegration(t *testing.T) {
 	)
 	w := world.New(7)
 	sim := w.Sim
-	// Journals on every member so checkpoints exercise the sjMu/WAL.mu
-	// layers, not just the in-memory snapshot path.
+	// Journals on every member so checkpoints exercise the WAL.mu
+	// layer, not just the in-memory snapshot path.
 	grp := w.Group(true, "srv0", "srv1", "srv2")
 	vols := make([]string, V)
 	for i := range vols {

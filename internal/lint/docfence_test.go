@@ -16,7 +16,12 @@ var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 // designLines is DESIGN.md's line budget: a change that needs more lines
 // there removes as many elsewhere in it.
-const designLines = 1989
+const designLines = 1988
+
+// suppressionBudget caps the module's //codalint:ignore directives, the
+// count codalint -ignores prints (TestRepoIsLintClean): a change that
+// needs a new one removes another.
+const suppressionBudget = 20
 
 var (
 	citedTestRe   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)

@@ -248,14 +248,6 @@ func (p *Peer) Heard() {
 	p.heardEver = true
 }
 
-// LastHeard returns the time of the most recent traffic from the peer and
-// whether any was ever heard.
-func (p *Peer) LastHeard() (time.Time, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastHeard, p.heardEver
-}
-
 // Alive reports whether the peer has been heard from within window.
 func (p *Peer) Alive(window time.Duration) bool {
 	p.mu.Lock()

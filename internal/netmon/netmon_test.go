@@ -172,7 +172,7 @@ func TestForget(t *testing.T) {
 	if p.SRTT() != 0 || p.Bandwidth() != 0 {
 		t.Error("Forget left estimates behind")
 	}
-	if _, ever := p.LastHeard(); ever {
+	if p.Alive(time.Hour) {
 		t.Error("Forget left liveness behind")
 	}
 	if p.RTO() != InitialRTO {

@@ -3,8 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
+	"maps"
 
 	"repro/internal/bufpool"
 	"repro/internal/cml"
@@ -14,15 +13,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Server-side durability. Real Coda servers keep their metadata in RVM;
-// here every client's or peer's mutation (applyBatchLocked) is framed
-// into a write-ahead log before commitApply, so a crashed server
-// recovers to exactly the set of updates it acknowledged. The journal is
-// split along the concurrency domains of DESIGN.md §8: one meta WAL
-// (under the registry lock) records volume creations, and one WAL per
-// volume (under that volume's lock) records applied mutation batches — a
-// shared log would re-serialize the volumes that the per-volume locking
-// deliberately keeps independent.
+// Server-side durability. Real Coda servers keep their metadata in RVM,
+// a checkpoint plus a log; so does this server. Every client's or peer's
+// mutation (applyBatchLocked) is framed into a write-ahead log before
+// commitApply, so a crashed server recovers to exactly the set of
+// updates it acknowledged. There is one WAL per volume, under that
+// volume's lock (DESIGN.md §8): a shared log would re-serialize the
+// volumes that the per-volume locking deliberately keeps independent. A
+// volume creation is not logged: it is a checkpoint whose image already
+// holds the new volume (journalCreateLocked).
 //
 // Replay is deterministic because apply.go takes every timestamp and
 // version decision from the records themselves and from volume state;
@@ -31,14 +30,6 @@ import (
 // through replay's route, stage and commit (commitBatchLocked), so they
 // are NOT journaled (or replicated): seed volumes before attaching the
 // journal, or re-seed on boot.
-
-// metaEntry is one meta-WAL record: a volume creation.
-type metaEntry struct {
-	LSN     uint64
-	Name    string
-	ID      codafs.VolumeID
-	ModTime time.Time // the root directory's creation time
-}
 
 // volEntry is one per-volume WAL record: a batch of records that passed
 // validation and committed atomically. Recs are the reconstructed
@@ -50,20 +41,12 @@ type volEntry struct {
 	Recs   []cml.Record
 }
 
-// Journal payloads are walks over the wire codec's Coder, fields in
+// A journal payload is a walk over the wire codec's Coder, fields in
 // declaration order. The encoding is canonical (one byte string per
 // value), which the replication chain relies on: a replica re-frames the
 // entry it was shipped and must arrive at the shipper's bytes. A payload
 // that is not exactly one entry fails to decode with an error wrapping
 // wire.ErrMalformed.
-
-func (e *metaEntry) walk(c *wire.Coder) {
-	c.Uvarint(&e.LSN)
-	c.String(&e.Name)
-	c.Uint32((*uint32)(&e.ID))
-	c.Time(&e.ModTime)
-}
-
 func (e *volEntry) walk(c *wire.Coder) {
 	c.Uvarint(&e.LSN)
 	c.String(&e.Client)
@@ -76,29 +59,17 @@ type JournalOptions = wal.JournalOptions
 // RecoveryInfo reports what Server.AttachJournal reconstructed.
 type RecoveryInfo struct {
 	SnapshotLoaded  bool
-	VolumesReplayed int // volume creations replayed from the meta WAL
 	BatchesReplayed int // mutation batches replayed from per-volume WALs
 	RecordsReplayed int
-	Meta            wal.RecoveryStats
 	Volumes         wal.RecoveryStats // summed across per-volume WALs
-}
-
-// serverJournal is the attached durability state. sjMu guards the meta
-// journal; it nests inside s.mu (CreateVolume and Checkpoint hold s.mu
-// first). Per-volume journals are guarded by their volume's mu.
-type serverJournal struct {
-	opts JournalOptions
-
-	sjMu sync.Mutex
-	meta wal.Journal
 }
 
 func volSub(id codafs.VolumeID) string { return fmt.Sprintf("vol-%d", id) }
 
 // AttachJournal recovers durable server state from opts.Dir and begins
-// journaling every subsequent applied mutation and volume creation. It
-// must run before the server takes traffic, on a server whose volumes
-// (if any) come only from the snapshot and WALs.
+// journaling every subsequent applied mutation and checkpointing every
+// volume creation. It must run before the server takes traffic, on a
+// server whose volumes (if any) come only from the snapshot and WALs.
 func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	s.mu.Lock()
@@ -107,10 +78,9 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	if attached {
 		return info, errors.New("server: journal already attached")
 	}
-	sj := &serverJournal{opts: opts}
 
-	// Snapshot: restores the bulk and carries the LSN watermarks that
-	// fence off WAL entries already reflected in it.
+	// Snapshot: restores every volume, the ID allocator and the LSN
+	// watermarks that fence off WAL entries already reflected in it.
 	image, ok, err := opts.Snapshot()
 	if err != nil {
 		return info, fmt.Errorf("server: %w", err)
@@ -123,29 +93,16 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 		if err := s.install(img); err != nil {
 			return info, err
 		}
-		sj.meta = wal.JournalAt(img.metaLSN)
 		info.SnapshotLoaded = true
-	}
-
-	// Meta WAL: replay volume creations the snapshot predates.
-	info.Meta, err = sj.meta.Attach(opts.WAL("meta", s.clock, s.obs, s.addr), func(payload []byte) error {
-		var e metaEntry
-		c := wire.NewDecoder(payload)
-		e.walk(&c)
-		if err := c.Done(); err != nil {
-			return fmt.Errorf("server: meta journal entry: %w", err)
-		}
-		info.VolumesReplayed++
-		return s.replayCreateVolume(e)
-	})
-	if err != nil {
-		return info, fmt.Errorf("server: meta journal open: %w", err)
 	}
 
 	// Per-volume WALs: replay applied batches through the same apply
 	// pipeline the live path uses, in ascending volume-ID order so the
 	// recovery is deterministic. A volume's watermark is the LSN its
-	// snapshot installed; zero for one the meta WAL created.
+	// snapshot installed. Only the snapshot's volumes have a WAL to
+	// replay: a creation is durable once its checkpoint is, and nothing
+	// appends to a volume before it is published, so a vol-N/ left by a
+	// cut creation holds no entries; the next creation of N reuses it.
 	for _, v := range s.volumesByID() {
 		v.mu.Lock()
 		//codalint:ignore lockhold recovery replay runs before the server takes traffic; the volume lock covers replaying WAL batches into volume state
@@ -187,24 +144,9 @@ func (s *Server) AttachJournal(opts JournalOptions) (RecoveryInfo, error) {
 	}
 
 	s.mu.Lock()
-	s.journal = sj
+	s.journal = &opts
 	s.mu.Unlock()
 	return info, nil
-}
-
-// replayCreateVolume re-creates one journaled volume with its recorded
-// identity; the clock is not consulted, so replay is reproducible.
-func (s *Server) replayCreateVolume(e metaEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.volumes[e.ID]; dup {
-		return fmt.Errorf("server: journal re-creates volume %d", e.ID)
-	}
-	s.publishLocked(newVolume(e.ID, e.Name, e.ModTime))
-	if e.ID > s.nextVolID {
-		s.nextVolID = e.ID
-	}
-	return nil
 }
 
 // journalBatchLocked frames an applied batch into v's journal before it
@@ -241,79 +183,73 @@ func journalBatchLocked(v *volume, client string, recs []cml.Record, mode batchM
 	return nil
 }
 
-// journalCreateLocked records a volume creation in the meta WAL and
-// opens the new volume's own WAL. Caller holds s.mu.
-func (s *Server) journalCreateLocked(v *volume, modTime time.Time) error {
-	sj := s.journal
-	if sj == nil {
+// journalCreateLocked makes v's creation durable before it is visible:
+// it opens v's WAL, then checkpoints an image that already holds v and
+// whose ID allocator stands at v's ID. On error nothing is published and
+// v's WAL is closed again. Caller holds s.mu, so no other creation or
+// checkpoint falls between the two.
+func (s *Server) journalCreateLocked(v *volume) error {
+	if s.journal == nil {
 		return nil
 	}
-	sj.sjMu.Lock()
-	defer sj.sjMu.Unlock()
-	c := wire.NewEncoder(make([]byte, wal.FrameHeader))
-	(&metaEntry{LSN: sj.meta.Next(), Name: v.info.Name, ID: v.info.ID, ModTime: modTime}).walk(&c)
-	//codalint:ignore lockhold journal-first commit: sjMu must cover the meta append so meta-LSN order matches creation order
-	if err := sj.meta.Append(c.Bytes(), obs.SpanContext{}); err != nil {
+	if _, err := v.log.Attach(s.journal.WAL(volSub(v.id()), s.clock, s.obs, s.addr), nil); err != nil {
 		return err
 	}
-	//codalint:ignore lockhold the new volume's WAL must exist before the creation is visible; sjMu covers the open
-	_, err := v.log.Attach(sj.opts.WAL(volSub(v.info.ID), s.clock, s.obs, s.addr), nil)
-	return err
+	vols := maps.Clone(s.volumes)
+	vols[v.id()] = v
+	if err := s.checkpointLocked(v.id(), vols); err != nil {
+		_ = v.log.Detach().Close() // the creation failed with err; a close error adds nothing
+		return err
+	}
+	return nil
 }
 
-// Checkpoint writes a durable snapshot carrying every journal's
-// watermark, then truncates all WALs. It holds the registry lock and
-// every volume lock for the duration, so mutations and creations are
-// blocked and the snapshot is exactly consistent with its watermarks.
+// Checkpoint writes a durable snapshot carrying every volume WAL's
+// watermark, then truncates those WALs. Creations wait for it on the
+// registry lock, mutations on the volume locks (checkpointLocked).
 func (s *Server) Checkpoint() error {
 	s.mu.Lock()
-	sj := s.journal
-	if sj == nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.journal == nil {
 		return errors.New("server: no journal attached")
 	}
-	vols := s.volumesByIDLocked()
-	for _, v := range vols {
-		v.mu.Lock()
-	}
-	sj.sjMu.Lock()
-	defer func() {
-		sj.sjMu.Unlock()
-		for i := len(vols) - 1; i >= 0; i-- {
-			vols[i].mu.Unlock()
-		}
-		s.mu.Unlock()
-	}()
+	//codalint:ignore lockhold the registry lock holds off creations until the image of every volume is durable
+	return s.checkpointLocked(s.nextVolID, s.volumes)
+}
 
-	img := (&serverImage{nextVolID: s.nextVolID, metaLSN: sj.meta.LSN(), vols: s.volumes}).encode(true)
-	fenced := []*wal.Journal{&sj.meta}
-	for _, v := range vols {
-		fenced = append(fenced, &v.log)
+// checkpointLocked makes the image of vols, with the ID allocator at next,
+// the durable snapshot, then truncates their WALs. Caller holds s.mu. The
+// volume locks are taken in ascending ID order and held until the WALs
+// are truncated, so the snapshot is exactly consistent with its
+// watermarks and no racing append is truncated.
+func (s *Server) checkpointLocked(next codafs.VolumeID, vols map[codafs.VolumeID]*volume) error {
+	byID := sortedByID(vols)
+	fenced := make([]*wal.Journal, len(byID))
+	for i, v := range byID {
+		v.mu.Lock()
+		fenced[i] = &v.log
 	}
-	//codalint:ignore lockhold checkpoint holds every lock for the duration so the snapshot is exactly consistent with its WAL watermarks and no racing append is truncated
-	if err := sj.opts.Checkpoint(img, fenced...); err != nil {
+	img := serverImage{nextVolID: next, vols: vols}
+	err := s.journal.Checkpoint(img.encode(true), fenced...)
+	for i := len(byID) - 1; i >= 0; i-- {
+		byID[i].mu.Unlock()
+	}
+	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
 	return nil
 }
 
-// CloseJournal detaches the journal and closes every WAL.
+// CloseJournal detaches the journal and closes every volume WAL.
 func (s *Server) CloseJournal() error {
 	s.mu.Lock()
-	sj := s.journal
 	s.journal = nil
 	vols := make([]*volume, 0, len(s.volumes))
 	for _, v := range s.volumes {
 		vols = append(vols, v)
 	}
 	s.mu.Unlock()
-	if sj == nil {
-		return nil
-	}
-	sj.sjMu.Lock()
-	//codalint:ignore lockhold final flush on shutdown; the journal is being detached and no traffic remains
-	firstErr := sj.meta.Detach().Close()
-	sj.sjMu.Unlock()
+	var firstErr error
 	for _, v := range vols {
 		v.mu.Lock()
 		w := v.log.Detach()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,10 +124,12 @@ func (d *sdriver) link(key string, parent codafs.FID, name string) error {
 	return err
 }
 
-// serverOps is the scripted mutation sequence. It spans two volumes (two
-// journal domains), every connected-mode record kind, and a mid-sequence
-// Checkpoint, so crash points land inside snapshot writes and WAL resets
-// as well as inside frame appends.
+// serverOps is the scripted mutation sequence. It journals every
+// connected-mode record kind into two volumes (two journal domains),
+// takes a mid-sequence Checkpoint, and later creates a third volume,
+// which is a checkpoint too, while a WAL holds a suffix; so crash points
+// land inside snapshot writes and WAL resets as well as inside frame
+// appends.
 var serverOps = []func(d *sdriver) error{
 	func(d *sdriver) error { return d.createVolume("usr") },
 	func(d *sdriver) error { return d.createVolume("proj") },
@@ -154,6 +157,7 @@ var serverOps = []func(d *sdriver) error{
 		return d.rename("paper", d.fid["docs"], "paper.tex", d.root("usr"), "final.tex")
 	},
 	func(d *sdriver) error { return d.store("paper", []byte("\\documentclass{book}")) },
+	func(d *sdriver) error { return d.createVolume("tmp") },
 	func(d *sdriver) error { return d.link("paper", d.fid["docs"], "alias.tex") },
 	func(d *sdriver) error { return d.remove("notes", d.root("proj"), "notes.txt") },
 	func(d *sdriver) error {
@@ -233,13 +237,40 @@ func TestServerJournalCleanRecovery(t *testing.T) {
 	if !info.SnapshotLoaded {
 		t.Error("mid-sequence checkpoint snapshot not loaded on recovery")
 	}
-	// The checkpoint truncated everything before it: only post-checkpoint
-	// batches replay.
-	if info.VolumesReplayed != 0 {
-		t.Errorf("VolumesReplayed = %d; creations predate the checkpoint", info.VolumesReplayed)
-	}
 	if info.BatchesReplayed == 0 {
 		t.Error("no batches replayed; post-checkpoint ops lost")
+	}
+
+	// The journal directory holds the snapshot and one WAL directory per
+	// volume, nothing else.
+	dir := t.TempDir()
+	w := newWorld()
+	if _, err := w.srv.AttachJournal(JournalOptions{FS: crashfs.OS{}, Dir: dir, Policy: wal.SyncEachRecord}); err != nil {
+		t.Fatal(err)
+	}
+	d := newSdriver(w.srv)
+	for i, op := range serverOps {
+		if err := op(d); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if err := w.srv.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() {
+			names = append(names, e.Name()+"/")
+		} else {
+			names = append(names, e.Name())
+		}
+	}
+	if want := []string{"snapshot", "vol-1/", "vol-2/", "vol-3/"}; !slices.Equal(names, want) {
+		t.Errorf("journal directory holds %v, want %v", names, want)
 	}
 }
 
@@ -359,8 +390,8 @@ func TestServerLoadStateCorrupted(t *testing.T) {
 		}
 		return c.Bytes()
 	}
-	header := func(volumes int) []byte { // magic, version, next volume ID 9, meta LSN 0, volume count
-		return append([]byte(imageMagic), 9, 0, byte(volumes))
+	header := func(volumes int) []byte { // magic, version, next volume ID 9, volume count
+		return append([]byte(imageMagic), 9, byte(volumes))
 	}
 	raw := func(vols ...[]byte) []byte {
 		return append(header(len(vols)), bytes.Join(vols, nil)...)
@@ -380,7 +411,7 @@ func TestServerLoadStateCorrupted(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"parent-format gob image": gobImage,
 		"wrong magic":             append([]byte("CODV"), img[4:]...),
-		"wrong version":           append([]byte("CODS\x02"), img[5:]...),
+		"wrong version":           append([]byte("CODS\x01"), img[5:]...),
 		"trailing byte":           append(append([]byte(nil), img...), 0),
 		"duplicate volume ID":     raw(plain(1, "a"), plain(1, "b")),
 		"descending volume IDs":   raw(plain(2, "b"), plain(1, "a")),

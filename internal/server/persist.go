@@ -27,7 +27,7 @@ import (
 
 // imageMagic opens every server image: four magic bytes and the format
 // version.
-const imageMagic = "CODS\x01"
+const imageMagic = "CODS\x02"
 
 // appliedCompare orders an image's dedup keys; FID.Compare orders its
 // object and authorship keys.
@@ -35,11 +35,10 @@ func appliedCompare(a, b appliedKey) int {
 	return cmp.Or(cmp.Compare[string](a.client, b.client), cmp.Compare(a.seq, b.seq))
 }
 
-// serverImage is the state an image carries: the registry counter, the
-// meta-WAL watermark (zero outside Checkpoint) and the volumes.
+// serverImage is the state an image carries: the registry counter and
+// the volumes.
 type serverImage struct {
 	nextVolID codafs.VolumeID
-	metaLSN   uint64
 	vols      map[codafs.VolumeID]*volume
 }
 
@@ -54,7 +53,6 @@ type serverImage struct {
 func (img *serverImage) walk(c *wire.Coder, watermarks bool) {
 	c.Magic(imageMagic)
 	c.Uint32((*uint32)(&img.nextVolID))
-	c.Uvarint(&img.metaLSN)
 	names := make(map[string]bool)
 	wire.Map(c, &img.vols, 12, cmp.Compare[codafs.VolumeID], func(_ codafs.VolumeID, v *volume) (codafs.VolumeID, *volume) { // twelve one-byte fields at least
 		var lsn uint64
@@ -136,7 +134,7 @@ func (s *Server) SaveState(w io.Writer) error {
 // image encodes the SaveState form of the server: watermarks zero.
 func (s *Server) image() []byte {
 	s.mu.Lock()
-	vols := s.volumesByIDLocked()
+	vols := sortedByID(s.volumes)
 	img := serverImage{nextVolID: s.nextVolID, vols: make(map[codafs.VolumeID]*volume, len(vols))}
 	for _, v := range vols {
 		v.mu.Lock()

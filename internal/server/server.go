@@ -95,7 +95,7 @@ type Server struct {
 	volumes   map[codafs.VolumeID]*volume
 	byName    map[string]codafs.VolumeID
 	nextVolID codafs.VolumeID
-	journal   *serverJournal // durability WALs; nil until AttachJournal
+	journal   *JournalOptions // where the snapshot and volume WALs live; nil until AttachJournal
 
 	// clientsMu guards the connected-client table. Not nested with any
 	// other server lock.
@@ -396,14 +396,15 @@ func (s *Server) volByName(name string) (*volume, bool) {
 func (s *Server) volumesByID() []*volume {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.volumesByIDLocked()
+	return sortedByID(s.volumes)
 }
 
-// volumesByIDLocked is volumesByID for a caller that holds s.mu and goes
-// on holding it while it takes the volume locks (SaveState, Checkpoint).
-func (s *Server) volumesByIDLocked() []*volume {
-	out := make([]*volume, 0, len(s.volumes))
-	for _, v := range s.volumes {
+// sortedByID lists vols in ascending volume-ID order, for a caller that
+// goes on to take their locks (SaveState, checkpointLocked); the caller
+// holds s.mu when vols is the registry.
+func sortedByID(vols map[codafs.VolumeID]*volume) []*volume {
+	out := make([]*volume, 0, len(vols))
+	for _, v := range vols {
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id() < out[j].id() })
@@ -476,9 +477,8 @@ func (s *Server) sweepClients() {
 
 // ---- Administrative (non-RPC) interface ----
 
-// newVolume builds an empty volume with a root directory. modTime is the
-// root's creation time — passed in rather than read from a clock so a
-// journal replay reproduces the original volume exactly.
+// newVolume builds an empty volume with a root directory created at
+// modTime.
 func newVolume(id codafs.VolumeID, name string, modTime time.Time) *volume {
 	v := &volume{
 		info:         codafs.VolumeInfo{ID: id, Name: name, Stamp: 1},
@@ -509,14 +509,12 @@ func (s *Server) CreateVolume(name string) (codafs.VolumeInfo, error) {
 	if _, dup := s.byName[name]; dup {
 		return codafs.VolumeInfo{}, fmt.Errorf("server: volume %q exists", name)
 	}
-	id := s.nextVolID + 1
-	modTime := s.clock.Now()
-	v := newVolume(id, name, modTime)
-	//codalint:ignore lockhold journal-first commit: s.mu must cover the meta append so a concurrent CreateVolume cannot reorder LSNs
-	if err := s.journalCreateLocked(v, modTime); err != nil {
+	v := newVolume(s.nextVolID+1, name, s.clock.Now())
+	//codalint:ignore lockhold a creation is a checkpoint: the registry lock holds off other creations and checkpoints until the image holding v is durable
+	if err := s.journalCreateLocked(v); err != nil {
 		return codafs.VolumeInfo{}, fmt.Errorf("server: create volume %q: journal: %w", name, err)
 	}
-	s.nextVolID = id
+	s.nextVolID = v.id()
 	s.publishLocked(v)
 	return v.info, nil
 }

@@ -437,10 +437,11 @@ func (v *Venus) Mount(volume string) error {
 	if err != nil {
 		return fmt.Errorf("venus: mount %s: %w", volume, err)
 	}
-	// Register for callback breaks with every member: any of them may be
-	// the one that applies an update (live, or shipped from a peer) and
-	// dispatches the break. A member that is down right now registers
-	// this client when it is next called.
+	// Greet every member: ConnectClient only enters this client in the
+	// member's connected-client table (server_clients_connected); it
+	// registers no callback. Callbacks come from WantCallback on Fetch
+	// and GetAttr and from GetVolumeStamp. A member that is down is
+	// skipped; the mount fails only when no member answers.
 	connected := 0
 	var connectErr error
 	for _, addr := range v.cfg.Servers {

@@ -52,10 +52,16 @@ scenarios:
 	$(GO) run ./cmd/codascn validate internal/scenario/testdata/scenarios
 	$(GO) run ./cmd/codascn matrix -run internal/scenario/testdata/scenarios/crash_matrix.scn
 
-# The six examples are seeded sims on the public API: run, not just
-# compiled. Any non-zero exit fails.
+# Examples fence: the six examples are seeded sims on the public API, run
+# (not just compiled) and their stdout diffed against the committed
+# examples/<name>/expected.txt. A non-zero exit or any difference fails;
+# a change that moves an example's output commits the new file.
 examples:
-	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	for e in examples/*/; do echo "== $$e"; \
+		$(GO) run ./$$e > "$$tmp" || exit 1; \
+		diff -u "$${e}expected.txt" "$$tmp" || exit 1; \
+	done
 
 # Results fence: regenerate the paper's tables (results_full.txt, the
 # full sweep, about half a minute) and the design-choice ablations

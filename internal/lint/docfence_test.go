@@ -16,7 +16,7 @@ var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 // designLines is DESIGN.md's line budget: a change that needs more lines
 // there removes as many elsewhere in it.
-const designLines = 1988
+const designLines = 1984
 
 // suppressionBudget caps the module's //codalint:ignore directives, the
 // count codalint -ignores prints (TestRepoIsLintClean): a change that

@@ -16,7 +16,7 @@ import (
 // the engine's per-function Acquires facts.
 //
 // Mutex fields are recognized by name: `mu`, or any name ending in "Mu"
-// (clientsMu, fragMu). A struct with a single mutex guards every mutable
+// (fragMu). A struct with a single mutex guards every mutable
 // sibling with it. A struct with several mutexes is partitioned into
 // concurrency domains positionally — each non-mutex field is guarded by
 // the nearest mutex field declared above it, and fields declared before

@@ -20,7 +20,8 @@ import (
 
 // lockSummary is the per-node lockset state beyond FuncNode.Acquires.
 type lockSummary struct {
-	// net: direct Lock-minus-Unlock balance per domain. net > 0 means
+	// net: direct Lock-minus-Unlock balance per domain, a directly
+	// deferred literal's operations included. net > 0 means
 	// calling this function opens a critical section the caller must
 	// close (a lockVolume-style helper); net < 0 closes one.
 	net map[string]int
@@ -105,6 +106,20 @@ func (e *Engine) scanLocksets(n *FuncNode) {
 		switch x := node.(type) {
 		case *ast.GoStmt:
 			spawned[x.Call] = true
+		case *ast.DeferStmt:
+			// A directly deferred literal runs before this function
+			// returns, so its lock operations are this function's too.
+			if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
+				ast.Inspect(lit.Body, func(m ast.Node) bool {
+					if call, ok := m.(*ast.CallExpr); ok {
+						if d, delta := lockOpDomain(pkg, call); delta != 0 {
+							n.locks.net[d] += delta
+						}
+					}
+					_, nested := m.(*ast.FuncLit)
+					return !nested
+				})
+			}
 		case *ast.CallExpr:
 			if d, delta := lockOpDomain(pkg, x); delta != 0 {
 				n.locks.net[d] += delta

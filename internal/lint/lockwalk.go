@@ -30,7 +30,10 @@ import (
 // the simtime.Queue idiom (unlock one of two mutexes, then park) clean.
 // The price is the may-hold limit: a lock taken on only some paths
 // (`if c { mu.Lock() }`) is never reported, even where the same
-// condition guards the park.
+// condition guards the park. A lock taken in a loop body is one such
+// lock, since the loop may run zero times: it is a may-hold after the
+// loop, which is why the server's checkpointLocked, holding every
+// volume.mu across the snapshot write, reports nothing.
 
 // hold is one lock domain held at a program point.
 type hold struct {

@@ -29,12 +29,6 @@ func (s *Server) handle(src string, sc obs.SpanContext, body []byte) ([]byte, er
 
 	var rep any
 	switch req := v.(type) {
-	case wire.ConnectClient:
-		s.clientsMu.Lock()
-		s.clients[src] = true
-		s.clientsMu.Unlock()
-		rep = wire.ConnectClientRep{ServerTime: s.clock.Now()}
-
 	case wire.GetVolume:
 		rep, err = s.getVolume(req)
 	case wire.GetAttr:

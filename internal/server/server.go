@@ -20,11 +20,11 @@
 // observation that reintegration is applied per-volume. Each volume is an
 // independent concurrency domain behind its own mutex; the Server itself
 // only serializes the narrow shared structures around the domains — the
-// volume registry, the connected-client table, and the fragment buffers —
-// each behind its own lock. The lock hierarchy is registry → volume, never
-// reversed; when several volume locks are needed at once (persistence
-// snapshots) they are taken in ascending volume-ID order. RPCs are never
-// issued while holding any server lock. See DESIGN.md §8.
+// volume registry and the fragment buffers — each behind its own lock.
+// The lock hierarchy is registry → volume, never reversed; when several
+// volume locks are needed at once (persistence snapshots) they are taken
+// in ascending volume-ID order. RPCs are never issued while holding any
+// server lock. See DESIGN.md §8.
 package server
 
 import (
@@ -47,9 +47,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Maintenance policy. The sweeper bounds state that remote peers can
-// abandon: fragment buffers from transfers that died mid-shipment and
-// table entries for clients that will never call again.
+// Maintenance policy. The sweeper bounds the state a remote peer can
+// abandon: fragment buffers from transfers that died mid-shipment.
 const (
 	// sweepInterval is how often the maintenance sweep runs.
 	sweepInterval = 5 * time.Minute
@@ -58,11 +57,6 @@ const (
 	// mid-transfer (disconnections, foreground deference), so this is
 	// generous; a client that outlives it restarts from offset zero.
 	fragTTL = 6 * time.Hour
-	// clientTTL evicts connected-client entries for peers netmon has not
-	// heard from. Callback registrations are deliberately untouched: a
-	// silent client may merely be disconnected, and its promises are
-	// reclaimed object-by-object as updates break them.
-	clientTTL = 6 * time.Hour
 )
 
 // Server is one Coda file server.
@@ -96,11 +90,6 @@ type Server struct {
 	byName    map[string]codafs.VolumeID
 	nextVolID codafs.VolumeID
 	journal   *JournalOptions // where the snapshot and volume WALs live; nil until AttachJournal
-
-	// clientsMu guards the connected-client table. Not nested with any
-	// other server lock.
-	clientsMu sync.Mutex
-	clients   map[string]bool
 
 	// fragMu guards the resumable fragment buffers (§4.3.5). Not nested
 	// with any other server lock.
@@ -185,7 +174,6 @@ func (s *Server) initMetrics(addr string) {
 	s.obs.CounterFunc("server_repl_applied_records_total", s.stats.replApplied.Load, node)
 	s.obs.CounterFunc("server_repl_duplicate_records_total", s.stats.duplicatesDropped.Load, node)
 	s.obs.CounterFunc("server_catchup_records_total", s.stats.catchupRecords.Load, node)
-	s.obs.GaugeFunc("server_clients_connected", func() int64 { return int64(s.ClientCount()) }, node)
 	s.obs.GaugeFunc("server_fragment_buffers", func() int64 { return int64(s.FragmentCount()) }, node)
 }
 
@@ -230,6 +218,9 @@ type volume struct {
 	// earlier chunks (the storeid rule).
 	lastAuthor map[codafs.FID]string
 
+	// objCallbacks and volCallbacks are the callback promises. No sweep
+	// touches them: a silent client may merely be disconnected, and its
+	// promises are reclaimed object by object as updates break them.
 	objCallbacks map[codafs.FID]map[string]bool
 	volCallbacks map[string]bool
 
@@ -316,7 +307,6 @@ func New(clock simtime.Clock, conn netsim.PacketConn, opts ...Option) *Server {
 		stopped: make(chan struct{}),
 		volumes: make(map[codafs.VolumeID]*volume),
 		byName:  make(map[string]codafs.VolumeID),
-		clients: make(map[string]bool),
 		frags:   make(map[fragKey]*fragBuf),
 	}
 	for _, o := range opts {
@@ -348,13 +338,6 @@ func (s *Server) Stats() Stats {
 		ReplApplied:        s.stats.replApplied.Load(),
 		CatchupRecords:     s.stats.catchupRecords.Load(),
 	}
-}
-
-// ClientCount returns the number of clients in the connected table.
-func (s *Server) ClientCount() int {
-	s.clientsMu.Lock()
-	defer s.clientsMu.Unlock()
-	return len(s.clients)
 }
 
 // FragmentCount returns the number of live fragment buffers.
@@ -427,8 +410,8 @@ func (v *volume) id() codafs.VolumeID { return v.info.ID }
 
 // ---- Maintenance sweep ----
 
-// sweep reclaims abandoned fragment buffers and stale client-table
-// entries every sweepInterval, until the first tick after Close.
+// sweep reclaims abandoned fragment buffers every sweepInterval, until
+// the first tick after Close.
 func (s *Server) sweep() bool {
 	select {
 	case <-s.stopped:
@@ -436,7 +419,6 @@ func (s *Server) sweep() bool {
 	default:
 	}
 	s.sweepFrags()
-	s.sweepClients()
 	return true
 }
 
@@ -450,27 +432,6 @@ func (s *Server) sweepFrags() {
 	for k, fb := range s.frags {
 		if now.Sub(fb.lastActive) > fragTTL {
 			delete(s.frags, k)
-		}
-	}
-}
-
-// sweepClients evicts table entries for peers netmon has not heard from
-// within clientTTL, bounding the table against clients that are gone for
-// good. rpc2 bounds its reply cache the same way.
-func (s *Server) sweepClients() {
-	mon := s.node.Monitor()
-	s.clientsMu.Lock()
-	defer s.clientsMu.Unlock()
-	// Probe in sorted order: Peer registers gauges on first sight, and
-	// that registration order must not depend on map iteration.
-	addrs := make([]string, 0, len(s.clients))
-	for c := range s.clients {
-		addrs = append(addrs, c)
-	}
-	sort.Strings(addrs)
-	for _, c := range addrs {
-		if !mon.Peer(c).Alive(clientTTL) {
-			delete(s.clients, c)
 		}
 	}
 }

@@ -25,18 +25,20 @@ type HDBEntry struct {
 // change is journaled before it is applied.
 func (v *Venus) HoardAdd(path string, priority int, children bool) {
 	e := HDBEntry{Path: path, Priority: priority, Children: children}
-	v.journalRef().note(journalEntry{Op: jHoardAdd, HDB: e})
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.hdb[path] = &e
+	v.journalRef().note(journalEntry{Op: jHoardAdd, HDB: e}, func() {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		v.hdb[path] = &e
+	})
 }
 
 // HoardRemove deletes an HDB entry.
 func (v *Venus) HoardRemove(path string) {
-	v.journalRef().note(journalEntry{Op: jHoardRemove, Path: path})
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.hdb, path)
+	v.journalRef().note(journalEntry{Op: jHoardRemove, Path: path}, func() {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		delete(v.hdb, path)
+	})
 }
 
 // HoardList returns the HDB sorted by descending priority, then path.

@@ -1,6 +1,7 @@
 package venus
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -102,7 +103,7 @@ type journal struct {
 }
 
 // write frames e into the WAL with the next LSN and then, still under
-// j.mu, runs commit — the in-memory change e describes, if it is not
+// j.mu, runs commit — the in-memory change e describes, a no-op if it is
 // already made — so a Checkpoint can never fall between the two. If the
 // write fails commit does not run.
 func (j *journal) write(e journalEntry, commit func()) error {
@@ -118,9 +119,7 @@ func (j *journal) write(e journalEntry, commit func()) error {
 	if err := j.log.Append(*bp, obs.SpanContext{}); err != nil {
 		return err
 	}
-	if commit != nil {
-		commit()
-	}
+	commit()
 	return nil
 }
 
@@ -249,24 +248,24 @@ func (v *Venus) logDrop(vc *vclient, seqs map[uint64]bool) {
 		list = append(list, s)
 	}
 	sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-	j.note(journalEntry{Op: jDrop, Volume: vc.info.Name, Seqs: list})
+	j.note(journalEntry{Op: jDrop, Volume: vc.info.Name, Seqs: list}, func() {})
 }
 
-// note journals, best-effort, a change that is already made and cannot be
-// rolled back: a CML drop (the server's state is authoritative by then) or
-// a hoard-database edit (a preference; losing one is an inconvenience, not
-// data loss). A failure is remembered and healed by the next Checkpoint,
-// whose snapshot captures the state the missed entry described. A nil
-// journal (none attached) notes nothing.
-func (j *journal) note(e journalEntry) {
+// note journals, best-effort, a change that is never refused: a CML drop
+// (already made: the server's state is authoritative by then) or a
+// hoard-database edit, which commit makes (a preference; losing one is an
+// inconvenience, not data loss). commit runs under j.mu whether or not
+// the write succeeds, so no Checkpoint falls between entry and change. A
+// failure is remembered and healed by the next Checkpoint, whose snapshot
+// captures the state the missed entry described. A nil journal (none
+// attached) only commits.
+func (j *journal) note(e journalEntry, commit func()) {
 	if j == nil {
-		return
-	}
-	if err := j.write(e, nil); err != nil {
+		commit()
+	} else if err := j.write(e, commit); err != nil {
 		j.mu.Lock()
-		if j.err == nil {
-			j.err = err
-		}
+		commit()
+		j.err = cmp.Or(j.err, err)
 		j.mu.Unlock()
 	}
 }

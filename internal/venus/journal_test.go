@@ -2,10 +2,13 @@ package venus_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/crashfs"
+	"repro/internal/netsim"
+	"repro/internal/simtime"
 	"repro/internal/venus"
 	"repro/internal/wal"
 )
@@ -247,6 +250,92 @@ func TestVenusJournalRecoversHDB(t *testing.T) {
 			t.Errorf("recovered HDB = %+v", hdb)
 		}
 	})
+}
+
+// TestVenusJournalHDBEditOutlivesWriteFailure: the HDB is best-effort,
+// so an edit whose journal write fails is still made, and JournalErr
+// reports the failure until a Checkpoint captures the edit.
+func TestVenusJournalHDBEditOutlivesWriteFailure(t *testing.T) {
+	w := newWorld(t)
+	mem := crashfs.NewMem()
+	w.sim.Run(func() {
+		v1 := w.venus("c1", venus.Config{ClientID: 7})
+		if _, err := v1.AttachJournal(venusJournalOpts(mem)); err != nil {
+			t.Fatal(err)
+		}
+		mem.FailWrite(1, errInjectedWrite)
+		v1.HoardAdd("/coda/usr/a", 600, false)
+		if hdb := v1.HoardList(); len(hdb) != 1 {
+			t.Errorf("HDB after a failed journal write = %+v, want the edit made", hdb)
+		}
+		if err := v1.JournalErr(); err == nil {
+			t.Error("JournalErr = nil after a failed journal write")
+		}
+		if err := v1.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := v1.JournalErr(); err != nil {
+			t.Errorf("JournalErr after Checkpoint = %v, want healed", err)
+		}
+		v1.Close()
+		mem.Reboot()
+
+		v2 := w.venus("c1b", venus.Config{ClientID: 7})
+		if _, err := v2.AttachJournal(venusJournalOpts(mem)); err != nil {
+			t.Fatal(err)
+		}
+		if hdb := v2.HoardList(); len(hdb) != 1 || hdb[0].Path != "/coda/usr/a" {
+			t.Errorf("recovered HDB = %+v", hdb)
+		}
+	})
+}
+
+// TestVenusJournalHDBEditRacesCheckpoint: an HDB edit and its journal
+// entry land under one hold of the journal lock, so a Checkpoint racing
+// the edit either snapshots it or leaves its WAL entry in place, and an
+// edit whose call returned survives a crash. Only a Real clock can
+// interleave the two: under a Sim nothing parks between them.
+func TestVenusJournalHDBEditRacesCheckpoint(t *testing.T) {
+	const rounds = 300
+	clock := simtime.Real{}
+	net := netsim.New(clock, 1)
+	mem := crashfs.NewMem()
+	boot := func(r int) *venus.Venus {
+		t.Helper()
+		v := venus.New(clock, net.Host(fmt.Sprintf("c%d", r)), venus.Config{ClientID: 7})
+		if _, err := v.AttachJournal(venusJournalOpts(mem)); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	v := boot(0)
+	for r := 1; r <= rounds; r++ {
+		// Checkpoint until the edit has returned: the last checkpoint
+		// may start while the edit is under way.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			v.HoardAdd(fmt.Sprintf("/coda/usr/f%d", r), r, false)
+		}()
+	checkpoint:
+		for {
+			select {
+			case <-done:
+				break checkpoint
+			default:
+			}
+			if err := v.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v.Close() // unclean: no CloseJournal
+		mem.Reboot()
+		v = boot(r)
+		if got := len(v.HoardList()); got != r {
+			t.Fatalf("after %d edits and a crash, %d HDB entries survived", r, got)
+		}
+	}
+	v.Close()
 }
 
 // TestVenusJournalFailureBlocksMutation pins the §4.3.1 invariant that an

@@ -44,8 +44,6 @@ func TestValidateVolumesWireOrder(t *testing.T) {
 					return nil, err
 				}
 				switch req := req.(type) {
-				case wire.ConnectClient:
-					return wire.Encode(wire.ConnectClientRep{})
 				case wire.GetVolume:
 					id := ids[req.Name]
 					return wire.Encode(wire.GetVolumeRep{Info: codafs.VolumeInfo{ID: id, Name: req.Name, Stamp: 1},

@@ -437,23 +437,6 @@ func (v *Venus) Mount(volume string) error {
 	if err != nil {
 		return fmt.Errorf("venus: mount %s: %w", volume, err)
 	}
-	// Greet every member: ConnectClient only enters this client in the
-	// member's connected-client table (server_clients_connected); it
-	// registers no callback. Callbacks come from WantCallback on Fetch
-	// and GetAttr and from GetVolumeStamp. A member that is down is
-	// skipped; the mount fails only when no member answers.
-	connected := 0
-	var connectErr error
-	for _, addr := range v.cfg.Servers {
-		if _, err := wire.Call[wire.ConnectClientRep](v.node, addr, wire.ConnectClient{}, rpc2.CallOpts{}); err != nil {
-			connectErr = err
-			continue
-		}
-		connected++
-	}
-	if connected == 0 {
-		return fmt.Errorf("venus: mount %s: connect: %w", volume, connectErr)
-	}
 	vc := &vclient{info: rep.Info, root: rep.Root.FID, log: cml.NewLog(),
 		pref: v.defaultPref(uint64(rep.Info.ID)), drainTok: simtime.NewQueue[struct{}](v.clock)}
 	vc.unlockDrain() // the queue starts empty: put the one token in

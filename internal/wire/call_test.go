@@ -30,7 +30,7 @@ func TestCallFreesFrames(t *testing.T) {
 			defer server.Close()
 			client := rpc2.NewNode(sim, net.Host("client"), netmon.NewMonitor(sim), nil, nil)
 			defer client.Close()
-			rep, err := Call[PutFragment](client, "server", ConnectClient{}, rpc2.CallOpts{})
+			rep, err := Call[PutFragment](client, "server", GetVolume{Name: "v"}, rpc2.CallOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

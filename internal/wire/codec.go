@@ -60,8 +60,8 @@ const (
 	tagReintegrateRep
 	tagPutFragment
 	tagPutFragmentRep
-	tagConnectClient
-	tagConnectClientRep
+	_ // 27 and 28 are reserved and decode as malformed: they were a client greeting and its reply, which fed only a connected-client gauge
+	_
 	tagShipLog
 	tagShipLogRep
 	tagFetchLog
@@ -83,7 +83,6 @@ var messages = [...]any{
 	tagGetVolumeStamp: GetVolumeStamp{}, tagGetVolumeStampRep: GetVolumeStampRep{},
 	tagReintegrate: Reintegrate{}, tagReintegrateRep: ReintegrateRep{},
 	tagPutFragment: PutFragment{}, tagPutFragmentRep: PutFragmentRep{},
-	tagConnectClient: ConnectClient{}, tagConnectClientRep: ConnectClientRep{},
 	tagShipLog: ShipLog{}, tagShipLogRep: ShipLogRep{},
 	tagFetchLog: FetchLog{}, tagFetchLogRep: FetchLogRep{},
 	tagCallbackBreak: CallbackBreak{}, tagCallbackBreakRep: CallbackBreakRep{},
@@ -162,7 +161,7 @@ func (c *Coder) message(v any) any {
 		c.VolumeInfo(&m.Info)
 		c.status(&m.Root)
 		return decoded(c, &m)
-	case ConnectClient, CallbackBreakRep:
+	case CallbackBreakRep:
 		return decoded(c, &m)
 	case GetAttr:
 		c.FID(&m.FID)
@@ -264,9 +263,6 @@ func (c *Coder) message(v any) any {
 		return decoded(c, &m)
 	case PutFragmentRep:
 		c.Int64(&m.Received)
-		return decoded(c, &m)
-	case ConnectClientRep:
-		c.Time(&m.ServerTime)
 		return decoded(c, &m)
 	case ShipLog:
 		c.volumeID(&m.Volume)

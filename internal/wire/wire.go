@@ -274,15 +274,6 @@ type PutFragment struct {
 // PutFragmentRep acknowledges contiguous receipt through Received bytes.
 type PutFragmentRep struct{ Received int64 }
 
-// ConnectClient announces the caller to the server, which records it in
-// the table behind server_clients_connected and sweeps it once idle past
-// the TTL. It registers no callback: GetAttr, Fetch and GetVolumeStamp
-// do that.
-type ConnectClient struct{}
-
-// ConnectClientRep acknowledges the announcement.
-type ConnectClientRep struct{ ServerTime time.Time }
-
 // ---- Server ↔ server replication ----
 
 // LogEntry is one replicated WAL batch: the records one client commit

@@ -130,9 +130,6 @@ var roundTripCases = []struct {
 		Statuses: []codafs.Status{fullStatus, dirStatus}, VolStamp: 44}},
 	{name: "PutFragment", in: PutFragment{Transfer: 9, Offset: 1 << 20, Total: 1 << 21, Data: []byte("0123456789")}},
 	{name: "PutFragmentRep", in: PutFragmentRep{Received: 10}},
-	{name: "ConnectClient", in: ConnectClient{}},
-	{name: "ConnectClientRep", in: ConnectClientRep{ServerTime: utcTime}},
-	{name: "ConnectClientRep/zero time", in: ConnectClientRep{}},
 	{name: "ShipLog", in: ShipLog{Volume: 3, PrevChain: 0xdeadbeef,
 		Entry: LogEntry{LSN: 12, Chain: 0xfeedface, Client: "laptop", Recs: everyKind()}}},
 	{name: "ShipLogRep", in: ShipLogRep{LSN: 12, NeedCatchUp: true}},
@@ -184,9 +181,9 @@ func TestEncodeDecodeRoundTripAllTypes(t *testing.T) {
 			t.Errorf("%s: round trip\n got %.400s\nwant %.400s", c.name, fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want))
 		}
 	}
-	// Three tags below the last, 3, 4 and 12, are reserved and name no message.
-	if len(seen) != int(tagCallbackBreakRep)-3 {
-		t.Errorf("round-trip table covers %d message types, the codec has %d", len(seen), tagCallbackBreakRep-3)
+	// Five tags below the last, 3, 4, 12, 27 and 28, are reserved and name no message.
+	if len(seen) != int(tagCallbackBreakRep)-5 {
+		t.Errorf("round-trip table covers %d message types, the codec has %d", len(seen), tagCallbackBreakRep-5)
 	}
 }
 
@@ -247,7 +244,7 @@ func TestEncodeSharedConcurrently(t *testing.T) {
 // carries the local zone and a monotonic reading.
 func TestTimeDropsMonotonic(t *testing.T) {
 	now := time.Now()
-	buf, err := Encode(ConnectClientRep{ServerTime: now})
+	buf, err := Encode(SetAttrOp{FID: sampleFID, ModTime: now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +252,7 @@ func TestTimeDropsMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (ConnectClientRep{ServerTime: now.Round(0).UTC()}); got != want {
+	if want := (SetAttrOp{FID: sampleFID, ModTime: now.Round(0).UTC()}); got != want {
 		t.Errorf("decoded %#v, want %#v", got, want)
 	}
 }
@@ -293,7 +290,7 @@ func TestDecodeGarbage(t *testing.T) {
 		"entries out of order": {tagFetchRep, stType, byte(codafs.Directory), 0,
 			2, 1, 'b', 1, 1, 1, 1, 'a', 1, 1, 1, 0},
 		"fragment index past records": {tagReintegrate, 3, 0, 1, 0, 9, 0},
-		"nanoseconds out of range":    {tagConnectClientRep, 0, 0x80, 0x94, 0xeb, 0xdc, 0x03},
+		"nanoseconds out of range":    {tagSetAttrOp, 0, 0, 0, 0, 0, 0x80, 0x94, 0xeb, 0xdc, 0x03, 0},
 	}
 	for cut := 0; cut < len(valid); cut++ {
 		cases[fmt.Sprintf("truncated at %d", cut)] = valid[:cut]
@@ -486,8 +483,8 @@ func TestMutationRecordCorrespondence(t *testing.T) {
 	if _, _, ok := RecordOf(Fetch{FID: sampleFID}); ok {
 		t.Error("RecordOf accepted a Fetch as a mutation")
 	}
-	// Tags 3, 4 and 12 are reserved: a message so tagged is refused, not misread.
-	for _, tag := range []byte{3, 4, 12} {
+	// Tags 3, 4, 12, 27 and 28 are reserved: a message so tagged is refused, not misread.
+	for _, tag := range []byte{3, 4, 12, 27, 28} {
 		if _, err := Decode([]byte{tag}); !errors.Is(err, ErrMalformed) {
 			t.Errorf("Decode of reserved tag %d: %v, want ErrMalformed", tag, err)
 		}

@@ -28,10 +28,10 @@ import (
 // sleep must outlast the longest period any daemon is parked for: the
 // hoard walk Figure 9 configures at 1 h is the longest in the module
 // (defaults: hoard walk 10 min, server and reply-cache sweeps 5 min),
-// and 13 h also clears the servers' 6 h fragment and client TTLs twice
-// over. It is cmd/codaperf's bound. A closed world schedules nothing,
-// so the length costs no wall time; the leak fence in
-// internal/experiments fails if a later daemon outlives it.
+// and 13 h also clears the servers' 6 h fragment TTL twice over. It is
+// cmd/codaperf's bound. A closed world schedules nothing, so the length
+// costs no wall time; the leak fence in internal/experiments fails if a
+// later daemon outlives it.
 const teardownSleep = 13 * time.Hour
 
 // World is one simulated deployment. Sim, Net and Reg are exported for

@@ -3,6 +3,8 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +73,36 @@ func TestKilledMemberIsLeftOut(t *testing.T) {
 		members, size, err := g.Identical()
 		if err != nil || members != 2 || size == 0 {
 			t.Fatalf("Identical = %d members, %d bytes, %v; want the 2 survivors identical", members, size, err)
+		}
+	})
+}
+
+// TestMountCost pins what a mount sends to a three-member group: one
+// GetVolume and one root Fetch, group-wide, by each member's
+// server_ops_total. Callbacks and liveness need nothing more.
+func TestMountCost(t *testing.T) {
+	w := New(3)
+	g, _ := trio(t, w, false)
+	w.Run(func() {
+		ops := func() map[string]int64 { // summed over the members
+			out := map[string]int64{}
+			for key, n := range series(t, w) {
+				if labels, ok := strings.CutPrefix(key, "server_ops_total{"); ok {
+					out[labels[strings.Index(labels, "op=")+3:len(labels)-1]] += n
+				}
+			}
+			return out
+		}
+		before := ops()
+		mount(t, w, g)
+		got := ops()
+		for op, n := range before {
+			if got[op] -= n; got[op] == 0 {
+				delete(got, op)
+			}
+		}
+		if want := map[string]int64{"GetVolume": 1, "Fetch": 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("a mount sent %v, want %v", got, want)
 		}
 	})
 }

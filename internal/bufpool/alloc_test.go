@@ -4,8 +4,9 @@ package bufpool
 
 import "testing"
 
-// The pool cycles' alloc fences. Under the race detector sync.Pool drops
-// items at random, so these run only without it.
+// The pool cycles' alloc fences. Under the race detector the scratch
+// pool, a sync.Pool, drops items at random (the frame lists keep theirs),
+// so these run only without it.
 
 // TestAllocBufpoolCycle pins the pool cycle itself at zero steady-state
 // allocations: a Get/append/Put round trip must not touch the heap, or

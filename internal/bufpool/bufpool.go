@@ -17,11 +17,16 @@
 // slice, so a missed Free costs an allocation, never correctness. Bytes
 // that outlive the message — a decoded file's contents, a cache entry —
 // are copied out of the frame at the trust edge (DESIGN.md §4.11), never
-// lent from it.
+// lent from it. A freed frame waits on its class's LIFO free list and
+// outlives garbage collections there (a sync.Pool is emptied within
+// two). The lists hold at most maxHeld bytes together, as a slab
+// allocator bounds its caches (Bonwick, USENIX '94); a Free over that
+// leaves the frame to the garbage collector.
 //
-// In a test binary Free fills the frame with Poison before pooling it,
+// In a test binary Free fills the frame with Poison before listing it,
 // so a reader that outlives its frame sees Poison instead of a plausible
-// message, and every test doubles as a use-after-free check.
+// message, and every test doubles as a use-after-free check. Free panics
+// on a frame already listed (a double Free), Frame on one written since.
 //
 // What the pools save is measured, not assumed: TestAllocBufpoolCycle
 // and TestAllocFrameCycle pin a warm cycle at zero allocations, and
@@ -30,9 +35,13 @@
 package bufpool
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -76,10 +85,17 @@ const (
 	classes  = 1 + (maxShift-minShift)*4
 )
 
-// frames holds one pool per class. A frame is pooled as the pointer to
-// its first byte — pointer-shaped, so the interface holds it without
-// boxing — and rebuilt from its class's size on the way out.
-var frames [classes]sync.Pool
+// maxHeld caps the bytes listed: twice group_journal_eth's 8.7 MB peak.
+const maxHeld = 16 << 20
+
+// frames holds one free list per class. A frame is listed as the pointer
+// to its first byte and rebuilt from its class's size on the way out.
+var frames [classes]struct {
+	mu    sync.Mutex
+	stack []unsafe.Pointer
+}
+
+var held atomic.Int64 // bytes listed, at most maxHeld
 
 // Poison is the byte a test binary fills a freed frame with.
 const Poison byte = 0xDB
@@ -120,9 +136,20 @@ func Frame(n int) []byte {
 		return make([]byte, n)
 	}
 	i, size := class(n)
-	if p, _ := frames[i].Get().(unsafe.Pointer); p != nil {
-		return unsafe.Slice((*byte)(p), size)[:n]
+	l := &frames[i]
+	l.mu.Lock()
+	if k := len(l.stack) - 1; k >= 0 {
+		b := unsafe.Slice((*byte)(l.stack[k]), size)
+		l.stack[k], l.stack = nil, l.stack[:k]
+		l.mu.Unlock()
+		held.Add(-int64(size))
+		if poisoning() && (b[0] != Poison || !bytes.Equal(b[1:], b[:size-1])) {
+			j := slices.IndexFunc(b, func(c byte) bool { return c != Poison })
+			panic(fmt.Sprintf("bufpool: a freed %d-byte frame was written at offset %d", size, j))
+		}
+		return b[:n]
 	}
+	l.mu.Unlock()
 	return make([]byte, n, size)
 }
 
@@ -148,5 +175,17 @@ func Free(b []byte) {
 			copy(b[j:], b[:j])
 		}
 	}
-	frames[i].Put(unsafe.Pointer(unsafe.SliceData(b)))
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	l := &frames[i]
+	l.mu.Lock()
+	if poisoning() && slices.Contains(l.stack, p) {
+		l.mu.Unlock()
+		panic(fmt.Sprintf("bufpool: a %d-byte frame freed twice", c))
+	}
+	if held.Add(int64(c)) <= maxHeld {
+		l.stack = append(l.stack, p)
+	} else {
+		held.Add(-int64(c))
+	}
+	l.mu.Unlock()
 }

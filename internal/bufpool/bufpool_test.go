@@ -2,7 +2,12 @@ package bufpool
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestGetCapacityAndReuse(t *testing.T) {
@@ -36,6 +41,7 @@ func TestGetGrowsBeyondDefault(t *testing.T) {
 // at least minFrame and, above that, less than a quarter more than n.
 // Classes are strictly increasing, four to an octave.
 func TestFrameClassRounding(t *testing.T) {
+	defer drain()
 	prevI, prevSize := 0, minFrame
 	for n := 0; n <= maxFrame; n = next(n) {
 		i, size := class(n)
@@ -126,4 +132,136 @@ func TestFreePoisons(t *testing.T) {
 			t.Fatalf("byte %d of a freed frame is %#x, want Poison %#x", i, c, Poison)
 		}
 	}
+}
+
+// drain empties every free list, as if each listed frame had been taken
+// and dropped, so a test starts with the whole of maxHeld to list into.
+func drain() {
+	for i := range frames {
+		frames[i].mu.Lock()
+		frames[i].stack = nil
+		frames[i].mu.Unlock()
+	}
+	held.Store(0)
+}
+
+// TestFrameSurvivesCollection: a freed frame waits on its class's list
+// through garbage collections, where a sync.Pool would have been emptied
+// within two, and comes back as the same backing array without an
+// allocation.
+func TestFrameSurvivesCollection(t *testing.T) {
+	drain()
+	f := Frame(3000)
+	want := unsafe.SliceData(f)
+	Free(f)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := Frame(3000)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("Frame after two collections: %d allocs, want 0", allocs)
+	}
+	if unsafe.SliceData(got) != want {
+		t.Errorf("Frame after two collections returned a new backing array")
+	}
+	Free(got)
+}
+
+// TestFrameRetentionBound: the lists never hold more than maxHeld bytes.
+// Frees past the cap leave their frames to the collector, and a frame
+// larger than what the cap has left is dropped whole, not listed.
+func TestFrameRetentionBound(t *testing.T) {
+	drain()
+	defer drain()
+	const size = 1 << 20 // a class
+	for k := 0; k < maxHeld/size+4; k++ {
+		Free(make([]byte, size))
+		if h := held.Load(); h > maxHeld {
+			t.Fatalf("after %d frees of %d bytes the lists hold %d bytes, over maxHeld %d", k+1, size, h, maxHeld)
+		}
+	}
+	i, _ := class(size)
+	if n := len(frames[i].stack); n != maxHeld/size {
+		t.Errorf("%d frames of %d bytes listed, want %d", n, size, maxHeld/size)
+	}
+	Frame(size)
+	before := held.Load()
+	j, big := class(int(maxHeld-before) + 1)
+	Free(make([]byte, big))
+	if h := held.Load(); h != before || len(frames[j].stack) != 0 {
+		t.Errorf("a %d-byte frame with %d bytes left under the cap: held %d -> %d, %d listed; want it dropped",
+			big, maxHeld-before, before, h, len(frames[j].stack))
+	}
+	if Free(make([]byte, size)); held.Load() != maxHeld {
+		t.Errorf("a frame that fits was not listed: held %d, want %d", held.Load(), maxHeld)
+	}
+}
+
+// TestFrameConcurrentCycle: goroutines take, fill, check and free frames
+// of mixed classes at once, two held at a time. Each sees only its own
+// bytes in the frames it holds, and the lists stay within their bound.
+func TestFrameConcurrentCycle(t *testing.T) {
+	sizes := []int{100, 1300, 1300, 4000, 70 << 10}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pat := bytes.Repeat([]byte{byte(g)}, 70<<10)
+			var mine [2][]byte
+			for k := range 400 {
+				f := Frame(sizes[(g+k)%len(sizes)])
+				copy(f, pat)
+				if old := mine[k%2]; old != nil {
+					if !bytes.Equal(old, pat[:len(old)]) {
+						t.Errorf("goroutine %d: a %d-byte frame it holds was overwritten", g, len(old))
+						return
+					}
+					Free(old)
+				}
+				mine[k%2] = f
+			}
+			Free(mine[0])
+			Free(mine[1])
+		}()
+	}
+	wg.Wait()
+	if h := held.Load(); h < 0 || h > maxHeld {
+		t.Errorf("after the cycles the lists hold %d bytes, want 0..%d", h, maxHeld)
+	}
+}
+
+// mustPanic runs fn and fails t unless it panics with a message that
+// contains want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	fn()
+}
+
+// TestFreeTwicePanics: in a test binary a second Free of a listed frame
+// panics, where it would have handed one frame to two owners.
+func TestFreeTwicePanics(t *testing.T) {
+	f := Frame(5000)
+	Free(f)
+	mustPanic(t, "a 5120-byte frame freed twice", func() { Free(f) })
+	if g, h := Frame(5000), Frame(5000); unsafe.SliceData(g) == unsafe.SliceData(h) {
+		t.Errorf("a frame freed twice was listed twice")
+	}
+}
+
+// TestFrameWrittenAfterFreePanics: in a test binary Frame panics on a
+// listed frame that was written after its Free, naming the frame's size
+// and the first byte written.
+func TestFrameWrittenAfterFreePanics(t *testing.T) {
+	f := Frame(6000)
+	Free(f)
+	f[17] = 'x' // the write after Free under test
+	mustPanic(t, "a freed 6144-byte frame was written at offset 17", func() { Frame(6000) })
 }

@@ -18,7 +18,8 @@ import (
 // CML through the preferred member, which ships every entry to both
 // peers. The sim is deterministic, so the count is stable; it guards
 // against replication bloating the reintegration path. Under the race
-// detector sync.Pool drops items at random, so this runs only without it.
+// detector bufpool's scratch pool, a sync.Pool, drops items at random, so
+// this runs only without it.
 func TestAllocReplicatedReintegrate(t *testing.T) {
 	const K = 4
 	cycle := func() {

@@ -14,8 +14,8 @@ import (
 // Send, the arrival event, the hand-off to a blocked Recv. The copy of
 // the payload (Send may not retain the caller's buffer) goes into a
 // pooled frame, which the receiver frees as rpc2 frees an SFTP datagram,
-// so the steady state allocates nothing. Under the race detector
-// sync.Pool drops items at random, so this runs only without it.
+// so the steady state allocates nothing. The race detector adds
+// allocations of its own, so this runs only without it.
 func TestAllocNetsimPacket(t *testing.T) {
 	s := simtime.NewSim(simtime.Epoch1995)
 	n := New(s, 1)

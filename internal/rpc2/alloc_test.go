@@ -9,8 +9,9 @@ import (
 	"repro/internal/obs"
 )
 
-// The framing paths' alloc fences. Under the race detector sync.Pool
-// drops items at random, so these run only without it.
+// The framing paths' alloc fences. Under the race detector bufpool's
+// scratch pool, a sync.Pool, drops items at random, so these run only
+// without it.
 
 // nullConn swallows packets so the fences measure framing, not the
 // network emulator's own delivery copies.

@@ -17,8 +17,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The server's alloc fences. Under the race detector sync.Pool drops
-// items at random, so these run only without it.
+// The server's alloc fences. Under the race detector bufpool's scratch
+// pool, a sync.Pool, drops items at random, so these run only without it.
 
 // TestAllocJournalBatch pins the framing of one applied mutation batch
 // into the volume WAL. The entry is encoded behind the WAL's header in a

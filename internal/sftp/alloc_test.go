@@ -12,8 +12,8 @@ import (
 
 // The per-fragment paths' alloc fences: framing into pooled buffers,
 // recycled as soon as the send callback returns, and the receive side.
-// Under the race detector sync.Pool drops items at random, so these run
-// only without it.
+// Under the race detector bufpool's scratch pool, a sync.Pool, drops
+// items at random, so these run only without it.
 
 func TestAllocShipData(t *testing.T) {
 	e := &Engine{send: func(dst string, p []byte) error { return nil }}

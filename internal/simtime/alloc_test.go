@@ -11,8 +11,8 @@ import (
 // The kernel's alloc fences: blocking on the clock costs no garbage,
 // whether the clock advances inline or through park. AllocsPerRun runs
 // on one P, so a wakeup never starts an OS thread whose bookkeeping
-// would be charged to the fence. Under the race detector sync.Pool drops
-// items at random, so these run only without it.
+// would be charged to the fence. The race detector adds allocations of
+// its own, so these run only without it.
 
 func TestAllocSimSleep(t *testing.T) {
 	// The caller is the only runnable goroutine: every sleep is an

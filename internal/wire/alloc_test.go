@@ -14,8 +14,8 @@ import (
 // budget is a count, not zero, fenced here. A FetchRep round trip is the
 // encoded buffer, the boxed reply, its data and its owner string; a
 // Reintegrate adds two names and the data per record, plus the record
-// slice. Under the race detector sync.Pool drops items at random, so
-// these run only without it.
+// slice. Under the race detector bufpool's scratch pool, a sync.Pool,
+// drops items at random, so these run only without it.
 
 var allocSink any
 

@@ -19,9 +19,13 @@
 // are copied out of the frame at the trust edge (DESIGN.md §4.11), never
 // lent from it. A freed frame waits on its class's LIFO free list and
 // outlives garbage collections there (a sync.Pool is emptied within
-// two). The lists hold at most maxHeld bytes together, as a slab
-// allocator bounds its caches (Bonwick, USENIX '94); a Free over that
-// leaves the frame to the garbage collector.
+// two). Each list has its own budget, under its own lock, as a slab
+// allocator bounds each of its caches (Bonwick, USENIX '94): a Free over
+// its class's budget leaves the frame to the garbage collector, and no
+// class's frames can crowd out another's. Together the lists hold under
+// 70 MiB (TestFrameListBound), and that only if every class is at once
+// as busy as the busiest. A Frame or Free takes its class's lock once
+// and touches nothing shared with another class.
 //
 // In a test binary Free fills the frame with Poison before listing it,
 // so a reader that outlives its frame sees Poison instead of a plausible
@@ -41,7 +45,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -85,8 +88,28 @@ const (
 	classes  = 1 + (maxShift-minShift)*4
 )
 
-// maxHeld caps the bytes listed: twice group_journal_eth's 8.7 MB peak.
-const maxHeld = 16 << 20
+// The lists' budgets in frames, from each class's high-water mark in
+// codaperf's workloads. group_journal_eth lists at most 992 datagrams of
+// 1280 bytes, 13 reassembly buffers of 80 KiB and 28 bodies of 224 KiB
+// (6.4 MB) at once, the same over 40 iterations or 12 s; no other class
+// there, nor any in the other three workloads, lists more than 164 KB.
+// A frame above listMax is never listed.
+const (
+	datagramFrames = 2048 // a class up to defaultCap: datagrams in flight
+	bodyFrames     = 32   // a larger one: bodies and reassembly buffers
+	listMax        = 256 << 10
+)
+
+// budget is the most frames the list of size-byte frames holds.
+func budget(size int) int {
+	switch {
+	case size <= defaultCap:
+		return datagramFrames
+	case size <= listMax:
+		return bodyFrames
+	}
+	return 0
+}
 
 // frames holds one free list per class. A frame is listed as the pointer
 // to its first byte and rebuilt from its class's size on the way out.
@@ -94,8 +117,6 @@ var frames [classes]struct {
 	mu    sync.Mutex
 	stack []unsafe.Pointer
 }
-
-var held atomic.Int64 // bytes listed, at most maxHeld
 
 // Poison is the byte a test binary fills a freed frame with.
 const Poison byte = 0xDB
@@ -142,7 +163,6 @@ func Frame(n int) []byte {
 		b := unsafe.Slice((*byte)(l.stack[k]), size)
 		l.stack[k], l.stack = nil, l.stack[:k]
 		l.mu.Unlock()
-		held.Add(-int64(size))
 		if poisoning() && (b[0] != Poison || !bytes.Equal(b[1:], b[:size-1])) {
 			j := slices.IndexFunc(b, func(c byte) bool { return c != Poison })
 			panic(fmt.Sprintf("bufpool: a freed %d-byte frame was written at offset %d", size, j))
@@ -182,10 +202,8 @@ func Free(b []byte) {
 		l.mu.Unlock()
 		panic(fmt.Sprintf("bufpool: a %d-byte frame freed twice", c))
 	}
-	if held.Add(int64(c)) <= maxHeld {
+	if len(l.stack) < budget(c) {
 		l.stack = append(l.stack, p)
-	} else {
-		held.Add(-int64(c))
 	}
 	l.mu.Unlock()
 }

@@ -135,14 +135,21 @@ func TestFreePoisons(t *testing.T) {
 }
 
 // drain empties every free list, as if each listed frame had been taken
-// and dropped, so a test starts with the whole of maxHeld to list into.
+// and dropped, so a test starts with every class's whole budget.
 func drain() {
 	for i := range frames {
 		frames[i].mu.Lock()
 		frames[i].stack = nil
 		frames[i].mu.Unlock()
 	}
-	held.Store(0)
+}
+
+// listed is how many frames of size bytes are listed.
+func listed(size int) int {
+	i, _ := class(size)
+	frames[i].mu.Lock()
+	defer frames[i].mu.Unlock()
+	return len(frames[i].stack)
 }
 
 // TestFrameSurvivesCollection: a freed frame waits on its class's list
@@ -169,33 +176,61 @@ func TestFrameSurvivesCollection(t *testing.T) {
 	Free(got)
 }
 
-// TestFrameRetentionBound: the lists never hold more than maxHeld bytes.
-// Frees past the cap leave their frames to the collector, and a frame
-// larger than what the cap has left is dropped whole, not listed.
+// TestFrameRetentionBound: a class's list never holds more than its
+// budget. Frees past it leave their frames to the collector, a frame
+// above listMax is never listed, and a class at its budget lists again
+// once a frame is taken.
 func TestFrameRetentionBound(t *testing.T) {
 	drain()
 	defer drain()
-	const size = 1 << 20 // a class
-	for k := 0; k < maxHeld/size+4; k++ {
-		Free(make([]byte, size))
-		if h := held.Load(); h > maxHeld {
-			t.Fatalf("after %d frees of %d bytes the lists hold %d bytes, over maxHeld %d", k+1, size, h, maxHeld)
+	for _, size := range []int{minFrame, 1280, defaultCap, 2048, 80 << 10, listMax, 320 << 10} {
+		for range budget(size) + 4 {
+			Free(make([]byte, size))
+		}
+		if n := listed(size); n != budget(size) {
+			t.Errorf("%d frees of %d bytes: %d listed, want the budget %d", budget(size)+4, size, n, budget(size))
+		}
+		if budget(size) == 0 {
+			continue
+		}
+		Frame(size)
+		if Free(make([]byte, size)); listed(size) != budget(size) {
+			t.Errorf("a %d-byte frame freed under the budget was not listed: %d listed, want %d", size, listed(size), budget(size))
 		}
 	}
-	i, _ := class(size)
-	if n := len(frames[i].stack); n != maxHeld/size {
-		t.Errorf("%d frames of %d bytes listed, want %d", n, size, maxHeld/size)
+}
+
+// TestFrameClassNotStarved: one class at its budget takes nothing from
+// another's. Sixteen MiB of 256 KiB frames - all that one budget across
+// every class once allowed - list only their class's 32, and a datagram
+// frame freed after them is still listed. Before the per-class budgets,
+// the big frames filled the shared cap and the datagram was dropped.
+func TestFrameClassNotStarved(t *testing.T) {
+	drain()
+	defer drain()
+	const big = 256 << 10
+	for range 16 << 20 / big {
+		Free(make([]byte, big))
 	}
-	Frame(size)
-	before := held.Load()
-	j, big := class(int(maxHeld-before) + 1)
-	Free(make([]byte, big))
-	if h := held.Load(); h != before || len(frames[j].stack) != 0 {
-		t.Errorf("a %d-byte frame with %d bytes left under the cap: held %d -> %d, %d listed; want it dropped",
-			big, maxHeld-before, before, h, len(frames[j].stack))
+	if n := listed(big); n != bodyFrames {
+		t.Errorf("%d frees of %d bytes: %d listed, want %d", 16<<20/big, big, n, bodyFrames)
 	}
-	if Free(make([]byte, size)); held.Load() != maxHeld {
-		t.Errorf("a frame that fits was not listed: held %d, want %d", held.Load(), maxHeld)
+	if Free(make([]byte, 1280)); listed(1280) != 1 {
+		t.Errorf("a 1280-byte frame freed after a full class was not listed")
+	}
+}
+
+// TestFrameListBound: every class at its budget at once stays under the
+// 70 MiB the package doc states.
+func TestFrameListBound(t *testing.T) {
+	total := 0
+	for n := minFrame; n <= maxFrame; n++ {
+		_, size := class(n)
+		total += budget(size) * size
+		n = size
+	}
+	if total >= 70<<20 {
+		t.Errorf("the lists can hold %d bytes, over the 70 MiB the package doc states", total)
 	}
 }
 
@@ -228,8 +263,10 @@ func TestFrameConcurrentCycle(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h := held.Load(); h < 0 || h > maxHeld {
-		t.Errorf("after the cycles the lists hold %d bytes, want 0..%d", h, maxHeld)
+	for _, size := range sizes {
+		if listed(size) > budget(size) {
+			t.Errorf("after the cycles %d-byte frames: %d listed, over the budget %d", size, listed(size), budget(size))
+		}
 	}
 }
 

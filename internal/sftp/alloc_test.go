@@ -18,11 +18,11 @@ import (
 func TestAllocShipData(t *testing.T) {
 	e := &Engine{send: func(dst string, p []byte) error { return nil }}
 	data := make([]byte, DataPacketSize)
-	e.shipData("dst", 1, 0, uint64(len(data)), obs.SpanContext{}, data) // warm the pool
+	e.shipData("dst", 1, 0, uint64(len(data)), obs.SpanContext{}, false, data) // warm the pool
 	seq := uint32(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		seq++
-		e.shipData("dst", 1, seq, 1<<20, obs.SpanContext{}, data)
+		e.shipData("dst", 1, seq, 1<<20, obs.SpanContext{}, seq%8 == 0, data)
 	})
 	if allocs > 0 {
 		t.Errorf("shipData: %v allocs per fragment, want 0", allocs)
@@ -58,7 +58,7 @@ func TestAllocSFTPReceive(t *testing.T) {
 	var frame []byte
 	seq := uint32(0)
 	deliver := func() {
-		frame = appendData(frame[:0], 1, seq, uint64(total)*DataPacketSize, obs.SpanContext{}, data)
+		frame = appendData(frame[:0], 1, seq, uint64(total)*DataPacketSize, obs.SpanContext{}, true, data)
 		e.Deliver("tx", frame)
 		seq++
 	}

@@ -12,7 +12,7 @@ import (
 // TestHeaderBudget pins what the headers cost on the weak link, so a
 // field cannot creep back: a fragment of a 36 KB transfer and an
 // in-order ack under an rpc2-sized id, and exactly a span context more
-// when the stream is traced.
+// when the stream is traced (the ack request rides in the tag byte).
 func TestHeaderBudget(t *testing.T) {
 	const size = 36 << 10
 	payload := make([]byte, DataPacketSize)
@@ -26,18 +26,18 @@ func TestHeaderBudget(t *testing.T) {
 		{"first fragment", 5, 0, 8},
 		{"last full fragment, id just under 2^14", 1<<14 - 1, size/DataPacketSize - 1, 8},
 	} {
-		plain := len(appendData(nil, c.id, c.seq, size, obs.SpanContext{}, payload)) - len(payload)
+		plain := len(appendData(nil, c.id, c.seq, size, obs.SpanContext{}, false, payload)) - len(payload)
 		if plain > c.budget {
 			t.Errorf("%s: %d header bytes, budget %d", c.name, plain, c.budget)
 		}
-		if with := len(appendData(nil, c.id, c.seq, size, traced, payload)) - len(payload); with != plain+16 {
+		if with := len(appendData(nil, c.id, c.seq, size, traced, true, payload)) - len(payload); with != plain+16 {
 			t.Errorf("%s: traced header is %d bytes, want %d+16", c.name, with, plain)
 		}
 	}
 	if n := len(appendAck(nil, 1<<14-1, size/DataPacketSize, 0)); n > 6 {
 		t.Errorf("in-order ack: %d bytes, budget 6", n)
 	}
-	if worst := len(appendData(nil, 1<<64-1, 1<<32-1, maxTotalBytes, traced, nil)); worst != dataHeader {
+	if worst := len(appendData(nil, 1<<64-1, 1<<32-1, maxTotalBytes, traced, true, nil)); worst != dataHeader {
 		t.Errorf("largest data header is %d bytes, dataHeader says %d", worst, dataHeader)
 	}
 	if worst := len(appendAck(nil, 1<<64-1, 1<<32-1, 1<<64-1)); worst != ackHeader {
@@ -54,8 +54,9 @@ func cuts(total uint32, totalBytes uint64) bool {
 }
 
 // TestHeaderRoundTrip: whatever Send and the receiver can frame decodes
-// to the same values, across the whole range of every field, and the
-// packet count the receiver derives is the one the sender cut.
+// to the same values, across the whole range of every field and with or
+// without the ack request, and the packet count the receiver derives is
+// the one the sender cut.
 func TestHeaderRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	wide := func() uint64 { return r.Uint64() >> uint(r.Intn(64)) } // every length of uvarint
@@ -68,14 +69,15 @@ func TestHeaderRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			sc = obs.SpanContext{Trace: wide() | 1, Span: wide()}
 		}
+		ackMe := r.Intn(2) == 0
 		payload := make([]byte, r.Intn(DataPacketSize+1))
 		r.Read(payload)
-		p := appendData(nil, id, seq, totalBytes, sc, payload)
+		p := appendData(nil, id, seq, totalBytes, sc, ackMe, payload)
 		gid, gseq, gtotal, gbytes, gsc, gdata, ok := decodeData(p)
-		if !ok || gid != id || gseq != seq || gbytes != totalBytes || gsc != sc || !bytes.Equal(gdata, payload) ||
-			!cuts(gtotal, totalBytes) {
-			t.Fatalf("data (%d, %d, %d, %v, %d bytes) came back (%d, %d, %d, %v, %d bytes) total %d ok %v",
-				id, seq, totalBytes, sc, len(payload), gid, gseq, gbytes, gsc, len(gdata), gtotal, ok)
+		if gackMe := p[0]&flagAckMe != 0; !ok || gid != id || gseq != seq || gbytes != totalBytes || gsc != sc ||
+			gackMe != ackMe || !bytes.Equal(gdata, payload) || !cuts(gtotal, totalBytes) {
+			t.Fatalf("data (%d, %d, %d, %v, %v, %d bytes) came back (%d, %d, %d, %v, %v, %d bytes) total %d ok %v",
+				id, seq, totalBytes, sc, ackMe, len(payload), gid, gseq, gbytes, gsc, gackMe, len(gdata), gtotal, ok)
 		}
 
 		cum, bitmap := uint32(wide()), wide()

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,30 +43,39 @@ func newReceiver(clock simtime.Clock) *receiver {
 	return r
 }
 
-// fragment frames packet seq of a transfer of data, as Send would.
+// fragment frames packet seq of a transfer of data, as Send would, without
+// the ack request.
 func fragment(id uint64, seq uint32, data []byte) []byte {
 	lo := min(int(seq)*DataPacketSize, len(data))
 	hi := min(lo+DataPacketSize, len(data))
-	return appendData(nil, id, seq, uint64(len(data)), obs.SpanContext{}, data[lo:hi])
+	return appendData(nil, id, seq, uint64(len(data)), obs.SpanContext{}, false, data[lo:hi])
 }
 
 // receiveSchedule feeds one transfer of size bytes into a fresh receiver
 // in a seeded order with loss (a fragment withheld and delivered later),
 // duplicates and reordering, never beyond the window a real sender keeps:
-// nothing at or past cum+WindowPackets, cum being the receiver's latest
-// cumulative ack. It appends one "size seq cum bitmap" line per fragment
-// to log and checks the bytes Await hands back.
+// nothing at or past cum+WindowPackets, cum being the receiver's
+// cumulative count. A second seeded roll sets flagAckMe on about one
+// fragment in four; it draws from its own source, so the order is the one
+// the map-based receiver was fed. A map of the fragments delivered so far
+// says which must be acked: a flagged one, a duplicate, one that arrives
+// with a hole open or leaves one, and the one that completes the
+// transfer. It appends one "size seq cum bitmap" line per ack, and "size
+// seq -" per fragment stored silently, to log and checks the bytes Await
+// hands back.
 func receiveSchedule(t *testing.T, log *bytes.Buffer, seed int64, size int) {
 	t.Helper()
 	s := simtime.NewSim(simtime.Epoch1995)
 	s.Run(func() {
 		rx := newReceiver(s)
 		r := rand.New(rand.NewSource(seed))
+		flags := rand.New(rand.NewSource(-seed))
 		data := make([]byte, size)
 		r.Read(data)
 		total := packetCount(uint64(size))
 
 		var held []uint32 // withheld fragments: lost or overtaken, delivered later
+		have := map[uint32]bool{}
 		next, cum := uint32(0), uint32(0)
 		for cum < total {
 			fresh := next < total && next < cum+WindowPackets
@@ -87,14 +97,37 @@ func receiveSchedule(t *testing.T, log *bytes.Buffer, seed int64, size int) {
 			default:
 				continue
 			}
+			p := fragment(1, seq, data)
+			flagged := flags.Intn(4) == 0
+			if flagged {
+				p[0] |= flagAckMe
+			}
+			holeBefore := len(have) > int(cum)
+			dup := have[seq]
+			have[seq] = true
+			for have[cum] {
+				cum++
+			}
+			want := 0
+			if flagged || dup || holeBefore || len(have) > int(cum) || cum == total {
+				want = 1
+			}
+
 			before := len(rx.acks)
-			rx.Deliver("tx", fragment(1, seq, data))
-			if len(rx.acks) != before+1 {
-				t.Fatalf("size %d: fragment %d answered with %d acks, want 1", size, seq, len(rx.acks)-before)
+			rx.Deliver("tx", p)
+			if got := len(rx.acks) - before; got != want {
+				t.Fatalf("size %d: fragment %d (flagged %v, duplicate %v, hole before %v) answered with %d acks, want %d",
+					size, seq, flagged, dup, holeBefore, got, want)
+			}
+			if want == 0 {
+				fmt.Fprintf(log, "%d %d -\n", size, seq)
+				continue
 			}
 			ack := rx.acks[before]
 			fmt.Fprintf(log, "%d %d %d %016x\n", size, seq, ack.cum, ack.bitmap)
-			cum = ack.cum
+			if ack.cum != cum {
+				t.Fatalf("size %d: fragment %d acked cum %d, want %d", size, seq, ack.cum, cum)
+			}
 		}
 		got, err := rx.Await("tx", 1, time.Second)
 		if err != nil {
@@ -107,11 +140,12 @@ func receiveSchedule(t *testing.T, log *bytes.Buffer, seed int64, size int) {
 }
 
 // TestReceiveAcksMatchMapReceiver pins the receive side's observable
-// behaviour — one ack per fragment, its cumulative count and bitmap — to
-// what the map-based receiver answered for the same schedules:
-// testdata/receive_acks.golden was generated at the parent commit of the
-// change that made reassembly one flat buffer, and sim time everywhere
-// depends on these acks not moving.
+// behaviour — exactly one ack for each fragment the rule above asks to
+// be acked and none for any other, and each ack's cumulative count and
+// bitmap — for the schedules the map-based receiver was fed:
+// testdata/receive_acks.golden keeps that receiver's line, unchanged, for
+// every fragment still acked, and has "-" for each one now stored
+// silently. Sim time everywhere depends on these acks not moving.
 func TestReceiveAcksMatchMapReceiver(t *testing.T) {
 	var log bytes.Buffer
 	for i, size := range []int{0, 1, DataPacketSize, DataPacketSize + 1, 100_000, 64 * DataPacketSize, 400_001} {
@@ -158,7 +192,7 @@ func TestDeliverDropsForgedFragments(t *testing.T) {
 		total, size := packetCount(uint64(len(data))), uint64(len(data))
 		full := make([]byte, DataPacketSize)
 		frame := func(id uint64, seq uint32, totalBytes uint64, payload []byte) []byte {
-			return appendData(nil, id, seq, totalBytes, obs.SpanContext{}, payload)
+			return appendData(nil, id, seq, totalBytes, obs.SpanContext{}, false, payload)
 		}
 		// No transfer exists yet: these may not create one.
 		for name, p := range map[string][]byte{
@@ -214,10 +248,19 @@ func TestDeliverDropsForgedFragments(t *testing.T) {
 	})
 }
 
+// frameClasses remembers frameClass's answers: a frame above the pool's
+// largest listed class is made afresh on every Frame, which would cost
+// FuzzDeliver's bound check most of its executions.
+var frameClasses sync.Map // n -> capacity
+
 // frameClass is the capacity of the bufpool frame that holds n bytes.
 func frameClass(n int) int {
+	if c, ok := frameClasses.Load(n); ok {
+		return c.(int)
+	}
 	f := bufpool.Frame(n)
 	defer bufpool.Free(f)
+	frameClasses.Store(n, cap(f))
 	return cap(f)
 }
 
@@ -401,14 +444,16 @@ func FuzzDeliver(f *testing.F) {
 		return in
 	}
 	data := bytes.Repeat([]byte("z"), 2*DataPacketSize+1)
+	asked := func(p []byte) []byte { p[0] |= flagAckMe; return p }
 	f.Add(chunks(fragment(1, 2, data), fragment(1, 0, data), fragment(1, 2, data), fragment(1, 1, data), fragment(1, 1, data)))
-	f.Add(chunks(appendData(nil, 7, 0, 1<<62, obs.SpanContext{}, []byte("x"))))
-	f.Add(chunks(appendData(nil, 7, 63, maxTotalBytes, obs.SpanContext{Trace: 1, Span: 2}, make([]byte, DataPacketSize))))
+	f.Add(chunks(appendData(nil, 7, 0, 1<<62, obs.SpanContext{}, true, []byte("x"))))
+	f.Add(chunks(appendData(nil, 7, 63, maxTotalBytes, obs.SpanContext{Trace: 1, Span: 2}, true, make([]byte, DataPacketSize))))
 	f.Add(chunks(fragment(2, 0, nil), fragment(2, 0, nil), appendAck(nil, 2, 1, 0)))
 	f.Add([]byte{0, 1, tagData})
 	for _, p := range refusedForms {
 		f.Add(chunks(p))
 	}
+	f.Add(chunks(asked(fragment(3, 0, data)), fragment(3, 1, data), asked(fragment(3, 2, data))))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rx := newReceiver(simtime.NewSim(simtime.Epoch1995))
@@ -420,8 +465,9 @@ func FuzzDeliver(f *testing.F) {
 			in = in[2+n:]
 			rx.Deliver("peer", p)
 			fed += len(p)
-			if len(p) > 0 && p[0]&^flagTraced == tagData {
-				if id, seq, _, totalBytes, sc, data, ok := decodeData(p); ok && !bytes.Equal(appendData(nil, id, seq, totalBytes, sc, data), p) {
+			if len(p) > 0 && p[0]&^(flagTraced|flagAckMe) == tagData {
+				if id, seq, _, totalBytes, sc, data, ok := decodeData(p); ok &&
+					!bytes.Equal(appendData(nil, id, seq, totalBytes, sc, p[0]&flagAckMe != 0, data), p) {
 					t.Fatalf("accepted fragment % x does not re-frame to itself", p)
 				}
 			} else if len(p) > 0 && p[0] == tagAck {

@@ -4,11 +4,14 @@
 // A transfer moves one byte slice from sender to receiver as a stream of
 // data packets under a selective-repeat sliding window. Acknowledgements
 // carry a cumulative count plus a bitmap, so a single lost packet costs one
-// retransmission rather than a window. Retransmission timeouts come from
-// the shared per-peer netmon estimator, and every packet in either
-// direction refreshes the peer's liveness (the owner records it as it
-// demultiplexes) — this is the keepalive unification the paper describes
-// (SFTP traffic suppresses RPC2 and Venus keepalives).
+// retransmission rather than a window. They are sent when asked for: the
+// sender flags the packets it wants acked, as RPC2's SFTP does, and the
+// receiver answers those, duplicates and any arrival out of order at
+// once. Retransmission timeouts come from the shared per-peer netmon
+// estimator, and every packet in either direction refreshes the peer's
+// liveness (the owner records it as it demultiplexes) — this is the
+// keepalive unification the paper describes (SFTP traffic suppresses
+// RPC2 and Venus keepalives).
 //
 // The Engine does not own a socket: its owner (rpc2.Node) passes a send
 // function and routes incoming SFTP packets to Deliver. Both directions of
@@ -39,6 +42,9 @@ const (
 	// An ack's bitmap, and the receiver's record of what has arrived past
 	// its cumulative count, is one 64-bit word: no more than that.
 	WindowPackets = 64
+	// ackEvery is the sender's ack-request stride: every ackEvery-th
+	// packet, and each of a transfer's last ackEvery, asks for its ack.
+	ackEvery = 8
 	// maxConsecutiveTimeouts aborts a transfer wedged on a dead link.
 	maxConsecutiveTimeouts = 10
 )
@@ -50,6 +56,7 @@ const (
 	tagData    = 0x80
 	tagAck     = 0x81
 	flagTraced = 0x40 // on tagData: a span context follows the header
+	flagAckMe  = 0x20 // on tagData: the sender asks for this packet's ack
 )
 
 // ErrTransferFailed reports a transfer abandoned after repeated timeouts.
@@ -219,43 +226,57 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 	var timedSeq int64 = -1
 	var timedAt time.Time
 
-	xmit := func(i uint32) {
+	// A packet asks for its ack (flagAckMe) when it is one of the first
+	// two, every ackEvery-th, one of the last ackEvery, the timed one or a
+	// retransmission; the receiver acks the rest only out of order or twice.
+	xmit := func(i uint32, ackMe bool) {
 		next++
 		tx[i] = next
 		lo := int(i) * DataPacketSize
 		hi := min(lo+DataPacketSize, len(data))
 		e.met.packetsSent.Inc()
 		e.met.bytesSent.Add(int64(hi - lo))
-		e.shipData(dst, id, i, uint64(len(data)), wireCtx, data[lo:hi])
+		e.shipData(dst, id, i, uint64(len(data)), wireCtx, ackMe, data[lo:hi])
 	}
 	xmitFresh := func(i uint32) { // i is sent, about to join [base, sent)
-		xmit(i)
+		timed := timedSeq < 0
+		xmit(i, timed || i < 2 || (i+1)%ackEvery == 0 || i+ackEvery >= total)
 		if i >= base { // base passes sent only after a stale ack (see cover)
 			inflight++
 		}
-		if timedSeq < 0 {
+		if timed {
 			timedSeq = int64(i)
 			timedAt = e.clock.Now()
 		}
 	}
 	xmitRetx := func(i uint32) {
 		e.met.retransmits.Inc()
-		xmit(i)
+		xmit(i, true)
 		if timedSeq >= 0 && int64(i) <= timedSeq {
 			timedSeq = -1
 		}
 	}
 
+	// pace is the time per packet between this transfer's last two acks
+	// that covered any, with no timeout between them.
+	var pace time.Duration
+	var lastAck time.Time
+
 	// ackWait allows for the serialization time of everything in flight
-	// at the estimated path bandwidth on top of the round-trip RTO; with
-	// a window larger than the bandwidth-delay product (always true on a
-	// modem), ack spacing is serialization-limited, not RTT-limited.
+	// on top of the round-trip RTO; with a window larger than the
+	// bandwidth-delay product (always true on a modem), ack spacing is
+	// serialization-limited, not RTT-limited. Each packet is charged the
+	// larger of the pace its acks showed and its time at the estimated
+	// bandwidth: acks come only every ackEvery packets, and after a drop
+	// to a slower link the estimate is the faster link's until a transfer
+	// ends.
 	ackWait := func(extra time.Duration) time.Duration {
 		wait := peer.RTO() + extra
+		paced := time.Duration(inflight) * pace
 		if bw := peer.Bandwidth(); bw > 0 {
-			wait += time.Duration(inflight * DataPacketSize * 8 * int64(time.Second) / bw)
+			paced = max(paced, time.Duration(inflight*DataPacketSize*8*int64(time.Second)/bw))
 		}
-		return wait
+		return wait + paced
 	}
 
 	// probe is the number of a timeout's lone retransmission. An ack that
@@ -291,6 +312,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 			// queued, not lost. A second in a row retransmits everything
 			// still outstanding. Both back off.
 			timeouts++
+			lastAck = time.Time{} // the silence is no pace
 			e.met.windowStalls.Inc()
 			if timeouts >= maxConsecutiveTimeouts {
 				e.met.failures.Inc()
@@ -314,14 +336,22 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		backoff = 0
 
 		newest = 0
+		was := inflight
 		for i := base; i < ack.cum && i < total; i++ {
 			cover(i)
 		}
 		for m := ack.bitmap; m != 0; m &= m - 1 {
 			cover(ack.cum + uint32(bits.TrailingZeros64(m)))
 		}
+		now := e.clock.Now()
+		if covered := was - inflight; covered > 0 {
+			if !lastAck.IsZero() {
+				pace = now.Sub(lastAck) / time.Duration(covered)
+			}
+			lastAck = now
+		}
 		if timedSeq >= 0 && tx[timedSeq] == acked {
-			peer.ObserveRTT(e.clock.Now().Sub(timedAt))
+			peer.ObserveRTT(now.Sub(timedAt))
 			timedSeq = -1
 		}
 		for base < total && tx[base] == acked {
@@ -428,10 +458,10 @@ func (e *Engine) Deliver(src string, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	switch payload[0] {
-	case tagData, tagData | flagTraced:
+	switch tag := payload[0]; {
+	case tag&^(flagTraced|flagAckMe) == tagData:
 		e.deliverData(src, payload)
-	case tagAck:
+	case tag == tagAck:
 		e.deliverAck(src, payload)
 	}
 }
@@ -526,10 +556,15 @@ func (e *Engine) deliverData(src string, payload []byte) {
 	if first {
 		t = &inTransfer{total: total, totalBytes: totalBytes}
 	}
+	had, holeBefore := t.stored(), t.window != 0
 	if !t.store(seq, total, totalBytes, data) {
 		e.mu.Unlock()
 		return
 	}
+	// Ack what the sender asked for, a duplicate, and any arrival with a
+	// hole open before or after it (and, below, the last); an in-order
+	// packet is stored silently.
+	ask := payload[0]&flagAckMe != 0 || t.stored() == had || holeBefore || t.window != 0
 	t.idle = false
 	if first {
 		if sc.Valid() {
@@ -543,7 +578,9 @@ func (e *Engine) deliverData(src string, payload []byte) {
 	cum, bitmap := t.cum, t.window
 	if cum < t.total {
 		e.mu.Unlock()
-		e.shipAck(src, id, cum, bitmap)
+		if ask {
+			e.shipAck(src, id, cum, bitmap)
+		}
 		return
 	}
 	e.forgetLocked(k, t.total)
@@ -606,9 +643,12 @@ func uvarint(p []byte, limit uint64) (v uint64, rest []byte) {
 
 // appendData frames one data fragment into dst (the caller owns the
 // buffer) and returns the extended slice.
-func appendData(dst []byte, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, data []byte) []byte {
+func appendData(dst []byte, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, ackMe bool, data []byte) []byte {
 	tag := len(dst)
 	dst = append(dst, tagData)
+	if ackMe {
+		dst[tag] |= flagAckMe
+	}
 	dst = binary.AppendUvarint(dst, id)
 	dst = binary.AppendUvarint(dst, uint64(seq))
 	dst = binary.AppendUvarint(dst, totalBytes)
@@ -625,15 +665,16 @@ func appendData(dst []byte, id uint64, seq uint32, totalBytes uint64, sc obs.Spa
 // per fragment of every bulk transfer; zero steady-state allocations
 // here is pinned by TestAllocShipData (the span context is two header
 // words, nothing heap-allocated).
-func (e *Engine) shipData(dst string, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, data []byte) {
+func (e *Engine) shipData(dst string, id uint64, seq uint32, totalBytes uint64, sc obs.SpanContext, ackMe bool, data []byte) {
 	bp := bufpool.Get(dataHeader + len(data))
-	*bp = appendData(*bp, id, seq, totalBytes, sc, data)
+	*bp = appendData(*bp, id, seq, totalBytes, sc, ackMe, data)
 	_ = e.send(dst, *bp)
 	bufpool.Put(bp)
 }
 
 // decodeData accepts only what appendData frames (Deliver has read the
-// tag); total is derived and data aliases p.
+// tag, and deliverData reads flagAckMe there); total is derived and data
+// aliases p.
 func decodeData(p []byte) (id uint64, seq, total uint32, totalBytes uint64, sc obs.SpanContext, data []byte, ok bool) {
 	traced := p[0]&flagTraced != 0
 	id, data = uvarint(p[1:], math.MaxUint64)
@@ -657,8 +698,8 @@ func appendAck(dst []byte, id uint64, cum uint32, bitmap uint64) []byte {
 	return binary.AppendUvarint(dst, bitmap)
 }
 
-// shipAck frames one ack into a pooled buffer; every received data
-// fragment answers with one of these.
+// shipAck frames one ack into a pooled buffer: the answer to a fragment
+// that asked for it or arrived out of order, and to a duplicate.
 func (e *Engine) shipAck(dst string, id uint64, cum uint32, bitmap uint64) {
 	bp := bufpool.Get(ackHeader)
 	*bp = appendAck(*bp, id, cum, bitmap)
